@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every bundled simulation scenario and tabulate the outcomes.
 
-Writes one trace CSV and one summary JSON per scenario into --out and
-prints a settling/tracking/current table to stdout.
+Each scenario runs through ``emnav simulate``, which writes its trace CSV and
+summary JSON into --out; the table printed to stdout is read back from the
+summaries.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from emnav.sim import run_scenario, scenario_from_dict  # noqa: E402
+from emnav.cli import main as emnav_main  # noqa: E402
 
 
 def main() -> int:
@@ -25,7 +26,6 @@ def main() -> int:
         help="directory holding the scenario JSON files",
     )
     args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
 
     header = (
         f"{'scenario':<26} {'ticks':>6} {'settle[s]':>10} {'rms[rad]':>10} "
@@ -33,30 +33,33 @@ def main() -> int:
     )
     print(header)
     print("-" * len(header))
+    worst = 0
     for path in sorted(args.scenario_dir.glob("*.json")):
         data = json.loads(path.read_text())
         if data.get("kind", "simulate") != "simulate":
             continue
-        scenario = scenario_from_dict(data)
+        summary_path = args.out / f"{data.get('name', 'scenario')}_summary.json"
+        summary_path.unlink(missing_ok=True)
         start = time.perf_counter()
-        trace = run_scenario(scenario)
+        code = emnav_main(["simulate", "--config", str(path), "--out", str(args.out)])
         wall = time.perf_counter() - start
-        trace.to_csv(args.out / f"{scenario.name}_trace.csv")
-        with open(args.out / f"{scenario.name}_summary.json", "w") as fh:
-            json.dump(trace.summary, fh, indent=2, sort_keys=True, default=float)
-            fh.write("\n")
-        metrics = trace.summary["metrics"]
+        worst = max(worst, code)
+        if not summary_path.exists():
+            print(f"{path.stem:<26} exit {code}, no summary")
+            continue
+        summary = json.loads(summary_path.read_text())
+        metrics = summary["metrics"]
         settle = metrics["settling_time"]
         settle_txt = ",".join("-" if s is None else f"{s:.2f}" for s in settle)
         rms_txt = ",".join(f"{r:.4f}" for r in metrics["rms_tracking_last_quarter"])
-        status = " FAILED" if trace.failure else ""
+        status = " FAILED" if summary["failure"] else ""
         print(
-            f"{scenario.name:<26} {trace.t.shape[0]:>6} {settle_txt:>10} "
+            f"{summary['scenario']:<26} {summary['ticks']:>6} {settle_txt:>10} "
             f"{rms_txt:>10} {metrics['max_current']:>10.3f} "
             f"{metrics['steady_max_current']:>10.2e} {wall:>8.2f}{status}"
         )
     print(f"\nartifacts in {args.out}")
-    return 0
+    return worst
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .magmodel import (
     torque_map_svd,
     wrench_maps,
 )
-from .dynamics import PendulumParams, PendulumState, LinearSystem
+from .dynamics import PendulumParams, LinearSystem
 from .alloc import (
     AllocationResult,
     FieldCommand,
@@ -38,7 +38,6 @@ from .control import (
     LqriController,
     SynthesisError,
     VelocityEstimator,
-    estimate_velocities,
     lqr_gain,
 )
 from .sim import (
@@ -48,7 +47,6 @@ from .sim import (
     Scenario,
     SetpointSpec,
     SimTrace,
-    run_multi_agent,
     run_scenario,
     scenario_from_dict,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "Scenario",
     "SetpointSpec",
     "SimTrace",
-    "run_multi_agent",
     "run_scenario",
     "scenario_from_dict",
     "FeasibilityMap",
@@ -94,7 +91,6 @@ __all__ = [
     "LqriController",
     "SynthesisError",
     "VelocityEstimator",
-    "estimate_velocities",
     "lqr_gain",
     "ActuationModel",
     "CoilSpec",
@@ -107,7 +103,6 @@ __all__ = [
     "torque_map_svd",
     "wrench_maps",
     "PendulumParams",
-    "PendulumState",
     "LinearSystem",
     "__version__",
 ]

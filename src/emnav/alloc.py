@@ -41,16 +41,6 @@ from .magmodel import (
 #: Agent pairs closer than this are flagged as ill-conditioned [m].
 NEAR_CONTACT_DISTANCE = 0.01
 
-STRATEGIES = (
-    "field_alignment",
-    "torque_one_step",
-    "torque_two_step",
-    "torque_twostep_JM",
-    "torque_twostep_MA",
-    "multi_field",
-    "multi_torque",
-)
-
 
 class RankDeficiencyError(RuntimeError):
     """The actuation geometry cannot realize the requested task."""

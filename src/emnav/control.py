@@ -6,76 +6,55 @@ algebraic Riccati equation (DARE), plus an optional decoupled integral term
 on the tilt-angle error.  Velocities are estimated by backward differences of
 the sampled angles, optionally smoothed by a single-pole low-pass.
 
-The DARE is solved by fixed-point iteration on the Riccati map, which is
-dependency-free and entirely adequate for the 2- and 4-state plants used
-here.
+The DARE is solved by scipy's ``solve_discrete_are`` (the generalized
+eigenvector method of Arnold & Laub, Proc. IEEE 1984); the relative residual
+and the closed-loop spectral radius are reported as independent diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
-from .dynamics import LinearSystem, PendulumState
-
-#: Relative-change threshold for DARE fixed-point convergence.
-DARE_TOL = 1.0e-12
-
-#: Iteration cap for the DARE fixed point.
-DARE_MAX_ITER = 100_000
+from .dynamics import LinearSystem
 
 
 class SynthesisError(RuntimeError):
-    """Gain synthesis failed (non-convergent DARE or unstable closed loop)."""
+    """Gain synthesis failed (no stabilizing DARE solution or unstable loop)."""
 
 
 def dare_solve(
     a_d: np.ndarray, b_d: np.ndarray, q: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
-    """Solve AᵀPA − P − AᵀPB(R+BᵀPB)⁻¹BᵀPA + Q = 0 by fixed-point iteration.
-
-    Iterates the Riccati map from P = Q until the relative change drops
-    below DARE_TOL.
+    """Solve AᵀPA − P − AᵀPB(R+BᵀPB)⁻¹BᵀPA + Q = 0 for the stabilizing P.
 
     Raises:
-        SynthesisError: If the iteration exceeds DARE_MAX_ITER updates.
+        SynthesisError: If scipy finds no finite stabilizing solution (for
+            example, the pair is not stabilizable).
     """
-    a_d = np.asarray(a_d, dtype=float)
-    b_d = np.asarray(b_d, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    p = q.copy()
-    for _ in range(DARE_MAX_ITER):
-        btp = b_d.T @ p
-        gain_term = np.linalg.solve(r + btp @ b_d, btp @ a_d)
-        p_next = q + a_d.T @ p @ a_d - a_d.T @ p @ b_d @ gain_term
-        p_next = 0.5 * (p_next + p_next.T)
-        if not np.all(np.isfinite(p_next)) or np.max(np.abs(p_next)) > 1.0e120:
-            raise SynthesisError(
-                "DARE fixed point diverged: the pair is not stabilizable"
-            )
-        delta = np.max(np.abs(p_next - p))
-        scale = max(np.max(np.abs(p_next)), 1.0)
-        p = p_next
-        if delta <= DARE_TOL * scale:
-            return p
-    raise SynthesisError(
-        f"DARE fixed point did not converge within {DARE_MAX_ITER} iterations"
-    )
+    try:
+        return solve_discrete_are(a_d, b_d, q, r)
+    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        raise SynthesisError(f"DARE has no stabilizing solution: {exc}") from exc
 
 
 def dare_residual(
     p: np.ndarray, a_d: np.ndarray, b_d: np.ndarray, q: np.ndarray, r: np.ndarray
 ) -> float:
-    """Relative residual of the DARE at P (max-abs, scaled by max |P|)."""
+    """Relative residual of the DARE at P: max-abs residual over max |P|.
+
+    The residual is homogeneous in (P, Q, R), so this ratio does not change
+    when all three are scaled together.
+    """
     a_d = np.asarray(a_d, dtype=float)
     b_d = np.asarray(b_d, dtype=float)
     btp = b_d.T @ p
     gain_term = np.linalg.solve(np.asarray(r, float) + btp @ b_d, btp @ a_d)
     res = a_d.T @ p @ a_d - p - a_d.T @ p @ b_d @ gain_term + np.asarray(q, float)
-    return float(np.max(np.abs(res)) / max(np.max(np.abs(p)), 1.0))
+    return float(np.max(np.abs(res)) / np.max(np.abs(p)))
 
 
 @dataclass(frozen=True)
@@ -106,25 +85,37 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         q = tuple(float(v) for v in self.q_diag)
+        if not all(math.isfinite(v) for v in q):
+            raise ValueError("q_diag entries must be finite")
         if any(v < 0 for v in q) or not any(v > 0 for v in q):
             raise ValueError("q_diag must be non-negative with a positive entry")
         object.__setattr__(self, "q_diag", q)
+        for name in (
+            "r_weight", "k_i", "integral_warm_start", "anti_windup_limit",
+            "velocity_filter_cutoff",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.r_weight <= 0:
             raise ValueError("r_weight must be positive")
         if self.sample_time <= 0:
             raise ValueError("sample_time must be positive")
 
 
-def lqr_gain(sys: LinearSystem, config: ControllerConfig) -> np.ndarray:
+def lqr_gain(
+    sys: LinearSystem, config: ControllerConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the discrete LQR gain row for a single-input system.
 
     Returns:
-        K of shape (1, n) with u = -K x optimal for Q = diag(q_diag),
-        R = r_weight, satisfying a relative DARE residual < 1e-9 and a
-        closed-loop spectral radius < 1.
+        (K, P): K of shape (1, n) with u = -K x optimal for Q = diag(q_diag),
+        R = r_weight and a closed-loop spectral radius < 1; P is the DARE
+        solution K was computed from.
 
     Raises:
-        SynthesisError: On DARE non-convergence or an unstable closed loop.
+        SynthesisError: If the DARE has no stabilizing solution or the closed
+            loop is unstable.
     """
     a_d, b_d = sys.a_d, sys.b_d
     n = a_d.shape[0]
@@ -140,7 +131,7 @@ def lqr_gain(sys: LinearSystem, config: ControllerConfig) -> np.ndarray:
     rho = closed_loop_spectral_radius(sys, k)
     if rho >= 1.0:
         raise SynthesisError(f"closed loop unstable: spectral radius {rho:.6f} >= 1")
-    return k
+    return k, p
 
 
 def closed_loop_spectral_radius(sys: LinearSystem, k: np.ndarray) -> float:
@@ -207,18 +198,14 @@ class LqriController:
         self.schedule = schedule if schedule is not None else IntegralSchedule()
         self.integral_value = float(config.integral_warm_start)
         self.step_count = 0
-        self.last_output = 0.0
 
     @property
     def time(self) -> float:
         return self.step_count * self.config.sample_time
 
-    def step(self, state: np.ndarray | PendulumState, alpha_sp: float) -> float:
+    def step(self, state: np.ndarray, alpha_sp: float) -> float:
         """Advance one controller period and return the channel output."""
-        if isinstance(state, PendulumState):
-            x = state.as_array()
-        else:
-            x = np.asarray(state, dtype=float)
+        x = np.asarray(state, dtype=float)
         n = self.gain.shape[1]
         if x.shape != (n,):
             raise ValueError(f"state has shape {x.shape}, gain expects ({n},)")
@@ -231,30 +218,7 @@ class LqriController:
                 limit = abs(cfg.anti_windup_limit)
                 self.integral_value = min(max(self.integral_value, -limit), limit)
         self.step_count += 1
-        self.last_output = output
         return output
-
-    def reset(self) -> None:
-        self.integral_value = float(self.config.integral_warm_start)
-        self.step_count = 0
-        self.last_output = 0.0
-
-
-def lqri_step(
-    controller: LqriController,
-    state_estimate: np.ndarray | PendulumState,
-    setpoint: float,
-    dt: float,
-) -> float:
-    """Functional wrapper over LqriController.step.
-
-    Args:
-        dt: Must equal the configured sample time (the controller runs at a
-            fixed rate; there is no variable-step mode).
-    """
-    if abs(dt - controller.config.sample_time) > 1e-12:
-        raise ValueError("dt must equal the configured sample_time")
-    return controller.step(state_estimate, setpoint)
 
 
 class VelocityEstimator:
@@ -284,26 +248,3 @@ class VelocityEstimator:
         self._prev = angle
         self._filtered += self._alpha * (raw - self._filtered)
         return self._filtered
-
-    def reset(self) -> None:
-        self._prev = None
-        self._filtered = 0.0
-
-
-def estimate_velocities(angle_history: np.ndarray, dt: float) -> np.ndarray:
-    """Backward differences of a sampled angle sequence.
-
-    Args:
-        angle_history: Samples of one angle, length >= 2.
-        dt: Sample period [s].
-
-    Returns:
-        Rates of the same length; the first entry is 0 by convention.
-    """
-    angles = np.asarray(angle_history, dtype=float)
-    if angles.ndim != 1 or angles.size < 2:
-        raise ValueError("need at least two samples")
-    rates = np.empty_like(angles)
-    rates[0] = 0.0
-    rates[1:] = np.diff(angles) / dt
-    return rates

@@ -1,13 +1,14 @@
-"""Pendulum-on-actuator mechanics: nonlinear equations of motion and
-linearizations for both actuation paradigms.
+"""Pendulum-on-actuator mechanics: the plant the simulator integrates, its
+linearizations for both actuation paradigms, and their finite-difference
+check.
 
 The plant is a pivoted actuator rod (carrying the magnet stack) with an
-inverted pendulum balanced on top of it.  Planar motion is described by the
-actuator tilt (alpha) and the pendulum tilt (phi); the full 3D plant is two
-such planar systems, one per tilt direction, coupled only through the shared
-magnetics.
+inverted pendulum balanced on top of it, or the actuator alone.  Planar
+motion is described by the actuator tilt (alpha) and the pendulum tilt
+(phi); the full 3D plant is two such planar systems, one per tilt direction,
+coupled only through the shared magnetics.
 
-Two actuation paradigms are supported:
+Two actuation paradigms are linearized:
 
 * ``field``: the input is the commanded field angle u_alpha; the magnetic
   torque on the actuator is |m||b| sin(u_alpha - alpha).
@@ -17,7 +18,7 @@ Two actuation paradigms are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -68,26 +69,6 @@ class PendulumParams:
         if self.damping < 0.0:
             raise ValueError("damping must be non-negative")
 
-    def with_updates(self, **kwargs) -> "PendulumParams":
-        return replace(self, **kwargs)
-
-
-@dataclass
-class PendulumState:
-    """Planar state: actuator tilt, pendulum tilt, and their rates [rad, rad/s]."""
-
-    alpha: float = 0.0
-    phi: float = 0.0
-    alpha_dot: float = 0.0
-    phi_dot: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.phi, self.alpha_dot, self.phi_dot])
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "PendulumState":
-        return cls(alpha=float(x[0]), phi=float(x[1]), alpha_dot=float(x[2]), phi_dot=float(x[3]))
-
 
 def _check_paradigm(paradigm: str) -> None:
     if paradigm not in PARADIGMS:
@@ -95,71 +76,7 @@ def _check_paradigm(paradigm: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Actuator-only equations of motion (no pendulum attached)
-# ---------------------------------------------------------------------------
-
-
-def eom_actuator_field(
-    params: PendulumParams,
-    alpha: float,
-    alpha_dot: float,
-    u_alpha: float,
-    b_mag: float,
-) -> float:
-    """Actuator-only angular acceleration under field-angle actuation.
-
-    J a'' = eta g sin(a) + |m||b| sin(u_a - a) - d a'.
-    The upright equilibrium is stable iff |m||b| > eta g.
-    """
-    p = params
-    torque = (
-        p.eta * p.gravity * math.sin(alpha)
-        + p.dipole_magnitude * b_mag * math.sin(u_alpha - alpha)
-        - p.damping * alpha_dot
-    )
-    return torque / p.inertia
-
-
-def eom_actuator_torque(
-    params: PendulumParams, alpha: float, alpha_dot: float, tau: float
-) -> float:
-    """Actuator-only angular acceleration under direct torque actuation.
-
-    J a'' = eta g sin(a) + tau - d a'.
-    """
-    p = params
-    return (p.eta * p.gravity * math.sin(alpha) + tau - p.damping * alpha_dot) / p.inertia
-
-
-def eom_field_with_gradients(
-    params: PendulumParams,
-    alpha: float,
-    alpha_dot: float,
-    u_alpha: float,
-    b_mag: float,
-    u_xy: float,
-    u_yx: float,
-) -> float:
-    """Linearized actuator acceleration with field-gradient force inputs.
-
-    Small-angle model (valid for |alpha| < 0.2 rad; outside that range it is
-    only an approximation of the nonlinear plant):
-
-        J a'' + d a' + (|m||b| - eta g) a
-            = |m||b| u_a + l_m |m| u_xy + l_m |m| u_yx
-
-    The two gradient inputs enter symmetrically: a transverse force on the
-    magnet at lever arm l_m is indistinguishable from extra field torque.
-    """
-    p = params
-    mb = p.dipole_magnitude * b_mag
-    stiffness = mb - p.eta * p.gravity
-    drive = mb * u_alpha + p.magnet_offset * p.dipole_magnitude * (u_xy + u_yx)
-    return (drive - p.damping * alpha_dot - stiffness * alpha) / p.inertia
-
-
-# ---------------------------------------------------------------------------
-# Coupled actuator + pendulum equations of motion
+# The simulated plant
 # ---------------------------------------------------------------------------
 
 
@@ -204,67 +121,88 @@ def _coupled_accelerations(
     return alpha_dd, phi_dd
 
 
-def generalized_force(
-    params: PendulumParams,
-    alpha: float,
-    paradigm: str,
-    u: float,
-    b_mag: float = 0.0,
-) -> float:
-    """Magnetic generalized force on the actuator joint for a planar model."""
-    _check_paradigm(paradigm)
-    if paradigm == "torque":
-        return u
-    return params.dipole_magnitude * b_mag * math.sin(u - alpha)
+def rk4_tick(
+    y: tuple,
+    deriv,
+    substeps: int,
+    dt: float,
+    b_grid: list,
+    g_grid: list,
+    bias_a: float,
+    bias_b: float,
+) -> tuple:
+    """Integrate one controller tick of ``substeps`` RK4 steps of size dt.
 
-
-def eom_pendulum_coupled(
-    params: PendulumParams,
-    state: PendulumState,
-    paradigm: str,
-    u: float,
-    b_mag: float = 0.0,
-    disturbance_torque: float = 0.0,
-) -> tuple[float, float]:
-    """Full nonlinear planar accelerations (alpha'', phi'').
-
-    Args:
-        params: Plant parameters.
-        state: Current planar state.
-        paradigm: "field" (u is the field angle, b_mag required) or
-            "torque" (u is the applied torque).
-        u: Control input in the paradigm's units.
-        b_mag: Field magnitude [T], used by the field paradigm.
-        disturbance_torque: Additional constant torque on the actuator joint.
+    ``b_grid``/``g_grid`` hold the field and packed gradient at every half
+    step (2·substeps + 1 entries); ``bias_a``/``bias_b`` are constant
+    generalized forces on the two actuator joints.  Pure Python floats.
     """
-    q_alpha = (
-        generalized_force(params, state.alpha, paradigm, u, b_mag)
-        + disturbance_torque
-    )
-    return _coupled_accelerations(
-        params, state.alpha, state.phi, state.alpha_dot, state.phi_dot, q_alpha
-    )
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for j in range(substeps):
+        base = 2 * j
+        k1 = deriv(y, base, b_grid, g_grid, bias_a, bias_b)
+        y2 = tuple(v + half * k for v, k in zip(y, k1))
+        k2 = deriv(y2, base + 1, b_grid, g_grid, bias_a, bias_b)
+        y3 = tuple(v + half * k for v, k in zip(y, k2))
+        k3 = deriv(y3, base + 1, b_grid, g_grid, bias_a, bias_b)
+        y4 = tuple(v + dt * k for v, k in zip(y, k3))
+        k4 = deriv(y4, base + 2, b_grid, g_grid, bias_a, bias_b)
+        y = tuple(
+            v + sixth * (a + 2.0 * (b + c) + d)
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+        )
+    return y
 
 
-def total_energy(params: PendulumParams, state: PendulumState) -> float:
-    """Mechanical energy of the unforced coupled plant (kinetic + potential)."""
-    p = params
-    m_pend = p.pend_mass
-    t_kin = (
-        0.5 * (p.inertia + m_pend * p.arm_length**2) * state.alpha_dot**2
-        + 0.125 * m_pend * p.pend_length**2 * state.phi_dot**2
-        + 0.5
-        * m_pend
-        * p.arm_length
-        * p.pend_length
-        * state.alpha_dot
-        * state.phi_dot
-        * math.cos(state.alpha - state.phi)
-    )
-    u_pot = (p.eta + m_pend * p.arm_length) * p.gravity * math.cos(state.alpha) + (
-        m_pend * p.gravity * 0.5 * p.pend_length * math.cos(state.phi)
-    )
-    return t_kin + u_pot
+def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
+    """Plant derivative for one agent's joint (alpha+beta channel) state.
+
+    The state is (alpha, phi, alpha', phi', beta, theta, beta', theta') with
+    a pendulum attached, else (alpha, alpha', beta, beta').  ``mag_pol`` is
+    the signed dipole moment |m|·polarity.
+    """
+    lever = params.magnet_offset
+    eta_g = params.eta * params.gravity
+    damping = params.damping
+    inertia = params.inertia
+    sin = math.sin
+    cos = math.cos
+
+    def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):
+        if attached:
+            a, ph, ad, phd, bb, th, bd, thd = y
+        else:
+            a, ad, bb, bd = y
+        sa = sin(a)
+        ca = cos(a)
+        sb = sin(bb)
+        cb = cos(bb)
+        ax = sa * cb
+        ay = -sb
+        az = ca * cb
+        mx = mag_pol * ax
+        my = mag_pol * ay
+        mz = mag_pol * az
+        bx, by, bz = b_grid[idx]
+        g1, g2, g3, g4, g5 = g_grid[idx]
+        fx = g1 * mx + g2 * my + g3 * mz
+        fy = g2 * mx + g4 * my + g5 * mz
+        fz = g3 * mx + g5 * my - (g1 + g4) * mz
+        tx = my * bz - mz * by + lever * (ay * fz - az * fy)
+        ty = mz * bx - mx * bz + lever * (az * fx - ax * fz)
+        tz = mx * by - my * bx + lever * (ax * fy - ay * fx)
+        qa = ty + bias_a
+        qb = tx * ca - tz * sa + bias_b
+        if attached:
+            add, phdd = _coupled_accelerations(params, a, ph, ad, phd, qa)
+            bdd, thdd = _coupled_accelerations(params, bb, th, bd, thd, qb)
+            return (ad, phd, add, phdd, bd, thd, bdd, thdd)
+        add = (eta_g * sa + qa - damping * ad) / inertia
+        bdd = (eta_g * sb + qb - damping * bd) / inertia
+        return (ad, add, bd, bdd)
+
+    return deriv
 
 
 # ---------------------------------------------------------------------------
@@ -372,39 +310,37 @@ def finite_difference_linearization(
     params: PendulumParams,
     paradigm: str,
     b_mag: float = 0.0,
+    attached: bool = True,
     eps: float = 1.0e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite-difference Jacobians of the nonlinear coupled plant.
+    """Central finite-difference Jacobians of the plant the simulator runs.
 
-    Independent cross-check of :func:`linearize`; returns (A, B) evaluated at
-    the upright equilibrium with zero input.
+    Differentiates the alpha channel of :func:`make_deriv` at the upright
+    equilibrium, with the beta channel at rest and zero field gradient.  The
+    input is the generalized force on the actuator joint with zero field
+    (torque paradigm), or the angle u of the field |b|·(sin u, 0, cos u)
+    (field paradigm).  Independent cross-check of :func:`linearize`
+    (``attached``) and :func:`linearize_actuator`; returns (A, B) in their
+    state order.
     """
     _check_paradigm(paradigm)
+    deriv = make_deriv(params, attached, params.dipole_magnitude)
+    n = 4 if attached else 2
+    no_gradient = [(0.0,) * 5]
 
     def f(x: np.ndarray, u: float) -> np.ndarray:
-        state = PendulumState.from_array(x)
-        add, pdd = eom_pendulum_coupled(params, state, paradigm, u, b_mag)
-        return np.array([state.alpha_dot, state.phi_dot, add, pdd])
+        y = tuple(float(v) for v in x) + (0.0,) * n
+        if paradigm == "torque":
+            b_grid, bias = [(0.0, 0.0, 0.0)], u
+        else:
+            b_grid, bias = [(b_mag * math.sin(u), 0.0, b_mag * math.cos(u))], 0.0
+        return np.array(deriv(y, 0, b_grid, no_gradient, bias, 0.0)[:n])
 
-    x0 = np.zeros(4)
-    a = np.zeros((4, 4))
-    for j in range(4):
-        dx = np.zeros(4)
+    x0 = np.zeros(n)
+    a = np.zeros((n, n))
+    for j in range(n):
+        dx = np.zeros(n)
         dx[j] = eps
         a[:, j] = (f(x0 + dx, 0.0) - f(x0 - dx, 0.0)) / (2.0 * eps)
-    b = ((f(x0, eps) - f(x0, -eps)) / (2.0 * eps)).reshape(4, 1)
+    b = ((f(x0, eps) - f(x0, -eps)) / (2.0 * eps)).reshape(n, 1)
     return a, b
-
-
-# ---------------------------------------------------------------------------
-# Fixed-step integrator
-# ---------------------------------------------------------------------------
-
-
-def rk4_step(f, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

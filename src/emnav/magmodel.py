@@ -15,10 +15,8 @@ the torque map.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -101,19 +99,6 @@ class ActuationModel:
             [np.asarray(c.axis) * c.moment_per_ampere for c in self.coils]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "coils": [
-                {
-                    "position": list(c.position),
-                    "axis": list(c.axis),
-                    "moment_per_ampere": c.moment_per_ampere,
-                }
-                for c in self.coils
-            ],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ActuationModel":
         try:
@@ -129,57 +114,6 @@ class ActuationModel:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed coil model description: {exc}") from exc
         return cls(name=name, coils=coils)
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "ActuationModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def dipole_field(
-    r: NDArray[np.floating], moment: NDArray[np.floating]
-) -> NDArray[np.floating]:
-    """Magnetic field of a point dipole.
-
-    Args:
-        r: Vector from the dipole to the evaluation point [m].
-        moment: Dipole moment [A·m²].
-
-    Returns:
-        Field vector b [T] = (mu0 / 4 pi) * (3 r (m·r) / |r|^5 - m / |r|^3).
-    """
-    r = np.asarray(r, dtype=float)
-    moment = np.asarray(moment, dtype=float)
-    d2 = float(r @ r)
-    if d2 < MIN_COIL_DISTANCE**2:
-        raise SingularPositionError("field evaluation point coincides with dipole")
-    d = math.sqrt(d2)
-    return _MU0_OVER_4PI * (3.0 * r * float(moment @ r) / d**5 - moment / d**3)
-
-
-def dipole_field_jacobian(
-    r: NDArray[np.floating], moment: NDArray[np.floating]
-) -> NDArray[np.floating]:
-    """Spatial Jacobian db_i/dr_j of a point-dipole field (3x3).
-
-    The result is symmetric and traceless, as required of any magnetostatic
-    field gradient in a current-free region.
-    """
-    r = np.asarray(r, dtype=float)
-    moment = np.asarray(moment, dtype=float)
-    d2 = float(r @ r)
-    if d2 < MIN_COIL_DISTANCE**2:
-        raise SingularPositionError("gradient evaluation point coincides with dipole")
-    d = math.sqrt(d2)
-    mr = float(moment @ r)
-    eye = np.eye(3)
-    outer_rm = np.outer(r, moment)
-    return _MU0_OVER_4PI * (
-        3.0 * (mr * eye + outer_rm + outer_rm.T) / d**5
-        - 15.0 * mr * np.outer(r, r) / d**7
-    )
 
 
 def pack_gradient(grad: NDArray[np.floating]) -> NDArray[np.floating]:
@@ -386,11 +320,6 @@ class DipoleAgent:
         return self.polarity * self.dipole_magnitude * self.axis
 
 
-def moment_field_map(moment: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Torque-from-field map: tau = skew(m) @ b."""
-    return skew(np.asarray(moment, dtype=float))
-
-
 def moment_gradient_map(moment: NDArray[np.floating]) -> NDArray[np.floating]:
     """Force-from-gradient map (3x5): f = M_g(m) @ g.
 
@@ -448,7 +377,7 @@ def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
     jac_tilde = magnet_offset * skew(agent.axis)
     jac = np.hstack([np.eye(3), jac_tilde])
     return WrenchMaps(
-        m_b=moment_field_map(m),
+        m_b=skew(m),
         m_g=moment_gradient_map(m),
         jac_tilde=jac_tilde,
         jac=jac,

@@ -40,10 +40,11 @@ from .control import (
 )
 from .dynamics import (
     PendulumParams,
-    _coupled_accelerations,
     finite_difference_linearization,
     linearize,
     linearize_actuator,
+    make_deriv,
+    rk4_tick,
 )
 from .magmodel import (
     ActuationModel,
@@ -237,6 +238,8 @@ class Scenario:
                 f"'{self.paradigm}' with {len(self.agents)} agent(s); "
                 f"expected one of {table[self.paradigm]}"
             )
+        if not math.isfinite(self.field_magnitude):
+            raise ValueError("field_magnitude must be finite")
         if self.paradigm == "field" and self.field_magnitude <= 0:
             raise ValueError("field paradigm requires field_magnitude > 0")
         if self.measurement_noise_std < 0:
@@ -345,80 +348,6 @@ def _controller_for(
     return cfg
 
 
-def _rk4_tick(
-    y: tuple,
-    deriv,
-    substeps: int,
-    dt: float,
-    b_grid: list,
-    g_grid: list,
-    bias_a: float,
-    bias_b: float,
-) -> tuple:
-    """Integrate one controller tick (pure Python floats)."""
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for j in range(substeps):
-        base = 2 * j
-        k1 = deriv(y, base, b_grid, g_grid, bias_a, bias_b)
-        y2 = tuple(v + half * k for v, k in zip(y, k1))
-        k2 = deriv(y2, base + 1, b_grid, g_grid, bias_a, bias_b)
-        y3 = tuple(v + half * k for v, k in zip(y, k2))
-        k3 = deriv(y3, base + 1, b_grid, g_grid, bias_a, bias_b)
-        y4 = tuple(v + dt * k for v, k in zip(y, k3))
-        k4 = deriv(y4, base + 2, b_grid, g_grid, bias_a, bias_b)
-        y = tuple(
-            v + sixth * (a + 2.0 * (b + c) + d)
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
-    return y
-
-
-def _make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
-    """Plant derivative for one agent's joint (alpha+beta channel) state."""
-    lever = params.magnet_offset
-    eta_g = params.eta * params.gravity
-    damping = params.damping
-    inertia = params.inertia
-    sin = math.sin
-    cos = math.cos
-
-    def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):
-        if attached:
-            a, ph, ad, phd, bb, th, bd, thd = y
-        else:
-            a, ad, bb, bd = y
-        sa = sin(a)
-        ca = cos(a)
-        sb = sin(bb)
-        cb = cos(bb)
-        ax = sa * cb
-        ay = -sb
-        az = ca * cb
-        mx = mag_pol * ax
-        my = mag_pol * ay
-        mz = mag_pol * az
-        bx, by, bz = b_grid[idx]
-        g1, g2, g3, g4, g5 = g_grid[idx]
-        fx = g1 * mx + g2 * my + g3 * mz
-        fy = g2 * mx + g4 * my + g5 * mz
-        fz = g3 * mx + g5 * my - (g1 + g4) * mz
-        tx = my * bz - mz * by + lever * (ay * fz - az * fy)
-        ty = mz * bx - mx * bz + lever * (az * fx - ax * fz)
-        tz = mx * by - my * bx + lever * (ax * fy - ay * fx)
-        qa = ty + bias_a
-        qb = tx * ca - tz * sa + bias_b
-        if attached:
-            add, phdd = _coupled_accelerations(params, a, ph, ad, phd, qa)
-            bdd, thdd = _coupled_accelerations(params, bb, th, bd, thd, qb)
-            return (ad, phd, add, phdd, bd, thd, bdd, thdd)
-        add = (eta_g * sa + qa - damping * ad) / inertia
-        bdd = (eta_g * sb + qb - damping * bd) / inertia
-        return (ad, add, bd, bdd)
-
-    return deriv
-
-
 def _initial_joint_state(setup: AgentSetup) -> tuple:
     a0, b0, ph0, th0, ad0, bd0, phd0, thd0 = setup.initial
     if setup.pendulum_attached:
@@ -483,30 +412,23 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     controllers: list[dict[str, _ChannelController]] = []
     for a_idx, setup in enumerate(scenario.agents):
         attached = setup.pendulum_attached
-        if attached:
-            sys = linearize(
-                params, scenario.paradigm, b_mag=scenario.field_magnitude,
-                sample_time=h,
-            )
-            a_fd, b_fd = finite_difference_linearization(
-                params, scenario.paradigm, b_mag=scenario.field_magnitude
-            )
-            fd_match = float(
-                max(np.max(np.abs(sys.a - a_fd)), np.max(np.abs(sys.b - b_fd)))
-            )
-        else:
-            sys = linearize_actuator(
-                params, scenario.paradigm, b_mag=scenario.field_magnitude,
-                sample_time=h,
-            )
-            fd_match = 0.0
+        sys = (linearize if attached else linearize_actuator)(
+            params, scenario.paradigm, b_mag=scenario.field_magnitude,
+            sample_time=h,
+        )
+        a_fd, b_fd = finite_difference_linearization(
+            params, scenario.paradigm, b_mag=scenario.field_magnitude,
+            attached=attached,
+        )
+        fd_match = float(
+            max(np.max(np.abs(sys.a - a_fd)), np.max(np.abs(sys.b - b_fd)))
+        )
         per_channel: dict[str, _ChannelController] = {}
         for channel in CHANNELS:
             cfg = _controller_for(setup, channel, attached, h)
-            gain = lqr_gain(sys, cfg)
+            gain, p = lqr_gain(sys, cfg)
             residual = dare_residual(
-                _dare_p(sys, cfg), sys.a_d, sys.b_d,
-                np.diag(cfg.q_diag), np.array([[cfg.r_weight]]),
+                p, sys.a_d, sys.b_d, np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
             )
             windows = (
                 setup.integral_windows_alpha
@@ -534,7 +456,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     a_field_rows = [m[:3] for m in a_mats]
     a_grad_rows = [m[3:] for m in a_mats]
     derivs = [
-        _make_deriv(
+        make_deriv(
             params,
             s.pendulum_attached,
             params.dipole_magnitude * s.polarity,
@@ -681,7 +603,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 continue  # still held at its initial pose
             b_grid = (a_field_rows[a_idx] @ i_grid).T.tolist()
             g_grid = (a_grad_rows[a_idx] @ i_grid).T.tolist()
-            states[a_idx] = _rk4_tick(
+            states[a_idx] = rk4_tick(
                 states[a_idx],
                 derivs[a_idx],
                 substeps,
@@ -713,14 +635,6 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     )
     trace.summary = _summarize(scenario, trace)
     return trace
-
-
-def _dare_p(sys, cfg: ControllerConfig) -> np.ndarray:
-    from .control import dare_solve
-
-    return dare_solve(
-        sys.a_d, sys.b_d, np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
-    )
 
 
 def _allocate(scenario: Scenario, meas_agents: list, outputs: list):
@@ -838,13 +752,6 @@ def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
         "failure": trace.failure,
     }
     return summary
-
-
-def run_multi_agent(scenario: Scenario) -> SimTrace:
-    """Two-agent entry point (stacked allocation per tick)."""
-    if len(scenario.agents) != 2:
-        raise ValueError("run_multi_agent requires exactly 2 agents")
-    return run_scenario(scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alloc import composed_torque_map
+from .alloc import NEAR_CONTACT_DISTANCE, composed_torque_map
 from .dynamics import PendulumParams
-from .magmodel import ActuationModel, DipoleAgent, actuation_matrix, field_matrix
+from .magmodel import (
+    RANK_RTOL,
+    ActuationModel,
+    DipoleAgent,
+    actuation_matrix,
+    field_matrix,
+)
 
 __all__ = [
     "TaskSet",
@@ -31,13 +37,6 @@ __all__ = [
 ]
 
 TASK_KINDS = ("torque-box", "fixed-field")
-
-# Minimum separation below which the point-dipole description of the agents
-# stops being trustworthy; such grid points are flagged, not dropped.
-NEAR_CONTACT_DISTANCE = 0.01
-
-_RANK_RTOL = 1e-10
-_PINV_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,17 +73,13 @@ class GridSpec:
 
     Each axis is an inclusive (min, max) interval sampled every ``spacing``
     meters; a degenerate axis (min == max) contributes the single value, so
-    lines and planes are expressed naturally.  Default spacings: 2 mm for
-    single-agent maps, 5 mm for two-agent maps.
+    lines and planes are expressed naturally.
     """
 
     x: tuple[float, float]
     y: tuple[float, float]
     z: tuple[float, float]
     spacing: float = 0.002
-
-    DEFAULT_SINGLE_SPACING = 0.002
-    DEFAULT_TWO_AGENT_SPACING = 0.005
 
     def __post_init__(self) -> None:
         if not self.spacing > 0.0:
@@ -196,9 +191,9 @@ def _torque_margin_from_map(
 ) -> float:
     """FM for a stacked body torque map: rows come in (tau_x, tau_y) pairs."""
     sigma = np.linalg.svd(body_map, compute_uv=False)
-    if sigma[-1] <= _RANK_RTOL * sigma[0]:
+    if sigma[-1] <= RANK_RTOL * sigma[0]:
         return -math.inf
-    pinv = np.linalg.pinv(body_map, rcond=_PINV_RCOND)
+    pinv = np.linalg.pinv(body_map, rcond=RANK_RTOL)
     worst = 0.0
     n_pairs = body_map.shape[0] // 2
     for bits in range(2 ** (2 * n_pairs)):
@@ -262,7 +257,7 @@ def feasibility_margin_field(
         raise ValueError("field_magnitude must be non-negative")
     rows = _field_rows(model, np.asarray(position, float))
     task = _field_task_vector(model, field_magnitude)
-    currents = np.linalg.pinv(rows, rcond=_PINV_RCOND) @ task
+    currents = np.linalg.pinv(rows, rcond=RANK_RTOL) @ task
     return current_limit - float(np.max(np.abs(currents)))
 
 
@@ -296,13 +291,13 @@ def _evaluate_points(
         task_vec = np.concatenate([one_field, one_field])
         for k, pos in enumerate(positions):
             rows = np.vstack([field_matrix(model, pos), other_rows])
-            currents = np.linalg.pinv(rows, rcond=_PINV_RCOND) @ task_vec
+            currents = np.linalg.pinv(rows, rcond=RANK_RTOL) @ task_vec
             fm[k] = current_limit - float(np.max(np.abs(currents)))
     else:
         task_vec = _field_task_vector(model, task.field_magnitude)
         for k, pos in enumerate(positions):
             rows = _field_rows(model, pos)
-            currents = np.linalg.pinv(rows, rcond=_PINV_RCOND) @ task_vec
+            currents = np.linalg.pinv(rows, rcond=RANK_RTOL) @ task_vec
             fm[k] = current_limit - float(np.max(np.abs(currents)))
     return fm
 

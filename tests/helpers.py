@@ -1,10 +1,15 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers and oracles for the test suite."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from emnav.magmodel import DipoleAgent
+from emnav.dynamics import PendulumParams
+from emnav.magmodel import MIN_COIL_DISTANCE, DipoleAgent, SingularPositionError
+
+_MU0_OVER_4PI = 1.0e-7
 
 
 def random_agent(rng: np.random.Generator, span: float = 0.04) -> DipoleAgent:
@@ -34,3 +39,85 @@ def min_norm_oracle(mat: np.ndarray, target: np.ndarray) -> np.ndarray:
     if basis.size:
         x0 = x0 - basis @ (basis.T @ x0)
     return x0
+
+
+def dipole_field(
+    r: NDArray[np.floating], moment: NDArray[np.floating]
+) -> NDArray[np.floating]:
+    """Magnetic field of a point dipole.
+
+    Args:
+        r: Vector from the dipole to the evaluation point [m].
+        moment: Dipole moment [A·m²].
+
+    Returns:
+        Field vector b [T] = (mu0 / 4 pi) * (3 r (m·r) / |r|^5 - m / |r|^3).
+    """
+    r = np.asarray(r, dtype=float)
+    moment = np.asarray(moment, dtype=float)
+    d2 = float(r @ r)
+    if d2 < MIN_COIL_DISTANCE**2:
+        raise SingularPositionError("field evaluation point coincides with dipole")
+    d = math.sqrt(d2)
+    return _MU0_OVER_4PI * (3.0 * r * float(moment @ r) / d**5 - moment / d**3)
+
+
+def dipole_field_jacobian(
+    r: NDArray[np.floating], moment: NDArray[np.floating]
+) -> NDArray[np.floating]:
+    """Spatial Jacobian db_i/dr_j of a point-dipole field (3x3).
+
+    The result is symmetric and traceless, as required of any magnetostatic
+    field gradient in a current-free region.
+    """
+    r = np.asarray(r, dtype=float)
+    moment = np.asarray(moment, dtype=float)
+    d2 = float(r @ r)
+    if d2 < MIN_COIL_DISTANCE**2:
+        raise SingularPositionError("gradient evaluation point coincides with dipole")
+    d = math.sqrt(d2)
+    mr = float(moment @ r)
+    eye = np.eye(3)
+    outer_rm = np.outer(r, moment)
+    return _MU0_OVER_4PI * (
+        3.0 * (mr * eye + outer_rm + outer_rm.T) / d**5
+        - 15.0 * mr * np.outer(r, r) / d**7
+    )
+
+
+def total_energy(
+    params: PendulumParams, alpha: float, phi: float, alpha_dot: float,
+    phi_dot: float,
+) -> float:
+    """Mechanical energy of one unforced channel of the coupled plant."""
+    p = params
+    m_pend = p.pend_mass
+    t_kin = (
+        0.5 * (p.inertia + m_pend * p.arm_length**2) * alpha_dot**2
+        + 0.125 * m_pend * p.pend_length**2 * phi_dot**2
+        + 0.5 * m_pend * p.arm_length * p.pend_length * alpha_dot * phi_dot
+        * math.cos(alpha - phi)
+    )
+    u_pot = (p.eta + m_pend * p.arm_length) * p.gravity * math.cos(alpha) + (
+        m_pend * p.gravity * 0.5 * p.pend_length * math.cos(phi)
+    )
+    return t_kin + u_pot
+
+
+def estimate_velocities(angle_history: np.ndarray, dt: float) -> np.ndarray:
+    """Backward differences of a sampled angle sequence.
+
+    Args:
+        angle_history: Samples of one angle, length >= 2.
+        dt: Sample period [s].
+
+    Returns:
+        Rates of the same length; the first entry is 0 by convention.
+    """
+    angles = np.asarray(angle_history, dtype=float)
+    if angles.ndim != 1 or angles.size < 2:
+        raise ValueError("need at least two samples")
+    rates = np.empty_like(angles)
+    rates[0] = 0.0
+    rates[1:] = np.diff(angles) / dt
+    return rates

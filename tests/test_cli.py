@@ -116,6 +116,36 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("r_weight", "Infinity"),
+            ("q_diag", "[20.0, NaN, 1.0, 1.0]"),
+            ("k_i", "NaN"),
+            ("integral_warm_start", "-Infinity"),
+            ("anti_windup_limit", "NaN"),
+            ("velocity_filter_cutoff", "Infinity"),
+            ("field_magnitude", "NaN"),
+        ],
+    )
+    def test_non_finite_synthesis_input_is_config_error(
+        self, short_torque, tmp_path, capsys, key, value
+    ):
+        # Python's json reads NaN and Infinity, so they reach the config as
+        # floats; they must be rejected at parse time, not by the DARE.
+        data = json.loads(short_torque.read_text())
+        if key == "field_magnitude":
+            data[key] = "@"
+        else:
+            data["agents"][0]["controller"][key] = "@"
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text(json.dumps(data).replace('"@"', value))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "finite" in err
+        assert not (out / "single_torque_failure.json").exists()
+
     def test_allocation_failure_exit_2_with_record(self, short_torque, tmp_path):
         data = json.loads(short_torque.read_text())
         data["model"] = {

@@ -1,8 +1,10 @@
 """Tests for LQR synthesis and the decoupled LQRI controller.
 
 Oracles:
-  * scipy.linalg.solve_discrete_are for the Riccati solution;
   * the closed-form root of the scalar DARE;
+  * the Joseph (closed-loop Lyapunov) form of the Riccati equation,
+    P = (A-BK)ᵀP(A-BK) + Q + KᵀRK, which shares no arithmetic with the
+    residual the synthesis reports;
   * exact integrator arithmetic (rectangle rule) for the integral term.
 """
 
@@ -12,7 +14,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
 
 from emnav.control import (
     ControllerConfig,
@@ -23,12 +24,12 @@ from emnav.control import (
     closed_loop_spectral_radius,
     dare_residual,
     dare_solve,
-    estimate_velocities,
     lqr_gain,
-    lqri_step,
     setpoint_state,
 )
-from emnav.dynamics import linearize
+from emnav.dynamics import LinearSystem, linearize
+
+from helpers import estimate_velocities
 
 
 @pytest.fixture
@@ -48,30 +49,63 @@ class TestDare:
         k = np.linalg.solve(1.0 + b_d.T @ p @ b_d, b_d.T @ p @ a_d)
         assert k[0, 0] == pytest.approx(k_exact, rel=1e-12)
 
-    def test_matches_scipy_on_pendulum(self, torque_sys):
+    @staticmethod
+    def assert_riccati_solution(a_d, b_d, q, r, p, rtol):
+        # Stabilizing, symmetric positive definite, and a fixed point of the
+        # Joseph form.
+        k = np.linalg.solve(r + b_d.T @ p @ b_d, b_d.T @ p @ a_d)
+        a_cl = a_d - b_d @ k
+        assert np.max(np.abs(np.linalg.eigvals(a_cl))) < 1.0
+        np.testing.assert_array_equal(p, p.T)
+        assert np.min(np.linalg.eigvalsh(p)) > 0.0
+        joseph = a_cl.T @ p @ a_cl + q + k.T @ r @ k
+        assert np.max(np.abs(joseph - p)) <= rtol * np.max(np.abs(p))
+
+    def test_pendulum_riccati_identities(self, torque_sys):
         q = np.diag([20.0, 40.0, 1.0, 1.0])
         r = np.array([[1.0]])
         p = dare_solve(torque_sys.a_d, torque_sys.b_d, q, r)
-        p_ref = solve_discrete_are(torque_sys.a_d, torque_sys.b_d, q, r)
-        np.testing.assert_allclose(p, p_ref, rtol=1e-8)
-        assert dare_residual(p, torque_sys.a_d, torque_sys.b_d, q, r) < 1e-9
+        self.assert_riccati_solution(torque_sys.a_d, torque_sys.b_d, q, r, p, 1e-10)
+        assert dare_residual(p, torque_sys.a_d, torque_sys.b_d, q, r) < 1e-12
 
-    def test_matches_scipy_random_stable(self, rng):
+    def test_random_stable_riccati_identities(self, rng):
         for _ in range(10):
             a_d = rng.uniform(-0.4, 0.4, (3, 3))
             b_d = rng.uniform(-1, 1, (3, 1))
             q = np.diag(rng.uniform(0.5, 5.0, 3))
             r = np.array([[float(rng.uniform(0.5, 2.0))]])
             p = dare_solve(a_d, b_d, q, r)
-            p_ref = solve_discrete_are(a_d, b_d, q, r)
-            np.testing.assert_allclose(p, p_ref, rtol=1e-7, atol=1e-10)
+            self.assert_riccati_solution(a_d, b_d, q, r, p, 1e-12)
+            assert dare_residual(p, a_d, b_d, q, r) < 1e-12
+
+    def test_residual_is_scale_free(self, torque_sys):
+        # The DARE residual is homogeneous in (P, Q, R): scaling all three
+        # together leaves the relative residual unchanged, however small
+        # the scale.  A floor on the scale would hide the error of a P
+        # solved for a tiny Q, as on the disturbance scenarios (q = 1e-9).
+        q = np.diag([20.0, 40.0, 1.0, 1.0])
+        r = np.array([[1.0]])
+        a_d, b_d = torque_sys.a_d, torque_sys.b_d
+        p = dare_solve(a_d, b_d, q, r) * (1.0 + 1e-6)  # deliberately off
+        base = dare_residual(p, a_d, b_d, q, r)
+        assert base > 1e-9
+        for scale in (1e-3, 1e-6, 1e-9):
+            scaled = dare_residual(scale * p, a_d, b_d, scale * q, scale * r)
+            assert scaled == pytest.approx(base, rel=1e-6)
 
 
 class TestLqrGain:
     def test_pendulum_stabilizing(self, torque_sys):
-        k = lqr_gain(torque_sys, ControllerConfig())
+        cfg = ControllerConfig()
+        k, p = lqr_gain(torque_sys, cfg)
         assert k.shape == (1, 4)
         assert closed_loop_spectral_radius(torque_sys, k) < 1.0
+        # The returned P is the one K was computed from.
+        b_d = torque_sys.b_d
+        r = np.array([[cfg.r_weight]])
+        np.testing.assert_array_equal(
+            k, np.linalg.solve(r + b_d.T @ p @ b_d, b_d.T @ p @ torque_sys.a_d)
+        )
 
     def test_cheap_control_limit(self):
         # On a stable plant, tiny Q with huge R drives the gain to zero and
@@ -82,7 +116,7 @@ class TestLqrGain:
         sys = linearize_actuator(stable_params, "field", b_mag=0.065,
                                  sample_time=1 / 200)
         cfg = ControllerConfig(q_diag=(1e-9, 1e-9), r_weight=1e9)
-        k = lqr_gain(sys, cfg)
+        k, _ = lqr_gain(sys, cfg)
         assert np.max(np.abs(k)) < 1e-6
         rho_open = np.max(np.abs(np.linalg.eigvals(sys.a_d)))
         assert closed_loop_spectral_radius(sys, k) == pytest.approx(
@@ -94,7 +128,7 @@ class TestLqrGain:
         norms = []
         for rate in (50.0, 100.0, 200.0):
             sys = linearize(params, "torque", sample_time=1.0 / rate)
-            k = lqr_gain(sys, ControllerConfig(sample_time=1.0 / rate))
+            k, _ = lqr_gain(sys, ControllerConfig(sample_time=1.0 / rate))
             norms.append(np.max(np.abs(k)))
         assert norms[0] < norms[1] < norms[2]
 
@@ -104,8 +138,6 @@ class TestLqrGain:
 
     def test_unstabilizable_system_fails(self):
         # Unreachable unstable mode: B = 0 on an expanding state.
-        from emnav.dynamics import LinearSystem
-
         sys = LinearSystem(
             a=np.array([[1.0]]),
             b=np.array([[0.0]]),
@@ -123,6 +155,24 @@ class TestLqrGain:
             ControllerConfig(r_weight=0.0)
         with pytest.raises(ValueError):
             ControllerConfig(sample_time=-0.01)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"q_diag": (20.0, math.nan, 1.0, 1.0)},
+            {"q_diag": (math.inf, 40.0, 1.0, 1.0)},
+            {"r_weight": math.inf},
+            {"r_weight": math.nan},
+            {"k_i": math.nan},
+            {"integral_warm_start": -math.inf},
+            {"anti_windup_limit": math.nan},
+            {"velocity_filter_cutoff": math.inf},
+        ],
+    )
+    def test_config_rejects_non_finite(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name}.*finite"):
+            ControllerConfig(**kwargs)
 
 
 class TestLqriController:
@@ -197,23 +247,10 @@ class TestLqriController:
         # Fresh controllers, identical inputs: bit-identical outputs.
         assert outs1 == outs2
 
-    def test_wrapper_checks_dt(self):
-        ctl = self.make()
-        with pytest.raises(ValueError):
-            lqri_step(ctl, np.zeros(2), 0.0, dt=0.02)
-        assert lqri_step(ctl, np.zeros(2), 0.0, dt=0.01) == 0.0
-
     def test_state_shape_check(self):
         ctl = self.make()
         with pytest.raises(ValueError):
             ctl.step(np.zeros(4), 0.0)
-
-    def test_reset(self):
-        ctl = self.make(k_i=1.0, integral_enabled=True, integral_warm_start=0.1)
-        ctl.step(np.array([0.5, 0.0]), 0.0)
-        ctl.reset()
-        assert ctl.integral_value == 0.1
-        assert ctl.step_count == 0
 
 
 class TestIntegralSchedule:

@@ -1,38 +1,56 @@
-"""Tests for the pendulum dynamics, linearization, and integrator.
+"""Tests for the plant the simulator integrates, its linearizations, and
+the RK4 tick.
 
 Oracles:
-  * mechanical energy conservation of the unforced, undamped plant under RK4;
-  * central finite differences of the nonlinear vector field vs the analytic
-    linearization;
+  * mechanical energy conservation of the unforced, undamped plant under the
+    simulator's RK4 tick;
+  * central finite differences of that plant vs the analytic linearization;
   * scipy.signal.cont2discrete as an independent zero-order-hold reference;
   * the analytic steady-state offset of the field-actuated rig under a
-    constant disturbance torque.
+    constant disturbance torque;
+  * the exact period of the field-aligned actuator, a nonlinear pendulum.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import cont2discrete
+from scipy.special import ellipk
 
 from emnav.dynamics import (
     PendulumParams,
-    PendulumState,
     discretize,
-    eom_actuator_field,
-    eom_actuator_torque,
-    eom_field_with_gradients,
-    eom_pendulum_coupled,
     finite_difference_linearization,
     linearize,
     linearize_actuator,
-    rk4_step,
-    total_energy,
+    make_deriv,
+    rk4_tick,
 )
+
+from helpers import total_energy
+
+NO_FIELD = (0.0, 0.0, 0.0)
+NO_GRADIENT = (0.0,) * 5
+
+
+def plant(params: PendulumParams, attached: bool = True):
+    return make_deriv(params, attached, params.dipole_magnitude)
+
+
+def accelerations(deriv, y, field=NO_FIELD, bias_a=0.0) -> tuple:
+    return deriv(y, 0, [field], [NO_GRADIENT], bias_a, 0.0)
+
+
+def integrate(deriv, y, steps, dt, field=NO_FIELD, bias_a=0.0) -> tuple:
+    """``steps`` RK4 steps in one tick, under a constant field and bias."""
+    n = 2 * steps + 1
+    return rk4_tick(y, deriv, steps, dt, [field] * n, [NO_GRADIENT] * n, bias_a, 0.0)
 
 
 class TestParamsAndState:
@@ -47,42 +65,39 @@ class TestParamsAndState:
         with pytest.raises(ValueError):
             PendulumParams(damping=-0.01)
 
-    def test_with_updates(self):
-        p = PendulumParams().with_updates(dipole_magnitude=2.0)
-        assert p.dipole_magnitude == 2.0
-        assert p.pend_mass == PendulumParams().pend_mass
-
-    def test_state_array_roundtrip(self):
-        s = PendulumState(alpha=0.1, phi=-0.05, alpha_dot=2.0, phi_dot=-1.0)
-        np.testing.assert_allclose(
-            PendulumState.from_array(s.as_array()).as_array(), s.as_array()
-        )
+    def test_state_array_roundtrip(self, params):
+        # The packed state carries each angle's rate in its rate slot: the
+        # derivative hands the rates back unchanged, with and without the
+        # pendulum attached.
+        for attached, angle_slots, rate_slots in (
+            (True, (0, 1, 4, 5), (2, 3, 6, 7)),
+            (False, (0, 2), (1, 3)),
+        ):
+            y = tuple(0.01 * (k + 1) for k in range(2 * len(angle_slots)))
+            dy = accelerations(plant(params, attached), y)
+            assert [dy[i] for i in angle_slots] == [y[i] for i in rate_slots]
 
 
 class TestActuatorOnly:
     def test_upright_equilibrium(self, params):
-        assert eom_actuator_torque(params, 0.0, 0.0, 0.0) == 0.0
-        assert eom_actuator_field(params, 0.0, 0.0, 0.0, 0.05) == 0.0
+        deriv = plant(params, attached=False)
+        assert accelerations(deriv, (0.0,) * 4) == (0.0,) * 4
+        assert accelerations(deriv, (0.0,) * 4, field=(0.0, 0.0, 0.05)) == (0.0,) * 4
 
     def test_torque_input_scaling(self, params):
         # At alpha = 0 the acceleration is tau / J exactly.
-        assert eom_actuator_torque(params, 0.0, 0.0, 2e-3) == pytest.approx(
-            2e-3 / params.inertia
-        )
+        dy = accelerations(plant(params, attached=False), (0.0,) * 4, bias_a=2e-3)
+        assert dy[1] == pytest.approx(2e-3 / params.inertia)
 
     def test_field_restoring_iff_strong_field(self):
         # |m||b| > eta g: a field aligned with upright pulls the tilted
         # actuator back; below the threshold gravity wins and it diverges.
-        params = PendulumParams(eta=0.002, dipole_magnitude=0.5)
-        strong = eom_actuator_field(params, 0.1, 0.0, 0.0, b_mag=0.065)
-        assert strong < 0.0  # restoring
-        weak = eom_actuator_field(params, 0.1, 0.0, 0.0, b_mag=0.01)
-        assert weak > 0.0  # diverging
-
-    def test_gradient_inputs_symmetric(self, params):
-        a1 = eom_field_with_gradients(params, 0.05, 0.0, 0.0, 0.05, 0.3, 0.0)
-        a2 = eom_field_with_gradients(params, 0.05, 0.0, 0.0, 0.05, 0.0, 0.3)
-        assert a1 == pytest.approx(a2)
+        deriv = plant(PendulumParams(eta=0.002, dipole_magnitude=0.5), False)
+        tilted = (0.1, 0.0, 0.0, 0.0)
+        strong = accelerations(deriv, tilted, field=(0.0, 0.0, 0.065))
+        assert strong[1] < 0.0  # restoring
+        weak = accelerations(deriv, tilted, field=(0.0, 0.0, 0.01))
+        assert weak[1] > 0.0  # diverging
 
     def test_disturbance_steady_state_offset(self):
         # Integrate the nonlinear field-actuated rig under a constant torque;
@@ -91,19 +106,9 @@ class TestActuatorOnly:
         b_mag = 0.065
         tau_d = 1.0e-3
         margin = params.dipole_magnitude * b_mag - params.eta * params.gravity
-
-        def f(t, y):
-            alpha, alpha_dot = y
-            add = (
-                eom_actuator_field(params, alpha, alpha_dot, 0.0, b_mag)
-                + tau_d / params.inertia
-            )
-            return np.array([alpha_dot, add])
-
-        y = np.zeros(2)
         dt = 1e-4
-        for k in range(int(12.0 / dt)):
-            y = rk4_step(f, y, k * dt, dt)
+        y = integrate(plant(params, False), (0.0,) * 4, int(12.0 / dt), dt,
+                      field=(0.0, 0.0, b_mag), bias_a=tau_d)
         expected = math.asin(tau_d / margin)
         assert y[0] == pytest.approx(expected, rel=1e-6)
         assert abs(y[1]) < 1e-7
@@ -111,46 +116,32 @@ class TestActuatorOnly:
 
 class TestCoupledPlant:
     def test_equilibrium_preserved(self, params):
-        add, pdd = eom_pendulum_coupled(params, PendulumState(), "torque", 0.0)
-        assert add == 0.0 and pdd == 0.0
+        assert accelerations(plant(params), (0.0,) * 8) == (0.0,) * 8
 
     def test_energy_conserved_unforced(self, params):
-        state0 = PendulumState(alpha=0.08, phi=-0.05, alpha_dot=0.2, phi_dot=-0.1)
-        e0 = total_energy(params, state0)
-
-        def f(t, y):
-            s = PendulumState.from_array(y)
-            add, pdd = eom_pendulum_coupled(params, s, "torque", 0.0)
-            return np.array([s.alpha_dot, s.phi_dot, add, pdd])
-
-        y = state0.as_array()
+        y = (0.08, -0.05, 0.2, -0.1, -0.03, 0.06, -0.1, 0.3)
+        e0 = (total_energy(params, *y[:4]), total_energy(params, *y[4:]))
+        deriv = plant(params)
         dt = 1e-4
         worst = 0.0
-        for k in range(20000):  # 2 seconds
-            y = rk4_step(f, y, k * dt, dt)
-            e = total_energy(params, PendulumState.from_array(y))
-            worst = max(worst, abs(e - e0))
-        assert worst < 1e-10 * max(abs(e0), 1.0)
+        for _ in range(20000):  # 2 seconds
+            y = integrate(deriv, y, 1, dt)
+            for e_ref, channel in zip(e0, (y[:4], y[4:])):
+                worst = max(worst, abs(total_energy(params, *channel) - e_ref))
+        assert worst < 1e-10 * max(abs(e0[0]), 1.0)
 
     def test_energy_dissipates_with_damping(self, params):
-        damped = params.with_updates(damping=0.002)
-        state0 = PendulumState(alpha=0.08, phi=-0.05, alpha_dot=0.2, phi_dot=-0.1)
-        e0 = total_energy(damped, state0)
-
-        def f(t, y):
-            s = PendulumState.from_array(y)
-            add, pdd = eom_pendulum_coupled(damped, s, "torque", 0.0)
-            return np.array([s.alpha_dot, s.phi_dot, add, pdd])
-
-        y = state0.as_array()
-        dt = 1e-4
-        for k in range(5000):
-            y = rk4_step(f, y, k * dt, dt)
-        assert total_energy(damped, PendulumState.from_array(y)) < e0
+        damped = replace(params, damping=0.002)
+        y = (0.08, -0.05, 0.2, -0.1) + (0.0,) * 4
+        e0 = total_energy(damped, *y[:4])
+        y = integrate(plant(damped), y, 5000, 1e-4)
+        assert total_energy(damped, *y[:4]) < e0
 
     def test_invalid_paradigm(self, params):
         with pytest.raises(ValueError):
-            eom_pendulum_coupled(params, PendulumState(), "voltage", 0.0)
+            finite_difference_linearization(params, "voltage")
+        with pytest.raises(ValueError):
+            linearize(params, "voltage")
 
     @given(
         alpha=st.floats(-0.5, 0.5),
@@ -158,10 +149,9 @@ class TestCoupledPlant:
     )
     @settings(max_examples=40, deadline=None)
     def test_accelerations_finite(self, alpha, phi):
-        params = PendulumParams()
-        state = PendulumState(alpha=alpha, phi=phi, alpha_dot=0.3, phi_dot=-0.2)
-        add, pdd = eom_pendulum_coupled(params, state, "torque", 1e-3)
-        assert math.isfinite(add) and math.isfinite(pdd)
+        y = (alpha, phi, 0.3, -0.2, phi, alpha, -0.1, 0.2)
+        dy = accelerations(plant(PendulumParams()), y, bias_a=1e-3)
+        assert all(math.isfinite(v) for v in dy)
 
 
 class TestLinearization:
@@ -169,6 +159,16 @@ class TestLinearization:
     def test_matches_finite_differences(self, params, paradigm, b_mag):
         sys = linearize(params, paradigm, b_mag=b_mag, sample_time=0.005)
         a_fd, b_fd = finite_difference_linearization(params, paradigm, b_mag=b_mag)
+        np.testing.assert_allclose(sys.a, a_fd, atol=1e-5)
+        np.testing.assert_allclose(sys.b, b_fd, atol=1e-5)
+
+    @pytest.mark.parametrize("paradigm,b_mag", [("torque", 0.0), ("field", 0.065)])
+    def test_actuator_matches_finite_differences(self, params, paradigm, b_mag):
+        sys = linearize_actuator(params, paradigm, b_mag=b_mag, sample_time=0.005)
+        a_fd, b_fd = finite_difference_linearization(
+            params, paradigm, b_mag=b_mag, attached=False
+        )
+        assert a_fd.shape == (2, 2) and b_fd.shape == (2, 1)
         np.testing.assert_allclose(sys.a, a_fd, atol=1e-5)
         np.testing.assert_allclose(sys.b, b_fd, atol=1e-5)
 
@@ -211,28 +211,32 @@ class TestLinearization:
 
 
 class TestRk4:
-    def test_fourth_order_convergence(self):
-        # y' = y, y(0) = 1 over [0, 1]: halving dt shrinks error ~16x.
-        def f(t, y):
-            return y
-
+    def test_fourth_order_convergence(self, params):
+        # The unforced coupled pendulum over 0.4 s against a 32x finer
+        # solution: halving dt shrinks the error ~16x.
+        deriv = plant(params)
+        y0 = (0.08, -0.05, 0.2, -0.1) + (0.0,) * 4
+        duration = 0.4
+        ref = integrate(deriv, y0, 20480, duration / 20480)
         errors = []
-        for dt in (0.1, 0.05):
-            y = np.array([1.0])
-            steps = round(1.0 / dt)
-            for k in range(steps):
-                y = rk4_step(f, y, k * dt, dt)
-            errors.append(abs(y[0] - math.e))
+        for steps in (320, 640):
+            y = integrate(deriv, y0, steps, duration / steps)
+            errors.append(max(abs(a - b) for a, b in zip(y, ref)))
         ratio = errors[0] / errors[1]
         assert 12.0 < ratio < 20.0
 
     def test_harmonic_oscillator_phase(self):
-        # y'' = -y integrated one full period returns to the start.
-        def f(t, y):
-            return np.array([y[1], -y[0]])
-
-        y = np.array([1.0, 0.0])
-        dt = 2.0 * math.pi / 2000
-        for k in range(2000):
-            y = rk4_step(f, y, k * dt, dt)
-        np.testing.assert_allclose(y, [1.0, 0.0], atol=1e-9)
+        # In a field along +z the actuator alone is an exact nonlinear
+        # pendulum, J a'' = -(|m||b| - eta g) sin a; integrated over one
+        # period T = 4 K(sin^2(a0/2)) / w0 it returns to its start.
+        params = PendulumParams(eta=0.002, dipole_magnitude=0.5)
+        b_mag = 0.065
+        a0 = 0.3
+        w0 = math.sqrt(
+            (params.dipole_magnitude * b_mag - params.eta * params.gravity)
+            / params.inertia
+        )
+        period = 4.0 * ellipk(math.sin(0.5 * a0) ** 2) / w0
+        y = integrate(plant(params, False), (a0, 0.0, 0.0, 0.0), 2000,
+                      period / 2000, field=(0.0, 0.0, b_mag))
+        np.testing.assert_allclose(y, [a0, 0.0, 0.0, 0.0], atol=1e-9)

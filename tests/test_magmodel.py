@@ -19,17 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from helpers import random_agent
+from helpers import dipole_field, dipole_field_jacobian, random_agent
 
 from emnav.magmodel import (
-    ActuationModel,
     CoilSpec,
     DipoleAgent,
     SingularPositionError,
     actuation_matrices,
     actuation_matrix,
-    dipole_field,
-    dipole_field_jacobian,
     field_and_gradient,
     field_matrix,
     get_model,
@@ -229,12 +226,6 @@ class TestPresets:
     def test_get_model_unknown_name(self):
         with pytest.raises(KeyError):
             get_model("hexapole")
-
-    def test_json_roundtrip(self, octomag, tmp_path):
-        path = tmp_path / "model.json"
-        octomag.save_json(path)
-        loaded = ActuationModel.load_json(path)
-        assert loaded == octomag
 
     def test_coil_validation(self):
         with pytest.raises(ValueError):

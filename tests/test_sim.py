@@ -16,7 +16,6 @@ from emnav.sim import (
     EmnsConfig,
     Scenario,
     SetpointSpec,
-    run_multi_agent,
     run_scenario,
     scenario_from_dict,
 )
@@ -256,11 +255,6 @@ class TestTickMechanics:
         np.testing.assert_array_equal(tr.alpha[:101, 0], 0.05)
         assert tr.alpha[102, 0] != 0.05
 
-    def test_run_multi_agent_requires_two(self):
-        sc = scenario_from_dict(base_torque_dict(duration=0.1))
-        with pytest.raises(ValueError, match="2 agents"):
-            run_multi_agent(sc)
-
     def test_q_diag_length_must_match_plant(self):
         cfg = base_torque_dict(duration=0.1)
         cfg["agents"][0]["controller"]["q_diag"] = [20.0, 1.0]
@@ -442,6 +436,13 @@ class TestFieldParadigm:
     def test_steady_field_magnitude_matches_command(self):
         tr = self.run_actuator_field(1)
         assert np.linalg.norm(tr.fields[-1, 0]) == pytest.approx(0.065, rel=1e-6)
+
+    def test_actuator_only_linearization_checked(self):
+        # The finite-difference check runs on the actuator-only plant too:
+        # a real (non-zero) mismatch, well inside the tolerance.
+        tr = self.run_actuator_field(1)
+        for entry in tr.synthesis:
+            assert 0.0 < entry["fd_linearization_match"] < 1e-5
 
 
 class TestCsvTrace:
