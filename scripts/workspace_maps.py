@@ -2,7 +2,9 @@
 """Generate the bundled feasibility-margin maps and print the comparisons.
 
 Covers the two-agent planar maps on the 8-coil array (torque box vs fixed
-field) and the stand-off sweep on the 3-coil array.
+field) and the stand-off sweep on the 3-coil array.  Each map runs through
+``emnav workspace``, which writes its CSV and JSON artifacts into --out; the
+comparisons printed to stdout are read back from them.
 """
 
 import argparse
@@ -13,7 +15,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from emnav.cli import cmd_workspace  # noqa: E402
+from emnav.cli import main as emnav_main  # noqa: E402
 
 CONFIGS = ("workspace_octomag_2agent", "workspace_navion_standoff")
 
@@ -21,13 +23,13 @@ CONFIGS = ("workspace_octomag_2agent", "workspace_navion_standoff")
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=REPO / "results" / "workspace")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
     for name in CONFIGS:
-        code = cmd_workspace(
-            REPO / "scenarios" / f"{name}.json", args.out, workers=args.workers
+        config = REPO / "scenarios" / f"{name}.json"
+        code = emnav_main(
+            ["workspace", "--config", str(config), "--out", str(args.out)]
         )
         if code != 0:
             return code

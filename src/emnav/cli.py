@@ -5,11 +5,11 @@ artifacts into an output directory:
 
     emnav simulate   --config scenario.json  --out DIR [--seed N]
     emnav alloc-bench --config bench.json    --out DIR [--seed N]
-    emnav workspace  --config workspace.json --out DIR [--workers N]
+    emnav workspace  --config workspace.json --out DIR
 
 Exit codes: 0 success, 1 config error (bad path, malformed JSON, schema
-violation), 2 numerical failure (controller synthesis or allocation rank
-deficiency), with a failure record written where applicable.
+violation, non-finite number), 2 numerical failure (controller synthesis or
+allocation rank deficiency), with a failure record written where applicable.
 """
 
 from __future__ import annotations
@@ -95,7 +95,25 @@ def _parse_model(spec) -> ActuationModel:
             return get_model(spec)
         except KeyError as exc:
             raise ConfigError(f"unknown model preset {spec!r}") from exc
-    return ActuationModel.from_dict(spec)
+    try:
+        return ActuationModel.from_dict(spec)
+    except ValueError as exc:
+        raise ConfigError(f"invalid model: {exc}") from exc
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float; a non-finite number is a ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
+
+
+def _finite_tuple(values, name: str, length: int) -> tuple[float, ...]:
+    numbers = tuple(_finite(v, name) for v in values)
+    if len(numbers) != length:
+        raise ValueError(f"{name} must hold {length} numbers")
+    return numbers
 
 
 def cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
@@ -244,55 +262,56 @@ _TASK_SLUGS = {"torque-box": "torque", "fixed-field": "field"}
 
 def _parse_task(kind: str, spec: dict) -> TaskSet:
     if kind == "torque-box":
-        return TaskSet(kind, tau_bar=float(spec["tau_bar"]))
+        return TaskSet(kind, tau_bar=_finite(spec["tau_bar"], "tau_bar"))
     if kind == "fixed-field":
-        return TaskSet(kind, field_magnitude=float(spec["field_magnitude"]))
+        return TaskSet(
+            kind,
+            field_magnitude=_finite(spec["field_magnitude"], "field_magnitude"),
+        )
     raise ConfigError(f"unknown task kind {kind!r}")
 
 
-def cmd_workspace(config_path: Path, out_dir: Path, workers: int) -> int:
+def cmd_workspace(config_path: Path, out_dir: Path) -> int:
     data = _load_config(config_path)
     _expect_kind(data, "workspace", config_path)
     name = data.get("name", config_path.stem)
     model = _parse_model(data.get("model", "octomag8"))
     try:
-        limit = float(data["current_limit"])
+        limit = _finite(data["current_limit"], "current_limit")
         grid_spec = data["grid"]
         grid = GridSpec(
-            x=tuple(grid_spec["x"]),
-            y=tuple(grid_spec["y"]),
-            z=tuple(grid_spec["z"]),
-            spacing=float(grid_spec["spacing"]),
+            *(_finite_tuple(grid_spec[axis], f"grid {axis}", 2) for axis in "xyz"),
+            spacing=_finite(grid_spec["spacing"], "grid spacing"),
         )
         tasks = {
             kind: _parse_task(kind, spec)
             for kind, spec in data["tasks"].items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+        plant = data.get("plant", {})
+        params = PendulumParams(**{
+            key: _finite(plant.get(key, default), f"plant {key}")
+            for key, default in (("dipole_magnitude", 0.5), ("magnet_offset", 0.05))
+        })
+        second = data.get("second_agent")
+        if second is not None:
+            second = _finite_tuple(second, "second_agent", 3)
+        orientation = _finite_tuple(
+            data.get("orientation", (0.0, 0.0)), "orientation", 2
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid workspace config {config_path}: {exc}") from exc
     if not tasks:
         raise ConfigError("workspace config needs at least one task")
-    plant = data.get("plant", {})
-    params = PendulumParams(
-        dipole_magnitude=float(plant.get("dipole_magnitude", 0.5)),
-        magnet_offset=float(plant.get("magnet_offset", 0.05)),
-    )
-    second = data.get("second_agent")
-    second_agent = tuple(float(c) for c in second) if second is not None else None
-    orientation = tuple(float(v) for v in data.get("orientation", (0.0, 0.0)))
 
     maps = {}
     for kind, task in tasks.items():
-        fmap = workspace_map(
-            model,
-            task,
-            grid,
-            limit,
-            params=params,
-            orientation=orientation,
-            second_agent=second_agent,
-            workers=workers,
-        )
+        try:
+            fmap = workspace_map(
+                model, task, grid, limit,
+                params=params, orientation=orientation, second_agent=second,
+            )
+        except ValueError as exc:  # numpy's LinAlgError is a ValueError
+            raise ConfigError(f"invalid workspace config {config_path}: {exc}") from exc
         slug = _TASK_SLUGS[kind]
         fmap.to_csv(out_dir / f"{name}_{slug}.csv")
         fmap.write_metadata(out_dir / f"{name}_{slug}_meta.json")
@@ -331,8 +350,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(command)
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
+        if command != "workspace":
+            p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -341,7 +360,7 @@ def main(argv=None) -> int:
             return cmd_simulate(args.config, args.out, args.seed)
         if args.command == "alloc-bench":
             return cmd_alloc_bench(args.config, args.out, args.seed)
-        return cmd_workspace(args.config, args.out, args.workers)
+        return cmd_workspace(args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-MU0 = 4.0e-7 * math.pi
-"""Vacuum permeability [T·m/A]."""
-
 _MU0_OVER_4PI = 1.0e-7
 
 #: Positions closer than this to a coil center are rejected as singular [m].
@@ -116,41 +113,12 @@ class ActuationModel:
         return cls(name=name, coils=coils)
 
 
-def pack_gradient(grad: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Reduce a symmetric traceless 3x3 gradient to its five free components.
-
-    Component order: (db_x/dx, db_x/dy, db_x/dz, db_y/dy, db_y/dz).
-    """
-    g = np.asarray(grad, dtype=float)
-    return np.array([g[0, 0], g[0, 1], g[0, 2], g[1, 1], g[1, 2]])
-
-
-def unpack_gradient(g5: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Rebuild the full 3x3 gradient from its five free components.
-
-    Symmetry fills the off-diagonal mirror terms and zero trace fixes
-    db_z/dz = -(db_x/dx + db_y/dy).
-    """
-    g1, g2, g3, g4, g5_ = np.asarray(g5, dtype=float)
-    return np.array(
-        [
-            [g1, g2, g3],
-            [g2, g4, g5_],
-            [g3, g5_, -g1 - g4],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class FieldState:
     """Field and packed gradient at a point."""
 
     b: NDArray[np.floating]
     g: NDArray[np.floating]
-
-    @property
-    def gradient_matrix(self) -> NDArray[np.floating]:
-        return unpack_gradient(self.g)
 
 
 def actuation_matrix(
@@ -225,11 +193,6 @@ def actuation_matrices(
     out[:, 6, :] = grad[:, :, 1, 1]
     out[:, 7, :] = grad[:, :, 1, 2]
     return out
-
-
-def field_matrix(model: ActuationModel, p: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Field rows of the actuation matrix: (3, n_coils)."""
-    return actuation_matrix(model, p)[:3, :]
 
 
 def field_and_gradient(

@@ -242,6 +242,8 @@ class Scenario:
             raise ValueError("field_magnitude must be finite")
         if self.paradigm == "field" and self.field_magnitude <= 0:
             raise ValueError("field paradigm requires field_magnitude > 0")
+        if not math.isfinite(self.measurement_noise_std):
+            raise ValueError("measurement_noise_std must be finite")
         if self.measurement_noise_std < 0:
             raise ValueError("measurement_noise_std must be non-negative")
         for idx, agent in enumerate(self.agents):
@@ -408,28 +410,38 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     rng = np.random.default_rng(scenario.seed)
 
     # --- synthesis ---------------------------------------------------------
+    # Each distinct plant (pendulum attached or not) is linearized and
+    # checked once, and each distinct (plant, q_diag, r_weight) solved once.
+    plants: dict[bool, tuple] = {}
+    solutions: dict[tuple, tuple] = {}
     synthesis = []
     controllers: list[dict[str, _ChannelController]] = []
     for a_idx, setup in enumerate(scenario.agents):
         attached = setup.pendulum_attached
-        sys = (linearize if attached else linearize_actuator)(
-            params, scenario.paradigm, b_mag=scenario.field_magnitude,
-            sample_time=h,
-        )
-        a_fd, b_fd = finite_difference_linearization(
-            params, scenario.paradigm, b_mag=scenario.field_magnitude,
-            attached=attached,
-        )
-        fd_match = float(
-            max(np.max(np.abs(sys.a - a_fd)), np.max(np.abs(sys.b - b_fd)))
-        )
+        if attached not in plants:
+            sys = (linearize if attached else linearize_actuator)(
+                params, scenario.paradigm, b_mag=scenario.field_magnitude,
+                sample_time=h,
+            )
+            a_fd, b_fd = finite_difference_linearization(
+                params, scenario.paradigm, b_mag=scenario.field_magnitude,
+                attached=attached,
+            )
+            plants[attached] = (sys, float(
+                max(np.max(np.abs(sys.a - a_fd)), np.max(np.abs(sys.b - b_fd)))
+            ))
+        sys, fd_match = plants[attached]
         per_channel: dict[str, _ChannelController] = {}
         for channel in CHANNELS:
             cfg = _controller_for(setup, channel, attached, h)
-            gain, p = lqr_gain(sys, cfg)
-            residual = dare_residual(
-                p, sys.a_d, sys.b_d, np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
-            )
+            key = (attached, cfg.q_diag, cfg.r_weight)
+            if key not in solutions:
+                gain, p = lqr_gain(sys, cfg)
+                q, r = np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
+                residual = dare_residual(p, sys.a_d, sys.b_d, q, r)
+                rho = closed_loop_spectral_radius(sys, gain)
+                solutions[key] = (gain, residual, rho)
+            gain, residual, rho = solutions[key]
             windows = (
                 setup.integral_windows_alpha
                 if channel == "alpha"
@@ -442,7 +454,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                     "channel": channel,
                     "gain": [float(v) for v in gain[0]],
                     "dare_residual": float(residual),
-                    "spectral_radius": float(closed_loop_spectral_radius(sys, gain)),
+                    "spectral_radius": float(rho),
                     "fd_linearization_match": fd_match,
                 }
             )

@@ -11,19 +11,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alloc import NEAR_CONTACT_DISTANCE, composed_torque_map
+from .alloc import NEAR_CONTACT_DISTANCE
 from .dynamics import PendulumParams
 from .magmodel import (
     RANK_RTOL,
     ActuationModel,
     DipoleAgent,
+    actuation_matrices,
     actuation_matrix,
-    field_matrix,
+    wrench_maps,
 )
 
 __all__ = [
@@ -164,63 +164,78 @@ class FeasibilityMap:
             fh.write("\n")
 
 
-def _body_torque_map(
+#: Grid points per batched evaluation.  Bounds the (block, rows, coils)
+#: stacks: one whole-grid batch would hold every actuation matrix at once.
+_BLOCK = 256
+
+_FLAG_LABELS = ("", "singular", "near-contact", "singular+near-contact")
+
+
+def _worst_currents(
     model: ActuationModel,
-    position: np.ndarray,
+    kind: str,
+    size: float,
+    positions: np.ndarray,
+    params: PendulumParams | None,
     orientation: tuple[float, float],
-    params: PendulumParams,
+    second_agent: tuple[float, float, float] | None,
 ) -> np.ndarray:
-    """Rows mapping coil currents to body-frame (tau_x, tau_y), shape (2, n).
+    """Largest coil current the task demands at each position [A].
 
-    The body-z row of the rotated torque map is identically zero (the wrench
-    is always perpendicular to the dipole axis), so two rows carry the whole
-    constraint and their minimum-norm solve matches the full 3-row one.
+    ``size`` is tau_bar or the field magnitude.  Each point's task rows are
+    a fixed row map W applied to its actuation matrix A(p):
+
+    - torque box: the body-frame (tau_x, tau_y) rows, W = (R J M)[:2]; the
+      body-z row is identically zero (the wrench is perpendicular to the
+      dipole axis).  W depends only on orientation and dipole.  Rank
+      deficiency (sigma_min <= RANK_RTOL * sigma_max) gives +inf.  The
+      worst case of |P v|_inf over the box |v_k| <= tau_bar, with P the
+      pseudoinverse, is tau_bar * max_i sum_k |P_ik|: the induced infinity
+      norm of P (Horn & Johnson, Matrix Analysis, 5.6).
+    - fixed field: W selects the [b; g] rows with a zero-gradient task on
+      arrays of 8 or more coils, else the field rows.  Two-agent maps use the
+      field rows only: two fields plus zero gradients exceed an 8-coil
+      array's rank.
+
+    A second agent's rows are stacked under every point.  Each block of
+    ``_BLOCK`` points takes one SVD, for the rank check and the pseudoinverse.
     """
-    agent = DipoleAgent(
-        p=tuple(float(c) for c in position),
-        alpha=orientation[0],
-        beta=orientation[1],
-        dipole_magnitude=params.dipole_magnitude,
-    )
-    world_map = composed_torque_map(model, agent, params)
-    return (agent.rotation @ world_map)[:2]
+    if kind == "torque-box":
+        agent = DipoleAgent((0.0, 0.0, 0.0), *orientation, params.dipole_magnitude)
+        maps = wrench_maps(agent, params.magnet_offset)
+        rows = (agent.rotation @ maps.jac @ maps.stacked)[:2]
+        task = None
+    else:
+        n_rows = 8 if model.n_coils >= 8 and second_agent is None else 3
+        rows = np.eye(8)[:n_rows]  # 0/1 rows copy the entries exactly
+        task = np.zeros(n_rows)
+        task[2] = size
+    other = None
+    if second_agent is not None:
+        other = rows @ actuation_matrix(model, np.asarray(second_agent, float))
+        if task is not None:
+            task = np.concatenate([task, task])
 
-
-def _torque_margin_from_map(
-    body_map: np.ndarray, tau_bar: float, current_limit: float
-) -> float:
-    """FM for a stacked body torque map: rows come in (tau_x, tau_y) pairs."""
-    sigma = np.linalg.svd(body_map, compute_uv=False)
-    if sigma[-1] <= RANK_RTOL * sigma[0]:
-        return -math.inf
-    pinv = np.linalg.pinv(body_map, rcond=RANK_RTOL)
-    worst = 0.0
-    n_pairs = body_map.shape[0] // 2
-    for bits in range(2 ** (2 * n_pairs)):
-        vertex = np.array(
-            [tau_bar if bits & (1 << k) else -tau_bar for k in range(2 * n_pairs)]
-        )
-        worst = max(worst, float(np.max(np.abs(pinv @ vertex))))
-    return current_limit - worst
-
-
-def _field_task_vector(model: ActuationModel, magnitude: float) -> np.ndarray:
-    """Stacked task for a +z field of the given size.
-
-    Arrays with at least 8 coils serve the full field-plus-zero-gradient
-    task; smaller arrays can only be asked for the 3 field components.
-    """
-    if model.n_coils >= 8:
-        task = np.zeros(8)
-        task[2] = magnitude
-        return task
-    return np.array([0.0, 0.0, magnitude])
-
-
-def _field_rows(model: ActuationModel, position: np.ndarray) -> np.ndarray:
-    if model.n_coils >= 8:
-        return actuation_matrix(model, position)
-    return field_matrix(model, position)
+    worst = np.empty(positions.shape[0])
+    for start in range(0, positions.shape[0], _BLOCK):
+        stack = rows @ actuation_matrices(model, positions[start : start + _BLOCK])
+        if other is not None:
+            stack = np.concatenate(
+                [stack, np.broadcast_to(other, (stack.shape[0],) + other.shape)],
+                axis=1,
+            )
+        # The pseudoinverse as np.linalg.pinv(rcond=RANK_RTOL) forms it.
+        u, s, vt = np.linalg.svd(stack, full_matrices=False)
+        large = s > RANK_RTOL * s[:, :1]
+        s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+        pinv = np.swapaxes(vt, 1, 2) @ (s_inv[:, :, None] * np.swapaxes(u, 1, 2))
+        block = worst[start : start + _BLOCK]
+        if task is None:
+            block[:] = size * np.max(np.sum(np.abs(pinv), axis=2), axis=1)
+            block[s[:, -1] <= RANK_RTOL * s[:, 0]] = math.inf
+        else:
+            block[:] = np.max(np.abs(pinv @ task), axis=1)
+    return worst
 
 
 def feasibility_margin_torque(
@@ -234,15 +249,18 @@ def feasibility_margin_torque(
 ) -> float:
     """Current headroom for the torque-box task at one position [A].
 
-    FM = current_limit - max over the 4 (tau_x, tau_y) box vertices of the
-    infinity norm of the minimum-norm current solution.  The maximum over the
-    whole box is attained at a vertex because the map is linear and the
-    infinity norm convex.  Rank deficiency yields -inf (infeasible-singular).
+    FM = current_limit - the largest infinity norm of the minimum-norm
+    current solution over the box |tau_x|, |tau_y| <= tau_bar, which is
+    tau_bar times the induced infinity norm of the torque map's
+    pseudoinverse.  Rank deficiency yields -inf (infeasible-singular).
     """
     if not tau_bar > 0.0:
         raise ValueError("tau_bar must be strictly positive")
-    body_map = _body_torque_map(model, np.asarray(position, float), orientation, params)
-    return _torque_margin_from_map(body_map, tau_bar, current_limit)
+    worst = _worst_currents(
+        model, "torque-box", tau_bar, np.asarray(position, float)[None, :],
+        params, orientation, None,
+    )
+    return current_limit - float(worst[0])
 
 
 def feasibility_margin_field(
@@ -255,51 +273,11 @@ def feasibility_margin_field(
     """Current headroom for holding the field field_magnitude * e_z [A]."""
     if field_magnitude < 0.0:
         raise ValueError("field_magnitude must be non-negative")
-    rows = _field_rows(model, np.asarray(position, float))
-    task = _field_task_vector(model, field_magnitude)
-    currents = np.linalg.pinv(rows, rcond=RANK_RTOL) @ task
-    return current_limit - float(np.max(np.abs(currents)))
-
-
-def _evaluate_points(
-    model: ActuationModel,
-    task: TaskSet,
-    positions: np.ndarray,
-    current_limit: float,
-    params: PendulumParams,
-    orientation: tuple[float, float],
-    second_agent: tuple[float, float, float] | None,
-) -> np.ndarray:
-    fm = np.empty(positions.shape[0])
-    if task.kind == "torque-box":
-        other_map = None
-        if second_agent is not None:
-            other_map = _body_torque_map(
-                model, np.asarray(second_agent, float), orientation, params
-            )
-        for k, pos in enumerate(positions):
-            body_map = _body_torque_map(model, pos, orientation, params)
-            if other_map is not None:
-                body_map = np.vstack([body_map, other_map])
-            fm[k] = _torque_margin_from_map(body_map, task.tau_bar, current_limit)
-    elif second_agent is not None:
-        # Two-agent field task: stack only the field rows of both agents.
-        # Demanding two fields plus two zero-gradient blocks would exceed
-        # the rank of any 8-coil array.
-        other_rows = field_matrix(model, np.asarray(second_agent, float))
-        one_field = np.array([0.0, 0.0, task.field_magnitude])
-        task_vec = np.concatenate([one_field, one_field])
-        for k, pos in enumerate(positions):
-            rows = np.vstack([field_matrix(model, pos), other_rows])
-            currents = np.linalg.pinv(rows, rcond=RANK_RTOL) @ task_vec
-            fm[k] = current_limit - float(np.max(np.abs(currents)))
-    else:
-        task_vec = _field_task_vector(model, task.field_magnitude)
-        for k, pos in enumerate(positions):
-            rows = _field_rows(model, pos)
-            currents = np.linalg.pinv(rows, rcond=RANK_RTOL) @ task_vec
-            fm[k] = current_limit - float(np.max(np.abs(currents)))
-    return fm
+    worst = _worst_currents(
+        model, "fixed-field", field_magnitude, np.asarray(position, float)[None, :],
+        None, (0.0, 0.0), None,
+    )
+    return current_limit - float(worst[0])
 
 
 def workspace_map(
@@ -311,16 +289,13 @@ def workspace_map(
     params: PendulumParams | None = None,
     orientation: tuple[float, float] = (0.0, 0.0),
     second_agent: tuple[float, float, float] | None = None,
-    workers: int = 1,
 ) -> FeasibilityMap:
     """Feasibility margin over a grid, optionally with a fixed second agent.
 
-    Two-agent maps stack the second agent's copy of the same task: both
-    torque boxes (16 vertices) or both +z field vectors.  For a two-agent
-    field task only the field rows are stacked — holding two independent
-    fields plus zero gradients everywhere exceeds an 8-coil array's rank.
-    Grid points closer than 1 cm to the second agent are flagged
-    "near-contact" (dipole superposition is unreliable there).
+    The grid is evaluated in batches by ``_worst_currents``; a second agent
+    stacks its own copy of the same task under every point.  Grid points
+    closer than 1 cm to the second agent are flagged "near-contact" (dipole
+    superposition is unreliable there).
     """
     if not current_limit > 0.0:
         raise ValueError("current_limit must be strictly positive")
@@ -329,43 +304,17 @@ def workspace_map(
     if params is None:
         params = PendulumParams()
     positions = grid.positions()
+    size = task.tau_bar if task.kind == "torque-box" else task.field_magnitude
+    fm = current_limit - _worst_currents(
+        model, task.kind, size, positions, params, orientation, second_agent
+    )
 
-    if positions.shape[0] == 0:
-        fm = np.empty(0)
-    elif workers > 1:
-        chunks = np.array_split(np.arange(positions.shape[0]), workers)
-        chunks = [c for c in chunks if c.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _evaluate_points,
-                    [model] * len(chunks),
-                    [task] * len(chunks),
-                    [positions[c] for c in chunks],
-                    [current_limit] * len(chunks),
-                    [params] * len(chunks),
-                    [orientation] * len(chunks),
-                    [second_agent] * len(chunks),
-                )
-            )
-        fm = np.concatenate(parts) if parts else np.empty(0)
-    else:
-        fm = _evaluate_points(
-            model, task, positions, current_limit, params, orientation, second_agent
-        )
-
-    flags = []
-    for k in range(positions.shape[0]):
-        notes = []
-        if not np.isfinite(fm[k]):
-            notes.append("singular")
-        if (
-            second_agent is not None
-            and np.linalg.norm(positions[k] - np.asarray(second_agent, float))
-            < NEAR_CONTACT_DISTANCE
-        ):
-            notes.append("near-contact")
-        flags.append("+".join(notes))
+    near = np.zeros(positions.shape[0], dtype=bool)
+    if second_agent is not None:
+        offsets = positions - np.asarray(second_agent, float)
+        near = np.linalg.norm(offsets, axis=1) < NEAR_CONTACT_DISTANCE
+    codes = (~np.isfinite(fm)).astype(int) + 2 * near
+    flags = tuple(_FLAG_LABELS[c] for c in codes.tolist())
 
     metadata = {
         "model": model.name,
@@ -378,13 +327,7 @@ def workspace_map(
         "second_agent": list(second_agent) if second_agent is not None else None,
         "grid": grid.describe(),
     }
-    return FeasibilityMap(
-        grid=grid,
-        positions=positions,
-        fm=fm,
-        flags=tuple(flags),
-        metadata=metadata,
-    )
+    return FeasibilityMap(grid, positions, fm, flags, metadata)
 
 
 def max_feasible_standoff(fmap: FeasibilityMap, axis: int = 2) -> float | None:

@@ -121,3 +121,46 @@ def estimate_velocities(angle_history: np.ndarray, dt: float) -> np.ndarray:
     rates[0] = 0.0
     rates[1:] = np.diff(angles) / dt
     return rates
+
+
+def pack_gradient(grad: np.ndarray) -> np.ndarray:
+    """Reduce a symmetric traceless 3x3 gradient to its five free components.
+
+    Component order: (db_x/dx, db_x/dy, db_x/dz, db_y/dy, db_y/dz).
+    """
+    g = np.asarray(grad, dtype=float)
+    return np.array([g[0, 0], g[0, 1], g[0, 2], g[1, 1], g[1, 2]])
+
+
+def unpack_gradient(g5: np.ndarray) -> np.ndarray:
+    """Rebuild the full 3x3 gradient from its five free components.
+
+    Symmetry fills the off-diagonal mirror terms and zero trace fixes
+    db_z/dz = -(db_x/dx + db_y/dy).
+    """
+    g1, g2, g3, g4, g5_ = np.asarray(g5, dtype=float)
+    return np.array(
+        [
+            [g1, g2, g3],
+            [g2, g4, g5_],
+            [g3, g5_, -g1 - g4],
+        ]
+    )
+
+
+def torque_box_vertex_worst(pinv: np.ndarray, tau_bar: float) -> float:
+    """Worst-case |current|_inf over a torque box, by vertex enumeration.
+
+    ``pinv`` maps stacked body torques (one (tau_x, tau_y) pair per agent)
+    to currents.  The map is linear and the infinity norm convex, so the
+    maximum over the box |v_k| <= tau_bar is attained at one of its
+    2^(rows) vertices.
+    """
+    n_rows = pinv.shape[1]
+    worst = 0.0
+    for bits in range(2**n_rows):
+        vertex = np.array(
+            [tau_bar if bits & (1 << k) else -tau_bar for k in range(n_rows)]
+        )
+        worst = max(worst, float(np.max(np.abs(pinv @ vertex))))
+    return worst

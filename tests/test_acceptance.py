@@ -361,7 +361,7 @@ def test_criterion_12_byte_determinism(runs, capfd, tmp_path):
         for tag in ("1", "2"):
             out = tmp_path / f"{config}_{tag}"
             out.mkdir()
-            cmd_workspace(SCENARIO_DIR / f"{config}.json", out, workers=1)
+            cmd_workspace(SCENARIO_DIR / f"{config}.json", out)
             outs.append(b"".join(p.read_bytes() for p in sorted(out.iterdir())))
         if outs[0] != outs[1]:
             mismatches.append(config)

@@ -35,7 +35,6 @@ from emnav.magmodel import (
     CoilSpec,
     DipoleAgent,
     actuation_matrix,
-    field_matrix,
     skew,
 )
 
@@ -242,7 +241,7 @@ class TestOneVsTwoStep:
             two = allocate_torque_two_step(octomag, agent, task)
             zeta = zeta_star(octomag, agent, task)
             a_b_pinv = np.linalg.pinv(
-                field_matrix(octomag, np.asarray(agent.p)), rcond=1e-10
+                actuation_matrix(octomag, np.asarray(agent.p))[:3], rcond=1e-10
             )
             shift = zeta * (a_b_pinv @ agent.moment)
             scale = max(np.linalg.norm(one.currents), 1e-30)
@@ -294,7 +293,7 @@ class TestOneVsTwoStep:
         # Coaxial coils produce field only along x at the midpoint; a dipole
         # along z has no realizable parallel component, A_b^+ m = 0.
         agent = DipoleAgent(p=(0, 0.05, 0), alpha=0.0, beta=0.0, dipole_magnitude=0.5)
-        rows = field_matrix(toy_two_coil, np.asarray(agent.p))
+        rows = actuation_matrix(toy_two_coil, np.asarray(agent.p))[:3]
         if np.linalg.norm(np.linalg.pinv(rows, rcond=1e-10) @ agent.moment) < 1e-12:
             with pytest.raises(DegenerateTaskError):
                 zeta_star(toy_two_coil, agent, WrenchTask.planar(1e-3, 0))

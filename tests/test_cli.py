@@ -10,8 +10,19 @@ import pytest
 
 from emnav.cli import main
 from emnav.control import SynthesisError
+from emnav.magmodel import get_model
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+# A degenerate grid whose single point is the centre of an octomag8 coil.
+_COIL_CENTRE = get_model("octomag8").coils[0].position
+ON_COIL_GRID = json.dumps(
+    {**{axis: [c, c] for axis, c in zip("xyz", _COIL_CENTRE)}, "spacing": 0.01}
+)
+# A coil whose axis is not a unit vector.
+BAD_COIL_MODEL = json.dumps({"name": "bad", "coils": [
+    {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 2.0], "moment_per_ampere": 50.0}
+]})
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -126,6 +137,7 @@ class TestSimulate:
             ("anti_windup_limit", "NaN"),
             ("velocity_filter_cutoff", "Infinity"),
             ("field_magnitude", "NaN"),
+            ("measurement_noise_std", "NaN"),
         ],
     )
     def test_non_finite_synthesis_input_is_config_error(
@@ -134,7 +146,7 @@ class TestSimulate:
         # Python's json reads NaN and Infinity, so they reach the config as
         # floats; they must be rejected at parse time, not by the DARE.
         data = json.loads(short_torque.read_text())
-        if key == "field_magnitude":
+        if key in ("field_magnitude", "measurement_noise_std"):
             data[key] = "@"
         else:
             data["agents"][0]["controller"][key] = "@"
@@ -195,14 +207,58 @@ class TestWorkspaceCommand:
             >= comparison["feasible_count"]["field"]
         )
 
-    def test_rerun_and_workers_byte_identical(self, small_workspace, tmp_path):
+    def test_rerun_byte_identical(self, small_workspace, tmp_path):
         blobs = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
+        for tag in ("a", "b"):
             out = tmp_path / tag
             assert main(["workspace", "--config", str(small_workspace),
-                         "--out", str(out), "--workers", str(workers)]) == 0
-            blobs.append((out / "small_torque.csv").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+                         "--out", str(out)]) == 0
+            blobs.append(b"".join(p.read_bytes() for p in sorted(out.iterdir())))
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--seed", "1"]])
+    def test_unused_flags_rejected(self, small_workspace, tmp_path, flag):
+        argv = ["workspace", "--config", str(small_workspace),
+                "--out", str(tmp_path / "o"), *flag]
+        assert pytest.raises(SystemExit, main, argv).value.code == 1
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            pytest.param(("grid",), ON_COIL_GRID, id="grid-on-coil-centre"),
+            pytest.param(("model",), BAD_COIL_MODEL, id="model-bad-coil-axis"),
+            (("current_limit",), "NaN"),
+            (("second_agent",), "[NaN, 0.0, 0.0]"),
+            (("grid", "x"), "[0.0, 1e300]"),
+            (("grid", "z"), "[-Infinity, 0.0]"),
+            (("grid", "spacing"), "NaN"),
+            (("orientation",), "[Infinity, 0.0]"),
+            (("tasks", "torque-box", "tau_bar"), "NaN"),
+            (("tasks", "fixed-field", "field_magnitude"), "Infinity"),
+            (("plant", "dipole_magnitude"), "NaN"),
+            (("plant", "magnet_offset"), "-Infinity"),
+            (("second_agent",), "[0.0, 0.0]"),
+            (("orientation",), "[0.0]"),
+            (("tasks",), "[]"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_bad_config_is_config_error(
+        self, small_workspace, tmp_path, capsys, path, value
+    ):
+        # Non-finite numbers reach the config as floats (Python's json reads
+        # NaN and Infinity); they and every other bad value exit 1.
+        data = json.loads(small_workspace.read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data).replace('"@"', value))
+        assert main(["workspace", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_missing_required_key(self, tmp_path):
         cfg = write_json(tmp_path / "ws.json", {"kind": "workspace", "name": "x"})

@@ -255,6 +255,28 @@ class TestTickMechanics:
         np.testing.assert_array_equal(tr.alpha[:101, 0], 0.05)
         assert tr.alpha[102, 0] != 0.05
 
+    @pytest.mark.parametrize("r_second,solves", [(25.0, 1), (50.0, 2)])
+    def test_each_distinct_synthesis_solved_once(
+        self, monkeypatch, r_second, solves
+    ):
+        import emnav.control as control
+
+        calls = []
+        solve = control.dare_solve
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(control, "dare_solve", counting_solve)
+        data = load_bundled("multi_torque_async")  # both agents at r_weight 25
+        data["duration"] = 0.05
+        data["agents"][1]["controller"]["r_weight"] = r_second
+        tr = run_scenario(scenario_from_dict(data))
+        assert len(calls) == solves
+        gains = [[e["gain"] for e in tr.synthesis if e["agent"] == a] for a in (0, 1)]
+        assert (gains[0] == gains[1]) == (solves == 1)
+
     def test_q_diag_length_must_match_plant(self):
         cfg = base_torque_dict(duration=0.1)
         cfg["agents"][0]["controller"]["q_diag"] = [20.0, 1.0]

@@ -7,8 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from helpers import torque_box_vertex_worst
+
+from emnav.alloc import NEAR_CONTACT_DISTANCE, composed_torque_map
 from emnav.dynamics import PendulumParams
-from emnav.magmodel import ActuationModel, get_model
+from emnav.magmodel import (
+    RANK_RTOL,
+    ActuationModel,
+    DipoleAgent,
+    actuation_matrix,
+    get_model,
+)
 from emnav.workspace import (
     FeasibilityMap,
     GridSpec,
@@ -275,18 +284,84 @@ class TestWorkspaceMap:
         with pytest.raises(ValueError, match="params"):
             workspace_map(octomag, TaskSet("torque-box", tau_bar=0.001), grid, 16.0)
 
-    def test_workers_match_serial(self, octomag):
-        grid = GridSpec(x=(0.01, 0.05), y=(-0.02, 0.02), z=(0.0, 0.0), spacing=0.01)
-        task = TaskSet("torque-box", tau_bar=0.002)
-        serial = workspace_map(
-            octomag, task, grid, 16.0, params=SLED, second_agent=(-0.0325, 0.0, 0.0)
+    @pytest.mark.parametrize("kind", ["torque-box", "fixed-field"])
+    @pytest.mark.parametrize("second", [None, (-0.0325, 0.0, 0.0)])
+    def test_batched_map_matches_per_point_oracle(self, octomag, kind, second):
+        # 27 x 19 = 2 * 256 + 1 points, so the map crosses block boundaries.
+        grid = GridSpec(
+            x=(-0.05, -0.05 + 26 * 0.004), y=(-0.036, 0.036), z=(0.003, 0.003),
+            spacing=0.004,
         )
-        parallel = workspace_map(
-            octomag, task, grid, 16.0, params=SLED,
-            second_agent=(-0.0325, 0.0, 0.0), workers=2,
+        assert grid.positions().shape[0] == 2 * 256 + 1
+        task = TaskSet(kind, tau_bar=0.002, field_magnitude=0.025)
+        fmap = workspace_map(
+            octomag, task, grid, 16.0, params=SLED, second_agent=second
         )
-        np.testing.assert_array_equal(serial.fm, parallel.fm)
-        assert serial.flags == parallel.flags
+        agents = [] if second is None else [second]
+        expected, flags = [], []
+        for pos in fmap.positions:
+            points = [tuple(pos)] + agents
+            if kind == "torque-box":
+                rows = np.vstack([
+                    composed_torque_map(
+                        octomag, DipoleAgent(p=q, dipole_magnitude=2.0), SLED
+                    )[:2]
+                    for q in points
+                ])
+                pinv = np.linalg.pinv(rows, rcond=RANK_RTOL)
+                worst = torque_box_vertex_worst(pinv, 0.002)
+            else:
+                n_rows = 8 if second is None else 3
+                rows = np.vstack(
+                    [actuation_matrix(octomag, q)[:n_rows] for q in points]
+                )
+                target = np.tile(np.eye(n_rows)[2] * 0.025, len(points))
+                worst = np.max(np.abs(np.linalg.pinv(rows, rcond=RANK_RTOL) @ target))
+            expected.append(16.0 - worst)
+            near = second is not None and (
+                np.linalg.norm(pos - np.asarray(second)) < NEAR_CONTACT_DISTANCE
+            )
+            flags.append("near-contact" if near else "")
+        np.testing.assert_allclose(fmap.fm, expected, rtol=0.0, atol=1e-12)
+        assert fmap.flags == tuple(flags)
+        assert ("near-contact" in flags) == (second is not None)
+
+    def test_closed_form_matches_vertex_enumeration(self, octomag):
+        # 150 one-agent and 150 two-agent random body maps: the induced
+        # infinity norm equals the maximum over the 4 or 16 box vertices.
+        # The oracle forms the map in another order, so the two differ by
+        # rounding that grows with the demand: the bound is 1e-12 A per
+        # 16 A (the current limit) of worst-case demand.
+        rng = np.random.default_rng(7)
+        for k in range(300):
+            p = tuple(rng.uniform(-0.04, 0.04, 3))
+            second = tuple(rng.uniform(-0.04, 0.04, 3)) if k % 2 else None
+            orientation = tuple(rng.uniform(-0.6, 0.6, 2))
+            params = PendulumParams(
+                dipole_magnitude=float(rng.uniform(0.2, 2.0)),
+                magnet_offset=float(rng.uniform(0.01, 0.05)),
+            )
+            tau_bar = float(rng.uniform(1e-4, 5e-3))
+            rows = np.vstack([
+                (agent.rotation @ composed_torque_map(octomag, agent, params))[:2]
+                for agent in (
+                    DipoleAgent(
+                        p=q, alpha=orientation[0], beta=orientation[1],
+                        dipole_magnitude=params.dipole_magnitude,
+                    )
+                    for q in [p] + ([] if second is None else [second])
+                )
+            ])
+            oracle = torque_box_vertex_worst(
+                np.linalg.pinv(rows, rcond=RANK_RTOL), tau_bar
+            )
+            grid = GridSpec(x=(p[0], p[0]), y=(p[1], p[1]), z=(p[2], p[2]))
+            fmap = workspace_map(
+                octomag, TaskSet("torque-box", tau_bar=tau_bar), grid, 16.0,
+                params=params, orientation=orientation, second_agent=second,
+            )
+            bound = 1e-12 * max(1.0, oracle / 16.0)
+            assert abs((16.0 - fmap.fm[0]) - oracle) <= bound
 
     def test_navion_standoff_ordering(self, navion):
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.105, 0.25), spacing=0.005)
