@@ -11,12 +11,9 @@ from .magmodel import (
     ActuationModel,
     CoilSpec,
     DipoleAgent,
-    FieldState,
     WrenchMaps,
     actuation_matrix,
-    field_and_gradient,
     get_model,
-    torque_map_svd,
     wrench_maps,
 )
 from .dynamics import PendulumParams, LinearSystem
@@ -95,12 +92,9 @@ __all__ = [
     "ActuationModel",
     "CoilSpec",
     "DipoleAgent",
-    "FieldState",
     "WrenchMaps",
     "actuation_matrix",
-    "field_and_gradient",
     "get_model",
-    "torque_map_svd",
     "wrench_maps",
     "PendulumParams",
     "LinearSystem",

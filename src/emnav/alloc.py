@@ -12,9 +12,16 @@ through the composed map
 which combines direct magnetic torque on the dipole with the pivot torque of
 the gradient force acting at the magnet's lever arm.
 
-Every solve uses the Moore-Penrose pseudoinverse with a shared singular-value
-cutoff, which yields the exact solution of minimal 2-norm whenever the task
-is achievable.  Multi-step diagnostic variants (pseudoinverting the factors
+Every strategy is a pure solve over a precomputed actuation matrix A(p)
+(``a_mat``, or one per agent in ``a_mats``): the agents sit at fixed
+positions, so the caller evaluates A(p) once.  Each solve uses
+``magmodel.pinv_rank``, the Moore-Penrose pseudoinverse with the shared
+singular-value cutoff, which yields the exact solution of minimal 2-norm
+whenever the task is achievable; a torque solve takes its rank check and its
+solution from the same SVD.  A solve returns only the currents and the task
+residual.  Diagnostics (the realized field from ``field_and_gradient``,
+norms, zeta*) are computed on demand from the currents and A(p) by the
+caller that reports them.  Multi-step variants (pseudoinverting the factors
 separately) are provided for norm-comparison studies; they are never cheaper
 than the one-step solve.
 """
@@ -22,24 +29,12 @@ than the one-step solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import PendulumParams
-from .magmodel import (
-    RANK_RTOL,
-    ActuationModel,
-    DipoleAgent,
-    FieldState,
-    actuation_matrix,
-    field_and_gradient,
-    skew,
-    wrench_maps,
-)
-
-#: Agent pairs closer than this are flagged as ill-conditioned [m].
-NEAR_CONTACT_DISTANCE = 0.01
+from .magmodel import DipoleAgent, pinv_rank, skew, wrench_maps
 
 
 class RankDeficiencyError(RuntimeError):
@@ -106,72 +101,40 @@ class WrenchTask:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Currents solving an allocation task, with diagnostics.
+    """Currents solving an allocation task.
 
     Attributes:
         currents: Coil currents [A], unclamped (saturation is applied
             downstream by the simulator / hardware model).
-        realized_field: Field state at the (first) agent position under the
-            computed currents.
         residual_norm: Task-space residual of the solve (2-norm).
-        current_norm: 2-norm of the currents.
-        field_norm: 2-norm of the realized field.
-        zeta_star: Optimal dipole-parallel field shift of the one-step
-            solution relative to the two-step solution (torque allocations
-            on redundant arrays; None where undefined).
-        agent_residuals: Per-agent task residuals for multi-agent solves.
-        realized_fields: Per-agent field states for multi-agent solves.
-        warnings: Human-readable conditioning warnings.
     """
 
     currents: np.ndarray
-    realized_field: FieldState
     residual_norm: float
-    current_norm: float
-    field_norm: float
-    zeta_star: float | None = None
-    agent_residuals: tuple[float, ...] | None = None
-    realized_fields: tuple[FieldState, ...] | None = None
-    warnings: tuple[str, ...] = field(default=())
 
 
-def _pinv(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.pinv(mat, rcond=RANK_RTOL)
-
-
-def _rank(mat: np.ndarray) -> int:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
-
-
-def _result(
-    model: ActuationModel,
-    p: np.ndarray,
-    currents: np.ndarray,
-    residual: float,
-    zeta: float | None = None,
-    agent_residuals: tuple[float, ...] | None = None,
-    realized_fields: tuple[FieldState, ...] | None = None,
-    warnings: tuple[str, ...] = (),
+def _solve(
+    task_mat: np.ndarray, pinv: np.ndarray, target: np.ndarray
 ) -> AllocationResult:
-    realized = field_and_gradient(model, p, currents)
+    """Currents pinv @ target and the residual of task_mat against target."""
+    currents = pinv @ target
     return AllocationResult(
-        currents=currents,
-        realized_field=realized,
-        residual_norm=float(residual),
-        current_norm=float(np.linalg.norm(currents)),
-        field_norm=float(np.linalg.norm(realized.b)),
-        zeta_star=zeta,
-        agent_residuals=agent_residuals,
-        realized_fields=realized_fields,
-        warnings=warnings,
+        currents, float(np.linalg.norm(task_mat @ currents - target))
     )
 
 
+def field_and_gradient(
+    a_mat: np.ndarray, currents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field b (3,) [T] and packed gradient g (5,) [T/m] that ``currents``
+    produce at the point of A(p): the realized [b; g] a report computes on
+    demand from a solve's currents."""
+    stacked = a_mat @ currents
+    return stacked[:3], stacked[3:]
+
+
 def composed_torque_map(
-    model: ActuationModel,
+    a_mat: np.ndarray,
     agent: DipoleAgent,
     params: PendulumParams,
 ) -> np.ndarray:
@@ -181,7 +144,6 @@ def composed_torque_map(
     field torque m x b and the lever-arm torque l_m * axis x f are orthogonal
     to the axis, so the map has rank at most 2.
     """
-    a_mat = actuation_matrix(model, np.asarray(agent.p, dtype=float))
     maps = wrench_maps(agent, params.magnet_offset)
     return maps.jac @ maps.stacked @ a_mat
 
@@ -195,50 +157,52 @@ def world_torque(agent: DipoleAgent, task: WrenchTask) -> np.ndarray:
     return agent.rotation_t @ np.asarray(task.tau_c_body, dtype=float)
 
 
-def allocate_field_alignment(
-    model: ActuationModel,
-    p: np.ndarray,
-    command: FieldCommand,
-    zero_gradient: bool | None = None,
-) -> AllocationResult:
-    """Minimum-norm currents realizing a commanded field at p.
+def _pivot_torque_task(
+    a_mat: np.ndarray, agent: DipoleAgent, params: PendulumParams, task: WrenchTask
+) -> tuple[np.ndarray, np.ndarray]:
+    """The composed map J M A(p) and the pivot torque it must realize.
 
-    The canonical task is the stacked target [b_setpoint; zero gradient]: the
-    allocation asks for the commanded field with no field gradients, so a
-    field-aligned dipole feels pure torque and no stray force.  On arrays
-    with fewer than 8 coils the stacked task is overdetermined and the
-    least-squares solution under-delivers the field; pass
-    ``zero_gradient=False`` there to target only the three field rows.
+    A desired force adds its lever-arm torque to the commanded torque.
+    """
+    tau_c = world_torque(agent, task)
+    if task.force is not None:
+        maps = wrench_maps(agent, params.magnet_offset)
+        tau_c = tau_c + maps.jac_tilde @ np.asarray(task.force, dtype=float)
+    return composed_torque_map(a_mat, agent, params), tau_c
+
+
+def allocate_field_alignment(
+    a_mat: np.ndarray, command: FieldCommand
+) -> AllocationResult:
+    """Minimum-norm currents realizing a commanded field at the point of A(p).
+
+    On arrays of 8 or more coils the task is the stacked target
+    [b_setpoint; zero gradient]: the allocation asks for the commanded field
+    with no field gradients, so a field-aligned dipole feels pure torque and
+    no stray force.  On smaller arrays that stacked task is overdetermined
+    and its least-squares solution would under-deliver the field, so the
+    task is the three field rows alone.
 
     Args:
-        model: Coil array.
-        p: Field point [m].
+        a_mat: Actuation matrix A(p), shape (8, n_coils).
         command: Field direction/magnitude command.
-        zero_gradient: Append five zero-gradient rows to the task.
-            Defaults to True.
 
     Returns:
         AllocationResult; residual_norm is the 2-norm mismatch of the task
         (zero when the array spans it).
     """
-    p = np.asarray(p, dtype=float)
-    if zero_gradient is None:
-        zero_gradient = True
-    a_full = actuation_matrix(model, p)
     b_sp = command.setpoint
-    if zero_gradient:
-        task_mat = a_full
+    if a_mat.shape[1] >= 8:
+        task_mat = a_mat
         task_vec = np.concatenate([b_sp, np.zeros(5)])
     else:
-        task_mat = a_full[:3]
+        task_mat = a_mat[:3]
         task_vec = b_sp
-    currents = _pinv(task_mat) @ task_vec
-    residual = float(np.linalg.norm(task_mat @ currents - task_vec))
-    return _result(model, p, currents, residual)
+    return _solve(task_mat, pinv_rank(task_mat)[0], task_vec)
 
 
 def allocate_torque_one_step(
-    model: ActuationModel,
+    a_mat: np.ndarray,
     agent: DipoleAgent,
     params: PendulumParams,
     task: WrenchTask,
@@ -260,30 +224,22 @@ def allocate_torque_one_step(
         RankDeficiencyError: If the torque map does not span the plane
             perpendicular to the dipole axis at p (magnetic singularity).
     """
-    p = np.asarray(agent.p, dtype=float)
-    tau_c = world_torque(agent, task)
     if include_force:
-        g_map = composed_torque_map(model, agent, params)
-        if task.force is not None:
-            maps = wrench_maps(agent, params.magnet_offset)
-            tau_c = tau_c + maps.jac_tilde @ np.asarray(task.force, dtype=float)
+        g_map, tau_c = _pivot_torque_task(a_mat, agent, params, task)
     else:
-        a_b = actuation_matrix(model, p)[:3]
-        g_map = skew(agent.moment) @ a_b
-    if _rank(g_map) < 2:
+        g_map = skew(agent.moment) @ a_mat[:3]
+        tau_c = world_torque(agent, task)
+    pinv, rank = pinv_rank(g_map)
+    if rank < 2:
         raise RankDeficiencyError(
-            f"torque map rank-deficient at p = {tuple(float(c) for c in p)}: "
-            "the coil array "
+            f"torque map rank-deficient at p = {agent.p}: the coil array "
             "cannot span the torque plane perpendicular to the dipole"
         )
-    currents = _pinv(g_map) @ tau_c
-    residual = float(np.linalg.norm(g_map @ currents - tau_c))
-    zeta = _zeta_star_or_none(model, agent, task)
-    return _result(model, p, currents, residual, zeta=zeta)
+    return _solve(g_map, pinv, tau_c)
 
 
 def allocate_torque_two_step(
-    model: ActuationModel,
+    a_mat: np.ndarray,
     agent: DipoleAgent,
     task: WrenchTask,
 ) -> AllocationResult:
@@ -298,25 +254,23 @@ def allocate_torque_two_step(
         RankDeficiencyError: If rank(A_b(p)) < 3, i.e. the array cannot
             realize arbitrary field vectors at p.
     """
-    p = np.asarray(agent.p, dtype=float)
     tau_c = world_torque(agent, task)
     m_b = skew(agent.moment)
-    b_des = _pinv(m_b) @ tau_c
-    a_b = actuation_matrix(model, p)[:3]
-    if _rank(a_b) < 3:
+    b_des = pinv_rank(m_b)[0] @ tau_c
+    a_b = a_mat[:3]
+    pinv, rank = pinv_rank(a_b)
+    if rank < 3:
         raise RankDeficiencyError(
-            f"field rows rank-deficient at p = {tuple(float(c) for c in p)}: "
-            "two-step "
+            f"field rows rank-deficient at p = {agent.p}: two-step "
             "allocation needs full field authority"
         )
-    currents = _pinv(a_b) @ b_des
+    currents = pinv @ b_des
     residual = float(np.linalg.norm(m_b @ (a_b @ currents) - tau_c))
-    zeta = _zeta_star_or_none(model, agent, task)
-    return _result(model, p, currents, residual, zeta=zeta)
+    return AllocationResult(currents, residual)
 
 
 def allocate_torque_twostep_jm(
-    model: ActuationModel,
+    a_mat: np.ndarray,
     agent: DipoleAgent,
     params: PendulumParams,
     task: WrenchTask,
@@ -327,18 +281,16 @@ def allocate_torque_twostep_jm(
     the intermediate field/gradient target is itself realizable; never
     smaller in norm than the one-step solution.
     """
-    p = np.asarray(agent.p, dtype=float)
     tau_c = world_torque(agent, task)
-    a_mat = actuation_matrix(model, p)
     maps = wrench_maps(agent, params.magnet_offset)
     jm = maps.jac @ maps.stacked  # (3, 8)
-    currents = _pinv(a_mat) @ (_pinv(jm) @ tau_c)
+    currents = pinv_rank(a_mat)[0] @ (pinv_rank(jm)[0] @ tau_c)
     residual = float(np.linalg.norm(jm @ (a_mat @ currents) - tau_c))
-    return _result(model, p, currents, residual)
+    return AllocationResult(currents, residual)
 
 
 def allocate_torque_twostep_ma(
-    model: ActuationModel,
+    a_mat: np.ndarray,
     agent: DipoleAgent,
     params: PendulumParams,
     task: WrenchTask,
@@ -349,20 +301,17 @@ def allocate_torque_twostep_ma(
     [torque; force] target distributes the task across both pathways by
     least squares instead of letting the current solve choose.
     """
-    p = np.asarray(agent.p, dtype=float)
     tau_c = world_torque(agent, task)
-    a_mat = actuation_matrix(model, p)
     maps = wrench_maps(agent, params.magnet_offset)
     ma = maps.stacked @ a_mat  # (6, n)
-    wrench = _pinv(maps.jac) @ tau_c  # (6,)
-    currents = _pinv(ma) @ wrench
-    realized_torque = maps.jac @ (ma @ currents)
-    residual = float(np.linalg.norm(realized_torque - tau_c))
-    return _result(model, p, currents, residual)
+    wrench = pinv_rank(maps.jac)[0] @ tau_c  # (6,)
+    currents = pinv_rank(ma)[0] @ wrench
+    residual = float(np.linalg.norm(maps.jac @ (ma @ currents) - tau_c))
+    return AllocationResult(currents, residual)
 
 
 def zeta_star(
-    model: ActuationModel,
+    a_mat: np.ndarray,
     agent: DipoleAgent,
     task: WrenchTask,
 ) -> float:
@@ -378,11 +327,10 @@ def zeta_star(
         DegenerateTaskError: If ||A_b^+ m|| < 1e-12 (no current pattern
             produces field along the dipole; the shift family is degenerate).
     """
-    p = np.asarray(agent.p, dtype=float)
     tau_c = world_torque(agent, task)
     m = agent.moment
-    b_two = _pinv(skew(m)) @ tau_c
-    a_b_pinv = _pinv(actuation_matrix(model, p)[:3])
+    b_two = pinv_rank(skew(m))[0] @ tau_c
+    a_b_pinv = pinv_rank(a_mat[:3])[0]
     u = a_b_pinv @ m
     den = float(u @ u)
     if den < 1.0e-12:
@@ -393,32 +341,8 @@ def zeta_star(
     return -float((a_b_pinv @ b_two) @ u) / den
 
 
-def _zeta_star_or_none(
-    model: ActuationModel, agent: DipoleAgent, task: WrenchTask
-) -> float | None:
-    try:
-        return zeta_star(model, agent, task)
-    except DegenerateTaskError:
-        return None
-
-
-def _near_contact_warnings(positions: list[np.ndarray]) -> tuple[str, ...]:
-    warnings = []
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            dist = float(np.linalg.norm(positions[i] - positions[j]))
-            if dist < NEAR_CONTACT_DISTANCE:
-                warnings.append(
-                    f"agents {i} and {j} are {dist * 100:.2f} cm apart; "
-                    "point-dipole allocation is ill-conditioned below "
-                    f"{NEAR_CONTACT_DISTANCE * 100:.0f} cm"
-                )
-    return tuple(warnings)
-
-
 def allocate_multi_field(
-    model: ActuationModel,
-    positions: list[np.ndarray],
+    a_mats: list[np.ndarray],
     commands: list[FieldCommand],
 ) -> AllocationResult:
     """Minimum-norm currents realizing independent field commands at several
@@ -426,34 +350,16 @@ def allocate_multi_field(
 
     The shared coils couple all agents; the stacked least-squares solve
     trades residuals across agents when the tasks exceed the array's span.
-    Per-agent residuals are reported.
     """
-    if len(positions) != len(commands) or len(positions) == 0:
-        raise ValueError("positions and commands must be equal-length, non-empty")
-    positions = [np.asarray(p, dtype=float) for p in positions]
-    blocks = [actuation_matrix(model, p)[:3] for p in positions]
-    stacked = np.vstack(blocks)
+    if len(a_mats) != len(commands) or len(a_mats) == 0:
+        raise ValueError("a_mats and commands must be equal-length, non-empty")
+    stacked = np.vstack([a_mat[:3] for a_mat in a_mats])
     target = np.concatenate([c.setpoint for c in commands])
-    currents = _pinv(stacked) @ target
-    per_agent = tuple(
-        float(np.linalg.norm(blocks[k] @ currents - commands[k].setpoint))
-        for k in range(len(positions))
-    )
-    realized = tuple(field_and_gradient(model, p, currents) for p in positions)
-    result = _result(
-        model,
-        positions[0],
-        currents,
-        residual=float(np.linalg.norm(stacked @ currents - target)),
-        agent_residuals=per_agent,
-        realized_fields=realized,
-        warnings=_near_contact_warnings(positions),
-    )
-    return result
+    return _solve(stacked, pinv_rank(stacked)[0], target)
 
 
 def allocate_multi_torque(
-    model: ActuationModel,
+    a_mats: list[np.ndarray],
     agents: list[DipoleAgent],
     params: PendulumParams,
     tasks: list[WrenchTask],
@@ -463,49 +369,33 @@ def allocate_multi_torque(
 
     Each agent contributes a rank-2 torque plane; the stacked system is
     solvable exactly when the planes are jointly independent (stacked rank
-    equal to twice the agent count).
+    equal to twice the agent count).  Only the stacked map is decomposed on
+    the way to a solution; the per-agent blocks are ranked only to explain a
+    deficiency (the stacked rank never exceeds the sum of the block ranks).
 
     Raises:
         RankDeficiencyError: Naming the deficient agent when one agent's own
             torque map is singular, or reporting a coupled deficiency when
             the stacked rank falls short with individually sound agents.
     """
-    if len(agents) != len(tasks) or len(agents) == 0:
-        raise ValueError("agents and tasks must be equal-length, non-empty")
-    g_blocks = []
-    tau_blocks = []
-    for idx, (agent, task) in enumerate(zip(agents, tasks)):
-        g_i = composed_torque_map(model, agent, params)
-        if _rank(g_i) < 2:
-            raise RankDeficiencyError(
-                f"agent {idx}: torque map rank-deficient at p = {agent.p}"
-            )
-        tau_i = world_torque(agent, task)
-        if task.force is not None:
-            maps = wrench_maps(agent, params.magnet_offset)
-            tau_i = tau_i + maps.jac_tilde @ np.asarray(task.force, dtype=float)
-        g_blocks.append(g_i)
-        tau_blocks.append(tau_i)
-    stacked = np.vstack(g_blocks)
-    if _rank(stacked) < 2 * len(agents):
+    if not len(a_mats) == len(agents) == len(tasks) or len(agents) == 0:
+        raise ValueError("a_mats, agents and tasks must be equal-length, non-empty")
+    blocks = [
+        _pivot_torque_task(a_mat, agent, params, task)
+        for a_mat, agent, task in zip(a_mats, agents, tasks)
+    ]
+    stacked = np.vstack([g_i for g_i, _ in blocks])
+    pinv, rank = pinv_rank(stacked)
+    if rank < 2 * len(agents):
+        for idx, (g_i, _) in enumerate(blocks):
+            if pinv_rank(g_i)[1] < 2:
+                raise RankDeficiencyError(
+                    f"agent {idx}: torque map rank-deficient at p = "
+                    f"{agents[idx].p}"
+                )
         raise RankDeficiencyError(
             "coupled rank deficiency: agents' torque planes are not jointly "
             "independent (stacked rank < 2 per agent)"
         )
-    target = np.concatenate(tau_blocks)
-    currents = _pinv(stacked) @ target
-    per_agent = tuple(
-        float(np.linalg.norm(g_blocks[k] @ currents - tau_blocks[k]))
-        for k in range(len(agents))
-    )
-    positions = [np.asarray(a.p, dtype=float) for a in agents]
-    realized = tuple(field_and_gradient(model, p, currents) for p in positions)
-    return _result(
-        model,
-        positions[0],
-        currents,
-        residual=float(np.linalg.norm(stacked @ currents - target)),
-        agent_residuals=per_agent,
-        realized_fields=realized,
-        warnings=_near_contact_warnings(positions),
-    )
+    target = np.concatenate([tau_i for _, tau_i in blocks])
+    return _solve(stacked, pinv, target)

@@ -22,16 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import (
-    RankDeficiencyError,
-    WrenchTask,
-    allocate_torque_one_step,
-    allocate_torque_two_step,
-)
+from . import alloc
+from .alloc import DegenerateTaskError, RankDeficiencyError, WrenchTask
 from .control import SynthesisError
 from .dynamics import PendulumParams
-from .magmodel import ActuationModel, DipoleAgent, get_model
-from .sim import run_scenario, scenario_from_dict
+from .magmodel import ActuationModel, DipoleAgent, actuation_matrix, get_model
+from .sim import finite, finite_tuple, run_scenario, scenario_from_dict
 from .workspace import GridSpec, TaskSet, max_feasible_standoff, workspace_map
 
 __all__ = ["main"]
@@ -101,21 +97,6 @@ def _parse_model(spec) -> ActuationModel:
         raise ConfigError(f"invalid model: {exc}") from exc
 
 
-def _finite(value, name: str) -> float:
-    """``value`` as a float; a non-finite number is a ValueError."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {number}")
-    return number
-
-
-def _finite_tuple(values, name: str, length: int) -> tuple[float, ...]:
-    numbers = tuple(_finite(v, name) for v in values)
-    if len(numbers) != length:
-        raise ValueError(f"{name} must hold {length} numbers")
-    return numbers
-
-
 def cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
     data = _load_config(config_path)
     _expect_kind(data, "simulate", config_path)
@@ -165,14 +146,20 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
     _expect_kind(data, "alloc_bench", config_path)
     name = data.get("name", config_path.stem)
     model = _parse_model(data.get("model", "octomag8"))
-    samples = int(data.get("samples", 1000))
+    try:
+        samples = finite(data.get("samples", 1000), "samples")
+        if not samples.is_integer():
+            raise ValueError(f"samples must be a whole number, got {samples}")
+        samples = int(samples)
+        tau_bar = finite(data.get("tau_bar", 0.002), "tau_bar")
+        radius = finite(data.get("position_radius", 0.04), "position_radius")
+        max_tilt = finite(data.get("max_tilt", 0.3), "max_tilt")
+        dipole = finite(data.get("dipole_magnitude", 0.5), "dipole_magnitude")
+        params = PendulumParams(dipole_magnitude=dipole)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid alloc-bench config {config_path}: {exc}") from exc
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    tau_bar = float(data.get("tau_bar", 0.002))
-    radius = float(data.get("position_radius", 0.04))
-    max_tilt = float(data.get("max_tilt", 0.3))
-    dipole = float(data.get("dipole_magnitude", 0.5))
-    params = PendulumParams(dipole_magnitude=dipole)
     if seed is None:
         seed = int(data.get("seed", 0))
     rng = np.random.default_rng(seed)
@@ -190,33 +177,31 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
         agent = DipoleAgent(
             p=tuple(pos), alpha=alpha, beta=beta, dipole_magnitude=dipole
         )
+        a_mat = actuation_matrix(model, pos)
         # The norm orderings compare the two solvers of the same pure
         # field-torque map, so gradient forces are left out here.
-        one = allocate_torque_one_step(model, agent, params, task, include_force=False)
-        two = allocate_torque_two_step(model, agent, task)
-        angle_one = _field_dipole_angle_deg(one.realized_field.b, agent.moment)
-        angle_two = _field_dipole_angle_deg(two.realized_field.b, agent.moment)
+        i_one = alloc.allocate_torque_one_step(
+            a_mat, agent, params, task, include_force=False
+        ).currents
+        i_two = alloc.allocate_torque_two_step(a_mat, agent, task).currents
+        b_one = alloc.field_and_gradient(a_mat, i_one)[0]
+        b_two = alloc.field_and_gradient(a_mat, i_two)[0]
+        norms = [float(np.linalg.norm(v)) for v in (i_one, i_two, b_one, b_two)]
+        angle_one = _field_dipole_angle_deg(b_one, agent.moment)
+        angle_two = _field_dipole_angle_deg(b_two, agent.moment)
+        try:
+            zeta = alloc.zeta_star(a_mat, agent, task)
+        except DegenerateTaskError:
+            zeta = math.nan
         reasons = []
-        if one.current_norm > two.current_norm + 1e-9:
+        if norms[0] > norms[1] + 1e-9:
             reasons.append("current_norm_order")
-        if one.field_norm < two.field_norm - 1e-9:
+        if norms[2] < norms[3] - 1e-9:
             reasons.append("field_norm_order")
         if abs(angle_two - 90.0) > 1e-6:
             reasons.append("two_step_angle")
         note = "+".join(reasons)
-        rows.append(
-            (
-                k,
-                one.current_norm,
-                two.current_norm,
-                one.field_norm,
-                two.field_norm,
-                angle_one,
-                angle_two,
-                one.zeta_star if one.zeta_star is not None else math.nan,
-                note,
-            )
-        )
+        rows.append((k, *norms, angle_one, angle_two, zeta, note))
         if note:
             violations.append(
                 {
@@ -262,11 +247,11 @@ _TASK_SLUGS = {"torque-box": "torque", "fixed-field": "field"}
 
 def _parse_task(kind: str, spec: dict) -> TaskSet:
     if kind == "torque-box":
-        return TaskSet(kind, tau_bar=_finite(spec["tau_bar"], "tau_bar"))
+        return TaskSet(kind, tau_bar=finite(spec["tau_bar"], "tau_bar"))
     if kind == "fixed-field":
         return TaskSet(
             kind,
-            field_magnitude=_finite(spec["field_magnitude"], "field_magnitude"),
+            field_magnitude=finite(spec["field_magnitude"], "field_magnitude"),
         )
     raise ConfigError(f"unknown task kind {kind!r}")
 
@@ -277,11 +262,11 @@ def cmd_workspace(config_path: Path, out_dir: Path) -> int:
     name = data.get("name", config_path.stem)
     model = _parse_model(data.get("model", "octomag8"))
     try:
-        limit = _finite(data["current_limit"], "current_limit")
+        limit = finite(data["current_limit"], "current_limit")
         grid_spec = data["grid"]
         grid = GridSpec(
-            *(_finite_tuple(grid_spec[axis], f"grid {axis}", 2) for axis in "xyz"),
-            spacing=_finite(grid_spec["spacing"], "grid spacing"),
+            *(finite_tuple(grid_spec[axis], f"grid {axis}", 2) for axis in "xyz"),
+            spacing=finite(grid_spec["spacing"], "grid spacing"),
         )
         tasks = {
             kind: _parse_task(kind, spec)
@@ -289,13 +274,13 @@ def cmd_workspace(config_path: Path, out_dir: Path) -> int:
         }
         plant = data.get("plant", {})
         params = PendulumParams(**{
-            key: _finite(plant.get(key, default), f"plant {key}")
+            key: finite(plant.get(key, default), f"plant {key}")
             for key, default in (("dipole_magnitude", 0.5), ("magnet_offset", 0.05))
         })
         second = data.get("second_agent")
         if second is not None:
-            second = _finite_tuple(second, "second_agent", 3)
-        orientation = _finite_tuple(
+            second = finite_tuple(second, "second_agent", 3)
+        orientation = finite_tuple(
             data.get("orientation", (0.0, 0.0)), "orientation", 2
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

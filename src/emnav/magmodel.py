@@ -7,10 +7,10 @@ summarized by a position-dependent actuation matrix with three field rows and
 five gradient rows (zero divergence and zero curl leave only five independent
 gradient components).
 
-The module also provides the rigid-dipole wrench maps: the matrices that send
+The module also provides the rigid-dipole wrench maps (the matrices that send
 field/gradient values to magnetic torque and force on an axially magnetized
-body, the lever-arm Jacobian of a pivoted actuator, and the closed-form SVD of
-the torque map.
+body, and the lever-arm Jacobian of a pivoted actuator) and the one
+pseudoinverse every allocation and workspace solve uses.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ class CoilSpec:
         ax = np.asarray(self.axis, dtype=float)
         if pos.shape != (3,) or ax.shape != (3,):
             raise ValueError("coil position and axis must be 3-vectors")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(ax))):
+            raise ValueError("coil position and axis must be finite")
         norm = np.linalg.norm(ax)
         if abs(norm - 1.0) > 1.0e-9:
             raise ValueError(f"coil axis must be unit length, got |axis| = {norm:.3e}")
@@ -111,14 +113,6 @@ class ActuationModel:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed coil model description: {exc}") from exc
         return cls(name=name, coils=coils)
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """Field and packed gradient at a point."""
-
-    b: NDArray[np.floating]
-    g: NDArray[np.floating]
 
 
 def actuation_matrix(
@@ -195,34 +189,25 @@ def actuation_matrices(
     return out
 
 
-def field_and_gradient(
-    model: ActuationModel, p: NDArray[np.floating], currents: NDArray[np.floating]
-) -> FieldState:
-    """Evaluate the superposed field and gradient produced by coil currents.
+def pinv_rank(
+    stack: NDArray[np.floating],
+) -> tuple[NDArray[np.floating], NDArray[np.integer]]:
+    """Pseudoinverse and numerical rank of a matrix or a stack of matrices.
 
-    Args:
-        model: Coil array.
-        p: Evaluation point [m].
-        currents: Coil currents [A], length n_coils.
-
-    Returns:
-        FieldState with b (3,) in tesla and packed gradient g (5,) in T/m.
+    One SVD gives both.  The pseudoinverse is formed exactly as
+    ``np.linalg.pinv(rcond=RANK_RTOL)`` forms it, and the rank counts the
+    singular values above ``RANK_RTOL`` times the largest.
     """
-    currents = np.asarray(currents, dtype=float)
-    if currents.shape != (model.n_coils,):
-        raise ValueError(
-            f"expected {model.n_coils} currents, got shape {currents.shape}"
-        )
-    stacked = actuation_matrix(model, p) @ currents
-    return FieldState(b=stacked[:3], g=stacked[3:])
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    large = s > RANK_RTOL * s[..., :1]
+    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., :, None] * np.swapaxes(u, -1, -2))
+    return pinv, large.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Pivoted dipole agents and wrench maps
 # ---------------------------------------------------------------------------
-
-_BODY_U = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class DipoleAgent:
@@ -345,24 +330,6 @@ def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
         jac_tilde=jac_tilde,
         jac=jac,
     )
-
-
-def torque_map_svd(
-    agent: DipoleAgent,
-) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
-    """Closed-form SVD of the torque-from-field map skew(m).
-
-    Returns:
-        (U, s, Vt) with skew(m) = U @ diag(s) @ Vt, s = (|m|, |m|, 0).
-        The null direction of the map (last row of Vt) is the dipole axis:
-        fields parallel to the moment produce no torque.
-    """
-    mag = agent.dipole_magnitude
-    rt = agent.rotation_t
-    u = float(agent.polarity) * rt @ _BODY_U
-    s = np.array([mag, mag, 0.0])
-    vt = rt.T
-    return u, s, vt
 
 
 # ---------------------------------------------------------------------------

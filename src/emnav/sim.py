@@ -57,6 +57,13 @@ from .magmodel import (
 #: Fixed plant substep for the RK4 integrator [s].
 PLANT_DT = 1.0e-4
 
+#: Most ticks x agents one run may take, checked before the trace is
+#: allocated.  The trace holds 11 float64 values per agent-tick and
+#: 2 + 2 * n_coils per tick, so a one-agent octomag8 run at the cap holds
+#: 29 x 8 B x 1e6 = 232 MB; the largest bundled scenario takes
+#: 2 x 2400 = 4,800 agent-ticks.
+MAX_AGENT_TICKS = 1_000_000
+
 SETPOINT_KINDS = ("constant", "circle")
 DISTURBANCE_KINDS = ("impulse", "torque_bias", "measurement_tilt")
 CHANNELS = ("alpha", "beta")
@@ -221,10 +228,16 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
         if not 1 <= len(self.agents) <= 2:
             raise ValueError("scenarios support 1 or 2 agents")
+        agent_ticks = self.duration * self.emns.control_rate * len(self.agents)
+        if agent_ticks > MAX_AGENT_TICKS:
+            raise ValueError(
+                f"duration x control_rate x agents is {agent_ticks:.6g} "
+                f"agent-ticks, more than the cap of {MAX_AGENT_TICKS}"
+            )
         table = (
             SINGLE_STRATEGIES_BY_PARADIGM
             if len(self.agents) == 1
@@ -595,7 +608,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
         # Allocation (on measured orientations).
         try:
-            result = _allocate(scenario, meas_agents, outputs)
+            result = _allocate(scenario, a_mats, meas_agents, outputs)
         except RankDeficiencyError as exc:
             failure = {"time": float(t), "tick": k, "error": str(exc)}
             completed = k + 1
@@ -649,9 +662,12 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     return trace
 
 
-def _allocate(scenario: Scenario, meas_agents: list, outputs: list):
-    """Dispatch one tick's task to the configured allocation strategy."""
-    model = scenario.model
+def _allocate(scenario: Scenario, a_mats: list, meas_agents: list, outputs: list):
+    """Dispatch one tick's task to the configured allocation strategy.
+
+    ``a_mats`` holds each agent's actuation matrix A(p), computed once per
+    run because the agents do not move.
+    """
     params = scenario.plant
     if scenario.paradigm == "field":
         # A polarity -1 magnet aligns antiparallel to the field, so its
@@ -665,14 +681,8 @@ def _allocate(scenario: Scenario, meas_agents: list, outputs: list):
             for setup, (out_a, out_b) in zip(scenario.agents, outputs)
         ]
         if scenario.strategy == "field_alignment":
-            return alloc.allocate_field_alignment(
-                model,
-                np.asarray(scenario.agents[0].position, dtype=float),
-                commands[0],
-                zero_gradient=model.n_coils >= 8,
-            )
-        positions = [np.asarray(s.position, dtype=float) for s in scenario.agents]
-        return alloc.allocate_multi_field(model, positions, commands)
+            return alloc.allocate_field_alignment(a_mats[0], commands[0])
+        return alloc.allocate_multi_field(a_mats, commands)
 
     dipoles = [
         DipoleAgent(
@@ -689,19 +699,20 @@ def _allocate(scenario: Scenario, meas_agents: list, outputs: list):
         for (out_a, out_b) in outputs
     ]
     if scenario.strategy == "multi_torque":
-        return alloc.allocate_multi_torque(model, dipoles, params, tasks)
+        return alloc.allocate_multi_torque(a_mats, dipoles, params, tasks)
+    a_mat = a_mats[0]
     single = {
         "torque_one_step": lambda: alloc.allocate_torque_one_step(
-            model, dipoles[0], params, tasks[0], include_force=scenario.include_force
+            a_mat, dipoles[0], params, tasks[0], include_force=scenario.include_force
         ),
         "torque_two_step": lambda: alloc.allocate_torque_two_step(
-            model, dipoles[0], tasks[0]
+            a_mat, dipoles[0], tasks[0]
         ),
         "torque_twostep_JM": lambda: alloc.allocate_torque_twostep_jm(
-            model, dipoles[0], params, tasks[0]
+            a_mat, dipoles[0], params, tasks[0]
         ),
         "torque_twostep_MA": lambda: alloc.allocate_torque_twostep_ma(
-            model, dipoles[0], params, tasks[0]
+            a_mat, dipoles[0], params, tasks[0]
         ),
     }
     return single[scenario.strategy]()
@@ -771,6 +782,26 @@ def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def finite(value, name: str) -> float:
+    """``value`` as a float; a non-finite number is a ValueError naming it.
+
+    The one coercion for every number read from a config (Python's json
+    reads NaN and Infinity as floats).
+    """
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
+
+
+def finite_tuple(values, name: str, length: int | None = None) -> tuple[float, ...]:
+    """``finite`` on each entry, with an optional fixed length."""
+    numbers = tuple(finite(v, name) for v in values)
+    if length is not None and len(numbers) != length:
+        raise ValueError(f"{name} must hold {length} numbers")
+    return numbers
+
+
 def _parse_controller(data: dict, sample_time: float) -> ControllerConfig:
     allowed = {
         "q_diag", "r_weight", "k_i", "integral_enabled", "integral_warm_start",
@@ -780,8 +811,11 @@ def _parse_controller(data: dict, sample_time: float) -> ControllerConfig:
     if unknown:
         raise ValueError(f"unknown controller keys: {sorted(unknown)}")
     kwargs = dict(data)
-    if "q_diag" in kwargs:
-        kwargs["q_diag"] = tuple(float(v) for v in kwargs["q_diag"])
+    for key, value in data.items():
+        if key == "q_diag":
+            kwargs[key] = finite_tuple(value, key)
+        elif key != "integral_enabled" and value is not None:
+            kwargs[key] = finite(value, key)
     return ControllerConfig(sample_time=sample_time, **kwargs)
 
 
@@ -791,7 +825,7 @@ def _parse_setpoint(data: dict) -> SetpointSpec:
     if unknown:
         raise ValueError(f"unknown setpoint keys: {sorted(unknown)}")
     kind = data.get("type", "constant")
-    kwargs = {k: float(v) for k, v in data.items() if k != "type"}
+    kwargs = {k: finite(v, f"setpoint {k}") for k, v in data.items() if k != "type"}
     return SetpointSpec(kind=kind, **kwargs)
 
 
@@ -814,27 +848,28 @@ def _parse_agent(data: dict, emns: EmnsConfig) -> AgentSetup:
         if bad:
             raise ValueError(f"unknown initial-state keys: {sorted(bad)}")
         initial_tuple = tuple(
-            float(initial.get(name, 0.0))
+            finite(initial.get(name, 0.0), f"initial {name}")
             for name in (
                 "alpha", "beta", "phi", "theta",
                 "alpha_dot", "beta_dot", "phi_dot", "theta_dot",
             )
         )
     else:
-        initial_tuple = tuple(float(v) for v in initial)
+        initial_tuple = finite_tuple(initial, "initial")
     windows_a = tuple(
-        (float(a), float(b)) for a, b in data.get("integral_windows", [])
+        finite_tuple(w, "integral_windows", 2)
+        for w in data.get("integral_windows", [])
     )
     windows_b = tuple(
-        (float(a), float(b))
-        for a, b in data.get("integral_windows_beta", data.get("integral_windows", []))
+        finite_tuple(w, "integral_windows_beta", 2)
+        for w in data.get("integral_windows_beta", data.get("integral_windows", []))
     )
     return AgentSetup(
-        position=tuple(float(v) for v in data.get("position", (0.0, 0.0, 0.0))),
+        position=finite_tuple(data.get("position", (0.0, 0.0, 0.0)), "position", 3),
         initial=initial_tuple,
         polarity=int(data.get("polarity", 1)),
         pendulum_attached=bool(data.get("pendulum_attached", True)),
-        release_time=float(data.get("release_time", 0.0)),
+        release_time=finite(data.get("release_time", 0.0), "release_time"),
         setpoint=_parse_setpoint(data.get("setpoint", {})),
         controller_alpha=(
             _parse_controller(data["controller"], h) if "controller" in data else None
@@ -861,7 +896,7 @@ def _parse_emns(data) -> EmnsConfig:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown interface keys: {sorted(unknown)}")
-    return EmnsConfig(**{k: float(v) for k, v in data.items()})
+    return EmnsConfig(**{k: finite(v, k) for k, v in data.items()})
 
 
 def _parse_disturbance(data: dict) -> DisturbanceEvent:
@@ -871,11 +906,15 @@ def _parse_disturbance(data: dict) -> DisturbanceEvent:
         raise ValueError(f"unknown disturbance keys: {sorted(unknown)}")
     return DisturbanceEvent(
         kind=data["type"],
-        time=float(data["time"]),
-        magnitude=float(data["magnitude"]),
+        time=finite(data["time"], "disturbance time"),
+        magnitude=finite(data["magnitude"], "disturbance magnitude"),
         agent=int(data.get("agent", 0)),
         channel=data.get("channel", "alpha"),
-        duration=float(data["duration"]) if data.get("duration") is not None else None,
+        duration=(
+            finite(data["duration"], "disturbance duration")
+            if data.get("duration") is not None
+            else None
+        ),
     )
 
 
@@ -903,7 +942,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     emns = _parse_emns(data.get("emns", "octomag"))
     plant_kwargs = data.get("plant", {})
     try:
-        plant = PendulumParams(**{k: float(v) for k, v in plant_kwargs.items()})
+        plant = PendulumParams(
+            **{k: finite(v, f"plant {k}") for k, v in plant_kwargs.items()}
+        )
     except TypeError as exc:
         raise ValueError(f"invalid plant parameters: {exc}") from exc
     agents = tuple(_parse_agent(a, emns) for a in data["agents"])
@@ -914,12 +955,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         paradigm=data["paradigm"],
         strategy=data["strategy"],
         emns=emns,
-        duration=float(data["duration"]),
+        duration=finite(data["duration"], "duration"),
         agents=agents,
         plant=plant,
         disturbances=disturbances,
-        field_magnitude=float(data.get("field_magnitude", 0.0)),
+        field_magnitude=finite(data.get("field_magnitude", 0.0), "field_magnitude"),
         include_force=bool(data.get("include_force", True)),
-        measurement_noise_std=float(data.get("measurement_noise_std", 0.0)),
+        measurement_noise_std=finite(
+            data.get("measurement_noise_std", 0.0), "measurement_noise_std"
+        ),
         seed=int(data.get("seed", 0)),
     )

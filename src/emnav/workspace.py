@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alloc import NEAR_CONTACT_DISTANCE
 from .dynamics import PendulumParams
 from .magmodel import (
-    RANK_RTOL,
     ActuationModel,
     DipoleAgent,
     actuation_matrices,
     actuation_matrix,
+    pinv_rank,
     wrench_maps,
 )
 
@@ -37,6 +36,18 @@ __all__ = [
 ]
 
 TASK_KINDS = ("torque-box", "fixed-field")
+
+#: Grid points closer than this to the second agent are flagged
+#: "near-contact": point-dipole superposition is unreliable there [m].
+NEAR_CONTACT_DISTANCE = 0.01
+
+#: Most points one grid may hold, checked from the axis counts before any
+#: array is allocated.  A finished map holds 40 B per point and one being
+#: built peaks near 100 B per point (positions, meshgrid temporaries,
+#: margins, flags, offsets to a second agent; measured with tracemalloc), so
+#: a two-task `emnav workspace` run stays near 140 MB at the cap.  The
+#: largest map in use has 41^3 = 68,921 points.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -73,7 +84,8 @@ class GridSpec:
 
     Each axis is an inclusive (min, max) interval sampled every ``spacing``
     meters; a degenerate axis (min == max) contributes the single value, so
-    lines and planes are expressed naturally.
+    lines and planes are expressed naturally.  A grid of more than
+    ``MAX_GRID_POINTS`` points is rejected.
     """
 
     x: tuple[float, float]
@@ -87,13 +99,23 @@ class GridSpec:
         for name in ("x", "y", "z"):
             lo, hi = getattr(self, name)
             object.__setattr__(self, name, (float(lo), float(hi)))
+        count = math.prod(self._axis_count(name) for name in ("x", "y", "z"))
+        if count > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has {count} points, more than the cap of {MAX_GRID_POINTS}"
+            )
 
-    def axis_values(self, name: str) -> np.ndarray:
+    def _axis_count(self, name: str) -> int:
         lo, hi = getattr(self, name)
         if hi < lo:
-            return np.empty(0)
-        count = int(math.floor((hi - lo) / self.spacing + 1e-9)) + 1
-        return lo + self.spacing * np.arange(count)
+            return 0
+        # Clamped so that an axis too long to sample still counts finitely.
+        steps = min((hi - lo) / self.spacing, MAX_GRID_POINTS)
+        return int(math.floor(steps + 1e-9)) + 1
+
+    def axis_values(self, name: str) -> np.ndarray:
+        lo = getattr(self, name)[0]
+        return lo + self.spacing * np.arange(self._axis_count(name))
 
     def positions(self) -> np.ndarray:
         """All lattice points, shape (N, 3), x fastest-varying last axis z."""
@@ -118,9 +140,13 @@ class GridSpec:
 class FeasibilityMap:
     """Feasibility margin sampled over a grid.
 
-    ``fm`` is the current headroom in amps at each point (-inf where the
-    torque map is rank-deficient); ``feasible`` is exactly ``fm > 0``;
-    ``flags`` carries per-point caveats ("singular", "near-contact").
+    ``fm`` is the current headroom in amps at each point; it is -inf, and
+    the point is flagged "singular", wherever the stacked task map (the
+    torque or field rows of every agent over the coils) cannot realize the
+    task set: for the torque box, where its rank is below its row count;
+    for the fixed field, where the one target lies outside its range.
+    ``feasible`` is exactly ``fm > 0``; ``flags`` carries per-point caveats
+    ("singular", "near-contact").
     """
 
     grid: GridSpec
@@ -168,6 +194,13 @@ class FeasibilityMap:
 #: stacks: one whole-grid batch would hold every actuation matrix at once.
 _BLOCK = 256
 
+#: A fixed-field task whose least-squares residual exceeds this fraction of
+#: its norm is out of the stack's range.  A reachable task leaves a residual
+#: near machine epsilon times the stack's condition number: far below this
+#: unless the condition number nears 1e10, where the currents exceed any
+#: limit anyway.
+_REACH_RTOL = 1.0e-6
+
 _FLAG_LABELS = ("", "singular", "near-contact", "singular+near-contact")
 
 
@@ -187,9 +220,8 @@ def _worst_currents(
 
     - torque box: the body-frame (tau_x, tau_y) rows, W = (R J M)[:2]; the
       body-z row is identically zero (the wrench is perpendicular to the
-      dipole axis).  W depends only on orientation and dipole.  Rank
-      deficiency (sigma_min <= RANK_RTOL * sigma_max) gives +inf.  The
-      worst case of |P v|_inf over the box |v_k| <= tau_bar, with P the
+      dipole axis).  W depends only on orientation and dipole.  The worst
+      case of |P v|_inf over the box |v_k| <= tau_bar, with P the
       pseudoinverse, is tau_bar * max_i sum_k |P_ik|: the induced infinity
       norm of P (Horn & Johnson, Matrix Analysis, 5.6).
     - fixed field: W selects the [b; g] rows with a zero-gradient task on
@@ -198,7 +230,15 @@ def _worst_currents(
       array's rank.
 
     A second agent's rows are stacked under every point.  Each block of
-    ``_BLOCK`` points takes one SVD, for the rank check and the pseudoinverse.
+    ``_BLOCK`` points takes one ``pinv_rank``, whose SVD gives the rank and
+    the pseudoinverse.  A task the stack cannot realize gives +inf:
+
+    - torque box: the box spans the task rows, so every task is realizable
+      exactly when the stack's rank equals its row count (two agents' four
+      torque rows on three coils fall short).
+    - fixed field: the set is one vector, which is realizable exactly when
+      the least-squares residual vanishes; a residual above ``_REACH_RTOL``
+      of the task's norm marks it out of reach, whatever the rank.
     """
     if kind == "torque-box":
         agent = DipoleAgent((0.0, 0.0, 0.0), *orientation, params.dipole_magnitude)
@@ -224,17 +264,19 @@ def _worst_currents(
                 [stack, np.broadcast_to(other, (stack.shape[0],) + other.shape)],
                 axis=1,
             )
-        # The pseudoinverse as np.linalg.pinv(rcond=RANK_RTOL) forms it.
-        u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        large = s > RANK_RTOL * s[:, :1]
-        s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-        pinv = np.swapaxes(vt, 1, 2) @ (s_inv[:, :, None] * np.swapaxes(u, 1, 2))
+        pinv, rank = pinv_rank(stack)
         block = worst[start : start + _BLOCK]
         if task is None:
             block[:] = size * np.max(np.sum(np.abs(pinv), axis=2), axis=1)
-            block[s[:, -1] <= RANK_RTOL * s[:, 0]] = math.inf
+            block[rank < stack.shape[1]] = math.inf
         else:
-            block[:] = np.max(np.abs(pinv @ task), axis=1)
+            currents = pinv @ task
+            block[:] = np.max(np.abs(currents), axis=1)
+            miss = np.einsum("brn,bn->br", stack, currents) - task
+            out_of_range = (
+                np.linalg.norm(miss, axis=1) > _REACH_RTOL * np.linalg.norm(task)
+            )
+            block[out_of_range] = math.inf
     return worst
 
 
@@ -270,7 +312,10 @@ def feasibility_margin_field(
     field_magnitude: float,
     current_limit: float,
 ) -> float:
-    """Current headroom for holding the field field_magnitude * e_z [A]."""
+    """Current headroom for holding the field field_magnitude * e_z [A].
+
+    A field the rows cannot realize yields -inf (infeasible-singular).
+    """
     if field_magnitude < 0.0:
         raise ValueError("field_magnitude must be non-negative")
     worst = _worst_currents(

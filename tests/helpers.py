@@ -11,6 +11,8 @@ from emnav.magmodel import MIN_COIL_DISTANCE, DipoleAgent, SingularPositionError
 
 _MU0_OVER_4PI = 1.0e-7
 
+_BODY_U = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
 
 def random_agent(rng: np.random.Generator, span: float = 0.04) -> DipoleAgent:
     """Random pivoted dipole inside the central workspace."""
@@ -164,3 +166,21 @@ def torque_box_vertex_worst(pinv: np.ndarray, tau_bar: float) -> float:
         )
         worst = max(worst, float(np.max(np.abs(pinv @ vertex))))
     return worst
+
+
+def torque_map_svd(
+    agent: DipoleAgent,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form SVD of the torque-from-field map skew(m).
+
+    Returns:
+        (U, s, Vt) with skew(m) = U @ diag(s) @ Vt, s = (|m|, |m|, 0).
+        The null direction of the map (last row of Vt) is the dipole axis:
+        fields parallel to the moment produce no torque.
+    """
+    mag = agent.dipole_magnitude
+    rt = agent.rotation_t
+    u = float(agent.polarity) * rt @ _BODY_U
+    s = np.array([mag, mag, 0.0])
+    vt = rt.T
+    return u, s, vt

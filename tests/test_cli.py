@@ -138,18 +138,45 @@ class TestSimulate:
             ("velocity_filter_cutoff", "Infinity"),
             ("field_magnitude", "NaN"),
             ("measurement_noise_std", "NaN"),
+            ("duration", "Infinity"),
+            ("time", "NaN"),
+            ("magnitude", "NaN"),
+            ("release_time", "NaN"),
+            ("integral_windows", "[[NaN, 1.0]]"),
+            ("damping", "NaN"),
+            ("initial", '{"alpha": NaN}'),
+            ("position", "[NaN, 0.0, 0.0]"),
+            ("setpoint", '{"type": "constant", "alpha": NaN}'),
+            ("current_limit", "NaN"),
         ],
     )
     def test_non_finite_synthesis_input_is_config_error(
         self, short_torque, tmp_path, capsys, key, value
     ):
         # Python's json reads NaN and Infinity, so they reach the config as
-        # floats; they must be rejected at parse time, not by the DARE.
+        # floats; they must be rejected at parse time, not by the DARE or
+        # the allocation, and never change the run silently.
         data = json.loads(short_torque.read_text())
-        if key in ("field_magnitude", "measurement_noise_std"):
-            data[key] = "@"
-        else:
-            data["agents"][0]["controller"][key] = "@"
+        data["emns"] = {"control_rate": 200.0, "current_limit": 16.0,
+                        "current_bandwidth": 26.4}
+        data["plant"] = {"damping": 0.0}
+        data["disturbances"] = [{"type": "impulse", "time": 0.1, "magnitude": 0.1}]
+        agent = data["agents"][0]
+        agent["integral_windows"] = [[0.0, 0.2]]
+        owners = {
+            "current_limit": data["emns"],
+            "damping": data["plant"],
+            "time": data["disturbances"][0],
+            "magnitude": data["disturbances"][0],
+            **dict.fromkeys(
+                ("release_time", "integral_windows", "initial", "position",
+                 "setpoint"), agent,
+            ),
+            **dict.fromkeys(
+                ("field_magnitude", "measurement_noise_std", "duration"), data
+            ),
+        }
+        owners.get(key, agent["controller"])[key] = "@"
         cfg = tmp_path / "nonfinite.json"
         cfg.write_text(json.dumps(data).replace('"@"', value))
         out = tmp_path / "o"
@@ -157,6 +184,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "finite" in err
         assert not (out / "single_torque_failure.json").exists()
+
+    def test_agent_tick_cap_is_config_error(
+        self, short_torque, tmp_path, capsys, monkeypatch
+    ):
+        # The cap is checked from duration x rate x agents; nothing runs.
+        import emnav.cli as cli_mod
+
+        def must_not_run(scenario):
+            raise AssertionError("the run was started")
+
+        monkeypatch.setattr(cli_mod, "run_scenario", must_not_run)
+        data = json.loads(short_torque.read_text())
+        data["duration"] = 1e12
+        cfg = write_json(tmp_path / "long.json", data)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "agent-ticks" in err
 
     def test_allocation_failure_exit_2_with_record(self, short_torque, tmp_path):
         data = json.loads(short_torque.read_text())
@@ -260,6 +305,25 @@ class TestWorkspaceCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    def test_grid_point_cap_is_config_error(
+        self, small_workspace, tmp_path, capsys, monkeypatch
+    ):
+        # (1e6 + 1)^3 points: the cap is checked from the axis counts, and
+        # no lattice is built.
+        from emnav.workspace import GridSpec
+
+        def must_not_build(self):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(GridSpec, "positions", must_not_build)
+        data = json.loads(small_workspace.read_text())
+        data["grid"] = {axis: [0.0, 1e6] for axis in "xyz"} | {"spacing": 1.0}
+        cfg = write_json(tmp_path / "huge.json", data)
+        assert main(["workspace", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "points" in err
+
     def test_missing_required_key(self, tmp_path):
         cfg = write_json(tmp_path / "ws.json", {"kind": "workspace", "name": "x"})
         assert main(["workspace", "--config", str(cfg),
@@ -331,6 +395,40 @@ class TestAllocBench:
 
         assert run(0, "a") == run(0, "b")
         assert run(0, "c") != run(1, "d")
+
+    def test_actuation_matrix_once_per_sample(self, tmp_path, monkeypatch):
+        # One A(p) per sample serves both solves, zeta* and the fields.
+        import emnav.magmodel as magmodel
+
+        calls = []
+        batched = magmodel.actuation_matrices
+
+        def counting(model, points):
+            calls.append(len(points))
+            return batched(model, points)
+
+        monkeypatch.setattr(magmodel, "actuation_matrices", counting)
+        cfg = self.make_config(tmp_path, samples=5)
+        assert main(["alloc-bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == [1] * 5
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tau_bar", "NaN"), ("max_tilt", "Infinity"), ("samples", '"many"'),
+         ("samples", "Infinity"), ("samples", "2.7"), ("dipole_magnitude", "-1.0")],
+    )
+    def test_bad_config_is_config_error(
+        self, tmp_path, capsys, key, value
+    ):
+        data = json.loads(self.make_config(tmp_path).read_text())
+        data[key] = "@"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data).replace('"@"', value))
+        assert main(["alloc-bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_bad_sample_count(self, tmp_path):
         cfg = write_json(

@@ -6,7 +6,8 @@ Oracles used here, independent of the implementation:
   * field Jacobian and gradient rows — central finite differences of the
     field;
   * rotation matrices — scipy's Rotation with the matching Euler convention;
-  * torque-map SVD — numpy's generic SVD of skew(m).
+  * torque-map SVD — numpy's generic SVD of skew(m), against the closed
+    form in helpers.torque_map_svd.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from helpers import (
     dipole_field_jacobian,
     pack_gradient,
     random_agent,
+    torque_map_svd,
     unpack_gradient,
 )
 
@@ -33,10 +35,8 @@ from emnav.magmodel import (
     SingularPositionError,
     actuation_matrices,
     actuation_matrix,
-    field_and_gradient,
     get_model,
     skew,
-    torque_map_svd,
     wrench_maps,
 )
 
@@ -136,12 +136,10 @@ class TestActuationMatrix:
         a_mat = actuation_matrix(octomag, p)
         i1 = rng.uniform(-5, 5, 8)
         i2 = rng.uniform(-5, 5, 8)
-        s1 = field_and_gradient(octomag, p, i1)
-        s2 = field_and_gradient(octomag, p, i2)
-        s12 = field_and_gradient(octomag, p, i1 + 2.0 * i2)
-        np.testing.assert_allclose(s12.b, s1.b + 2.0 * s2.b, atol=1e-15)
-        np.testing.assert_allclose(s12.g, s1.g + 2.0 * s2.g, atol=1e-13)
-        np.testing.assert_allclose(a_mat @ i1, np.concatenate([s1.b, s1.g]), atol=1e-18)
+        s1, s2 = a_mat @ i1, a_mat @ i2
+        s12 = actuation_matrix(octomag, p) @ (i1 + 2.0 * i2)
+        np.testing.assert_allclose(s12[:3], s1[:3] + 2.0 * s2[:3], atol=1e-15)
+        np.testing.assert_allclose(s12[3:], s1[3:] + 2.0 * s2[3:], atol=1e-13)
 
     def test_rows_match_per_coil_dipole_fields(self, octomag):
         p = np.array([0.005, 0.01, -0.02])
@@ -160,15 +158,15 @@ class TestActuationMatrix:
         h = 1e-6
         p = np.array([0.02, -0.01, 0.005])
         currents = rng.uniform(-5, 5, 8)
-        state = field_and_gradient(octomag, p, currents)
+        state = actuation_matrix(octomag, p) @ currents
         fd = np.zeros((3, 3))
         for j in range(3):
             dp = np.zeros(3)
             dp[j] = h
-            bp = field_and_gradient(octomag, p + dp, currents).b
-            bm = field_and_gradient(octomag, p - dp, currents).b
+            bp = (actuation_matrix(octomag, p + dp) @ currents)[:3]
+            bm = (actuation_matrix(octomag, p - dp) @ currents)[:3]
             fd[:, j] = (bp - bm) / (2 * h)
-        np.testing.assert_allclose(unpack_gradient(state.g), fd, rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(unpack_gradient(state[3:]), fd, rtol=1e-6, atol=1e-12)
 
     def test_batched_matches_single(self, octomag, rng):
         pts = rng.uniform(-0.03, 0.03, (7, 3))
@@ -229,6 +227,11 @@ class TestPresets:
             CoilSpec(position=(0.1, 0, 0), axis=(1.0, 1.0, 0.0), moment_per_ampere=1.0)
         with pytest.raises(ValueError):
             CoilSpec(position=(0.1, 0, 0), axis=(1.0, 0.0, 0.0), moment_per_ampere=0.0)
+        # A NaN axis would pass the unit-length test (NaN compares false).
+        for position, axis in (((math.nan, 0, 0), (1, 0, 0)),
+                               ((0.1, 0, 0), (math.nan, 0, 0))):
+            with pytest.raises(ValueError, match="finite"):
+                CoilSpec(position=position, axis=axis, moment_per_ampere=1.0)
 
 
 class TestDipoleAgent:

@@ -277,6 +277,38 @@ class TestTickMechanics:
         gains = [[e["gain"] for e in tr.synthesis if e["agent"] == a] for a in (0, 1)]
         assert (gains[0] == gains[1]) == (solves == 1)
 
+    def test_actuation_matrix_computed_once_per_agent(self, monkeypatch):
+        # The agents do not move, so a run evaluates A(p) once per agent and
+        # never inside the tick loop.
+        import emnav.magmodel as magmodel
+
+        data = load_bundled("multi_torque_async")
+        data["duration"] = 0.5
+        scenario = scenario_from_dict(data)
+        calls = []
+        batched = magmodel.actuation_matrices
+
+        def counting(model, points):
+            calls.append(len(points))
+            return batched(model, points)
+
+        monkeypatch.setattr(magmodel, "actuation_matrices", counting)
+        tr = run_scenario(scenario)
+        assert tr.t.shape[0] == 100 and tr.failure is None
+        assert calls == [1, 1]
+
+    def test_agent_tick_cap_checked_before_allocation(self):
+        # 1e12 s at 200 Hz would be 2e14 ticks; Scenario rejects it from the
+        # arithmetic alone.
+        from emnav.sim import MAX_AGENT_TICKS
+
+        with pytest.raises(ValueError, match="agent-ticks"):
+            scenario_from_dict(base_torque_dict(duration=1e12))
+        with pytest.raises(ValueError, match="agent-ticks"):
+            scenario_from_dict(base_torque_dict(duration=1e308))
+        at_cap = MAX_AGENT_TICKS / EMNS_PRESETS["octomag"].control_rate
+        scenario_from_dict(base_torque_dict(duration=at_cap))
+
     def test_q_diag_length_must_match_plant(self):
         cfg = base_torque_dict(duration=0.1)
         cfg["agents"][0]["controller"]["q_diag"] = [20.0, 1.0]

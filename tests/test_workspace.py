@@ -9,7 +9,7 @@ import pytest
 
 from helpers import torque_box_vertex_worst
 
-from emnav.alloc import NEAR_CONTACT_DISTANCE, composed_torque_map
+from emnav.alloc import composed_torque_map
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
     RANK_RTOL,
@@ -19,6 +19,8 @@ from emnav.magmodel import (
     get_model,
 )
 from emnav.workspace import (
+    MAX_GRID_POINTS,
+    NEAR_CONTACT_DISTANCE,
     FeasibilityMap,
     GridSpec,
     TaskSet,
@@ -97,6 +99,17 @@ class TestGridSpec:
         grid = GridSpec(x=(0.01, -0.01), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.002)
         assert grid.positions().shape == (0, 3)
 
+    def test_point_cap_checked_from_axis_counts(self):
+        # 1e6 + 1 points on one axis, and 1e18 over three; neither is built.
+        side = float(MAX_GRID_POINTS)
+        GridSpec(x=(0.0, side - 1.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=1.0)
+        with pytest.raises(ValueError, match="points"):
+            GridSpec(x=(0.0, side), y=(0.0, 0.0), z=(0.0, 0.0), spacing=1.0)
+        with pytest.raises(ValueError, match="points"):
+            GridSpec(x=(0.0, 1e6), y=(0.0, 1e6), z=(0.0, 1e6), spacing=1.0)
+        with pytest.raises(ValueError, match="points"):
+            GridSpec(x=(-1e308, 1e308), y=(0.0, 0.0), z=(0.0, 0.0), spacing=1e-3)
+
 
 class TestTorqueMargin:
     def test_center_feasible(self, octomag):
@@ -138,11 +151,9 @@ class TestTorqueMargin:
     def test_vertex_maximum_dominates_box_interior(self, octomag):
         # The worst-case current over the torque box is attained at a vertex
         # (linear map, convex norm); random interior tasks never exceed it.
-        from emnav.alloc import composed_torque_map
-        from emnav.magmodel import DipoleAgent
-
         agent = DipoleAgent(p=(0.02, -0.01, 0.01), dipole_magnitude=2.0)
-        body_map = composed_torque_map(octomag, agent, SLED)[:2]
+        a_mat = actuation_matrix(octomag, agent.p)
+        body_map = composed_torque_map(a_mat, agent, SLED)[:2]
         pinv = np.linalg.pinv(body_map, rcond=1e-10)
         tau_bar = 0.002
         vertex_max = max(
@@ -279,6 +290,43 @@ class TestWorkspaceMap:
         assert fmap.flags[0] == "singular"
         assert not fmap.feasible[0]
 
+    @pytest.mark.parametrize("kind", ["torque-box", "fixed-field"])
+    def test_more_task_rows_than_coils_is_singular(self, navion, kind):
+        # Two agents stack 4 torque rows or 6 field rows over navion3's 3
+        # coils: no point can realize the torque box or the two fields,
+        # though the stack has 3 nonzero singular values.  A rank test on
+        # those 3 alone reads margins of 14-18 A here, all "feasible".
+        grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.10, 0.14), spacing=0.01)
+        fmap = workspace_map(
+            navion, TaskSet(kind, tau_bar=0.001, field_magnitude=0.01), grid,
+            25.0, params=SLED, second_agent=(0.03, 0.0, 0.12),
+        )
+        assert fmap.positions.shape[0] == 5
+        assert np.all(fmap.fm == -math.inf)
+        assert fmap.flags == ("singular",) * 5
+        assert fmap.feasible_count == 0
+
+    def test_rank_deficient_field_rows_reaching_the_target_are_feasible(self):
+        # One coil has field rows of rank 1.  On its axis the field is along
+        # z, so the target B e_z is reached; off the axis it is not.
+        one_coil = ActuationModel.from_dict(
+            {
+                "name": "one",
+                "coils": [
+                    {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
+                     "moment_per_ampere": 50.0}
+                ],
+            }
+        )
+        grid = GridSpec(x=(0.0, 0.05), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.05)
+        fmap = workspace_map(
+            one_coil, TaskSet("fixed-field", field_magnitude=0.001), grid, 16.0
+        )
+        b_per_amp = actuation_matrix(one_coil, np.zeros(3))[2, 0]
+        assert fmap.fm[0] == pytest.approx(16.0 - 0.001 / b_per_amp, rel=1e-12)
+        assert fmap.flags == ("", "singular")
+        assert fmap.fm[1] == -math.inf
+
     def test_torque_map_requires_params(self, octomag):
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.01)
         with pytest.raises(ValueError, match="params"):
@@ -304,7 +352,9 @@ class TestWorkspaceMap:
             if kind == "torque-box":
                 rows = np.vstack([
                     composed_torque_map(
-                        octomag, DipoleAgent(p=q, dipole_magnitude=2.0), SLED
+                        actuation_matrix(octomag, q),
+                        DipoleAgent(p=q, dipole_magnitude=2.0),
+                        SLED,
                     )[:2]
                     for q in points
                 ])
@@ -343,7 +393,12 @@ class TestWorkspaceMap:
             )
             tau_bar = float(rng.uniform(1e-4, 5e-3))
             rows = np.vstack([
-                (agent.rotation @ composed_torque_map(octomag, agent, params))[:2]
+                (
+                    agent.rotation
+                    @ composed_torque_map(
+                        actuation_matrix(octomag, agent.p), agent, params
+                    )
+                )[:2]
                 for agent in (
                     DipoleAgent(
                         p=q, alpha=orientation[0], beta=orientation[1],
