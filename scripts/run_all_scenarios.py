@@ -3,7 +3,9 @@
 
 Each scenario runs through ``emnav simulate``, which writes its trace CSV and
 summary JSON into --out; the table printed to stdout is read back from the
-summaries.
+summaries.  ``wall[s]`` is the wall time of the whole command (synthesis,
+simulation and export) and ``rtf`` the real-time factor, simulated seconds
+per wall second.
 """
 
 import argparse
@@ -29,7 +31,7 @@ def main() -> int:
 
     header = (
         f"{'scenario':<26} {'ticks':>6} {'settle[s]':>10} {'rms[rad]':>10} "
-        f"{'max|i|[A]':>10} {'steady|i|':>10} {'wall[s]':>8}"
+        f"{'max|i|[A]':>10} {'steady|i|':>10} {'wall[s]':>8} {'rtf':>6}"
     )
     print(header)
     print("-" * len(header))
@@ -53,10 +55,12 @@ def main() -> int:
         settle_txt = ",".join("-" if s is None else f"{s:.2f}" for s in settle)
         rms_txt = ",".join(f"{r:.4f}" for r in metrics["rms_tracking_last_quarter"])
         status = " FAILED" if summary["failure"] else ""
+        rtf = summary["duration"] / wall
         print(
             f"{summary['scenario']:<26} {summary['ticks']:>6} {settle_txt:>10} "
             f"{rms_txt:>10} {metrics['max_current']:>10.3f} "
-            f"{metrics['steady_max_current']:>10.2e} {wall:>8.2f}{status}"
+            f"{metrics['steady_max_current']:>10.2e} {wall:>8.2f} "
+            f"{rtf:>6.2f}{status}"
         )
     print(f"\nartifacts in {args.out}")
     return worst

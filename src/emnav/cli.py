@@ -8,8 +8,9 @@ artifacts into an output directory:
     emnav workspace  --config workspace.json --out DIR
 
 Exit codes: 0 success, 1 config error (bad path, malformed JSON, schema
-violation, non-finite number), 2 numerical failure (controller synthesis or
-allocation rank deficiency), with a failure record written where applicable.
+violation, non-finite number), 2 numerical failure (controller synthesis,
+allocation rank deficiency or a diverging plant), with a failure record
+written where applicable.
 """
 
 from __future__ import annotations
@@ -123,9 +124,12 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
     trace.to_csv(out_dir / f"{scenario.name}_trace.csv")
     _write_json(out_dir / f"{scenario.name}_summary.json", trace.summary)
     if trace.failure is not None:
+        failure = trace.failure
+        where = f" (agent {failure['agent']})" if "agent" in failure else ""
         print(
-            f"allocation failed at t={trace.failure['time']:.6g}: "
-            f"{trace.failure['error']}",
+            f"numerical failure: {failure['stage']} failed at "
+            f"t={failure['time']:.6g}, tick {failure['tick']}{where}: "
+            f"{failure['error']}",
             file=sys.stderr,
         )
         return 2

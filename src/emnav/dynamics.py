@@ -80,45 +80,45 @@ def _check_paradigm(paradigm: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _coupled_accelerations(
-    params: PendulumParams,
-    alpha: float,
-    phi: float,
-    alpha_dot: float,
-    phi_dot: float,
-    q_alpha: float,
-) -> tuple[float, float]:
-    """Solve the 2x2 coupled dynamics for (alpha'', phi'').
+def coupled_accelerations(params: PendulumParams):
+    """The 2x2 coupled dynamics solver for (alpha'', phi'') of one plant.
 
+    Returns ``accelerations(alpha, phi, alpha_dot, phi_dot, q_alpha)``, where
     q_alpha is the generalized force on the actuator joint (magnetic torque
-    plus any disturbance); the pendulum joint is unactuated.
+    plus any disturbance); the pendulum joint is unactuated.  The constant
+    mass-matrix entries and gravity coefficients are computed here, once per
+    plant, in the same operation order as the per-call formula, so the result
+    is bit-identical to it.
     """
     p = params
     m_pend = p.pend_mass
     half_ml_l = 0.5 * m_pend * p.arm_length * p.pend_length
-    c = math.cos(alpha - phi)
-    s = math.sin(alpha - phi)
-
     a11 = p.inertia + m_pend * p.arm_length**2
-    a12 = half_ml_l * c
     a22 = 0.25 * m_pend * p.pend_length**2
+    a11_a22 = a11 * a22
+    k1 = (p.eta + m_pend * p.arm_length) * p.gravity
+    k2 = m_pend * p.gravity * 0.5 * p.pend_length
+    damping = p.damping
+    sin = math.sin
+    cos = math.cos
 
-    rhs1 = (
-        (p.eta + m_pend * p.arm_length) * p.gravity * math.sin(alpha)
-        - half_ml_l * phi_dot**2 * s
-        + q_alpha
-        - p.damping * alpha_dot
-    )
-    rhs2 = (
-        m_pend * p.gravity * 0.5 * p.pend_length * math.sin(phi)
-        + half_ml_l * alpha_dot**2 * s
-        - p.damping * phi_dot
-    )
+    def accelerations(
+        alpha: float, phi: float, alpha_dot: float, phi_dot: float, q_alpha: float
+    ) -> tuple[float, float]:
+        c = cos(alpha - phi)
+        s = sin(alpha - phi)
+        a12 = half_ml_l * c
+        rhs1 = (
+            k1 * sin(alpha)
+            - half_ml_l * phi_dot**2 * s
+            + q_alpha
+            - damping * alpha_dot
+        )
+        rhs2 = k2 * sin(phi) + half_ml_l * alpha_dot**2 * s - damping * phi_dot
+        det = a11_a22 - a12 * a12
+        return (a22 * rhs1 - a12 * rhs2) / det, (a11 * rhs2 - a12 * rhs1) / det
 
-    det = a11 * a22 - a12 * a12
-    alpha_dd = (a22 * rhs1 - a12 * rhs2) / det
-    phi_dd = (a11 * rhs2 - a12 * rhs1) / det
-    return alpha_dd, phi_dd
+    return accelerations
 
 
 def rk4_tick(
@@ -168,6 +168,7 @@ def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
     inertia = params.inertia
     sin = math.sin
     cos = math.cos
+    accelerations = coupled_accelerations(params)
 
     def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):
         if attached:
@@ -195,8 +196,8 @@ def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
         qa = ty + bias_a
         qb = tx * ca - tz * sa + bias_b
         if attached:
-            add, phdd = _coupled_accelerations(params, a, ph, ad, phd, qa)
-            bdd, thdd = _coupled_accelerations(params, bb, th, bd, thd, qb)
+            add, phdd = accelerations(a, ph, ad, phd, qa)
+            bdd, thdd = accelerations(bb, th, bd, thd, qb)
             return (ad, phd, add, phdd, bd, thd, bdd, thdd)
         add = (eta_g * sa + qa - damping * ad) / inertia
         bdd = (eta_g * sb + qb - damping * bd) / inertia

@@ -12,9 +12,13 @@ torque are projected onto the two gimbal axes, and the resulting generalized
 forces feed the planar actuator/pendulum dynamics of each channel.  The two
 channels couple through the shared dipole orientation.
 
-The inner integration loop runs on plain Python floats over per-tick
-precomputed field/gradient grids (the lag-filtered currents do not depend on
-the plant state), which keeps multi-second scenarios well under real time.
+The inner integration loop is fixed-step RK4 at ``PLANT_DT`` on plain Python
+floats over per-tick precomputed field/gradient grids (the lag-filtered
+currents do not depend on the plant state).  The step is backed by a
+step-halving test: on the bundled scenarios, halving it moves no angle by
+more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that
+diverges (overflow, domain error or a non-finite state) ends the run with a
+failure record, as an allocation rank failure does.
 """
 
 from __future__ import annotations
@@ -54,8 +58,16 @@ from .magmodel import (
     get_model,
 )
 
-#: Fixed plant substep for the RK4 integrator [s].
-PLANT_DT = 1.0e-4
+#: Fixed plant substep for the RK4 integrator [s]: 20 substeps per 200 Hz
+#: tick, 32 per 125 Hz tick.  Largest angle deviation of the bundled
+#: scenarios from their trace at 1e-4 s, at 2.5e-4 s and at 5e-4 s:
+#: multi_field_2x2d 9.8e-10 and 1.6e-8 rad, multi_torque_* 1.0e-10 and
+#: 1.7e-9, single_torque 3e-11 and 4.9e-10, single_field 1.6e-11 and
+#: 2.6e-10, disturb_field_integral 5.1e-13 and 8.3e-12, disturb_field_p_only
+#: 5.7e-15 and 3.0e-14.  RK4's error falls about 16x per halving; at 5e-4 s
+#: multi_field_2x2d moves 1.5e-8 rad from its 2.5e-4 s trace, over the
+#: 1e-8 rad bound of the step-halving test.
+PLANT_DT = 2.5e-4
 
 #: Most ticks x agents one run may take, checked before the trace is
 #: allocated.  The trace holds 11 float64 values per agent-tick and
@@ -406,9 +418,10 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     """Simulate a scenario tick by tick; see the module docstring.
 
     Returns a SimTrace.  Controller synthesis failures raise SynthesisError
-    (the scenario precondition); an allocation rank failure mid-run is
-    recorded in `trace.failure` with its timestamp and the trace is truncated
-    at the failing tick.
+    (the scenario precondition).  A numerical failure mid-run is recorded in
+    `trace.failure` with its stage ("allocation" for a rank failure,
+    "integration" for a diverging plant), time and tick (and agent, for
+    integration), and the trace is truncated at the failing tick.
     """
     model = scenario.model
     emns = scenario.emns
@@ -610,7 +623,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         try:
             result = _allocate(scenario, a_mats, meas_agents, outputs)
         except RankDeficiencyError as exc:
-            failure = {"time": float(t), "tick": k, "error": str(exc)}
+            failure = {"stage": "allocation", "time": float(t), "tick": k,
+                       "error": str(exc)}
             completed = k + 1
             break
         tr_residuals[k] = result.residual_norm
@@ -628,16 +642,30 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 continue  # still held at its initial pose
             b_grid = (a_field_rows[a_idx] @ i_grid).T.tolist()
             g_grid = (a_grad_rows[a_idx] @ i_grid).T.tolist()
-            states[a_idx] = rk4_tick(
-                states[a_idx],
-                derivs[a_idx],
-                substeps,
-                dt,
-                b_grid,
-                g_grid,
-                bias_for(a_idx, "alpha", t),
-                bias_for(a_idx, "beta", t),
-            )
+            try:
+                y = rk4_tick(
+                    states[a_idx],
+                    derivs[a_idx],
+                    substeps,
+                    dt,
+                    b_grid,
+                    g_grid,
+                    bias_for(a_idx, "alpha", t),
+                    bias_for(a_idx, "beta", t),
+                )
+            except (OverflowError, ValueError) as exc:
+                error = f"plant diverged: {type(exc).__name__}: {exc}"
+            else:
+                if all(map(math.isfinite, y)):
+                    states[a_idx] = y
+                    continue
+                error = "plant diverged: non-finite state"
+            failure = {"stage": "integration", "time": float(t), "tick": k,
+                       "agent": a_idx, "error": error}
+            completed = k + 1
+            break
+        if failure is not None:
+            break
 
     sl = slice(0, completed)
     trace = SimTrace(
@@ -904,6 +932,9 @@ def _parse_disturbance(data: dict) -> DisturbanceEvent:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown disturbance keys: {sorted(unknown)}")
+    for required in ("type", "time", "magnitude"):
+        if required not in data:
+            raise ValueError(f"disturbance is missing required key '{required}'")
     return DisturbanceEvent(
         kind=data["type"],
         time=finite(data["time"], "disturbance time"),

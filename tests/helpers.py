@@ -106,6 +106,47 @@ def total_energy(
     return t_kin + u_pot
 
 
+def coupled_accelerations_per_call(
+    params: PendulumParams,
+    alpha: float,
+    phi: float,
+    alpha_dot: float,
+    phi_dot: float,
+    q_alpha: float,
+) -> tuple[float, float]:
+    """(alpha'', phi'') of one channel, every term computed from ``params``.
+
+    The per-call form of the 2x2 coupled dynamics solve that
+    ``dynamics.coupled_accelerations`` hoists into a per-plant closure.
+    """
+    p = params
+    m_pend = p.pend_mass
+    half_ml_l = 0.5 * m_pend * p.arm_length * p.pend_length
+    c = math.cos(alpha - phi)
+    s = math.sin(alpha - phi)
+
+    a11 = p.inertia + m_pend * p.arm_length**2
+    a12 = half_ml_l * c
+    a22 = 0.25 * m_pend * p.pend_length**2
+
+    rhs1 = (
+        (p.eta + m_pend * p.arm_length) * p.gravity * math.sin(alpha)
+        - half_ml_l * phi_dot**2 * s
+        + q_alpha
+        - p.damping * alpha_dot
+    )
+    rhs2 = (
+        m_pend * p.gravity * 0.5 * p.pend_length * math.sin(phi)
+        + half_ml_l * alpha_dot**2 * s
+        - p.damping * phi_dot
+    )
+
+    det = a11 * a22 - a12 * a12
+    alpha_dd = (a22 * rhs1 - a12 * rhs2) / det
+    phi_dd = (a11 * rhs2 - a12 * rhs1) / det
+    return alpha_dd, phi_dd
+
+
 def estimate_velocities(angle_history: np.ndarray, dt: float) -> np.ndarray:
     """Backward differences of a sampled angle sequence.
 

@@ -216,8 +216,52 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         summary = json.loads((out / "single_torque_summary.json").read_text())
+        assert summary["failure"]["stage"] == "allocation"
         assert summary["failure"]["tick"] == 0
         assert "rank" in summary["failure"]["error"]
+
+    @pytest.mark.parametrize(
+        "attached,magnitude", [(True, 1e3), (False, 1e307)]
+    )
+    def test_diverging_plant_exit_2_with_record(
+        self, short_torque, tmp_path, capsys, attached, magnitude
+    ):
+        # Overflow (phi_dot**2) and math.sin(inf) (a ValueError, not a config
+        # error) both end the run as an integration failure.
+        data = json.loads(short_torque.read_text())
+        data["disturbances"] = [
+            {"type": "torque_bias", "time": 0.1, "magnitude": magnitude}
+        ]
+        if not attached:
+            data["agents"][0]["pendulum_attached"] = False
+            data["agents"][0]["controller"]["q_diag"] = [20.0, 1.0]
+        cfg = write_json(tmp_path / "diverge.json", data)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "integration failed" in err and "agent 0" in err
+        failure = json.loads((out / "single_torque_summary.json").read_text())[
+            "failure"
+        ]
+        assert failure["stage"] == "integration" and failure["agent"] == 0
+        rows = (out / "single_torque_trace.csv").read_text().splitlines()
+        assert len(rows) == 1 + failure["tick"] + 1  # header, ticks 0..tick
+        assert not any(word in rows[-1] for word in ("nan", "inf"))
+
+    @pytest.mark.parametrize("key", ["time", "type", "magnitude"])
+    def test_disturbance_missing_required_key(
+        self, short_torque, tmp_path, capsys, key
+    ):
+        data = json.loads(short_torque.read_text())
+        event = {"type": "impulse", "time": 0.1, "magnitude": 0.1}
+        del event[key]
+        data["disturbances"] = [event]
+        cfg = write_json(tmp_path / "nokey.json", data)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"disturbance is missing required key '{key}'" in err
 
     def test_synthesis_failure_exit_2_with_record(
         self, short_torque, tmp_path, monkeypatch

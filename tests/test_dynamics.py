@@ -8,7 +8,9 @@ Oracles:
   * scipy.signal.cont2discrete as an independent zero-order-hold reference;
   * the analytic steady-state offset of the field-actuated rig under a
     constant disturbance torque;
-  * the exact period of the field-aligned actuator, a nonlinear pendulum.
+  * the exact period of the field-aligned actuator, a nonlinear pendulum;
+  * the per-call coupled-dynamics formula, which the hoisted per-plant solver
+    must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from scipy.special import ellipk
 
 from emnav.dynamics import (
     PendulumParams,
+    coupled_accelerations,
     discretize,
     finite_difference_linearization,
     linearize,
@@ -33,7 +36,7 @@ from emnav.dynamics import (
     rk4_tick,
 )
 
-from helpers import total_energy
+from helpers import coupled_accelerations_per_call, total_energy
 
 NO_FIELD = (0.0, 0.0, 0.0)
 NO_GRADIENT = (0.0,) * 5
@@ -152,6 +155,36 @@ class TestCoupledPlant:
         y = (alpha, phi, 0.3, -0.2, phi, alpha, -0.1, 0.2)
         dy = accelerations(plant(PendulumParams()), y, bias_a=1e-3)
         assert all(math.isfinite(v) for v in dy)
+
+
+positive = st.floats(1e-3, 10.0)
+
+
+@st.composite
+def plant_params(draw) -> PendulumParams:
+    return PendulumParams(
+        pend_mass=draw(positive),
+        arm_length=draw(positive),
+        pend_length=draw(positive),
+        magnet_offset=draw(positive),
+        eta=draw(positive),
+        inertia=draw(positive),
+        gravity=draw(positive),
+        dipole_magnitude=draw(positive),
+        damping=draw(st.floats(0.0, 10.0)),
+    )
+
+
+class TestHoistedAccelerations:
+    @given(
+        params=plant_params(),
+        state=st.tuples(*[st.floats(-1e3, 1e3)] * 4),
+        q_alpha=st.floats(-1e3, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_per_call_formula(self, params, state, q_alpha):
+        hoisted = coupled_accelerations(params)(*state, q_alpha)
+        assert hoisted == coupled_accelerations_per_call(params, *state, q_alpha)
 
 
 class TestLinearization:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import emnav.sim as sim
 from emnav.sim import (
     EMNS_PRESETS,
     AgentSetup,
@@ -447,10 +448,77 @@ class TestFailureHandling:
         cfg = base_torque_dict(model=model, duration=0.5)
         tr = run_scenario(scenario_from_dict(cfg))
         assert tr.failure is not None
+        assert tr.failure["stage"] == "allocation"
         assert tr.failure["tick"] == 0
         assert tr.failure["time"] == 0.0
         assert tr.t.shape[0] == 1
         assert tr.summary["failure"] is not None
+
+    @pytest.mark.parametrize(
+        "attached,magnitude,error",
+        [
+            (True, 1e3, "OverflowError"),  # phi_dot**2 overflows
+            (False, 1e307, "ValueError"),  # the state reaches inf: sin(inf)
+        ],
+    )
+    def test_diverging_plant_recorded_and_truncated(self, attached, magnitude, error):
+        cfg = base_torque_dict(
+            duration=0.5,
+            disturbances=[{"type": "torque_bias", "time": 0.1, "magnitude": magnitude}],
+        )
+        if not attached:
+            cfg["agents"][0]["pendulum_attached"] = False
+            cfg["agents"][0]["controller"]["q_diag"] = [20.0, 1.0]
+        tr = run_scenario(scenario_from_dict(cfg))
+        failure = tr.failure
+        assert failure is not None and tr.summary["failure"] == failure
+        assert failure["stage"] == "integration" and failure["agent"] == 0
+        assert error in failure["error"]
+        assert 0.1 <= failure["time"] < 0.5
+        assert failure["time"] == tr.t[-1] and tr.t.shape[0] == failure["tick"] + 1
+        for name in ("alpha", "beta", "phi", "theta"):
+            assert np.all(np.isfinite(getattr(tr, name)))
+
+    def test_non_finite_state_recorded_with_agent(self, monkeypatch):
+        # A NaN raises nothing in math.sin, so the state itself is checked.
+        # Tick 0 integrates agent 0, then agent 1: the second call fails.
+        integrate = sim.rk4_tick
+        calls = []
+
+        def nan_on_second_call(*args):
+            calls.append(None)
+            y = integrate(*args)
+            return (math.nan,) + y[1:] if len(calls) == 2 else y
+
+        monkeypatch.setattr(sim, "rk4_tick", nan_on_second_call)
+        data = load_bundled("multi_torque_async")
+        data["duration"] = 0.05
+        tr = run_scenario(scenario_from_dict(data))
+        assert tr.failure == {
+            "stage": "integration", "time": 0.0, "tick": 0, "agent": 1,
+            "error": "plant diverged: non-finite state",
+        }
+        assert tr.t.shape[0] == 1 and np.all(np.isfinite(tr.alpha))
+
+
+class TestPlantStep:
+    @pytest.mark.parametrize("name", ["multi_field_2x2d", "multi_torque_async"])
+    def test_step_halving(self, monkeypatch, name):
+        # RK4's global error falls about 16x per halving, so the gap between
+        # the traces at PLANT_DT and PLANT_DT / 2 bounds the error of the
+        # step the simulator uses.
+        scenario = scenario_from_dict(load_bundled(name))
+        traces = []
+        for step in (sim.PLANT_DT, sim.PLANT_DT / 2):
+            monkeypatch.setattr(sim, "PLANT_DT", step)
+            traces.append(run_scenario(scenario))
+        coarse, fine = traces
+        assert coarse.failure is None and fine.failure is None
+        worst = max(
+            float(np.max(np.abs(getattr(coarse, n) - getattr(fine, n))))
+            for n in ("alpha", "beta", "phi", "theta")
+        )
+        assert worst <= 1e-8
 
 
 class TestFieldParadigm:
