@@ -7,10 +7,12 @@ artifacts into an output directory:
     emnav alloc-bench --config bench.json    --out DIR [--seed N]
     emnav workspace  --config workspace.json --out DIR
 
-Exit codes: 0 success, 1 config error (bad path, malformed JSON, schema
-violation, non-finite number), 2 numerical failure (controller synthesis,
-allocation rank deficiency or a diverging plant), with a failure record
-written where applicable.
+Exit codes: 0 success; 1 config error: a bad path, malformed JSON, or a
+config the schema in ``emnav.config`` rejects (an unknown or missing key, a
+wrong type, a non-finite number or an out-of-range value; the message names
+the JSON path), or a bad ``--seed``; 2 numerical failure (controller
+synthesis, allocation rank deficiency or a diverging plant), with a failure
+record written where applicable.
 """
 
 from __future__ import annotations
@@ -25,17 +27,14 @@ import numpy as np
 
 from . import alloc
 from .alloc import DegenerateTaskError, RankDeficiencyError, WrenchTask
+from .config import ALLOC_BENCH, WORKSPACE, ConfigError
 from .control import SynthesisError
 from .dynamics import PendulumParams
-from .magmodel import ActuationModel, DipoleAgent, actuation_matrix, get_model
-from .sim import finite, finite_tuple, run_scenario, scenario_from_dict
-from .workspace import GridSpec, TaskSet, max_feasible_standoff, workspace_map
+from .magmodel import DipoleAgent, actuation_matrix
+from .sim import run_scenario, scenario_from_dict
+from .workspace import max_feasible_standoff, workspace_map
 
 __all__ = ["main"]
-
-
-class ConfigError(ValueError):
-    """A problem with a config file (missing, malformed, or invalid)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +60,7 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _load_config(path: Path) -> dict:
+def _load_config(path: Path, kind: str) -> dict:
     try:
         text = path.read_text()
     except OSError as exc:
@@ -75,40 +74,28 @@ def _load_config(path: Path) -> dict:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    if data.get("kind", kind) != kind:
+        raise ConfigError(
+            f"config {path} has kind {data['kind']!r}; this command expects "
+            f"{kind!r}"
+        )
     return data
 
 
-def _expect_kind(data: dict, expected: str, path: Path) -> None:
-    kind = data.get("kind", expected)
-    if kind != expected:
-        raise ConfigError(
-            f"config {path} has kind {kind!r}; this command expects {expected!r}"
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative whole number, as a config's seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative whole number, got {text!r}"
         )
-
-
-def _parse_model(spec) -> ActuationModel:
-    if isinstance(spec, str):
-        try:
-            return get_model(spec)
-        except KeyError as exc:
-            raise ConfigError(f"unknown model preset {spec!r}") from exc
-    try:
-        return ActuationModel.from_dict(spec)
-    except ValueError as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
+    return int(text)
 
 
 def cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
-    data = _load_config(config_path)
-    _expect_kind(data, "simulate", config_path)
-    data.pop("kind", None)
+    data = _load_config(config_path, "simulate")
     if seed is not None:
         data["seed"] = seed
-    try:
-        scenario = scenario_from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid scenario {config_path}: {exc}") from exc
-
+    scenario = scenario_from_dict(data)
     try:
         trace = run_scenario(scenario)
     except ValueError as exc:
@@ -146,26 +133,20 @@ def _field_dipole_angle_deg(field_b: np.ndarray, moment: np.ndarray) -> float:
 
 
 def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
-    data = _load_config(config_path)
-    _expect_kind(data, "alloc_bench", config_path)
-    name = data.get("name", config_path.stem)
-    model = _parse_model(data.get("model", "octomag8"))
+    config = ALLOC_BENCH.read(_load_config(config_path, "alloc_bench"))
+    name = config["name"] or config_path.stem
+    model = config["model"]
+    samples = config["samples"]
+    tau_bar = config["tau_bar"]
+    radius = config["position_radius"]
+    max_tilt = config["max_tilt"]
+    dipole = config["dipole_magnitude"]
     try:
-        samples = finite(data.get("samples", 1000), "samples")
-        if not samples.is_integer():
-            raise ValueError(f"samples must be a whole number, got {samples}")
-        samples = int(samples)
-        tau_bar = finite(data.get("tau_bar", 0.002), "tau_bar")
-        radius = finite(data.get("position_radius", 0.04), "position_radius")
-        max_tilt = finite(data.get("max_tilt", 0.3), "max_tilt")
-        dipole = finite(data.get("dipole_magnitude", 0.5), "dipole_magnitude")
         params = PendulumParams(dipole_magnitude=dipole)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid alloc-bench config {config_path}: {exc}") from exc
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if seed is None:
-        seed = int(data.get("seed", 0))
+        seed = config["seed"]
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -249,55 +230,16 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
 _TASK_SLUGS = {"torque-box": "torque", "fixed-field": "field"}
 
 
-def _parse_task(kind: str, spec: dict) -> TaskSet:
-    if kind == "torque-box":
-        return TaskSet(kind, tau_bar=finite(spec["tau_bar"], "tau_bar"))
-    if kind == "fixed-field":
-        return TaskSet(
-            kind,
-            field_magnitude=finite(spec["field_magnitude"], "field_magnitude"),
-        )
-    raise ConfigError(f"unknown task kind {kind!r}")
-
-
 def cmd_workspace(config_path: Path, out_dir: Path) -> int:
-    data = _load_config(config_path)
-    _expect_kind(data, "workspace", config_path)
-    name = data.get("name", config_path.stem)
-    model = _parse_model(data.get("model", "octomag8"))
-    try:
-        limit = finite(data["current_limit"], "current_limit")
-        grid_spec = data["grid"]
-        grid = GridSpec(
-            *(finite_tuple(grid_spec[axis], f"grid {axis}", 2) for axis in "xyz"),
-            spacing=finite(grid_spec["spacing"], "grid spacing"),
-        )
-        tasks = {
-            kind: _parse_task(kind, spec)
-            for kind, spec in data["tasks"].items()
-        }
-        plant = data.get("plant", {})
-        params = PendulumParams(**{
-            key: finite(plant.get(key, default), f"plant {key}")
-            for key, default in (("dipole_magnitude", 0.5), ("magnet_offset", 0.05))
-        })
-        second = data.get("second_agent")
-        if second is not None:
-            second = finite_tuple(second, "second_agent", 3)
-        orientation = finite_tuple(
-            data.get("orientation", (0.0, 0.0)), "orientation", 2
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid workspace config {config_path}: {exc}") from exc
-    if not tasks:
-        raise ConfigError("workspace config needs at least one task")
-
+    config = WORKSPACE.read(_load_config(config_path, "workspace"))
+    name = config["name"] or config_path.stem
     maps = {}
-    for kind, task in tasks.items():
+    for kind, task in config["tasks"].items():
         try:
             fmap = workspace_map(
-                model, task, grid, limit,
-                params=params, orientation=orientation, second_agent=second,
+                config["model"], task, config["grid"], config["current_limit"],
+                params=config["plant"], orientation=config["orientation"],
+                second_agent=config["second_agent"],
             )
         except ValueError as exc:  # numpy's LinAlgError is a ValueError
             raise ConfigError(f"invalid workspace config {config_path}: {exc}") from exc
@@ -340,7 +282,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
         if command != "workspace":
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_seed, default=None)
     args = parser.parse_args(argv)
 
     try:

@@ -98,23 +98,6 @@ class ActuationModel:
             [np.asarray(c.axis) * c.moment_per_ampere for c in self.coils]
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ActuationModel":
-        try:
-            name = data["name"]
-            coils = tuple(
-                CoilSpec(
-                    position=tuple(entry["position"]),
-                    axis=tuple(entry["axis"]),
-                    moment_per_ampere=float(entry["moment_per_ampere"]),
-                )
-                for entry in data["coils"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed coil model description: {exc}") from exc
-        return cls(name=name, coils=coils)
-
-
 def actuation_matrix(
     model: ActuationModel, p: NDArray[np.floating]
 ) -> NDArray[np.floating]:
@@ -135,16 +118,23 @@ def actuation_matrix(
     return actuation_matrices(model, np.asarray(p, dtype=float)[None, :])[0]
 
 
-def actuation_matrices(
+def coil_offsets(
     model: ActuationModel, points: NDArray[np.floating]
-) -> NDArray[np.floating]:
-    """Vectorized actuation matrices for a batch of points: (N, 8, n_coils)."""
+) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """Offsets from every coil center to every point, and their squares.
+
+    Returns:
+        ``r`` of shape (N, n_coils, 3), point minus coil center, and the
+        squared distances ``d2`` of shape (N, n_coils).
+
+    Raises:
+        SingularPositionError: If a point is within MIN_COIL_DISTANCE of a
+            coil.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("points must have shape (N, 3)")
-    centers = model.positions  # (n, 3)
-    moments = model.moments  # (n, 3)
-    r = points[:, None, :] - centers[None, :, :]  # (N, n, 3)
+    r = points[:, None, :] - model.positions[None, :, :]  # (N, n, 3)
     d2 = np.einsum("pnk,pnk->pn", r, r)  # (N, n)
     if np.any(d2 < MIN_COIL_DISTANCE**2):
         bad = np.argwhere(d2 < MIN_COIL_DISTANCE**2)
@@ -153,6 +143,15 @@ def actuation_matrices(
             f"evaluation point {p_idx} coincides with coil {c_idx} "
             f"of model '{model.name}'"
         )
+    return r, d2
+
+
+def actuation_matrices(
+    model: ActuationModel, points: NDArray[np.floating]
+) -> NDArray[np.floating]:
+    """Vectorized actuation matrices for a batch of points: (N, 8, n_coils)."""
+    r, d2 = coil_offsets(model, points)
+    moments = model.moments  # (n, 3)
     d = np.sqrt(d2)
     inv_d3 = d**-3
     inv_d5 = d**-5
@@ -402,14 +401,16 @@ def navion3() -> ActuationModel:
     return ActuationModel(name="navion3", coils=tuple(coils))
 
 
-_PRESETS = {"octomag8": octomag8, "navion3": navion3}
+#: The preset actuation models by name.  Models are immutable, so every
+#: caller shares one instance.
+PRESETS = {"octomag8": octomag8(), "navion3": navion3()}
 
 
 def get_model(name: str) -> ActuationModel:
     """Look up a preset actuation model by name."""
     try:
-        return _PRESETS[name]()
+        return PRESETS[name]
     except KeyError:
         raise KeyError(
-            f"unknown model '{name}'; available presets: {sorted(_PRESETS)}"
+            f"unknown model '{name}'; available presets: {sorted(PRESETS)}"
         ) from None

@@ -55,7 +55,7 @@ from .magmodel import (
     DipoleAgent,
     SingularPositionError,
     actuation_matrix,
-    get_model,
+    coil_offsets,
 )
 
 #: Fixed plant substep for the RK4 integrator [s]: 20 substeps per 200 Hz
@@ -277,7 +277,7 @@ class Scenario:
                 raise ValueError(f"agent {idx} position {agent.position} is "
                                  "outside the model validity region")
             try:
-                actuation_matrix(self.model, pos)
+                coil_offsets(self.model, pos[None, :])
             except SingularPositionError as exc:
                 raise ValueError(f"agent {idx}: {exc}") from exc
         for ev in self.disturbances:
@@ -365,7 +365,7 @@ def _controller_for(
         cfg = setup.controller_alpha  # beta falls back to the alpha config
     if cfg is None:
         cfg = _default_controller(attached, sample_time)
-    if abs(cfg.sample_time - sample_time) > 1e-12:
+    if cfg.sample_time != sample_time:
         cfg = replace(cfg, sample_time=sample_time)
     if len(cfg.q_diag) != (4 if attached else 2):
         raise ValueError(
@@ -805,195 +805,13 @@ def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
     return summary
 
 
-# ---------------------------------------------------------------------------
-# Scenario parsing
-# ---------------------------------------------------------------------------
-
-
-def finite(value, name: str) -> float:
-    """``value`` as a float; a non-finite number is a ValueError naming it.
-
-    The one coercion for every number read from a config (Python's json
-    reads NaN and Infinity as floats).
-    """
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {number}")
-    return number
-
-
-def finite_tuple(values, name: str, length: int | None = None) -> tuple[float, ...]:
-    """``finite`` on each entry, with an optional fixed length."""
-    numbers = tuple(finite(v, name) for v in values)
-    if length is not None and len(numbers) != length:
-        raise ValueError(f"{name} must hold {length} numbers")
-    return numbers
-
-
-def _parse_controller(data: dict, sample_time: float) -> ControllerConfig:
-    allowed = {
-        "q_diag", "r_weight", "k_i", "integral_enabled", "integral_warm_start",
-        "anti_windup_limit", "velocity_filter_cutoff",
-    }
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown controller keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key, value in data.items():
-        if key == "q_diag":
-            kwargs[key] = finite_tuple(value, key)
-        elif key != "integral_enabled" and value is not None:
-            kwargs[key] = finite(value, key)
-    return ControllerConfig(sample_time=sample_time, **kwargs)
-
-
-def _parse_setpoint(data: dict) -> SetpointSpec:
-    allowed = {"type", "alpha", "beta", "radius", "frequency", "phase"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown setpoint keys: {sorted(unknown)}")
-    kind = data.get("type", "constant")
-    kwargs = {k: finite(v, f"setpoint {k}") for k, v in data.items() if k != "type"}
-    return SetpointSpec(kind=kind, **kwargs)
-
-
-def _parse_agent(data: dict, emns: EmnsConfig) -> AgentSetup:
-    allowed = {
-        "position", "initial", "polarity", "pendulum_attached", "release_time",
-        "setpoint", "controller", "controller_beta", "integral_windows",
-        "integral_windows_beta",
-    }
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown agent keys: {sorted(unknown)}")
-    h = 1.0 / emns.control_rate
-    initial = data.get("initial", {})
-    if isinstance(initial, dict):
-        bad = set(initial) - {
-            "alpha", "beta", "phi", "theta",
-            "alpha_dot", "beta_dot", "phi_dot", "theta_dot",
-        }
-        if bad:
-            raise ValueError(f"unknown initial-state keys: {sorted(bad)}")
-        initial_tuple = tuple(
-            finite(initial.get(name, 0.0), f"initial {name}")
-            for name in (
-                "alpha", "beta", "phi", "theta",
-                "alpha_dot", "beta_dot", "phi_dot", "theta_dot",
-            )
-        )
-    else:
-        initial_tuple = finite_tuple(initial, "initial")
-    windows_a = tuple(
-        finite_tuple(w, "integral_windows", 2)
-        for w in data.get("integral_windows", [])
-    )
-    windows_b = tuple(
-        finite_tuple(w, "integral_windows_beta", 2)
-        for w in data.get("integral_windows_beta", data.get("integral_windows", []))
-    )
-    return AgentSetup(
-        position=finite_tuple(data.get("position", (0.0, 0.0, 0.0)), "position", 3),
-        initial=initial_tuple,
-        polarity=int(data.get("polarity", 1)),
-        pendulum_attached=bool(data.get("pendulum_attached", True)),
-        release_time=finite(data.get("release_time", 0.0), "release_time"),
-        setpoint=_parse_setpoint(data.get("setpoint", {})),
-        controller_alpha=(
-            _parse_controller(data["controller"], h) if "controller" in data else None
-        ),
-        controller_beta=(
-            _parse_controller(data["controller_beta"], h)
-            if "controller_beta" in data
-            else None
-        ),
-        integral_windows_alpha=windows_a,
-        integral_windows_beta=windows_b,
-    )
-
-
-def _parse_emns(data) -> EmnsConfig:
-    if isinstance(data, str):
-        if data not in EMNS_PRESETS:
-            raise ValueError(
-                f"unknown interface preset '{data}'; expected one of "
-                f"{sorted(EMNS_PRESETS)}"
-            )
-        return EMNS_PRESETS[data]
-    allowed = {"control_rate", "current_limit", "current_bandwidth", "loop_latency"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown interface keys: {sorted(unknown)}")
-    return EmnsConfig(**{k: finite(v, k) for k, v in data.items()})
-
-
-def _parse_disturbance(data: dict) -> DisturbanceEvent:
-    allowed = {"type", "time", "magnitude", "agent", "channel", "duration"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown disturbance keys: {sorted(unknown)}")
-    for required in ("type", "time", "magnitude"):
-        if required not in data:
-            raise ValueError(f"disturbance is missing required key '{required}'")
-    return DisturbanceEvent(
-        kind=data["type"],
-        time=finite(data["time"], "disturbance time"),
-        magnitude=finite(data["magnitude"], "disturbance magnitude"),
-        agent=int(data.get("agent", 0)),
-        channel=data.get("channel", "alpha"),
-        duration=(
-            finite(data["duration"], "disturbance duration")
-            if data.get("duration") is not None
-            else None
-        ),
-    )
-
-
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a Scenario from a plain (JSON-loaded) dict."""
-    allowed = {
-        "name", "model", "paradigm", "strategy", "emns", "duration", "seed",
-        "agents", "plant", "disturbances", "field_magnitude", "include_force",
-        "measurement_noise_std", "kind",
-    }
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    for required in ("model", "paradigm", "strategy", "duration", "agents"):
-        if required not in data:
-            raise ValueError(f"scenario is missing required key '{required}'")
-    model = data["model"]
-    if isinstance(model, str):
-        try:
-            model = get_model(model)
-        except KeyError as exc:
-            raise ValueError(str(exc)) from exc
-    else:
-        model = ActuationModel.from_dict(model)
-    emns = _parse_emns(data.get("emns", "octomag"))
-    plant_kwargs = data.get("plant", {})
-    try:
-        plant = PendulumParams(
-            **{k: finite(v, f"plant {k}") for k, v in plant_kwargs.items()}
-        )
-    except TypeError as exc:
-        raise ValueError(f"invalid plant parameters: {exc}") from exc
-    agents = tuple(_parse_agent(a, emns) for a in data["agents"])
-    disturbances = tuple(_parse_disturbance(d) for d in data.get("disturbances", []))
-    return Scenario(
-        name=str(data.get("name", "scenario")),
-        model=model,
-        paradigm=data["paradigm"],
-        strategy=data["strategy"],
-        emns=emns,
-        duration=finite(data["duration"], "duration"),
-        agents=agents,
-        plant=plant,
-        disturbances=disturbances,
-        field_magnitude=finite(data.get("field_magnitude", 0.0), "field_magnitude"),
-        include_force=bool(data.get("include_force", True)),
-        measurement_noise_std=finite(
-            data.get("measurement_noise_std", 0.0), "measurement_noise_std"
-        ),
-        seed=int(data.get("seed", 0)),
-    )
+    """Build and validate a Scenario from a plain (JSON-loaded) dict.
+
+    Raises:
+        ConfigError: A ValueError whose message names the JSON path of the
+            first problem (see ``emnav.config.SCENARIO``).
+    """
+    from .config import SCENARIO  # config builds its tables from this module
+
+    return SCENARIO.read(data)

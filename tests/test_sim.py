@@ -169,6 +169,20 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="validity region"):
             scenario_from_dict(cfg)
 
+    def test_agent_on_coil_centre_names_agent(self, monkeypatch):
+        # The distance check runs without building A(p).
+        import emnav.magmodel as magmodel
+
+        def must_not_build(model, points):
+            raise AssertionError("A(p) was built")
+
+        monkeypatch.setattr(magmodel, "actuation_matrices", must_not_build)
+        cfg = base_torque_dict(strategy="multi_torque")
+        centre = list(magmodel.get_model("octomag8").coils[2].position)
+        cfg["agents"] = [cfg["agents"][0], {**cfg["agents"][0], "position": centre}]
+        with pytest.raises(ValueError, match="agent 1: .*coincides with coil 2"):
+            scenario_from_dict(cfg)
+
     def test_disturbance_bad_agent(self):
         cfg = base_torque_dict(
             disturbances=[

@@ -14,6 +14,7 @@ from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
     RANK_RTOL,
     ActuationModel,
+    CoilSpec,
     DipoleAgent,
     actuation_matrix,
     get_model,
@@ -31,6 +32,10 @@ from emnav.workspace import (
 )
 
 SLED = PendulumParams(dipole_magnitude=2.0, magnet_offset=0.02)
+# A single coil below the origin: rank 1 everywhere.
+ONE_COIL = ActuationModel(
+    "one", (CoilSpec((0.0, 0.0, -0.2), (0.0, 0.0, 1.0), 50.0),)
+)
 
 
 @pytest.fixture(scope="module")
@@ -134,15 +139,7 @@ class TestTorqueMargin:
         assert fm2 - fm1 == pytest.approx(16.0, abs=1e-12)
 
     def test_rank_deficient_gives_minus_inf(self):
-        one_coil = ActuationModel.from_dict(
-            {
-                "name": "one",
-                "coils": [
-                    {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
-                     "moment_per_ampere": 50.0}
-                ],
-            }
-        )
+        one_coil = ONE_COIL
         fm = feasibility_margin_torque(
             one_coil, (0.0, 0.0, 0.0), params=SLED, tau_bar=0.001, current_limit=16.0
         )
@@ -273,15 +270,7 @@ class TestWorkspaceMap:
         )
 
     def test_singular_points_flagged_infeasible(self):
-        one_coil = ActuationModel.from_dict(
-            {
-                "name": "one",
-                "coils": [
-                    {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
-                     "moment_per_ampere": 50.0}
-                ],
-            }
-        )
+        one_coil = ONE_COIL
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.01)
         fmap = workspace_map(
             one_coil, TaskSet("torque-box", tau_bar=0.001), grid, 16.0, params=SLED
@@ -309,15 +298,7 @@ class TestWorkspaceMap:
     def test_rank_deficient_field_rows_reaching_the_target_are_feasible(self):
         # One coil has field rows of rank 1.  On its axis the field is along
         # z, so the target B e_z is reached; off the axis it is not.
-        one_coil = ActuationModel.from_dict(
-            {
-                "name": "one",
-                "coils": [
-                    {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
-                     "moment_per_ampere": 50.0}
-                ],
-            }
-        )
+        one_coil = ONE_COIL
         grid = GridSpec(x=(0.0, 0.05), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.05)
         fmap = workspace_map(
             one_coil, TaskSet("fixed-field", field_magnitude=0.001), grid, 16.0
@@ -485,15 +466,7 @@ class TestExport:
         assert not any("time" in k or "date" in k for k in meta)
 
     def test_infinite_margin_serializes(self, tmp_path):
-        one_coil = ActuationModel.from_dict(
-            {
-                "name": "one",
-                "coils": [
-                    {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
-                     "moment_per_ampere": 50.0}
-                ],
-            }
-        )
+        one_coil = ONE_COIL
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.01)
         fmap = workspace_map(
             one_coil, TaskSet("torque-box", tau_bar=0.001), grid, 16.0, params=SLED
