@@ -18,7 +18,11 @@ positions, so the caller evaluates A(p) once.  Each solve uses
 ``magmodel.pinv_rank``, the Moore-Penrose pseudoinverse with the shared
 singular-value cutoff, which yields the exact solution of minimal 2-norm
 whenever the task is achievable; a torque solve takes its rank check and its
-solution from the same SVD.  A solve returns only the currents and the task
+solution from the same SVD.  A field task map does not depend on the
+command, so the field solves are also split into the map
+(``field_alignment_map``, ``multi_field_map``) and a solve over its
+pseudoinverse (``solve_field``): a caller whose points stay fixed takes the
+pseudoinverse once.  A solve returns only the currents and the task
 residual.  Diagnostics (the realized field from ``field_and_gradient``,
 norms, zeta*) are computed on demand from the currents and A(p) by the
 caller that reports them.  Multi-step variants (pseudoinverting the factors
@@ -171,6 +175,33 @@ def _pivot_torque_task(
     return composed_torque_map(a_mat, agent, params), tau_c
 
 
+def field_alignment_map(a_mat: np.ndarray) -> np.ndarray:
+    """The task map of :func:`allocate_field_alignment` at the point of A(p):
+    all of A(p) (the field and a zero gradient) on arrays of 8 or more
+    coils, else its three field rows."""
+    return a_mat if a_mat.shape[1] >= 8 else a_mat[:3]
+
+
+def multi_field_map(a_mats: list[np.ndarray]) -> np.ndarray:
+    """The task map of :func:`allocate_multi_field`: the agents' field rows,
+    stacked."""
+    return np.vstack([a_mat[:3] for a_mat in a_mats])
+
+
+def solve_field(
+    task_mat: np.ndarray, pinv: np.ndarray, commands: list[FieldCommand]
+) -> AllocationResult:
+    """Currents realizing field commands through a field task map.
+
+    ``pinv`` is the task map's pseudoinverse (``pinv_rank(task_mat)[0]``).
+    The target stacks the commands' setpoints, one 3-row block each, and
+    asks for zero on the remaining (gradient) rows.
+    """
+    setpoints = [c.setpoint for c in commands]
+    padding = np.zeros(task_mat.shape[0] - 3 * len(commands))
+    return _solve(task_mat, pinv, np.concatenate(setpoints + [padding]))
+
+
 def allocate_field_alignment(
     a_mat: np.ndarray, command: FieldCommand
 ) -> AllocationResult:
@@ -191,14 +222,8 @@ def allocate_field_alignment(
         AllocationResult; residual_norm is the 2-norm mismatch of the task
         (zero when the array spans it).
     """
-    b_sp = command.setpoint
-    if a_mat.shape[1] >= 8:
-        task_mat = a_mat
-        task_vec = np.concatenate([b_sp, np.zeros(5)])
-    else:
-        task_mat = a_mat[:3]
-        task_vec = b_sp
-    return _solve(task_mat, pinv_rank(task_mat)[0], task_vec)
+    task_mat = field_alignment_map(a_mat)
+    return solve_field(task_mat, pinv_rank(task_mat)[0], [command])
 
 
 def allocate_torque_one_step(
@@ -353,9 +378,8 @@ def allocate_multi_field(
     """
     if len(a_mats) != len(commands) or len(a_mats) == 0:
         raise ValueError("a_mats and commands must be equal-length, non-empty")
-    stacked = np.vstack([a_mat[:3] for a_mat in a_mats])
-    target = np.concatenate([c.setpoint for c in commands])
-    return _solve(stacked, pinv_rank(stacked)[0], target)
+    stacked = multi_field_map(a_mats)
+    return solve_field(stacked, pinv_rank(stacked)[0], commands)
 
 
 def allocate_multi_torque(

@@ -11,7 +11,7 @@ Exit codes: 0 success; 1 config error: a bad path, malformed JSON, or a
 config the schema in ``emnav.config`` rejects (an unknown or missing key, a
 wrong type, a non-finite number or an out-of-range value; the message names
 the JSON path), or a bad ``--seed``; 2 numerical failure (controller
-synthesis, allocation rank deficiency or a diverging plant), with a failure
+synthesis, an allocation failure or a diverging plant), with a failure
 record written where applicable.
 """
 

@@ -255,6 +255,24 @@ SCENARIO = Section("scenario", {
 
 # --- emnav alloc-bench -------------------------------------------------------
 
+#: Most samples one alloc-bench run may take, checked before any is drawn:
+#: the run holds one CSV row per sample until it writes them, as a
+#: simulation holds its trace (``sim.MAX_AGENT_TICKS``).
+MAX_ALLOC_SAMPLES = 1_000_000
+
+
+def _alloc_bench(**config) -> dict:
+    if config["samples"] > MAX_ALLOC_SAMPLES:
+        raise ValueError(f"samples is {config['samples']}, more than the cap "
+                         f"of {MAX_ALLOC_SAMPLES}")
+    for key in ("tau_bar", "position_radius"):
+        if not config[key] > 0.0:
+            raise ValueError(f"{key} must be positive, got {config[key]}")
+    if config["max_tilt"] < 0.0:
+        raise ValueError(f"max_tilt must be non-negative, got {config['max_tilt']}")
+    return config
+
+
 ALLOC_BENCH = Section("alloc-bench", {
     "kind": (STRING, "alloc_bench"),
     "name": (STRING, None),  # None: the config file's stem
@@ -265,7 +283,7 @@ ALLOC_BENCH = Section("alloc-bench", {
     "position_radius": (NUMBER, 0.04),
     "max_tilt": (NUMBER, 0.3),
     "dipole_magnitude": (NUMBER, 0.5),
-})
+}, _alloc_bench)
 
 # --- emnav workspace ---------------------------------------------------------
 

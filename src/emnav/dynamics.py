@@ -13,11 +13,21 @@ Two actuation paradigms are linearized:
 * ``field``: the input is the commanded field angle u_alpha; the magnetic
   torque on the actuator is |m||b| sin(u_alpha - alpha).
 * ``torque``: the input is the torque applied to the actuator directly.
+
+The plant's derivative is written once per state layout (pendulum attached:
+8 states; actuator only: 4) as a source-text template, and compiled per
+plant, with its constants inlined, into two functions: the derivative
+(:func:`make_deriv`), which the finite-difference check differentiates, and
+a fused RK4 tick (:func:`make_tick`), which the simulator runs.  The tick
+inlines the four stages of every substep as straight-line code on plain
+Python floats, bit-identical to stage-by-stage RK4 over the derivative
+(checked against the hand-written oracle in tests/helpers.py).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,131 +89,216 @@ def _check_paradigm(paradigm: str) -> None:
 # The simulated plant
 # ---------------------------------------------------------------------------
 
+# The plant derivative, written once per state layout as Python source.  The
+# state names are the layout's (alpha: a, ad; phi: ph, phd; beta: b, bd;
+# theta: th, thd), the field and packed gradient at the evaluation time are
+# bx, by, bz and g1..g5, and bias_a/bias_b are the constant generalized
+# forces on the two actuator joints.  The template assigns each rate's
+# derivative, an acceleration; an angle's derivative is its rate.  Upper-case
+# names are the plant's constants, which _compile inlines as literals,
+# hoisted in the same operation order as the per-call formula
+# (tests/helpers.py: coupled_accelerations_per_call).
+_WRENCH = """\
+sa = sin(a)
+ca = cos(a)
+sb = sin(b)
+cb = cos(b)
+ax = sa * cb
+ay = -sb
+az = ca * cb
+mx = MAG_POL * ax
+my = MAG_POL * ay
+mz = MAG_POL * az
+fx = g1 * mx + g2 * my + g3 * mz
+fy = g2 * mx + g4 * my + g5 * mz
+fz = g3 * mx + g5 * my - (g1 + g4) * mz
+tx = my * bz - mz * by + LEVER * (ay * fz - az * fy)
+ty = mz * bx - mx * bz + LEVER * (az * fx - ax * fz)
+tz = mx * by - my * bx + LEVER * (ax * fy - ay * fx)
+qa = ty + bias_a
+qb = tx * ca - tz * sa + bias_b
+"""
 
-def coupled_accelerations(params: PendulumParams):
-    """The 2x2 coupled dynamics solver for (alpha'', phi'') of one plant.
+# Each channel's 2x2 coupled solve of the mass matrix [[A11, a12], [a12, A22]].
+_COUPLED = """\
+c = cos(a - ph)
+s = sin(a - ph)
+a12 = HALF_ML_L * c
+rhs1 = K1 * sa - HALF_ML_L * phd**2 * s + qa - DAMPING * ad
+rhs2 = K2 * sin(ph) + HALF_ML_L * ad**2 * s - DAMPING * phd
+det = A11_A22 - a12 * a12
+add = (A22 * rhs1 - a12 * rhs2) / det
+phdd = (A11 * rhs2 - a12 * rhs1) / det
+c = cos(b - th)
+s = sin(b - th)
+a12 = HALF_ML_L * c
+rhs1 = K1 * sb - HALF_ML_L * thd**2 * s + qb - DAMPING * bd
+rhs2 = K2 * sin(th) + HALF_ML_L * bd**2 * s - DAMPING * thd
+det = A11_A22 - a12 * a12
+bdd = (A22 * rhs1 - a12 * rhs2) / det
+thdd = (A11 * rhs2 - a12 * rhs1) / det
+"""
 
-    Returns ``accelerations(alpha, phi, alpha_dot, phi_dot, q_alpha)``, where
-    q_alpha is the generalized force on the actuator joint (magnetic torque
-    plus any disturbance); the pendulum joint is unactuated.  The constant
-    mass-matrix entries and gravity coefficients are computed here, once per
-    plant, in the same operation order as the per-call formula, so the result
-    is bit-identical to it.
-    """
+_ACTUATOR = """\
+add = (ETA_G * sa + qa - DAMPING * ad) / INERTIA
+bdd = (ETA_G * sb + qb - DAMPING * bd) / INERTIA
+"""
+
+# Per layout (pendulum attached or not): the template, and the state in
+# tuple order with each entry's derivative.
+_LAYOUTS = {
+    True: (_WRENCH + _COUPLED, (
+        ("a", "ad"), ("ph", "phd"), ("ad", "add"), ("phd", "phdd"),
+        ("b", "bd"), ("th", "thd"), ("bd", "bdd"), ("thd", "thdd"),
+    )),
+    False: (_WRENCH + _ACTUATOR, (
+        ("a", "ad"), ("ad", "add"), ("b", "bd"), ("bd", "bdd"),
+    )),
+}
+_FIELD = ("bx", "by", "bz")
+_GRADIENT = ("g1", "g2", "g3", "g4", "g5")
+_NAME = re.compile(r"\b[A-Za-z_]\w*\b")
+
+
+def _constants(params: PendulumParams, mag_pol: float) -> dict[str, float]:
+    """The template constants of one plant, in the per-call operation order."""
     p = params
     m_pend = p.pend_mass
-    half_ml_l = 0.5 * m_pend * p.arm_length * p.pend_length
     a11 = p.inertia + m_pend * p.arm_length**2
     a22 = 0.25 * m_pend * p.pend_length**2
-    a11_a22 = a11 * a22
-    k1 = (p.eta + m_pend * p.arm_length) * p.gravity
-    k2 = m_pend * p.gravity * 0.5 * p.pend_length
-    damping = p.damping
-    sin = math.sin
-    cos = math.cos
-
-    def accelerations(
-        alpha: float, phi: float, alpha_dot: float, phi_dot: float, q_alpha: float
-    ) -> tuple[float, float]:
-        c = cos(alpha - phi)
-        s = sin(alpha - phi)
-        a12 = half_ml_l * c
-        rhs1 = (
-            k1 * sin(alpha)
-            - half_ml_l * phi_dot**2 * s
-            + q_alpha
-            - damping * alpha_dot
-        )
-        rhs2 = k2 * sin(phi) + half_ml_l * alpha_dot**2 * s - damping * phi_dot
-        det = a11_a22 - a12 * a12
-        return (a22 * rhs1 - a12 * rhs2) / det, (a11 * rhs2 - a12 * rhs1) / det
-
-    return accelerations
+    return {
+        "MAG_POL": mag_pol,
+        "LEVER": p.magnet_offset,
+        "DAMPING": p.damping,
+        "HALF_ML_L": 0.5 * m_pend * p.arm_length * p.pend_length,
+        "A11": a11,
+        "A22": a22,
+        "A11_A22": a11 * a22,
+        "K1": (p.eta + m_pend * p.arm_length) * p.gravity,
+        "K2": m_pend * p.gravity * 0.5 * p.pend_length,
+        "ETA_G": p.eta * p.gravity,
+        "INERTIA": p.inertia,
+    }
 
 
-def rk4_tick(
-    y: tuple,
-    deriv,
-    substeps: int,
-    dt: float,
-    b_grid: list,
-    g_grid: list,
-    bias_a: float,
-    bias_b: float,
-) -> tuple:
-    """Integrate one controller tick of ``substeps`` RK4 steps of size dt.
+def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool):
+    """Compile one plant's derivative, or its fused RK4 tick, from its layout.
 
-    ``b_grid``/``g_grid`` hold the field and packed gradient at every half
-    step (2·substeps + 1 entries); ``bias_a``/``bias_b`` are constant
-    generalized forces on the two actuator joints.  Pure Python floats.
+    The derivative evaluates the template once.  The tick inlines it four
+    times per substep, with each RK4 stage's state, derivative and grid entry
+    held in locals named by stage (``a_2``, ``add_3``, ``bx_1``).  The field
+    and gradient at the half step are read once for stages 2 and 3, and the
+    end-of-step entry is kept for the next substep's first stage.  Each state
+    entry keeps the arithmetic of ``y + h * k`` and of the final
+    ``y + dt/6 * (k1 + 2 (k2 + k3) + k4)``, so the tick is bit-identical to
+    stage-by-stage RK4 over the derivative.
     """
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for j in range(substeps):
-        base = 2 * j
-        k1 = deriv(y, base, b_grid, g_grid, bias_a, bias_b)
-        y2 = tuple(v + half * k for v, k in zip(y, k1))
-        k2 = deriv(y2, base + 1, b_grid, g_grid, bias_a, bias_b)
-        y3 = tuple(v + half * k for v, k in zip(y, k2))
-        k3 = deriv(y3, base + 1, b_grid, g_grid, bias_a, bias_b)
-        y4 = tuple(v + dt * k for v, k in zip(y, k3))
-        k4 = deriv(y4, base + 2, b_grid, g_grid, bias_a, bias_b)
-        y = tuple(
-            v + sixth * (a + 2.0 * (b + c) + d)
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+    template, layout = _LAYOUTS[attached]
+    states = [name for name, _ in layout]
+    constants = {
+        name: f"({float(value)!r})"
+        for name, value in _constants(params, mag_pol).items()
+    }
+
+    def at(name: str, s: int) -> str:
+        """``name`` at stage ``s``; a state at stage 1 is the state itself."""
+        return name if s == 1 and name in states else f"{name}_{s}"
+
+    def stage(s: int, slot: int, indent: str) -> str:
+        """The template at stage ``s``, over the grid entry held in ``slot``."""
+        names = {name: at(name, s) for pair in layout for name in pair}
+        names.update({n: f"{n}_{slot}" for n in _FIELD + _GRADIENT})
+        names.update(constants)
+        text = _NAME.sub(lambda m: names.get(m.group(), m.group()), template)
+        return "".join(f"{indent}{line}\n" for line in text.splitlines())
+
+    def read_grid(slot: int, index: str, indent: str) -> str:
+        return "".join(
+            f"{indent}{', '.join(f'{n}_{slot}' for n in group)} = {grid}[{index}]\n"
+            for group, grid in ((_FIELD, "b_grid"), (_GRADIENT, "g_grid"))
         )
-    return y
+
+    unpack = f"    {', '.join(states)} = y\n"
+    if not fused:
+        return _exec(
+            "def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):\n"
+            + unpack
+            + read_grid(0, "idx", "    ")
+            + stage(1, 0, "    ")
+            + f"    return ({', '.join(at(d, 1) for _, d in layout)})\n",
+            "deriv",
+        )
+
+    def step_to(s: int, h: str) -> str:
+        """Stage ``s``'s state: y + h * (stage s - 1's derivative)."""
+        return "".join(
+            f"        {at(name, s)} = {name} + {h} * {at(d, s - 1)}\n"
+            for name, d in layout
+        )
+
+    # Angles before rates: an angle's update reads its rate's old value.
+    order = sorted(layout, key=lambda entry: entry[1] not in states)
+    update = "".join(
+        f"        {name} = {name} + sixth * ({at(d, 1)} + 2.0 * "
+        f"({at(d, 2)} + {at(d, 3)}) + {at(d, 4)})\n"
+        for name, d in order
+    )
+    return _exec(
+        "def tick(y, substeps, dt, b_grid, g_grid, bias_a, bias_b):\n"
+        "    half = 0.5 * dt\n"
+        "    sixth = dt / 6.0\n"
+        + unpack
+        + read_grid(0, "0", "    ")
+        + "    i = 0\n"
+        "    end = 2 * substeps\n"
+        "    while i < end:\n"
+        + stage(1, 0, "        ")
+        + step_to(2, "half")
+        + read_grid(1, "i + 1", "        ")
+        + stage(2, 1, "        ")
+        + step_to(3, "half")
+        + stage(3, 1, "        ")
+        + step_to(4, "dt")
+        + "        i += 2\n"
+        + read_grid(0, "i", "        ")
+        + stage(4, 0, "        ")
+        + update
+        + f"    return ({', '.join(states)})\n",
+        "tick",
+    )
+
+
+def _exec(source: str, name: str):
+    """The function ``name`` defined by ``source``."""
+    # inf and nan: the repr of a non-finite constant (a NaN damping passes
+    # PendulumParams' range check).
+    namespace = {"sin": math.sin, "cos": math.cos, "inf": math.inf, "nan": math.nan}
+    exec(compile(source, f"<emnav.dynamics plant {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
     """Plant derivative for one agent's joint (alpha+beta channel) state.
 
-    The state is (alpha, phi, alpha', phi', beta, theta, beta', theta') with
-    a pendulum attached, else (alpha, alpha', beta, beta').  ``mag_pol`` is
-    the signed dipole moment |m|·polarity.
+    Returns ``deriv(y, idx, b_grid, g_grid, bias_a, bias_b)``, the state
+    derivative with the field and packed gradient ``b_grid[idx]``,
+    ``g_grid[idx]``.  The state is (alpha, phi, alpha', phi', beta, theta,
+    beta', theta') with a pendulum attached, else (alpha, alpha', beta,
+    beta').  ``mag_pol`` is the signed dipole moment |m|·polarity.
     """
-    lever = params.magnet_offset
-    eta_g = params.eta * params.gravity
-    damping = params.damping
-    inertia = params.inertia
-    sin = math.sin
-    cos = math.cos
-    accelerations = coupled_accelerations(params)
+    return _compile(params, attached, mag_pol, fused=False)
 
-    def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):
-        if attached:
-            a, ph, ad, phd, bb, th, bd, thd = y
-        else:
-            a, ad, bb, bd = y
-        sa = sin(a)
-        ca = cos(a)
-        sb = sin(bb)
-        cb = cos(bb)
-        ax = sa * cb
-        ay = -sb
-        az = ca * cb
-        mx = mag_pol * ax
-        my = mag_pol * ay
-        mz = mag_pol * az
-        bx, by, bz = b_grid[idx]
-        g1, g2, g3, g4, g5 = g_grid[idx]
-        fx = g1 * mx + g2 * my + g3 * mz
-        fy = g2 * mx + g4 * my + g5 * mz
-        fz = g3 * mx + g5 * my - (g1 + g4) * mz
-        tx = my * bz - mz * by + lever * (ay * fz - az * fy)
-        ty = mz * bx - mx * bz + lever * (az * fx - ax * fz)
-        tz = mx * by - my * bx + lever * (ax * fy - ay * fx)
-        qa = ty + bias_a
-        qb = tx * ca - tz * sa + bias_b
-        if attached:
-            add, phdd = accelerations(a, ph, ad, phd, qa)
-            bdd, thdd = accelerations(bb, th, bd, thd, qb)
-            return (ad, phd, add, phdd, bd, thd, bdd, thdd)
-        add = (eta_g * sa + qa - damping * ad) / inertia
-        bdd = (eta_g * sb + qb - damping * bd) / inertia
-        return (ad, add, bd, bdd)
 
-    return deriv
+def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
+    """One controller tick of the plant of :func:`make_deriv`, fused.
+
+    Returns ``tick(y, substeps, dt, b_grid, g_grid, bias_a, bias_b)``: the
+    state after ``substeps`` RK4 steps of size dt, with ``b_grid``/``g_grid``
+    holding the field and packed gradient at every half step
+    (2·substeps + 1 entries).  Straight-line code on plain Python floats:
+    no per-stage tuples and no calls but ``math.sin``/``math.cos``.
+    """
+    return _compile(params, attached, mag_pol, fused=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,18 @@ channels couple through the shared dipole orientation.
 
 The inner integration loop is fixed-step RK4 at ``PLANT_DT`` on plain Python
 floats over per-tick precomputed field/gradient grids (the lag-filtered
-currents do not depend on the plant state).  The step is backed by a
+currents do not depend on the plant state), run by each agent's fused tick
+from ``dynamics.make_tick``, compiled once per run.  The step is backed by a
 step-halving test: on the bundled scenarios, halving it moves no angle by
 more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that
 diverges (overflow, domain error or a non-finite state) ends the run with a
-failure record, as an allocation rank failure does.
+failure record, as an allocation failure (rank deficiency or an SVD that
+does not converge) does.
+
+The allocation is a closure built once per run from the agents' fixed
+actuation matrices A(p) (``_allocator``): the field strategies' task map is
+constant, so its pseudoinverse is taken once per run, and the torque
+strategy is chosen once.
 """
 
 from __future__ import annotations
@@ -47,8 +54,7 @@ from .dynamics import (
     finite_difference_linearization,
     linearize,
     linearize_actuator,
-    make_deriv,
-    rk4_tick,
+    make_tick,
 )
 from .magmodel import (
     ActuationModel,
@@ -56,6 +62,7 @@ from .magmodel import (
     SingularPositionError,
     actuation_matrix,
     coil_offsets,
+    pinv_rank,
 )
 
 #: Fixed plant substep for the RK4 integrator [s]: 20 substeps per 200 Hz
@@ -419,9 +426,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
     Returns a SimTrace.  Controller synthesis failures raise SynthesisError
     (the scenario precondition).  A numerical failure mid-run is recorded in
-    `trace.failure` with its stage ("allocation" for a rank failure,
-    "integration" for a diverging plant), time and tick (and agent, for
-    integration), and the trace is truncated at the failing tick.
+    `trace.failure` with its stage ("allocation" for a rank failure or a
+    LinAlgError, "integration" for a diverging plant), time and tick (and
+    agent, for integration), and the trace is truncated at the failing tick.
     """
     model = scenario.model
     emns = scenario.emns
@@ -493,8 +500,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     ]
     a_field_rows = [m[:3] for m in a_mats]
     a_grad_rows = [m[3:] for m in a_mats]
-    derivs = [
-        make_deriv(
+    allocate = _allocator(scenario, a_mats)
+    plant_ticks = [
+        make_tick(
             params,
             s.pendulum_attached,
             params.dipole_magnitude * s.polarity,
@@ -621,8 +629,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
         # Allocation (on measured orientations).
         try:
-            result = _allocate(scenario, a_mats, meas_agents, outputs)
-        except RankDeficiencyError as exc:
+            result = allocate(meas_agents, outputs)
+        except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
             failure = {"stage": "allocation", "time": float(t), "tick": k,
                        "error": str(exc)}
             completed = k + 1
@@ -643,9 +651,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             b_grid = (a_field_rows[a_idx] @ i_grid).T.tolist()
             g_grid = (a_grad_rows[a_idx] @ i_grid).T.tolist()
             try:
-                y = rk4_tick(
+                y = plant_ticks[a_idx](
                     states[a_idx],
-                    derivs[a_idx],
                     substeps,
                     dt,
                     b_grid,
@@ -690,60 +697,79 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     return trace
 
 
-def _allocate(scenario: Scenario, a_mats: list, meas_agents: list, outputs: list):
-    """Dispatch one tick's task to the configured allocation strategy.
+def _allocator(scenario: Scenario, a_mats: list):
+    """The per-tick allocation of one run, built once.
 
+    Returns ``allocate(meas_agents, outputs)``: the AllocationResult of one
+    tick's task, from the measured angles and the controller outputs.
     ``a_mats`` holds each agent's actuation matrix A(p), computed once per
-    run because the agents do not move.
+    run because the agents do not move.  The field strategies' task map is
+    then constant too, so its pseudoinverse is taken here, once; the torque
+    maps depend on the measured orientation and are solved every tick.
     """
     params = scenario.plant
+    agents = scenario.agents
     if scenario.paradigm == "field":
-        # A polarity -1 magnet aligns antiparallel to the field, so its
-        # commanded field direction is inverted: -b(u, v) = b(pi + u, -v).
-        commands = [
-            FieldCommand(
-                u_alpha=out_a if setup.polarity == 1 else math.pi + out_a,
-                u_beta=out_b if setup.polarity == 1 else -out_b,
-                magnitude=scenario.field_magnitude,
-            )
-            for setup, (out_a, out_b) in zip(scenario.agents, outputs)
-        ]
         if scenario.strategy == "field_alignment":
-            return alloc.allocate_field_alignment(a_mats[0], commands[0])
-        return alloc.allocate_multi_field(a_mats, commands)
+            task_mat = alloc.field_alignment_map(a_mats[0])
+        else:
+            task_mat = alloc.multi_field_map(a_mats)
+        pinv = pinv_rank(task_mat)[0]
+        magnitude = scenario.field_magnitude
 
-    dipoles = [
-        DipoleAgent(
-            p=tuple(setup.position),
-            alpha=meas[0],
-            beta=meas[1],
-            dipole_magnitude=params.dipole_magnitude,
-            polarity=setup.polarity,
-        )
-        for setup, meas in zip(scenario.agents, meas_agents)
-    ]
-    tasks = [
-        WrenchTask.planar(out_b, out_a)  # tau_x = beta out, tau_y = alpha out
-        for (out_a, out_b) in outputs
-    ]
-    if scenario.strategy == "multi_torque":
-        return alloc.allocate_multi_torque(a_mats, dipoles, params, tasks)
+        def allocate_field(meas_agents: list, outputs: list):
+            # A polarity -1 magnet aligns antiparallel to the field, so its
+            # commanded field direction is inverted: -b(u, v) = b(pi + u, -v).
+            commands = [
+                FieldCommand(
+                    u_alpha=out_a if setup.polarity == 1 else math.pi + out_a,
+                    u_beta=out_b if setup.polarity == 1 else -out_b,
+                    magnitude=magnitude,
+                )
+                for setup, (out_a, out_b) in zip(agents, outputs)
+            ]
+            return alloc.solve_field(task_mat, pinv, commands)
+
+        return allocate_field
+
     a_mat = a_mats[0]
-    single = {
-        "torque_one_step": lambda: alloc.allocate_torque_one_step(
-            a_mat, dipoles[0], params, tasks[0], include_force=scenario.include_force
+    include_force = scenario.include_force
+    solve = {
+        "multi_torque": lambda dipoles, tasks: alloc.allocate_multi_torque(
+            a_mats, dipoles, params, tasks
         ),
-        "torque_two_step": lambda: alloc.allocate_torque_two_step(
+        "torque_one_step": lambda dipoles, tasks: alloc.allocate_torque_one_step(
+            a_mat, dipoles[0], params, tasks[0], include_force=include_force
+        ),
+        "torque_two_step": lambda dipoles, tasks: alloc.allocate_torque_two_step(
             a_mat, dipoles[0], tasks[0]
         ),
-        "torque_twostep_JM": lambda: alloc.allocate_torque_twostep_jm(
+        "torque_twostep_JM": lambda dipoles, tasks: alloc.allocate_torque_twostep_jm(
             a_mat, dipoles[0], params, tasks[0]
         ),
-        "torque_twostep_MA": lambda: alloc.allocate_torque_twostep_ma(
+        "torque_twostep_MA": lambda dipoles, tasks: alloc.allocate_torque_twostep_ma(
             a_mat, dipoles[0], params, tasks[0]
         ),
-    }
-    return single[scenario.strategy]()
+    }[scenario.strategy]
+
+    def allocate_torque(meas_agents: list, outputs: list):
+        dipoles = [
+            DipoleAgent(
+                p=tuple(setup.position),
+                alpha=meas[0],
+                beta=meas[1],
+                dipole_magnitude=params.dipole_magnitude,
+                polarity=setup.polarity,
+            )
+            for setup, meas in zip(agents, meas_agents)
+        ]
+        tasks = [
+            WrenchTask.planar(out_b, out_a)  # tau_x = beta out, tau_y = alpha out
+            for (out_a, out_b) in outputs
+        ]
+        return solve(dipoles, tasks)
+
+    return allocate_torque
 
 
 def _summarize(scenario: Scenario, trace: SimTrace) -> dict:

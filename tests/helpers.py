@@ -106,6 +106,138 @@ def total_energy(
     return t_kin + u_pot
 
 
+# ---------------------------------------------------------------------------
+# The hand-written plant and stage-by-stage RK4: the oracle of the compiled
+# plant in ``emnav.dynamics`` (which must match it bit for bit)
+# ---------------------------------------------------------------------------
+
+
+def coupled_accelerations(params: PendulumParams):
+    """The 2x2 coupled dynamics solver for (alpha'', phi'') of one plant.
+
+    Returns ``accelerations(alpha, phi, alpha_dot, phi_dot, q_alpha)``, where
+    q_alpha is the generalized force on the actuator joint (magnetic torque
+    plus any disturbance); the pendulum joint is unactuated.  The constant
+    mass-matrix entries and gravity coefficients are computed here, once per
+    plant, in the same operation order as the per-call formula, so the result
+    is bit-identical to it.
+    """
+    p = params
+    m_pend = p.pend_mass
+    half_ml_l = 0.5 * m_pend * p.arm_length * p.pend_length
+    a11 = p.inertia + m_pend * p.arm_length**2
+    a22 = 0.25 * m_pend * p.pend_length**2
+    a11_a22 = a11 * a22
+    k1 = (p.eta + m_pend * p.arm_length) * p.gravity
+    k2 = m_pend * p.gravity * 0.5 * p.pend_length
+    damping = p.damping
+    sin = math.sin
+    cos = math.cos
+
+    def accelerations(
+        alpha: float, phi: float, alpha_dot: float, phi_dot: float, q_alpha: float
+    ) -> tuple[float, float]:
+        c = cos(alpha - phi)
+        s = sin(alpha - phi)
+        a12 = half_ml_l * c
+        rhs1 = (
+            k1 * sin(alpha)
+            - half_ml_l * phi_dot**2 * s
+            + q_alpha
+            - damping * alpha_dot
+        )
+        rhs2 = k2 * sin(phi) + half_ml_l * alpha_dot**2 * s - damping * phi_dot
+        det = a11_a22 - a12 * a12
+        return (a22 * rhs1 - a12 * rhs2) / det, (a11 * rhs2 - a12 * rhs1) / det
+
+    return accelerations
+
+
+def rk4_tick(
+    y: tuple,
+    deriv,
+    substeps: int,
+    dt: float,
+    b_grid: list,
+    g_grid: list,
+    bias_a: float,
+    bias_b: float,
+) -> tuple:
+    """Integrate one controller tick of ``substeps`` RK4 steps of size dt.
+
+    ``b_grid``/``g_grid`` hold the field and packed gradient at every half
+    step (2·substeps + 1 entries); ``bias_a``/``bias_b`` are constant
+    generalized forces on the two actuator joints.  Pure Python floats.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for j in range(substeps):
+        base = 2 * j
+        k1 = deriv(y, base, b_grid, g_grid, bias_a, bias_b)
+        y2 = tuple(v + half * k for v, k in zip(y, k1))
+        k2 = deriv(y2, base + 1, b_grid, g_grid, bias_a, bias_b)
+        y3 = tuple(v + half * k for v, k in zip(y, k2))
+        k3 = deriv(y3, base + 1, b_grid, g_grid, bias_a, bias_b)
+        y4 = tuple(v + dt * k for v, k in zip(y, k3))
+        k4 = deriv(y4, base + 2, b_grid, g_grid, bias_a, bias_b)
+        y = tuple(
+            v + sixth * (a + 2.0 * (b + c) + d)
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+        )
+    return y
+
+
+def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
+    """Plant derivative for one agent's joint (alpha+beta channel) state.
+
+    The state is (alpha, phi, alpha', phi', beta, theta, beta', theta') with
+    a pendulum attached, else (alpha, alpha', beta, beta').  ``mag_pol`` is
+    the signed dipole moment |m|·polarity.
+    """
+    lever = params.magnet_offset
+    eta_g = params.eta * params.gravity
+    damping = params.damping
+    inertia = params.inertia
+    sin = math.sin
+    cos = math.cos
+    accelerations = coupled_accelerations(params)
+
+    def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):
+        if attached:
+            a, ph, ad, phd, bb, th, bd, thd = y
+        else:
+            a, ad, bb, bd = y
+        sa = sin(a)
+        ca = cos(a)
+        sb = sin(bb)
+        cb = cos(bb)
+        ax = sa * cb
+        ay = -sb
+        az = ca * cb
+        mx = mag_pol * ax
+        my = mag_pol * ay
+        mz = mag_pol * az
+        bx, by, bz = b_grid[idx]
+        g1, g2, g3, g4, g5 = g_grid[idx]
+        fx = g1 * mx + g2 * my + g3 * mz
+        fy = g2 * mx + g4 * my + g5 * mz
+        fz = g3 * mx + g5 * my - (g1 + g4) * mz
+        tx = my * bz - mz * by + lever * (ay * fz - az * fy)
+        ty = mz * bx - mx * bz + lever * (az * fx - ax * fz)
+        tz = mx * by - my * bx + lever * (ax * fy - ay * fx)
+        qa = ty + bias_a
+        qb = tx * ca - tz * sa + bias_b
+        if attached:
+            add, phdd = accelerations(a, ph, ad, phd, qa)
+            bdd, thdd = accelerations(bb, th, bd, thd, qb)
+            return (ad, phd, add, phdd, bd, thd, bdd, thdd)
+        add = (eta_g * sa + qa - damping * ad) / inertia
+        bdd = (eta_g * sb + qb - damping * bd) / inertia
+        return (ad, add, bd, bdd)
+
+    return deriv
+
+
 def coupled_accelerations_per_call(
     params: PendulumParams,
     alpha: float,
@@ -117,7 +249,7 @@ def coupled_accelerations_per_call(
     """(alpha'', phi'') of one channel, every term computed from ``params``.
 
     The per-call form of the 2x2 coupled dynamics solve that
-    ``dynamics.coupled_accelerations`` hoists into a per-plant closure.
+    :func:`coupled_accelerations` hoists into a per-plant closure.
     """
     p = params
     m_pend = p.pend_mass

@@ -52,13 +52,8 @@ def load_scenario(name: str):
 
 
 @pytest.fixture(scope="module")
-def runs():
-    out = {}
-    for name in SIM_SCENARIOS:
-        start = time.perf_counter()
-        trace = run_scenario(load_scenario(name))
-        out[name] = {"trace": trace, "wall": time.perf_counter() - start}
-    return out
+def runs(bundled_runs):
+    return {name: bundled_runs[name] for name in SIM_SCENARIOS}
 
 
 @pytest.fixture(scope="module")

@@ -474,6 +474,22 @@ class TestAllocBench:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("samples", 1_000_000_000), ("tau_bar", -0.002),
+         ("position_radius", 0.0), ("max_tilt", -0.1)],
+    )
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, key, value):
+        # Checked before any sample is drawn: nothing is written.
+        data = json.loads(self.make_config(tmp_path).read_text())
+        data[key] = value
+        cfg = write_json(tmp_path / "bad.json", data)
+        out = tmp_path / "o"
+        assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key} " in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_bad_sample_count(self, tmp_path):
         cfg = write_json(
             tmp_path / "bench.json",

@@ -2,6 +2,8 @@
 the RK4 tick.
 
 Oracles:
+  * the hand-written derivative and stage-by-stage RK4 in tests/helpers.py,
+    which the compiled derivative and fused tick must reproduce bit for bit;
   * mechanical energy conservation of the unforced, undamped plant under the
     simulator's RK4 tick;
   * central finite differences of that plant vs the analytic linearization;
@@ -9,8 +11,8 @@ Oracles:
   * the analytic steady-state offset of the field-actuated rig under a
     constant disturbance torque;
   * the exact period of the field-aligned actuator, a nonlinear pendulum;
-  * the per-call coupled-dynamics formula, which the hoisted per-plant solver
-    must reproduce bit for bit.
+  * the per-call coupled-dynamics formula, which the oracle's hoisted
+    per-plant solver must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from scipy.special import ellipk
 
 from emnav.dynamics import (
     PendulumParams,
-    coupled_accelerations,
     discretize,
     finite_difference_linearization,
     linearize,
     linearize_actuator,
     make_deriv,
-    rk4_tick,
+    make_tick,
 )
 
+import helpers
 from helpers import coupled_accelerations_per_call, total_energy
 
 NO_FIELD = (0.0, 0.0, 0.0)
@@ -46,14 +48,18 @@ def plant(params: PendulumParams, attached: bool = True):
     return make_deriv(params, attached, params.dipole_magnitude)
 
 
+def stepper(params: PendulumParams, attached: bool = True):
+    return make_tick(params, attached, params.dipole_magnitude)
+
+
 def accelerations(deriv, y, field=NO_FIELD, bias_a=0.0) -> tuple:
     return deriv(y, 0, [field], [NO_GRADIENT], bias_a, 0.0)
 
 
-def integrate(deriv, y, steps, dt, field=NO_FIELD, bias_a=0.0) -> tuple:
+def integrate(tick, y, steps, dt, field=NO_FIELD, bias_a=0.0) -> tuple:
     """``steps`` RK4 steps in one tick, under a constant field and bias."""
     n = 2 * steps + 1
-    return rk4_tick(y, deriv, steps, dt, [field] * n, [NO_GRADIENT] * n, bias_a, 0.0)
+    return tick(y, steps, dt, [field] * n, [NO_GRADIENT] * n, bias_a, 0.0)
 
 
 class TestParamsAndState:
@@ -110,7 +116,7 @@ class TestActuatorOnly:
         tau_d = 1.0e-3
         margin = params.dipole_magnitude * b_mag - params.eta * params.gravity
         dt = 1e-4
-        y = integrate(plant(params, False), (0.0,) * 4, int(12.0 / dt), dt,
+        y = integrate(stepper(params, False), (0.0,) * 4, int(12.0 / dt), dt,
                       field=(0.0, 0.0, b_mag), bias_a=tau_d)
         expected = math.asin(tau_d / margin)
         assert y[0] == pytest.approx(expected, rel=1e-6)
@@ -124,11 +130,11 @@ class TestCoupledPlant:
     def test_energy_conserved_unforced(self, params):
         y = (0.08, -0.05, 0.2, -0.1, -0.03, 0.06, -0.1, 0.3)
         e0 = (total_energy(params, *y[:4]), total_energy(params, *y[4:]))
-        deriv = plant(params)
+        tick = stepper(params)
         dt = 1e-4
         worst = 0.0
         for _ in range(20000):  # 2 seconds
-            y = integrate(deriv, y, 1, dt)
+            y = integrate(tick, y, 1, dt)
             for e_ref, channel in zip(e0, (y[:4], y[4:])):
                 worst = max(worst, abs(total_energy(params, *channel) - e_ref))
         assert worst < 1e-10 * max(abs(e0[0]), 1.0)
@@ -137,7 +143,7 @@ class TestCoupledPlant:
         damped = replace(params, damping=0.002)
         y = (0.08, -0.05, 0.2, -0.1) + (0.0,) * 4
         e0 = total_energy(damped, *y[:4])
-        y = integrate(plant(damped), y, 5000, 1e-4)
+        y = integrate(stepper(damped), y, 5000, 1e-4)
         assert total_energy(damped, *y[:4]) < e0
 
     def test_invalid_paradigm(self, params):
@@ -183,8 +189,58 @@ class TestHoistedAccelerations:
     )
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_per_call_formula(self, params, state, q_alpha):
-        hoisted = coupled_accelerations(params)(*state, q_alpha)
+        hoisted = helpers.coupled_accelerations(params)(*state, q_alpha)
         assert hoisted == coupled_accelerations_per_call(params, *state, q_alpha)
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.sampled_from((-1.0, 1.0))).map(
+        lambda pair: pair[0] * pair[1]
+    )
+
+
+@st.composite
+def tick_inputs(draw, attached: bool) -> dict:
+    """A damped plant, a state, a tick's field and gradient grids and biases."""
+    substeps = draw(st.integers(1, 3))
+    n = 2 * substeps + 1
+    angle, rate = st.floats(-1.0, 1.0), st.floats(-5.0, 5.0)
+    field, gradient = st.floats(-0.1, 0.1), st.floats(-2.0, 2.0)
+    state = (angle, angle, rate, rate) * 2 if attached else (angle, rate) * 2
+    return {
+        "params": PendulumParams(damping=draw(st.floats(1e-4, 0.1))),
+        "mag_pol": draw(signed(st.floats(0.05, 5.0))),
+        "y": draw(st.tuples(*state)),
+        "substeps": substeps,
+        "dt": draw(st.floats(1e-4, 1e-3)),
+        "b_grid": draw(st.lists(st.lists(field, min_size=3, max_size=3),
+                                min_size=n, max_size=n)),
+        "g_grid": draw(st.lists(st.lists(gradient, min_size=5, max_size=5),
+                                min_size=n, max_size=n)),
+        "bias_a": draw(signed(st.floats(1e-6, 1e-2))),
+        "bias_b": draw(signed(st.floats(1e-6, 1e-2))),
+    }
+
+
+class TestCompiledPlant:
+    """The compiled derivative and fused tick against the hand-written
+    derivative and stage-by-stage RK4 of tests/helpers.py: equal, not close."""
+
+    @pytest.mark.parametrize("attached", [True, False], ids=["attached", "actuator"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, attached, data):
+        case = data.draw(tick_inputs(attached))
+        params, mag_pol, y = case["params"], case["mag_pol"], case["y"]
+        grids = (case["b_grid"], case["g_grid"], case["bias_a"], case["bias_b"])
+        oracle = helpers.make_deriv(params, attached, mag_pol)
+        deriv = make_deriv(params, attached, mag_pol)
+        for idx in range(len(case["b_grid"])):
+            assert deriv(y, idx, *grids) == oracle(y, idx, *grids)
+        tick = make_tick(params, attached, mag_pol)
+        assert tick(y, case["substeps"], case["dt"], *grids) == helpers.rk4_tick(
+            y, oracle, case["substeps"], case["dt"], *grids
+        )
 
 
 class TestLinearization:
@@ -247,13 +303,13 @@ class TestRk4:
     def test_fourth_order_convergence(self, params):
         # The unforced coupled pendulum over 0.4 s against a 32x finer
         # solution: halving dt shrinks the error ~16x.
-        deriv = plant(params)
+        tick = stepper(params)
         y0 = (0.08, -0.05, 0.2, -0.1) + (0.0,) * 4
         duration = 0.4
-        ref = integrate(deriv, y0, 20480, duration / 20480)
+        ref = integrate(tick, y0, 20480, duration / 20480)
         errors = []
         for steps in (320, 640):
-            y = integrate(deriv, y0, steps, duration / steps)
+            y = integrate(tick, y0, steps, duration / steps)
             errors.append(max(abs(a - b) for a, b in zip(y, ref)))
         ratio = errors[0] / errors[1]
         assert 12.0 < ratio < 20.0
@@ -270,6 +326,6 @@ class TestRk4:
             / params.inertia
         )
         period = 4.0 * ellipk(math.sin(0.5 * a0) ** 2) / w0
-        y = integrate(plant(params, False), (a0, 0.0, 0.0, 0.0), 2000,
+        y = integrate(stepper(params, False), (a0, 0.0, 0.0, 0.0), 2000,
                       period / 2000, field=(0.0, 0.0, b_mag))
         np.testing.assert_allclose(y, [a0, 0.0, 0.0, 0.0], atol=1e-9)

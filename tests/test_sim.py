@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import emnav.sim as sim
+from emnav.cli import main
 from emnav.sim import (
     EMNS_PRESETS,
     AgentSetup,
@@ -496,15 +497,20 @@ class TestFailureHandling:
     def test_non_finite_state_recorded_with_agent(self, monkeypatch):
         # A NaN raises nothing in math.sin, so the state itself is checked.
         # Tick 0 integrates agent 0, then agent 1: the second call fails.
-        integrate = sim.rk4_tick
+        compile_tick = sim.make_tick
         calls = []
 
-        def nan_on_second_call(*args):
-            calls.append(None)
-            y = integrate(*args)
-            return (math.nan,) + y[1:] if len(calls) == 2 else y
+        def nan_on_second_call(*plant):
+            tick = compile_tick(*plant)
 
-        monkeypatch.setattr(sim, "rk4_tick", nan_on_second_call)
+            def wrapped(*args):
+                calls.append(None)
+                y = tick(*args)
+                return (math.nan,) + y[1:] if len(calls) == 2 else y
+
+            return wrapped
+
+        monkeypatch.setattr(sim, "make_tick", nan_on_second_call)
         data = load_bundled("multi_torque_async")
         data["duration"] = 0.05
         tr = run_scenario(scenario_from_dict(data))
@@ -514,19 +520,40 @@ class TestFailureHandling:
         }
         assert tr.t.shape[0] == 1 and np.all(np.isfinite(tr.alpha))
 
+    def test_linalg_error_is_allocation_failure(self, monkeypatch, tmp_path):
+        # An SVD that does not converge (numpy's LinAlgError, a ValueError)
+        # is a numerical failure at its tick, not a config error.
+        solve = sim.alloc.allocate_torque_one_step
+        calls = []
+
+        def fail_on_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sim.alloc, "allocate_torque_one_step", fail_on_third_call)
+        cfg = tmp_path / "unit.json"
+        cfg.write_text(json.dumps(base_torque_dict(duration=0.1)))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        summary = json.loads((out / "unit_summary.json").read_text())
+        assert summary["failure"] == {
+            "stage": "allocation", "time": 0.01, "tick": 2,
+            "error": "SVD did not converge",
+        }
+        assert summary["ticks"] == 3
+
 
 class TestPlantStep:
     @pytest.mark.parametrize("name", ["multi_field_2x2d", "multi_torque_async"])
-    def test_step_halving(self, monkeypatch, name):
+    def test_step_halving(self, monkeypatch, bundled_runs, name):
         # RK4's global error falls about 16x per halving, so the gap between
         # the traces at PLANT_DT and PLANT_DT / 2 bounds the error of the
         # step the simulator uses.
-        scenario = scenario_from_dict(load_bundled(name))
-        traces = []
-        for step in (sim.PLANT_DT, sim.PLANT_DT / 2):
-            monkeypatch.setattr(sim, "PLANT_DT", step)
-            traces.append(run_scenario(scenario))
-        coarse, fine = traces
+        coarse = bundled_runs[name]["trace"]
+        monkeypatch.setattr(sim, "PLANT_DT", sim.PLANT_DT / 2)
+        fine = run_scenario(scenario_from_dict(load_bundled(name)))
         assert coarse.failure is None and fine.failure is None
         worst = max(
             float(np.max(np.abs(getattr(coarse, n) - getattr(fine, n))))
