@@ -22,8 +22,10 @@ from emnav.sim import run_scenario, scenario_from_dict  # noqa: E402
 
 def outcome(data: dict) -> str:
     trace = run_scenario(scenario_from_dict(data))
-    if trace.failure is not None:
-        return f"allocation failure at t={trace.failure['time']:.2f}s"
+    failure = trace.failure
+    if failure is not None:
+        where = f" (agent {failure['agent']})" if "agent" in failure else ""
+        return f"{failure['stage']} failure{where} at t={failure['time']:.2f}s"
     max_alpha = float(np.max(np.abs(trace.alpha)))
     settle = trace.summary["metrics"]["settling_time"][0]
     if settle is not None:

@@ -3,31 +3,35 @@
 Two control paradigms are supported.  Field alignment commands a field
 direction and lets the dipole align with it; the allocation solves for the
 minimum-norm currents realizing the commanded field (and, on redundant
-arrays, a zero gradient).  Torque/force allocation commands a torque about
-the actuator pivot and solves for the minimum-norm currents realizing it
-through the composed map
+arrays, a zero gradient).  Torque/force allocation commands the two tilt
+torques about the actuator pivot and solves for the minimum-norm currents
+realizing them in the body-frame (tau_x, tau_y) plane:
 
-    torque = J(alpha, beta) @ M(alpha, beta) @ A(p) @ i,
+    (tau_x, tau_y) = W(alpha, beta) @ A(p) @ i,   W = (R J M)[:2],
 
-which combines direct magnetic torque on the dipole with the pivot torque of
-the gradient force acting at the magnet's lever arm.
+where W is ``magmodel.torque_rows``: direct magnetic torque on the dipole
+plus the pivot torque of the gradient force acting at the magnet's lever
+arm, rotated into the body frame.  The body-z torque is identically zero (no
+field torques the dipole about its own axis), so the plane is the whole
+achievable set and two rows per agent are all the solve needs.
 
 Every strategy is a pure solve over a precomputed actuation matrix A(p)
 (``a_mat``, or one per agent in ``a_mats``): the agents sit at fixed
 positions, so the caller evaluates A(p) once.  Each solve uses
 ``magmodel.pinv_rank``, the Moore-Penrose pseudoinverse with the shared
 singular-value cutoff, which yields the exact solution of minimal 2-norm
-whenever the task is achievable; a torque solve takes its rank check and its
-solution from the same SVD.  A field task map does not depend on the
-command, so the field solves are also split into the map
+whenever the task is achievable.  The one-step and multi-agent torque
+solves go through ``solve_torque``, which takes its rank check and its
+solution from one SVD of the stacked rows.  A field task map does not
+depend on the command, so the field solves are also split into the map
 (``field_alignment_map``, ``multi_field_map``) and a solve over its
 pseudoinverse (``solve_field``): a caller whose points stay fixed takes the
 pseudoinverse once.  A solve returns only the currents and the task
 residual.  Diagnostics (the realized field from ``field_and_gradient``,
 norms, zeta*) are computed on demand from the currents and A(p) by the
 caller that reports them.  Multi-step variants (pseudoinverting the factors
-separately) are provided for norm-comparison studies; they are never cheaper
-than the one-step solve.
+separately, in the world frame) are provided for norm-comparison studies;
+they are never cheaper than the one-step solve.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PendulumParams
-from .magmodel import DipoleAgent, pinv_rank, skew, wrench_maps
+from .magmodel import DipoleAgent, pinv_rank, skew, torque_rows, wrench_maps
 
 
 class RankDeficiencyError(RuntimeError):
@@ -137,21 +141,6 @@ def field_and_gradient(
     return stacked[:3], stacked[3:]
 
 
-def composed_torque_map(
-    a_mat: np.ndarray,
-    agent: DipoleAgent,
-    params: PendulumParams,
-) -> np.ndarray:
-    """Full torque-from-currents map J @ M @ A(p), shape (3, n_coils).
-
-    Its image lies in the plane perpendicular to the dipole axis: both the
-    field torque m x b and the lever-arm torque l_m * axis x f are orthogonal
-    to the axis, so the map has rank at most 2.
-    """
-    maps = wrench_maps(agent, params.magnet_offset)
-    return maps.jac @ maps.stacked @ a_mat
-
-
 def world_torque(agent: DipoleAgent, task: WrenchTask) -> np.ndarray:
     """Commanded torque rotated from the actuator body frame to the world.
 
@@ -161,18 +150,62 @@ def world_torque(agent: DipoleAgent, task: WrenchTask) -> np.ndarray:
     return agent.rotation_t @ np.asarray(task.tau_c_body, dtype=float)
 
 
-def _pivot_torque_task(
-    a_mat: np.ndarray, agent: DipoleAgent, params: PendulumParams, task: WrenchTask
-) -> tuple[np.ndarray, np.ndarray]:
-    """The composed map J M A(p) and the pivot torque it must realize.
+def _solve_plane(
+    a_mats: list[np.ndarray],
+    agents: list[DipoleAgent],
+    tasks: list[WrenchTask],
+    lever: float,
+) -> AllocationResult:
+    """``solve_torque`` over the agents' ``torque_rows`` applied to their
+    A(p), for their body-frame (tau_x, tau_y) tasks.
 
-    A desired force adds its lever-arm torque to the commanded torque.
+    A desired force f adds its lever-arm torque lever * axis x f, which in
+    the body frame is lever * (-e_y . f, e_x . f); with lever 0 (the pure
+    field-torque rows) the force is ignored.
     """
-    tau_c = world_torque(agent, task)
-    if task.force is not None:
-        maps = wrench_maps(agent, params.magnet_offset)
-        tau_c = tau_c + maps.jac_tilde @ np.asarray(task.force, dtype=float)
-    return composed_torque_map(a_mat, agent, params), tau_c
+    rows, targets = [], []
+    for a_mat, agent, task in zip(a_mats, agents, tasks):
+        mag_pol = agent.polarity * agent.dipole_magnitude
+        rows.append(torque_rows(agent.alpha, agent.beta, mag_pol, lever) @ a_mat)
+        target = np.array(task.tau_c_body[:2])
+        if task.force is not None and lever != 0.0:
+            rt = agent.rotation_t  # columns: e_x, e_y, axis in world coordinates
+            f = np.asarray(task.force)
+            target += lever * np.array([-(rt[:, 1] @ f), rt[:, 0] @ f])
+        targets.append(target)
+    return solve_torque(np.vstack(rows), np.concatenate(targets))
+
+
+def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
+    """Minimum-norm currents realizing tilt torques on one or more agents.
+
+    ``task_mat`` stacks each agent's (2, n_coils) body-plane map (its
+    ``torque_rows`` applied to its A(p)) and ``target`` the agents'
+    (tau_x, tau_y).  The stacked system is solvable exactly when the agents'
+    planes are jointly independent: rank equal to the row count.  One SVD of
+    the stacked map gives both the rank and the pseudoinverse; the per-agent
+    blocks are ranked only to explain a deficiency (the stacked rank never
+    exceeds the sum of the block ranks).
+
+    Raises:
+        RankDeficiencyError: Naming the deficient agent when one agent's own
+            rows are singular (the coil array cannot span its torque plane),
+            or reporting a coupled deficiency when the stacked rank falls
+            short with individually sound agents.
+    """
+    pinv, rank = pinv_rank(task_mat)
+    if rank < task_mat.shape[0]:
+        for idx in range(task_mat.shape[0] // 2):
+            if pinv_rank(task_mat[2 * idx : 2 * idx + 2])[1] < 2:
+                raise RankDeficiencyError(
+                    f"agent {idx}: torque map rank-deficient: the coil array "
+                    "cannot span the torque plane perpendicular to the dipole"
+                )
+        raise RankDeficiencyError(
+            "coupled rank deficiency: agents' torque planes are not jointly "
+            "independent (stacked rank < 2 per agent)"
+        )
+    return _solve(task_mat, pinv, target)
 
 
 def field_alignment_map(a_mat: np.ndarray) -> np.ndarray:
@@ -236,31 +269,19 @@ def allocate_torque_one_step(
     """One-step minimum-norm currents for a torque task.
 
     With include_force=True (default) the solve runs through the full
-    composed map J M A(p), exploiting gradient forces at the magnet lever
-    arm; with include_force=False it uses the pure field-torque map
-    skew(m) A_b(p), the single-agent simplification that ignores gradient
-    forces.
-
-    The commanded world torque is always perpendicular to the dipole axis
-    (zero body-z component), which is exactly the achievable plane of either
-    map, so a non-singular geometry yields a zero-residual solution.
+    body-plane map W A(p), W = ``torque_rows`` at the magnet offset,
+    exploiting gradient forces at the magnet lever arm; with
+    include_force=False it uses the pure field-torque rows (lever 0), the
+    single-agent simplification that ignores gradient forces.  The task's
+    two tilt torques span exactly the achievable plane of either map, so a
+    non-singular geometry yields a zero-residual solution.
 
     Raises:
         RankDeficiencyError: If the torque map does not span the plane
             perpendicular to the dipole axis at p (magnetic singularity).
     """
-    if include_force:
-        g_map, tau_c = _pivot_torque_task(a_mat, agent, params, task)
-    else:
-        g_map = skew(agent.moment) @ a_mat[:3]
-        tau_c = world_torque(agent, task)
-    pinv, rank = pinv_rank(g_map)
-    if rank < 2:
-        raise RankDeficiencyError(
-            f"torque map rank-deficient at p = {agent.p}: the coil array "
-            "cannot span the torque plane perpendicular to the dipole"
-        )
-    return _solve(g_map, pinv, tau_c)
+    lever = params.magnet_offset if include_force else 0.0
+    return _solve_plane([a_mat], [agent], [task], lever)
 
 
 def allocate_torque_two_step(
@@ -389,13 +410,7 @@ def allocate_multi_torque(
     tasks: list[WrenchTask],
 ) -> AllocationResult:
     """Minimum-norm currents realizing independent torque tasks on several
-    agents simultaneously (stacked composed maps).
-
-    Each agent contributes a rank-2 torque plane; the stacked system is
-    solvable exactly when the planes are jointly independent (stacked rank
-    equal to twice the agent count).  Only the stacked map is decomposed on
-    the way to a solution; the per-agent blocks are ranked only to explain a
-    deficiency (the stacked rank never exceeds the sum of the block ranks).
+    agents simultaneously (stacked body-plane maps, see ``solve_torque``).
 
     Raises:
         RankDeficiencyError: Naming the deficient agent when one agent's own
@@ -404,22 +419,4 @@ def allocate_multi_torque(
     """
     if not len(a_mats) == len(agents) == len(tasks) or len(agents) == 0:
         raise ValueError("a_mats, agents and tasks must be equal-length, non-empty")
-    blocks = [
-        _pivot_torque_task(a_mat, agent, params, task)
-        for a_mat, agent, task in zip(a_mats, agents, tasks)
-    ]
-    stacked = np.vstack([g_i for g_i, _ in blocks])
-    pinv, rank = pinv_rank(stacked)
-    if rank < 2 * len(agents):
-        for idx, (g_i, _) in enumerate(blocks):
-            if pinv_rank(g_i)[1] < 2:
-                raise RankDeficiencyError(
-                    f"agent {idx}: torque map rank-deficient at p = "
-                    f"{agents[idx].p}"
-                )
-        raise RankDeficiencyError(
-            "coupled rank deficiency: agents' torque planes are not jointly "
-            "independent (stacked rank < 2 per agent)"
-        )
-    target = np.concatenate([tau_i for _, tau_i in blocks])
-    return _solve(stacked, pinv, target)
+    return _solve_plane(a_mats, agents, tasks, params.magnet_offset)

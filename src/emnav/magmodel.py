@@ -9,8 +9,10 @@ gradient components).
 
 The module also provides the rigid-dipole wrench maps (the matrices that send
 field/gradient values to magnetic torque and force on an axially magnetized
-body, and the lever-arm Jacobian of a pivoted actuator) and the one
-pseudoinverse every allocation and workspace solve uses.
+body, and the lever-arm Jacobian of a pivoted actuator), their body-frame
+tilt-torque rows ``torque_rows`` that every torque solve and the workspace
+torque box use, and the one pseudoinverse every allocation and workspace
+solve uses.
 """
 
 from __future__ import annotations
@@ -328,6 +330,51 @@ def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
         m_g=moment_gradient_map(m),
         jac_tilde=jac_tilde,
         jac=jac,
+    )
+
+
+def torque_rows(
+    alpha: float, beta: float, mag_pol: float, lever: float
+) -> NDArray[np.floating]:
+    """Body-frame tilt-torque rows of a pivoted dipole, shape (2, 8).
+
+    The map from [b; g] at the magnet to the body-frame x and y torque about
+    the pivot: ``(R J M)[:2]`` of :func:`wrench_maps`, written out from the
+    sines and cosines of the tilt angles.  The body-z row is dropped: the
+    field torque m x b and the lever-arm torque l axis x f are both
+    perpendicular to the dipole axis.
+
+    With e_x, e_y the body axes in world coordinates and axis the dipole
+    axis, the rows are
+
+        tau_x = -mag_pol (e_y . b + lever e_y . M_g(axis) g),
+        tau_y = +mag_pol (e_x . b + lever e_x . M_g(axis) g).
+
+    Args:
+        alpha, beta: Tilt angles [rad] (see :class:`DipoleAgent`).
+        mag_pol: Signed dipole magnitude, polarity * |m| [A·m²].
+        lever: Pivot-to-magnet distance [m]; 0 gives the pure field-torque
+            rows (gradient columns zero).
+    """
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    k = mag_pol * lever
+    c2a = ca * ca - sa * sa
+    c2b = cb * cb - sb * sb
+    scb = sb * cb
+    return np.array(
+        [
+            [
+                -mag_pol * sa * sb, -mag_pol * cb, -mag_pol * ca * sb,
+                k * scb * c2a, -k * sa * c2b, -2.0 * k * sa * ca * scb,
+                k * scb * (1.0 + ca * ca), -k * ca * c2b,
+            ],
+            [
+                mag_pol * ca, 0.0, -mag_pol * sa,
+                2.0 * k * sa * ca * cb, -k * ca * sb, k * cb * c2a,
+                k * sa * ca * cb, k * sa * sb,
+            ],
+        ]
     )
 
 

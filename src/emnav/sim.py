@@ -25,7 +25,10 @@ does not converge) does.
 The allocation is a closure built once per run from the agents' fixed
 actuation matrices A(p) (``_allocator``): the field strategies' task map is
 constant, so its pseudoinverse is taken once per run, and the torque
-strategy is chosen once.
+strategy is chosen once.  The one-step and multi-agent torque solves run in
+the body-frame (tau_x, tau_y) plane: per tick, two ``torque_rows`` per agent
+from the measured angles, one batched product with the stacked A(p) and one
+``alloc.solve_torque``.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .magmodel import (
     actuation_matrix,
     coil_offsets,
     pinv_rank,
+    torque_rows,
 )
 
 #: Fixed plant substep for the RK4 integrator [s]: 20 substeps per 200 Hz
@@ -704,8 +708,12 @@ def _allocator(scenario: Scenario, a_mats: list):
     tick's task, from the measured angles and the controller outputs.
     ``a_mats`` holds each agent's actuation matrix A(p), computed once per
     run because the agents do not move.  The field strategies' task map is
-    then constant too, so its pseudoinverse is taken here, once; the torque
-    maps depend on the measured orientation and are solved every tick.
+    then constant too, so its pseudoinverse is taken here, once.  The
+    one-step and multi-agent torque solves stack the A(p) here and, each
+    tick, fill the agents' body-plane rows (``torque_rows``) from the
+    measured angles and take one batched product with the stack; the target
+    is the controller outputs as they are, (tau_x, tau_y) = (beta out,
+    alpha out) per agent.
     """
     params = scenario.plant
     agents = scenario.agents
@@ -732,15 +740,24 @@ def _allocator(scenario: Scenario, a_mats: list):
 
         return allocate_field
 
+    if scenario.strategy in ("multi_torque", "torque_one_step"):
+        with_force = scenario.strategy == "multi_torque" or scenario.include_force
+        lever = params.magnet_offset if with_force else 0.0
+        mag_pols = [params.dipole_magnitude * setup.polarity for setup in agents]
+        a_stack = np.stack(a_mats)  # (agents, 8, n_coils)
+        rows = np.empty((len(agents), 2, 8))
+        n_rows = 2 * len(agents)
+
+        def allocate_plane(meas_agents: list, outputs: list):
+            for idx, (meas, mag_pol) in enumerate(zip(meas_agents, mag_pols)):
+                rows[idx] = torque_rows(meas[0], meas[1], mag_pol, lever)
+            target = np.array([t for out_a, out_b in outputs for t in (out_b, out_a)])
+            return alloc.solve_torque((rows @ a_stack).reshape(n_rows, -1), target)
+
+        return allocate_plane
+
     a_mat = a_mats[0]
-    include_force = scenario.include_force
     solve = {
-        "multi_torque": lambda dipoles, tasks: alloc.allocate_multi_torque(
-            a_mats, dipoles, params, tasks
-        ),
-        "torque_one_step": lambda dipoles, tasks: alloc.allocate_torque_one_step(
-            a_mat, dipoles[0], params, tasks[0], include_force=include_force
-        ),
         "torque_two_step": lambda dipoles, tasks: alloc.allocate_torque_two_step(
             a_mat, dipoles[0], tasks[0]
         ),
@@ -772,6 +789,14 @@ def _allocator(scenario: Scenario, a_mats: list):
     return allocate_torque
 
 
+def _settling_tick(within: np.ndarray) -> int | None:
+    """The first tick from which ``within`` holds to the end: the tick after
+    its last False, or None when that is the last tick (or there is none)."""
+    outside = np.flatnonzero(~within)
+    k = int(outside[-1]) + 1 if outside.size else 0
+    return k if k < within.shape[0] else None
+
+
 def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
     """Settling, tracking, and current metrics plus synthesis diagnostics."""
     ticks = trace.t.shape[0]
@@ -792,13 +817,8 @@ def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
                 np.abs(trace.phi[:, a_idx]),
             ]
         )
-        within = np.all(angles < settle_threshold, axis=0)
-        settled_at = None
-        for k in range(ticks):
-            if within[k:].all():
-                settled_at = float(trace.t[k])
-                break
-        settling.append(settled_at)
+        k = _settling_tick(np.all(angles < settle_threshold, axis=0))
+        settling.append(None if k is None else float(trace.t[k]))
 
     rms_tracking = [
         float(np.sqrt(np.mean(err_mag[steady_from:, a_idx] ** 2)))

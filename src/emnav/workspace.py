@@ -18,11 +18,10 @@ import numpy as np
 from .dynamics import PendulumParams
 from .magmodel import (
     ActuationModel,
-    DipoleAgent,
     actuation_matrices,
     actuation_matrix,
     pinv_rank,
-    wrench_maps,
+    torque_rows,
 )
 
 __all__ = [
@@ -218,10 +217,11 @@ def _worst_currents(
     ``size`` is tau_bar or the field magnitude.  Each point's task rows are
     a fixed row map W applied to its actuation matrix A(p):
 
-    - torque box: the body-frame (tau_x, tau_y) rows, W = (R J M)[:2]; the
-      body-z row is identically zero (the wrench is perpendicular to the
-      dipole axis).  W depends only on orientation and dipole.  The worst
-      case of |P v|_inf over the box |v_k| <= tau_bar, with P the
+    - torque box: the body-frame (tau_x, tau_y) rows, W = (R J M)[:2]
+      (``magmodel.torque_rows``, the rows the torque allocations solve
+      over); the body-z row is identically zero (the wrench is
+      perpendicular to the dipole axis).  W depends only on orientation
+      and dipole.  The worst case of |P v|_inf over the box |v_k| <= tau_bar, with P the
       pseudoinverse, is tau_bar * max_i sum_k |P_ik|: the induced infinity
       norm of P (Horn & Johnson, Matrix Analysis, 5.6).
     - fixed field: W selects the [b; g] rows with a zero-gradient task on
@@ -241,9 +241,7 @@ def _worst_currents(
       of the task's norm marks it out of reach, whatever the rank.
     """
     if kind == "torque-box":
-        agent = DipoleAgent((0.0, 0.0, 0.0), *orientation, params.dipole_magnitude)
-        maps = wrench_maps(agent, params.magnet_offset)
-        rows = (agent.rotation @ maps.jac @ maps.stacked)[:2]
+        rows = torque_rows(*orientation, params.dipole_magnitude, params.magnet_offset)
         task = None
     else:
         n_rows = 8 if model.n_coils >= 8 and second_agent is None else 3

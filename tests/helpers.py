@@ -6,8 +6,16 @@ import math
 
 import numpy as np
 
+from emnav.alloc import AllocationResult, RankDeficiencyError, WrenchTask, world_torque
 from emnav.dynamics import PendulumParams
-from emnav.magmodel import MIN_COIL_DISTANCE, DipoleAgent, SingularPositionError
+from emnav.magmodel import (
+    MIN_COIL_DISTANCE,
+    DipoleAgent,
+    SingularPositionError,
+    pinv_rank,
+    skew,
+    wrench_maps,
+)
 
 _MU0_OVER_4PI = 1.0e-7
 
@@ -357,3 +365,103 @@ def torque_map_svd(
     s = np.array([mag, mag, 0.0])
     vt = rt.T
     return u, s, vt
+
+
+def composed_torque_map(
+    a_mat: np.ndarray, agent: DipoleAgent, params: PendulumParams
+) -> np.ndarray:
+    """Full world-frame torque-from-currents map J @ M @ A(p), (3, n_coils).
+
+    Its image lies in the plane perpendicular to the dipole axis: both the
+    field torque m x b and the lever-arm torque l_m * axis x f are orthogonal
+    to the axis, so the map has rank at most 2.  The composed-map oracle of
+    the body-plane rows ``magmodel.torque_rows``.
+    """
+    maps = wrench_maps(agent, params.magnet_offset)
+    return maps.jac @ maps.stacked @ a_mat
+
+
+def pivot_torque_task(
+    a_mat: np.ndarray, agent: DipoleAgent, params: PendulumParams, task: WrenchTask
+) -> tuple[np.ndarray, np.ndarray]:
+    """The composed map J M A(p) and the world-frame pivot torque it must
+    realize; a desired force adds its lever-arm torque."""
+    tau_c = world_torque(agent, task)
+    if task.force is not None:
+        maps = wrench_maps(agent, params.magnet_offset)
+        tau_c = tau_c + maps.jac_tilde @ np.asarray(task.force, dtype=float)
+    return composed_torque_map(a_mat, agent, params), tau_c
+
+
+def composed_torque_solve(
+    a_mats: list,
+    agents: list,
+    params: PendulumParams,
+    tasks: list,
+    include_force: bool = True,
+) -> tuple[str | None, AllocationResult | None, np.ndarray]:
+    """Torque allocation through the stacked world-frame composed maps.
+
+    The oracle of ``alloc.solve_torque`` over ``torque_rows``: three world
+    rows per agent (rank 2 each), with ``include_force=False`` the pure
+    field-torque map skew(m) A_b.  Returns ``(verdict, result, target)``:
+    the verdict is None for a full-rank stack, ``"agent i"`` for the first
+    agent whose own map has rank < 2, else ``"coupled"``; the result is None
+    unless the verdict is None; the target stacks the world torques.
+    """
+    blocks = []
+    for a_mat, agent, task in zip(a_mats, agents, tasks):
+        if include_force:
+            blocks.append(pivot_torque_task(a_mat, agent, params, task))
+        else:
+            blocks.append((skew(agent.moment) @ a_mat[:3], world_torque(agent, task)))
+    stacked = np.vstack([g for g, _ in blocks])
+    target = np.concatenate([tau for _, tau in blocks])
+    pinv, rank = pinv_rank(stacked)
+    if rank < 2 * len(agents):
+        for idx, (g, _) in enumerate(blocks):
+            if pinv_rank(g)[1] < 2:
+                return f"agent {idx}", None, target
+        return "coupled", None, target
+    currents = pinv @ target
+    result = AllocationResult(
+        currents, float(np.linalg.norm(stacked @ currents - target))
+    )
+    return None, result, target
+
+
+def composed_allocator(scenario, a_mats: list):
+    """Drop-in for ``sim._allocator`` on the torque strategies that solves
+    every tick through :func:`composed_torque_solve`, building a
+    ``DipoleAgent`` and a ``WrenchTask`` per agent per tick."""
+    params = scenario.plant
+    include_force = (
+        scenario.strategy == "multi_torque" or scenario.include_force
+    )
+
+    def allocate(meas_agents: list, outputs: list):
+        dipoles = [
+            DipoleAgent(
+                p=tuple(setup.position), alpha=meas[0], beta=meas[1],
+                dipole_magnitude=params.dipole_magnitude, polarity=setup.polarity,
+            )
+            for setup, meas in zip(scenario.agents, meas_agents)
+        ]
+        tasks = [WrenchTask.planar(out_b, out_a) for out_a, out_b in outputs]
+        verdict, result, _ = composed_torque_solve(
+            a_mats, dipoles, params, tasks, include_force
+        )
+        if verdict is not None:
+            raise RankDeficiencyError(verdict)
+        return result
+
+    return allocate
+
+
+def settling_tick_brute(within: np.ndarray) -> int | None:
+    """The first tick k with ``within[k:]`` all true, by trying every k;
+    None when no such tick exists (or ``within`` is empty)."""
+    for k in range(within.shape[0]):
+        if within[k:].all():
+            return k
+    return None

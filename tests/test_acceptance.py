@@ -16,7 +16,6 @@ from emnav.alloc import (
     WrenchTask,
     allocate_torque_one_step,
     allocate_torque_two_step,
-    composed_torque_map,
     world_torque,
 )
 from emnav.cli import cmd_alloc_bench, cmd_workspace
@@ -25,7 +24,7 @@ from emnav.magmodel import DipoleAgent, actuation_matrix, get_model, skew
 from emnav.sim import run_scenario, scenario_from_dict
 from emnav.workspace import GridSpec, TaskSet, max_feasible_standoff, workspace_map
 
-from helpers import min_norm_oracle, random_agent
+from helpers import composed_torque_map, min_norm_oracle, random_agent
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SIM_SCENARIOS = (

@@ -8,6 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import composed_allocator, settling_tick_brute
 
 import emnav.sim as sim
 from emnav.cli import main
@@ -522,8 +526,10 @@ class TestFailureHandling:
 
     def test_linalg_error_is_allocation_failure(self, monkeypatch, tmp_path):
         # An SVD that does not converge (numpy's LinAlgError, a ValueError)
-        # is a numerical failure at its tick, not a config error.
-        solve = sim.alloc.allocate_torque_one_step
+        # is a numerical failure at its tick, not a config error.  The
+        # per-run allocator makes each tick's torque solve through
+        # alloc.solve_torque.
+        solve = sim.alloc.solve_torque
         calls = []
 
         def fail_on_third_call(*args, **kwargs):
@@ -532,7 +538,7 @@ class TestFailureHandling:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(sim.alloc, "allocate_torque_one_step", fail_on_third_call)
+        monkeypatch.setattr(sim.alloc, "solve_torque", fail_on_third_call)
         cfg = tmp_path / "unit.json"
         cfg.write_text(json.dumps(base_torque_dict(duration=0.1)))
         out = tmp_path / "out"
@@ -543,6 +549,36 @@ class TestFailureHandling:
             "error": "SVD did not converge",
         }
         assert summary["ticks"] == 3
+
+
+class TestBodyPlaneAllocation:
+    @pytest.mark.parametrize(
+        "name,duration", [("multi_torque_async", 2.0), ("single_torque", 1.0)]
+    )
+    def test_matches_composed_map_allocator(self, monkeypatch, name, duration):
+        # The per-run allocator solves in the body (tau_x, tau_y) plane; the
+        # oracle builds a DipoleAgent and a WrenchTask per agent per tick and
+        # solves through the world-frame composed map J M A(p).  The two
+        # differ only by rounding, far inside the 1e-8 rad trace bound.
+        data = load_bundled(name)
+        data["duration"] = duration
+        plane = run_scenario(scenario_from_dict(data))
+        monkeypatch.setattr(sim, "_allocator", composed_allocator)
+        oracle = run_scenario(scenario_from_dict(data))
+        assert plane.failure is None and oracle.failure is None
+        assert plane.t.shape == oracle.t.shape
+        worst = max(
+            float(np.max(np.abs(getattr(plane, n) - getattr(oracle, n))))
+            for n in ("alpha", "beta", "phi", "theta")
+        )
+        assert worst <= 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(within=st.lists(st.booleans(), max_size=40))
+def test_settling_tick_matches_brute_force(within):
+    within = np.array(within, dtype=bool)
+    assert sim._settling_tick(within) == settling_tick_brute(within)
 
 
 class TestPlantStep:

@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import torque_box_vertex_worst
+from helpers import composed_torque_map, torque_box_vertex_worst
 
-from emnav.alloc import composed_torque_map
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
     RANK_RTOL,
