@@ -27,9 +27,13 @@ depend on the command, so the field solves are also split into the map
 (``field_alignment_map``, ``multi_field_map``) and a solve over its
 pseudoinverse (``solve_field``): a caller whose points stay fixed takes the
 pseudoinverse once.  A solve returns only the currents and the task
-residual.  Diagnostics (the realized field from ``field_and_gradient``,
-norms, zeta*) are computed on demand from the currents and A(p) by the
-caller that reports them.  Multi-step variants (pseudoinverting the factors
+residual.  ``emnav alloc-bench`` does not go through the per-call
+wrappers here: it solves its samples in blocks, one stacked pseudoinverse
+per solve kind, and computes the realized fields, norms, angles and zeta*
+as vectors itself.  ``allocate_torque_one_step``, ``allocate_multi_torque``,
+``allocate_field_alignment``, ``zeta_star`` and ``field_and_gradient`` are
+the per-call forms the tests check against and the benchmark's tracer
+hooks by name.  Multi-step variants (pseudoinverting the factors
 separately, in the world frame) are provided for norm-comparison studies;
 they are never cheaper than the one-step solve.
 """
@@ -216,8 +220,10 @@ def field_alignment_map(a_mat: np.ndarray) -> np.ndarray:
 
 
 def multi_field_map(a_mats: list[np.ndarray]) -> np.ndarray:
-    """The task map of :func:`allocate_multi_field`: the agents' field rows,
-    stacked."""
+    """The multi-agent field task map: the agents' field rows, stacked, one
+    3-row block per agent.  The shared coils couple all agents; the stacked
+    least-squares solve trades residuals across agents when the tasks exceed
+    the array's span."""
     return np.vstack([a_mat[:3] for a_mat in a_mats])
 
 
@@ -385,22 +391,6 @@ def zeta_star(
             "direction is degenerate"
         )
     return -float((a_b_pinv @ b_two) @ u) / den
-
-
-def allocate_multi_field(
-    a_mats: list[np.ndarray],
-    commands: list[FieldCommand],
-) -> AllocationResult:
-    """Minimum-norm currents realizing independent field commands at several
-    positions simultaneously (stacked field rows, one 3-row block per agent).
-
-    The shared coils couple all agents; the stacked least-squares solve
-    trades residuals across agents when the tasks exceed the array's span.
-    """
-    if len(a_mats) != len(commands) or len(a_mats) == 0:
-        raise ValueError("a_mats and commands must be equal-length, non-empty")
-    stacked = multi_field_map(a_mats)
-    return solve_field(stacked, pinv_rank(stacked)[0], commands)
 
 
 def allocate_multi_torque(

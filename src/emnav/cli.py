@@ -11,8 +11,14 @@ Exit codes: 0 success; 1 config error: a bad path, malformed JSON, or a
 config the schema in ``emnav.config`` rejects (an unknown or missing key, a
 wrong type, a non-finite number or an out-of-range value; the message names
 the JSON path), or a bad ``--seed``; 2 numerical failure (controller
-synthesis, an allocation failure or a diverging plant), with a failure
-record written where applicable.
+synthesis, an allocation failure or a diverging plant in ``simulate``, or an
+alloc-bench sample whose torque rows or field rows the coil array cannot
+span), with a failure record written: the summary's ``failure`` of a
+simulation that ran, else ``<name>_failure.json``.
+
+``alloc-bench`` draws all its samples at once and solves them in blocks of
+``magmodel.BLOCK``: one A(p) evaluation and one stacked pseudoinverse per
+solve kind per block.
 """
 
 from __future__ import annotations
@@ -25,12 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import alloc
-from .alloc import DegenerateTaskError, RankDeficiencyError, WrenchTask
+from .alloc import RankDeficiencyError
 from .config import ALLOC_BENCH, WORKSPACE, ConfigError
 from .control import SynthesisError
-from .dynamics import PendulumParams
-from .magmodel import DipoleAgent, actuation_matrix
+from .magmodel import BLOCK, actuation_matrices, body_frames, pinv_rank, skew
 from .sim import run_scenario, scenario_from_dict
 from .workspace import max_feasible_standoff, workspace_map
 
@@ -123,13 +127,82 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
     return 0
 
 
-def _field_dipole_angle_deg(field_b: np.ndarray, moment: np.ndarray) -> float:
-    nb = float(np.linalg.norm(field_b))
-    nm = float(np.linalg.norm(moment))
-    if nb == 0.0 or nm == 0.0:
-        return math.nan
-    cosang = float(field_b @ moment) / (nb * nm)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
+def _draw_samples(
+    rng: np.random.Generator, samples: int, radius: float, max_tilt: float,
+    tau_bar: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sample's position (S, 3), tilts (alpha, beta) (S, 2) and
+    body-frame torque task (tau_x, tau_y) (S, 2).
+
+    One draw of seven numbers per sample, in the order a sample at a time
+    would take them: position, alpha, beta, direction, magnitude fraction.
+    """
+    lo = np.array([-radius] * 3 + [-max_tilt] * 2 + [0.0, 0.1])
+    hi = np.array([radius] * 3 + [max_tilt] * 2 + [2.0 * math.pi, 1.0])
+    draws = rng.uniform(lo, hi, size=(samples, 7))
+    direction = draws[:, 5]
+    magnitude = tau_bar * draws[:, 6]
+    torques = np.column_stack(
+        [magnitude * np.cos(direction), magnitude * np.sin(direction)]
+    )
+    return draws[:, :3], draws[:, 3:5], torques
+
+
+def _angle_deg(fields: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Angle between each field and moment [deg]; NaN (0/0) where one is
+    zero."""
+    norms = np.linalg.norm(fields, axis=1) * np.linalg.norm(moments, axis=1)
+    with np.errstate(invalid="ignore"):
+        cosang = np.einsum("bi,bi->b", fields, moments) / norms
+    return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+
+
+def _solve_block(
+    a_mats: np.ndarray, tilts: np.ndarray, torques: np.ndarray, dipole: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One- and two-step torque solves of a block of samples, and what the
+    bench reports of them.
+
+    Both solve the pure field-torque map skew(m) A_b: gradient forces are
+    left out, so the norm orderings compare two solvers of one map.  Each
+    kind takes one stacked ``pinv_rank``.  Returns the seven value columns
+    of the CSV, shape (B, 7), and whether each sample's one-step rows and
+    field rows have full rank.
+    """
+    frames = body_frames(tilts[:, 0], tilts[:, 1])
+    moments = dipole * frames[:, :, 2]
+    a_b = a_mats[:, :3]
+    # One step: the lever-0 body-plane rows of torque_rows, dipole * (-e_y; e_x).
+    rows = dipole * np.stack([-frames[:, :, 1], frames[:, :, 0]], axis=1)
+    pinv_one, rank_one = pinv_rank(rows @ a_b)
+    i_one = np.einsum("bnr,br->bn", pinv_one, torques)
+    # Two steps: the smallest field b = skew(m)^+ tau, then i = A_b^+ b.
+    tau_world = np.einsum("bij,bj->bi", frames[:, :, :2], torques)
+    b_des = np.einsum("bij,bj->bi", pinv_rank(skew(moments))[0], tau_world)
+    pinv_b, rank_b = pinv_rank(a_b)
+    i_two = np.einsum("bnr,br->bn", pinv_b, b_des)
+    # zeta* = -(A_b^+ b) . u / |u|^2 with u = A_b^+ m, undefined where
+    # |u|^2 < 1e-12; A_b^+ b is the two-step currents.
+    u = np.einsum("bnr,br->bn", pinv_b, moments)
+    den = np.einsum("bn,bn->b", u, u)
+    defined = den >= 1.0e-12
+    zeta = np.full(den.shape, math.nan)
+    zeta[defined] = -np.einsum("bn,bn->b", i_two, u)[defined] / den[defined]
+    b_one = np.einsum("brn,bn->br", a_b, i_one)
+    b_two = np.einsum("brn,bn->br", a_b, i_two)
+    values = np.column_stack(
+        [np.linalg.norm(v, axis=1) for v in (i_one, i_two, b_one, b_two)]
+        + [_angle_deg(b_one, moments), _angle_deg(b_two, moments), zeta]
+    )
+    return values, rank_one == 2, rank_b == 3
+
+
+_RANK_FAILURES = {
+    "torque_one_step": "torque map rank-deficient at p = {}: the coil array "
+    "cannot span the torque plane perpendicular to the dipole",
+    "torque_two_step": "field rows rank-deficient at p = {}: two-step "
+    "allocation needs full field authority",
+}
 
 
 def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
@@ -137,66 +210,59 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
     name = config["name"] or config_path.stem
     model = config["model"]
     samples = config["samples"]
-    tau_bar = config["tau_bar"]
-    radius = config["position_radius"]
-    max_tilt = config["max_tilt"]
-    dipole = config["dipole_magnitude"]
-    try:
-        params = PendulumParams(dipole_magnitude=dipole)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if seed is None:
         seed = config["seed"]
-    rng = np.random.default_rng(seed)
+    positions, tilts, torques = _draw_samples(
+        np.random.default_rng(seed), samples, config["position_radius"],
+        config["max_tilt"], config["tau_bar"],
+    )
 
-    rows = []
-    violations = []
-    for k in range(samples):
-        pos = rng.uniform(-radius, radius, size=3)
-        alpha, beta = rng.uniform(-max_tilt, max_tilt, size=2)
-        direction = rng.uniform(0.0, 2.0 * math.pi)
-        magnitude = tau_bar * rng.uniform(0.1, 1.0)
-        task = WrenchTask.planar(
-            magnitude * math.cos(direction), magnitude * math.sin(direction)
+    values = np.empty((samples, 7))
+    for start in range(0, samples, BLOCK):
+        block = slice(start, start + BLOCK)
+        values[block], one_ok, two_ok = _solve_block(
+            actuation_matrices(model, positions[block]), tilts[block],
+            torques[block], config["dipole_magnitude"],
         )
-        agent = DipoleAgent(
-            p=tuple(pos), alpha=alpha, beta=beta, dipole_magnitude=dipole
-        )
-        a_mat = actuation_matrix(model, pos)
-        # The norm orderings compare the two solvers of the same pure
-        # field-torque map, so gradient forces are left out here.
-        i_one = alloc.allocate_torque_one_step(
-            a_mat, agent, params, task, include_force=False
-        ).currents
-        i_two = alloc.allocate_torque_two_step(a_mat, agent, task).currents
-        b_one = alloc.field_and_gradient(a_mat, i_one)[0]
-        b_two = alloc.field_and_gradient(a_mat, i_two)[0]
-        norms = [float(np.linalg.norm(v)) for v in (i_one, i_two, b_one, b_two)]
-        angle_one = _field_dipole_angle_deg(b_one, agent.moment)
-        angle_two = _field_dipole_angle_deg(b_two, agent.moment)
-        try:
-            zeta = alloc.zeta_star(a_mat, agent, task)
-        except DegenerateTaskError:
-            zeta = math.nan
-        reasons = []
-        if norms[0] > norms[1] + 1e-9:
-            reasons.append("current_norm_order")
-        if norms[2] < norms[3] - 1e-9:
-            reasons.append("field_norm_order")
-        if abs(angle_two - 90.0) > 1e-6:
-            reasons.append("two_step_angle")
-        note = "+".join(reasons)
-        rows.append((k, *norms, angle_one, angle_two, zeta, note))
-        if note:
-            violations.append(
-                {
-                    "sample": k,
-                    "position": list(pos),
-                    "orientation": [alpha, beta],
-                    "task": list(task.tau_c_body),
-                    "reasons": reasons,
-                }
+        failed = np.flatnonzero(~(one_ok & two_ok))
+        if failed.size:
+            # The first failing sample in draw order; within a sample the
+            # one-step solve comes first.
+            k = int(failed[0])
+            strategy = "torque_two_step" if one_ok[k] else "torque_one_step"
+            sample = start + k
+            error = _RANK_FAILURES[strategy].format(tuple(positions[sample].tolist()))
+            _write_json(
+                out_dir / f"{name}_failure.json",
+                {"stage": "allocation", "sample": sample, "strategy": strategy,
+                 "error": error},
             )
+            print(
+                f"numerical failure: allocation failed at sample {sample} "
+                f"({strategy}): {error}",
+                file=sys.stderr,
+            )
+            return 2
+
+    flags = {
+        "current_norm_order": values[:, 0] > values[:, 1] + 1e-9,
+        "field_norm_order": values[:, 2] < values[:, 3] - 1e-9,
+        "two_step_angle": np.abs(values[:, 5] - 90.0) > 1e-6,
+    }
+    notes = [""] * samples
+    violations = []
+    for k in np.flatnonzero(np.any(list(flags.values()), axis=0)).tolist():
+        reasons = [reason for reason, flag in flags.items() if flag[k]]
+        notes[k] = "+".join(reasons)
+        violations.append(
+            {
+                "sample": k,
+                "position": positions[k].tolist(),
+                "orientation": tilts[k].tolist(),
+                "task": torques[k].tolist() + [0.0],
+                "reasons": reasons,
+            }
+        )
 
     csv_path = out_dir / f"{name}.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -205,13 +271,10 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
             "norm_b_two_step,angle_one_step_deg,angle_two_step_deg,"
             "zeta_star,violation\n"
         )
-        for row in rows:
+        for k, (row, note) in enumerate(zip(values, notes)):
             fh.write(
-                ",".join(
-                    [str(row[0])]
-                    + [format(float(v), ".17g") for v in row[1:8]]
-                    + [row[8]]
-                )
+                ",".join([str(k)] + [format(v, ".17g") for v in row.tolist()]
+                         + [note])
                 + "\n"
             )
     _write_json(

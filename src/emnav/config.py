@@ -256,8 +256,9 @@ SCENARIO = Section("scenario", {
 # --- emnav alloc-bench -------------------------------------------------------
 
 #: Most samples one alloc-bench run may take, checked before any is drawn:
-#: the run holds one CSV row per sample until it writes them, as a
-#: simulation holds its trace (``sim.MAX_AGENT_TICKS``).
+#: the run holds every sample's draws and CSV values (about 140 B per
+#: sample) until it writes them, as a simulation holds its trace
+#: (``sim.MAX_AGENT_TICKS``).
 MAX_ALLOC_SAMPLES = 1_000_000
 
 
@@ -265,7 +266,7 @@ def _alloc_bench(**config) -> dict:
     if config["samples"] > MAX_ALLOC_SAMPLES:
         raise ValueError(f"samples is {config['samples']}, more than the cap "
                          f"of {MAX_ALLOC_SAMPLES}")
-    for key in ("tau_bar", "position_radius"):
+    for key in ("tau_bar", "position_radius", "dipole_magnitude"):
         if not config[key] > 0.0:
             raise ValueError(f"{key} must be positive, got {config[key]}")
     if config["max_tilt"] < 0.0:

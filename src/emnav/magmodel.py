@@ -31,15 +31,31 @@ MIN_COIL_DISTANCE = 1.0e-6
 #: Relative singular-value cutoff shared by every pseudoinverse/rank check.
 RANK_RTOL = 1.0e-10
 
+#: Points per batched evaluation (workspace grids, alloc-bench samples).
+#: Bounds the (block, rows, coils) stacks: one whole-input batch would hold
+#: every actuation matrix at once.
+BLOCK = 256
+
 
 class SingularPositionError(ValueError):
     """Raised when a field evaluation point coincides with a coil center."""
 
 
 def skew(v: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Return the 3x3 cross-product matrix S(v) with S(v) @ u = v x u."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Return the 3x3 cross-product matrix S(v) with S(v) @ u = v x u.
+
+    A stack of vectors, shape (..., 3), gives the stack of their matrices,
+    shape (..., 3, 3).
+    """
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,29 +180,20 @@ def actuation_matrices(
         3.0 * r * (mr * inv_d5)[:, :, None] - moments[None, :, :] * inv_d3[:, :, None]
     )  # (N, n, 3)
 
-    # Gradient tensor per coil: 3 (mr I + r m^T + m r^T)/d^5 - 15 mr r r^T / d^7.
-    eye = np.eye(3)
-    outer_rm = r[:, :, :, None] * moments[None, :, None, :]  # (N, n, 3, 3)
-    outer_rr = r[:, :, :, None] * r[:, :, None, :]
-    grad = _MU0_OVER_4PI * (
-        3.0
-        * (
-            mr[:, :, None, None] * eye[None, None, :, :]
-            + outer_rm
-            + np.swapaxes(outer_rm, -1, -2)
-        )
-        * inv_d5[:, :, None, None]
-        - 15.0 * mr[:, :, None, None] * outer_rr * inv_d7[:, :, None, None]
-    )  # (N, n, 3, 3)
-
     n = model.n_coils
     out = np.empty((points.shape[0], 8, n))
     out[:, 0:3, :] = np.swapaxes(b_cols, 1, 2)
-    out[:, 3, :] = grad[:, :, 0, 0]
-    out[:, 4, :] = grad[:, :, 0, 1]
-    out[:, 5, :] = grad[:, :, 0, 2]
-    out[:, 6, :] = grad[:, :, 1, 1]
-    out[:, 7, :] = grad[:, :, 1, 2]
+    # Packed gradient rows (db_x/dx, db_x/dy, db_x/dz, db_y/dy, db_y/dz): the
+    # entries (i, j) of 3 (mr I + r m^T + m r^T)/d^5 - 15 mr r r^T / d^7, one
+    # (N, n) entry at a time rather than the whole (N, n, 3, 3) tensor.
+    mr15 = 15.0 * mr
+    for row, (i, j) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)), 3):
+        sym = (
+            mr * float(i == j) + r[:, :, i] * moments[:, j] + r[:, :, j] * moments[:, i]
+        )
+        out[:, row, :] = _MU0_OVER_4PI * (
+            3.0 * sym * inv_d5 - mr15 * (r[:, :, i] * r[:, :, j]) * inv_d7
+        )
     return out
 
 
@@ -267,6 +274,26 @@ class DipoleAgent:
     def moment(self) -> NDArray[np.floating]:
         """Dipole moment vector in world coordinates [A·m²]."""
         return self.polarity * self.dipole_magnitude * self.axis
+
+
+def body_frames(
+    alpha: NDArray[np.floating], beta: NDArray[np.floating]
+) -> NDArray[np.floating]:
+    """Body-to-world rotations R^T of :attr:`DipoleAgent.rotation_t` for
+    arrays of tilt angles, shape (N, 3, 3).
+
+    The columns are the body axes e_x, e_y and the dipole axis in world
+    coordinates, from which the batched frame quantities follow as in the
+    scalar code: the moment ``mag_pol * axis`` (:attr:`DipoleAgent.moment`),
+    the world torque ``e_x tau_x + e_y tau_y`` of a body-plane task, and the
+    lever-0 rows ``mag_pol * (-e_y; e_x)`` of :func:`torque_rows`.
+    """
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    zero = np.zeros_like(ca)
+    return np.stack(
+        [ca, sa * sb, sa * cb, zero, cb, -sb, -sa, ca * sb, ca * cb], axis=-1
+    ).reshape(-1, 3, 3)
 
 
 def moment_gradient_map(moment: NDArray[np.floating]) -> NDArray[np.floating]:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import PendulumParams
 from .magmodel import (
+    BLOCK,
     ActuationModel,
     actuation_matrices,
     actuation_matrix,
@@ -189,10 +190,6 @@ class FeasibilityMap:
             fh.write("\n")
 
 
-#: Grid points per batched evaluation.  Bounds the (block, rows, coils)
-#: stacks: one whole-grid batch would hold every actuation matrix at once.
-_BLOCK = 256
-
 #: A fixed-field task whose least-squares residual exceeds this fraction of
 #: its norm is out of the stack's range.  A reachable task leaves a residual
 #: near machine epsilon times the stack's condition number: far below this
@@ -230,7 +227,7 @@ def _worst_currents(
       array's rank.
 
     A second agent's rows are stacked under every point.  Each block of
-    ``_BLOCK`` points takes one ``pinv_rank``, whose SVD gives the rank and
+    ``BLOCK`` points takes one ``pinv_rank``, whose SVD gives the rank and
     the pseudoinverse.  A task the stack cannot realize gives +inf:
 
     - torque box: the box spans the task rows, so every task is realizable
@@ -255,15 +252,15 @@ def _worst_currents(
             task = np.concatenate([task, task])
 
     worst = np.empty(positions.shape[0])
-    for start in range(0, positions.shape[0], _BLOCK):
-        stack = rows @ actuation_matrices(model, positions[start : start + _BLOCK])
+    for start in range(0, positions.shape[0], BLOCK):
+        stack = rows @ actuation_matrices(model, positions[start : start + BLOCK])
         if other is not None:
             stack = np.concatenate(
                 [stack, np.broadcast_to(other, (stack.shape[0],) + other.shape)],
                 axis=1,
             )
         pinv, rank = pinv_rank(stack)
-        block = worst[start : start + _BLOCK]
+        block = worst[start : start + BLOCK]
         if task is None:
             block[:] = size * np.max(np.sum(np.abs(pinv), axis=2), axis=1)
             block[rank < stack.shape[1]] = math.inf

@@ -6,12 +6,26 @@ import math
 
 import numpy as np
 
-from emnav.alloc import AllocationResult, RankDeficiencyError, WrenchTask, world_torque
+from emnav.alloc import (
+    AllocationResult,
+    DegenerateTaskError,
+    RankDeficiencyError,
+    WrenchTask,
+    allocate_torque_one_step,
+    allocate_torque_two_step,
+    field_and_gradient,
+    multi_field_map,
+    solve_field,
+    world_torque,
+    zeta_star,
+)
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
     MIN_COIL_DISTANCE,
+    ActuationModel,
     DipoleAgent,
     SingularPositionError,
+    actuation_matrix,
     pinv_rank,
     skew,
     wrench_maps,
@@ -465,3 +479,112 @@ def settling_tick_brute(within: np.ndarray) -> int | None:
         if within[k:].all():
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# alloc-bench one sample at a time, and the one allocation wrapper only
+# tests call
+# ---------------------------------------------------------------------------
+
+
+def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
+    """Minimum-norm currents realizing independent field commands at several
+    positions simultaneously, through ``multi_field_map``."""
+    if len(a_mats) != len(commands) or len(a_mats) == 0:
+        raise ValueError("a_mats and commands must be equal-length, non-empty")
+    stacked = multi_field_map(a_mats)
+    return solve_field(stacked, pinv_rank(stacked)[0], commands)
+
+
+def _field_dipole_angle_deg(field_b: np.ndarray, moment: np.ndarray) -> float:
+    nb = float(np.linalg.norm(field_b))
+    nm = float(np.linalg.norm(moment))
+    if nb == 0.0 or nm == 0.0:
+        return math.nan
+    cosang = float(field_b @ moment) / (nb * nm)
+    return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
+
+
+def alloc_bench_per_sample(
+    model: ActuationModel,
+    samples: int,
+    seed: int,
+    tau_bar: float,
+    radius: float,
+    max_tilt: float,
+    dipole: float,
+) -> dict:
+    """``emnav alloc-bench`` one sample at a time: the oracle of the batched
+    command.
+
+    Each sample draws its position, tilts, task direction and magnitude,
+    evaluates its own A(p) and calls the scalar solves and ``zeta_star``.
+    Returns the draws (``positions``, ``tilts``, ``torques``), the seven CSV
+    value columns (``values``), each row's ``notes`` and the ``violations``;
+    or, where a solve raises, ``failure`` = (sample, strategy, message) of
+    the first one and nothing else.
+    """
+    rng = np.random.default_rng(seed)
+    params = PendulumParams(dipole_magnitude=dipole)
+    positions, tilts, torques, values, notes, violations = [], [], [], [], [], []
+    for k in range(samples):
+        pos = rng.uniform(-radius, radius, size=3)
+        alpha, beta = rng.uniform(-max_tilt, max_tilt, size=2)
+        direction = rng.uniform(0.0, 2.0 * math.pi)
+        magnitude = tau_bar * rng.uniform(0.1, 1.0)
+        task = WrenchTask.planar(
+            magnitude * math.cos(direction), magnitude * math.sin(direction)
+        )
+        agent = DipoleAgent(
+            p=tuple(pos), alpha=alpha, beta=beta, dipole_magnitude=dipole
+        )
+        a_mat = actuation_matrix(model, pos)
+        strategy = "torque_one_step"
+        try:
+            i_one = allocate_torque_one_step(
+                a_mat, agent, params, task, include_force=False
+            ).currents
+            strategy = "torque_two_step"
+            i_two = allocate_torque_two_step(a_mat, agent, task).currents
+        except RankDeficiencyError as exc:
+            return {"failure": (k, strategy, str(exc))}
+        b_one = field_and_gradient(a_mat, i_one)[0]
+        b_two = field_and_gradient(a_mat, i_two)[0]
+        norms = [float(np.linalg.norm(v)) for v in (i_one, i_two, b_one, b_two)]
+        angle_one = _field_dipole_angle_deg(b_one, agent.moment)
+        angle_two = _field_dipole_angle_deg(b_two, agent.moment)
+        try:
+            zeta = zeta_star(a_mat, agent, task)
+        except DegenerateTaskError:
+            zeta = math.nan
+        reasons = []
+        if norms[0] > norms[1] + 1e-9:
+            reasons.append("current_norm_order")
+        if norms[2] < norms[3] - 1e-9:
+            reasons.append("field_norm_order")
+        if abs(angle_two - 90.0) > 1e-6:
+            reasons.append("two_step_angle")
+        positions.append(pos)
+        tilts.append((alpha, beta))
+        torques.append(task.tau_c_body[:2])
+        values.append((*norms, angle_one, angle_two, zeta))
+        notes.append("+".join(reasons))
+        if reasons:
+            violations.append(
+                {
+                    "sample": k,
+                    "position": list(pos),
+                    "orientation": [alpha, beta],
+                    "task": list(task.tau_c_body),
+                    "reasons": reasons,
+                }
+            )
+    return {
+        "failure": None,
+        "positions": np.array(positions),
+        "tilts": np.array(tilts),
+        "torques": np.array(torques),
+        "values": np.array(values),
+        "notes": notes,
+        "violations": violations,
+    }

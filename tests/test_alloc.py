@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    allocate_multi_field,
     composed_torque_map,
     composed_torque_solve,
     min_norm_oracle,
@@ -29,7 +30,6 @@ from emnav.alloc import (
     RankDeficiencyError,
     WrenchTask,
     allocate_field_alignment,
-    allocate_multi_field,
     allocate_multi_torque,
     allocate_torque_one_step,
     allocate_torque_two_step,

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+from helpers import alloc_bench_per_sample
+
 from emnav.cli import main
 from emnav.control import SynthesisError
-from emnav.magmodel import get_model
+from emnav.magmodel import BLOCK, ActuationModel, CoilSpec, get_model
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -23,6 +26,12 @@ ON_COIL_GRID = json.dumps(
 BAD_COIL_MODEL = json.dumps({"name": "bad", "coils": [
     {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 2.0], "moment_per_ampere": 50.0}
 ]})
+
+# Two coils on the x and y axes, 20 cm out, pointing at the origin.
+TWO_COILS = [
+    {"position": [0.2, 0, 0], "axis": [-1, 0, 0], "moment_per_ampere": 50.0},
+    {"position": [0, 0.2, 0], "axis": [0, -1, 0], "moment_per_ampere": 50.0},
+]
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -440,22 +449,91 @@ class TestAllocBench:
         assert run(0, "a") == run(0, "b")
         assert run(0, "c") != run(1, "d")
 
-    def test_actuation_matrix_once_per_sample(self, tmp_path, monkeypatch):
-        # One A(p) per sample serves both solves, zeta* and the fields.
-        import emnav.magmodel as magmodel
+    def test_actuation_matrices_cover_samples_in_blocks(self, tmp_path, monkeypatch):
+        # One A(p) evaluation per block of BLOCK samples serves both solves,
+        # zeta* and the fields; every sample is evaluated exactly once.
+        import emnav.cli as cli
 
         calls = []
-        batched = magmodel.actuation_matrices
+        batched = cli.actuation_matrices
 
         def counting(model, points):
-            calls.append(len(points))
+            calls.append(points.copy())
             return batched(model, points)
 
-        monkeypatch.setattr(magmodel, "actuation_matrices", counting)
-        cfg = self.make_config(tmp_path, samples=5)
+        monkeypatch.setattr(cli, "actuation_matrices", counting)
+        cfg = self.make_config(tmp_path, samples=BLOCK + 44)
         assert main(["alloc-bench", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 0
-        assert calls == [1] * 5
+        assert [len(points) for points in calls] == [BLOCK, 44]
+        positions = cli._draw_samples(np.random.default_rng(0), BLOCK + 44,
+                                      0.04, 0.3, 0.002)[0]
+        assert np.array_equal(np.concatenate(calls), positions)
+
+    @pytest.mark.parametrize("model", ["octomag8", "navion3"])
+    def test_matches_per_sample_oracle(self, tmp_path, model):
+        # Across a block boundary: the batched command against the loop it
+        # replaced, one A(p), two solves and zeta* per sample.
+        import emnav.cli as cli
+
+        samples = BLOCK + 44
+        data = json.loads(self.make_config(tmp_path).read_text())
+        data.update(model=model, samples=samples)
+        cfg = write_json(tmp_path / "bench.json", data)
+        out = tmp_path / "o"
+        assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 0
+        ref = alloc_bench_per_sample(
+            get_model(model), samples, 0, data["tau_bar"],
+            data["position_radius"], data["max_tilt"], data["dipole_magnitude"],
+        )
+        draws = cli._draw_samples(
+            np.random.default_rng(0), samples, data["position_radius"],
+            data["max_tilt"], data["tau_bar"],
+        )
+        for got, want in zip(draws, (ref["positions"], ref["tilts"], ref["torques"])):
+            assert np.array_equal(got, want)
+        summary = json.loads((out / "bench_summary.json").read_text())
+        assert summary["violations"] == json.loads(json.dumps(ref["violations"]))
+        rows = [line.split(",") for line in
+                (out / "bench.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(samples))
+        assert [row[8] for row in rows] == ref["notes"]
+        values = np.array([[float(v) for v in row[1:8]] for row in rows])
+        want = ref["values"]
+        assert np.array_equal(np.isnan(values), np.isnan(want))
+        both = ~np.isnan(want)
+        assert np.all(
+            np.abs(values - want)[both] <= 1e-10 * np.maximum(1.0, np.abs(want[both]))
+        )
+
+    @pytest.mark.parametrize(
+        "coils,strategy",
+        [(TWO_COILS, "torque_two_step"), (TWO_COILS[:1], "torque_one_step")],
+    )
+    def test_unrealizable_array_is_allocation_failure(
+        self, tmp_path, capsys, coils, strategy
+    ):
+        # Two coils cannot span the field, one cannot span the torque plane:
+        # exit 2 naming the first sample the per-sample loop fails on.
+        model = {"name": "few", "coils": coils}
+        cfg = write_json(tmp_path / "ab1.json", {
+            "kind": "alloc_bench", "name": "ab1", "samples": 5, "model": model,
+        })
+        out = tmp_path / "o"
+        assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+        record = json.loads((out / "ab1_failure.json").read_text())
+        assert sorted(out.iterdir()) == [out / "ab1_failure.json"]
+        ref = alloc_bench_per_sample(
+            ActuationModel("few", tuple(CoilSpec(**c) for c in coils)),
+            5, 0, 0.002, 0.04, 0.3, 0.5,
+        )["failure"]
+        assert (record["stage"], record["sample"], record["strategy"]) == (
+            "allocation", ref[0], ref[1]
+        )
+        assert record["strategy"] == strategy
+        assert "rank-deficient" in record["error"]
 
     @pytest.mark.parametrize(
         "key,value",

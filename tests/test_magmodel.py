@@ -29,14 +29,17 @@ from helpers import (
     unpack_gradient,
 )
 
+from emnav.alloc import WrenchTask, world_torque
 from emnav.magmodel import (
     CoilSpec,
     DipoleAgent,
     SingularPositionError,
     actuation_matrices,
     actuation_matrix,
+    body_frames,
     get_model,
     skew,
+    torque_rows,
     wrench_maps,
 )
 
@@ -257,6 +260,50 @@ class TestDipoleAgent:
         np.testing.assert_allclose(agent.axis, expected, atol=1e-12)
         assert abs(np.linalg.norm(agent.axis) - 1.0) < 1e-12
         np.testing.assert_allclose(agent.rotation_t[:, 2], expected, atol=1e-12)
+
+    @given(
+        tilts=st.lists(st.tuples(angles, angles), min_size=1, max_size=6),
+        mag_pol=st.sampled_from([-0.7, 0.5, 2.0]),
+        tau=st.tuples(angles, angles),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_body_frames_match_scalar_formulas(self, tilts, mag_pol, tau):
+        # The batched frames, and the quantities alloc-bench derives from
+        # their columns, against DipoleAgent, torque_rows and world_torque.
+        alpha, beta = np.array(tilts).T
+        frames = body_frames(alpha, beta)
+        assert frames.shape == (len(tilts), 3, 3)
+        for frame, (a, b) in zip(frames, tilts):
+            agent = DipoleAgent(
+                p=(0, 0, 0), alpha=a, beta=b, dipole_magnitude=abs(mag_pol),
+                polarity=1 if mag_pol > 0 else -1,
+            )
+            np.testing.assert_allclose(frame, agent.rotation_t, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                mag_pol * frame[:, 2], agent.moment, rtol=0, atol=1e-15
+            )
+            rows = torque_rows(a, b, mag_pol, 0.0)
+            assert not rows[:, 3:].any()
+            np.testing.assert_allclose(
+                mag_pol * np.stack([-frame[:, 1], frame[:, 0]]), rows[:, :3],
+                rtol=0, atol=1e-15,
+            )
+            np.testing.assert_allclose(
+                frame[:, :2] @ np.array(tau),
+                world_torque(agent, WrenchTask.planar(*tau)),
+                rtol=0, atol=1e-14,
+            )
+
+    def test_skew_of_stack_is_stack_of_skews(self, rng):
+        vectors = rng.normal(size=(2, 4, 3))
+        stacked = skew(vectors)
+        assert stacked.shape == (2, 4, 3, 3)
+        for v, s in zip(vectors.reshape(-1, 3), stacked.reshape(-1, 3, 3)):
+            assert np.array_equal(s, skew(v))
+            np.testing.assert_allclose(s @ v, 0.0, atol=1e-15)
+            assert np.array_equal(s, np.array(
+                [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
+            ))
 
     def test_moment_polarity(self):
         up = DipoleAgent(p=(0, 0, 0), alpha=0.2, beta=-0.1, dipole_magnitude=0.7)
