@@ -34,6 +34,7 @@ import numpy as np
 from .alloc import RankDeficiencyError
 from .config import ALLOC_BENCH, WORKSPACE, ConfigError
 from .control import SynthesisError
+from .export import write_csv
 from .magmodel import BLOCK, actuation_matrices, body_frames, pinv_rank, skew
 from .sim import run_scenario, scenario_from_dict
 from .workspace import max_feasible_standoff, workspace_map
@@ -264,19 +265,17 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
             }
         )
 
-    csv_path = out_dir / f"{name}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(
-            "sample,norm_i_one_step,norm_i_two_step,norm_b_one_step,"
-            "norm_b_two_step,angle_one_step_deg,angle_two_step_deg,"
-            "zeta_star,violation\n"
-        )
-        for k, (row, note) in enumerate(zip(values, notes)):
-            fh.write(
-                ",".join([str(k)] + [format(v, ".17g") for v in row.tolist()]
-                         + [note])
-                + "\n"
-            )
+    write_csv(
+        out_dir / f"{name}.csv",
+        ("sample", "norm_i_one_step", "norm_i_two_step", "norm_b_one_step",
+         "norm_b_two_step", "angle_one_step_deg", "angle_two_step_deg",
+         "zeta_star", "violation"),
+        samples,
+        lambda start, stop: np.column_stack(
+            [np.arange(start, stop), values[start:stop]]
+        ),
+        labels=notes, newline="\n",
+    )
     _write_json(
         out_dir / f"{name}_summary.json",
         {

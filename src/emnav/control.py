@@ -9,6 +9,9 @@ the sampled angles, optionally smoothed by a single-pole low-pass.
 The DARE is solved by scipy's ``solve_discrete_are`` (the generalized
 eigenvector method of Arnold & Laub, Proc. IEEE 1984); the relative residual
 and the closed-loop spectral radius are reported as independent diagnostics.
+``scipy.linalg`` is imported at the first solve, not with this module: it is
+about half of a command's start-up, and only ``simulate``'s synthesis uses
+it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from .dynamics import LinearSystem
 
@@ -35,6 +37,8 @@ def dare_solve(
         SynthesisError: If scipy finds no finite stabilizing solution (for
             example, the pair is not stabilizable).
     """
+    from scipy.linalg import solve_discrete_are
+
     try:
         return solve_discrete_are(a_d, b_d, q, r)
     except ValueError as exc:  # numpy's LinAlgError is a ValueError

@@ -31,7 +31,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 PARADIGMS = ("field", "torque")
 
@@ -318,7 +317,13 @@ class LinearSystem:
 
 
 def discretize(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization via the augmented matrix exponential."""
+    """Exact zero-order-hold discretization via the augmented matrix exponential.
+
+    ``scipy.linalg`` is imported here, at the first synthesis, so that the
+    commands that never synthesize a controller do not load it.
+    """
+    from scipy.linalg import expm
+
     n = a.shape[0]
     m = b.shape[1]
     block = np.zeros((n + m, n + m))

@@ -33,7 +33,6 @@ from the measured angles, one batched product with the stacked A(p) and one
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -59,6 +58,7 @@ from .dynamics import (
     linearize_actuator,
     make_tick,
 )
+from .export import write_csv
 from .magmodel import (
     ActuationModel,
     DipoleAgent,
@@ -261,6 +261,12 @@ class Scenario:
                 f"duration x control_rate x agents is {agent_ticks:.6g} "
                 f"agent-ticks, more than the cap of {MAX_AGENT_TICKS}"
             )
+        if round(self.duration * self.emns.control_rate) < 1:
+            raise ValueError(
+                f"duration {self.duration:.6g} s is shorter than half a control "
+                f"tick at {self.emns.control_rate:.6g} Hz: the run would have "
+                "no ticks"
+            )
         table = (
             SINGLE_STRATEGIES_BY_PARADIGM
             if len(self.agents) == 1
@@ -333,6 +339,7 @@ class SimTrace:
 
     def to_csv(self, path: str | Path) -> None:
         """Write the fixed-schema trace CSV (one row per tick per agent)."""
+        ticks, n_agents = self.alpha.shape
         n_coils = self.currents.shape[1]
         header = (
             ["t", "agent", "alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
@@ -340,27 +347,27 @@ class SimTrace:
             + [f"i_{k + 1}" for k in range(n_coils)]
             + ["b_x", "b_y", "b_z"]
         )
-        fmt = lambda x: format(float(x), ".17g")  # noqa: E731 - local formatter
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for k in range(self.t.shape[0]):
-                for a in range(self.n_agents):
-                    row = [
-                        fmt(self.t[k]),
-                        str(a),
-                        fmt(self.alpha[k, a]),
-                        fmt(self.beta[k, a]),
-                        fmt(self.phi[k, a]),
-                        fmt(self.theta[k, a]),
-                        fmt(self.alpha_sp[k, a]),
-                        fmt(self.beta_sp[k, a]),
-                        fmt(self.outputs_beta[k, a]),  # tau_x = beta channel
-                        fmt(self.outputs_alpha[k, a]),  # tau_y = alpha channel
-                    ]
-                    row += [fmt(v) for v in self.currents[k]]
-                    row += [fmt(v) for v in self.fields[k, a]]
-                    writer.writerow(row)
+        per_agent = (
+            self.alpha, self.beta, self.phi, self.theta, self.alpha_sp,
+            self.beta_sp,
+            self.outputs_beta,  # tau_x = beta channel
+            self.outputs_alpha,  # tau_y = alpha channel
+        )
+
+        def block(start: int, stop: int) -> np.ndarray:
+            # Rows are tick-major; build the ticks the rows span.
+            k0, k1 = start // n_agents, -(-stop // n_agents)
+            cols = np.empty((k1 - k0, n_agents, len(header)))
+            cols[:, :, 0] = self.t[k0:k1, None]
+            cols[:, :, 1] = np.arange(n_agents)
+            for j, column in enumerate(per_agent, 2):
+                cols[:, :, j] = column[k0:k1]
+            cols[:, :, 10:10 + n_coils] = self.currents[k0:k1, None, :]
+            cols[:, :, 10 + n_coils:] = self.fields[k0:k1]
+            skip = k0 * n_agents
+            return cols.reshape(-1, len(header))[start - skip:stop - skip]
+
+        write_csv(path, header, ticks * n_agents, block)
 
 
 def _default_controller(attached: bool, sample_time: float) -> ControllerConfig:

@@ -8,7 +8,6 @@ vector), with single- and two-agent variants.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PendulumParams
+from .export import write_csv
 from .magmodel import (
     BLOCK,
     ActuationModel,
@@ -164,22 +164,12 @@ class FeasibilityMap:
         return int(np.count_nonzero(self.feasible))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "z", "fm", "feasible", "flag"])
-            feas = self.feasible
-            for k in range(self.positions.shape[0]):
-                x, y, z = self.positions[k]
-                writer.writerow(
-                    [
-                        format(float(x), ".17g"),
-                        format(float(y), ".17g"),
-                        format(float(z), ".17g"),
-                        format(float(self.fm[k]), ".17g"),
-                        int(feas[k]),
-                        self.flags[k],
-                    ]
-                )
+        def block(start: int, stop: int) -> np.ndarray:
+            fm = self.fm[start:stop]
+            return np.column_stack([self.positions[start:stop], fm, fm > 0.0])
+
+        write_csv(path, ("x", "y", "z", "fm", "feasible", "flag"),
+                  self.positions.shape[0], block, labels=self.flags)
 
     def write_metadata(self, path) -> None:
         payload = dict(self.metadata)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -588,3 +589,75 @@ def alloc_bench_per_sample(
         "notes": notes,
         "violations": violations,
     }
+
+
+def trace_csv_per_value(trace, path) -> None:
+    """``SimTrace.to_csv`` one value at a time through ``csv.writer``: the
+    oracle of the chunked writer."""
+    n_coils = trace.currents.shape[1]
+    header = (
+        ["t", "agent", "alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
+         "tau_x", "tau_y"]
+        + [f"i_{k + 1}" for k in range(n_coils)]
+        + ["b_x", "b_y", "b_z"]
+    )
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731 - local formatter
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for k in range(trace.t.shape[0]):
+            for a in range(trace.n_agents):
+                row = [
+                    fmt(trace.t[k]),
+                    str(a),
+                    fmt(trace.alpha[k, a]),
+                    fmt(trace.beta[k, a]),
+                    fmt(trace.phi[k, a]),
+                    fmt(trace.theta[k, a]),
+                    fmt(trace.alpha_sp[k, a]),
+                    fmt(trace.beta_sp[k, a]),
+                    fmt(trace.outputs_beta[k, a]),  # tau_x = beta channel
+                    fmt(trace.outputs_alpha[k, a]),  # tau_y = alpha channel
+                ]
+                row += [fmt(v) for v in trace.currents[k]]
+                row += [fmt(v) for v in trace.fields[k, a]]
+                writer.writerow(row)
+
+
+def map_csv_per_value(fmap, path) -> None:
+    """``FeasibilityMap.to_csv`` one value at a time through ``csv.writer``:
+    the oracle of the chunked writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "z", "fm", "feasible", "flag"])
+        feas = fmap.feasible
+        for k in range(fmap.positions.shape[0]):
+            x, y, z = fmap.positions[k]
+            writer.writerow(
+                [
+                    format(float(x), ".17g"),
+                    format(float(y), ".17g"),
+                    format(float(z), ".17g"),
+                    format(float(fmap.fm[k]), ".17g"),
+                    int(feas[k]),
+                    fmap.flags[k],
+                ]
+            )
+
+
+def alloc_bench_csv_per_value(path, values: np.ndarray, notes: list) -> None:
+    """The ``emnav alloc-bench`` table one row at a time: the oracle of the
+    chunked writer.  ``values`` holds the seven value columns, ``notes`` each
+    sample's violation note."""
+    with open(path, "w", newline="") as fh:
+        fh.write(
+            "sample,norm_i_one_step,norm_i_two_step,norm_b_one_step,"
+            "norm_b_two_step,angle_one_step_deg,angle_two_step_deg,"
+            "zeta_star,violation\n"
+        )
+        for k, (row, note) in enumerate(zip(values, notes)):
+            fh.write(
+                ",".join([str(k)] + [format(v, ".17g") for v in row.tolist()]
+                         + [note])
+                + "\n"
+            )

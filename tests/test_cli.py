@@ -2,6 +2,7 @@
 determinism, and error diagnostics."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,26 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "agent-ticks" in err
+
+    def test_zero_tick_duration_is_config_error(
+        self, short_torque, tmp_path, capsys, monkeypatch
+    ):
+        # Shorter than half a 200 Hz tick: no tick would run.  Nothing runs
+        # and nothing is written.
+        import emnav.cli as cli_mod
+
+        def must_not_run(scenario):
+            raise AssertionError("the run was started")
+
+        monkeypatch.setattr(cli_mod, "run_scenario", must_not_run)
+        data = json.loads(short_torque.read_text())
+        data["duration"] = 0.001
+        cfg = write_json(tmp_path / "blink.json", data)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "duration" in err
+        assert list(out.iterdir()) == []
 
     def test_allocation_failure_exit_2_with_record(self, short_torque, tmp_path):
         data = json.loads(short_torque.read_text())
@@ -599,3 +620,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (tmp_path / "o" / "tiny_field.csv").exists()
+
+    def test_alloc_bench_and_workspace_do_not_load_scipy(
+        self, small_workspace, tmp_path
+    ):
+        # Only simulate's controller synthesis uses scipy.  The test session
+        # has loaded it already, so the commands run in a fresh interpreter.
+        import emnav
+
+        bench = write_json(tmp_path / "bench.json", {
+            "kind": "alloc_bench", "name": "bench", "samples": 20,
+        })
+        out = tmp_path / "o"
+        code = "\n".join([
+            "import sys",
+            "from emnav.cli import main",
+            f"assert main(['alloc-bench', '--config', {str(bench)!r}, "
+            f"'--out', {str(out)!r}]) == 0",
+            f"assert main(['workspace', '--config', {str(small_workspace)!r}, "
+            f"'--out', {str(out)!r}]) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        src = str(Path(emnav.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (out / "bench.csv").exists() and (out / "small_torque.csv").exists()
