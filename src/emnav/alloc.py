@@ -22,20 +22,22 @@ positions, so the caller evaluates A(p) once.  Each solve uses
 singular-value cutoff, which yields the exact solution of minimal 2-norm
 whenever the task is achievable.  The one-step and multi-agent torque
 solves go through ``solve_torque``, which takes its rank check and its
-solution from one SVD of the stacked rows.  A field task map does not
-depend on the command, so the field solves are also split into the map
-(``field_alignment_map``, ``multi_field_map``) and a solve over its
-pseudoinverse (``solve_field``): a caller whose points stay fixed takes the
-pseudoinverse once.  A solve returns only the currents and the task
-residual.  ``emnav alloc-bench`` does not go through the per-call
-wrappers here: it solves its samples in blocks, one stacked pseudoinverse
-per solve kind, and computes the realized fields, norms, angles and zeta*
-as vectors itself.  ``allocate_torque_one_step``, ``allocate_multi_torque``,
-``allocate_field_alignment``, ``zeta_star`` and ``field_and_gradient`` are
-the per-call forms the tests check against and the benchmark's tracer
-hooks by name.  Multi-step variants (pseudoinverting the factors
-separately, in the world frame) are provided for norm-comparison studies;
-they are never cheaper than the one-step solve.
+solution from one SVD of the stacked rows.  The two-step torque solve takes
+the smallest field realizing the torque in closed form
+(``two_step_field``), then the minimum-norm currents realizing that field
+through A_b(p)^+, which does not depend on the command (``solve_two_step``).
+A field task map does not depend on the command either, so the field solves
+are also split into the map (``field_alignment_map``, ``multi_field_map``)
+and a solve over its pseudoinverse (``solve_field``): a caller whose points
+stay fixed takes the pseudoinverse once.  A solve returns only the currents
+and the task residual.  ``emnav alloc-bench`` does not go through the
+per-call wrappers here: it solves its samples in blocks, one stacked
+pseudoinverse per solve kind and ``two_step_field`` over the block, and
+computes the realized fields, norms, angles and zeta* as vectors itself.
+``allocate_torque_one_step``, ``allocate_torque_two_step``,
+``allocate_multi_torque``, ``allocate_field_alignment``, ``zeta_star`` and
+``field_and_gradient`` are the per-call forms the tests check against and
+the benchmark's tracer hooks by name.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PendulumParams
-from .magmodel import DipoleAgent, pinv_rank, skew, torque_rows, wrench_maps
+from .magmodel import DipoleAgent, pinv_rank, torque_rows
 
 
 class RankDeficiencyError(RuntimeError):
@@ -143,15 +145,6 @@ def field_and_gradient(
     demand from a solve's currents."""
     stacked = a_mat @ currents
     return stacked[:3], stacked[3:]
-
-
-def world_torque(agent: DipoleAgent, task: WrenchTask) -> np.ndarray:
-    """Commanded torque rotated from the actuator body frame to the world.
-
-    The optional desired force is not folded in here; callers that know the
-    magnet offset add its lever-arm torque where appropriate.
-    """
-    return agent.rotation_t @ np.asarray(task.tau_c_body, dtype=float)
 
 
 def _solve_plane(
@@ -290,6 +283,49 @@ def allocate_torque_one_step(
     return _solve_plane([a_mat], [agent], [task], lever)
 
 
+#: The two-step solve's rank failure, formatted with the point p: the field
+#: rows A_b(p) must span every field vector.
+FIELD_RANK_FAILURE = (
+    "field rows rank-deficient at p = {}: two-step allocation needs full "
+    "field authority"
+)
+
+
+def two_step_field(
+    rows: np.ndarray, torques: np.ndarray, mag_pol: float
+) -> np.ndarray:
+    """The smallest field realizing body-plane torques: b = skew(m)^+ tau.
+
+    ``rows`` are the field columns of the lever-0 ``torque_rows``,
+    W0 = mag_pol * (-e_y; e_x), shape (..., 2, 3), and ``torques`` the
+    (tau_x, tau_y) tasks, shape (..., 2); ``mag_pol`` is the signed dipole
+    magnitude.  For a torque perpendicular to m, skew(m)^+ tau_world =
+    (tau_world x m) / |m|^2 (skew of a unit vector is a partial isometry),
+    and with tau_world = e_x tau_x + e_y tau_y that is W0^T tau / mag_pol^2:
+    a field perpendicular to the moment.
+    """
+    return np.einsum("...rk,...r->...k", rows, torques) / mag_pol**2
+
+
+def solve_two_step(
+    rows: np.ndarray,
+    a_b: np.ndarray,
+    pinv_b: np.ndarray,
+    target: np.ndarray,
+    mag_pol: float,
+) -> AllocationResult:
+    """Two-step currents A_b^+ b for the field b of :func:`two_step_field`.
+
+    ``rows`` are one agent's lever-0 field columns W0 (2, 3), ``a_b`` its
+    field rows A_b(p) and ``pinv_b`` their pseudoinverse; the residual is
+    that of the body-plane task W0 A_b i = (tau_x, tau_y).
+    """
+    currents = pinv_b @ two_step_field(rows, target, mag_pol)
+    return AllocationResult(
+        currents, float(np.linalg.norm(rows @ (a_b @ currents) - target))
+    )
+
+
 def allocate_torque_two_step(
     a_mat: np.ndarray,
     agent: DipoleAgent,
@@ -298,68 +334,22 @@ def allocate_torque_two_step(
     """Two-step torque allocation: minimum-norm field first, then currents.
 
     Computes b = skew(m)^+ tau (the smallest field producing the commanded
-    torque, always orthogonal to the dipole moment), then the minimum-norm
-    currents realizing that field.  Gradient forces are not exploited; this
-    is the pure-torque simplification.
+    torque, always orthogonal to the dipole moment; see
+    :func:`two_step_field`), then the minimum-norm currents realizing that
+    field.  Gradient forces are not exploited; this is the pure-torque
+    simplification.
 
     Raises:
         RankDeficiencyError: If rank(A_b(p)) < 3, i.e. the array cannot
             realize arbitrary field vectors at p.
     """
-    tau_c = world_torque(agent, task)
-    m_b = skew(agent.moment)
-    b_des = pinv_rank(m_b)[0] @ tau_c
     a_b = a_mat[:3]
     pinv, rank = pinv_rank(a_b)
     if rank < 3:
-        raise RankDeficiencyError(
-            f"field rows rank-deficient at p = {agent.p}: two-step "
-            "allocation needs full field authority"
-        )
-    currents = pinv @ b_des
-    residual = float(np.linalg.norm(m_b @ (a_b @ currents) - tau_c))
-    return AllocationResult(currents, residual)
-
-
-def allocate_torque_twostep_jm(
-    a_mat: np.ndarray,
-    agent: DipoleAgent,
-    params: PendulumParams,
-    task: WrenchTask,
-) -> AllocationResult:
-    """Diagnostic multi-step variant i = A^+ (J M)^+ tau.
-
-    Splits the composed map after the field/gradient stage.  Exact only when
-    the intermediate field/gradient target is itself realizable; never
-    smaller in norm than the one-step solution.
-    """
-    tau_c = world_torque(agent, task)
-    maps = wrench_maps(agent, params.magnet_offset)
-    jm = maps.jac @ maps.stacked  # (3, 8)
-    currents = pinv_rank(a_mat)[0] @ (pinv_rank(jm)[0] @ tau_c)
-    residual = float(np.linalg.norm(jm @ (a_mat @ currents) - tau_c))
-    return AllocationResult(currents, residual)
-
-
-def allocate_torque_twostep_ma(
-    a_mat: np.ndarray,
-    agent: DipoleAgent,
-    params: PendulumParams,
-    task: WrenchTask,
-) -> AllocationResult:
-    """Diagnostic multi-step variant i = (M A)^+ J^+ tau.
-
-    Splits the composed map after the wrench stage.  The intermediate
-    [torque; force] target distributes the task across both pathways by
-    least squares instead of letting the current solve choose.
-    """
-    tau_c = world_torque(agent, task)
-    maps = wrench_maps(agent, params.magnet_offset)
-    ma = maps.stacked @ a_mat  # (6, n)
-    wrench = pinv_rank(maps.jac)[0] @ tau_c  # (6,)
-    currents = pinv_rank(ma)[0] @ wrench
-    residual = float(np.linalg.norm(maps.jac @ (ma @ currents) - tau_c))
-    return AllocationResult(currents, residual)
+        raise RankDeficiencyError(FIELD_RANK_FAILURE.format(agent.p))
+    mag_pol = agent.polarity * agent.dipole_magnitude
+    rows = torque_rows(agent.alpha, agent.beta, mag_pol, 0.0)[:, :3]
+    return solve_two_step(rows, a_b, pinv, np.array(task.tau_c_body[:2]), mag_pol)
 
 
 def zeta_star(
@@ -379,11 +369,11 @@ def zeta_star(
         DegenerateTaskError: If ||A_b^+ m|| < 1e-12 (no current pattern
             produces field along the dipole; the shift family is degenerate).
     """
-    tau_c = world_torque(agent, task)
-    m = agent.moment
-    b_two = pinv_rank(skew(m))[0] @ tau_c
+    mag_pol = agent.polarity * agent.dipole_magnitude
+    rows = torque_rows(agent.alpha, agent.beta, mag_pol, 0.0)[:, :3]
+    b_two = two_step_field(rows, np.array(task.tau_c_body[:2]), mag_pol)
     a_b_pinv = pinv_rank(a_mat[:3])[0]
-    u = a_b_pinv @ m
+    u = a_b_pinv @ agent.moment
     den = float(u @ u)
     if den < 1.0e-12:
         raise DegenerateTaskError(

@@ -31,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import RankDeficiencyError
+from .alloc import FIELD_RANK_FAILURE, RankDeficiencyError, two_step_field
 from .config import ALLOC_BENCH, WORKSPACE, ConfigError
 from .control import SynthesisError
 from .export import write_csv
-from .magmodel import BLOCK, actuation_matrices, body_frames, pinv_rank, skew
+from .magmodel import BLOCK, actuation_matrices, body_frames, pinv_rank
 from .sim import run_scenario, scenario_from_dict
 from .workspace import max_feasible_standoff, workspace_map
 
@@ -178,8 +178,7 @@ def _solve_block(
     pinv_one, rank_one = pinv_rank(rows @ a_b)
     i_one = np.einsum("bnr,br->bn", pinv_one, torques)
     # Two steps: the smallest field b = skew(m)^+ tau, then i = A_b^+ b.
-    tau_world = np.einsum("bij,bj->bi", frames[:, :, :2], torques)
-    b_des = np.einsum("bij,bj->bi", pinv_rank(skew(moments))[0], tau_world)
+    b_des = two_step_field(rows, torques, dipole)
     pinv_b, rank_b = pinv_rank(a_b)
     i_two = np.einsum("bnr,br->bn", pinv_b, b_des)
     # zeta* = -(A_b^+ b) . u / |u|^2 with u = A_b^+ m, undefined where
@@ -201,8 +200,7 @@ def _solve_block(
 _RANK_FAILURES = {
     "torque_one_step": "torque map rank-deficient at p = {}: the coil array "
     "cannot span the torque plane perpendicular to the dipole",
-    "torque_two_step": "field rows rank-deficient at p = {}: two-step "
-    "allocation needs full field authority",
+    "torque_two_step": FIELD_RANK_FAILURE,
 }
 
 

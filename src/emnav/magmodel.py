@@ -1,4 +1,4 @@
-"""Synthetic coil-array models and dipole wrench maps.
+"""Synthetic coil-array models and the pivoted dipole's torque rows.
 
 Each coil is modeled as a point magnetic dipole with a fixed position, unit
 axis, and a moment-per-ampere scale.  The magnetic field and its spatial
@@ -7,12 +7,12 @@ summarized by a position-dependent actuation matrix with three field rows and
 five gradient rows (zero divergence and zero curl leave only five independent
 gradient components).
 
-The module also provides the rigid-dipole wrench maps (the matrices that send
-field/gradient values to magnetic torque and force on an axially magnetized
-body, and the lever-arm Jacobian of a pivoted actuator), their body-frame
-tilt-torque rows ``torque_rows`` that every torque solve and the workspace
-torque box use, and the one pseudoinverse every allocation and workspace
-solve uses.
+The module also provides the pivoted dipole (``DipoleAgent``, and
+``body_frames`` for arrays of tilts), its body-frame tilt-torque rows
+``torque_rows`` (the map from field and gradient to the torque about the
+pivot, direct magnetic torque plus the lever-arm torque of the gradient
+force) that every torque solve and the workspace torque box use, and the one
+pseudoinverse every allocation and workspace solve uses.
 """
 
 from __future__ import annotations
@@ -39,23 +39,6 @@ BLOCK = 256
 
 class SingularPositionError(ValueError):
     """Raised when a field evaluation point coincides with a coil center."""
-
-
-def skew(v: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Return the 3x3 cross-product matrix S(v) with S(v) @ u = v x u.
-
-    A stack of vectors, shape (..., 3), gives the stack of their matrices,
-    shape (..., 3, 3).
-    """
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape + (3,))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
 
 
 @dataclass(frozen=True)
@@ -214,7 +197,7 @@ def pinv_rank(
 
 
 # ---------------------------------------------------------------------------
-# Pivoted dipole agents and wrench maps
+# Pivoted dipole agents and their torque rows
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -284,9 +267,8 @@ def body_frames(
 
     The columns are the body axes e_x, e_y and the dipole axis in world
     coordinates, from which the batched frame quantities follow as in the
-    scalar code: the moment ``mag_pol * axis`` (:attr:`DipoleAgent.moment`),
-    the world torque ``e_x tau_x + e_y tau_y`` of a body-plane task, and the
-    lever-0 rows ``mag_pol * (-e_y; e_x)`` of :func:`torque_rows`.
+    scalar code: the moment ``mag_pol * axis`` (:attr:`DipoleAgent.moment`)
+    and the lever-0 rows ``mag_pol * (-e_y; e_x)`` of :func:`torque_rows`.
     """
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
@@ -296,80 +278,20 @@ def body_frames(
     ).reshape(-1, 3, 3)
 
 
-def moment_gradient_map(moment: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Force-from-gradient map (3x5): f = M_g(m) @ g.
-
-    Acting on the packed gradient (db_x/dx, db_x/dy, db_x/dz, db_y/dy,
-    db_y/dz), this reproduces f = (m · grad) b for any symmetric traceless
-    gradient.
-    """
-    mx, my, mz = np.asarray(moment, dtype=float)
-    return np.array(
-        [
-            [mx, my, mz, 0.0, 0.0],
-            [0.0, mx, 0.0, my, mz],
-            [-mz, 0.0, mx, -mz, my],
-        ]
-    )
-
-
-@dataclass(frozen=True)
-class WrenchMaps:
-    """Linear maps from field/gradient to torque and force on one agent.
-
-    Attributes:
-        m_b: (3,3) torque-from-field map skew(m).
-        m_g: (3,5) force-from-packed-gradient map.
-        jac_tilde: (3,3) lever-arm map sending force to pivot torque.
-        jac: (3,6) combined map [I | jac_tilde] acting on stacked [tau; f].
-    """
-
-    m_b: NDArray[np.floating]
-    m_g: NDArray[np.floating]
-    jac_tilde: NDArray[np.floating]
-    jac: NDArray[np.floating]
-
-    @property
-    def stacked(self) -> NDArray[np.floating]:
-        """Block-diagonal wrench map (6x8): [b; g] -> [tau; f]."""
-        out = np.zeros((6, 8))
-        out[0:3, 0:3] = self.m_b
-        out[3:6, 3:8] = self.m_g
-        return out
-
-
-def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
-    """Build the wrench maps of a pivoted agent.
-
-    Args:
-        agent: Pivoted dipole (supplies orientation and moment).
-        magnet_offset: Distance from the pivot to the magnet center [m].
-
-    Returns:
-        WrenchMaps in world coordinates.  The lever arm uses the geometric
-        body axis, so it is independent of magnetic polarity.
-    """
-    m = agent.moment
-    jac_tilde = magnet_offset * skew(agent.axis)
-    jac = np.hstack([np.eye(3), jac_tilde])
-    return WrenchMaps(
-        m_b=skew(m),
-        m_g=moment_gradient_map(m),
-        jac_tilde=jac_tilde,
-        jac=jac,
-    )
-
-
 def torque_rows(
     alpha: float, beta: float, mag_pol: float, lever: float
 ) -> NDArray[np.floating]:
     """Body-frame tilt-torque rows of a pivoted dipole, shape (2, 8).
 
     The map from [b; g] at the magnet to the body-frame x and y torque about
-    the pivot: ``(R J M)[:2]`` of :func:`wrench_maps`, written out from the
-    sines and cosines of the tilt angles.  The body-z row is dropped: the
-    field torque m x b and the lever-arm torque l axis x f are both
-    perpendicular to the dipole axis.
+    the pivot: ``(R J M)[:2]``, with M the wrench map [b; g] -> [m x b;
+    (m . grad) b], J = [I | lever skew(axis)] the lever-arm map to pivot
+    torque and R the world-to-body rotation of :class:`DipoleAgent`, written
+    out from the sines and cosines of the tilt angles.  The body-z row is
+    dropped: the field torque m x b and the lever-arm torque lever axis x f
+    are both perpendicular to the dipole axis.  The world-frame maps are the
+    test suite's oracle (``tests/helpers.py``: ``wrench_maps``,
+    ``composed_torque_map``).
 
     With e_x, e_y the body axes in world coordinates and axis the dipole
     axis, the rows are

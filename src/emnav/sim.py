@@ -25,10 +25,12 @@ does not converge) does.
 The allocation is a closure built once per run from the agents' fixed
 actuation matrices A(p) (``_allocator``): the field strategies' task map is
 constant, so its pseudoinverse is taken once per run, and the torque
-strategy is chosen once.  The one-step and multi-agent torque solves run in
-the body-frame (tau_x, tau_y) plane: per tick, two ``torque_rows`` per agent
-from the measured angles, one batched product with the stacked A(p) and one
-``alloc.solve_torque``.
+strategy is chosen once.  Every torque strategy runs in the body-frame
+(tau_x, tau_y) plane, from two ``torque_rows`` per agent filled from the
+measured angles each tick.  The one-step and multi-agent solves take one
+batched product with the stacked A(p) and one ``alloc.solve_torque``; the
+two-step solve takes the field rows' pseudoinverse once per run and, per
+tick, the closed-form field of ``alloc.two_step_field``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alloc
-from .alloc import FieldCommand, RankDeficiencyError, WrenchTask
+from .alloc import FieldCommand, RankDeficiencyError
 from .control import (
     ControllerConfig,
     IntegralSchedule,
@@ -61,7 +63,6 @@ from .dynamics import (
 from .export import write_csv
 from .magmodel import (
     ActuationModel,
-    DipoleAgent,
     SingularPositionError,
     actuation_matrix,
     coil_offsets,
@@ -93,12 +94,7 @@ CHANNELS = ("alpha", "beta")
 
 SINGLE_STRATEGIES_BY_PARADIGM = {
     "field": ("field_alignment",),
-    "torque": (
-        "torque_one_step",
-        "torque_two_step",
-        "torque_twostep_JM",
-        "torque_twostep_MA",
-    ),
+    "torque": ("torque_one_step", "torque_two_step"),
 }
 MULTI_STRATEGIES_BY_PARADIGM = {
     "field": ("multi_field",),
@@ -279,6 +275,12 @@ class Scenario:
                 f"strategy '{self.strategy}' invalid for paradigm "
                 f"'{self.paradigm}' with {len(self.agents)} agent(s); "
                 f"expected one of {table[self.paradigm]}"
+            )
+        if not self.include_force and self.strategy != "torque_one_step":
+            raise ValueError(
+                f"include_force is false, but strategy '{self.strategy}' "
+                "does not take it: only torque_one_step chooses whether to "
+                "use gradient forces"
             )
         if not math.isfinite(self.field_magnitude):
             raise ValueError("field_magnitude must be finite")
@@ -715,12 +717,14 @@ def _allocator(scenario: Scenario, a_mats: list):
     tick's task, from the measured angles and the controller outputs.
     ``a_mats`` holds each agent's actuation matrix A(p), computed once per
     run because the agents do not move.  The field strategies' task map is
-    then constant too, so its pseudoinverse is taken here, once.  The
-    one-step and multi-agent torque solves stack the A(p) here and, each
-    tick, fill the agents' body-plane rows (``torque_rows``) from the
-    measured angles and take one batched product with the stack; the target
-    is the controller outputs as they are, (tau_x, tau_y) = (beta out,
-    alpha out) per agent.
+    then constant too, so its pseudoinverse is taken here, once.  Each
+    tick, the torque strategies fill the agents' body-plane rows
+    (``torque_rows``) from the measured angles; the target is the controller
+    outputs as they are, (tau_x, tau_y) = (beta out, alpha out) per agent.
+    The one-step and multi-agent solves stack the A(p) here and take one
+    batched product with the stack.  The two-step solve uses the lever-0
+    rows and takes the field rows' pseudoinverse and rank here; a rank
+    below 3 fails every tick, so the run records the failure at its first.
     """
     params = scenario.plant
     agents = scenario.agents
@@ -747,53 +751,31 @@ def _allocator(scenario: Scenario, a_mats: list):
 
         return allocate_field
 
-    if scenario.strategy in ("multi_torque", "torque_one_step"):
-        with_force = scenario.strategy == "multi_torque" or scenario.include_force
-        lever = params.magnet_offset if with_force else 0.0
-        mag_pols = [params.dipole_magnitude * setup.polarity for setup in agents]
-        a_stack = np.stack(a_mats)  # (agents, 8, n_coils)
-        rows = np.empty((len(agents), 2, 8))
-        n_rows = 2 * len(agents)
+    mag_pols = [params.dipole_magnitude * setup.polarity for setup in agents]
+    lever = params.magnet_offset if scenario.include_force else 0.0
+    a_stack = np.stack(a_mats)  # (agents, 8, n_coils)
+    rows = np.empty((len(agents), 2, 8))
+    n_rows = 2 * len(agents)
+    two_step = scenario.strategy == "torque_two_step"
+    if two_step:  # pure field torque, through A_b^+ (one agent)
+        lever = 0.0
+        a_b = a_mats[0][:3]
+        pinv_b, rank_b = pinv_rank(a_b)
+        rank_failure = alloc.FIELD_RANK_FAILURE.format(
+            tuple(float(c) for c in agents[0].position)
+        )
 
-        def allocate_plane(meas_agents: list, outputs: list):
-            for idx, (meas, mag_pol) in enumerate(zip(meas_agents, mag_pols)):
-                rows[idx] = torque_rows(meas[0], meas[1], mag_pol, lever)
-            target = np.array([t for out_a, out_b in outputs for t in (out_b, out_a)])
+    def allocate_plane(meas_agents: list, outputs: list):
+        for idx, (meas, mag_pol) in enumerate(zip(meas_agents, mag_pols)):
+            rows[idx] = torque_rows(meas[0], meas[1], mag_pol, lever)
+        target = np.array([t for out_a, out_b in outputs for t in (out_b, out_a)])
+        if not two_step:
             return alloc.solve_torque((rows @ a_stack).reshape(n_rows, -1), target)
+        if rank_b < 3:
+            raise RankDeficiencyError(rank_failure)
+        return alloc.solve_two_step(rows[0, :, :3], a_b, pinv_b, target, mag_pols[0])
 
-        return allocate_plane
-
-    a_mat = a_mats[0]
-    solve = {
-        "torque_two_step": lambda dipoles, tasks: alloc.allocate_torque_two_step(
-            a_mat, dipoles[0], tasks[0]
-        ),
-        "torque_twostep_JM": lambda dipoles, tasks: alloc.allocate_torque_twostep_jm(
-            a_mat, dipoles[0], params, tasks[0]
-        ),
-        "torque_twostep_MA": lambda dipoles, tasks: alloc.allocate_torque_twostep_ma(
-            a_mat, dipoles[0], params, tasks[0]
-        ),
-    }[scenario.strategy]
-
-    def allocate_torque(meas_agents: list, outputs: list):
-        dipoles = [
-            DipoleAgent(
-                p=tuple(setup.position),
-                alpha=meas[0],
-                beta=meas[1],
-                dipole_magnitude=params.dipole_magnitude,
-                polarity=setup.polarity,
-            )
-            for setup, meas in zip(agents, meas_agents)
-        ]
-        tasks = [
-            WrenchTask.planar(out_b, out_a)  # tau_x = beta out, tau_y = alpha out
-            for (out_a, out_b) in outputs
-        ]
-        return solve(dipoles, tasks)
-
-    return allocate_torque
+    return allocate_plane
 
 
 def _settling_tick(within: np.ndarray) -> int | None:

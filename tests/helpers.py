@@ -4,21 +4,21 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from emnav.alloc import (
+    FIELD_RANK_FAILURE,
     AllocationResult,
     DegenerateTaskError,
     RankDeficiencyError,
     WrenchTask,
     allocate_torque_one_step,
-    allocate_torque_two_step,
     field_and_gradient,
     multi_field_map,
     solve_field,
-    world_torque,
-    zeta_star,
 )
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
@@ -28,8 +28,6 @@ from emnav.magmodel import (
     SingularPositionError,
     actuation_matrix,
     pinv_rank,
-    skew,
-    wrench_maps,
 )
 
 _MU0_OVER_4PI = 1.0e-7
@@ -346,6 +344,182 @@ def unpack_gradient(g5: np.ndarray) -> np.ndarray:
     )
 
 
+# ---------------------------------------------------------------------------
+# World-frame wrench maps and the world-frame two-step solves: the oracles of
+# ``magmodel.torque_rows`` and of the closed-form two-step in ``emnav.alloc``
+# ---------------------------------------------------------------------------
+
+
+def skew(v: NDArray[np.floating]) -> NDArray[np.floating]:
+    """Return the 3x3 cross-product matrix S(v) with S(v) @ u = v x u.
+
+    A stack of vectors, shape (..., 3), gives the stack of their matrices,
+    shape (..., 3, 3).
+    """
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def moment_gradient_map(moment: NDArray[np.floating]) -> NDArray[np.floating]:
+    """Force-from-gradient map (3x5): f = M_g(m) @ g.
+
+    Acting on the packed gradient (db_x/dx, db_x/dy, db_x/dz, db_y/dy,
+    db_y/dz), this reproduces f = (m · grad) b for any symmetric traceless
+    gradient.
+    """
+    mx, my, mz = np.asarray(moment, dtype=float)
+    return np.array(
+        [
+            [mx, my, mz, 0.0, 0.0],
+            [0.0, mx, 0.0, my, mz],
+            [-mz, 0.0, mx, -mz, my],
+        ]
+    )
+
+
+@dataclass(frozen=True)
+class WrenchMaps:
+    """Linear maps from field/gradient to torque and force on one agent.
+
+    Attributes:
+        m_b: (3,3) torque-from-field map skew(m).
+        m_g: (3,5) force-from-packed-gradient map.
+        jac_tilde: (3,3) lever-arm map sending force to pivot torque.
+        jac: (3,6) combined map [I | jac_tilde] acting on stacked [tau; f].
+    """
+
+    m_b: NDArray[np.floating]
+    m_g: NDArray[np.floating]
+    jac_tilde: NDArray[np.floating]
+    jac: NDArray[np.floating]
+
+    @property
+    def stacked(self) -> NDArray[np.floating]:
+        """Block-diagonal wrench map (6x8): [b; g] -> [tau; f]."""
+        out = np.zeros((6, 8))
+        out[0:3, 0:3] = self.m_b
+        out[3:6, 3:8] = self.m_g
+        return out
+
+
+def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
+    """Build the wrench maps of a pivoted agent.
+
+    Args:
+        agent: Pivoted dipole (supplies orientation and moment).
+        magnet_offset: Distance from the pivot to the magnet center [m].
+
+    Returns:
+        WrenchMaps in world coordinates.  The lever arm uses the geometric
+        body axis, so it is independent of magnetic polarity.
+    """
+    m = agent.moment
+    jac_tilde = magnet_offset * skew(agent.axis)
+    jac = np.hstack([np.eye(3), jac_tilde])
+    return WrenchMaps(
+        m_b=skew(m),
+        m_g=moment_gradient_map(m),
+        jac_tilde=jac_tilde,
+        jac=jac,
+    )
+
+
+def world_torque(agent: DipoleAgent, task: WrenchTask) -> np.ndarray:
+    """Commanded torque rotated from the actuator body frame to the world.
+
+    The optional desired force is not folded in here; callers that know the
+    magnet offset add its lever-arm torque where appropriate.
+    """
+    return agent.rotation_t @ np.asarray(task.tau_c_body, dtype=float)
+
+
+def two_step_world(
+    a_mat: np.ndarray, agent: DipoleAgent, task: WrenchTask
+) -> AllocationResult:
+    """Two-step torque allocation in the world frame, by generic SVDs.
+
+    b = skew(m)^+ tau_world through ``pinv_rank`` of skew(m), then the
+    minimum-norm currents A_b^+ b; the residual is the world-frame torque
+    mismatch.  The oracle of ``alloc.allocate_torque_two_step`` and of the
+    closed form ``alloc.two_step_field``.
+
+    Raises:
+        RankDeficiencyError: If rank(A_b(p)) < 3, with the message the
+            closed-form solve gives.
+    """
+    tau_c = world_torque(agent, task)
+    m_b = skew(agent.moment)
+    b_des = pinv_rank(m_b)[0] @ tau_c
+    a_b = a_mat[:3]
+    pinv, rank = pinv_rank(a_b)
+    if rank < 3:
+        raise RankDeficiencyError(FIELD_RANK_FAILURE.format(agent.p))
+    currents = pinv @ b_des
+    residual = float(np.linalg.norm(m_b @ (a_b @ currents) - tau_c))
+    return AllocationResult(currents, residual)
+
+
+def zeta_star_world(a_mat: np.ndarray, agent: DipoleAgent, task: WrenchTask) -> float:
+    """``alloc.zeta_star`` with the world-frame field b = skew(m)^+ tau_world
+    of :func:`two_step_world`."""
+    m = agent.moment
+    b_two = pinv_rank(skew(m))[0] @ world_torque(agent, task)
+    a_b_pinv = pinv_rank(a_mat[:3])[0]
+    u = a_b_pinv @ m
+    den = float(u @ u)
+    if den < 1.0e-12:
+        raise DegenerateTaskError("||A_b^+ m|| is numerically zero")
+    return -float((a_b_pinv @ b_two) @ u) / den
+
+
+def allocate_torque_twostep_jm(
+    a_mat: np.ndarray,
+    agent: DipoleAgent,
+    params: PendulumParams,
+    task: WrenchTask,
+) -> AllocationResult:
+    """Diagnostic multi-step variant i = A^+ (J M)^+ tau.
+
+    Splits the composed map after the field/gradient stage.  Exact only when
+    the intermediate field/gradient target is itself realizable; never
+    smaller in norm than the one-step solution.
+    """
+    tau_c = world_torque(agent, task)
+    maps = wrench_maps(agent, params.magnet_offset)
+    jm = maps.jac @ maps.stacked  # (3, 8)
+    currents = pinv_rank(a_mat)[0] @ (pinv_rank(jm)[0] @ tau_c)
+    residual = float(np.linalg.norm(jm @ (a_mat @ currents) - tau_c))
+    return AllocationResult(currents, residual)
+
+
+def allocate_torque_twostep_ma(
+    a_mat: np.ndarray,
+    agent: DipoleAgent,
+    params: PendulumParams,
+    task: WrenchTask,
+) -> AllocationResult:
+    """Diagnostic multi-step variant i = (M A)^+ J^+ tau.
+
+    Splits the composed map after the wrench stage.  The intermediate
+    [torque; force] target distributes the task across both pathways by
+    least squares instead of letting the current solve choose.
+    """
+    tau_c = world_torque(agent, task)
+    maps = wrench_maps(agent, params.magnet_offset)
+    ma = maps.stacked @ a_mat  # (6, n)
+    wrench = pinv_rank(maps.jac)[0] @ tau_c  # (6,)
+    currents = pinv_rank(ma)[0] @ wrench
+    residual = float(np.linalg.norm(maps.jac @ (ma @ currents) - tau_c))
+    return AllocationResult(currents, residual)
+
+
 def torque_box_vertex_worst(pinv: np.ndarray, tau_bar: float) -> float:
     """Worst-case |current|_inf over a torque box, by vertex enumeration.
 
@@ -446,13 +620,11 @@ def composed_torque_solve(
 
 
 def composed_allocator(scenario, a_mats: list):
-    """Drop-in for ``sim._allocator`` on the torque strategies that solves
-    every tick through :func:`composed_torque_solve`, building a
-    ``DipoleAgent`` and a ``WrenchTask`` per agent per tick."""
+    """Drop-in for ``sim._allocator`` on the torque strategies that builds a
+    ``DipoleAgent`` and a ``WrenchTask`` per agent per tick and solves in
+    the world frame: ``torque_two_step`` through :func:`two_step_world`,
+    the others through :func:`composed_torque_solve`."""
     params = scenario.plant
-    include_force = (
-        scenario.strategy == "multi_torque" or scenario.include_force
-    )
 
     def allocate(meas_agents: list, outputs: list):
         dipoles = [
@@ -463,8 +635,10 @@ def composed_allocator(scenario, a_mats: list):
             for setup, meas in zip(scenario.agents, meas_agents)
         ]
         tasks = [WrenchTask.planar(out_b, out_a) for out_a, out_b in outputs]
+        if scenario.strategy == "torque_two_step":
+            return two_step_world(a_mats[0], dipoles[0], tasks[0])
         verdict, result, _ = composed_torque_solve(
-            a_mats, dipoles, params, tasks, include_force
+            a_mats, dipoles, params, tasks, scenario.include_force
         )
         if verdict is not None:
             raise RankDeficiencyError(verdict)
@@ -519,7 +693,9 @@ def alloc_bench_per_sample(
     command.
 
     Each sample draws its position, tilts, task direction and magnitude,
-    evaluates its own A(p) and calls the scalar solves and ``zeta_star``.
+    evaluates its own A(p) and calls the scalar one-step solve and the
+    world-frame two-step and zeta* oracles (:func:`two_step_world`,
+    :func:`zeta_star_world`).
     Returns the draws (``positions``, ``tilts``, ``torques``), the seven CSV
     value columns (``values``), each row's ``notes`` and the ``violations``;
     or, where a solve raises, ``failure`` = (sample, strategy, message) of
@@ -546,7 +722,7 @@ def alloc_bench_per_sample(
                 a_mat, agent, params, task, include_force=False
             ).currents
             strategy = "torque_two_step"
-            i_two = allocate_torque_two_step(a_mat, agent, task).currents
+            i_two = two_step_world(a_mat, agent, task).currents
         except RankDeficiencyError as exc:
             return {"failure": (k, strategy, str(exc))}
         b_one = field_and_gradient(a_mat, i_one)[0]
@@ -555,7 +731,7 @@ def alloc_bench_per_sample(
         angle_one = _field_dipole_angle_deg(b_one, agent.moment)
         angle_two = _field_dipole_angle_deg(b_two, agent.moment)
         try:
-            zeta = zeta_star(a_mat, agent, task)
+            zeta = zeta_star_world(a_mat, agent, task)
         except DegenerateTaskError:
             zeta = math.nan
         reasons = []

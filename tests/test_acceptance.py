@@ -12,19 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emnav.alloc import (
-    WrenchTask,
-    allocate_torque_one_step,
-    allocate_torque_two_step,
-    world_torque,
-)
+from emnav.alloc import WrenchTask, allocate_torque_one_step, allocate_torque_two_step
 from emnav.cli import cmd_alloc_bench, cmd_workspace
 from emnav.dynamics import PendulumParams
-from emnav.magmodel import DipoleAgent, actuation_matrix, get_model, skew
+from emnav.magmodel import DipoleAgent, actuation_matrix, get_model
 from emnav.sim import run_scenario, scenario_from_dict
 from emnav.workspace import GridSpec, TaskSet, max_feasible_standoff, workspace_map
 
-from helpers import composed_torque_map, min_norm_oracle, random_agent
+from helpers import (
+    composed_torque_map,
+    min_norm_oracle,
+    random_agent,
+    skew,
+    world_torque,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SIM_SCENARIOS = (

@@ -11,6 +11,8 @@ computed here from the returned currents.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     allocate_multi_field,
+    allocate_torque_twostep_jm,
+    allocate_torque_twostep_ma,
     composed_torque_map,
     composed_torque_solve,
     min_norm_oracle,
     random_agent,
+    skew,
+    two_step_world,
+    world_torque,
+    zeta_star_world,
 )
 
 from emnav.alloc import (
@@ -33,10 +41,8 @@ from emnav.alloc import (
     allocate_multi_torque,
     allocate_torque_one_step,
     allocate_torque_two_step,
-    allocate_torque_twostep_jm,
-    allocate_torque_twostep_ma,
     solve_torque,
-    world_torque,
+    two_step_field,
     zeta_star,
 )
 from emnav.dynamics import PendulumParams
@@ -46,7 +52,6 @@ from emnav.magmodel import (
     DipoleAgent,
     actuation_matrix,
     get_model,
-    skew,
     torque_rows,
 )
 
@@ -493,7 +498,8 @@ _ONE_COIL = ActuationModel(
     "toy1", (CoilSpec((0.0, 0.0, -0.3), (0.0, 0.0, 1.0), 10.0),)
 )
 _MODELS = (get_model("octomag8"), get_model("navion3"), _ONE_COIL)
-_Z_RANGE = {"octomag8": (-0.04, 0.04), "navion3": (0.05, 0.15), "toy1": (-0.04, 0.04)}
+_Z_RANGE = {"octomag8": (-0.04, 0.04), "navion3": (0.05, 0.15),
+            "toy1": (-0.04, 0.04), "toy2": (-0.04, 0.04)}
 
 
 def _floats(lo: float, hi: float):
@@ -570,3 +576,81 @@ def test_plane_solve_matches_composed_oracle(case):
     # The world-frame target lies in the torque plane: same norm as the
     # body-plane target.
     assert res.residual_norm <= 1e-12 * np.linalg.norm(target)
+
+
+# The closed-form two-step field b = W0^T tau / mag_pol^2 against the
+# world-frame oracle b = skew(m)^+ tau_world, through the two-step currents
+# and zeta*.  Two coils leave rank(A_b) = 2 at every point.
+_TWO_COIL = ActuationModel(
+    "toy2",
+    (
+        CoilSpec((0.0, 0.0, -0.3), (0.0, 0.0, 1.0), 10.0),
+        CoilSpec((0.3, 0.0, 0.0), (-1.0, 0.0, 0.0), 10.0),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from((get_model("octomag8"), get_model("navion3"), _TWO_COIL)),
+    xy=st.tuples(_floats(-0.04, 0.04), _floats(-0.04, 0.04)),
+    z_unit=_floats(0.0, 1.0),
+    tilts=st.tuples(_floats(-0.6, 0.6), _floats(-0.6, 0.6)),
+    dipole=_floats(0.2, 2.0),
+    polarity=st.sampled_from((1, -1)),
+    # A torque magnitude and direction, as alloc-bench draws them; squares
+    # of magnitudes far below this underflow in the norms of the bounds.
+    polar=st.tuples(_floats(1e-6, 5e-3), _floats(0.0, 2.0 * math.pi)),
+)
+def test_two_step_closed_form_matches_world_frame_oracle(
+    model, xy, z_unit, tilts, dipole, polarity, polar
+):
+    tau = (polar[0] * math.cos(polar[1]), polar[0] * math.sin(polar[1]))
+    z_lo, z_hi = _Z_RANGE[model.name]
+    agent = DipoleAgent(
+        p=(*xy, z_lo + z_unit * (z_hi - z_lo)), alpha=tilts[0], beta=tilts[1],
+        dipole_magnitude=dipole, polarity=polarity,
+    )
+    task = WrenchTask.planar(*tau)
+    a_mat = actuation_matrix(model, agent.p)
+    mag_pol = polarity * dipole
+
+    # The field of the first step, with or without field authority.
+    rows = torque_rows(agent.alpha, agent.beta, mag_pol, 0.0)[:, :3]
+    b_oracle = np.linalg.pinv(skew(agent.moment), rcond=1e-10) @ world_torque(
+        agent, task
+    )
+    b_closed = two_step_field(rows, np.array(tau), mag_pol)
+    assert np.linalg.norm(b_closed - b_oracle) <= 1e-12 * np.linalg.norm(b_oracle)
+
+    # The same rank verdict, with the same message, and the same currents.
+    outcomes = []
+    for solve in (allocate_torque_two_step, two_step_world):
+        try:
+            outcomes.append(solve(a_mat, agent, task))
+        except RankDeficiencyError as exc:
+            outcomes.append(str(exc))
+    closed, oracle = outcomes
+    assert type(closed) is type(oracle)
+    if isinstance(oracle, str):
+        assert closed == oracle
+    else:
+        scale = np.linalg.norm(oracle.currents)
+        assert np.linalg.norm(closed.currents - oracle.currents) <= 1e-12 * scale
+        assert closed.residual_norm <= 1e-12 * np.linalg.norm(tau)
+
+    # zeta*: the same verdict on degeneracy, and the same shift.
+    outcomes = []
+    for zeta in (zeta_star, zeta_star_world):
+        try:
+            outcomes.append(zeta(a_mat, agent, task))
+        except DegenerateTaskError:
+            outcomes.append(None)
+    closed, oracle = outcomes
+    assert (closed is None) == (oracle is None)
+    if oracle is not None:
+        # |zeta*| <= ||A_b^+|| |b| / |A_b^+ m|, the scale of its rounding.
+        a_b_pinv = np.linalg.pinv(a_mat[:3], rcond=1e-10)
+        scale = (np.linalg.norm(a_b_pinv, 2) * np.linalg.norm(b_oracle)
+                 / np.linalg.norm(a_b_pinv @ agent.moment))
+        assert abs(closed - oracle) <= 1e-12 * scale

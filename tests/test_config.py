@@ -104,6 +104,18 @@ def _alloc_base() -> dict:
     return {**load("alloc_bench"), "samples": 3}
 
 
+def _two_step_base() -> dict:
+    return {**_simulate_base(), "strategy": "torque_two_step"}
+
+
+def _multi_torque_base() -> dict:
+    return load("multi_torque_inphase")
+
+
+def _field_base() -> dict:
+    return load("single_field")
+
+
 _TYPO_COIL_MODEL = {"name": "one", "coils": [
     {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
      "moment_per_ampere": 50.0, "typo": 1}
@@ -135,13 +147,20 @@ _TYPO_COIL_MODEL = {"name": "one", "coils": [
          None),
         (lambda: load("workspace_navion_standoff"), ("model",), _TYPO_COIL_MODEL,
          "model.coils[0].typo"),
+        # Strategies the simulator no longer runs.
+        (_simulate_base, ("strategy",), "torque_twostep_JM", "torque_twostep_JM"),
+        (_simulate_base, ("strategy",), "torque_twostep_MA", "torque_twostep_MA"),
+        # Only torque_one_step chooses whether to use gradient forces.
+        (_two_step_base, ("include_force",), False, None),
+        (_multi_torque_base, ("include_force",), False, None),
+        (_field_base, ("include_force",), False, None),
     ],
     ids=lambda v: json_path(v) if isinstance(v, tuple) else None,
 )
 def test_no_silent_coercion(tmp_path, capsys, nothing_runs, base, parts, value,
                             named):
-    # Each of these used to run a variant other than the one written, or
-    # fall back to a default, and exit 0.
+    # Each of these used to exit 0: it ran a variant other than the one
+    # written, fell back to a default, or ran a strategy since removed.
     config = base()
     set_at(config, parts, value)
     code = run(tmp_path, command_of(config), config)

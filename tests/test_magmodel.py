@@ -25,11 +25,14 @@ from helpers import (
     dipole_field_jacobian,
     pack_gradient,
     random_agent,
+    skew,
     torque_map_svd,
     unpack_gradient,
+    world_torque,
+    wrench_maps,
 )
 
-from emnav.alloc import WrenchTask, world_torque
+from emnav.alloc import WrenchTask
 from emnav.magmodel import (
     CoilSpec,
     DipoleAgent,
@@ -38,9 +41,7 @@ from emnav.magmodel import (
     actuation_matrix,
     body_frames,
     get_model,
-    skew,
     torque_rows,
-    wrench_maps,
 )
 
 MU0_OVER_4PI = 1.0e-7

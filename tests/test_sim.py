@@ -455,23 +455,35 @@ class TestLatencyAndNoise:
         assert not np.array_equal(a.currents, c.currents)
 
 
+COIL_BELOW = {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
+              "moment_per_ampere": 50.0}
+COIL_ASIDE = {"position": [0.2, 0.0, 0.0], "axis": [-1.0, 0.0, 0.0],
+              "moment_per_ampere": 50.0}
+
+
 class TestFailureHandling:
-    def test_rank_failure_recorded_and_truncated(self):
-        model = {
-            "name": "single_coil",
-            "coils": [
-                {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
-                 "moment_per_ampere": 50.0}
-            ],
-        }
-        cfg = base_torque_dict(model=model, duration=0.5)
+    @pytest.mark.parametrize(
+        "strategy,coils,error",
+        [
+            ("torque_one_step", [COIL_BELOW],
+             "agent 0: torque map rank-deficient: the coil array cannot span "
+             "the torque plane perpendicular to the dipole"),
+            # Two coils: rank(A_b) = 2 < 3 at every point.
+            ("torque_two_step", [COIL_BELOW, COIL_ASIDE],
+             "field rows rank-deficient at p = (0.0, 0.0, 0.0): two-step "
+             "allocation needs full field authority"),
+        ],
+        ids=["torque_one_step", "torque_two_step"],
+    )
+    def test_rank_failure_recorded_and_truncated(self, strategy, coils, error):
+        model = {"name": f"{len(coils)}_coil", "coils": coils}
+        cfg = base_torque_dict(model=model, strategy=strategy, duration=0.5)
         tr = run_scenario(scenario_from_dict(cfg))
-        assert tr.failure is not None
-        assert tr.failure["stage"] == "allocation"
-        assert tr.failure["tick"] == 0
-        assert tr.failure["time"] == 0.0
+        assert tr.failure == {
+            "stage": "allocation", "time": 0.0, "tick": 0, "error": error,
+        }
         assert tr.t.shape[0] == 1
-        assert tr.summary["failure"] is not None
+        assert tr.summary["failure"] == tr.failure
 
     @pytest.mark.parametrize(
         "attached,magnitude,error",
@@ -551,17 +563,43 @@ class TestFailureHandling:
         assert summary["ticks"] == 3
 
 
+def _two_step(data: dict) -> None:
+    data["strategy"] = "torque_two_step"
+
+
+def _navion_standoff_two_step(data: dict) -> None:
+    # The stand-off line of workspace_navion_standoff.json at 0.12 m, with
+    # its plant, under two-step allocation.
+    data.update(strategy="torque_two_step", model="navion3", emns="navion",
+                plant={"dipole_magnitude": 2.0, "magnet_offset": 0.02})
+    data["agents"][0]["position"] = [0.0, 0.0, 0.12]
+
+
 class TestBodyPlaneAllocation:
     @pytest.mark.parametrize(
-        "name,duration", [("multi_torque_async", 2.0), ("single_torque", 1.0)]
+        "name,duration,edit",
+        [
+            pytest.param("multi_torque_async", 2.0, None,
+                         id="multi_torque_async-2.0"),
+            pytest.param("single_torque", 1.0, None, id="single_torque-1.0"),
+            pytest.param("single_torque", 1.0, _two_step,
+                         id="single_torque-1.0-two_step"),
+            pytest.param("single_torque", 2.0, _navion_standoff_two_step,
+                         id="navion3-0.12m-2.0-two_step"),
+        ],
     )
-    def test_matches_composed_map_allocator(self, monkeypatch, name, duration):
+    def test_matches_composed_map_allocator(
+        self, monkeypatch, name, duration, edit
+    ):
         # The per-run allocator solves in the body (tau_x, tau_y) plane; the
         # oracle builds a DipoleAgent and a WrenchTask per agent per tick and
-        # solves through the world-frame composed map J M A(p).  The two
-        # differ only by rounding, far inside the 1e-8 rad trace bound.
+        # solves in the world frame: through the composed map J M A(p), or
+        # for two-step through the SVDs of skew(m) and A_b.  The two differ
+        # only by rounding, far inside the 1e-8 rad trace bound.
         data = load_bundled(name)
         data["duration"] = duration
+        if edit is not None:
+            edit(data)
         plane = run_scenario(scenario_from_dict(data))
         monkeypatch.setattr(sim, "_allocator", composed_allocator)
         oracle = run_scenario(scenario_from_dict(data))
