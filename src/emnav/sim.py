@@ -168,15 +168,20 @@ class SetpointSpec:
 
 @dataclass(frozen=True)
 class DisturbanceEvent:
-    """A scheduled disturbance; times snap to the controller tick grid.
+    """A scheduled disturbance, snapped to the controller tick grid.
+
+    Each window starts at the first tick with t + 1e-12 >= `time`; a
+    `torque_bias` with a `duration` ends at the first tick with
+    t + 1e-12 >= `time` + `duration`.  `duration` applies to `torque_bias`
+    only.
 
     kinds:
         impulse: adds `magnitude` [rad/s] to the channel's actuator rate at
-            the first tick boundary at/after `time`.
+            the first tick of its window.
         torque_bias: adds `magnitude` [N·m] to the channel's generalized
-            force from `time` (for `duration` seconds; None = to the end).
+            force over its window (None `duration` = to the end).
         measurement_tilt: offsets the channel's measured angles by
-            `magnitude` [rad] from `time` onward.
+            `magnitude` [rad] from its first tick onward.
     """
 
     kind: str
@@ -193,6 +198,9 @@ class DisturbanceEvent:
             raise ValueError(f"channel must be one of {CHANNELS}")
         if self.time < 0:
             raise ValueError("event time must be non-negative")
+        if self.duration is not None and self.kind != "torque_bias":
+            raise ValueError(f"duration applies to torque_bias events only, "
+                             f"not {self.kind}")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("event duration must be positive when given")
 
@@ -372,6 +380,11 @@ class SimTrace:
         write_csv(path, header, ticks * n_agents, block)
 
 
+#: SimTrace's (ticks, n_agents) arrays, in the order run_scenario records them.
+_PER_AGENT = ("alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
+              "outputs_alpha", "outputs_beta")
+
+
 def _default_controller(attached: bool, sample_time: float) -> ControllerConfig:
     q = (20.0, 40.0, 1.0, 1.0) if attached else (20.0, 1.0)
     return ControllerConfig(q_diag=q, sample_time=sample_time)
@@ -488,11 +501,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 rho = closed_loop_spectral_radius(sys, gain)
                 solutions[key] = (gain, residual, rho)
             gain, residual, rho = solutions[key]
-            windows = (
-                setup.integral_windows_alpha
-                if channel == "alpha"
-                else setup.integral_windows_beta
-            )
+            windows = getattr(setup, f"integral_windows_{channel}")
             per_channel[channel] = _ChannelController(gain, cfg, windows, attached)
             synthesis.append(
                 {
@@ -534,111 +543,78 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
     # --- event handling ----------------------------------------------------
     impulses = [ev for ev in scenario.disturbances if ev.kind == "impulse"]
-    impulse_done = [False] * len(impulses)
 
-    def bias_for(agent_idx: int, channel: str, t: float) -> float:
+    def in_force(kind: str, agent: int, channel: str, t: float) -> float:
+        # Summed magnitude of the events of `kind` on (agent, channel) whose
+        # window holds the tick at t; see DisturbanceEvent for the rule.
         total = 0.0
         for ev in scenario.disturbances:
-            if ev.kind != "torque_bias" or ev.agent != agent_idx:
-                continue
-            if ev.channel != channel:
-                continue
-            if t + 1e-12 < ev.time:
-                continue
-            if ev.duration is not None and t >= ev.time + ev.duration:
-                continue
-            total += ev.magnitude
-        return total
-
-    def tilt_for(agent_idx: int, channel: str, t: float) -> float:
-        total = 0.0
-        for ev in scenario.disturbances:
-            if ev.kind != "measurement_tilt" or ev.agent != agent_idx:
-                continue
-            if ev.channel != channel or t + 1e-12 < ev.time:
-                continue
-            total += ev.magnitude
+            if (ev.kind == kind and ev.agent == agent and ev.channel == channel
+                    and t + 1e-12 >= ev.time
+                    and (ev.duration is None or t + 1e-12 < ev.time + ev.duration)):
+                total += ev.magnitude
         return total
 
     # --- state -------------------------------------------------------------
     states = [_initial_joint_state(s) for s in scenario.agents]
     i_applied = np.zeros(n_coils)
     meas_buffers = [deque() for _ in scenario.agents]
+    noise_std = scenario.measurement_noise_std
 
-    tr_t = np.zeros(ticks)
-    tr = {
-        name: np.zeros((ticks, n_agents))
-        for name in (
-            "alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
-            "out_alpha", "out_beta",
-        )
-    }
-    tr_currents = np.zeros((ticks, n_coils))
-    tr_cmd = np.zeros((ticks, n_coils))
-    tr_fields = np.zeros((ticks, n_agents, 3))
-    tr_residuals = np.zeros(ticks)
+    tr = {name: np.zeros((ticks, n_agents)) for name in _PER_AGENT}
+    tr.update(
+        t=np.zeros(ticks),
+        currents=np.zeros((ticks, n_coils)),
+        currents_cmd=np.zeros((ticks, n_coils)),
+        fields=np.zeros((ticks, n_agents, 3)),
+        residuals=np.zeros(ticks),
+    )
     failure = None
     completed = ticks
 
     for k in range(ticks):
         t = k * h
-        tr_t[k] = t
+        tr["t"][k] = t
 
-        # Impulse events due at this tick boundary.
-        for e_idx, ev in enumerate(impulses):
-            if impulse_done[e_idx] or t + 1e-12 < ev.time:
-                continue
-            impulse_done[e_idx] = True
-            y = list(states[ev.agent])
-            attached = scenario.agents[ev.agent].pendulum_attached
-            if ev.channel == "alpha":
-                y[2 if attached else 1] += ev.magnitude
-            else:
-                y[6 if attached else 3] += ev.magnitude
-            states[ev.agent] = tuple(y)
+        # Impulses at the first tick of their window; (k - 1) * h is the
+        # previous tick's time, computed as it was on that tick.
+        for ev in impulses:
+            if (k - 1) * h + 1e-12 < ev.time <= t + 1e-12:
+                y = list(states[ev.agent])
+                attached = scenario.agents[ev.agent].pendulum_attached
+                if ev.channel == "alpha":
+                    y[2 if attached else 1] += ev.magnitude
+                else:
+                    y[6 if attached else 3] += ev.magnitude
+                states[ev.agent] = tuple(y)
 
-        # Record plant state and applied currents at the tick instant.
-        for a_idx, setup in enumerate(scenario.agents):
-            al, be, ph, th = _joint_angles(states[a_idx], setup.pendulum_attached)
-            tr["alpha"][k, a_idx] = al
-            tr["beta"][k, a_idx] = be
-            tr["phi"][k, a_idx] = ph
-            tr["theta"][k, a_idx] = th
-            tr_fields[k, a_idx] = a_field_rows[a_idx] @ i_applied
-        tr_currents[k] = i_applied
-
-        # Measure (tilt bias + optional noise), with integer-tick latency.
-        noisy = scenario.measurement_noise_std > 0.0
+        # Per agent: the plant state and field at the tick instant, the
+        # measurement (tilt bias + optional noise, integer-tick latency) and
+        # the controller outputs.
         meas_agents = []
+        outputs = []
         for a_idx, setup in enumerate(scenario.agents):
-            al, be, ph, th = _joint_angles(states[a_idx], setup.pendulum_attached)
-            tilt_a = tilt_for(a_idx, "alpha", t)
-            tilt_b = tilt_for(a_idx, "beta", t)
+            angles = _joint_angles(states[a_idx], setup.pendulum_attached)
+            tilt_a = in_force("measurement_tilt", a_idx, "alpha", t)
+            tilt_b = in_force("measurement_tilt", a_idx, "beta", t)
+            al, be, ph, th = angles
             meas = [al + tilt_a, be + tilt_b, ph + tilt_a, th + tilt_b]
-            if noisy:
-                meas = [
-                    v + float(rng.normal(0.0, scenario.measurement_noise_std))
-                    for v in meas
-                ]
+            if noise_std > 0.0:
+                meas = [v + float(rng.normal(0.0, noise_std)) for v in meas]
             buf = meas_buffers[a_idx]
             buf.append(meas)
             if len(buf) > latency_ticks + 1:
                 buf.popleft()
-            meas_agents.append(buf[0])
-
-        # Controller outputs per agent/channel.
-        setpoints = [s.setpoint.value(t) for s in scenario.agents]
-        outputs = []
-        for a_idx, setup in enumerate(scenario.agents):
-            m_al, m_be, m_ph, m_th = meas_agents[a_idx]
-            sp_a, sp_b = setpoints[a_idx]
+            m_al, m_be, m_ph, m_th = buf[0]
+            sp_a, sp_b = setup.setpoint.value(t)
             out_a = controllers[a_idx]["alpha"].step(m_al, m_ph, sp_a)
             out_b = controllers[a_idx]["beta"].step(m_be, m_th, sp_b)
+            meas_agents.append(buf[0])
             outputs.append((out_a, out_b))
-            tr["alpha_sp"][k, a_idx] = sp_a
-            tr["beta_sp"][k, a_idx] = sp_b
-            tr["out_alpha"][k, a_idx] = out_a
-            tr["out_beta"][k, a_idx] = out_b
+            for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
+                tr[name][k, a_idx] = v
+            tr["fields"][k, a_idx] = a_field_rows[a_idx] @ i_applied
+        tr["currents"][k] = i_applied
 
         # Allocation (on measured orientations).
         try:
@@ -648,9 +624,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                        "error": str(exc)}
             completed = k + 1
             break
-        tr_residuals[k] = result.residual_norm
+        tr["residuals"][k] = result.residual_norm
         i_cmd = np.clip(result.currents, -limit, limit)
-        tr_cmd[k] = i_cmd
+        tr["currents_cmd"][k] = i_cmd
 
         # Current grids across the tick under the first-order driver lag.
         diff = i_applied - i_cmd
@@ -670,8 +646,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                     dt,
                     b_grid,
                     g_grid,
-                    bias_for(a_idx, "alpha", t),
-                    bias_for(a_idx, "beta", t),
+                    in_force("torque_bias", a_idx, "alpha", t),
+                    in_force("torque_bias", a_idx, "beta", t),
                 )
             except (OverflowError, ValueError) as exc:
                 error = f"plant diverged: {type(exc).__name__}: {exc}"
@@ -687,24 +663,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         if failure is not None:
             break
 
-    sl = slice(0, completed)
     trace = SimTrace(
-        t=tr_t[sl],
-        alpha=tr["alpha"][sl],
-        beta=tr["beta"][sl],
-        phi=tr["phi"][sl],
-        theta=tr["theta"][sl],
-        alpha_sp=tr["alpha_sp"][sl],
-        beta_sp=tr["beta_sp"][sl],
-        outputs_alpha=tr["out_alpha"][sl],
-        outputs_beta=tr["out_beta"][sl],
-        currents=tr_currents[sl],
-        currents_cmd=tr_cmd[sl],
-        fields=tr_fields[sl],
-        residuals=tr_residuals[sl],
-        synthesis=synthesis,
-        summary={},
-        failure=failure,
+        **{name: a[:completed] for name, a in tr.items()},
+        synthesis=synthesis, summary={}, failure=failure,
     )
     trace.summary = _summarize(scenario, trace)
     return trace

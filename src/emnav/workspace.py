@@ -29,8 +29,6 @@ __all__ = [
     "TaskSet",
     "GridSpec",
     "FeasibilityMap",
-    "feasibility_margin_torque",
-    "feasibility_margin_field",
     "workspace_map",
     "max_feasible_standoff",
 ]
@@ -263,51 +261,6 @@ def _worst_currents(
             )
             block[out_of_range] = math.inf
     return worst
-
-
-def feasibility_margin_torque(
-    model: ActuationModel,
-    position,
-    *,
-    params: PendulumParams,
-    tau_bar: float,
-    current_limit: float,
-    orientation: tuple[float, float] = (0.0, 0.0),
-) -> float:
-    """Current headroom for the torque-box task at one position [A].
-
-    FM = current_limit - the largest infinity norm of the minimum-norm
-    current solution over the box |tau_x|, |tau_y| <= tau_bar, which is
-    tau_bar times the induced infinity norm of the torque map's
-    pseudoinverse.  Rank deficiency yields -inf (infeasible-singular).
-    """
-    if not tau_bar > 0.0:
-        raise ValueError("tau_bar must be strictly positive")
-    worst = _worst_currents(
-        model, "torque-box", tau_bar, np.asarray(position, float)[None, :],
-        params, orientation, None,
-    )
-    return current_limit - float(worst[0])
-
-
-def feasibility_margin_field(
-    model: ActuationModel,
-    position,
-    *,
-    field_magnitude: float,
-    current_limit: float,
-) -> float:
-    """Current headroom for holding the field field_magnitude * e_z [A].
-
-    A field the rows cannot realize yields -inf (infeasible-singular).
-    """
-    if field_magnitude < 0.0:
-        raise ValueError("field_magnitude must be non-negative")
-    worst = _worst_currents(
-        model, "fixed-field", field_magnitude, np.asarray(position, float)[None, :],
-        None, (0.0, 0.0), None,
-    )
-    return current_limit - float(worst[0])
 
 
 def workspace_map(

@@ -29,6 +29,7 @@ from emnav.magmodel import (
     actuation_matrix,
     pinv_rank,
 )
+from emnav.workspace import GridSpec, TaskSet, workspace_map
 
 _MU0_OVER_4PI = 1.0e-7
 
@@ -536,6 +537,15 @@ def torque_box_vertex_worst(pinv: np.ndarray, tau_bar: float) -> float:
         )
         worst = max(worst, float(np.max(np.abs(pinv @ vertex))))
     return worst
+
+
+def margin_at(model: ActuationModel, position, task: TaskSet,
+              current_limit: float, **kwargs) -> float:
+    """Feasibility margin of ``task`` at one position [A], through
+    ``workspace_map`` on a one-point grid; ``kwargs`` go to it."""
+    x, y, z = (float(v) for v in position)
+    grid = GridSpec(x=(x, x), y=(y, y), z=(z, z))
+    return float(workspace_map(model, task, grid, current_limit, **kwargs).fm[0])
 
 
 def torque_map_svd(

@@ -154,6 +154,8 @@ _TYPO_COIL_MODEL = {"name": "one", "coils": [
         (_two_step_base, ("include_force",), False, None),
         (_multi_torque_base, ("include_force",), False, None),
         (_field_base, ("include_force",), False, None),
+        # duration applies to torque_bias only.
+        (_simulate_base, ("disturbances", 0, "duration"), 0.05, "disturbances[0]"),
     ],
     ids=lambda v: json_path(v) if isinstance(v, tuple) else None,
 )

@@ -100,6 +100,10 @@ class TestConfigTypes:
             {"kind": "impulse", "time": -1.0, "magnitude": 1.0},
             {"kind": "impulse", "time": 1.0, "magnitude": 1.0, "channel": "gamma"},
             {"kind": "torque_bias", "time": 1.0, "magnitude": 1.0, "duration": 0.0},
+            # duration applies to torque_bias only.
+            {"kind": "impulse", "time": 1.0, "magnitude": 1.0, "duration": 0.5},
+            {"kind": "measurement_tilt", "time": 1.0, "magnitude": 1.0,
+             "duration": 0.5},
         ],
     )
     def test_disturbance_validation(self, kwargs):
@@ -389,6 +393,23 @@ class TestDisturbances:
         )
         # Bias gone after 0.6 s; both settle to the same equilibrium.
         assert abs(tr_bump.alpha[-1, 0] - tr_plain.alpha[-1, 0]) < 1e-4
+
+    def test_torque_bias_duration_ends_on_tick_grid(self):
+        # The window's end snaps to the tick grid as its start does: a bias
+        # of 0.05 s from 0.1 s acts on the same 10 ticks as a bias from 0.1 s
+        # cancelled by an opposite one from 0.15 s.
+        m = 2e-4
+        windowed = run_scenario(scenario_from_dict(base_torque_dict(
+            duration=0.4,
+            disturbances=[{"type": "torque_bias", "time": 0.1, "duration": 0.05,
+                           "magnitude": m}],
+        )))
+        paired = run_scenario(scenario_from_dict(base_torque_dict(
+            duration=0.4,
+            disturbances=[{"type": "torque_bias", "time": 0.1, "magnitude": m},
+                          {"type": "torque_bias", "time": 0.15, "magnitude": -m}],
+        )))
+        assert np.array_equal(windowed.alpha, paired.alpha)
 
     def test_measurement_tilt_takes_effect_at_event_tick(self):
         tr_plain, tr_bump = self.run_pair(

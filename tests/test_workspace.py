@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import composed_torque_map, torque_box_vertex_worst
+from helpers import composed_torque_map, margin_at, torque_box_vertex_worst
 
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
@@ -24,13 +24,13 @@ from emnav.workspace import (
     FeasibilityMap,
     GridSpec,
     TaskSet,
-    feasibility_margin_field,
-    feasibility_margin_torque,
+    _worst_currents,
     max_feasible_standoff,
     workspace_map,
 )
 
 SLED = PendulumParams(dipole_magnitude=2.0, magnet_offset=0.02)
+BOX = TaskSet("torque-box", tau_bar=0.002)
 # A single coil below the origin: rank 1 everywhere.
 ONE_COIL = ActuationModel(
     "one", (CoilSpec((0.0, 0.0, -0.2), (0.0, 0.0, 1.0), 50.0),)
@@ -117,30 +117,23 @@ class TestGridSpec:
 
 class TestTorqueMargin:
     def test_center_feasible(self, octomag):
-        fm = feasibility_margin_torque(
-            octomag, (0.0, 0.0, 0.0), params=SLED, tau_bar=0.002, current_limit=16.0
-        )
+        fm = margin_at(octomag, (0.0, 0.0, 0.0), BOX, 16.0, params=SLED)
         assert 0.0 < fm <= 16.0
 
     def test_tight_limit_infeasible(self, octomag):
-        fm = feasibility_margin_torque(
-            octomag, (0.0, 0.0, 0.0), params=SLED, tau_bar=0.002, current_limit=0.01
-        )
+        fm = margin_at(octomag, (0.0, 0.0, 0.0), BOX, 0.01, params=SLED)
         assert fm < 0.0
 
     def test_margin_affine_in_limit(self, octomag):
-        fm1 = feasibility_margin_torque(
-            octomag, (0.01, 0.02, 0.0), params=SLED, tau_bar=0.002, current_limit=16.0
-        )
-        fm2 = feasibility_margin_torque(
-            octomag, (0.01, 0.02, 0.0), params=SLED, tau_bar=0.002, current_limit=32.0
-        )
+        fm1 = margin_at(octomag, (0.01, 0.02, 0.0), BOX, 16.0, params=SLED)
+        fm2 = margin_at(octomag, (0.01, 0.02, 0.0), BOX, 32.0, params=SLED)
         assert fm2 - fm1 == pytest.approx(16.0, abs=1e-12)
 
     def test_rank_deficient_gives_minus_inf(self):
         one_coil = ONE_COIL
-        fm = feasibility_margin_torque(
-            one_coil, (0.0, 0.0, 0.0), params=SLED, tau_bar=0.001, current_limit=16.0
+        fm = margin_at(
+            one_coil, (0.0, 0.0, 0.0), TaskSet("torque-box", tau_bar=0.001), 16.0,
+            params=SLED,
         )
         assert fm == -math.inf
 
@@ -163,57 +156,47 @@ class TestTorqueMargin:
         assert sample_max <= vertex_max + 1e-12
 
     def test_orientation_changes_margin_smoothly(self, octomag):
-        fm0 = feasibility_margin_torque(
-            octomag, (0.0, 0.0, 0.0), params=SLED, tau_bar=0.002, current_limit=16.0
-        )
-        fm1 = feasibility_margin_torque(
-            octomag, (0.0, 0.0, 0.0), params=SLED, tau_bar=0.002, current_limit=16.0,
+        fm0 = margin_at(octomag, (0.0, 0.0, 0.0), BOX, 16.0, params=SLED)
+        fm1 = margin_at(
+            octomag, (0.0, 0.0, 0.0), BOX, 16.0, params=SLED,
             orientation=(0.05, -0.03),
         )
         assert fm1 == pytest.approx(fm0, rel=0.05)
         assert fm1 != fm0
 
 
+def field_task(magnitude: float) -> TaskSet:
+    return TaskSet("fixed-field", field_magnitude=magnitude)
+
+
 class TestFieldMargin:
     def test_zero_field_margin_is_limit(self, octomag):
-        fm = feasibility_margin_field(
-            octomag, (0.0, 0.0, 0.0), field_magnitude=0.0, current_limit=16.0
+        # TaskSet rejects a zero field, so this asks the margin kernel itself.
+        worst = _worst_currents(
+            octomag, "fixed-field", 0.0, np.zeros((1, 3)), None, (0.0, 0.0), None
         )
-        assert fm == 16.0
+        assert 16.0 - float(worst[0]) == 16.0
 
     def test_preset_calibration_center(self, octomag):
         # The 8-coil preset is tuned so ~15 A holds 65 mT at the center.
-        fm = feasibility_margin_field(
-            octomag, (0.0, 0.0, 0.0), field_magnitude=0.065, current_limit=16.0
-        )
+        fm = margin_at(octomag, (0.0, 0.0, 0.0), field_task(0.065), 16.0)
         assert fm == pytest.approx(1.0, abs=1e-9)
 
     def test_preset_calibration_navion(self, navion):
-        fm = feasibility_margin_field(
-            navion, (0.0, 0.0, 0.1), field_magnitude=0.025, current_limit=25.0
-        )
+        fm = margin_at(navion, (0.0, 0.0, 0.1), field_task(0.025), 25.0)
         assert fm == pytest.approx(0.0, abs=1e-9)
 
     def test_scale_covariance(self, navion):
         p = (0.0, 0.0, 0.13)
         limit = 25.0
-        fm1 = feasibility_margin_field(
-            navion, p, field_magnitude=0.025, current_limit=limit
-        )
+        fm1 = margin_at(navion, p, field_task(0.025), limit)
         for c in (0.5, 2.0, 3.7):
-            fmc = feasibility_margin_field(
-                navion, p, field_magnitude=c * 0.025, current_limit=limit
-            )
+            fmc = margin_at(navion, p, field_task(c * 0.025), limit)
             assert fmc == pytest.approx(limit - c * (limit - fm1), abs=1e-12)
 
     def test_monotone_decay_along_standoff_axis(self, navion):
         zs = np.arange(0.12, 0.5, 0.02)
-        fms = [
-            feasibility_margin_field(
-                navion, (0.0, 0.0, z), field_magnitude=0.025, current_limit=25.0
-            )
-            for z in zs
-        ]
+        fms = [margin_at(navion, (0.0, 0.0, z), field_task(0.025), 25.0) for z in zs]
         assert all(a > b for a, b in zip(fms, fms[1:]))
 
 
