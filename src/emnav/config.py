@@ -203,18 +203,6 @@ _STATE = ("alpha", "beta", "phi", "theta",
           "alpha_dot", "beta_dot", "phi_dot", "theta_dot")
 INITIAL = Section("initial-state", dict.fromkeys(_STATE, (NUMBER, 0.0)),
                   lambda **state: tuple(state[name] for name in _STATE))
-
-
-def _agent(controller, integral_windows, integral_windows_beta, **values):
-    # The beta channel's integral windows default to the alpha channel's
-    # (and its controller too, in sim._controller_for).
-    if integral_windows_beta is None:
-        integral_windows_beta = integral_windows
-    return AgentSetup(controller_alpha=controller,
-                      integral_windows_alpha=integral_windows,
-                      integral_windows_beta=integral_windows_beta, **values)
-
-
 AGENT = Section("agent", {
     "position": (Numbers(length=3), (0.0, 0.0, 0.0)),
     "initial": (INITIAL, {}),
@@ -223,10 +211,8 @@ AGENT = Section("agent", {
     "release_time": (NUMBER, 0.0),
     "setpoint": (SETPOINT, {}),
     "controller": (CONTROLLER, None),
-    "controller_beta": (CONTROLLER, None),
     "integral_windows": (ListOf(Numbers(length=2)), ()),
-    "integral_windows_beta": (ListOf(Numbers(length=2)), None),
-}, _agent)
+}, AgentSetup)
 DISTURBANCE = Section("disturbance", {
     "type": (STRING, REQUIRED),
     "time": (NUMBER, REQUIRED),

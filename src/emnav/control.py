@@ -1,9 +1,9 @@
 """Discrete-time LQR synthesis and decoupled LQRI control.
 
 The two tilt channels of a pivoted actuator are controlled independently:
-each channel runs its own state-feedback gain obtained from a discrete-time
-algebraic Riccati equation (DARE), plus an optional decoupled integral term
-on the tilt-angle error.  Velocities are estimated by backward differences of
+each channel runs its own controller, with the state-feedback gain obtained
+from a discrete-time algebraic Riccati equation (DARE), plus an optional
+decoupled integral term on the tilt-angle error.  Velocities are estimated by backward differences of
 the sampled angles, optionally smoothed by a single-pole low-pass.
 
 The DARE is solved by scipy's ``solve_discrete_are`` (the generalized
@@ -63,7 +63,7 @@ def dare_residual(
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Per-channel LQRI configuration.
+    """LQRI configuration of one agent; both its tilt channels use it.
 
     Attributes:
         q_diag: Diagonal state weights (length = plant state dimension).
@@ -143,18 +143,6 @@ def closed_loop_spectral_radius(sys: LinearSystem, k: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(sys.a_d - sys.b_d @ k))))
 
 
-def setpoint_state(alpha_sp: float, n_states: int) -> np.ndarray:
-    """Lift a tilt-angle setpoint to a full state-vector setpoint.
-
-    The companion states (the passive pendulum tilt, and all rates) are zero
-    at the tracked equilibrium: the balanced pendulum stays vertical
-    regardless of the actuator tilt.
-    """
-    x = np.zeros(n_states)
-    x[0] = alpha_sp
-    return x
-
-
 @dataclass(frozen=True)
 class IntegralSchedule:
     """Time windows in which the integral term accumulates.
@@ -183,7 +171,16 @@ class IntegralSchedule:
 
 
 class LqriController:
-    """Single-channel LQRI: u = K (x_sp − x) + integral term.
+    """One tilt channel's LQRI: u = K (x_sp − x) + integral term.
+
+    ``step`` takes the channel's measured actuator and pendulum angles and
+    estimates their rates by backward differences (``VelocityEstimator``,
+    smoothed as the config sets).  The gain's length gives the plant layout:
+    4 for (actuator, pendulum, actuator rate, pendulum rate), 2 for
+    (actuator, actuator rate) without a pendulum, whose angle is then
+    ignored.  The setpoint x_sp tracks the actuator angle and holds the
+    other states at zero: the balanced pendulum stays vertical whatever the
+    actuator tilt.
 
     The integral term is emitted first and accumulated after (rectangle
     rule), so a warm-started value is reproduced exactly at step 0, and a
@@ -202,22 +199,30 @@ class LqriController:
         self.schedule = schedule if schedule is not None else IntegralSchedule()
         self.integral_value = float(config.integral_warm_start)
         self.step_count = 0
+        self.attached = self.gain.shape[1] == 4
+        cutoff = config.velocity_filter_cutoff
+        self.vel_actuator = VelocityEstimator(config.sample_time, cutoff)
+        self.vel_pendulum = VelocityEstimator(config.sample_time, cutoff)
 
     @property
     def time(self) -> float:
         return self.step_count * self.config.sample_time
 
-    def step(self, state: np.ndarray, alpha_sp: float) -> float:
+    def step(self, actuator: float, pendulum: float, alpha_sp: float) -> float:
         """Advance one controller period and return the channel output."""
-        x = np.asarray(state, dtype=float)
-        n = self.gain.shape[1]
-        if x.shape != (n,):
-            raise ValueError(f"state has shape {x.shape}, gain expects ({n},)")
-        error = setpoint_state(alpha_sp, n) - x
+        rate_a = self.vel_actuator.push(actuator)
+        # 0.0 - x, not -x: a zero state gives a +0.0 error, so that a zero
+        # output is written as 0, not -0.
+        if self.attached:
+            rate_p = self.vel_pendulum.push(pendulum)
+            error = np.array([alpha_sp - actuator, 0.0 - pendulum,
+                              0.0 - rate_a, 0.0 - rate_p])
+        else:
+            error = np.array([alpha_sp - actuator, 0.0 - rate_a])
         output = float(self.gain[0] @ error) + self.integral_value
         cfg = self.config
         if cfg.integral_enabled and self.schedule.active(self.time):
-            self.integral_value += cfg.k_i * (alpha_sp - x[0]) * cfg.sample_time
+            self.integral_value += cfg.k_i * (alpha_sp - actuator) * cfg.sample_time
             if cfg.anti_windup_limit is not None:
                 limit = abs(cfg.anti_windup_limit)
                 self.integral_value = min(max(self.integral_value, -limit), limit)

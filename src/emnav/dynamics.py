@@ -338,71 +338,51 @@ def linearize(
     paradigm: str,
     b_mag: float = 0.0,
     sample_time: float = 0.005,
+    attached: bool = True,
 ) -> LinearSystem:
-    """Linearize the coupled plant about the upright equilibrium.
+    """Linearize the plant about the upright equilibrium.
 
-    State order: (alpha, phi, alpha_dot, phi_dot); single input (torque or
-    field angle depending on the paradigm).
+    State order: (alpha, phi, alpha_dot, phi_dot) with the pendulum
+    ``attached``, else (alpha, alpha_dot); single input (torque or field
+    angle depending on the paradigm).  For the actuator alone in the field
+    paradigm the stiffness entry is (eta g - |m||b|) / J: negative
+    stiffness, i.e. open-loop stability, requires |m||b| > eta g.
     """
     _check_paradigm(paradigm)
     if sample_time <= 0.0:
         raise ValueError("sample_time must be strictly positive")
     p = params
-    m_pend = p.pend_mass
-    mass = np.array(
-        [
-            [p.inertia + m_pend * p.arm_length**2, 0.5 * m_pend * p.arm_length * p.pend_length],
-            [0.5 * m_pend * p.arm_length * p.pend_length, 0.25 * m_pend * p.pend_length**2],
-        ]
-    )
-    stiff = np.diag(
-        [
-            (p.eta + m_pend * p.arm_length) * p.gravity,
-            m_pend * p.gravity * 0.5 * p.pend_length,
-        ]
-    )
-    if paradigm == "field":
-        mb = p.dipole_magnitude * b_mag
-        stiff[0, 0] -= mb
-        force = np.array([[mb], [0.0]])
+    field = paradigm == "field"
+    mb = p.dipole_magnitude * b_mag if field else 0.0
+    gain = mb if field else 1.0
+    if attached:
+        m_pend = p.pend_mass
+        half_mll = 0.5 * m_pend * p.arm_length * p.pend_length
+        mass = np.array(
+            [
+                [p.inertia + m_pend * p.arm_length**2, half_mll],
+                [half_mll, 0.25 * m_pend * p.pend_length**2],
+            ]
+        )
+        stiff = np.diag(
+            [
+                (p.eta + m_pend * p.arm_length) * p.gravity - mb,
+                m_pend * p.gravity * 0.5 * p.pend_length,
+            ]
+        )
+        mass_inv = np.linalg.inv(mass)
+        a = np.zeros((4, 4))
+        a[0:2, 2:4] = np.eye(2)
+        a[2:4, 0:2] = mass_inv @ stiff
+        a[2:4, 2:4] = -p.damping * mass_inv
+        b = np.zeros((4, 1))
+        b[2:4, :] = mass_inv @ np.array([[gain], [0.0]])
     else:
-        force = np.array([[1.0], [0.0]])
-
-    mass_inv = np.linalg.inv(mass)
-    a = np.zeros((4, 4))
-    a[0:2, 2:4] = np.eye(2)
-    a[2:4, 0:2] = mass_inv @ stiff
-    a[2:4, 2:4] = -p.damping * mass_inv
-    b = np.zeros((4, 1))
-    b[2:4, :] = mass_inv @ force
-
-    a_d, b_d = discretize(a, b, sample_time)
-    return LinearSystem(a=a, b=b, a_d=a_d, b_d=b_d, sample_time=sample_time)
-
-
-def linearize_actuator(
-    params: PendulumParams,
-    paradigm: str,
-    b_mag: float = 0.0,
-    sample_time: float = 0.005,
-) -> LinearSystem:
-    """Linearize the actuator-only plant (no pendulum) about upright.
-
-    State order: (alpha, alpha_dot).  For the field paradigm the stiffness
-    entry is (eta g - |m||b|) / J: negative stiffness, i.e. open-loop
-    stability, requires |m||b| > eta g.
-    """
-    _check_paradigm(paradigm)
-    p = params
-    if paradigm == "field":
-        mb = p.dipole_magnitude * b_mag
-        stiffness = p.eta * p.gravity - mb
-        gain = mb
-    else:
-        stiffness = p.eta * p.gravity
-        gain = 1.0
-    a = np.array([[0.0, 1.0], [stiffness / p.inertia, -p.damping / p.inertia]])
-    b = np.array([[0.0], [gain / p.inertia]])
+        # The actuator's mass matrix is J alone.  Divide by J: inverting a
+        # 1x1 matrix and multiplying can round the gains differently.
+        a = np.array([[0.0, 1.0], [(p.eta * p.gravity - mb) / p.inertia,
+                                   -p.damping / p.inertia]])
+        b = np.array([[0.0], [gain / p.inertia]])
     a_d, b_d = discretize(a, b, sample_time)
     return LinearSystem(a=a, b=b, a_d=a_d, b_d=b_d, sample_time=sample_time)
 
@@ -420,9 +400,8 @@ def finite_difference_linearization(
     equilibrium, with the beta channel at rest and zero field gradient.  The
     input is the generalized force on the actuator joint with zero field
     (torque paradigm), or the angle u of the field |b|·(sin u, 0, cos u)
-    (field paradigm).  Independent cross-check of :func:`linearize`
-    (``attached``) and :func:`linearize_actuator`; returns (A, B) in their
-    state order.
+    (field paradigm).  Independent cross-check of :func:`linearize`;
+    returns (A, B) in its state order.
     """
     _check_paradigm(paradigm)
     deriv = make_deriv(params, attached, params.dipole_magnitude)

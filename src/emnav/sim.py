@@ -1,10 +1,10 @@
 """Closed-loop zero-order-hold simulation of magnetically driven pendulums.
 
 Each controller tick: measure angles (with optional latency, tilt bias, and
-noise), estimate velocities by backward differences, evaluate the per-channel
-LQRI laws, allocate coil currents for the commanded task, clamp to the
-current limit, and integrate the plant across the tick with the first-order
-current-driver lag as the only inter-tick input variation.
+noise), evaluate the per-channel LQRI laws (each estimates its rates by
+backward differences), allocate coil currents for the commanded task, clamp
+to the current limit, and integrate the plant across the tick with the
+first-order current-driver lag as the only inter-tick input variation.
 
 The plant is driven physically: the applied currents produce a field and
 gradient at each (fixed) agent position, the dipole wrench and its lever-arm
@@ -48,7 +48,6 @@ from .control import (
     ControllerConfig,
     IntegralSchedule,
     LqriController,
-    VelocityEstimator,
     closed_loop_spectral_radius,
     dare_residual,
     lqr_gain,
@@ -57,7 +56,6 @@ from .dynamics import (
     PendulumParams,
     finite_difference_linearization,
     linearize,
-    linearize_actuator,
     make_tick,
 )
 from .export import write_csv
@@ -211,7 +209,9 @@ class AgentSetup:
 
     initial: state (alpha, beta, phi, theta, alpha_dot, beta_dot, phi_dot,
     theta_dot) [rad, rad/s]; the pendulum entries are ignored when
-    pendulum_attached is False.
+    pendulum_attached is False.  controller and integral_windows apply to
+    both tilt channels, each of which runs its own LqriController; a None
+    controller takes the default weights of the agent's plant.
     """
 
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -220,10 +220,8 @@ class AgentSetup:
     pendulum_attached: bool = True
     release_time: float = 0.0
     setpoint: SetpointSpec = field(default_factory=SetpointSpec)
-    controller_alpha: ControllerConfig | None = None
-    controller_beta: ControllerConfig | None = None
-    integral_windows_alpha: tuple[tuple[float, float], ...] = ()
-    integral_windows_beta: tuple[tuple[float, float], ...] = ()
+    controller: ControllerConfig | None = None
+    integral_windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         initial = tuple(float(v) for v in self.initial)
@@ -265,7 +263,8 @@ class Scenario:
                 f"duration x control_rate x agents is {agent_ticks:.6g} "
                 f"agent-ticks, more than the cap of {MAX_AGENT_TICKS}"
             )
-        if round(self.duration * self.emns.control_rate) < 1:
+        ticks = round(self.duration * self.emns.control_rate)
+        if ticks < 1:
             raise ValueError(
                 f"duration {self.duration:.6g} s is shorter than half a control "
                 f"tick at {self.emns.control_rate:.6g} Hz: the run would have "
@@ -307,11 +306,18 @@ class Scenario:
                 coil_offsets(self.model, pos[None, :])
             except SingularPositionError as exc:
                 raise ValueError(f"agent {idx}: {exc}") from exc
-        for ev in self.disturbances:
+        # A window starts at the first tick with t + 1e-12 >= time, so an
+        # event after the last tick would never start.
+        last_tick = (ticks - 1) * (1.0 / self.emns.control_rate)
+        for idx, ev in enumerate(self.disturbances):
             if ev.agent >= len(self.agents):
                 raise ValueError(f"disturbance references agent {ev.agent}")
-            if ev.time >= self.duration:
-                raise ValueError("disturbance time must fall inside duration")
+            if ev.time > last_tick + 1e-12:
+                raise ValueError(
+                    f"disturbances[{idx}] time {ev.time:.6g} s falls after the "
+                    f"last control tick of the {self.duration:.6g} s duration, "
+                    f"at {last_tick:.6g} s"
+                )
 
 
 @dataclass
@@ -385,27 +391,13 @@ _PER_AGENT = ("alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
               "outputs_alpha", "outputs_beta")
 
 
-def _default_controller(attached: bool, sample_time: float) -> ControllerConfig:
-    q = (20.0, 40.0, 1.0, 1.0) if attached else (20.0, 1.0)
-    return ControllerConfig(q_diag=q, sample_time=sample_time)
-
-
-def _controller_for(
-    setup: AgentSetup, channel: str, attached: bool, sample_time: float
-) -> ControllerConfig:
-    cfg = setup.controller_alpha if channel == "alpha" else setup.controller_beta
-    if cfg is None and channel == "beta":
-        cfg = setup.controller_alpha  # beta falls back to the alpha config
-    if cfg is None:
-        cfg = _default_controller(attached, sample_time)
-    if cfg.sample_time != sample_time:
-        cfg = replace(cfg, sample_time=sample_time)
-    if len(cfg.q_diag) != (4 if attached else 2):
-        raise ValueError(
-            f"controller q_diag length {len(cfg.q_diag)} does not match the "
-            f"{'4-state coupled' if attached else '2-state actuator'} plant"
-        )
-    return cfg
+def _controller_for(setup: AgentSetup, sample_time: float) -> ControllerConfig:
+    """The agent's controller config at the run's sample time; without one,
+    the default weights of its plant."""
+    if setup.controller is None:
+        q = (20.0, 40.0, 1.0, 1.0) if setup.pendulum_attached else (20.0, 1.0)
+        return ControllerConfig(q_diag=q, sample_time=sample_time)
+    return replace(setup.controller, sample_time=sample_time)
 
 
 def _initial_joint_state(setup: AgentSetup) -> tuple:
@@ -420,31 +412,6 @@ def _joint_angles(y: tuple, attached: bool) -> tuple[float, float, float, float]
     if attached:
         return y[0], y[4], y[1], y[5]
     return y[0], y[2], 0.0, 0.0
-
-
-class _ChannelController:
-    """A channel's LQRI plus its velocity estimators."""
-
-    def __init__(
-        self,
-        gain: np.ndarray,
-        cfg: ControllerConfig,
-        windows: tuple[tuple[float, float], ...],
-        attached: bool,
-    ) -> None:
-        self.lqri = LqriController(gain, cfg, IntegralSchedule(windows))
-        self.attached = attached
-        self.vel_actuator = VelocityEstimator(cfg.sample_time, cfg.velocity_filter_cutoff)
-        self.vel_pendulum = VelocityEstimator(cfg.sample_time, cfg.velocity_filter_cutoff)
-
-    def step(self, actuator_angle: float, pendulum_angle: float, sp: float) -> float:
-        rate_a = self.vel_actuator.push(actuator_angle)
-        if self.attached:
-            rate_p = self.vel_pendulum.push(pendulum_angle)
-            x = np.array([actuator_angle, pendulum_angle, rate_a, rate_p])
-        else:
-            x = np.array([actuator_angle, rate_a])
-        return self.lqri.step(x, sp)
 
 
 def run_scenario(scenario: Scenario) -> SimTrace:
@@ -471,17 +438,16 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     # --- synthesis ---------------------------------------------------------
     # Each distinct plant (pendulum attached or not) is linearized and
     # checked once, and each distinct (plant, q_diag, r_weight) solved once.
+    # An agent's two channels share its gain, each with its own controller.
     plants: dict[bool, tuple] = {}
     solutions: dict[tuple, tuple] = {}
     synthesis = []
-    controllers: list[dict[str, _ChannelController]] = []
+    controllers: list[tuple[LqriController, LqriController]] = []
     for a_idx, setup in enumerate(scenario.agents):
         attached = setup.pendulum_attached
         if attached not in plants:
-            sys = (linearize if attached else linearize_actuator)(
-                params, scenario.paradigm, b_mag=scenario.field_magnitude,
-                sample_time=h,
-            )
+            sys = linearize(params, scenario.paradigm, scenario.field_magnitude,
+                            h, attached)
             a_fd, b_fd = finite_difference_linearization(
                 params, scenario.paradigm, b_mag=scenario.field_magnitude,
                 attached=attached,
@@ -490,30 +456,30 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 max(np.max(np.abs(sys.a - a_fd)), np.max(np.abs(sys.b - b_fd)))
             ))
         sys, fd_match = plants[attached]
-        per_channel: dict[str, _ChannelController] = {}
-        for channel in CHANNELS:
-            cfg = _controller_for(setup, channel, attached, h)
-            key = (attached, cfg.q_diag, cfg.r_weight)
-            if key not in solutions:
-                gain, p = lqr_gain(sys, cfg)
-                q, r = np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
-                residual = dare_residual(p, sys.a_d, sys.b_d, q, r)
-                rho = closed_loop_spectral_radius(sys, gain)
-                solutions[key] = (gain, residual, rho)
-            gain, residual, rho = solutions[key]
-            windows = getattr(setup, f"integral_windows_{channel}")
-            per_channel[channel] = _ChannelController(gain, cfg, windows, attached)
-            synthesis.append(
-                {
-                    "agent": a_idx,
-                    "channel": channel,
-                    "gain": [float(v) for v in gain[0]],
-                    "dare_residual": float(residual),
-                    "spectral_radius": float(rho),
-                    "fd_linearization_match": fd_match,
-                }
-            )
-        controllers.append(per_channel)
+        cfg = _controller_for(setup, h)
+        key = (attached, cfg.q_diag, cfg.r_weight)
+        if key not in solutions:
+            gain, p = lqr_gain(sys, cfg)
+            q, r = np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
+            residual = dare_residual(p, sys.a_d, sys.b_d, q, r)
+            rho = closed_loop_spectral_radius(sys, gain)
+            solutions[key] = (gain, residual, rho)
+        gain, residual, rho = solutions[key]
+        schedule = IntegralSchedule(setup.integral_windows)
+        controllers.append(tuple(
+            LqriController(gain, cfg, schedule) for _ in CHANNELS
+        ))
+        synthesis += [
+            {
+                "agent": a_idx,
+                "channel": channel,
+                "gain": [float(v) for v in gain[0]],
+                "dare_residual": float(residual),
+                "spectral_radius": float(rho),
+                "fd_linearization_match": fd_match,
+            }
+            for channel in CHANNELS
+        ]
 
     # --- precomputation ----------------------------------------------------
     a_mats = [
@@ -607,8 +573,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 buf.popleft()
             m_al, m_be, m_ph, m_th = buf[0]
             sp_a, sp_b = setup.setpoint.value(t)
-            out_a = controllers[a_idx]["alpha"].step(m_al, m_ph, sp_a)
-            out_b = controllers[a_idx]["beta"].step(m_be, m_th, sp_b)
+            alpha_ctl, beta_ctl = controllers[a_idx]
+            out_a = alpha_ctl.step(m_al, m_ph, sp_a)
+            out_b = beta_ctl.step(m_be, m_th, sp_b)
             meas_agents.append(buf[0])
             outputs.append((out_a, out_b))
             for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
@@ -752,7 +719,6 @@ def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
     ticks = trace.t.shape[0]
     n_agents = trace.n_agents
     steady_from = int(0.75 * ticks)
-    last_quarter = slice(int(0.75 * ticks), None)
 
     err_a = trace.alpha - trace.alpha_sp
     err_b = trace.beta - trace.beta_sp
@@ -786,14 +752,12 @@ def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
         "metrics": {
             "settling_time": settling,
             "rms_tracking_last_quarter": rms_tracking,
-            "max_current": float(np.max(np.abs(trace.currents))) if ticks else 0.0,
+            "max_current": float(np.max(np.abs(trace.currents))),
             "steady_max_current": float(
-                np.max(np.abs(trace.currents[last_quarter]))
-            )
-            if ticks
-            else 0.0,
-            "max_allocation_residual": float(np.max(trace.residuals)) if ticks else 0.0,
-            "max_abs_alpha": float(np.max(np.abs(trace.alpha))) if ticks else 0.0,
+                np.max(np.abs(trace.currents[steady_from:]))
+            ),
+            "max_allocation_residual": float(np.max(trace.residuals)),
+            "max_abs_alpha": float(np.max(np.abs(trace.alpha))),
         },
         "synthesis": trace.synthesis,
         "failure": trace.failure,

@@ -156,13 +156,23 @@ _TYPO_COIL_MODEL = {"name": "one", "coils": [
         (_field_base, ("include_force",), False, None),
         # duration applies to torque_bias only.
         (_simulate_base, ("disturbances", 0, "duration"), 0.05, "disturbances[0]"),
+        # An event after the last tick (3.995 s of a 4 s run at 200 Hz)
+        # never starts.
+        (_simulate_base, ("disturbances", 0, "time"), 3.998, "disturbances[0]"),
+        # Keys since removed: an agent's controller and integral windows
+        # apply to both channels.
+        (_simulate_base, ("agents", 0, "controller_beta"),
+         {"q_diag": [20.0, 40.0, 1.0, 1.0]}, None),
+        (_simulate_base, ("agents", 0, "integral_windows_beta"), [[0.0, 1.0]],
+         None),
     ],
     ids=lambda v: json_path(v) if isinstance(v, tuple) else None,
 )
 def test_no_silent_coercion(tmp_path, capsys, nothing_runs, base, parts, value,
                             named):
     # Each of these used to exit 0: it ran a variant other than the one
-    # written, fell back to a default, or ran a strategy since removed.
+    # written, fell back to a default, ran a strategy since removed, or set
+    # a key since removed.
     config = base()
     set_at(config, parts, value)
     code = run(tmp_path, command_of(config), config)

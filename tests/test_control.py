@@ -25,7 +25,6 @@ from emnav.control import (
     dare_residual,
     dare_solve,
     lqr_gain,
-    setpoint_state,
 )
 from emnav.dynamics import LinearSystem, linearize
 
@@ -110,11 +109,11 @@ class TestLqrGain:
     def test_cheap_control_limit(self):
         # On a stable plant, tiny Q with huge R drives the gain to zero and
         # the closed-loop spectral radius to the open-loop one.
-        from emnav.dynamics import PendulumParams, linearize_actuator
+        from emnav.dynamics import PendulumParams
 
         stable_params = PendulumParams(eta=0.002, damping=0.005)
-        sys = linearize_actuator(stable_params, "field", b_mag=0.065,
-                                 sample_time=1 / 200)
+        sys = linearize(stable_params, "field", b_mag=0.065, sample_time=1 / 200,
+                        attached=False)
         cfg = ControllerConfig(q_diag=(1e-9, 1e-9), r_weight=1e9)
         k, _ = lqr_gain(sys, cfg)
         assert np.max(np.abs(k)) < 1e-6
@@ -185,15 +184,19 @@ class TestLqriController:
 
     def test_zero_error_zero_output(self):
         ctl = self.make()
-        assert ctl.step(np.array([0.3, 0.0]), 0.3) == 0.0
+        assert ctl.step(0.3, 0.0, 0.3) == 0.0
 
     def test_state_feedback_sign(self):
         ctl = self.make()
-        out = ctl.step(np.array([0.1, 0.0]), 0.0)
+        out = ctl.step(0.1, 0.0, 0.0)
         assert out == pytest.approx(2.0 * (-0.1))
 
-    def test_setpoint_lift(self):
-        np.testing.assert_allclose(setpoint_state(0.2, 4), [0.2, 0, 0, 0])
+    def test_companion_states_regulated_to_zero(self):
+        # With a pendulum, the setpoint tracks the actuator angle and holds
+        # the pendulum tilt and both rates at zero.
+        cfg = ControllerConfig(q_diag=(1.0,) * 4, sample_time=0.01)
+        ctl = LqriController(np.array([[2.0, 3.0, 0.5, 0.25]]), cfg)
+        assert ctl.step(0.2, 0.1, 0.2) == pytest.approx(-0.3)
 
     def test_rectangle_rule_integral(self):
         # K = 0, constant error e: output at t = T is exactly k_i * e * T.
@@ -208,18 +211,18 @@ class TestLqriController:
         out = 0.0
         steps = 200  # T = 2 s of accumulation before the final output
         for _ in range(steps + 1):
-            out = ctl.step(np.array([-e, 0.0]), 0.0)
+            out = ctl.step(-e, 0.0, 0.0)
         assert out == pytest.approx(0.7 * e * 2.0, abs=1e-12)
 
     def test_warm_start_reproduced_at_step_zero(self):
         ctl = self.make(k_i=0.5, integral_enabled=True, integral_warm_start=0.123)
-        out = ctl.step(np.array([0.0, 0.0]), 0.0)  # zero error
+        out = ctl.step(0.0, 0.0, 0.0)  # zero error
         assert out == 0.123
 
     def test_warm_start_without_enable_is_constant_bias(self):
         ctl = self.make(k_i=0.5, integral_enabled=False, integral_warm_start=0.2)
         for _ in range(50):
-            out = ctl.step(np.array([0.1, 0.0]), 0.1)  # zero tracking error
+            out = ctl.step(0.1, 0.0, 0.1)  # zero tracking error
         assert out == 0.2
 
     def test_schedule_freezes_integral(self):
@@ -230,27 +233,36 @@ class TestLqriController:
             np.zeros((1, 2)), cfg, schedule=IntegralSchedule(windows=((0.0, 2.0),))
         )
         for _ in range(400):  # 4 seconds, window covers the first 2
-            ctl.step(np.array([-0.1, 0.0]), 0.0)
+            ctl.step(-0.1, 0.0, 0.0)
         # Accumulation stopped at t = 2: integral = k_i * e * 2.
         assert ctl.integral_value == pytest.approx(1.0 * 0.1 * 2.0, abs=1e-12)
 
     def test_anti_windup_clamp(self):
         ctl = self.make(k_i=10.0, integral_enabled=True, anti_windup_limit=0.05)
         for _ in range(1000):
-            ctl.step(np.array([-1.0, 0.0]), 0.0)
+            ctl.step(-1.0, 0.0, 0.0)
         assert abs(ctl.integral_value) <= 0.05
 
     def test_deterministic(self):
-        seq = [np.array([0.01 * k, -0.005 * k]) for k in range(50)]
-        outs1 = [self.make(k_i=0.3, integral_enabled=True).step(s, 0.0) for s in seq]
-        outs2 = [self.make(k_i=0.3, integral_enabled=True).step(s, 0.0) for s in seq]
+        seq = [(0.01 * k, -0.005 * k) for k in range(50)]
+        ctl1 = self.make(k_i=0.3, integral_enabled=True)
+        ctl2 = self.make(k_i=0.3, integral_enabled=True)
+        outs1 = [ctl1.step(a, p, 0.0) for a, p in seq]
+        outs2 = [ctl2.step(a, p, 0.0) for a, p in seq]
         # Fresh controllers, identical inputs: bit-identical outputs.
         assert outs1 == outs2
 
-    def test_state_shape_check(self):
-        ctl = self.make()
-        with pytest.raises(ValueError):
-            ctl.step(np.zeros(4), 0.0)
+    def test_backward_difference_rates(self):
+        # The first step has no history (rates 0); the second sees the
+        # backward differences 0.01 / 0.01 s = 1 and 0.02 / 0.01 s = 2.
+        cfg = ControllerConfig(q_diag=(1.0,) * 4, sample_time=0.01)
+        ctl = LqriController(np.array([[0.0, 0.0, 1.0, 2.0]]), cfg)
+        assert ctl.step(0.0, 0.0, 0.0) == 0.0
+        assert ctl.step(0.01, 0.02, 0.0) == pytest.approx(-(1.0 + 2.0 * 2.0))
+        actuator_only = self.make()  # gain (2, 0.5) on (angle, rate)
+        actuator_only.step(0.0, 5.0, 0.0)
+        out = actuator_only.step(0.01, -5.0, 0.0)  # the pendulum is ignored
+        assert out == pytest.approx(2.0 * -0.01 + 0.5 * -1.0)
 
 
 class TestIntegralSchedule:

@@ -32,7 +32,6 @@ from emnav.dynamics import (
     discretize,
     finite_difference_linearization,
     linearize,
-    linearize_actuator,
     make_deriv,
     make_tick,
 )
@@ -253,7 +252,8 @@ class TestLinearization:
 
     @pytest.mark.parametrize("paradigm,b_mag", [("torque", 0.0), ("field", 0.065)])
     def test_actuator_matches_finite_differences(self, params, paradigm, b_mag):
-        sys = linearize_actuator(params, paradigm, b_mag=b_mag, sample_time=0.005)
+        sys = linearize(params, paradigm, b_mag=b_mag, sample_time=0.005,
+                        attached=False)
         a_fd, b_fd = finite_difference_linearization(
             params, paradigm, b_mag=b_mag, attached=False
         )
@@ -289,9 +289,9 @@ class TestLinearization:
 
     def test_actuator_field_stability_threshold(self):
         params = PendulumParams(eta=0.002, dipole_magnitude=0.5)
-        stable = linearize_actuator(params, "field", b_mag=0.065)
+        stable = linearize(params, "field", b_mag=0.065, attached=False)
         assert np.max(np.linalg.eigvals(stable.a).real) <= 1e-12
-        unstable = linearize_actuator(params, "field", b_mag=0.005)
+        unstable = linearize(params, "field", b_mag=0.005, attached=False)
         assert np.max(np.linalg.eigvals(unstable.a).real) > 0.0
 
     def test_linearize_rejects_bad_sample_time(self, params):
