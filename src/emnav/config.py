@@ -166,13 +166,13 @@ class Preset:
         return self.presets[value]
 
 
-def _fields(cls, skip: tuple = (), **kinds) -> dict:
-    """The table of dataclass ``cls``: each field but ``skip``, a ``NUMBER``
-    unless ``kinds`` names its kind, with the field's default."""
+def _fields(cls, **kinds) -> dict:
+    """The table of dataclass ``cls``: each field, a ``NUMBER`` unless
+    ``kinds`` names its kind, with the field's default."""
     return {
         f.name: (kinds.get(f.name, NUMBER),
                  REQUIRED if f.default is MISSING else f.default)
-        for f in fields(cls) if f.name not in skip
+        for f in fields(cls)
     }
 
 
@@ -191,9 +191,8 @@ PLANT = Section("plant", _fields(PendulumParams), PendulumParams)
 
 # --- emnav simulate ----------------------------------------------------------
 
-# The simulator sets each controller's sample_time from the control rate.
 CONTROLLER = Section("controller", _fields(
-    ControllerConfig, skip=("sample_time",), q_diag=Numbers(), integral_enabled=BOOL,
+    ControllerConfig, q_diag=Numbers(), integral_enabled=BOOL,
 ), ControllerConfig)
 SETPOINT = Section("setpoint", {
     "type": (STRING, "constant"),

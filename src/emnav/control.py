@@ -63,25 +63,24 @@ def dare_residual(
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """LQRI configuration of one agent; both its tilt channels use it.
+    """LQRI configuration of one agent; both its tilt channels use it.  The
+    controller period is the run's control tick, given to ``LqriController``.
 
     Attributes:
         q_diag: Diagonal state weights (length = plant state dimension).
         r_weight: Scalar input weight, > 0.
         k_i: Integral gain on the tilt-angle error [1/s].
-        sample_time: Controller period [s].
         integral_enabled: Whether the integral term accumulates at all.
         integral_warm_start: Initial value of the accumulated integral term
             (the stored output bias, reproduced exactly at the first step).
-        anti_windup_limit: Clamp on |integral term|; None disables clamping.
+        anti_windup_limit: Clamp (>= 0) on |integral term|; None: no clamp.
         velocity_filter_cutoff: Single-pole low-pass cutoff [Hz] for velocity
-            estimates; None disables filtering.
+            estimates, > 0; None disables filtering.
     """
 
     q_diag: tuple[float, ...] = (20.0, 40.0, 1.0, 1.0)
     r_weight: float = 1.0
     k_i: float = 0.0
-    sample_time: float = 1.0 / 200.0
     integral_enabled: bool = False
     integral_warm_start: float = 0.0
     anti_windup_limit: float | None = None
@@ -103,8 +102,11 @@ class ControllerConfig:
                 raise ValueError(f"{name} must be finite")
         if self.r_weight <= 0:
             raise ValueError("r_weight must be positive")
-        if self.sample_time <= 0:
-            raise ValueError("sample_time must be positive")
+        limit, cutoff = self.anti_windup_limit, self.velocity_filter_cutoff
+        if limit is not None and limit < 0:
+            raise ValueError(f"anti_windup_limit must be non-negative, got {limit}")
+        if cutoff is not None and cutoff <= 0:
+            raise ValueError(f"velocity_filter_cutoff must be positive, got {cutoff}")
 
 
 def lqr_gain(
@@ -143,73 +145,42 @@ def closed_loop_spectral_radius(sys: LinearSystem, k: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(sys.a_d - sys.b_d @ k))))
 
 
-@dataclass(frozen=True)
-class IntegralSchedule:
-    """Time windows in which the integral term accumulates.
-
-    Outside every window the integral value is frozen (held, not reset).
-    An empty window tuple means "always active".
-    """
-
-    windows: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        wins = tuple((float(a), float(b)) for a, b in self.windows)
-        prev_end = -math.inf
-        for start, end in wins:
-            if end <= start:
-                raise ValueError(f"window ({start}, {end}) is empty or reversed")
-            if start < prev_end:
-                raise ValueError("integral windows overlap or are out of order")
-            prev_end = end
-        object.__setattr__(self, "windows", wins)
-
-    def active(self, t: float) -> bool:
-        if not self.windows:
-            return True
-        return any(start <= t < end for start, end in self.windows)
-
-
 class LqriController:
     """One tilt channel's LQRI: u = K (x_sp − x) + integral term.
 
     ``step`` takes the channel's measured actuator and pendulum angles and
-    estimates their rates by backward differences (``VelocityEstimator``,
-    smoothed as the config sets).  The gain's length gives the plant layout:
-    4 for (actuator, pendulum, actuator rate, pendulum rate), 2 for
-    (actuator, actuator rate) without a pendulum, whose angle is then
-    ignored.  The setpoint x_sp tracks the actuator angle and holds the
-    other states at zero: the balanced pendulum stays vertical whatever the
-    actuator tilt.
+    estimates their rates by backward differences over ``sample_time`` (the
+    run's control tick; ``VelocityEstimator``, smoothed as the config sets).
+    The gain's length gives the plant layout: 4 for (actuator, pendulum,
+    actuator rate, pendulum rate), 2 for (actuator, actuator rate) without
+    a pendulum, whose angle is then ignored.  The setpoint x_sp tracks the
+    actuator angle and holds the other states at zero: the balanced pendulum
+    stays vertical whatever the actuator tilt.
 
-    The integral term is emitted first and accumulated after (rectangle
-    rule), so a warm-started value is reproduced exactly at step 0, and a
-    constant error e held for T seconds contributes exactly k_i·e·T to the
-    output at t = T.
+    The controller keeps no clock: each step's ``integrate`` says whether
+    the integral term accumulates; else it is held, not reset.  It is
+    emitted first and accumulated after (rectangle rule), so a warm-started
+    value is reproduced exactly at step 0, and a constant error e over n
+    accumulating steps contributes exactly k_i·e·n·sample_time after them.
     """
 
     def __init__(
-        self,
-        gain: np.ndarray,
-        config: ControllerConfig,
-        schedule: IntegralSchedule | None = None,
+        self, gain: np.ndarray, config: ControllerConfig, sample_time: float
     ) -> None:
         self.gain = np.atleast_2d(np.asarray(gain, dtype=float))
         self.config = config
-        self.schedule = schedule if schedule is not None else IntegralSchedule()
+        self.sample_time = sample_time
         self.integral_value = float(config.integral_warm_start)
-        self.step_count = 0
         self.attached = self.gain.shape[1] == 4
         cutoff = config.velocity_filter_cutoff
-        self.vel_actuator = VelocityEstimator(config.sample_time, cutoff)
-        self.vel_pendulum = VelocityEstimator(config.sample_time, cutoff)
+        self.vel_actuator = VelocityEstimator(sample_time, cutoff)
+        self.vel_pendulum = VelocityEstimator(sample_time, cutoff)
 
-    @property
-    def time(self) -> float:
-        return self.step_count * self.config.sample_time
-
-    def step(self, actuator: float, pendulum: float, alpha_sp: float) -> float:
-        """Advance one controller period and return the channel output."""
+    def step(
+        self, actuator: float, pendulum: float, alpha_sp: float, integrate: bool
+    ) -> float:
+        """Advance one controller period and return the channel output; the
+        integral accumulates if ``integrate`` and the config enables it."""
         rate_a = self.vel_actuator.push(actuator)
         # 0.0 - x, not -x: a zero state gives a +0.0 error, so that a zero
         # output is written as 0, not -0.
@@ -221,12 +192,11 @@ class LqriController:
             error = np.array([alpha_sp - actuator, 0.0 - rate_a])
         output = float(self.gain[0] @ error) + self.integral_value
         cfg = self.config
-        if cfg.integral_enabled and self.schedule.active(self.time):
-            self.integral_value += cfg.k_i * (alpha_sp - actuator) * cfg.sample_time
-            if cfg.anti_windup_limit is not None:
-                limit = abs(cfg.anti_windup_limit)
+        if integrate and cfg.integral_enabled:
+            self.integral_value += cfg.k_i * (alpha_sp - actuator) * self.sample_time
+            limit = cfg.anti_windup_limit
+            if limit is not None:
                 self.integral_value = min(max(self.integral_value, -limit), limit)
-        self.step_count += 1
         return output
 
 

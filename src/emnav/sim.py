@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ from . import alloc
 from .alloc import FieldCommand, RankDeficiencyError
 from .control import (
     ControllerConfig,
-    IntegralSchedule,
     LqriController,
     closed_loop_spectral_radius,
     dare_residual,
@@ -100,6 +99,17 @@ MULTI_STRATEGIES_BY_PARADIGM = {
 }
 
 
+def _first_tick(time: float, h: float) -> int:
+    """The tick at which every scheduled time takes effect: the first k with
+    k * h + 1e-12 >= ``time``, from the k * h the tick loop computes (so
+    0.925 s is tick 111 at 120 Hz, though 111 / 120 rounds below it).  A
+    time past ``MAX_AGENT_TICKS`` ticks maps past every run's last tick."""
+    k = math.ceil(min(max(time - 1e-12, 0.0) / h, MAX_AGENT_TICKS + 1))
+    if k > 0 and (k - 1) * h + 1e-12 >= time:
+        return k - 1
+    return k if k * h + 1e-12 >= time else k + 1
+
+
 @dataclass(frozen=True)
 class EmnsConfig:
     """Electromagnetic-navigation-system interface characteristics.
@@ -144,6 +154,7 @@ class SetpointSpec:
 
     "constant" holds (alpha, beta); "circle" traces
     alpha = radius cos(2 pi f t + phase), beta = radius sin(2 pi f t + phase).
+    A nonzero value of a key that the kind does not read is rejected.
     """
 
     kind: str = "constant"
@@ -156,6 +167,12 @@ class SetpointSpec:
     def __post_init__(self) -> None:
         if self.kind not in SETPOINT_KINDS:
             raise ValueError(f"setpoint kind must be one of {SETPOINT_KINDS}")
+        unread = (("alpha", "beta") if self.kind == "circle"
+                  else ("radius", "frequency", "phase"))
+        for name in unread:
+            if getattr(self, name) != 0.0:
+                raise ValueError(f"{name} does not apply to a '{self.kind}' "
+                                 f"setpoint, got {getattr(self, name)}")
 
     def value(self, t: float) -> tuple[float, float]:
         if self.kind == "constant":
@@ -168,10 +185,11 @@ class SetpointSpec:
 class DisturbanceEvent:
     """A scheduled disturbance, snapped to the controller tick grid.
 
-    Each window starts at the first tick with t + 1e-12 >= `time`; a
-    `torque_bias` with a `duration` ends at the first tick with
-    t + 1e-12 >= `time` + `duration`.  `duration` applies to `torque_bias`
-    only.
+    Each window starts at the first tick with t + 1e-12 >= `time`
+    (``_first_tick``); a `torque_bias` with a `duration` ends at the first
+    tick with t + 1e-12 >= `time` + `duration`.  `duration` applies to
+    `torque_bias` only.  A `time` after the last tick of the scenario is
+    rejected, since the window would never start.
 
     kinds:
         impulse: adds `magnitude` [rad/s] to the channel's actuator rate at
@@ -211,7 +229,9 @@ class AgentSetup:
     theta_dot) [rad, rad/s]; the pendulum entries are ignored when
     pendulum_attached is False.  controller and integral_windows apply to
     both tilt channels, each of which runs its own LqriController; a None
-    controller takes the default weights of the agent's plant.
+    controller takes the default weights of the agent's plant.  The integral
+    term accumulates only in integral_windows (ordered, disjoint [start, end)
+    in seconds; none means always).
     """
 
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -232,6 +252,13 @@ class AgentSetup:
             raise ValueError("polarity must be +1 or -1")
         if self.release_time < 0:
             raise ValueError("release_time must be non-negative")
+        prev_end = -math.inf
+        for start, end in self.integral_windows:
+            if end <= start:
+                raise ValueError(f"window ({start}, {end}) is empty or reversed")
+            if start < prev_end:
+                raise ValueError("integral windows overlap or are out of order")
+            prev_end = end
 
 
 @dataclass(frozen=True)
@@ -306,17 +333,22 @@ class Scenario:
                 coil_offsets(self.model, pos[None, :])
             except SingularPositionError as exc:
                 raise ValueError(f"agent {idx}: {exc}") from exc
-        # A window starts at the first tick with t + 1e-12 >= time, so an
-        # event after the last tick would never start.
-        last_tick = (ticks - 1) * (1.0 / self.emns.control_rate)
+        times = []  # scheduled times, which must not fall after the last tick
         for idx, ev in enumerate(self.disturbances):
             if ev.agent >= len(self.agents):
                 raise ValueError(f"disturbance references agent {ev.agent}")
-            if ev.time > last_tick + 1e-12:
+            times.append((f"disturbances[{idx}] time", ev.time))
+        for idx, agent in enumerate(self.agents):
+            times.append((f"agents[{idx}].release_time", agent.release_time))
+            times += [(f"agents[{idx}].integral_windows[{j}] start", start)
+                      for j, (start, _) in enumerate(agent.integral_windows)]
+        h = 1.0 / self.emns.control_rate
+        for name, time in times:
+            if _first_tick(time, h) >= ticks:
                 raise ValueError(
-                    f"disturbances[{idx}] time {ev.time:.6g} s falls after the "
-                    f"last control tick of the {self.duration:.6g} s duration, "
-                    f"at {last_tick:.6g} s"
+                    f"{name} {time:.6g} s falls after the last control tick "
+                    f"of the {self.duration:.6g} s duration, at "
+                    f"{(ticks - 1) * h:.6g} s"
                 )
 
 
@@ -391,15 +423,6 @@ _PER_AGENT = ("alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
               "outputs_alpha", "outputs_beta")
 
 
-def _controller_for(setup: AgentSetup, sample_time: float) -> ControllerConfig:
-    """The agent's controller config at the run's sample time; without one,
-    the default weights of its plant."""
-    if setup.controller is None:
-        q = (20.0, 40.0, 1.0, 1.0) if setup.pendulum_attached else (20.0, 1.0)
-        return ControllerConfig(q_diag=q, sample_time=sample_time)
-    return replace(setup.controller, sample_time=sample_time)
-
-
 def _initial_joint_state(setup: AgentSetup) -> tuple:
     a0, b0, ph0, th0, ad0, bd0, phd0, thd0 = setup.initial
     if setup.pendulum_attached:
@@ -456,7 +479,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 max(np.max(np.abs(sys.a - a_fd)), np.max(np.abs(sys.b - b_fd)))
             ))
         sys, fd_match = plants[attached]
-        cfg = _controller_for(setup, h)
+        cfg = setup.controller or ControllerConfig(
+            q_diag=(20.0, 40.0, 1.0, 1.0) if attached else (20.0, 1.0))
         key = (attached, cfg.q_diag, cfg.r_weight)
         if key not in solutions:
             gain, p = lqr_gain(sys, cfg)
@@ -465,10 +489,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             rho = closed_loop_spectral_radius(sys, gain)
             solutions[key] = (gain, residual, rho)
         gain, residual, rho = solutions[key]
-        schedule = IntegralSchedule(setup.integral_windows)
-        controllers.append(tuple(
-            LqriController(gain, cfg, schedule) for _ in CHANNELS
-        ))
+        controllers.append(tuple(LqriController(gain, cfg, h) for _ in CHANNELS))
         synthesis += [
             {
                 "agent": a_idx,
@@ -507,17 +528,31 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         decay_end = 0.0
     limit = emns.current_limit
 
-    # --- event handling ----------------------------------------------------
-    impulses = [ev for ev in scenario.disturbances if ev.kind == "impulse"]
+    # --- schedule: every scheduled time as a tick index ---------------------
+    # Each event holds over ticks k0 <= k < k1; an impulse fires at k0 only.
+    events = []
+    for ev in scenario.disturbances:
+        k0 = _first_tick(ev.time, h)
+        if ev.kind == "impulse":
+            k1 = k0 + 1
+        elif ev.duration is None:
+            k1 = ticks
+        else:
+            k1 = _first_tick(ev.time + ev.duration, h)
+        events.append((ev, k0, k1))
+    release_ticks = [_first_tick(s.release_time, h) for s in scenario.agents]
+    integral_spans = [
+        tuple((_first_tick(a, h), _first_tick(b, h)) for a, b in s.integral_windows)
+        for s in scenario.agents
+    ]
 
-    def in_force(kind: str, agent: int, channel: str, t: float) -> float:
-        # Summed magnitude of the events of `kind` on (agent, channel) whose
-        # window holds the tick at t; see DisturbanceEvent for the rule.
+    def in_force(kind: str, agent: int, channel: str, k: int) -> float:
+        # Summed magnitude, in event order, of the events of `kind` on
+        # (agent, channel) whose window holds tick k.
         total = 0.0
-        for ev in scenario.disturbances:
+        for ev, k0, k1 in events:
             if (ev.kind == kind and ev.agent == agent and ev.channel == channel
-                    and t + 1e-12 >= ev.time
-                    and (ev.duration is None or t + 1e-12 < ev.time + ev.duration)):
+                    and k0 <= k < k1):
                 total += ev.magnitude
         return total
 
@@ -542,10 +577,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         t = k * h
         tr["t"][k] = t
 
-        # Impulses at the first tick of their window; (k - 1) * h is the
-        # previous tick's time, computed as it was on that tick.
-        for ev in impulses:
-            if (k - 1) * h + 1e-12 < ev.time <= t + 1e-12:
+        for ev, k0, _ in events:
+            if ev.kind == "impulse" and k == k0:
                 y = list(states[ev.agent])
                 attached = scenario.agents[ev.agent].pendulum_attached
                 if ev.channel == "alpha":
@@ -561,8 +594,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         outputs = []
         for a_idx, setup in enumerate(scenario.agents):
             angles = _joint_angles(states[a_idx], setup.pendulum_attached)
-            tilt_a = in_force("measurement_tilt", a_idx, "alpha", t)
-            tilt_b = in_force("measurement_tilt", a_idx, "beta", t)
+            tilt_a = in_force("measurement_tilt", a_idx, "alpha", k)
+            tilt_b = in_force("measurement_tilt", a_idx, "beta", k)
             al, be, ph, th = angles
             meas = [al + tilt_a, be + tilt_b, ph + tilt_a, th + tilt_b]
             if noise_std > 0.0:
@@ -573,9 +606,11 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 buf.popleft()
             m_al, m_be, m_ph, m_th = buf[0]
             sp_a, sp_b = setup.setpoint.value(t)
+            spans = integral_spans[a_idx]
+            integrate = not spans or any(k0 <= k < k1 for k0, k1 in spans)
             alpha_ctl, beta_ctl = controllers[a_idx]
-            out_a = alpha_ctl.step(m_al, m_ph, sp_a)
-            out_b = beta_ctl.step(m_be, m_th, sp_b)
+            out_a = alpha_ctl.step(m_al, m_ph, sp_a, integrate)
+            out_b = beta_ctl.step(m_be, m_th, sp_b, integrate)
             meas_agents.append(buf[0])
             outputs.append((out_a, out_b))
             for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
@@ -602,7 +637,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
         # Integrate each agent's plant across the tick.
         for a_idx, setup in enumerate(scenario.agents):
-            if t + h <= setup.release_time + 1e-12:
+            if k < release_ticks[a_idx]:
                 continue  # still held at its initial pose
             b_grid = (a_field_rows[a_idx] @ i_grid).T.tolist()
             g_grid = (a_grad_rows[a_idx] @ i_grid).T.tolist()
@@ -613,8 +648,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                     dt,
                     b_grid,
                     g_grid,
-                    in_force("torque_bias", a_idx, "alpha", t),
-                    in_force("torque_bias", a_idx, "beta", t),
+                    in_force("torque_bias", a_idx, "alpha", k),
+                    in_force("torque_bias", a_idx, "beta", k),
                 )
             except (OverflowError, ValueError) as exc:
                 error = f"plant diverged: {type(exc).__name__}: {exc}"

@@ -165,6 +165,30 @@ _TYPO_COIL_MODEL = {"name": "one", "coils": [
          {"q_diag": [20.0, 40.0, 1.0, 1.0]}, None),
         (_simulate_base, ("agents", 0, "integral_windows_beta"), [[0.0, 1.0]],
          None),
+        # Controller values that were coerced: a negative cutoff made the
+        # low-pass gain negative, a zero cutoff ran no filter, and a negative
+        # windup limit ran as its absolute value.
+        (_simulate_base, ("agents", 0, "controller", "velocity_filter_cutoff"),
+         -50.0, "agents[0].controller: velocity_filter_cutoff"),
+        (_simulate_base, ("agents", 0, "controller", "velocity_filter_cutoff"),
+         0.0, "agents[0].controller: velocity_filter_cutoff"),
+        (_simulate_base, ("agents", 0, "controller", "anti_windup_limit"),
+         -0.05, "agents[0].controller: anti_windup_limit"),
+        # Setpoint keys that the setpoint's type does not read.
+        (_simulate_base, ("agents", 0, "setpoint", "radius"), 0.05,
+         "agents[0].setpoint: radius"),
+        (_multi_torque_base, ("agents", 0, "setpoint", "alpha"), 0.1,
+         "agents[0].setpoint: alpha"),
+        # A release or an integral window after the last tick never starts.
+        (_simulate_base, ("agents", 0, "release_time"), 3.998, None),
+        (_simulate_base, ("agents", 0, "integral_windows"), [[3.998, 5.0]],
+         "agents[0].integral_windows[0]"),
+        # Overlapping and reversed integral windows are rejected with their
+        # agent.
+        (_simulate_base, ("agents", 0, "integral_windows"),
+         [[0.0, 2.0], [1.0, 3.0]], "agents[0]"),
+        (_simulate_base, ("agents", 0, "integral_windows"), [[2.0, 1.0]],
+         "agents[0]"),
     ],
     ids=lambda v: json_path(v) if isinstance(v, tuple) else None,
 )

@@ -17,7 +17,6 @@ import pytest
 
 from emnav.control import (
     ControllerConfig,
-    IntegralSchedule,
     LqriController,
     SynthesisError,
     VelocityEstimator,
@@ -127,7 +126,7 @@ class TestLqrGain:
         norms = []
         for rate in (50.0, 100.0, 200.0):
             sys = linearize(params, "torque", sample_time=1.0 / rate)
-            k, _ = lqr_gain(sys, ControllerConfig(sample_time=1.0 / rate))
+            k, _ = lqr_gain(sys, ControllerConfig())
             norms.append(np.max(np.abs(k)))
         assert norms[0] < norms[1] < norms[2]
 
@@ -152,8 +151,11 @@ class TestLqrGain:
             ControllerConfig(q_diag=(0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             ControllerConfig(r_weight=0.0)
-        with pytest.raises(ValueError):
-            ControllerConfig(sample_time=-0.01)
+        # The sample time is the run's control tick, which the controller
+        # takes; its rate estimators reject a non-positive one.
+        with pytest.raises(ValueError, match="dt must be positive"):
+            LqriController(np.zeros((1, 2)), ControllerConfig(q_diag=(1.0, 1.0)),
+                           -0.01)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -176,114 +178,82 @@ class TestLqrGain:
 
 class TestLqriController:
     def make(self, **cfg_kwargs):
-        cfg = ControllerConfig(
-            q_diag=(1.0, 1.0), sample_time=0.01, **cfg_kwargs
-        )
+        cfg = ControllerConfig(q_diag=(1.0, 1.0), **cfg_kwargs)
         gain = np.array([[2.0, 0.5]])
-        return LqriController(gain, cfg)
+        return LqriController(gain, cfg, 0.01)
 
     def test_zero_error_zero_output(self):
         ctl = self.make()
-        assert ctl.step(0.3, 0.0, 0.3) == 0.0
+        assert ctl.step(0.3, 0.0, 0.3, True) == 0.0
 
     def test_state_feedback_sign(self):
         ctl = self.make()
-        out = ctl.step(0.1, 0.0, 0.0)
+        out = ctl.step(0.1, 0.0, 0.0, True)
         assert out == pytest.approx(2.0 * (-0.1))
 
     def test_companion_states_regulated_to_zero(self):
         # With a pendulum, the setpoint tracks the actuator angle and holds
         # the pendulum tilt and both rates at zero.
-        cfg = ControllerConfig(q_diag=(1.0,) * 4, sample_time=0.01)
-        ctl = LqriController(np.array([[2.0, 3.0, 0.5, 0.25]]), cfg)
-        assert ctl.step(0.2, 0.1, 0.2) == pytest.approx(-0.3)
+        cfg = ControllerConfig(q_diag=(1.0,) * 4)
+        ctl = LqriController(np.array([[2.0, 3.0, 0.5, 0.25]]), cfg, 0.01)
+        assert ctl.step(0.2, 0.1, 0.2, True) == pytest.approx(-0.3)
 
     def test_rectangle_rule_integral(self):
         # K = 0, constant error e: output at t = T is exactly k_i * e * T.
-        cfg = ControllerConfig(
-            q_diag=(1.0, 1.0),
-            sample_time=0.01,
-            k_i=0.7,
-            integral_enabled=True,
-        )
-        ctl = LqriController(np.zeros((1, 2)), cfg)
+        cfg = ControllerConfig(q_diag=(1.0, 1.0), k_i=0.7, integral_enabled=True)
+        ctl = LqriController(np.zeros((1, 2)), cfg, 0.01)
         e = 0.05
         out = 0.0
         steps = 200  # T = 2 s of accumulation before the final output
         for _ in range(steps + 1):
-            out = ctl.step(-e, 0.0, 0.0)
+            out = ctl.step(-e, 0.0, 0.0, True)
         assert out == pytest.approx(0.7 * e * 2.0, abs=1e-12)
 
     def test_warm_start_reproduced_at_step_zero(self):
         ctl = self.make(k_i=0.5, integral_enabled=True, integral_warm_start=0.123)
-        out = ctl.step(0.0, 0.0, 0.0)  # zero error
+        out = ctl.step(0.0, 0.0, 0.0, True)  # zero error
         assert out == 0.123
 
     def test_warm_start_without_enable_is_constant_bias(self):
         ctl = self.make(k_i=0.5, integral_enabled=False, integral_warm_start=0.2)
         for _ in range(50):
-            out = ctl.step(0.1, 0.0, 0.1)  # zero tracking error
+            out = ctl.step(0.1, 0.0, 0.1, True)  # zero tracking error
         assert out == 0.2
 
     def test_schedule_freezes_integral(self):
-        cfg = ControllerConfig(
-            q_diag=(1.0, 1.0), sample_time=0.01, k_i=1.0, integral_enabled=True
-        )
-        ctl = LqriController(
-            np.zeros((1, 2)), cfg, schedule=IntegralSchedule(windows=((0.0, 2.0),))
-        )
-        for _ in range(400):  # 4 seconds, window covers the first 2
-            ctl.step(-0.1, 0.0, 0.0)
+        cfg = ControllerConfig(q_diag=(1.0, 1.0), k_i=1.0, integral_enabled=True)
+        ctl = LqriController(np.zeros((1, 2)), cfg, 0.01)
+        for k in range(400):  # 4 seconds, window covers the first 2
+            ctl.step(-0.1, 0.0, 0.0, k < 200)
         # Accumulation stopped at t = 2: integral = k_i * e * 2.
         assert ctl.integral_value == pytest.approx(1.0 * 0.1 * 2.0, abs=1e-12)
 
     def test_anti_windup_clamp(self):
         ctl = self.make(k_i=10.0, integral_enabled=True, anti_windup_limit=0.05)
         for _ in range(1000):
-            ctl.step(-1.0, 0.0, 0.0)
+            ctl.step(-1.0, 0.0, 0.0, True)
         assert abs(ctl.integral_value) <= 0.05
 
     def test_deterministic(self):
         seq = [(0.01 * k, -0.005 * k) for k in range(50)]
         ctl1 = self.make(k_i=0.3, integral_enabled=True)
         ctl2 = self.make(k_i=0.3, integral_enabled=True)
-        outs1 = [ctl1.step(a, p, 0.0) for a, p in seq]
-        outs2 = [ctl2.step(a, p, 0.0) for a, p in seq]
+        outs1 = [ctl1.step(a, p, 0.0, True) for a, p in seq]
+        outs2 = [ctl2.step(a, p, 0.0, True) for a, p in seq]
         # Fresh controllers, identical inputs: bit-identical outputs.
         assert outs1 == outs2
 
     def test_backward_difference_rates(self):
         # The first step has no history (rates 0); the second sees the
         # backward differences 0.01 / 0.01 s = 1 and 0.02 / 0.01 s = 2.
-        cfg = ControllerConfig(q_diag=(1.0,) * 4, sample_time=0.01)
-        ctl = LqriController(np.array([[0.0, 0.0, 1.0, 2.0]]), cfg)
-        assert ctl.step(0.0, 0.0, 0.0) == 0.0
-        assert ctl.step(0.01, 0.02, 0.0) == pytest.approx(-(1.0 + 2.0 * 2.0))
+        cfg = ControllerConfig(q_diag=(1.0,) * 4)
+        ctl = LqriController(np.array([[0.0, 0.0, 1.0, 2.0]]), cfg, 0.01)
+        assert ctl.step(0.0, 0.0, 0.0, True) == 0.0
+        assert ctl.step(0.01, 0.02, 0.0, True) == pytest.approx(-(1.0 + 2.0 * 2.0))
         actuator_only = self.make()  # gain (2, 0.5) on (angle, rate)
-        actuator_only.step(0.0, 5.0, 0.0)
-        out = actuator_only.step(0.01, -5.0, 0.0)  # the pendulum is ignored
+        actuator_only.step(0.0, 5.0, 0.0, True)
+        out = actuator_only.step(0.01, -5.0, 0.0, True)  # the pendulum is ignored
         assert out == pytest.approx(2.0 * -0.01 + 0.5 * -1.0)
-
-
-class TestIntegralSchedule:
-    def test_empty_always_active(self):
-        sched = IntegralSchedule()
-        assert sched.active(0.0) and sched.active(1e6)
-
-    def test_window_membership(self):
-        sched = IntegralSchedule(windows=((1.0, 2.0), (3.0, 4.0)))
-        assert not sched.active(0.5)
-        assert sched.active(1.0)
-        assert not sched.active(2.0)  # half-open interval
-        assert sched.active(3.5)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            IntegralSchedule(windows=((0.0, 2.0), (1.0, 3.0)))
-
-    def test_reversed_rejected(self):
-        with pytest.raises(ValueError):
-            IntegralSchedule(windows=((2.0, 1.0),))
 
 
 class TestVelocityEstimation:

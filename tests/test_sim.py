@@ -440,6 +440,84 @@ class TestDisturbances:
         assert tr.alpha[-1, 0] == pytest.approx(-tilt, rel=0.05)
 
 
+class TestTickRule:
+    """Every scheduled time takes effect on the tick ``sim._first_tick``
+    gives: the first k with k * h + 1e-12 >= time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(time=st.floats(0.0, 30.0),
+           rate=st.sampled_from([7.0, 120.0, 125.0, 200.0, 1000.0]))
+    def test_first_tick_is_first_tick_past_time(self, time, rate):
+        h = 1.0 / rate
+        k = sim._first_tick(time, h)
+        assert k * h + 1e-12 >= time
+        assert k == 0 or (k - 1) * h + 1e-12 < time
+
+    def test_on_grid_time_keeps_its_tick(self):
+        # 111 / 120 rounds to 0.92499...: the snap keeps 0.925 s on tick 111.
+        assert 111 * (1.0 / 120.0) < 0.925
+        assert sim._first_tick(0.925, 1.0 / 120.0) == 111
+
+    def test_time_past_every_run_maps_past_its_last_tick(self):
+        # An open-ended or very long window ends after every run, without
+        # the overflow of a float tick count.
+        for time in (1e308, math.inf):
+            assert sim._first_tick(time, 0.005) > sim.MAX_AGENT_TICKS
+
+    def test_integral_window_membership_is_half_open(self):
+        # Windows [1, 2) and [3, 4) s at 100 Hz hold ticks [100, 200) and
+        # [300, 400).
+        h = 0.01
+        spans = [(sim._first_tick(a, h), sim._first_tick(b, h))
+                 for a, b in ((1.0, 2.0), (3.0, 4.0))]
+
+        def active(t):
+            k = sim._first_tick(t, h)
+            return any(k0 <= k < k1 for k0, k1 in spans)
+
+        assert not active(0.5)
+        assert active(1.0)
+        assert not active(2.0)
+        assert active(3.5)
+
+    @staticmethod
+    def run_integral(rate, windows, duration=1.0):
+        cfg = base_torque_dict(
+            duration=duration,
+            emns={"control_rate": rate, "current_limit": 16.0,
+                  "current_bandwidth": 26.4},
+        )
+        cfg["agents"][0]["controller"].update(k_i=-1.0, integral_enabled=True)
+        cfg["agents"][0]["integral_windows"] = windows
+        return run_scenario(scenario_from_dict(cfg))
+
+    def test_no_windows_integrate_every_tick(self):
+        always = self.run_integral(200.0, [], duration=0.3)
+        whole = self.run_integral(200.0, [[0.0, 0.3]], duration=0.3)
+        late = self.run_integral(200.0, [[0.1, 0.3]], duration=0.3)
+        assert np.array_equal(always.outputs_alpha, whole.outputs_alpha)
+        assert not np.array_equal(always.outputs_alpha, late.outputs_alpha)
+
+    def test_integral_window_starts_on_disturbance_tick(self):
+        # At 120 Hz, 0.92 s falls between ticks 110 and 111, and 0.925 s is
+        # tick 111: both windows open on tick 111.
+        written = self.run_integral(120.0, [[0.925, 2.0]])
+        before = self.run_integral(120.0, [[0.92, 2.0]])
+        for name in ("alpha", "outputs_alpha", "currents"):
+            assert np.array_equal(getattr(written, name), getattr(before, name))
+
+    def test_off_grid_release_starts_on_next_tick(self):
+        # At 200 Hz, 0.5025 s falls between ticks 100 (0.5 s) and 101
+        # (0.505 s); the plant integrates from tick 101, as for 0.505 s.
+        traces = []
+        for release in (0.5025, 0.505):
+            cfg = base_torque_dict(duration=1.0)
+            cfg["agents"][0]["release_time"] = release
+            traces.append(run_scenario(scenario_from_dict(cfg)))
+        assert np.array_equal(traces[0].alpha, traces[1].alpha)
+        np.testing.assert_array_equal(traces[0].alpha[:102, 0], 0.05)
+
+
 class TestLatencyAndNoise:
     def test_latency_delays_reaction_by_whole_ticks(self):
         ev = [{"type": "impulse", "time": 0.25, "magnitude": 0.3}]
