@@ -18,9 +18,9 @@ The plant's derivative is written once per state layout (pendulum attached:
 8 states; actuator only: 4) as a source-text template, and compiled per
 plant, with its constants inlined, into two functions: the derivative
 (:func:`make_deriv`), which the finite-difference check differentiates, and
-a fused RK4 tick (:func:`make_tick`), which the simulator runs.  The tick
-inlines the four stages of every substep as straight-line code on plain
-Python floats, bit-identical to stage-by-stage RK4 over the derivative
+a fused tick (:func:`make_tick`), which the simulator runs.  The tick inlines
+the six stages of every fifth-order Runge-Kutta step as straight-line code on
+plain Python floats, bit-identical to stage-by-stage RK over the derivative
 (checked against the hand-written oracle in tests/helpers.py).
 """
 
@@ -180,17 +180,31 @@ def _constants(params: PendulumParams, mag_pol: float) -> dict[str, float]:
     }
 
 
-def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool):
-    """Compile one plant's derivative, or its fused RK4 tick, from its layout.
+# The plant step: Dormand-Prince 5(4) at a fixed step, fifth-order weights only
+# (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2).  Row s: node c_s,
+# weights a_sj.  The last row's state (weights b_j) is the step's result.
+_TABLEAU = (
+    (0.0, ()),
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+)
+#: The nodes below 1: a tick of n steps of size dt reads the field and
+#: gradient at (j + c) * dt for each step j and node c, then at n * dt.
+NODES = tuple(c for c, _ in _TABLEAU if c < 1.0)
 
-    The derivative evaluates the template once.  The tick inlines it four
-    times per substep, with each RK4 stage's state, derivative and grid entry
-    held in locals named by stage (``a_2``, ``add_3``, ``bx_1``).  The field
-    and gradient at the half step are read once for stages 2 and 3, and the
-    end-of-step entry is kept for the next substep's first stage.  Each state
-    entry keeps the arithmetic of ``y + h * k`` and of the final
-    ``y + dt/6 * (k1 + 2 (k2 + k3) + k4)``, so the tick is bit-identical to
-    stage-by-stage RK4 over the derivative.
+
+def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool):
+    """Compile one plant's derivative, or its fused tick, from its layout.
+
+    The derivative evaluates the template once.  The tick inlines it once per
+    stage of every step, over that stage's grid entry, with each stage's
+    state and derivative held in locals named by stage (``a_2``, ``add_3``).
+    Row s's state is ``y + (h_s1 * k_1 + ...)``, with ``h_sj = dt * a_sj``
+    hoisted and no term for a zero weight: bit-identical to stage-by-stage RK.
     """
     template, layout = _LAYOUTS[attached]
     states = [name for name, _ in layout]
@@ -203,65 +217,45 @@ def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool
         """``name`` at stage ``s``; a state at stage 1 is the state itself."""
         return name if s == 1 and name in states else f"{name}_{s}"
 
-    def stage(s: int, slot: int, indent: str) -> str:
-        """The template at stage ``s``, over the grid entry held in ``slot``."""
+    def stage(s: int, index: str, indent: str) -> str:
+        """The template at stage ``s``, over the grid entry ``index``."""
         names = {name: at(name, s) for pair in layout for name in pair}
-        names.update({n: f"{n}_{slot}" for n in _FIELD + _GRADIENT})
         names.update(constants)
-        text = _NAME.sub(lambda m: names.get(m.group(), m.group()), template)
+        text = (f"{', '.join(_FIELD)} = b_grid[{index}]\n"
+                f"{', '.join(_GRADIENT)} = g_grid[{index}]\n{template}")
+        text = _NAME.sub(lambda m: names.get(m.group(), m.group()), text)
         return "".join(f"{indent}{line}\n" for line in text.splitlines())
-
-    def read_grid(slot: int, index: str, indent: str) -> str:
-        return "".join(
-            f"{indent}{', '.join(f'{n}_{slot}' for n in group)} = {grid}[{index}]\n"
-            for group, grid in ((_FIELD, "b_grid"), (_GRADIENT, "g_grid"))
-        )
 
     unpack = f"    {', '.join(states)} = y\n"
     if not fused:
         return _exec(
             "def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):\n"
             + unpack
-            + read_grid(0, "idx", "    ")
-            + stage(1, 0, "    ")
+            + stage(1, "idx", "    ")
             + f"    return ({', '.join(at(d, 1) for _, d in layout)})\n",
             "deriv",
         )
 
-    def step_to(s: int, h: str) -> str:
-        """Stage ``s``'s state: y + h * (stage s - 1's derivative)."""
-        return "".join(
-            f"        {at(name, s)} = {name} + {h} * {at(d, s - 1)}\n"
-            for name, d in layout
-        )
-
-    # Angles before rates: an angle's update reads its rate's old value.
+    # Angles before rates: the step's angle update reads its rate's old value.
     order = sorted(layout, key=lambda entry: entry[1] not in states)
-    update = "".join(
-        f"        {name} = {name} + sixth * ({at(d, 1)} + 2.0 * "
-        f"({at(d, 2)} + {at(d, 3)}) + {at(d, 4)})\n"
-        for name, d in order
-    )
+    body = hoisted = ""
+    for s, (c, row) in enumerate(_TABLEAU, 1):
+        terms = [j for j, w in enumerate(row, 1) if w]
+        hoisted += "".join(f"    h{s}_{j} = dt * ({row[j - 1]!r})\n" for j in terms)
+        body += "".join(
+            f"        {at(name, s) if s < len(_TABLEAU) else name} = {name} + ("
+            + " + ".join(f"h{s}_{j} * {at(d, j)}" for j in terms) + ")\n"
+            for name, d in order if terms
+        )
+        if s < len(_TABLEAU):  # a node-1 stage reads the next step's first entry
+            entry = NODES.index(c) if c < 1.0 else len(NODES)
+            body += stage(s, f"i + {entry}", "        ")
     return _exec(
         "def tick(y, substeps, dt, b_grid, g_grid, bias_a, bias_b):\n"
-        "    half = 0.5 * dt\n"
-        "    sixth = dt / 6.0\n"
+        + hoisted
         + unpack
-        + read_grid(0, "0", "    ")
-        + "    i = 0\n"
-        "    end = 2 * substeps\n"
-        "    while i < end:\n"
-        + stage(1, 0, "        ")
-        + step_to(2, "half")
-        + read_grid(1, "i + 1", "        ")
-        + stage(2, 1, "        ")
-        + step_to(3, "half")
-        + stage(3, 1, "        ")
-        + step_to(4, "dt")
-        + "        i += 2\n"
-        + read_grid(0, "i", "        ")
-        + stage(4, 0, "        ")
-        + update
+        + f"    for i in range(0, {len(NODES)} * substeps, {len(NODES)}):\n"
+        + body
         + f"    return ({', '.join(states)})\n",
         "tick",
     )
@@ -292,10 +286,11 @@ def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
     """One controller tick of the plant of :func:`make_deriv`, fused.
 
     Returns ``tick(y, substeps, dt, b_grid, g_grid, bias_a, bias_b)``: the
-    state after ``substeps`` RK4 steps of size dt, with ``b_grid``/``g_grid``
-    holding the field and packed gradient at every half step
-    (2·substeps + 1 entries).  Straight-line code on plain Python floats:
-    no per-stage tuples and no calls but ``math.sin``/``math.cos``.
+    state after ``substeps`` fifth-order Runge-Kutta steps of size dt, with
+    ``b_grid``/``g_grid`` holding the field and packed gradient at each
+    stage time in order (len(NODES)·substeps + 1 entries, see :data:`NODES`).
+    Straight-line code on plain Python floats: no per-stage tuples and no
+    calls but ``math.sin``/``math.cos``.
     """
     return _compile(params, attached, mag_pol, fused=True)
 

@@ -12,15 +12,16 @@ torque are projected onto the two gimbal axes, and the resulting generalized
 forces feed the planar actuator/pendulum dynamics of each channel.  The two
 channels couple through the shared dipole orientation.
 
-The inner integration loop is fixed-step RK4 at ``PLANT_DT`` on plain Python
-floats over per-tick precomputed field/gradient grids (the lag-filtered
-currents do not depend on the plant state), run by each agent's fused tick
-from ``dynamics.make_tick``, compiled once per run.  The step is backed by a
-step-halving test: on the bundled scenarios, halving it moves no angle by
-more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that
-diverges (overflow, domain error or a non-finite state) ends the run with a
-failure record, as an allocation failure (rank deficiency or an SVD that
-does not converge) does.
+The inner integration loop is fixed-step fifth-order Runge-Kutta at
+``PLANT_DT`` on plain Python floats over per-tick field/gradient grids at
+the stage times (the lag-filtered currents do not depend on the plant
+state), run by each agent's fused tick from ``dynamics.make_tick``, compiled
+once per run.  The step is backed by a step-halving test: on the bundled
+scenarios, halving it moves no angle by more than 1e-8 rad
+(``tests/test_sim.py::TestPlantStep``).  A plant that diverges (overflow,
+domain error or a non-finite state) ends the run with a failure record, as
+an allocation failure (rank deficiency or an SVD that does not converge)
+does.
 
 The allocation is a closure built once per run from the agents' fixed
 actuation matrices A(p) (``_allocator``): the field strategies' task map is
@@ -52,6 +53,7 @@ from .control import (
     lqr_gain,
 )
 from .dynamics import (
+    NODES,
     PendulumParams,
     finite_difference_linearization,
     linearize,
@@ -67,16 +69,16 @@ from .magmodel import (
     torque_rows,
 )
 
-#: Fixed plant substep for the RK4 integrator [s]: 20 substeps per 200 Hz
-#: tick, 32 per 125 Hz tick.  Largest angle deviation of the bundled
-#: scenarios from their trace at 1e-4 s, at 2.5e-4 s and at 5e-4 s:
-#: multi_field_2x2d 9.8e-10 and 1.6e-8 rad, multi_torque_* 1.0e-10 and
-#: 1.7e-9, single_torque 3e-11 and 4.9e-10, single_field 1.6e-11 and
-#: 2.6e-10, disturb_field_integral 5.1e-13 and 8.3e-12, disturb_field_p_only
-#: 5.7e-15 and 3.0e-14.  RK4's error falls about 16x per halving; at 5e-4 s
-#: multi_field_2x2d moves 1.5e-8 rad from its 2.5e-4 s trace, over the
-#: 1e-8 rad bound of the step-halving test.
-PLANT_DT = 2.5e-4
+#: Fixed plant step [s]: 4 steps (24 derivative evaluations) per 200 Hz tick,
+#: 6 per 125 Hz tick.  Largest angle deviation of each bundled scenario from
+#: its trace at PLANT_DT / 2, then from the former RK4 at 2.5e-4 s (80
+#: evaluations per 200 Hz tick): multi_field_2x2d 6.3e-10 and 3.5e-10 rad,
+#: multi_torque_async 7.8e-11 and 2.8e-11, multi_torque_inphase 7.6e-11 and
+#: 2.8e-11, single_torque 2.0e-11 and 9.5e-12, single_field 9.2e-12 and
+#: 6.9e-12, disturb_field_integral 3.3e-13 and 1.8e-13, disturb_field_p_only
+#: 7.1e-16 and 2.9e-15.  The error falls about 32x per halving: 6.3e-10 rad
+#: is 15x under the 1e-8 rad bound of the step-halving test.
+PLANT_DT = 1.25e-3
 
 #: Most ticks x agents one run may take, checked before the trace is
 #: allocated.  The trace holds 11 float64 values per agent-tick and
@@ -189,7 +191,8 @@ class DisturbanceEvent:
     (``_first_tick``); a `torque_bias` with a `duration` ends at the first
     tick with t + 1e-12 >= `time` + `duration`.  `duration` applies to
     `torque_bias` only.  A `time` after the last tick of the scenario is
-    rejected, since the window would never start.
+    rejected, since the window would never start, and so is a window that
+    holds no tick (both ends on one tick).
 
     kinds:
         impulse: adds `magnitude` [rad/s] to the channel's actuator rate at
@@ -334,14 +337,18 @@ class Scenario:
             except SingularPositionError as exc:
                 raise ValueError(f"agent {idx}: {exc}") from exc
         times = []  # scheduled times, which must not fall after the last tick
+        windows = []  # bounded windows, which must hold a control tick
         for idx, ev in enumerate(self.disturbances):
             if ev.agent >= len(self.agents):
                 raise ValueError(f"disturbance references agent {ev.agent}")
             times.append((f"disturbances[{idx}] time", ev.time))
+            if ev.duration is not None:
+                windows.append((f"disturbances[{idx}]", ev.time, ev.time + ev.duration))
         for idx, agent in enumerate(self.agents):
             times.append((f"agents[{idx}].release_time", agent.release_time))
-            times += [(f"agents[{idx}].integral_windows[{j}] start", start)
-                      for j, (start, _) in enumerate(agent.integral_windows)]
+            for j, (start, end) in enumerate(agent.integral_windows):
+                times.append((f"agents[{idx}].integral_windows[{j}] start", start))
+                windows.append((f"agents[{idx}].integral_windows[{j}]", start, end))
         h = 1.0 / self.emns.control_rate
         for name, time in times:
             if _first_tick(time, h) >= ticks:
@@ -349,6 +356,12 @@ class Scenario:
                     f"{name} {time:.6g} s falls after the last control tick "
                     f"of the {self.duration:.6g} s duration, at "
                     f"{(ticks - 1) * h:.6g} s"
+                )
+        for name, start, end in windows:
+            if _first_tick(end, h) == _first_tick(start, h):
+                raise ValueError(
+                    f"{name} window [{start:.6g}, {end:.6g}) s holds no control "
+                    f"tick at {self.emns.control_rate:.6g} Hz"
                 )
 
 
@@ -518,7 +531,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         )
         for s in scenario.agents
     ]
-    grid_times = np.arange(2 * substeps + 1) * (0.5 * dt)
+    grid_times = np.append(np.add.outer(np.arange(substeps), NODES), substeps) * dt
     omega = 2.0 * math.pi * emns.current_bandwidth
     if emns.current_bandwidth > 0.0:
         decay_grid = np.exp(-omega * grid_times)

@@ -129,8 +129,8 @@ def total_energy(
 
 
 # ---------------------------------------------------------------------------
-# The hand-written plant and stage-by-stage RK4: the oracle of the compiled
-# plant in ``emnav.dynamics`` (which must match it bit for bit)
+# The hand-written plant and stage-by-stage explicit Runge-Kutta: the oracle
+# of the compiled plant in ``emnav.dynamics`` (which must match it bit for bit)
 # ---------------------------------------------------------------------------
 
 
@@ -175,7 +175,25 @@ def coupled_accelerations(params: PendulumParams):
     return accelerations
 
 
-def rk4_tick(
+# The explicit Runge-Kutta tableau of the plant step, typed out independently
+# of emnav.dynamics: Dormand-Prince 5(4) with its fifth-order weights (Hairer,
+# Norsett & Wanner, Solving ODEs I, Table II.5.2).  RK_A[s] holds stage s's
+# weights, RK_C[s] its node; RK_B are the update's weights.
+RK_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+RK_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+RK_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+#: The distinct stage nodes below 1: one grid entry each per step.
+RK_NODES = tuple(c for c in RK_C if c < 1.0)
+
+
+def rk_tick(
     y: tuple,
     deriv,
     substeps: int,
@@ -185,27 +203,36 @@ def rk4_tick(
     bias_a: float,
     bias_b: float,
 ) -> tuple:
-    """Integrate one controller tick of ``substeps`` RK4 steps of size dt.
+    """Integrate one controller tick of ``substeps`` explicit RK steps of
+    size dt over the tableau ``RK_A``/``RK_B``/``RK_C``, stage by stage.
 
-    ``b_grid``/``g_grid`` hold the field and packed gradient at every half
-    step (2·substeps + 1 entries); ``bias_a``/``bias_b`` are constant
-    generalized forces on the two actuator joints.  Pure Python floats.
+    ``b_grid``/``g_grid`` hold the field and packed gradient at every stage
+    time in order: (j + c)·dt for step j and node c in ``RK_NODES``, then
+    substeps·dt (len(RK_NODES)·substeps + 1 entries).  A stage's state is
+    y + (h_1 k_1 + h_2 k_2 + ...) summed left to right, with h_j = dt·a_sj
+    and no term for a zero weight; the update likewise with dt·b_j.
+    ``bias_a``/``bias_b`` are constant generalized forces on the two
+    actuator joints.  Pure Python floats.
     """
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    n = len(RK_NODES)
+
+    def advance(y: tuple, weights: tuple, ks: list) -> tuple:
+        pairs = [(dt * w, k) for w, k in zip(weights, ks) if w]
+        out = []
+        for i, v in enumerate(y):
+            total = pairs[0][0] * pairs[0][1][i]
+            for h, k in pairs[1:]:
+                total = total + h * k[i]
+            out.append(v + total)
+        return tuple(out)
+
     for j in range(substeps):
-        base = 2 * j
-        k1 = deriv(y, base, b_grid, g_grid, bias_a, bias_b)
-        y2 = tuple(v + half * k for v, k in zip(y, k1))
-        k2 = deriv(y2, base + 1, b_grid, g_grid, bias_a, bias_b)
-        y3 = tuple(v + half * k for v, k in zip(y, k2))
-        k3 = deriv(y3, base + 1, b_grid, g_grid, bias_a, bias_b)
-        y4 = tuple(v + dt * k for v, k in zip(y, k3))
-        k4 = deriv(y4, base + 2, b_grid, g_grid, bias_a, bias_b)
-        y = tuple(
-            v + sixth * (a + 2.0 * (b + c) + d)
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
+        ks = []
+        for row, c in zip(RK_A, RK_C):
+            ys = advance(y, row, ks) if row else y
+            idx = n * j + (n if c == 1.0 else RK_NODES.index(c))
+            ks.append(deriv(ys, idx, b_grid, g_grid, bias_a, bias_b))
+        y = advance(y, RK_B, ks)
     return y
 
 

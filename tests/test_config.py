@@ -189,6 +189,13 @@ _TYPO_COIL_MODEL = {"name": "one", "coils": [
          [[0.0, 2.0], [1.0, 3.0]], "agents[0]"),
         (_simulate_base, ("agents", 0, "integral_windows"), [[2.0, 1.0]],
          "agents[0]"),
+        # A window that holds no control tick (both ends map to tick 21 at
+        # 200 Hz) never acts.
+        (_simulate_base, ("disturbances", 0),
+         {"type": "torque_bias", "time": 0.1001, "duration": 0.0001,
+          "magnitude": 0.01}, "disturbances[0]"),
+        (_simulate_base, ("agents", 0, "integral_windows"), [[0.1001, 0.1002]],
+         "agents[0].integral_windows[0]"),
     ],
     ids=lambda v: json_path(v) if isinstance(v, tuple) else None,
 )

@@ -1,11 +1,13 @@
 """Tests for the plant the simulator integrates, its linearizations, and
-the RK4 tick.
+the fifth-order Runge-Kutta tick.
 
 Oracles:
-  * the hand-written derivative and stage-by-stage RK4 in tests/helpers.py,
-    which the compiled derivative and fused tick must reproduce bit for bit;
+  * the hand-written derivative and stage-by-stage explicit Runge-Kutta over
+    the Dormand-Prince tableau typed out in tests/helpers.py, which the
+    compiled derivative and fused tick must reproduce bit for bit;
+  * the tableau's row-sum condition and the tick's fifth-order convergence;
   * mechanical energy conservation of the unforced, undamped plant under the
-    simulator's RK4 tick;
+    simulator's tick;
   * central finite differences of that plant vs the analytic linearization;
   * scipy.signal.cont2discrete as an independent zero-order-hold reference;
   * the analytic steady-state offset of the field-actuated rig under a
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 from scipy.signal import cont2discrete
 from scipy.special import ellipk
 
+from emnav import dynamics
 from emnav.dynamics import (
     PendulumParams,
     discretize,
@@ -55,9 +58,15 @@ def accelerations(deriv, y, field=NO_FIELD, bias_a=0.0) -> tuple:
     return deriv(y, 0, [field], [NO_GRADIENT], bias_a, 0.0)
 
 
+def grid_size(steps: int) -> int:
+    """Field and gradient grid entries of a tick of ``steps`` steps."""
+    return len(helpers.RK_NODES) * steps + 1
+
+
 def integrate(tick, y, steps, dt, field=NO_FIELD, bias_a=0.0) -> tuple:
-    """``steps`` RK4 steps in one tick, under a constant field and bias."""
-    n = 2 * steps + 1
+    """``steps`` Runge-Kutta steps in one tick, under a constant field and
+    bias."""
+    n = grid_size(steps)
     return tick(y, steps, dt, [field] * n, [NO_GRADIENT] * n, bias_a, 0.0)
 
 
@@ -202,7 +211,7 @@ def signed(magnitudes):
 def tick_inputs(draw, attached: bool) -> dict:
     """A damped plant, a state, a tick's field and gradient grids and biases."""
     substeps = draw(st.integers(1, 3))
-    n = 2 * substeps + 1
+    n = grid_size(substeps)
     angle, rate = st.floats(-1.0, 1.0), st.floats(-5.0, 5.0)
     field, gradient = st.floats(-0.1, 0.1), st.floats(-2.0, 2.0)
     state = (angle, angle, rate, rate) * 2 if attached else (angle, rate) * 2
@@ -223,7 +232,8 @@ def tick_inputs(draw, attached: bool) -> dict:
 
 class TestCompiledPlant:
     """The compiled derivative and fused tick against the hand-written
-    derivative and stage-by-stage RK4 of tests/helpers.py: equal, not close."""
+    derivative and stage-by-stage Runge-Kutta of tests/helpers.py: equal,
+    not close."""
 
     @pytest.mark.parametrize("attached", [True, False], ids=["attached", "actuator"])
     @settings(max_examples=150, deadline=None)
@@ -237,7 +247,7 @@ class TestCompiledPlant:
         for idx in range(len(case["b_grid"])):
             assert deriv(y, idx, *grids) == oracle(y, idx, *grids)
         tick = make_tick(params, attached, mag_pol)
-        assert tick(y, case["substeps"], case["dt"], *grids) == helpers.rk4_tick(
+        assert tick(y, case["substeps"], case["dt"], *grids) == helpers.rk_tick(
             y, oracle, case["substeps"], case["dt"], *grids
         )
 
@@ -299,20 +309,27 @@ class TestLinearization:
             linearize(params, "torque", sample_time=0.0)
 
 
-class TestRk4:
-    def test_fourth_order_convergence(self, params):
-        # The unforced coupled pendulum over 0.4 s against a 32x finer
-        # solution: halving dt shrinks the error ~16x.
+class TestRungeKutta:
+    def test_row_sums_are_nodes(self):
+        # Each stage's node is the sum of its weights, c_s = sum_j a_sj; the
+        # last row (the update's weights) sums to its node, 1.
+        for c, row in dynamics._TABLEAU:
+            assert abs(sum(row) - c) <= 1e-15
+
+    def test_fifth_order_convergence(self, params):
+        # The unforced coupled pendulum over 0.4 s against a 16x finer
+        # solution than the finer of two step sizes: halving dt shrinks the
+        # error ~32x.
         tick = stepper(params)
         y0 = (0.08, -0.05, 0.2, -0.1) + (0.0,) * 4
         duration = 0.4
         ref = integrate(tick, y0, 20480, duration / 20480)
         errors = []
-        for steps in (320, 640):
+        for steps in (640, 1280):
             y = integrate(tick, y0, steps, duration / steps)
             errors.append(max(abs(a - b) for a, b in zip(y, ref)))
         ratio = errors[0] / errors[1]
-        assert 12.0 < ratio < 20.0
+        assert 24.0 < ratio < 44.0
 
     def test_harmonic_oscillator_phase(self):
         # In a field along +z the actuator alone is an exact nonlinear

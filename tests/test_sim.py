@@ -33,6 +33,13 @@ def load_bundled(name: str) -> dict:
     return json.loads((SCENARIO_DIR / f"{name}.json").read_text())
 
 
+#: Every bundled ``simulate`` scenario, by name.
+BUNDLED_SIMULATE = sorted(
+    path.stem for path in SCENARIO_DIR.glob("*.json")
+    if json.loads(path.read_text()).get("kind", "simulate") == "simulate"
+)
+
+
 def base_torque_dict(**overrides) -> dict:
     cfg = {
         "name": "unit",
@@ -719,11 +726,11 @@ def test_settling_tick_matches_brute_force(within):
 
 
 class TestPlantStep:
-    @pytest.mark.parametrize("name", ["multi_field_2x2d", "multi_torque_async"])
+    @pytest.mark.parametrize("name", BUNDLED_SIMULATE)
     def test_step_halving(self, monkeypatch, bundled_runs, name):
-        # RK4's global error falls about 16x per halving, so the gap between
-        # the traces at PLANT_DT and PLANT_DT / 2 bounds the error of the
-        # step the simulator uses.
+        # The fifth-order tick's global error falls about 32x per halving, so
+        # the gap between the traces at PLANT_DT and PLANT_DT / 2 bounds the
+        # error of the step the simulator uses, on every bundled scenario.
         coarse = bundled_runs[name]["trace"]
         monkeypatch.setattr(sim, "PLANT_DT", sim.PLANT_DT / 2)
         fine = run_scenario(scenario_from_dict(load_bundled(name)))
