@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Compare the artifacts of every bundled config between a base commit and
-this tree.
+"""Compare the bundled configs' artifacts between a base commit and this tree.
 
     python3 scripts/diff_artifacts.py [--base HEAD]
 
 The base commit is extracted with ``scripts/bench.py``'s ``_extract`` (local,
 nothing is fetched); the change is the checkout holding this script,
-uncommitted edits included.  Each tree runs its own ``scenarios/*.json``
-through ``python3 -m emnav <kind>`` into a temporary directory, and every
-artifact is compared byte for byte.  For each trace CSV that differs, the
-largest deviation in its angle columns (alpha, beta, phi, theta) is printed.
+uncommitted edits included.  Each tree runs its own ``scenarios/*.json``,
+then the ``VARIANTS`` below, through ``python3 -m emnav <kind>`` into a
+temporary directory, and every artifact is compared byte for byte.  The
+variants are runs of 2 s or less of bundled configs with the features no
+bundled scenario runs: impulses (two on one tick, and on beta), overlapping
+``torque_bias`` windows, ``measurement_tilt``, an off-grid
+``release_time``, two integral windows, ``loop_latency``,
+``measurement_noise_std`` and an actuator-only agent beside a pendulum
+agent.  They are written once, from this checkout's configs, and both trees
+run the same files.  For each trace CSV that differs, the largest deviation
+in its angle columns (alpha, beta, phi, theta) is printed.
 
 Exits 1 if an angle deviates by more than 1e-8 rad, if any other artifact
 differs or is written by one tree only, or if a config exits with another
@@ -32,12 +38,74 @@ from bench import REPO, _env, _extract
 ANGLE_TOL = 1e-8  # rad
 ANGLES = ("alpha", "beta", "phi", "theta")
 
+#: name: (bundled config, top-level keys to set, per-agent keys to set).
+VARIANTS = {
+    "variant_torque_events": ("single_torque", {
+        "duration": 1.5,
+        "disturbances": [
+            {"type": "impulse", "time": 0.5, "magnitude": 0.05},
+            {"type": "impulse", "time": 0.5, "channel": "beta", "magnitude": -0.03},
+            {"type": "impulse", "time": 0.9, "channel": "beta", "magnitude": 0.02},
+            {"type": "torque_bias", "time": 0.2, "duration": 0.6, "magnitude": 2e-4},
+            {"type": "torque_bias", "time": 0.5, "magnitude": -1e-4},
+            {"type": "torque_bias", "time": 0.3, "duration": 0.2,
+             "channel": "beta", "magnitude": 1e-4},
+            {"type": "measurement_tilt", "time": 0.7, "channel": "beta",
+             "magnitude": 0.01},
+            {"type": "measurement_tilt", "time": 1.1, "magnitude": -0.005},
+        ],
+    }, [{}]),
+    "variant_multi_latency_noise": ("multi_torque_async", {
+        "duration": 2.0,
+        "emns": {"control_rate": 200.0, "current_limit": 16.0,
+                 "current_bandwidth": 26.4, "loop_latency": 0.01},
+        "measurement_noise_std": 1e-4,
+        "disturbances": [
+            {"type": "impulse", "time": 1.0, "agent": 1, "channel": "beta",
+             "magnitude": 0.02},
+            {"type": "impulse", "time": 1.0, "agent": 0, "magnitude": -0.02},
+            {"type": "torque_bias", "time": 0.4, "duration": 1.0, "agent": 1,
+             "magnitude": 1e-4},
+        ],
+    }, [
+        {"integral_windows": [[0.2, 0.9], [1.2, 1.9]]},
+        {"release_time": 0.3333, "pendulum_attached": False,
+         "controller": {"q_diag": [20.0, 1.0], "r_weight": 25.0}},
+    ]),
+    "variant_field_actuator": ("disturb_field_integral", {
+        "duration": 2.0,
+        "disturbances": [
+            {"type": "impulse", "time": 0.25, "channel": "beta", "magnitude": 0.1},
+            {"type": "impulse", "time": 0.25, "magnitude": -0.05},
+            {"type": "torque_bias", "time": 0.5, "magnitude": 5e-4},
+            {"type": "torque_bias", "time": 0.75, "duration": 0.5,
+             "magnitude": 5e-4},
+            {"type": "measurement_tilt", "time": 1.3, "magnitude": 0.01},
+        ],
+    }, [{"integral_windows": [[0.6, 1.4], [1.5, 2.0]], "release_time": 0.1037}]),
+}
 
-def _run_configs(tree: Path, out: Path) -> dict:
-    """Run every bundled config of ``tree`` into ``out``; exit code by name."""
+
+def _write_variants(out: Path) -> list:
+    """Write ``VARIANTS`` into ``out`` from this checkout's bundled configs."""
+    out.mkdir()
+    paths = []
+    for name, (base, top, per_agent) in VARIANTS.items():
+        config = json.loads((REPO / "scenarios" / f"{base}.json").read_text())
+        config.update(top, name=name)
+        for agent, keys in zip(config["agents"], per_agent):
+            agent.update(keys)
+        paths.append(out / f"{name}.json")
+        paths[-1].write_text(json.dumps(config, indent=2))
+    return paths
+
+
+def _run_configs(tree: Path, out: Path, variants: list) -> dict:
+    """Run every bundled config of ``tree``, then ``variants``, into ``out``;
+    exit code by name."""
     out.mkdir()
     codes = {}
-    for config in sorted((tree / "scenarios").glob("*.json")):
+    for config in sorted((tree / "scenarios").glob("*.json")) + variants:
         kind = json.loads(config.read_text()).get("kind", "simulate")
         codes[config.name] = subprocess.run(
             [sys.executable, "-m", "emnav", kind.replace("_", "-"),
@@ -73,7 +141,8 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         sha = _extract(args.base, tmp / "base")
         trees = {"base": tmp / "base", "change": REPO}
-        codes = {side: _run_configs(tree, tmp / f"out_{side}")
+        variants = _write_variants(tmp / "variants")
+        codes = {side: _run_configs(tree, tmp / f"out_{side}", variants)
                  for side, tree in trees.items()}
         names = sorted(set(os.listdir(tmp / "out_base"))
                        | set(os.listdir(tmp / "out_change")))

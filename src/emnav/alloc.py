@@ -27,9 +27,9 @@ the smallest field realizing the torque in closed form
 (``two_step_field``), then the minimum-norm currents realizing that field
 through A_b(p)^+, which does not depend on the command (``solve_two_step``).
 A field task map does not depend on the command either, so the field solves
-are also split into the map (``field_alignment_map``, ``multi_field_map``)
-and a solve over its pseudoinverse (``solve_field``): a caller whose points
-stay fixed takes the pseudoinverse once.  A solve returns only the currents
+are also split into the map (``field_map``) and a solve over its
+pseudoinverse (``solve_field``): a caller whose points stay fixed takes the
+pseudoinverse once.  A solve returns only the currents
 and the task residual.  ``emnav alloc-bench`` does not go through the
 per-call wrappers here: it solves its samples in blocks, one stacked
 pseudoinverse per solve kind and ``two_step_field`` over the block, and
@@ -205,19 +205,20 @@ def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
     return _solve(task_mat, pinv, target)
 
 
-def field_alignment_map(a_mat: np.ndarray) -> np.ndarray:
-    """The task map of :func:`allocate_field_alignment` at the point of A(p):
-    all of A(p) (the field and a zero gradient) on arrays of 8 or more
-    coils, else its three field rows."""
-    return a_mat if a_mat.shape[1] >= 8 else a_mat[:3]
+def field_rows(n_agents: int, n_coils: int) -> int:
+    """Rows of A(p) in each agent's field task: all eight [b; g] rows for
+    one agent on 8 or more coils (the field with no gradient, so an aligned
+    dipole feels no stray force), else the three field rows, as more rows
+    would overdetermine the task and under-deliver the field."""
+    return 8 if n_agents == 1 and n_coils >= 8 else 3
 
 
-def multi_field_map(a_mats: list[np.ndarray]) -> np.ndarray:
-    """The multi-agent field task map: the agents' field rows, stacked, one
-    3-row block per agent.  The shared coils couple all agents; the stacked
-    least-squares solve trades residuals across agents when the tasks exceed
-    the array's span."""
-    return np.vstack([a_mat[:3] for a_mat in a_mats])
+def field_map(a_mats: list[np.ndarray]) -> np.ndarray:
+    """The field task map: each agent's ``field_rows`` of its A(p), stacked.
+    The stacked least-squares solve trades residuals across agents when the
+    tasks exceed the array's span."""
+    n_rows = field_rows(len(a_mats), a_mats[0].shape[1])
+    return np.vstack([a_mat[:n_rows] for a_mat in a_mats])
 
 
 def solve_field(
@@ -237,14 +238,8 @@ def solve_field(
 def allocate_field_alignment(
     a_mat: np.ndarray, command: FieldCommand
 ) -> AllocationResult:
-    """Minimum-norm currents realizing a commanded field at the point of A(p).
-
-    On arrays of 8 or more coils the task is the stacked target
-    [b_setpoint; zero gradient]: the allocation asks for the commanded field
-    with no field gradients, so a field-aligned dipole feels pure torque and
-    no stray force.  On smaller arrays that stacked task is overdetermined
-    and its least-squares solution would under-deliver the field, so the
-    task is the three field rows alone.
+    """Minimum-norm currents realizing a commanded field at the point of A(p),
+    through the one-agent ``field_map``.
 
     Args:
         a_mat: Actuation matrix A(p), shape (8, n_coils).
@@ -254,7 +249,7 @@ def allocate_field_alignment(
         AllocationResult; residual_norm is the 2-norm mismatch of the task
         (zero when the array spans it).
     """
-    task_mat = field_alignment_map(a_mat)
+    task_mat = field_map([a_mat])
     return solve_field(task_mat, pinv_rank(task_mat)[0], [command])
 
 

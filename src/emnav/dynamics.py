@@ -91,12 +91,12 @@ def _check_paradigm(paradigm: str) -> None:
 # The plant derivative, written once per state layout as Python source.  The
 # state names are the layout's (alpha: a, ad; phi: ph, phd; beta: b, bd;
 # theta: th, thd), the field and packed gradient at the evaluation time are
-# bx, by, bz and g1..g5, and bias_a/bias_b are the constant generalized
-# forces on the two actuator joints.  The template assigns each rate's
-# derivative, an acceleration; an angle's derivative is its rate.  Upper-case
-# names are the plant's constants, which _compile inlines as literals,
-# hoisted in the same operation order as the per-call formula
-# (tests/helpers.py: coupled_accelerations_per_call).
+# bx, by, bz and g1..g5 (one [b; g] grid entry), and bias_a/bias_b are the
+# constant generalized forces on the two actuator joints.  The template
+# assigns each rate's derivative, an acceleration; an angle's derivative is
+# its rate.  Upper-case names are the plant's constants, which _compile
+# inlines as literals, hoisted in the same operation order as the per-call
+# formula (tests/helpers.py: coupled_accelerations_per_call).
 _WRENCH = """\
 sa = sin(a)
 ca = cos(a)
@@ -154,8 +154,6 @@ _LAYOUTS = {
         ("a", "ad"), ("ad", "add"), ("b", "bd"), ("bd", "bdd"),
     )),
 }
-_FIELD = ("bx", "by", "bz")
-_GRADIENT = ("g1", "g2", "g3", "g4", "g5")
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
@@ -221,15 +219,14 @@ def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool
         """The template at stage ``s``, over the grid entry ``index``."""
         names = {name: at(name, s) for pair in layout for name in pair}
         names.update(constants)
-        text = (f"{', '.join(_FIELD)} = b_grid[{index}]\n"
-                f"{', '.join(_GRADIENT)} = g_grid[{index}]\n{template}")
+        text = f"bx, by, bz, g1, g2, g3, g4, g5 = grid[{index}]\n{template}"
         text = _NAME.sub(lambda m: names.get(m.group(), m.group()), text)
         return "".join(f"{indent}{line}\n" for line in text.splitlines())
 
     unpack = f"    {', '.join(states)} = y\n"
     if not fused:
         return _exec(
-            "def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):\n"
+            "def deriv(y, idx, grid, bias_a, bias_b):\n"
             + unpack
             + stage(1, "idx", "    ")
             + f"    return ({', '.join(at(d, 1) for _, d in layout)})\n",
@@ -251,7 +248,7 @@ def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool
             entry = NODES.index(c) if c < 1.0 else len(NODES)
             body += stage(s, f"i + {entry}", "        ")
     return _exec(
-        "def tick(y, substeps, dt, b_grid, g_grid, bias_a, bias_b):\n"
+        "def tick(y, substeps, dt, grid, bias_a, bias_b):\n"
         + hoisted
         + unpack
         + f"    for i in range(0, {len(NODES)} * substeps, {len(NODES)}):\n"
@@ -273,11 +270,12 @@ def _exec(source: str, name: str):
 def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
     """Plant derivative for one agent's joint (alpha+beta channel) state.
 
-    Returns ``deriv(y, idx, b_grid, g_grid, bias_a, bias_b)``, the state
-    derivative with the field and packed gradient ``b_grid[idx]``,
-    ``g_grid[idx]``.  The state is (alpha, phi, alpha', phi', beta, theta,
-    beta', theta') with a pendulum attached, else (alpha, alpha', beta,
-    beta').  ``mag_pol`` is the signed dipole moment |m|·polarity.
+    Returns ``deriv(y, idx, grid, bias_a, bias_b)``, the state derivative
+    with the field and packed gradient [b; g] = ``grid[idx]``, eight values
+    (bx, by, bz, g1, ..., g5).  The state is (alpha, phi, alpha', phi',
+    beta, theta, beta', theta') with a pendulum attached, else (alpha,
+    alpha', beta, beta').  ``mag_pol`` is the signed dipole moment
+    |m|·polarity.
     """
     return _compile(params, attached, mag_pol, fused=False)
 
@@ -285,12 +283,12 @@ def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
 def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
     """One controller tick of the plant of :func:`make_deriv`, fused.
 
-    Returns ``tick(y, substeps, dt, b_grid, g_grid, bias_a, bias_b)``: the
-    state after ``substeps`` fifth-order Runge-Kutta steps of size dt, with
-    ``b_grid``/``g_grid`` holding the field and packed gradient at each
-    stage time in order (len(NODES)·substeps + 1 entries, see :data:`NODES`).
-    Straight-line code on plain Python floats: no per-stage tuples and no
-    calls but ``math.sin``/``math.cos``.
+    Returns ``tick(y, substeps, dt, grid, bias_a, bias_b)``: the state
+    after ``substeps`` fifth-order Runge-Kutta steps of size dt, with
+    ``grid`` holding [b; g] at each stage time in order (len(NODES)·substeps
+    + 1 entries of eight values, see :data:`NODES`).  Straight-line code on
+    plain Python floats: no per-stage tuples and no calls but
+    ``math.sin``/``math.cos``.
     """
     return _compile(params, attached, mag_pol, fused=True)
 
@@ -401,15 +399,14 @@ def finite_difference_linearization(
     _check_paradigm(paradigm)
     deriv = make_deriv(params, attached, params.dipole_magnitude)
     n = 4 if attached else 2
-    no_gradient = [(0.0,) * 5]
 
     def f(x: np.ndarray, u: float) -> np.ndarray:
         y = tuple(float(v) for v in x) + (0.0,) * n
         if paradigm == "torque":
-            b_grid, bias = [(0.0, 0.0, 0.0)], u
+            field, bias = (0.0, 0.0, 0.0), u
         else:
-            b_grid, bias = [(b_mag * math.sin(u), 0.0, b_mag * math.cos(u))], 0.0
-        return np.array(deriv(y, 0, b_grid, no_gradient, bias, 0.0)[:n])
+            field, bias = (b_mag * math.sin(u), 0.0, b_mag * math.cos(u)), 0.0
+        return np.array(deriv(y, 0, [field + (0.0,) * 5], bias, 0.0)[:n])
 
     x0 = np.zeros(n)
     a = np.zeros((n, n))

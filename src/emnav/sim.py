@@ -13,25 +13,23 @@ forces feed the planar actuator/pendulum dynamics of each channel.  The two
 channels couple through the shared dipole orientation.
 
 The inner integration loop is fixed-step fifth-order Runge-Kutta at
-``PLANT_DT`` on plain Python floats over per-tick field/gradient grids at
-the stage times (the lag-filtered currents do not depend on the plant
-state), run by each agent's fused tick from ``dynamics.make_tick``, compiled
-once per run.  The step is backed by a step-halving test: on the bundled
-scenarios, halving it moves no angle by more than 1e-8 rad
+``PLANT_DT`` on plain Python floats over one per-tick [b; g] grid per agent
+at the stage times, ``(A(p) @ i_grid).T`` (the lag-filtered currents do not
+depend on the plant state), run by the fused tick from
+``dynamics.make_tick``, compiled once per distinct plant (pendulum
+attached, signed dipole).  The step is backed by a step-halving test: on
+the bundled scenarios, halving it moves no angle by more than 1e-8 rad
 (``tests/test_sim.py::TestPlantStep``).  A plant that diverges (overflow,
 domain error or a non-finite state) ends the run with a failure record, as
 an allocation failure (rank deficiency or an SVD that does not converge)
 does.
 
+What else the tick loop reads that does not depend on the plant state is
+built before the loop by ``_schedule``, the one mapping of scheduled times
+to ticks: tick times, impulses, tilt, bias and integrate tables by tick.
+
 The allocation is a closure built once per run from the agents' fixed
-actuation matrices A(p) (``_allocator``): the field strategies' task map is
-constant, so its pseudoinverse is taken once per run, and the torque
-strategy is chosen once.  Every torque strategy runs in the body-frame
-(tau_x, tau_y) plane, from two ``torque_rows`` per agent filled from the
-measured angles each tick.  The one-step and multi-agent solves take one
-batched product with the stacked A(p) and one ``alloc.solve_torque``; the
-two-step solve takes the field rows' pseudoinverse once per run and, per
-tick, the closed-form field of ``alloc.two_step_field``.
+actuation matrices A(p) (``_allocator``).
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -293,13 +292,6 @@ class Scenario:
                 f"duration x control_rate x agents is {agent_ticks:.6g} "
                 f"agent-ticks, more than the cap of {MAX_AGENT_TICKS}"
             )
-        ticks = round(self.duration * self.emns.control_rate)
-        if ticks < 1:
-            raise ValueError(
-                f"duration {self.duration:.6g} s is shorter than half a control "
-                f"tick at {self.emns.control_rate:.6g} Hz: the run would have "
-                "no ticks"
-            )
         table = (
             SINGLE_STRATEGIES_BY_PARADIGM
             if len(self.agents) == 1
@@ -336,33 +328,108 @@ class Scenario:
                 coil_offsets(self.model, pos[None, :])
             except SingularPositionError as exc:
                 raise ValueError(f"agent {idx}: {exc}") from exc
-        times = []  # scheduled times, which must not fall after the last tick
-        windows = []  # bounded windows, which must hold a control tick
-        for idx, ev in enumerate(self.disturbances):
+        for ev in self.disturbances:
             if ev.agent >= len(self.agents):
                 raise ValueError(f"disturbance references agent {ev.agent}")
-            times.append((f"disturbances[{idx}] time", ev.time))
-            if ev.duration is not None:
-                windows.append((f"disturbances[{idx}]", ev.time, ev.time + ev.duration))
-        for idx, agent in enumerate(self.agents):
-            times.append((f"agents[{idx}].release_time", agent.release_time))
-            for j, (start, end) in enumerate(agent.integral_windows):
-                times.append((f"agents[{idx}].integral_windows[{j}] start", start))
-                windows.append((f"agents[{idx}].integral_windows[{j}]", start, end))
-        h = 1.0 / self.emns.control_rate
-        for name, time in times:
-            if _first_tick(time, h) >= ticks:
+        sched = _schedule(self)
+        if sched.ticks < 1:
+            raise ValueError(
+                f"duration {self.duration:.6g} s is shorter than half a control "
+                f"tick at {self.emns.control_rate:.6g} Hz: the run would have "
+                "no ticks"
+            )
+
+        def check(name: str, what: str, start: float, end, k0: int, k1=None):
+            # A start must not fall after the last tick; a window, hold one.
+            if k0 >= sched.ticks:
                 raise ValueError(
-                    f"{name} {time:.6g} s falls after the last control tick "
-                    f"of the {self.duration:.6g} s duration, at "
-                    f"{(ticks - 1) * h:.6g} s"
+                    f"{name}{what} {start:.6g} s falls after the last control "
+                    f"tick of the {self.duration:.6g} s duration, at "
+                    f"{(sched.ticks - 1) * sched.h:.6g} s"
                 )
-        for name, start, end in windows:
-            if _first_tick(end, h) == _first_tick(start, h):
+            if end is not None and k1 == k0:
                 raise ValueError(
                     f"{name} window [{start:.6g}, {end:.6g}) s holds no control "
                     f"tick at {self.emns.control_rate:.6g} Hz"
                 )
+
+        for i, (ev, span) in enumerate(zip(self.disturbances, sched.spans)):
+            end = None if ev.duration is None else ev.time + ev.duration
+            check(f"disturbances[{i}]", " time", ev.time, end, *span)
+        for i, (agent, spans) in enumerate(zip(self.agents, sched.integral_spans)):
+            check(f"agents[{i}]", ".release_time", agent.release_time, None,
+                  sched.release[i])
+            for j, (window, span) in enumerate(zip(agent.integral_windows, spans)):
+                check(f"agents[{i}].integral_windows[{j}]", " start", *window, *span)
+
+
+class _Schedule(NamedTuple):
+    """A run's schedule (``_schedule``); tables are indexed [tick][agent]."""
+
+    ticks: int
+    h: float  # control period [s]
+    t: np.ndarray  # tick times, k * h
+    spans: list  # each disturbance's ticks k0 <= k < k1
+    release: list  # each agent's first integrated tick
+    integral_spans: list  # each agent's integral windows as tick spans
+    tilt: list  # (alpha, beta) summed measurement_tilt magnitudes [rad]
+    bias: list  # (alpha, beta) summed torque_bias magnitudes [N·m]
+    impulses: dict  # tick -> [(agent, state index, magnitude)], event order
+    integrate: list  # whether the integral term accumulates
+
+
+#: The joint state the plant integrates, by pendulum_attached, as indices
+#: into AgentSetup.initial (alpha, beta, phi, theta, then their rates).
+_PACKED = {True: (0, 2, 4, 6, 1, 3, 5, 7), False: (0, 4, 1, 5)}
+
+
+def _schedule(scenario: Scenario) -> _Schedule:
+    """The one mapping of scheduled times to ticks (``_first_tick``), which
+    ``Scenario.__post_init__`` validates, and the tables built from it.  A
+    table entry sums, in event order from 0.0, the magnitudes of the events
+    of its kind that hold the tick (ticks k0 <= k < k1); ticks on which no
+    window starts or ends share one row."""
+    h = 1.0 / scenario.emns.control_rate
+    ticks = round(scenario.duration * scenario.emns.control_rate)
+    agents, events = scenario.agents, scenario.disturbances
+    spans = []
+    for ev in events:
+        k0 = _first_tick(ev.time, h)
+        k1 = (k0 + 1 if ev.kind == "impulse" else ticks if ev.duration is None
+              else _first_tick(ev.time + ev.duration, h))
+        spans.append((k0, k1))
+    integral_spans = [
+        tuple((_first_tick(a, h), _first_tick(b, h)) for a, b in s.integral_windows)
+        for s in agents
+    ]
+    bounds = {k for span in spans + [w for s in integral_spans for w in s]
+              for k in span if 0 < k < ticks}
+    cuts = sorted(bounds | {0, ticks})
+
+    def table(row_at) -> list:
+        return [row for k0, k1 in zip(cuts, cuts[1:])
+                for row in [row_at(k0)] * (k1 - k0)]
+
+    def summed(kind: str, k: int) -> tuple:
+        row = [[0.0, 0.0] for _ in agents]
+        for ev, (k0, k1) in zip(events, spans):
+            if ev.kind == kind and k0 <= k < k1:
+                row[ev.agent][CHANNELS.index(ev.channel)] += ev.magnitude
+        return tuple(map(tuple, row))
+
+    impulses = {}
+    for ev, (k0, _) in zip(events, spans):
+        if ev.kind == "impulse":
+            packed = _PACKED[agents[ev.agent].pendulum_attached]
+            index = packed.index(4 + CHANNELS.index(ev.channel))  # its rate
+            impulses.setdefault(k0, []).append((ev.agent, index, ev.magnitude))
+    release = [_first_tick(s.release_time, h) for s in agents]
+    tilt = table(lambda k: summed("measurement_tilt", k))
+    bias = table(lambda k: summed("torque_bias", k))
+    integrate = table(lambda k: tuple(
+        not s or any(k0 <= k < k1 for k0, k1 in s) for s in integral_spans))
+    return _Schedule(ticks, h, np.arange(ticks) * h, spans, release,
+                     integral_spans, tilt, bias, impulses, integrate)
 
 
 @dataclass
@@ -436,13 +503,6 @@ _PER_AGENT = ("alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
               "outputs_alpha", "outputs_beta")
 
 
-def _initial_joint_state(setup: AgentSetup) -> tuple:
-    a0, b0, ph0, th0, ad0, bd0, phd0, thd0 = setup.initial
-    if setup.pendulum_attached:
-        return (a0, ph0, ad0, phd0, b0, th0, bd0, thd0)
-    return (a0, ad0, b0, bd0)
-
-
 def _joint_angles(y: tuple, attached: bool) -> tuple[float, float, float, float]:
     """(alpha, beta, phi, theta) from the packed joint state."""
     if attached:
@@ -459,13 +519,12 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     LinAlgError, "integration" for a diverging plant), time and tick (and
     agent, for integration), and the trace is truncated at the failing tick.
     """
-    model = scenario.model
     emns = scenario.emns
     params = scenario.plant
     n_agents = len(scenario.agents)
-    n_coils = model.n_coils
-    h = 1.0 / emns.control_rate
-    ticks = int(round(scenario.duration * emns.control_rate))
+    n_coils = scenario.model.n_coils
+    sched = _schedule(scenario)
+    ticks, h = sched.ticks, sched.h
     substeps = max(1, int(round(h / PLANT_DT)))
     dt = h / substeps
     latency_ticks = int(round(emns.loop_latency * emns.control_rate))
@@ -516,21 +575,13 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         ]
 
     # --- precomputation ----------------------------------------------------
-    a_mats = [
-        actuation_matrix(model, np.asarray(s.position, dtype=float))
-        for s in scenario.agents
-    ]
-    a_field_rows = [m[:3] for m in a_mats]
-    a_grad_rows = [m[3:] for m in a_mats]
+    a_mats = [actuation_matrix(scenario.model, np.asarray(s.position, dtype=float))
+              for s in scenario.agents]
     allocate = _allocator(scenario, a_mats)
-    plant_ticks = [
-        make_tick(
-            params,
-            s.pendulum_attached,
-            params.dipole_magnitude * s.polarity,
-        )
-        for s in scenario.agents
-    ]
+    plant_keys = [(s.pendulum_attached, params.dipole_magnitude * s.polarity)
+                  for s in scenario.agents]
+    compiled = {key: make_tick(params, *key) for key in dict.fromkeys(plant_keys)}
+    plant_ticks = [compiled[key] for key in plant_keys]
     grid_times = np.append(np.add.outer(np.arange(substeps), NODES), substeps) * dt
     omega = 2.0 * math.pi * emns.current_bandwidth
     if emns.current_bandwidth > 0.0:
@@ -541,43 +592,16 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         decay_end = 0.0
     limit = emns.current_limit
 
-    # --- schedule: every scheduled time as a tick index ---------------------
-    # Each event holds over ticks k0 <= k < k1; an impulse fires at k0 only.
-    events = []
-    for ev in scenario.disturbances:
-        k0 = _first_tick(ev.time, h)
-        if ev.kind == "impulse":
-            k1 = k0 + 1
-        elif ev.duration is None:
-            k1 = ticks
-        else:
-            k1 = _first_tick(ev.time + ev.duration, h)
-        events.append((ev, k0, k1))
-    release_ticks = [_first_tick(s.release_time, h) for s in scenario.agents]
-    integral_spans = [
-        tuple((_first_tick(a, h), _first_tick(b, h)) for a, b in s.integral_windows)
-        for s in scenario.agents
-    ]
-
-    def in_force(kind: str, agent: int, channel: str, k: int) -> float:
-        # Summed magnitude, in event order, of the events of `kind` on
-        # (agent, channel) whose window holds tick k.
-        total = 0.0
-        for ev, k0, k1 in events:
-            if (ev.kind == kind and ev.agent == agent and ev.channel == channel
-                    and k0 <= k < k1):
-                total += ev.magnitude
-        return total
-
     # --- state -------------------------------------------------------------
-    states = [_initial_joint_state(s) for s in scenario.agents]
+    states = [tuple(s.initial[i] for i in _PACKED[s.pendulum_attached])
+              for s in scenario.agents]
     i_applied = np.zeros(n_coils)
     meas_buffers = [deque() for _ in scenario.agents]
     noise_std = scenario.measurement_noise_std
 
     tr = {name: np.zeros((ticks, n_agents)) for name in _PER_AGENT}
     tr.update(
-        t=np.zeros(ticks),
+        t=sched.t,
         currents=np.zeros((ticks, n_coils)),
         currents_cmd=np.zeros((ticks, n_coils)),
         fields=np.zeros((ticks, n_agents, 3)),
@@ -588,29 +612,21 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
     for k in range(ticks):
         t = k * h
-        tr["t"][k] = t
-
-        for ev, k0, _ in events:
-            if ev.kind == "impulse" and k == k0:
-                y = list(states[ev.agent])
-                attached = scenario.agents[ev.agent].pendulum_attached
-                if ev.channel == "alpha":
-                    y[2 if attached else 1] += ev.magnitude
-                else:
-                    y[6 if attached else 3] += ev.magnitude
-                states[ev.agent] = tuple(y)
+        for a_idx, index, magnitude in sched.impulses.get(k, ()):
+            y = list(states[a_idx])
+            y[index] += magnitude
+            states[a_idx] = tuple(y)
 
         # Per agent: the plant state and field at the tick instant, the
         # measurement (tilt bias + optional noise, integer-tick latency) and
         # the controller outputs.
         meas_agents = []
         outputs = []
+        tilts, integrate = sched.tilt[k], sched.integrate[k]
         for a_idx, setup in enumerate(scenario.agents):
             angles = _joint_angles(states[a_idx], setup.pendulum_attached)
-            tilt_a = in_force("measurement_tilt", a_idx, "alpha", k)
-            tilt_b = in_force("measurement_tilt", a_idx, "beta", k)
-            al, be, ph, th = angles
-            meas = [al + tilt_a, be + tilt_b, ph + tilt_a, th + tilt_b]
+            # (alpha, beta, phi, theta) + (tilt_a, tilt_b, tilt_a, tilt_b)
+            meas = [v + tilt for v, tilt in zip(angles, tilts[a_idx] * 2)]
             if noise_std > 0.0:
                 meas = [v + float(rng.normal(0.0, noise_std)) for v in meas]
             buf = meas_buffers[a_idx]
@@ -619,16 +635,14 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 buf.popleft()
             m_al, m_be, m_ph, m_th = buf[0]
             sp_a, sp_b = setup.setpoint.value(t)
-            spans = integral_spans[a_idx]
-            integrate = not spans or any(k0 <= k < k1 for k0, k1 in spans)
             alpha_ctl, beta_ctl = controllers[a_idx]
-            out_a = alpha_ctl.step(m_al, m_ph, sp_a, integrate)
-            out_b = beta_ctl.step(m_be, m_th, sp_b, integrate)
+            out_a = alpha_ctl.step(m_al, m_ph, sp_a, integrate[a_idx])
+            out_b = beta_ctl.step(m_be, m_th, sp_b, integrate[a_idx])
             meas_agents.append(buf[0])
             outputs.append((out_a, out_b))
             for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
                 tr[name][k, a_idx] = v
-            tr["fields"][k, a_idx] = a_field_rows[a_idx] @ i_applied
+            tr["fields"][k, a_idx] = a_mats[a_idx][:3] @ i_applied
         tr["currents"][k] = i_applied
 
         # Allocation (on measured orientations).
@@ -648,22 +662,15 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
         i_applied = np.clip(i_cmd + diff * decay_end, -limit, limit)
 
-        # Integrate each agent's plant across the tick.
-        for a_idx, setup in enumerate(scenario.agents):
-            if k < release_ticks[a_idx]:
+        # Integrate each agent's plant across the tick over its [b; g] grid.
+        biases = sched.bias[k]
+        for a_idx in range(n_agents):
+            if k < sched.release[a_idx]:
                 continue  # still held at its initial pose
-            b_grid = (a_field_rows[a_idx] @ i_grid).T.tolist()
-            g_grid = (a_grad_rows[a_idx] @ i_grid).T.tolist()
+            grid = (a_mats[a_idx] @ i_grid).T.tolist()
             try:
-                y = plant_ticks[a_idx](
-                    states[a_idx],
-                    substeps,
-                    dt,
-                    b_grid,
-                    g_grid,
-                    in_force("torque_bias", a_idx, "alpha", k),
-                    in_force("torque_bias", a_idx, "beta", k),
-                )
+                y = plant_ticks[a_idx](states[a_idx], substeps, dt, grid,
+                                       *biases[a_idx])
             except (OverflowError, ValueError) as exc:
                 error = f"plant diverged: {type(exc).__name__}: {exc}"
             else:
@@ -705,10 +712,7 @@ def _allocator(scenario: Scenario, a_mats: list):
     params = scenario.plant
     agents = scenario.agents
     if scenario.paradigm == "field":
-        if scenario.strategy == "field_alignment":
-            task_mat = alloc.field_alignment_map(a_mats[0])
-        else:
-            task_mat = alloc.multi_field_map(a_mats)
+        task_mat = alloc.field_map(a_mats)
         pinv = pinv_rank(task_mat)[0]
         magnitude = scenario.field_magnitude
 
@@ -763,54 +767,38 @@ def _settling_tick(within: np.ndarray) -> int | None:
 
 
 def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
-    """Settling, tracking, and current metrics plus synthesis diagnostics."""
+    """Settling (all four angles within 0.5 deg to the end), tracking, and
+    current metrics plus synthesis diagnostics."""
     ticks = trace.t.shape[0]
-    n_agents = trace.n_agents
     steady_from = int(0.75 * ticks)
-
-    err_a = trace.alpha - trace.alpha_sp
-    err_b = trace.beta - trace.beta_sp
-    err_mag = np.hypot(err_a, err_b)
-
-    settle_threshold = math.radians(0.5)
-    settling = []
-    for a_idx in range(n_agents):
-        angles = np.stack(
-            [
-                np.abs(trace.alpha[:, a_idx]),
-                np.abs(trace.phi[:, a_idx]),
-            ]
-        )
-        k = _settling_tick(np.all(angles < settle_threshold, axis=0))
-        settling.append(None if k is None else float(trace.t[k]))
-
-    rms_tracking = [
-        float(np.sqrt(np.mean(err_mag[steady_from:, a_idx] ** 2)))
-        for a_idx in range(n_agents)
-    ]
-
-    summary = {
+    err_mag = np.hypot(trace.alpha - trace.alpha_sp, trace.beta - trace.beta_sp)
+    angles = np.stack([trace.alpha, trace.beta, trace.phi, trace.theta])
+    within = np.all(np.abs(angles) < math.radians(0.5), axis=0)
+    agents = range(trace.n_agents)
+    settling = [_settling_tick(within[:, a_idx]) for a_idx in agents]
+    return {
         "scenario": scenario.name,
         "paradigm": scenario.paradigm,
         "strategy": scenario.strategy,
         "duration": float(scenario.duration),
         "ticks": int(ticks),
-        "n_agents": n_agents,
+        "n_agents": trace.n_agents,
         "seed": int(scenario.seed),
         "metrics": {
-            "settling_time": settling,
-            "rms_tracking_last_quarter": rms_tracking,
+            "settling_time": [None if k is None else float(trace.t[k])
+                              for k in settling],
+            "rms_tracking_last_quarter": [
+                float(np.sqrt(np.mean(err_mag[steady_from:, a_idx] ** 2)))
+                for a_idx in agents
+            ],
             "max_current": float(np.max(np.abs(trace.currents))),
-            "steady_max_current": float(
-                np.max(np.abs(trace.currents[steady_from:]))
-            ),
+            "steady_max_current": float(np.max(np.abs(trace.currents[steady_from:]))),
             "max_allocation_residual": float(np.max(trace.residuals)),
             "max_abs_alpha": float(np.max(np.abs(trace.alpha))),
         },
         "synthesis": trace.synthesis,
         "failure": trace.failure,
     }
-    return summary
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alloc import field_rows
 from .dynamics import PendulumParams
 from .export import write_csv
 from .magmodel import (
@@ -209,10 +210,9 @@ def _worst_currents(
       and dipole.  The worst case of |P v|_inf over the box |v_k| <= tau_bar, with P the
       pseudoinverse, is tau_bar * max_i sum_k |P_ik|: the induced infinity
       norm of P (Horn & Johnson, Matrix Analysis, 5.6).
-    - fixed field: W selects the [b; g] rows with a zero-gradient task on
-      arrays of 8 or more coils, else the field rows.  Two-agent maps use the
-      field rows only: two fields plus zero gradients exceed an 8-coil
-      array's rank.
+    - fixed field: W selects the rows of ``alloc.field_rows``, the field
+      allocation's task: the [b; g] rows with a zero-gradient task for one
+      agent on arrays of 8 or more coils, else the field rows.
 
     A second agent's rows are stacked under every point.  Each block of
     ``BLOCK`` points takes one ``pinv_rank``, whose SVD gives the rank and
@@ -229,7 +229,7 @@ def _worst_currents(
         rows = torque_rows(*orientation, params.dipole_magnitude, params.magnet_offset)
         task = None
     else:
-        n_rows = 8 if model.n_coils >= 8 and second_agent is None else 3
+        n_rows = field_rows(1 if second_agent is None else 2, model.n_coils)
         rows = np.eye(8)[:n_rows]  # 0/1 rows copy the entries exactly
         task = np.zeros(n_rows)
         task[2] = size

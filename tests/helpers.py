@@ -17,7 +17,7 @@ from emnav.alloc import (
     WrenchTask,
     allocate_torque_one_step,
     field_and_gradient,
-    multi_field_map,
+    field_map,
     solve_field,
 )
 from emnav.dynamics import PendulumParams
@@ -29,6 +29,7 @@ from emnav.magmodel import (
     actuation_matrix,
     pinv_rank,
 )
+from emnav.sim import _first_tick
 from emnav.workspace import GridSpec, TaskSet, workspace_map
 
 _MU0_OVER_4PI = 1.0e-7
@@ -684,6 +685,52 @@ def composed_allocator(scenario, a_mats: list):
     return allocate
 
 
+def event_spans(scenario) -> list:
+    """(event, k0, k1) per disturbance, each mapped on its own: the event
+    holds over ticks k0 <= k < k1, an impulse over k0 only, a window without
+    a duration to the last tick."""
+    h = 1.0 / scenario.emns.control_rate
+    ticks = round(scenario.duration * scenario.emns.control_rate)
+    events = []
+    for ev in scenario.disturbances:
+        k0 = _first_tick(ev.time, h)
+        if ev.kind == "impulse":
+            k1 = k0 + 1
+        elif ev.duration is None:
+            k1 = ticks
+        else:
+            k1 = _first_tick(ev.time + ev.duration, h)
+        events.append((ev, k0, k1))
+    return events
+
+
+def in_force(events: list, kind: str, agent: int, channel: str, k: int) -> float:
+    """Summed magnitude, in event order, of the events of ``kind`` on
+    (agent, channel) whose window holds tick k, by scanning every event."""
+    total = 0.0
+    for ev, k0, k1 in events:
+        if (ev.kind == kind and ev.agent == agent and ev.channel == channel
+                and k0 <= k < k1):
+            total += ev.magnitude
+    return total
+
+
+def impulses_at(scenario, events: list, k: int) -> list:
+    """(agent, state index, magnitude) of each impulse that fires at tick k,
+    in event order: the actuator rate's index in the packed joint state is
+    2 (alpha) or 6 (beta) with a pendulum attached, else 1 or 3."""
+    fired = []
+    for ev, k0, _ in events:
+        if ev.kind == "impulse" and k == k0:
+            attached = scenario.agents[ev.agent].pendulum_attached
+            if ev.channel == "alpha":
+                index = 2 if attached else 1
+            else:
+                index = 6 if attached else 3
+            fired.append((ev.agent, index, ev.magnitude))
+    return fired
+
+
 def settling_tick_brute(within: np.ndarray) -> int | None:
     """The first tick k with ``within[k:]`` all true, by trying every k;
     None when no such tick exists (or ``within`` is empty)."""
@@ -701,10 +748,10 @@ def settling_tick_brute(within: np.ndarray) -> int | None:
 
 def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
     """Minimum-norm currents realizing independent field commands at several
-    positions simultaneously, through ``multi_field_map``."""
+    positions simultaneously, through ``field_map``."""
     if len(a_mats) != len(commands) or len(a_mats) == 0:
         raise ValueError("a_mats and commands must be equal-length, non-empty")
-    stacked = multi_field_map(a_mats)
+    stacked = field_map(a_mats)
     return solve_field(stacked, pinv_rank(stacked)[0], commands)
 
 

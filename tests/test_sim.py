@@ -11,10 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import composed_allocator, settling_tick_brute
+from helpers import (
+    composed_allocator,
+    event_spans,
+    impulses_at,
+    in_force,
+    settling_tick_brute,
+)
 
 import emnav.sim as sim
 from emnav.cli import main
+from emnav.magmodel import get_model
 from emnav.sim import (
     EMNS_PRESETS,
     AgentSetup,
@@ -328,6 +335,27 @@ class TestTickMechanics:
         assert tr.t.shape[0] == 100 and tr.failure is None
         assert calls == [1, 1]
 
+    def test_tick_compiled_once_per_distinct_plant(self, monkeypatch):
+        # Both agents of multi_torque_async carry one plant (pendulum
+        # attached, polarity 1): one compiled tick.  A polarity -1 second
+        # agent is another plant.
+        compile_tick = sim.make_tick
+        calls = []
+
+        def counting(*plant):
+            calls.append(plant[1:])
+            return compile_tick(*plant)
+
+        monkeypatch.setattr(sim, "make_tick", counting)
+        data = load_bundled("multi_torque_async")
+        data["duration"] = 0.05
+        run_scenario(scenario_from_dict(data))
+        assert calls == [(True, 1.85)]
+        calls.clear()
+        data["agents"][1]["polarity"] = -1
+        run_scenario(scenario_from_dict(data))
+        assert calls == [(True, 1.85), (True, -1.85)]
+
     def test_agent_tick_cap_checked_before_allocation(self):
         # 1e12 s at 200 Hz would be 2e14 ticks; Scenario rejects it from the
         # arithmetic alone.
@@ -523,6 +551,87 @@ class TestTickRule:
             traces.append(run_scenario(scenario_from_dict(cfg)))
         assert np.array_equal(traces[0].alpha, traces[1].alpha)
         np.testing.assert_array_equal(traces[0].alpha[:102, 0], 0.05)
+
+
+@st.composite
+def scheduled_scenarios(draw) -> Scenario:
+    """A 0.25 s scenario of 1-2 agents (one actuator-only when there are
+    two) with drawn disturbances of every kind on both channels, integral
+    windows and release times.  Times fall on a few ticks or anywhere, so
+    windows overlap and impulses share ticks."""
+    rate = draw(st.sampled_from([120.0, 125.0, 200.0]))
+    h = 1.0 / rate
+    duration = 0.25
+    ticks = round(duration * rate)
+    time = st.one_of(
+        st.sampled_from([0, 1, ticks // 2, ticks - 1]).map(lambda k: k * h),
+        st.floats(0.0, (ticks - 1) * h),
+    )
+    n_agents = draw(st.integers(1, 2))
+    attached = draw(st.permutations([True, False]))[:n_agents]
+    positions = [(0.0, 0.0, 0.0)] if n_agents == 1 else [
+        (-0.0325, 0.0, 0.0), (0.0325, 0.0, 0.0)]
+    agents = []
+    for position, pendulum in zip(positions, attached):
+        offset = draw(st.sampled_from([0.0, 0.4 * h]))
+        bounds = sorted(draw(st.lists(st.integers(0, ticks - 2), max_size=4,
+                                      unique=True)))
+        windows = tuple((a * h + offset, b * h + offset)
+                        for a, b in zip(bounds[::2], bounds[1::2]))
+        agents.append(AgentSetup(position=position, pendulum_attached=pendulum,
+                                 release_time=draw(time), integral_windows=windows))
+    # 0.1, 0.2 and 0.3 sum to different floats in different orders.
+    magnitude = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.1, 0.2, 0.3]))
+    events = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(sim.DISTURBANCE_KINDS))
+        duration_st = st.one_of(st.none(), st.floats(h, 0.3))
+        events.append(DisturbanceEvent(
+            kind=kind,
+            time=draw(time),
+            magnitude=draw(magnitude),
+            agent=draw(st.integers(0, n_agents - 1)),
+            channel=draw(st.sampled_from(sim.CHANNELS)),
+            duration=draw(duration_st) if kind == "torque_bias" else None,
+        ))
+    return Scenario(
+        name="schedule", model=get_model("octomag8"), paradigm="torque",
+        strategy="torque_one_step" if n_agents == 1 else "multi_torque",
+        emns=EmnsConfig(control_rate=rate, current_limit=16.0),
+        duration=duration, agents=tuple(agents), disturbances=tuple(events),
+    )
+
+
+class TestSchedule:
+    """The per-run schedule against scans of every event and window at
+    every tick, the way the tick loop once derived them: equal, not
+    close."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=scheduled_scenarios())
+    def test_tables_match_event_scan(self, scenario):
+        sched = sim._schedule(scenario)
+        rate = scenario.emns.control_rate
+        h = 1.0 / rate
+        assert (sched.ticks, sched.h) == (round(scenario.duration * rate), h)
+        events = event_spans(scenario)
+        assert set(sched.impulses) <= set(range(sched.ticks))
+        for a_idx, setup in enumerate(scenario.agents):
+            assert sched.release[a_idx] == sim._first_tick(setup.release_time, h)
+        for k in range(sched.ticks):
+            assert sched.t[k] == k * h
+            assert sched.impulses.get(k, []) == impulses_at(scenario, events, k)
+            for a_idx, setup in enumerate(scenario.agents):
+                for table, kind in ((sched.tilt, "measurement_tilt"),
+                                    (sched.bias, "torque_bias")):
+                    assert table[k][a_idx] == tuple(
+                        in_force(events, kind, a_idx, channel, k)
+                        for channel in sim.CHANNELS
+                    )
+                spans = [(sim._first_tick(a, h), sim._first_tick(b, h))
+                         for a, b in setup.integral_windows]
+                assert sched.integrate[k][a_idx] == (
+                    not spans or any(k0 <= k < k1 for k0, k1 in spans))
 
 
 class TestLatencyAndNoise:
@@ -832,6 +941,20 @@ class TestBundledBehaviors:
         assert tr.failure is None
         settle = tr.summary["metrics"]["settling_time"][0]
         assert settle is not None and settle < 3.0
+
+    def test_settling_time_judges_beta(self):
+        # Tilted in beta only, single_torque settles when beta (and theta)
+        # come within 0.5 deg, not at 0 s because alpha and phi start there.
+        data = load_bundled("single_torque")
+        data["agents"][0]["initial"] = {"beta": 0.0873}
+        tr = run_scenario(scenario_from_dict(data))
+        settle = tr.summary["metrics"]["settling_time"][0]
+        assert settle is not None and 0.0 < settle < 3.0
+        k = int(np.flatnonzero(tr.t == settle)[0])
+        angles = np.abs(np.stack([tr.alpha, tr.beta, tr.phi, tr.theta]))[:, :, 0]
+        threshold = math.radians(0.5)
+        assert np.all(angles[:, k:] < threshold)
+        assert np.any(angles[:, k - 1] >= threshold)
 
     def test_disturbance_offset_and_integral_rejection(self):
         tr = run_scenario(scenario_from_dict(load_bundled("disturb_field_integral")))
