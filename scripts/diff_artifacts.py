@@ -15,7 +15,10 @@ bundled scenario runs: impulses (two on one tick, and on beta), overlapping
 ``measurement_noise_std`` and an actuator-only agent beside a pendulum
 agent.  They are written once, from this checkout's configs, and both trees
 run the same files.  For each trace CSV that differs, the largest deviation
-in its angle columns (alpha, beta, phi, theta) is printed.
+in its angle columns (alpha, beta, phi, theta) is printed, then the largest
+in its other columns (currents, tau, b) with that column's name; for each
+JSON artifact that differs, the largest deviation of its numbers with its
+path.
 
 Exits 1 if an angle deviates by more than 1e-8 rad, if any other artifact
 differs or is written by one tree only, or if a config exits with another
@@ -115,21 +118,42 @@ def _run_configs(tree: Path, out: Path, variants: list) -> dict:
     return codes
 
 
-def _angle_deviation(base: Path, change: Path) -> float | None:
-    """Largest |change - base| over the angle columns of a trace CSV, inf on
-    a shape mismatch; None if the file is not a trace CSV."""
+def _trace_deviations(base: Path, change: Path):
+    """Largest |change - base| over the angle columns (alpha, beta, phi,
+    theta) of a trace CSV, and over the other columns with the name of the
+    one that holds it; the angle deviation is inf on a shape mismatch.
+    None if the file is not a trace CSV."""
     with open(base, newline="") as fb, open(change, newline="") as fc:
         rows_b, rows_c = list(csv.reader(fb)), list(csv.reader(fc))
     if not rows_b or not set(ANGLES) <= set(rows_b[0]):
         return None
     if rows_b[0] != rows_c[0] or len(rows_b) != len(rows_c):
-        return float("inf")
-    cols = [rows_b[0].index(name) for name in ANGLES]
-    return max(
-        (abs(float(rc[j]) - float(rb[j]))
-         for rb, rc in zip(rows_b[1:], rows_c[1:]) for j in cols),
-        default=0.0,
-    )
+        return float("inf"), float("inf"), "shape"
+    worst = {name: 0.0 for name in rows_b[0]}
+    for rb, rc in zip(rows_b[1:], rows_c[1:]):
+        for name, vb, vc in zip(rows_b[0], rb, rc):
+            worst[name] = max(worst[name], abs(float(vc) - float(vb)))
+    other = max((name for name in worst if name not in ANGLES), key=worst.get)
+    return max(worst[name] for name in ANGLES), worst[other], other
+
+
+def _number_deviation(base, change, path="") -> tuple[float, str]:
+    """Largest |change - base| over the numbers of two JSON documents and
+    the path of the number that holds it; inf where they differ otherwise
+    (keys, lengths, types or any non-number value)."""
+    if (isinstance(base, dict) and isinstance(change, dict)
+            and base.keys() == change.keys()):
+        pairs = [(base[k], change[k], f"{path}.{k}") for k in base]
+    elif (isinstance(base, list) and isinstance(change, list)
+          and len(base) == len(change)):
+        pairs = [(b, c, f"{path}[{i}]")
+                 for i, (b, c) in enumerate(zip(base, change))]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool)
+             for v in (base, change)):
+        return abs(change - base), path
+    else:
+        return (0.0 if base == change else float("inf")), path
+    return max((_number_deviation(*pair) for pair in pairs), default=(0.0, path))
 
 
 def main(argv=None) -> int:
@@ -163,16 +187,20 @@ def main(argv=None) -> int:
             elif base.read_bytes() == change.read_bytes():
                 identical += 1
                 print(f"{name}: byte-identical")
+            elif name.endswith(".csv") and (
+                    found := _trace_deviations(base, change)) is not None:
+                angle, other, column = found
+                ok = ok and angle <= ANGLE_TOL
+                print(f"{name}: differs, largest angle deviation {angle:.3g} "
+                      f"rad; other columns {other:.3g} ({column})")
             else:
-                deviation = (_angle_deviation(base, change)
-                             if name.endswith(".csv") else None)
-                if deviation is None:
-                    ok = False
-                    print(f"{name}: differs")
-                else:
-                    ok = ok and deviation <= ANGLE_TOL
-                    print(f"{name}: differs, largest angle deviation "
-                          f"{deviation:.3g} rad")
+                ok = False
+                note = ""
+                if name.endswith(".json"):
+                    deviation, where = _number_deviation(
+                        json.loads(base.read_text()), json.loads(change.read_text()))
+                    note = f", largest number deviation {deviation:.3g} ({where})"
+                print(f"{name}: differs{note}")
         print(f"{identical} of {len(names)} artifacts of "
               f"{len(codes['change'])} configs byte-identical")
     return 0 if ok else 1

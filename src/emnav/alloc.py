@@ -22,7 +22,9 @@ positions, so the caller evaluates A(p) once.  Each solve uses
 singular-value cutoff, which yields the exact solution of minimal 2-norm
 whenever the task is achievable.  The one-step and multi-agent torque
 solves go through ``solve_torque``, which takes its rank check and its
-solution from one SVD of the stacked rows.  The two-step torque solve takes
+solution from one SVD of the stacked rows; the simulator's per-tick solve
+``solve_torque_gram`` takes a Cholesky factor of the Gram matrix instead,
+where it certifies the map well conditioned.  The two-step torque solve takes
 the smallest field realizing the torque in closed form
 (``two_step_field``), then the minimum-norm currents realizing that field
 through A_b(p)^+, which does not depend on the command (``solve_two_step``).
@@ -42,13 +44,14 @@ the benchmark's tracer hooks by name.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import PendulumParams
-from .magmodel import DipoleAgent, pinv_rank, torque_rows
+from .magmodel import GRAM_COND_BOUND, DipoleAgent, pinv_rank, torque_rows
 
 
 class RankDeficiencyError(RuntimeError):
@@ -127,14 +130,13 @@ class AllocationResult:
     residual_norm: float
 
 
-def _solve(
-    task_mat: np.ndarray, pinv: np.ndarray, target: np.ndarray
+def _result(
+    task_mat: np.ndarray, currents: np.ndarray, target
 ) -> AllocationResult:
-    """Currents pinv @ target and the residual of task_mat against target."""
-    currents = pinv @ target
-    return AllocationResult(
-        currents, float(np.linalg.norm(task_mat @ currents - target))
-    )
+    """``currents`` with the residual of task_mat against target (its 2-norm
+    as ``np.linalg.norm`` forms it, sqrt(r . r))."""
+    r = task_mat @ currents - target
+    return AllocationResult(currents, math.sqrt(r @ r))
 
 
 def field_and_gradient(
@@ -202,7 +204,61 @@ def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
             "coupled rank deficiency: agents' torque planes are not jointly "
             "independent (stacked rank < 2 per agent)"
         )
-    return _solve(task_mat, pinv, target)
+    return _result(task_mat, pinv @ target, target)
+
+
+@functools.cache
+def _gram_solve(n: int):
+    """``gram_solve(g, v)``: y = G^-1 v by a Cholesky factor G = L L^T of
+    the n x n ``g`` (nested lists; the lower triangle is read), unrolled in
+    Python floats and compiled once per n, as ``dynamics`` compiles the
+    plant.  None unless every pivot is positive and trace(G) ||L^-1||_F^2,
+    a bound on cond(G), is at most ``GRAM_COND_BOUND``."""
+
+    def less(head: str, pairs) -> str:  # head minus the sum of the products
+        total = " + ".join(f"{a} * {b}" for a, b in pairs)
+        return f"({head} - ({total}))" if total else head
+
+    rows = (", ".join(f"g{i}{j}" for j in range(n)) for i in range(n))
+    lines = [f"({',), ('.join(rows)},) = g",
+             f"{', '.join(f'v{i}' for i in range(n))}, = v"]
+    for j in range(n):  # the factor L, by columns
+        pivot = less(f"g{j}{j}", [(f"l{j}{k}", f"l{j}{k}") for k in range(j)])
+        lines += [f"d = {pivot}", "if not d > 0.0:", "    return None",
+                  f"l{j}{j} = sqrt(d)"]
+        for i in range(j + 1, n):
+            entry = less(f"g{i}{j}", [(f"l{i}{k}", f"l{j}{k}") for k in range(j)])
+            lines.append(f"l{i}{j} = {entry} / l{j}{j}")
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    for i, j in lower:  # M = L^-1, by rows
+        terms = [(f"l{i}{k}", f"m{k}{j}") for k in range(j, i)]
+        entry = less(f"{float(i == j)}", terms)
+        lines.append(f"m{i}{j} = {entry} / l{i}{i}")
+    trace = " + ".join(f"g{i}{i}" for i in range(n))
+    frob = " + ".join(f"m{i}{j} * m{i}{j}" for i, j in lower)
+    lines += [f"if not ({trace}) * ({frob}) <= {GRAM_COND_BOUND!r}:", "    return None"]
+    for i in range(n):  # L z = v
+        entry = less(f"v{i}", [(f"l{i}{k}", f"z{k}") for k in range(i)])
+        lines.append(f"z{i} = {entry} / l{i}{i}")
+    for i in reversed(range(n)):  # L^T y = z
+        entry = less(f"z{i}", [(f"l{k}{i}", f"y{k}") for k in range(i + 1, n)])
+        lines.append(f"y{i} = {entry} / l{i}{i}")
+    lines.append(f"return [{', '.join(f'y{i}' for i in range(n))}]")
+    source = "def gram_solve(g, v):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, f"<emnav.alloc gram_solve {n}>", "exec"), namespace)
+    return namespace["gram_solve"]
+
+
+def solve_torque_gram(task_mat: np.ndarray, target: list) -> AllocationResult:
+    """``solve_torque`` by the normal equations x = T^T (T T^T)^-1 v where
+    ``_gram_solve`` certifies them (within about 1e-8 relative of the
+    pseudoinverse solve at the bound), else by ``solve_torque`` itself, so
+    rank verdicts and errors stay the SVD's.  ``target`` is a list."""
+    y = _gram_solve(len(target))((task_mat @ task_mat.T).tolist(), target)
+    if y is None:
+        return solve_torque(task_mat, np.array(target))
+    return _result(task_mat, np.array(y) @ task_mat, target)
 
 
 def field_rows(n_agents: int, n_coils: int) -> int:
@@ -232,7 +288,8 @@ def solve_field(
     """
     setpoints = [c.setpoint for c in commands]
     padding = np.zeros(task_mat.shape[0] - 3 * len(commands))
-    return _solve(task_mat, pinv, np.concatenate(setpoints + [padding]))
+    target = np.concatenate(setpoints + [padding])
+    return _result(task_mat, pinv @ target, target)
 
 
 def allocate_field_alignment(

@@ -167,11 +167,11 @@ class LqriController:
     def __init__(
         self, gain: np.ndarray, config: ControllerConfig, sample_time: float
     ) -> None:
-        self.gain = np.atleast_2d(np.asarray(gain, dtype=float))
+        self.gain = tuple(np.atleast_2d(np.asarray(gain, dtype=float))[0].tolist())
         self.config = config
         self.sample_time = sample_time
         self.integral_value = float(config.integral_warm_start)
-        self.attached = self.gain.shape[1] == 4
+        self.attached = len(self.gain) == 4
         cutoff = config.velocity_filter_cutoff
         self.vel_actuator = VelocityEstimator(sample_time, cutoff)
         self.vel_pendulum = VelocityEstimator(sample_time, cutoff)
@@ -182,15 +182,17 @@ class LqriController:
         """Advance one controller period and return the channel output; the
         integral accumulates if ``integrate`` and the config enables it."""
         rate_a = self.vel_actuator.push(actuator)
-        # 0.0 - x, not -x: a zero state gives a +0.0 error, so that a zero
-        # output is written as 0, not -0.
+        # The gain-error dot product in floats.  0.0 - x, not -x: a zero
+        # state gives a +0.0 error, so that a zero output is written as 0.
         if self.attached:
             rate_p = self.vel_pendulum.push(pendulum)
-            error = np.array([alpha_sp - actuator, 0.0 - pendulum,
-                              0.0 - rate_a, 0.0 - rate_p])
+            k_a, k_p, k_ra, k_rp = self.gain
+            output = (k_a * (alpha_sp - actuator) + k_p * (0.0 - pendulum)
+                      + k_ra * (0.0 - rate_a) + k_rp * (0.0 - rate_p))
         else:
-            error = np.array([alpha_sp - actuator, 0.0 - rate_a])
-        output = float(self.gain[0] @ error) + self.integral_value
+            k_a, k_ra = self.gain
+            output = k_a * (alpha_sp - actuator) + k_ra * (0.0 - rate_a)
+        output += self.integral_value
         cfg = self.config
         if integrate and cfg.integral_enabled:
             self.integral_value += cfg.k_i * (alpha_sp - actuator) * self.sample_time
@@ -212,7 +214,6 @@ class VelocityEstimator:
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
-        self.cutoff_hz = cutoff_hz
         self._alpha = (
             1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt) if cutoff_hz else 1.0
         )

@@ -123,16 +123,16 @@ _COUPLED = """\
 c = cos(a - ph)
 s = sin(a - ph)
 a12 = HALF_ML_L * c
-rhs1 = K1 * sa - HALF_ML_L * phd**2 * s + qa - DAMPING * ad
-rhs2 = K2 * sin(ph) + HALF_ML_L * ad**2 * s - DAMPING * phd
+rhs1 = K1 * sa - HALF_ML_L * (phd * phd) * s + qa - DAMPING * ad
+rhs2 = K2 * sin(ph) + HALF_ML_L * (ad * ad) * s - DAMPING * phd
 det = A11_A22 - a12 * a12
 add = (A22 * rhs1 - a12 * rhs2) / det
 phdd = (A11 * rhs2 - a12 * rhs1) / det
 c = cos(b - th)
 s = sin(b - th)
 a12 = HALF_ML_L * c
-rhs1 = K1 * sb - HALF_ML_L * thd**2 * s + qb - DAMPING * bd
-rhs2 = K2 * sin(th) + HALF_ML_L * bd**2 * s - DAMPING * thd
+rhs1 = K1 * sb - HALF_ML_L * (thd * thd) * s + qb - DAMPING * bd
+rhs2 = K2 * sin(th) + HALF_ML_L * (bd * bd) * s - DAMPING * thd
 det = A11_A22 - a12 * a12
 bdd = (A22 * rhs1 - a12 * rhs2) / det
 thdd = (A11 * rhs2 - a12 * rhs1) / det

@@ -31,6 +31,16 @@ MIN_COIL_DISTANCE = 1.0e-6
 #: Relative singular-value cutoff shared by every pseudoinverse/rank check.
 RANK_RTOL = 1.0e-10
 
+#: Largest certified bound on cond(T)^2 at which the torque solve takes the
+#: normal equations (``alloc.solve_torque_gram``).  G = T T^T squares the
+#: condition number, so a Cholesky solve of G errs by about n u cond(T)^2
+#: relative, u = 1.1e-16 (Golub & Van Loan, Matrix Computations, 5.3;
+#: Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): ~1e-8
+#: here.  For G = L L^T, trace(G) >= lambda_max and ||L^-1||_F^2 =
+#: trace(G^-1) >= 1 / lambda_min, so trace(G) ||L^-1||_F^2 >= cond(T)^2.  A
+#: certified T has sigma_min / sigma_max >= 1e-4 >> RANK_RTOL: full rank.
+GRAM_COND_BOUND = 1.0e8
+
 #: Points per batched evaluation (workspace grids, alloc-bench samples).
 #: Bounds the (block, rows, coils) stacks: one whole-input batch would hold
 #: every actuation matrix at once.

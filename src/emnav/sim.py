@@ -14,19 +14,20 @@ channels couple through the shared dipole orientation.
 
 The inner integration loop is fixed-step fifth-order Runge-Kutta at
 ``PLANT_DT`` on plain Python floats over one per-tick [b; g] grid per agent
-at the stage times, ``(A(p) @ i_grid).T`` (the lag-filtered currents do not
-depend on the plant state), run by the fused tick from
-``dynamics.make_tick``, compiled once per distinct plant (pendulum
+at the stage times (the lag-filtered currents do not depend on the plant
+state): one product of the stacked A(p) of all agents with the tick's
+current grid, split per agent by one ``.tolist()``.  The fused tick from
+``dynamics.make_tick`` runs it, compiled once per distinct plant (pendulum
 attached, signed dipole).  The step is backed by a step-halving test: on
 the bundled scenarios, halving it moves no angle by more than 1e-8 rad
-(``tests/test_sim.py::TestPlantStep``).  A plant that diverges (overflow,
-domain error or a non-finite state) ends the run with a failure record, as
-an allocation failure (rank deficiency or an SVD that does not converge)
-does.
+(``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
+error, or a non-finite state, as an overflow leaves) ends the run with a
+failure record, as an allocation failure (rank deficiency or an SVD that
+does not converge) does.
 
 What else the tick loop reads that does not depend on the plant state is
-built before the loop by ``_schedule``, the one mapping of scheduled times
-to ticks: tick times, impulses, tilt, bias and integrate tables by tick.
+``Scenario.schedule``, built by ``_schedule`` when the scenario is checked:
+tick times, impulses, tilt, bias and integrate tables by tick.
 
 The allocation is a closure built once per run from the agents' fixed
 actuation matrices A(p) (``_allocator``).
@@ -280,6 +281,8 @@ class Scenario:
     include_force: bool = True
     measurement_noise_std: float = 0.0
     seed: int = 0
+    #: The validated schedule, built once here and read by run_scenario.
+    schedule: _Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.duration > 0:
@@ -332,6 +335,7 @@ class Scenario:
             if ev.agent >= len(self.agents):
                 raise ValueError(f"disturbance references agent {ev.agent}")
         sched = _schedule(self)
+        object.__setattr__(self, "schedule", sched)
         if sched.ticks < 1:
             raise ValueError(
                 f"duration {self.duration:.6g} s is shorter than half a control "
@@ -523,7 +527,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     params = scenario.plant
     n_agents = len(scenario.agents)
     n_coils = scenario.model.n_coils
-    sched = _schedule(scenario)
+    sched = scenario.schedule
     ticks, h = sched.ticks, sched.h
     substeps = max(1, int(round(h / PLANT_DT)))
     dt = h / substeps
@@ -578,6 +582,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     a_mats = [actuation_matrix(scenario.model, np.asarray(s.position, dtype=float))
               for s in scenario.agents]
     allocate = _allocator(scenario, a_mats)
+    a_all = np.vstack(a_mats)  # (8 * agents, n_coils)
+    b_all = np.vstack([a_mat[:3] for a_mat in a_mats])  # the field rows
     plant_keys = [(s.pendulum_attached, params.dipole_magnitude * s.polarity)
                   for s in scenario.agents]
     compiled = {key: make_tick(params, *key) for key in dict.fromkeys(plant_keys)}
@@ -642,8 +648,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             outputs.append((out_a, out_b))
             for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
                 tr[name][k, a_idx] = v
-            tr["fields"][k, a_idx] = a_mats[a_idx][:3] @ i_applied
         tr["currents"][k] = i_applied
+        tr["fields"][k] = (b_all @ i_applied).reshape(n_agents, 3)
 
         # Allocation (on measured orientations).
         try:
@@ -654,24 +660,25 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             completed = k + 1
             break
         tr["residuals"][k] = result.residual_norm
-        i_cmd = np.clip(result.currents, -limit, limit)
+        i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
         tr["currents_cmd"][k] = i_cmd
 
         # Current grids across the tick under the first-order driver lag.
         diff = i_applied - i_cmd
         i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
-        i_applied = np.clip(i_cmd + diff * decay_end, -limit, limit)
+        i_applied = np.minimum(np.maximum(i_cmd + diff * decay_end, -limit), limit)
 
-        # Integrate each agent's plant across the tick over its [b; g] grid.
+        # Integrate each agent's plant across the tick over its [b; g] grid
+        # (grids[agent][stage]).
+        grids = (a_all @ i_grid).reshape(n_agents, 8, -1).transpose(0, 2, 1).tolist()
         biases = sched.bias[k]
         for a_idx in range(n_agents):
             if k < sched.release[a_idx]:
                 continue  # still held at its initial pose
-            grid = (a_mats[a_idx] @ i_grid).T.tolist()
             try:
-                y = plant_ticks[a_idx](states[a_idx], substeps, dt, grid,
+                y = plant_ticks[a_idx](states[a_idx], substeps, dt, grids[a_idx],
                                        *biases[a_idx])
-            except (OverflowError, ValueError) as exc:
+            except ValueError as exc:  # sin or cos of an infinite angle
                 error = f"plant diverged: {type(exc).__name__}: {exc}"
             else:
                 if all(map(math.isfinite, y)):
@@ -704,10 +711,11 @@ def _allocator(scenario: Scenario, a_mats: list):
     tick, the torque strategies fill the agents' body-plane rows
     (``torque_rows``) from the measured angles; the target is the controller
     outputs as they are, (tau_x, tau_y) = (beta out, alpha out) per agent.
-    The one-step and multi-agent solves stack the A(p) here and take one
-    batched product with the stack.  The two-step solve uses the lever-0
-    rows and takes the field rows' pseudoinverse and rank here; a rank
-    below 3 fails every tick, so the run records the failure at its first.
+    The one-step and multi-agent solves stack the A(p) here, take one
+    batched product with the stack and solve through
+    ``alloc.solve_torque_gram``.  The two-step solve uses the lever-0 rows
+    and takes the field rows' pseudoinverse and rank here; a rank below 3
+    fails every tick, so the run records the failure at its first.
     """
     params = scenario.plant
     agents = scenario.agents
@@ -748,9 +756,10 @@ def _allocator(scenario: Scenario, a_mats: list):
     def allocate_plane(meas_agents: list, outputs: list):
         for idx, (meas, mag_pol) in enumerate(zip(meas_agents, mag_pols)):
             rows[idx] = torque_rows(meas[0], meas[1], mag_pol, lever)
-        target = np.array([t for out_a, out_b in outputs for t in (out_b, out_a)])
+        target = [t for out_a, out_b in outputs for t in (out_b, out_a)]
         if not two_step:
-            return alloc.solve_torque((rows @ a_stack).reshape(n_rows, -1), target)
+            return alloc.solve_torque_gram((rows @ a_stack).reshape(n_rows, -1),
+                                           target)
         if rank_b < 3:
             raise RankDeficiencyError(rank_failure)
         return alloc.solve_two_step(rows[0, :, :3], a_b, pinv_b, target, mag_pols[0])

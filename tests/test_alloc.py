@@ -32,6 +32,7 @@ from helpers import (
     zeta_star_world,
 )
 
+from emnav import alloc
 from emnav.alloc import (
     DegenerateTaskError,
     FieldCommand,
@@ -42,16 +43,20 @@ from emnav.alloc import (
     allocate_torque_one_step,
     allocate_torque_two_step,
     solve_torque,
+    solve_torque_gram,
     two_step_field,
     zeta_star,
 )
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
+    GRAM_COND_BOUND,
+    RANK_RTOL,
     ActuationModel,
     CoilSpec,
     DipoleAgent,
     actuation_matrix,
     get_model,
+    pinv_rank,
     torque_rows,
 )
 
@@ -654,3 +659,140 @@ def test_two_step_closed_form_matches_world_frame_oracle(
         scale = (np.linalg.norm(a_b_pinv, 2) * np.linalg.norm(b_oracle)
                  / np.linalg.norm(a_b_pinv @ agent.moment))
         assert abs(closed - oracle) <= 1e-12 * scale
+
+
+# The per-tick torque solve (``alloc.solve_torque_gram``): a certified Cholesky
+# solve of the Gram matrix T T^T, with the SVD of ``solve_torque`` behind it.
+
+
+@st.composite
+def _body_plane_map(draw):
+    """A stacked body-plane map T = W A(p) with its (tau_x, tau_y) targets:
+    one or two agents on octomag8, one on navion3 (two would need four
+    independent rows from three coils)."""
+    model = draw(st.sampled_from((get_model("octomag8"), get_model("navion3"))))
+    n_agents = draw(st.integers(1, 2)) if model.name == "octomag8" else 1
+    x_ranges = [(-0.04, 0.04)] if n_agents == 1 else [(-0.04, -0.01), (0.01, 0.04)]
+    rows = []
+    for x_lo, x_hi in x_ranges:
+        p = (draw(_floats(x_lo, x_hi)), draw(_floats(-0.04, 0.04)),
+             draw(_floats(*_Z_RANGE[model.name])))
+        mag_pol = draw(_floats(0.2, 2.0)) * draw(st.sampled_from((1, -1)))
+        tilts = draw(_floats(-0.6, 0.6)), draw(_floats(-0.6, 0.6))
+        lever = draw(st.sampled_from((0.0, 0.05)))
+        rows.append(torque_rows(*tilts, mag_pol, lever) @ actuation_matrix(model, p))
+    # Torques of 1e-6 N m and up: far smaller ones lose precision to underflow.
+    torque = st.just(0.0) | _floats(1e-6, 5e-3) | _floats(-5e-3, -1e-6)
+    return np.vstack(rows), [draw(torque) for _ in range(2 * n_agents)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_body_plane_map())
+def test_gram_solve_matches_pinv_on_body_plane_maps(case):
+    task_mat, target = case
+    n_rows = task_mat.shape[0]
+    gram = task_mat @ task_mat.T
+    # The certificate bounds cond(T)^2 from above, and these maps pass it,
+    # so the Gram path, not the SVD fallback, makes the solve.
+    factor_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    sigma = np.linalg.svd(task_mat, compute_uv=False)
+    bound = np.trace(gram) * np.sum(factor_inv**2)
+    assert bound >= (sigma[0] / sigma[-1]) ** 2 * (1.0 - 1e-12)
+    assert alloc._gram_solve(n_rows)(gram.tolist(), target) is not None
+    res = solve_torque_gram(task_mat, target)
+    oracle = pinv_rank(task_mat)[0] @ np.array(target)
+    assert np.linalg.norm(res.currents - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert res.residual_norm <= 1e-12 * np.linalg.norm(target)
+
+
+def _orthonormal(rng, rows: int, cols: int) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+
+
+def _conditioned_map(rng, ratio: float, deficient: str) -> np.ndarray:
+    """A map whose ``deficient`` part has sigma_min / sigma_max = ``ratio``:
+    agent 0's two rows alone, agent 0's or agent 1's block of a two-agent
+    stack (the other block generic), or the two-agent stack as a whole
+    (both blocks generic: a coupled deficiency)."""
+    def block(n: int, spectrum) -> np.ndarray:
+        return (_orthonormal(rng, n, n) * spectrum) @ _orthonormal(rng, 8, n).T
+
+    if deficient == "coupled":
+        return block(4, (1.0, 0.8, 0.6, ratio))
+    if deficient == "single":
+        return block(2, (1.0, ratio))
+    blocks = [block(2, (1.0, 0.7)), block(2, (1.0, ratio))]
+    return np.vstack(blocks if deficient == "agent 1" else blocks[::-1])
+
+
+def _outcome(solve, task_mat, target):
+    try:
+        return solve(task_mat, target)
+    except RankDeficiencyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("deficient", ["single", "agent 0", "agent 1", "coupled"])
+@pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-9, 1e-11])
+def test_gram_solve_keeps_svd_verdicts(monkeypatch, deficient, ratio):
+    # Both sides of the certification bound (cond^2 1e6 against 1e12 and
+    # more) and of RANK_RTOL (1e-9 and 1e-11): the same verdict and message
+    # as the SVD, which makes every uncertified solve.
+    rng = np.random.default_rng(int(-math.log10(ratio)))
+    task_mat = _conditioned_map(rng, ratio, deficient)
+    n_rows = task_mat.shape[0]
+    target = list(rng.uniform(-5e-3, 5e-3, n_rows))
+    svd_calls = []
+
+    def counted(*args):
+        svd_calls.append(None)
+        return solve_torque(*args)
+
+    monkeypatch.setattr(alloc, "solve_torque", counted)
+    got = _outcome(solve_torque_gram, task_mat, target)
+    assert len(svd_calls) == (0 if ratio == 1e-3 else 1)
+    oracle = _outcome(solve_torque, task_mat, np.array(target))
+    if ratio < RANK_RTOL:
+        name = "agent 0" if deficient == "single" else deficient
+        assert got == oracle and got.startswith(f"{name}:" if "agent" in name
+                                                else "coupled rank deficiency")
+    elif svd_calls:
+        np.testing.assert_array_equal(got.currents, oracle.currents)
+        assert got.residual_norm == oracle.residual_norm
+    else:
+        scale = np.linalg.norm(oracle.currents)
+        assert np.linalg.norm(got.currents - oracle.currents) <= 1e-8 * scale
+        assert got.residual_norm <= 1e-8 * np.linalg.norm(target)
+
+
+@pytest.mark.parametrize("ratio,certified", [(1.01e-4, True), (0.99e-4, False)])
+def test_gram_certificate_threshold(monkeypatch, ratio, certified):
+    # For sigma = (1, r), trace(G) trace(G^-1) = 2 + r^2 + 1 / r^2: it
+    # crosses GRAM_COND_BOUND between r = 1.01e-4 and 0.99e-4, where the
+    # SVD takes the solve.
+    assert (2.0 + ratio**2 + ratio**-2 <= GRAM_COND_BOUND) == certified
+    rng = np.random.default_rng(4)
+    task_mat = _conditioned_map(rng, ratio, "single")
+    target = [1e-3, -2e-3]
+    assert (alloc._gram_solve(2)((task_mat @ task_mat.T).tolist(), target)
+            is not None) == certified
+    svd_calls = []
+
+    def counted(*args):
+        svd_calls.append(None)
+        return solve_torque(*args)
+
+    monkeypatch.setattr(alloc, "solve_torque", counted)
+    res = solve_torque_gram(task_mat, target)
+    assert len(svd_calls) == (0 if certified else 1)
+    oracle = pinv_rank(task_mat)[0] @ np.array(target)
+    assert np.linalg.norm(res.currents - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+def test_gram_solve_falls_back_on_non_finite_map():
+    # A NaN in the map fails every pivot test; the SVD then raises its
+    # LinAlgError, which the simulator records as an allocation failure.
+    task_mat = np.ones((2, 8))
+    task_mat[0, 0] = math.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_torque_gram(task_mat, [0.0, 0.0])

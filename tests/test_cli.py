@@ -256,8 +256,9 @@ class TestSimulate:
     def test_diverging_plant_exit_2_with_record(
         self, short_torque, tmp_path, capsys, attached, magnitude
     ):
-        # Overflow (phi_dot**2) and math.sin(inf) (a ValueError, not a config
-        # error) both end the run as an integration failure.
+        # A non-finite state (phi_dot * phi_dot overflows to inf) and
+        # math.sin(inf) (a ValueError, not a config error) both end the run
+        # as an integration failure.
         data = json.loads(short_torque.read_text())
         data["disturbances"] = [
             {"type": "torque_bias", "time": 0.1, "magnitude": magnitude}

@@ -633,6 +633,21 @@ class TestSchedule:
                 assert sched.integrate[k][a_idx] == (
                     not spans or any(k0 <= k < k1 for k0, k1 in spans))
 
+    def test_built_once_per_scenario(self, monkeypatch):
+        # Scenario validation builds the schedule; run_scenario reads it.
+        build = sim._schedule
+        calls = []
+
+        def counted(scenario):
+            calls.append(None)
+            return build(scenario)
+
+        monkeypatch.setattr(sim, "_schedule", counted)
+        data = load_bundled("multi_torque_async")
+        data["duration"] = 0.05
+        tr = run_scenario(scenario_from_dict(data))
+        assert tr.failure is None and len(calls) == 1
+
 
 class TestLatencyAndNoise:
     def test_latency_delays_reaction_by_whole_ticks(self):
@@ -703,7 +718,9 @@ class TestFailureHandling:
     @pytest.mark.parametrize(
         "attached,magnitude,error",
         [
-            (True, 1e3, "OverflowError"),  # phi_dot**2 overflows
+            # phi_dot * phi_dot overflows to inf without raising, and the
+            # state is checked: "plant diverged: non-finite state"
+            (True, 1e3, "non-finite"),
             (False, 1e307, "ValueError"),  # the state reaches inf: sin(inf)
         ],
     )
@@ -755,17 +772,17 @@ class TestFailureHandling:
         # An SVD that does not converge (numpy's LinAlgError, a ValueError)
         # is a numerical failure at its tick, not a config error.  The
         # per-run allocator makes each tick's torque solve through
-        # alloc.solve_torque.
-        solve = sim.alloc.solve_torque
+        # alloc.solve_torque_gram.
+        solve = sim.alloc.solve_torque_gram
         calls = []
 
-        def fail_on_third_call(*args, **kwargs):
+        def fail_on_third_call(*args):
             calls.append(None)
             if len(calls) == 3:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return solve(*args, **kwargs)
+            return solve(*args)
 
-        monkeypatch.setattr(sim.alloc, "solve_torque", fail_on_third_call)
+        monkeypatch.setattr(sim.alloc, "solve_torque_gram", fail_on_third_call)
         cfg = tmp_path / "unit.json"
         cfg.write_text(json.dumps(base_torque_dict(duration=0.1)))
         out = tmp_path / "out"
