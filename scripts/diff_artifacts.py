@@ -14,15 +14,25 @@ bundled scenario runs: impulses (two on one tick, and on beta), overlapping
 ``release_time``, two integral windows, ``loop_latency``,
 ``measurement_noise_std`` and an actuator-only agent beside a pendulum
 agent.  They are written once, from this checkout's configs, and both trees
-run the same files.  For each trace CSV that differs, the largest deviation
-in its angle columns (alpha, beta, phi, theta) is printed, then the largest
-in its other columns (currents, tau, b) with that column's name; for each
-JSON artifact that differs, the largest deviation of its numbers with its
-path.
+run the same files.  A loop that holds a coil at the current limit on most
+ticks amplifies rounding past any trace bound, so the variants reach the
+limit on a few ticks at most.  For each variant and tree the number of
+ticks on which a commanded coil current reaches the limit is printed, from
+one more run of the variant in that tree (the trace CSV holds the lagged
+applied currents, not the commands).
 
-Exits 1 if an angle deviates by more than 1e-8 rad, if any other artifact
-differs or is written by one tree only, or if a config exits with another
-code on the two trees; else 0.  Uses only the standard library.
+For each CSV or JSON artifact that differs, the largest deviation of its
+numbers is printed with the path of the number that holds it (a CSV's row
+and column), and for a trace CSV the largest deviation in its angle columns
+(alpha, beta, phi, theta).
+
+The exit status follows the "same behaviour" contract.  It is 1 if an angle
+deviates by more than 1e-8 rad, if a config exits with another code on the
+two trees, if an artifact is written by one tree only, or if two artifacts
+differ in more than the values of finite numbers: a key, a length, a column,
+a string, a non-finite number or a ``failure`` record against null.  Else it
+is 0: other numeric deviations are reported and decide nothing.  Uses only
+the standard library; the saturation count runs each tree's own ``emnav``.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,9 +51,12 @@ from bench import REPO, _env, _extract
 
 ANGLE_TOL = 1e-8  # rad
 ANGLES = ("alpha", "beta", "phi", "theta")
+_MISSING = object()  # a path that one document lacks
 
 #: name: (bundled config, top-level keys to set, per-agent keys to set).
 VARIANTS = {
+    # The 5 deg catch and the two tilt steps (a step in a measured angle
+    # kicks its rate estimate) command the limit on 12 of the 300 ticks.
     "variant_torque_events": ("single_torque", {
         "duration": 1.5,
         "disturbances": [
@@ -58,11 +72,15 @@ VARIANTS = {
             {"type": "measurement_tilt", "time": 1.1, "magnitude": -0.005},
         ],
     }, [{}]),
+    # The two agents sit 65 mm apart, so their joint allocation needs large
+    # currents: with the bundled weights (r_weight 25), one tick of latency
+    # and this noise hold a coil at the limit on most ticks.  At r_weight
+    # 2500 and a 0.02 rad catch the commands peak near 11 of 16 A.
     "variant_multi_latency_noise": ("multi_torque_async", {
         "duration": 2.0,
         "emns": {"control_rate": 200.0, "current_limit": 16.0,
-                 "current_bandwidth": 26.4, "loop_latency": 0.01},
-        "measurement_noise_std": 1e-4,
+                 "current_bandwidth": 26.4, "loop_latency": 0.005},
+        "measurement_noise_std": 3e-5,
         "disturbances": [
             {"type": "impulse", "time": 1.0, "agent": 1, "channel": "beta",
              "magnitude": 0.02},
@@ -71,9 +89,13 @@ VARIANTS = {
              "magnitude": 1e-4},
         ],
     }, [
-        {"integral_windows": [[0.2, 0.9], [1.2, 1.9]]},
+        {"initial": {"alpha": 0.02},
+         "integral_windows": [[0.2, 0.9], [1.2, 1.9]],
+         "controller": {"q_diag": [20.0, 40.0, 1.0, 1.0], "r_weight": 2500.0,
+                        "k_i": -1.0, "integral_enabled": True,
+                        "anti_windup_limit": 0.05}},
         {"release_time": 0.3333, "pendulum_attached": False,
-         "controller": {"q_diag": [20.0, 1.0], "r_weight": 25.0}},
+         "controller": {"q_diag": [20.0, 1.0], "r_weight": 2500.0}},
     ]),
     "variant_field_actuator": ("disturb_field_integral", {
         "duration": 2.0,
@@ -87,6 +109,18 @@ VARIANTS = {
         ],
     }, [{"integral_windows": [[0.6, 1.4], [1.5, 2.0]], "release_time": 0.1037}]),
 }
+
+#: Run with a simulate config's path: prints the number of ticks on which a
+#: commanded coil current reaches the current limit, and the tick count.
+_COUNT_SATURATED = """\
+import json, sys
+import numpy as np
+from emnav.sim import run_scenario, scenario_from_dict
+scenario = scenario_from_dict(json.loads(open(sys.argv[1]).read()))
+trace = run_scenario(scenario)
+at_limit = np.abs(trace.currents_cmd) >= scenario.emns.current_limit
+print(int(np.count_nonzero(at_limit.any(axis=1))), len(trace.t))
+"""
 
 
 def _write_variants(out: Path) -> list:
@@ -118,42 +152,72 @@ def _run_configs(tree: Path, out: Path, variants: list) -> dict:
     return codes
 
 
-def _trace_deviations(base: Path, change: Path):
-    """Largest |change - base| over the angle columns (alpha, beta, phi,
-    theta) of a trace CSV, and over the other columns with the name of the
-    one that holds it; the angle deviation is inf on a shape mismatch.
-    None if the file is not a trace CSV."""
-    with open(base, newline="") as fb, open(change, newline="") as fc:
-        rows_b, rows_c = list(csv.reader(fb)), list(csv.reader(fc))
-    if not rows_b or not set(ANGLES) <= set(rows_b[0]):
-        return None
-    if rows_b[0] != rows_c[0] or len(rows_b) != len(rows_c):
-        return float("inf"), float("inf"), "shape"
-    worst = {name: 0.0 for name in rows_b[0]}
-    for rb, rc in zip(rows_b[1:], rows_c[1:]):
-        for name, vb, vc in zip(rows_b[0], rb, rc):
-            worst[name] = max(worst[name], abs(float(vc) - float(vb)))
-    other = max((name for name in worst if name not in ANGLES), key=worst.get)
-    return max(worst[name] for name in ANGLES), worst[other], other
+def _saturated_ticks(tree: Path, config: Path) -> str:
+    """"<saturated> of <ticks>" for a simulate config run in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_SATURATED, str(config)],
+        cwd=tree, env=_env(tree), capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        return "? (the count exited with a failure)"
+    return " of ".join(proc.stdout.split())
 
 
-def _number_deviation(base, change, path="") -> tuple[float, str]:
-    """Largest |change - base| over the numbers of two JSON documents and
-    the path of the number that holds it; inf where they differ otherwise
-    (keys, lengths, types or any non-number value)."""
-    if (isinstance(base, dict) and isinstance(change, dict)
-            and base.keys() == change.keys()):
-        pairs = [(base[k], change[k], f"{path}.{k}") for k in base]
-    elif (isinstance(base, list) and isinstance(change, list)
-          and len(base) == len(change)):
-        pairs = [(b, c, f"{path}[{i}]")
-                 for i, (b, c) in enumerate(zip(base, change))]
-    elif all(isinstance(v, (int, float)) and not isinstance(v, bool)
-             for v in (base, change)):
-        return abs(change - base), path
+def _read(path: Path):
+    """A JSON artifact's document, or a CSV artifact's rows as dicts by
+    column with every number as a float."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as f:
+        return [{name: _number(text) for name, text in row.items()}
+                for row in csv.DictReader(f)]
+
+
+def _number(text):
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return text
+
+
+def _leaves(doc, path: str = "") -> dict:
+    """Every scalar of a JSON document (or a CSV's rows) by its path."""
+    if isinstance(doc, dict) and doc:
+        pairs = [(f"{path}.{key}", value) for key, value in doc.items()]
+    elif isinstance(doc, list) and doc:
+        pairs = [(f"{path}[{i}]", value) for i, value in enumerate(doc)]
     else:
-        return (0.0 if base == change else float("inf")), path
-    return max((_number_deviation(*pair) for pair in pairs), default=(0.0, path))
+        return {path: doc}
+    leaves = {}
+    for sub, value in pairs:
+        leaves.update(_leaves(value, sub))
+    return leaves
+
+
+def _is_nan(value) -> bool:
+    return isinstance(value, float) and math.isnan(value)
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _compare(base, change) -> tuple[dict, str | None]:
+    """|change - base| by path, for every path that holds a finite number in
+    both documents, and the first path where they differ otherwise (a key,
+    a length, a type, a non-number value or a non-finite number), or
+    None."""
+    leaves_b, leaves_c = _leaves(base), _leaves(change)
+    deviations, other = {}, None
+    for path in {**leaves_b, **leaves_c}:
+        vb, vc = leaves_b.get(path, _MISSING), leaves_c.get(path, _MISSING)
+        if _finite(vb) and _finite(vc):
+            deviations[path] = abs(vc - vb)
+        elif other is None and (type(vb) is not type(vc) or (
+                vb != vc and not (_is_nan(vb) and _is_nan(vc)))):
+            other = path
+    return deviations, other
 
 
 def main(argv=None) -> int:
@@ -171,39 +235,54 @@ def main(argv=None) -> int:
         names = sorted(set(os.listdir(tmp / "out_base"))
                        | set(os.listdir(tmp / "out_change")))
         print(f"base {args.base} = {sha}; change = working tree of {REPO.name}")
-        ok = True
+        for config in variants:
+            counts = {side: _saturated_ticks(tree, config)
+                      for side, tree in trees.items()}
+            print(f"{config.stem}: a coil at the current limit on "
+                  f"{counts['change']} ticks (base {counts['base']})")
+        failed = []
         for config in sorted(set(codes["base"]) | set(codes["change"])):
             code_b, code_c = codes["base"].get(config), codes["change"].get(config)
             if code_b != code_c:
-                ok = False
+                failed.append(config)
                 print(f"{config}: exit {code_b} on base, {code_c} on change")
         identical = 0
         for name in names:
             base, change = tmp / "out_base" / name, tmp / "out_change" / name
             if not (base.exists() and change.exists()):
-                ok = False
+                failed.append(name)
                 side = "base" if base.exists() else "change"
                 print(f"{name}: written by {side} only")
-            elif base.read_bytes() == change.read_bytes():
+                continue
+            if base.read_bytes() == change.read_bytes():
                 identical += 1
                 print(f"{name}: byte-identical")
-            elif name.endswith(".csv") and (
-                    found := _trace_deviations(base, change)) is not None:
-                angle, other, column = found
-                ok = ok and angle <= ANGLE_TOL
-                print(f"{name}: differs, largest angle deviation {angle:.3g} "
-                      f"rad; other columns {other:.3g} ({column})")
-            else:
-                ok = False
-                note = ""
-                if name.endswith(".json"):
-                    deviation, where = _number_deviation(
-                        json.loads(base.read_text()), json.loads(change.read_text()))
-                    note = f", largest number deviation {deviation:.3g} ({where})"
-                print(f"{name}: differs{note}")
+                continue
+            if base.suffix not in (".csv", ".json"):
+                failed.append(name)
+                print(f"{name}: differs")
+                continue
+            deviations, other = _compare(_read(base), _read(change))
+            notes = []
+            angles = [value for path, value in deviations.items()
+                      if path.rsplit(".", 1)[-1] in ANGLES]
+            if base.suffix == ".csv" and angles:  # a trace
+                notes.append(f"largest angle deviation {max(angles):.3g} rad")
+                if max(angles) > ANGLE_TOL:
+                    failed.append(name)
+            if deviations:
+                worst = max(deviations, key=deviations.get)
+                notes.append(f"largest number deviation {deviations[worst]:.3g} "
+                             f"({worst})")
+            if other is not None:
+                failed.append(name)
+                notes.append(f"differs beyond its numbers at {other}")
+            print(f"{name}: differs, " + "; ".join(notes))
         print(f"{identical} of {len(names)} artifacts of "
               f"{len(codes['change'])} configs byte-identical")
-    return 0 if ok else 1
+        if failed:
+            print(f"not the same behaviour: {', '.join(dict.fromkeys(failed))}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ The plant's derivative is written once per state layout (pendulum attached:
 plant, with its constants inlined, into two functions: the derivative
 (:func:`make_deriv`), which the finite-difference check differentiates, and
 a fused tick (:func:`make_tick`), which the simulator runs.  The tick inlines
-the six stages of every fifth-order Runge-Kutta step as straight-line code on
-plain Python floats, bit-identical to stage-by-stage RK over the derivative
-(checked against the hand-written oracle in tests/helpers.py).
+the twelve stages of every eighth-order Runge-Kutta step (DOP853) as
+straight-line code on plain Python floats, bit-identical to stage-by-stage RK
+over the derivative (checked against the hand-written oracle in
+tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -178,17 +179,54 @@ def _constants(params: PendulumParams, mag_pol: float) -> dict[str, float]:
     }
 
 
-# The plant step: Dormand-Prince 5(4) at a fixed step, fifth-order weights only
-# (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2).  Row s: node c_s,
-# weights a_sj.  The last row's state (weights b_j) is the step's result.
+# The plant step: DOP853, the eighth-order Dormand-Prince pair (Prince &
+# Dormand, J. Comput. Appl. Math. 7, 1981; Hairer, Norsett & Wanner, Solving
+# ODEs I, Sec. II.10), at a fixed step with its eighth-order weights only: the
+# 12 stages and weights of scipy.integrate's DOP853, to the last bit.  Row s:
+# node c_s, weights a_sj.  The last row's state (weights b_j) is the step's
+# result.
 _TABLEAU = (
     (0.0, ()),
-    (1 / 5, (1 / 5,)),
-    (3 / 10, (3 / 40, 9 / 40)),
-    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
-    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
-    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+    (0.05260015195876773, (0.05260015195876773,)),
+    (0.0789002279381516, (0.0197250569845379, 0.0591751709536137)),
+    (0.1183503419072274, (0.02958758547680685, 0.0, 0.08876275643042054)),
+    (0.2816496580927726, (
+        0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792,
+    )),
+    (0.3333333333333333, (
+        0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242,
+    )),
+    (0.25, (
+        0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125,
+    )),
+    (0.3076923076923077, (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023,
+    )),
+    (0.6512820512820513, (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    )),
+    (0.6, (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627,
+    )),
+    (0.8571428571428571, (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+        -3.0467644718982196,
+    )),
+    (1.0, (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+        12.360567175794303, 0.6433927460157636,
+    )),
+    (1.0, (
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+        0.20136540080403034, 0.04471061572777259,
+    )),
 )
 #: The nodes below 1: a tick of n steps of size dt reads the field and
 #: gradient at (j + c) * dt for each step j and node c, then at n * dt.
@@ -284,11 +322,11 @@ def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
     """One controller tick of the plant of :func:`make_deriv`, fused.
 
     Returns ``tick(y, substeps, dt, grid, bias_a, bias_b)``: the state
-    after ``substeps`` fifth-order Runge-Kutta steps of size dt, with
-    ``grid`` holding [b; g] at each stage time in order (len(NODES)·substeps
-    + 1 entries of eight values, see :data:`NODES`).  Straight-line code on
-    plain Python floats: no per-stage tuples and no calls but
-    ``math.sin``/``math.cos``.
+    after ``substeps`` eighth-order Runge-Kutta (DOP853) steps of size dt,
+    12 derivative evaluations each, with ``grid`` holding [b; g] at each
+    stage time in order (len(NODES)·substeps + 1 entries of eight values,
+    see :data:`NODES`).  Straight-line code on plain Python floats: no
+    per-stage tuples and no calls but ``math.sin``/``math.cos``.
     """
     return _compile(params, attached, mag_pol, fused=True)
 

@@ -12,11 +12,11 @@ torque are projected onto the two gimbal axes, and the resulting generalized
 forces feed the planar actuator/pendulum dynamics of each channel.  The two
 channels couple through the shared dipole orientation.
 
-The inner integration loop is fixed-step fifth-order Runge-Kutta at
-``PLANT_DT`` on plain Python floats over one per-tick [b; g] grid per agent
-at the stage times (the lag-filtered currents do not depend on the plant
-state): one product of the stacked A(p) of all agents with the tick's
-current grid, split per agent by one ``.tolist()``.  The fused tick from
+The inner integration loop is fixed-step eighth-order Runge-Kutta (DOP853,
+12 stages) at ``PLANT_DT`` on plain Python floats over one per-tick [b; g]
+grid per agent at the stage times (the lag-filtered currents do not depend
+on the plant state): one product of the stacked A(p) of all agents with the
+tick's current grid, split per agent by one ``.tolist()``.  The fused tick from
 ``dynamics.make_tick`` runs it, compiled once per distinct plant (pendulum
 attached, signed dipole).  The step is backed by a step-halving test: on
 the bundled scenarios, halving it moves no angle by more than 1e-8 rad
@@ -69,16 +69,22 @@ from .magmodel import (
     torque_rows,
 )
 
-#: Fixed plant step [s]: 4 steps (24 derivative evaluations) per 200 Hz tick,
-#: 6 per 125 Hz tick.  Largest angle deviation of each bundled scenario from
-#: its trace at PLANT_DT / 2, then from the former RK4 at 2.5e-4 s (80
-#: evaluations per 200 Hz tick): multi_field_2x2d 6.3e-10 and 3.5e-10 rad,
-#: multi_torque_async 7.8e-11 and 2.8e-11, multi_torque_inphase 7.6e-11 and
-#: 2.8e-11, single_torque 2.0e-11 and 9.5e-12, single_field 9.2e-12 and
-#: 6.9e-12, disturb_field_integral 3.3e-13 and 1.8e-13, disturb_field_p_only
-#: 7.1e-16 and 2.9e-15.  The error falls about 32x per halving: 6.3e-10 rad
-#: is 15x under the 1e-8 rad bound of the step-halving test.
-PLANT_DT = 1.25e-3
+#: Fixed plant step [s]: one DOP853 step (12 derivative evaluations) per
+#: 200 Hz tick, two steps of 4 ms (24 evaluations) per 125 Hz tick.  Largest
+#: angle deviation of each bundled scenario from its trace at PLANT_DT / 2,
+#: then from the former fifth-order Dormand-Prince tick at 1.25e-3 s (24
+#: evaluations per 200 Hz tick): multi_field_2x2d 1.6e-10 and 4.9e-10 rad,
+#: multi_torque_async 3.4e-11 and 4.6e-11, multi_torque_inphase 3.4e-11 and
+#: 4.5e-11, single_torque 7.0e-12 and 1.4e-11, single_field 2.0e-12 and
+#: 7.8e-12, disturb_field_integral 7.7e-14 and 2.6e-13, disturb_field_p_only
+#: 1.7e-16 and 5.0e-16; the 125 Hz navion3 two-step line at 0.12 m 2.3e-13
+#: and 6.4e-12.  Against the fifth-order tick at 1.5625e-4 s, this step is
+#: 2.3x to 4.8x closer than the fifth-order one at 1.25e-3 s on every
+#: bundled scenario above roundoff (multi_field_2x2d 1.6e-10 against 6.5e-10
+#: rad), and 28x on the navion3 line.  The error falls about 256x per
+#: halving: 1.6e-10 rad is 60x under the 1e-8 rad bound of the step-halving
+#: test.
+PLANT_DT = 5e-3
 
 #: Most ticks x agents one run may take, checked before the trace is
 #: allocated.  The trace holds 11 float64 values per agent-tick and

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.integrate._ivp import dop853_coefficients
 
 from emnav.alloc import (
     FIELD_RANK_FAILURE,
@@ -176,20 +177,15 @@ def coupled_accelerations(params: PendulumParams):
     return accelerations
 
 
-# The explicit Runge-Kutta tableau of the plant step, typed out independently
-# of emnav.dynamics: Dormand-Prince 5(4) with its fifth-order weights (Hairer,
-# Norsett & Wanner, Solving ODEs I, Table II.5.2).  RK_A[s] holds stage s's
+# The explicit Runge-Kutta tableau of the plant step, taken independently of
+# emnav.dynamics from scipy.integrate's DOP853 coefficients: the 12 stages of
+# the eighth-order Dormand-Prince pair and its eighth-order weights (Hairer,
+# Norsett & Wanner, Solving ODEs I, Sec. II.10).  RK_A[s] holds stage s's
 # weights, RK_C[s] its node; RK_B are the update's weights.
-RK_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-RK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-RK_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+RK_C = tuple(float(c) for c in dop853_coefficients.C[:dop853_coefficients.N_STAGES])
+RK_A = tuple(tuple(float(a) for a in dop853_coefficients.A[s, :s])
+             for s in range(len(RK_C)))
+RK_B = tuple(float(b) for b in dop853_coefficients.B)
 #: The distinct stage nodes below 1: one grid entry each per step.
 RK_NODES = tuple(c for c in RK_C if c < 1.0)
 

@@ -1,11 +1,13 @@
 """Tests for the plant the simulator integrates, its linearizations, and
-the fifth-order Runge-Kutta tick.
+the eighth-order Runge-Kutta (DOP853) tick.
 
 Oracles:
   * the hand-written derivative and stage-by-stage explicit Runge-Kutta over
-    the Dormand-Prince tableau typed out in tests/helpers.py, which the
-    compiled derivative and fused tick must reproduce bit for bit;
-  * the tableau's row-sum condition and the tick's fifth-order convergence;
+    scipy's DOP853 tableau, copied in tests/helpers.py, which the compiled
+    derivative and fused tick must reproduce bit for bit;
+  * the tableau's equality with that copy, its row-sum condition, its
+    quadrature order conditions up to order 8 and the tick's eighth-order
+    convergence;
   * mechanical energy conservation of the unforced, undamped plant under the
     simulator's tick;
   * central finite differences of that plant vs the analytic linearization;
@@ -20,6 +22,7 @@ Oracles:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +47,7 @@ from helpers import coupled_accelerations_per_call, total_energy
 
 NO_FIELD = (0.0, 0.0, 0.0)
 NO_GRADIENT = (0.0,) * 5
+EPS = sys.float_info.epsilon
 
 
 def plant(params: PendulumParams, attached: bool = True):
@@ -313,26 +317,51 @@ class TestLinearization:
 
 
 class TestRungeKutta:
+    def test_tableau_is_dop853(self):
+        # The plant's tableau is scipy's DOP853 to the last bit: its 12
+        # stages, then the eighth-order weights at node 1.
+        assert dynamics._TABLEAU == (
+            *zip(helpers.RK_C, helpers.RK_A), (1.0, helpers.RK_B)
+        )
+
     def test_row_sums_are_nodes(self):
         # Each stage's node is the sum of its weights, c_s = sum_j a_sj; the
-        # last row (the update's weights) sums to its node, 1.
+        # last row (the update's weights) sums to its node, 1.  The weights
+        # reach 43.5 in magnitude, so the exact sum of the rounded weights is
+        # within eps per unit of sum_j |a_sj| of the rounded node.
         for c, row in dynamics._TABLEAU:
-            assert abs(sum(row) - c) <= 1e-15
+            assert abs(math.fsum(row) - c) <= EPS * sum(abs(a) for a in row)
 
-    def test_fifth_order_convergence(self, params):
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_quadrature_order_conditions(self, k):
+        # An order-8 method integrates polynomials of degree 7 exactly:
+        # sum_j b_j c_j^(k-1) = 1/k for k = 1..8 (Hairer, Norsett & Wanner,
+        # Solving ODEs I, Sec. II.2).  Each term carries the rounding of b_j,
+        # of c_j (k - 1 times) and of the power, about (k + 1) / 2 eps of its
+        # magnitude; 1/k and the sum round by eps / 2 of at most sum |term|.
+        c = [node for node, _ in dynamics._TABLEAU[:-1]]
+        b = dynamics._TABLEAU[-1][1]
+        terms = [w * node ** (k - 1) for w, node in zip(b, c)]
+        bound = (k + 1) * EPS * math.fsum(abs(t) for t in terms)
+        assert abs(math.fsum(terms) - 1.0 / k) <= bound
+
+    def test_eighth_order_convergence(self, params):
         # The unforced coupled pendulum over 0.4 s against a 16x finer
-        # solution than the finer of two step sizes: halving dt shrinks the
-        # error ~32x.
+        # solution than the finer of two step sizes.  Halving dt shrinks the
+        # error 2^8 = 256x in the limit; the falling pendulum is not yet
+        # there at 80 -> 160 steps (about 390x, an observed order of 8.6),
+        # where both errors (1.5e-9 and 3.9e-12 rad) sit well above
+        # roundoff.  The band 2^7.5 .. 2^9 excludes orders 7 and 10.
         tick = stepper(params)
         y0 = (0.08, -0.05, 0.2, -0.1) + (0.0,) * 4
         duration = 0.4
-        ref = integrate(tick, y0, 20480, duration / 20480)
+        ref = integrate(tick, y0, 2560, duration / 2560)
         errors = []
-        for steps in (640, 1280):
+        for steps in (80, 160):
             y = integrate(tick, y0, steps, duration / steps)
             errors.append(max(abs(a - b) for a, b in zip(y, ref)))
         ratio = errors[0] / errors[1]
-        assert 24.0 < ratio < 44.0
+        assert 2.0**7.5 < ratio < 2.0**9
 
     def test_harmonic_oscillator_phase(self):
         # In a field along +z the actuator alone is an exact nonlinear

@@ -852,20 +852,35 @@ def test_settling_tick_matches_brute_force(within):
 
 
 class TestPlantStep:
-    @pytest.mark.parametrize("name", BUNDLED_SIMULATE)
-    def test_step_halving(self, monkeypatch, bundled_runs, name):
-        # The fifth-order tick's global error falls about 32x per halving, so
-        # the gap between the traces at PLANT_DT and PLANT_DT / 2 bounds the
-        # error of the step the simulator uses, on every bundled scenario.
-        coarse = bundled_runs[name]["trace"]
+    """The eighth-order tick's global error falls about 256x per halving, so
+    the gap between the traces at PLANT_DT and PLANT_DT / 2 bounds the error
+    of the step the simulator uses."""
+
+    @staticmethod
+    def halving_gap(monkeypatch, data: dict, coarse) -> float:
         monkeypatch.setattr(sim, "PLANT_DT", sim.PLANT_DT / 2)
-        fine = run_scenario(scenario_from_dict(load_bundled(name)))
+        fine = run_scenario(scenario_from_dict(data))
         assert coarse.failure is None and fine.failure is None
-        worst = max(
+        return max(
             float(np.max(np.abs(getattr(coarse, n) - getattr(fine, n))))
             for n in ("alpha", "beta", "phi", "theta")
         )
-        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("name", BUNDLED_SIMULATE)
+    def test_step_halving(self, monkeypatch, bundled_runs, name):
+        coarse = bundled_runs[name]["trace"]
+        assert self.halving_gap(monkeypatch, load_bundled(name), coarse) <= 1e-8
+
+    def test_step_halving_two_steps_per_tick(self, monkeypatch):
+        # No bundled simulate scenario runs at 125 Hz, where a tick takes two
+        # steps: the navion3 stand-off line at 0.12 m does.
+        data = load_bundled("single_torque")
+        data["duration"] = 2.0
+        _navion_standoff_two_step(data)
+        scenario = scenario_from_dict(data)
+        assert round(scenario.schedule.h / sim.PLANT_DT) == 2
+        coarse = run_scenario(scenario)
+        assert self.halving_gap(monkeypatch, data, coarse) <= 1e-8
 
 
 class TestFieldParadigm:
