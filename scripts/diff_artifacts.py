@@ -3,23 +3,25 @@
 
     python3 scripts/diff_artifacts.py [--base HEAD]
 
-The base commit is extracted with ``scripts/bench.py``'s ``_extract`` (local,
-nothing is fetched); the change is the checkout holding this script,
+The base commit is extracted with ``scripts/bench.py``'s ``_extract``
+(local, nothing is fetched); the change is the checkout holding this script,
 uncommitted edits included.  Each tree runs its own ``scenarios/*.json``,
 then the ``VARIANTS`` below, through ``python3 -m emnav <kind>`` into a
 temporary directory, and every artifact is compared byte for byte.  The
 variants are runs of 2 s or less of bundled configs with the features no
 bundled scenario runs: impulses (two on one tick, and on beta), overlapping
-``torque_bias`` windows, ``measurement_tilt``, an off-grid
-``release_time``, two integral windows, ``loop_latency``,
-``measurement_noise_std`` and an actuator-only agent beside a pendulum
-agent.  They are written once, from this checkout's configs, and both trees
-run the same files.  A loop that holds a coil at the current limit on most
-ticks amplifies rounding past any trace bound, so the variants reach the
-limit on a few ticks at most.  For each variant and tree the number of
-ticks on which a commanded coil current reaches the limit is printed, from
-one more run of the variant in that tree (the trace CSV holds the lagged
-applied currents, not the commands).
+``torque_bias`` windows, ``measurement_tilt``, an off-grid ``release_time``,
+two integral windows, ``loop_latency``, ``measurement_noise_std`` and an
+actuator-only agent beside a pendulum agent; and two workspace maps whose
+pseudoinverses take the SVD fallback of ``magmodel.pinv_rank`` (a second
+agent on a grid point, and tall two-agent stacks on three coils).  They are
+written once, from this checkout's configs, and both trees run the same
+files.  A loop that holds a coil at the current limit on most ticks
+amplifies rounding past any trace bound, so the variants reach the limit on
+a few ticks at most.  For each variant and tree the number of ticks on which
+a commanded coil current reaches the limit is printed, from one more run of
+each simulate variant in that tree (the trace CSV holds the lagged applied
+currents, not the commands).
 
 For each CSV or JSON artifact that differs, the largest deviation of its
 numbers is printed with the path of the number that holds it (a CSV's row
@@ -108,6 +110,14 @@ VARIANTS = {
             {"type": "measurement_tilt", "time": 1.3, "magnitude": 0.01},
         ],
     }, [{"integral_windows": [[0.6, 1.4], [1.5, 2.0]], "release_time": 0.1037}]),
+    # The second agent on the grid point (0.03, 0, 0): one singular torque
+    # point of 289, its block mixing certified and uncertified entries.
+    "variant_workspace_on_point": ("workspace_octomag_2agent", {
+        "second_agent": [0.03, 0.0, 0.0]}, []),
+    # Two agents' four torque rows on three coils: tall 4 x 3 stacks, every
+    # point singular.
+    "variant_workspace_tall": ("workspace_navion_standoff", {
+        "second_agent": [0.0, 0.0, 0.2]}, []),
 }
 
 #: Run with a simulate config's path: prints the number of ticks on which a
@@ -130,7 +140,7 @@ def _write_variants(out: Path) -> list:
     for name, (base, top, per_agent) in VARIANTS.items():
         config = json.loads((REPO / "scenarios" / f"{base}.json").read_text())
         config.update(top, name=name)
-        for agent, keys in zip(config["agents"], per_agent):
+        for agent, keys in zip(config.get("agents", []), per_agent):
             agent.update(keys)
         paths.append(out / f"{name}.json")
         paths[-1].write_text(json.dumps(config, indent=2))
@@ -236,6 +246,8 @@ def main(argv=None) -> int:
                        | set(os.listdir(tmp / "out_change")))
         print(f"base {args.base} = {sha}; change = working tree of {REPO.name}")
         for config in variants:
+            if json.loads(config.read_text()).get("kind", "simulate") != "simulate":
+                continue
             counts = {side: _saturated_ticks(tree, config)
                       for side, tree in trees.items()}
             print(f"{config.stem}: a coil at the current limit on "

@@ -19,10 +19,11 @@ Every strategy is a pure solve over a precomputed actuation matrix A(p)
 (``a_mat``, or one per agent in ``a_mats``): the agents sit at fixed
 positions, so the caller evaluates A(p) once.  Each solve uses
 ``magmodel.pinv_rank``, the Moore-Penrose pseudoinverse with the shared
-singular-value cutoff, which yields the exact solution of minimal 2-norm
-whenever the task is achievable.  The one-step and multi-agent torque
-solves go through ``solve_torque``, which takes its rank check and its
-solution from one SVD of the stacked rows; the simulator's per-tick solve
+singular-value cutoff (certified normal equations, else an SVD), which
+yields the exact solution of minimal 2-norm whenever the task is
+achievable.  The one-step and multi-agent torque solves go through
+``solve_torque``, which takes its rank check and its solution from one
+``pinv_rank`` of the stacked rows; the simulator's per-tick solve
 ``solve_torque_gram`` takes a Cholesky factor of the Gram matrix instead,
 where it certifies the map well conditioned.  The two-step torque solve takes
 the smallest field realizing the torque in closed form
@@ -181,10 +182,10 @@ def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
     ``task_mat`` stacks each agent's (2, n_coils) body-plane map (its
     ``torque_rows`` applied to its A(p)) and ``target`` the agents'
     (tau_x, tau_y).  The stacked system is solvable exactly when the agents'
-    planes are jointly independent: rank equal to the row count.  One SVD of
-    the stacked map gives both the rank and the pseudoinverse; the per-agent
-    blocks are ranked only to explain a deficiency (the stacked rank never
-    exceeds the sum of the block ranks).
+    planes are jointly independent: rank equal to the row count.  One
+    ``pinv_rank`` of the stacked map gives both the rank and the
+    pseudoinverse; the per-agent blocks are ranked only to explain a
+    deficiency (the stacked rank never exceeds the sum of the block ranks).
 
     Raises:
         RankDeficiencyError: Naming the deficient agent when one agent's own

@@ -31,14 +31,17 @@ MIN_COIL_DISTANCE = 1.0e-6
 #: Relative singular-value cutoff shared by every pseudoinverse/rank check.
 RANK_RTOL = 1.0e-10
 
-#: Largest certified bound on cond(T)^2 at which the torque solve takes the
-#: normal equations (``alloc.solve_torque_gram``).  G = T T^T squares the
-#: condition number, so a Cholesky solve of G errs by about n u cond(T)^2
+#: Largest certified bound on cond(T)^2 at which a solve takes the normal
+#: equations (``alloc.solve_torque_gram``, ``pinv_rank``).  G = T T^T squares
+#: the condition number, so a Cholesky solve of G errs by about n u cond(T)^2
 #: relative, u = 1.1e-16 (Golub & Van Loan, Matrix Computations, 5.3;
 #: Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): ~1e-8
 #: here.  For G = L L^T, trace(G) >= lambda_max and ||L^-1||_F^2 =
-#: trace(G^-1) >= 1 / lambda_min, so trace(G) ||L^-1||_F^2 >= cond(T)^2.  A
-#: certified T has sigma_min / sigma_max >= 1e-4 >> RANK_RTOL: full rank.
+#: trace(G^-1) >= 1 / lambda_min, so trace(G) ||L^-1||_F^2 >= cond(T)^2.
+#: ``pinv_rank`` bounds it by a residual: if ||I - T P|| <= r < 1, then
+#: 1 - r <= sigma_min(T P) <= sigma_min(T) ||P||, so T has full row rank and
+#: cond(T) <= ||T|| ||P|| / (1 - r).  A certified T has sigma_min /
+#: sigma_max >= 1e-4 >> RANK_RTOL: full rank.
 GRAM_COND_BOUND = 1.0e8
 
 #: Points per batched evaluation (workspace grids, alloc-bench samples).
@@ -195,10 +198,34 @@ def pinv_rank(
 ) -> tuple[NDArray[np.floating], NDArray[np.integer]]:
     """Pseudoinverse and numerical rank of a matrix or a stack of matrices.
 
-    One SVD gives both.  The pseudoinverse is formed exactly as
-    ``np.linalg.pinv(rcond=RANK_RTOL)`` forms it, and the rank counts the
-    singular values above ``RANK_RTOL`` times the largest.
+    A k x n entry, k <= n, takes P0 = S^T (S S^T)^-1 and one Newton step P =
+    P0 + P0 E, E = I - S P0, for an error of about u cond(S) (Higham, ch.
+    14).  It is certified, rank k, when ||E||_F <= 1/2 and ||S||_F ||P0||_F /
+    (1 - ||E||_F) <= sqrt(``GRAM_COND_BOUND``) (see there).  Other entries,
+    a block whose ``inv`` raises and a tall stack take ``_pinv_rank_svd``.
     """
+    k, n = stack.shape[-2:]
+    if k > n:
+        return _pinv_rank_svd(stack)
+    stack_t = np.swapaxes(stack, -1, -2)
+    try:
+        p0 = stack_t @ np.linalg.inv(stack @ stack_t)
+    except np.linalg.LinAlgError:
+        return _pinv_rank_svd(stack)
+    resid = np.eye(k) - stack @ p0
+    r = np.linalg.norm(resid, axis=(-2, -1))
+    cond = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p0, axis=(-2, -1))
+    bad = ~((r <= 0.5) & (cond <= math.sqrt(GRAM_COND_BOUND) * (1.0 - r)))
+    pinv, rank = p0 + p0 @ resid, np.full(r.shape, k)
+    if np.any(bad):
+        pinv[bad], rank[bad] = _pinv_rank_svd(stack[bad])
+    return pinv, rank
+
+
+def _pinv_rank_svd(stack: NDArray[np.floating]) -> tuple[NDArray, NDArray]:
+    """``pinv_rank`` by one SVD, formed as ``np.linalg.pinv(rcond=RANK_RTOL)``
+    forms it; the rank counts the singular values above ``RANK_RTOL`` of the
+    largest."""
     u, s, vt = np.linalg.svd(stack, full_matrices=False)
     large = s > RANK_RTOL * s[..., :1]
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))

@@ -810,6 +810,7 @@ def _summarize(scenario: Scenario, trace: SimTrace) -> dict:
             "steady_max_current": float(np.max(np.abs(trace.currents[steady_from:]))),
             "max_allocation_residual": float(np.max(trace.residuals)),
             "max_abs_alpha": float(np.max(np.abs(trace.alpha))),
+            "max_abs_angle": float(np.max(np.abs(angles))),
         },
         "synthesis": trace.synthesis,
         "failure": trace.failure,

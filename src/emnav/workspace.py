@@ -215,8 +215,9 @@ def _worst_currents(
       agent on arrays of 8 or more coils, else the field rows.
 
     A second agent's rows are stacked under every point.  Each block of
-    ``BLOCK`` points takes one ``pinv_rank``, whose SVD gives the rank and
-    the pseudoinverse.  A task the stack cannot realize gives +inf:
+    ``BLOCK`` points takes one ``pinv_rank`` (certified normal equations,
+    an SVD at the points it does not certify) for the rank and the
+    pseudoinverse.  A task the stack cannot realize gives +inf:
 
     - torque box: the box spans the task rows, so every task is realizable
       exactly when the stack's rank equals its row count (two agents' four

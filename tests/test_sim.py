@@ -264,6 +264,19 @@ class TestTickMechanics:
         assert np.max(np.abs(tr.currents)) <= limit
         assert np.any(np.abs(tr.currents_cmd) == limit)  # clamp engaged
 
+    def test_max_abs_angle_sees_a_beta_only_tilt(self):
+        # max_abs_alpha reads alpha only; max_abs_angle takes the largest
+        # |angle| over alpha, beta, phi and theta.
+        data = load_bundled("single_torque")
+        data["duration"] = 0.5
+        data["agents"][0]["initial"] = {"beta": 0.0873}
+        tr = run_scenario(scenario_from_dict(data))
+        metrics = tr.summary["metrics"]
+        angles = np.stack([tr.alpha, tr.beta, tr.phi, tr.theta])
+        assert metrics["max_abs_alpha"] < 1e-12
+        assert metrics["max_abs_angle"] == np.max(np.abs(angles))
+        assert metrics["max_abs_angle"] == np.max(np.abs(tr.beta)) > 0.0873
+
     def test_allocation_residual_small(self):
         cfg = base_torque_dict(duration=0.5)
         tr = run_scenario(scenario_from_dict(cfg))
