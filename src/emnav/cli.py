@@ -51,17 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
