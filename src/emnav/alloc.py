@@ -343,6 +343,9 @@ FIELD_RANK_FAILURE = (
     "field authority"
 )
 
+#: ||A_b^+ m||^2 below which zeta* is undefined (no field along the dipole).
+ZETA_DEGENERACY = 1.0e-12
+
 
 def two_step_field(
     rows: np.ndarray, torques: np.ndarray, mag_pol: float
@@ -419,8 +422,8 @@ def zeta_star(
         zeta* = -(A_b^+ b)^T (A_b^+ m) / ||A_b^+ m||^2,   b = skew(m)^+ tau.
 
     Raises:
-        DegenerateTaskError: If ||A_b^+ m|| < 1e-12 (no current pattern
-            produces field along the dipole; the shift family is degenerate).
+        DegenerateTaskError: If ||A_b^+ m||^2 < ZETA_DEGENERACY (no current
+            pattern makes field along the dipole; the shift is degenerate).
     """
     mag_pol = agent.polarity * agent.dipole_magnitude
     rows = torque_rows(agent.alpha, agent.beta, mag_pol, 0.0)[:, :3]
@@ -428,7 +431,7 @@ def zeta_star(
     a_b_pinv = pinv_rank(a_mat[:3])[0]
     u = a_b_pinv @ agent.moment
     den = float(u @ u)
-    if den < 1.0e-12:
+    if den < ZETA_DEGENERACY:
         raise DegenerateTaskError(
             "||A_b^+ m|| is numerically zero; the dipole-parallel current "
             "direction is degenerate"

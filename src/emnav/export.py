@@ -1,4 +1,4 @@
-"""The one CSV row writer behind every table artifact.
+"""The one CSV row writer behind every table artifact, and the JSON writer.
 
 Every number is written with ``%.17g``: 17 significant digits round-trip
 every double, ``inf``/``-inf``/``nan`` are spelled as Python spells them, and
@@ -11,6 +11,7 @@ copy of the table is ever held.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .magmodel import BLOCK
 
-__all__ = ["write_csv"]
+__all__ = ["write_csv", "write_json"]
 
 
 def write_csv(
@@ -48,3 +49,8 @@ def write_csv(
                 values = [(*row, label)
                           for row, label in zip(values, labels[start:stop])]
             fh.write("".join([template % tuple(row) for row in values]))
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as JSON: two-space indent, sorted keys, final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -140,10 +140,10 @@ class EmnsConfig:
             raise ValueError("control_rate must be positive")
         if self.current_limit <= 0:
             raise ValueError("current_limit must be positive")
-        if self.current_bandwidth < 0:
-            raise ValueError("current_bandwidth must be non-negative")
-        if self.loop_latency < 0:
-            raise ValueError("loop_latency must be non-negative")
+        if not 0.0 <= 2.0 * math.pi * self.current_bandwidth < math.inf:
+            raise ValueError("current_bandwidth must be non-negative with 2 pi f finite")
+        if not 0.0 <= self.loop_latency * self.control_rate < math.inf:
+            raise ValueError("loop_latency must be non-negative and finite in ticks")
 
 
 EMNS_PRESETS = {

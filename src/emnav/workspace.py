@@ -8,7 +8,6 @@ vector), with single- and two-agent variants.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .alloc import field_rows
 from .dynamics import PendulumParams
-from .export import write_csv
+from .export import write_csv, write_json
 from .magmodel import (
     BLOCK,
     ActuationModel,
@@ -171,12 +170,8 @@ class FeasibilityMap:
                   self.positions.shape[0], block, labels=self.flags)
 
     def write_metadata(self, path) -> None:
-        payload = dict(self.metadata)
-        payload["feasible_count"] = self.feasible_count
-        payload["total_points"] = int(self.positions.shape[0])
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {**self.metadata, "feasible_count": self.feasible_count,
+                          "total_points": int(self.positions.shape[0])})
 
 
 #: A fixed-field task whose least-squares residual exceeds this fraction of

@@ -136,45 +136,48 @@ def total_energy(
 # ---------------------------------------------------------------------------
 
 
-def coupled_accelerations(params: PendulumParams):
-    """The 2x2 coupled dynamics solver for (alpha'', phi'') of one plant.
+def coupled_accelerations_per_call(
+    params: PendulumParams,
+    alpha: float,
+    phi: float,
+    alpha_dot: float,
+    phi_dot: float,
+    q_alpha: float,
+) -> tuple[float, float]:
+    """(alpha'', phi'') of one channel, every term computed from ``params``.
 
-    Returns ``accelerations(alpha, phi, alpha_dot, phi_dot, q_alpha)``, where
-    q_alpha is the generalized force on the actuator joint (magnetic torque
-    plus any disturbance); the pendulum joint is unactuated.  The constant
-    mass-matrix entries and gravity coefficients are computed here, once per
-    plant, in the same operation order as the per-call formula, so the result
-    is bit-identical to it.
+    The 2x2 coupled dynamics solve; q_alpha is the generalized force on the
+    actuator joint (magnetic torque plus any disturbance), the pendulum
+    joint is unactuated.  A rate is squared as a product, as the compiled
+    plant squares it: ``x**2`` calls libm ``pow``, which can round
+    differently from ``x * x``.
     """
     p = params
     m_pend = p.pend_mass
     half_ml_l = 0.5 * m_pend * p.arm_length * p.pend_length
+    c = math.cos(alpha - phi)
+    s = math.sin(alpha - phi)
+
     a11 = p.inertia + m_pend * p.arm_length**2
+    a12 = half_ml_l * c
     a22 = 0.25 * m_pend * p.pend_length**2
-    a11_a22 = a11 * a22
-    k1 = (p.eta + m_pend * p.arm_length) * p.gravity
-    k2 = m_pend * p.gravity * 0.5 * p.pend_length
-    damping = p.damping
-    sin = math.sin
-    cos = math.cos
 
-    def accelerations(
-        alpha: float, phi: float, alpha_dot: float, phi_dot: float, q_alpha: float
-    ) -> tuple[float, float]:
-        c = cos(alpha - phi)
-        s = sin(alpha - phi)
-        a12 = half_ml_l * c
-        rhs1 = (
-            k1 * sin(alpha)
-            - half_ml_l * phi_dot**2 * s
-            + q_alpha
-            - damping * alpha_dot
-        )
-        rhs2 = k2 * sin(phi) + half_ml_l * alpha_dot**2 * s - damping * phi_dot
-        det = a11_a22 - a12 * a12
-        return (a22 * rhs1 - a12 * rhs2) / det, (a11 * rhs2 - a12 * rhs1) / det
+    rhs1 = (
+        (p.eta + m_pend * p.arm_length) * p.gravity * math.sin(alpha)
+        - half_ml_l * (phi_dot * phi_dot) * s
+        + q_alpha
+        - p.damping * alpha_dot
+    )
+    rhs2 = (
+        m_pend * p.gravity * 0.5 * p.pend_length * math.sin(phi)
+        + half_ml_l * (alpha_dot * alpha_dot) * s
+        - p.damping * phi_dot
+    )
 
-    return accelerations
+    det = a11 * a22 - a12 * a12
+    alpha_dd = (a22 * rhs1 - a12 * rhs2) / det
+    phi_dd = (a11 * rhs2 - a12 * rhs1) / det
+    return alpha_dd, phi_dd
 
 
 # The explicit Runge-Kutta tableau of the plant step, taken independently of
@@ -238,7 +241,9 @@ def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
 
     The state is (alpha, phi, alpha', phi', beta, theta, beta', theta') with
     a pendulum attached, else (alpha, alpha', beta, beta').  ``mag_pol`` is
-    the signed dipole moment |m|·polarity.
+    the signed dipole moment |m|·polarity.  With a pendulum attached, each
+    channel's accelerations are the per-call formula
+    :func:`coupled_accelerations_per_call`.
     """
     lever = params.magnet_offset
     eta_g = params.eta * params.gravity
@@ -246,7 +251,6 @@ def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
     inertia = params.inertia
     sin = math.sin
     cos = math.cos
-    accelerations = coupled_accelerations(params)
 
     def deriv(y, idx, b_grid, g_grid, bias_a, bias_b):
         if attached:
@@ -274,55 +278,14 @@ def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
         qa = ty + bias_a
         qb = tx * ca - tz * sa + bias_b
         if attached:
-            add, phdd = accelerations(a, ph, ad, phd, qa)
-            bdd, thdd = accelerations(bb, th, bd, thd, qb)
+            add, phdd = coupled_accelerations_per_call(params, a, ph, ad, phd, qa)
+            bdd, thdd = coupled_accelerations_per_call(params, bb, th, bd, thd, qb)
             return (ad, phd, add, phdd, bd, thd, bdd, thdd)
         add = (eta_g * sa + qa - damping * ad) / inertia
         bdd = (eta_g * sb + qb - damping * bd) / inertia
         return (ad, add, bd, bdd)
 
     return deriv
-
-
-def coupled_accelerations_per_call(
-    params: PendulumParams,
-    alpha: float,
-    phi: float,
-    alpha_dot: float,
-    phi_dot: float,
-    q_alpha: float,
-) -> tuple[float, float]:
-    """(alpha'', phi'') of one channel, every term computed from ``params``.
-
-    The per-call form of the 2x2 coupled dynamics solve that
-    :func:`coupled_accelerations` hoists into a per-plant closure.
-    """
-    p = params
-    m_pend = p.pend_mass
-    half_ml_l = 0.5 * m_pend * p.arm_length * p.pend_length
-    c = math.cos(alpha - phi)
-    s = math.sin(alpha - phi)
-
-    a11 = p.inertia + m_pend * p.arm_length**2
-    a12 = half_ml_l * c
-    a22 = 0.25 * m_pend * p.pend_length**2
-
-    rhs1 = (
-        (p.eta + m_pend * p.arm_length) * p.gravity * math.sin(alpha)
-        - half_ml_l * phi_dot**2 * s
-        + q_alpha
-        - p.damping * alpha_dot
-    )
-    rhs2 = (
-        m_pend * p.gravity * 0.5 * p.pend_length * math.sin(phi)
-        + half_ml_l * alpha_dot**2 * s
-        - p.damping * phi_dot
-    )
-
-    det = a11 * a22 - a12 * a12
-    alpha_dd = (a22 * rhs1 - a12 * rhs2) / det
-    phi_dd = (a11 * rhs2 - a12 * rhs1) / det
-    return alpha_dd, phi_dd
 
 
 def estimate_velocities(angle_history: np.ndarray, dt: float) -> np.ndarray:

@@ -237,6 +237,22 @@ def test_former_traceback_is_exit_1(tmp_path, capsys, nothing_runs, base, parts,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["loop_latency", "current_bandwidth"])
+def test_emns_overflow_is_config_error(tmp_path, capsys, nothing_runs, key):
+    # At 200 Hz, a 1e308 s latency overflowed its tick count (an
+    # OverflowError traceback), and a 1e308 Hz bandwidth the drivers' decay
+    # rate 2 pi f (a NaN current grid, reported as a plant that diverged at
+    # tick 0, exit 2).
+    config = {**load("single_torque"), "duration": 0.1,
+              "emns": {"control_rate": 200, "current_limit": 16,
+                       "current_bandwidth": 26.4, key: 1e308}}
+    code = run(tmp_path, "simulate", config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"config error: emns: {key}" in err and "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 # --- schema-driven rejection -------------------------------------------------
 
 # Values of another JSON type than each kind takes, by kind (the scalars)

@@ -14,9 +14,7 @@ Oracles:
   * scipy.signal.cont2discrete as an independent zero-order-hold reference;
   * the analytic steady-state offset of the field-actuated rig under a
     constant disturbance torque;
-  * the exact period of the field-aligned actuator, a nonlinear pendulum;
-  * the per-call coupled-dynamics formula, which the oracle's hoisted
-    per-plant solver must reproduce bit for bit.
+  * the exact period of the field-aligned actuator, a nonlinear pendulum.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from emnav.dynamics import (
 )
 
 import helpers
-from helpers import coupled_accelerations_per_call, total_energy
+from helpers import total_energy
 
 NO_FIELD = (0.0, 0.0, 0.0)
 NO_GRADIENT = (0.0,) * 5
@@ -174,36 +172,6 @@ class TestCoupledPlant:
         assert all(math.isfinite(v) for v in dy)
 
 
-positive = st.floats(1e-3, 10.0)
-
-
-@st.composite
-def plant_params(draw) -> PendulumParams:
-    return PendulumParams(
-        pend_mass=draw(positive),
-        arm_length=draw(positive),
-        pend_length=draw(positive),
-        magnet_offset=draw(positive),
-        eta=draw(positive),
-        inertia=draw(positive),
-        gravity=draw(positive),
-        dipole_magnitude=draw(positive),
-        damping=draw(st.floats(0.0, 10.0)),
-    )
-
-
-class TestHoistedAccelerations:
-    @given(
-        params=plant_params(),
-        state=st.tuples(*[st.floats(-1e3, 1e3)] * 4),
-        q_alpha=st.floats(-1e3, 1e3),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_per_call_formula(self, params, state, q_alpha):
-        hoisted = helpers.coupled_accelerations(params)(*state, q_alpha)
-        assert hoisted == coupled_accelerations_per_call(params, *state, q_alpha)
-
-
 def signed(magnitudes):
     return st.tuples(magnitudes, st.sampled_from((-1.0, 1.0))).map(
         lambda pair: pair[0] * pair[1]
@@ -211,16 +179,21 @@ def signed(magnitudes):
 
 
 @st.composite
+def plants(draw) -> tuple:
+    """A damped plant and its signed dipole moment |m|·polarity."""
+    return (PendulumParams(damping=draw(st.floats(1e-4, 0.1))),
+            draw(signed(st.floats(0.05, 5.0))))
+
+
+@st.composite
 def tick_inputs(draw, attached: bool) -> dict:
-    """A damped plant, a state, a tick's field and gradient grids and biases."""
+    """A state, a tick's field and gradient grids and biases."""
     substeps = draw(st.integers(1, 3))
     n = grid_size(substeps)
     angle, rate = st.floats(-1.0, 1.0), st.floats(-5.0, 5.0)
     field, gradient = st.floats(-0.1, 0.1), st.floats(-2.0, 2.0)
     state = (angle, angle, rate, rate) * 2 if attached else (angle, rate) * 2
     return {
-        "params": PendulumParams(damping=draw(st.floats(1e-4, 0.1))),
-        "mag_pol": draw(signed(st.floats(0.05, 5.0))),
         "y": draw(st.tuples(*state)),
         "substeps": substeps,
         "dt": draw(st.floats(1e-4, 1e-3)),
@@ -238,25 +211,54 @@ class TestCompiledPlant:
     derivative and stage-by-stage Runge-Kutta of tests/helpers.py: equal,
     not close."""
 
-    @pytest.mark.parametrize("attached", [True, False], ids=["attached", "actuator"])
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_oracle(self, attached, data):
+    #: (state, grid) cases compared against each drawn plant's one compile.
+    #: Each case draws a grid of 8 floats per stage node; at five cases the
+    #: smallest example fails hypothesis's large_base_example health check.
+    CASES_PER_PLANT = 3
+
+    @staticmethod
+    def check(plant: tuple, attached: bool, cases) -> None:
         # The compiled plant reads one [b; g] grid; the oracle reads the
         # field and gradient grids apart.
-        case = data.draw(tick_inputs(attached))
-        params, mag_pol, y = case["params"], case["mag_pol"], case["y"]
-        biases = (case["bias_a"], case["bias_b"])
-        grids = (case["b_grid"], case["g_grid"], *biases)
-        grid = [b + g for b, g in zip(case["b_grid"], case["g_grid"])]
-        oracle = helpers.make_deriv(params, attached, mag_pol)
+        params, mag_pol = plant
         deriv = make_deriv(params, attached, mag_pol)
-        for idx in range(len(grid)):
-            assert deriv(y, idx, grid, *biases) == oracle(y, idx, *grids)
         tick = make_tick(params, attached, mag_pol)
-        assert tick(y, case["substeps"], case["dt"], grid, *biases) == helpers.rk_tick(
-            y, oracle, case["substeps"], case["dt"], *grids
-        )
+        oracle = helpers.make_deriv(params, attached, mag_pol)
+        for case in cases:
+            y, substeps, dt = case["y"], case["substeps"], case["dt"]
+            biases = (case["bias_a"], case["bias_b"])
+            grids = (case["b_grid"], case["g_grid"], *biases)
+            grid = [b + g for b, g in zip(case["b_grid"], case["g_grid"])]
+            for idx in range(len(grid)):
+                assert deriv(y, idx, grid, *biases) == oracle(y, idx, *grids)
+            assert tick(y, substeps, dt, grid, *biases) == helpers.rk_tick(
+                y, oracle, substeps, dt, *grids
+            )
+
+    @pytest.mark.parametrize("attached", [True, False], ids=["attached", "actuator"])
+    @settings(max_examples=50, deadline=None)
+    @given(plant=plants(), data=st.data())
+    def test_matches_oracle(self, attached, plant, data):
+        # 50 plants, each compiled once, times CASES_PER_PLANT: 150 compared
+        # (plant, state, grid) cases per layout.
+        cases = [data.draw(tick_inputs(attached), label=f"case {i}")
+                 for i in range(self.CASES_PER_PLANT)]
+        self.check(plant, attached, cases)
+
+    def test_matches_oracle_where_pow_rounds(self):
+        # phi' = -4.788259582951859 squares to a different double under
+        # libm pow (x**2) than as x * x on x86-64 glibc; an oracle that
+        # squared with ** gave an alpha'' 2.8e-14 away from the compiled
+        # plant's.  Found by a seeded search over (state, grid) cases; on a
+        # platform whose pow squares exactly this case matches either way.
+        n = grid_size(1)
+        case = {
+            "y": (-0.3, 0.4, 4.5, -4.788259582951859, 0.0, 0.0, 0.0, 0.0),
+            "substeps": 1, "dt": 5e-4,
+            "b_grid": [[0.0] * 3] * n, "g_grid": [[0.0] * 5] * n,
+            "bias_a": 0.0, "bias_b": 0.0,
+        }
+        self.check((PendulumParams(damping=0.01), 1.0), True, [case])
 
 
 class TestLinearization:
