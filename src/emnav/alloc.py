@@ -198,8 +198,7 @@ def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
         for idx in range(task_mat.shape[0] // 2):
             if pinv_rank(task_mat[2 * idx : 2 * idx + 2])[1] < 2:
                 raise RankDeficiencyError(
-                    f"agent {idx}: torque map rank-deficient: the coil array "
-                    "cannot span the torque plane perpendicular to the dipole"
+                    f"agent {idx}: {TORQUE_RANK_FAILURE.format('')}"
                 )
         raise RankDeficiencyError(
             "coupled rank deficiency: agents' torque planes are not jointly "
@@ -335,6 +334,13 @@ def allocate_torque_one_step(
     lever = params.magnet_offset if include_force else 0.0
     return _solve_plane([a_mat], [agent], [task], lever)
 
+
+#: A torque solve's rank failure, formatted with where it fails: "" after an
+#: agent's name, or " at p = (x, y, z)": W A(p) must span the torque plane.
+TORQUE_RANK_FAILURE = (
+    "torque map rank-deficient{}: the coil array cannot span the torque plane "
+    "perpendicular to the dipole"
+)
 
 #: The two-step solve's rank failure, formatted with the point p: the field
 #: rows A_b(p) must span every field vector.

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import (FIELD_RANK_FAILURE, ZETA_DEGENERACY, RankDeficiencyError,
+from .alloc import (FIELD_RANK_FAILURE, TORQUE_RANK_FAILURE, ZETA_DEGENERACY,
                     two_step_field)
 from .config import ALLOC_BENCH, WORKSPACE, ConfigError
 from .control import SynthesisError
@@ -92,7 +92,7 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
         trace = run_scenario(scenario)
     except ValueError as exc:
         raise ConfigError(f"invalid scenario {config_path}: {exc}") from exc
-    except (SynthesisError, RankDeficiencyError) as exc:
+    except SynthesisError as exc:
         _write_json(
             out_dir / f"{scenario.name}_failure.json",
             {"scenario": scenario.name, "stage": "synthesis", "error": str(exc)},
@@ -185,8 +185,7 @@ def _solve_block(
 
 
 _RANK_FAILURES = {
-    "torque_one_step": "torque map rank-deficient at p = {}: the coil array "
-    "cannot span the torque plane perpendicular to the dipole",
+    "torque_one_step": TORQUE_RANK_FAILURE.format(" at p = {}"),
     "torque_two_step": FIELD_RANK_FAILURE,
 }
 

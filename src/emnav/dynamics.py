@@ -16,13 +16,12 @@ Two actuation paradigms are linearized:
 
 The plant's derivative is written once per state layout (pendulum attached:
 8 states; actuator only: 4) as a source-text template, and compiled per
-plant, with its constants inlined, into two functions: the derivative
-(:func:`make_deriv`), which the finite-difference check differentiates, and
-a fused tick (:func:`make_tick`), which the simulator runs.  The tick inlines
-the twelve stages of every eighth-order Runge-Kutta step (DOP853) as
-straight-line code on plain Python floats, bit-identical to stage-by-stage RK
-over the derivative (checked against the hand-written oracle in
-tests/helpers.py).
+plant, with its constants inlined, into one function: the fused tick
+(:func:`make_tick`), which the simulator runs and the finite-difference check
+differentiates over one control period.  The tick inlines the twelve stages
+of every eighth-order Runge-Kutta step (DOP853) as straight-line code on
+plain Python floats, bit-identical to stage-by-stage RK over the
+hand-written derivative of tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -158,14 +157,15 @@ _LAYOUTS = {
 _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
-def _constants(params: PendulumParams, mag_pol: float) -> dict[str, float]:
-    """The template constants of one plant, in the per-call operation order."""
+def _constants(params: PendulumParams) -> dict[str, float]:
+    """The template constants of one plant but its signed dipole MAG_POL, in
+    the per-call operation order.  :func:`linearize` reads its mass,
+    stiffness and damping coefficients from here too."""
     p = params
     m_pend = p.pend_mass
     a11 = p.inertia + m_pend * p.arm_length**2
     a22 = 0.25 * m_pend * p.pend_length**2
     return {
-        "MAG_POL": mag_pol,
         "LEVER": p.magnet_offset,
         "DAMPING": p.damping,
         "HALF_ML_L": 0.5 * m_pend * p.arm_length * p.pend_length,
@@ -233,43 +233,43 @@ _TABLEAU = (
 NODES = tuple(c for c, _ in _TABLEAU if c < 1.0)
 
 
-def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool):
-    """Compile one plant's derivative, or its fused tick, from its layout.
+def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
+    """One controller tick of the plant, compiled from its layout.
 
-    The derivative evaluates the template once.  The tick inlines it once per
-    stage of every step, over that stage's grid entry, with each stage's
-    state and derivative held in locals named by stage (``a_2``, ``add_3``).
-    Row s's state is ``y + (h_s1 * k_1 + ...)``, with ``h_sj = dt * a_sj``
-    hoisted and no term for a zero weight: bit-identical to stage-by-stage RK.
+    Returns ``tick(y, substeps, dt, grid, bias_a, bias_b)``: the state
+    after ``substeps`` eighth-order Runge-Kutta (DOP853) steps of size dt,
+    12 derivative evaluations each, with ``grid`` holding [b; g] at each
+    stage time in order (len(NODES)·substeps + 1 entries of eight values,
+    bx, by, bz, g1, ..., g5; see :data:`NODES`).  The state is (alpha, phi,
+    alpha', phi', beta, theta, beta', theta') with a pendulum ``attached``,
+    else (alpha, alpha', beta, beta'); ``mag_pol`` is the signed dipole
+    moment |m|·polarity.
+
+    The template is inlined once per stage of every step, over that stage's
+    grid entry, with each stage's state and derivative held in locals named
+    by stage (``a_2``, ``add_3``): straight-line code on plain Python floats,
+    no per-stage tuples and no calls but ``math.sin``/``math.cos``.  Row s's
+    state is ``y + (h_s1 * k_1 + ...)``, with ``h_sj = dt * a_sj`` hoisted
+    and no term for a zero weight: bit-identical to stage-by-stage RK.
     """
     template, layout = _LAYOUTS[attached]
     states = [name for name, _ in layout]
     constants = {
         name: f"({float(value)!r})"
-        for name, value in _constants(params, mag_pol).items()
+        for name, value in {**_constants(params), "MAG_POL": mag_pol}.items()
     }
 
     def at(name: str, s: int) -> str:
         """``name`` at stage ``s``; a state at stage 1 is the state itself."""
         return name if s == 1 and name in states else f"{name}_{s}"
 
-    def stage(s: int, index: str, indent: str) -> str:
+    def stage(s: int, index: str) -> str:
         """The template at stage ``s``, over the grid entry ``index``."""
         names = {name: at(name, s) for pair in layout for name in pair}
         names.update(constants)
         text = f"bx, by, bz, g1, g2, g3, g4, g5 = grid[{index}]\n{template}"
         text = _NAME.sub(lambda m: names.get(m.group(), m.group()), text)
-        return "".join(f"{indent}{line}\n" for line in text.splitlines())
-
-    unpack = f"    {', '.join(states)} = y\n"
-    if not fused:
-        return _exec(
-            "def deriv(y, idx, grid, bias_a, bias_b):\n"
-            + unpack
-            + stage(1, "idx", "    ")
-            + f"    return ({', '.join(at(d, 1) for _, d in layout)})\n",
-            "deriv",
-        )
+        return "".join(f"        {line}\n" for line in text.splitlines())
 
     # Angles before rates: the step's angle update reads its rate's old value.
     order = sorted(layout, key=lambda entry: entry[1] not in states)
@@ -284,51 +284,20 @@ def _compile(params: PendulumParams, attached: bool, mag_pol: float, fused: bool
         )
         if s < len(_TABLEAU):  # a node-1 stage reads the next step's first entry
             entry = NODES.index(c) if c < 1.0 else len(NODES)
-            body += stage(s, f"i + {entry}", "        ")
-    return _exec(
+            body += stage(s, f"i + {entry}")
+    source = (
         "def tick(y, substeps, dt, grid, bias_a, bias_b):\n"
         + hoisted
-        + unpack
+        + f"    {', '.join(states)} = y\n"
         + f"    for i in range(0, {len(NODES)} * substeps, {len(NODES)}):\n"
         + body
-        + f"    return ({', '.join(states)})\n",
-        "tick",
+        + f"    return ({', '.join(states)})\n"
     )
-
-
-def _exec(source: str, name: str):
-    """The function ``name`` defined by ``source``."""
     # inf and nan: the repr of a non-finite constant (a NaN damping passes
     # PendulumParams' range check).
     namespace = {"sin": math.sin, "cos": math.cos, "inf": math.inf, "nan": math.nan}
-    exec(compile(source, f"<emnav.dynamics plant {name}>", "exec"), namespace)
-    return namespace[name]
-
-
-def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
-    """Plant derivative for one agent's joint (alpha+beta channel) state.
-
-    Returns ``deriv(y, idx, grid, bias_a, bias_b)``, the state derivative
-    with the field and packed gradient [b; g] = ``grid[idx]``, eight values
-    (bx, by, bz, g1, ..., g5).  The state is (alpha, phi, alpha', phi',
-    beta, theta, beta', theta') with a pendulum attached, else (alpha,
-    alpha', beta, beta').  ``mag_pol`` is the signed dipole moment
-    |m|·polarity.
-    """
-    return _compile(params, attached, mag_pol, fused=False)
-
-
-def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
-    """One controller tick of the plant of :func:`make_deriv`, fused.
-
-    Returns ``tick(y, substeps, dt, grid, bias_a, bias_b)``: the state
-    after ``substeps`` eighth-order Runge-Kutta (DOP853) steps of size dt,
-    12 derivative evaluations each, with ``grid`` holding [b; g] at each
-    stage time in order (len(NODES)·substeps + 1 entries of eight values,
-    see :data:`NODES`).  Straight-line code on plain Python floats: no
-    per-stage tuples and no calls but ``math.sin``/``math.cos``.
-    """
-    return _compile(params, attached, mag_pol, fused=True)
+    exec(compile(source, "<emnav.dynamics plant tick>", "exec"), namespace)
+    return namespace["tick"]
 
 
 # ---------------------------------------------------------------------------
@@ -382,75 +351,64 @@ def linearize(
     _check_paradigm(paradigm)
     if sample_time <= 0.0:
         raise ValueError("sample_time must be strictly positive")
-    p = params
+    c = _constants(params)
     field = paradigm == "field"
-    mb = p.dipole_magnitude * b_mag if field else 0.0
+    mb = params.dipole_magnitude * b_mag if field else 0.0
     gain = mb if field else 1.0
     if attached:
-        m_pend = p.pend_mass
-        half_mll = 0.5 * m_pend * p.arm_length * p.pend_length
-        mass = np.array(
-            [
-                [p.inertia + m_pend * p.arm_length**2, half_mll],
-                [half_mll, 0.25 * m_pend * p.pend_length**2],
-            ]
-        )
-        stiff = np.diag(
-            [
-                (p.eta + m_pend * p.arm_length) * p.gravity - mb,
-                m_pend * p.gravity * 0.5 * p.pend_length,
-            ]
-        )
+        mass = np.array([[c["A11"], c["HALF_ML_L"]], [c["HALF_ML_L"], c["A22"]]])
+        stiff = np.diag([c["K1"] - mb, c["K2"]])
         mass_inv = np.linalg.inv(mass)
         a = np.zeros((4, 4))
         a[0:2, 2:4] = np.eye(2)
         a[2:4, 0:2] = mass_inv @ stiff
-        a[2:4, 2:4] = -p.damping * mass_inv
+        a[2:4, 2:4] = -c["DAMPING"] * mass_inv
         b = np.zeros((4, 1))
         b[2:4, :] = mass_inv @ np.array([[gain], [0.0]])
     else:
         # The actuator's mass matrix is J alone.  Divide by J: inverting a
         # 1x1 matrix and multiplying can round the gains differently.
-        a = np.array([[0.0, 1.0], [(p.eta * p.gravity - mb) / p.inertia,
-                                   -p.damping / p.inertia]])
-        b = np.array([[0.0], [gain / p.inertia]])
+        a = np.array([[0.0, 1.0], [(c["ETA_G"] - mb) / c["INERTIA"],
+                                   -c["DAMPING"] / c["INERTIA"]]])
+        b = np.array([[0.0], [gain / c["INERTIA"]]])
     a_d, b_d = discretize(a, b, sample_time)
     return LinearSystem(a=a, b=b, a_d=a_d, b_d=b_d, sample_time=sample_time)
 
 
 def finite_difference_linearization(
-    params: PendulumParams,
-    paradigm: str,
-    b_mag: float = 0.0,
-    attached: bool = True,
-    eps: float = 1.0e-6,
+    tick, paradigm: str, substeps: int, dt: float, b_mag: float = 0.0,
+    attached: bool = True, polarity: int = 1, eps: float = 1.0e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite-difference Jacobians of the plant the simulator runs.
+    """Central finite-difference Jacobians of one control period of the plant
+    the simulator runs.
 
-    Differentiates the alpha channel of :func:`make_deriv` at the upright
-    equilibrium, with the beta channel at rest and zero field gradient.  The
-    input is the generalized force on the actuator joint with zero field
-    (torque paradigm), or the angle u of the field |b|·(sin u, 0, cos u)
-    (field paradigm).  Independent cross-check of :func:`linearize`;
-    returns (A, B) in its state order.
+    Differentiates the alpha channel of ``tick`` (a compiled
+    :func:`make_tick`) over ``substeps`` steps of size dt at the upright
+    equilibrium, with the beta channel at rest and zero field gradient, under
+    an input held over the tick: the generalized force on the actuator joint
+    with zero field (torque paradigm), or the angle u of the field
+    polarity·|b|·(sin u, 0, cos u) (field paradigm; the allocator inverts
+    the field of a polarity -1 magnet).  Cross-check of the zero-order-hold
+    (a_d, b_d) of :func:`linearize` at sample time substeps·dt, and so of
+    the discretization and the integrator; returns (A_d, B_d) in its state
+    order.
     """
     _check_paradigm(paradigm)
-    deriv = make_deriv(params, attached, params.dipole_magnitude)
     n = 4 if attached else 2
+    entries = len(NODES) * substeps + 1
+    field_mag = polarity * b_mag
 
     def f(x: np.ndarray, u: float) -> np.ndarray:
         y = tuple(float(v) for v in x) + (0.0,) * n
         if paradigm == "torque":
             field, bias = (0.0, 0.0, 0.0), u
         else:
-            field, bias = (b_mag * math.sin(u), 0.0, b_mag * math.cos(u)), 0.0
-        return np.array(deriv(y, 0, [field + (0.0,) * 5], bias, 0.0)[:n])
+            field = (field_mag * math.sin(u), 0.0, field_mag * math.cos(u))
+            bias = 0.0
+        grid = [field + (0.0,) * 5] * entries
+        return np.array(tick(y, substeps, dt, grid, bias, 0.0)[:n])
 
-    x0 = np.zeros(n)
-    a = np.zeros((n, n))
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = eps
-        a[:, j] = (f(x0 + dx, 0.0) - f(x0 - dx, 0.0)) / (2.0 * eps)
-    b = ((f(x0, eps) - f(x0, -eps)) / (2.0 * eps)).reshape(n, 1)
+    a = np.column_stack([(f(dx, 0.0) - f(-dx, 0.0)) / (2.0 * eps)
+                         for dx in eps * np.eye(n)])
+    b = ((f(np.zeros(n), eps) - f(np.zeros(n), -eps)) / (2.0 * eps)).reshape(n, 1)
     return a, b

@@ -266,11 +266,6 @@ class DipoleAgent:
         object.__setattr__(self, "p", tuple(float(c) for c in p))
 
     @property
-    def rotation(self) -> NDArray[np.floating]:
-        """World-to-body rotation R with v_body = R @ v_world."""
-        return self.rotation_t.T
-
-    @property
     def rotation_t(self) -> NDArray[np.floating]:
         """Body-to-world rotation R^T = Ry(alpha) @ Rx(beta)."""
         ca, sa = math.cos(self.alpha), math.sin(self.alpha)
@@ -323,10 +318,11 @@ def torque_rows(
     The map from [b; g] at the magnet to the body-frame x and y torque about
     the pivot: ``(R J M)[:2]``, with M the wrench map [b; g] -> [m x b;
     (m . grad) b], J = [I | lever skew(axis)] the lever-arm map to pivot
-    torque and R the world-to-body rotation of :class:`DipoleAgent`, written
-    out from the sines and cosines of the tilt angles.  The body-z row is
-    dropped: the field torque m x b and the lever-arm torque lever axis x f
-    are both perpendicular to the dipole axis.  The world-frame maps are the
+    torque and R the world-to-body rotation (the transpose of
+    :attr:`DipoleAgent.rotation_t`), written out from the sines and cosines
+    of the tilt angles.  The body-z row is dropped: the field torque m x b
+    and the lever-arm torque lever axis x f are both perpendicular to the
+    dipole axis.  The world-frame maps are the
     test suite's oracle (``tests/helpers.py``: ``wrench_maps``,
     ``composed_torque_map``).
 

@@ -18,12 +18,13 @@ grid per agent at the stage times (the lag-filtered currents do not depend
 on the plant state): one product of the stacked A(p) of all agents with the
 tick's current grid, split per agent by one ``.tolist()``.  The fused tick from
 ``dynamics.make_tick`` runs it, compiled once per distinct plant (pendulum
-attached, signed dipole).  The step is backed by a step-halving test: on
-the bundled scenarios, halving it moves no angle by more than 1e-8 rad
-(``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
+attached, signed dipole) before synthesis: the finite-difference check of
+each linearization differentiates one control period of that tick.  The
+step is backed by a step-halving test: on the bundled scenarios, halving it
+moves no angle by more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
 error, or a non-finite state, as an overflow leaves) ends the run with a
-failure record, as an allocation failure (rank deficiency or an SVD that
-does not converge) does.
+failure record, as an allocation failure (rank deficiency, an SVD that
+does not converge, or currents or a residual that are not finite) does.
 
 What else the tick loop reads that does not depend on the plant state is
 ``Scenario.schedule``, built by ``_schedule`` when the scenario is checked:
@@ -525,9 +526,10 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
     Returns a SimTrace.  Controller synthesis failures raise SynthesisError
     (the scenario precondition).  A numerical failure mid-run is recorded in
-    `trace.failure` with its stage ("allocation" for a rank failure or a
-    LinAlgError, "integration" for a diverging plant), time and tick (and
-    agent, for integration), and the trace is truncated at the failing tick.
+    `trace.failure` with its stage ("allocation" for a rank failure, a
+    LinAlgError or a non-finite solve, "integration" for a diverging
+    plant), time and tick (and agent, for integration), and the trace is
+    truncated at the failing tick.
     """
     emns = scenario.emns
     params = scenario.plant
@@ -540,10 +542,16 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     latency_ticks = int(round(emns.loop_latency * emns.control_rate))
     rng = np.random.default_rng(scenario.seed)
 
-    # --- synthesis ---------------------------------------------------------
-    # Each distinct plant (pendulum attached or not) is linearized and
-    # checked once, and each distinct (plant, q_diag, r_weight) solved once.
-    # An agent's two channels share its gain, each with its own controller.
+    # --- plants and synthesis ---------------------------------------------
+    # One tick is compiled per distinct plant (pendulum attached, signed
+    # dipole).  Each layout (pendulum attached or not) is linearized once and
+    # checked against one control period of its first agent's tick; each
+    # distinct (layout, q_diag, r_weight) is solved once.  An agent's two
+    # channels share its gain, each with its own controller.
+    plant_keys = [(s.pendulum_attached, params.dipole_magnitude * s.polarity)
+                  for s in scenario.agents]
+    compiled = {key: make_tick(params, *key) for key in dict.fromkeys(plant_keys)}
+    plant_ticks = [compiled[key] for key in plant_keys]
     plants: dict[bool, tuple] = {}
     solutions: dict[tuple, tuple] = {}
     synthesis = []
@@ -554,11 +562,12 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             sys = linearize(params, scenario.paradigm, scenario.field_magnitude,
                             h, attached)
             a_fd, b_fd = finite_difference_linearization(
-                params, scenario.paradigm, b_mag=scenario.field_magnitude,
-                attached=attached,
+                plant_ticks[a_idx], scenario.paradigm, substeps, dt,
+                b_mag=scenario.field_magnitude, attached=attached,
+                polarity=setup.polarity,
             )
             plants[attached] = (sys, float(
-                max(np.max(np.abs(sys.a - a_fd)), np.max(np.abs(sys.b - b_fd)))
+                max(np.max(np.abs(sys.a_d - a_fd)), np.max(np.abs(sys.b_d - b_fd)))
             ))
         sys, fd_match = plants[attached]
         cfg = setup.controller or ControllerConfig(
@@ -590,10 +599,6 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     allocate = _allocator(scenario, a_mats)
     a_all = np.vstack(a_mats)  # (8 * agents, n_coils)
     b_all = np.vstack([a_mat[:3] for a_mat in a_mats])  # the field rows
-    plant_keys = [(s.pendulum_attached, params.dipole_magnitude * s.polarity)
-                  for s in scenario.agents]
-    compiled = {key: make_tick(params, *key) for key in dict.fromkeys(plant_keys)}
-    plant_ticks = [compiled[key] for key in plant_keys]
     grid_times = np.append(np.add.outer(np.arange(substeps), NODES), substeps) * dt
     omega = 2.0 * math.pi * emns.current_bandwidth
     if emns.current_bandwidth > 0.0:
@@ -660,7 +665,12 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         # Allocation (on measured orientations).
         try:
             result = allocate(meas_agents, outputs)
-        except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
+            # Checked before the clamp, which maps an infinite current to the limit.
+            if not (math.isfinite(result.residual_norm)
+                    and np.isfinite(result.currents).all()):
+                raise FloatingPointError("non-finite allocation currents or residual")
+        except (RankDeficiencyError, np.linalg.LinAlgError,
+                FloatingPointError) as exc:
             failure = {"stage": "allocation", "time": float(t), "tick": k,
                        "error": str(exc)}
             completed = k + 1

@@ -250,6 +250,32 @@ class TestSimulate:
         assert summary["failure"]["tick"] == 0
         assert "rank" in summary["failure"]["error"]
 
+    def test_non_finite_allocation_exit_2_with_record(
+        self, short_torque, tmp_path, capsys
+    ):
+        # Measurement noise of 1e300 rad drives the solve's currents or its
+        # residual past the largest double; the clamp to the current limit
+        # would hide that, so the unclamped solve is checked.
+        data = json.loads(short_torque.read_text())
+        data.update(duration=0.1, measurement_noise_std=1e300)
+        cfg = write_json(tmp_path / "noisy.json", data)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "allocation failed" in capsys.readouterr().err
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        summary = json.loads(
+            (out / "single_torque_summary.json").read_text(), parse_constant=strict
+        )
+        failure = summary["failure"]
+        assert sorted(failure) == ["error", "stage", "tick", "time"]
+        assert failure["stage"] == "allocation"
+        assert "non-finite" in failure["error"]
+        rows = (out / "single_torque_trace.csv").read_text().splitlines()
+        assert len(rows) == 1 + failure["tick"] + 1  # header, ticks 0..tick
+
     @pytest.mark.parametrize(
         "attached,magnitude", [(True, 1e3), (False, 1e307)]
     )

@@ -4,13 +4,14 @@ the eighth-order Runge-Kutta (DOP853) tick.
 Oracles:
   * the hand-written derivative and stage-by-stage explicit Runge-Kutta over
     scipy's DOP853 tableau, copied in tests/helpers.py, which the compiled
-    derivative and fused tick must reproduce bit for bit;
+    fused tick must reproduce bit for bit;
   * the tableau's equality with that copy, its row-sum condition, its
     quadrature order conditions up to order 8 and the tick's eighth-order
     convergence;
   * mechanical energy conservation of the unforced, undamped plant under the
     simulator's tick;
-  * central finite differences of that plant vs the analytic linearization;
+  * central finite differences of one control period of that tick vs the
+    zero-order-hold discretization of the analytic linearization;
   * scipy.signal.cont2discrete as an independent zero-order-hold reference;
   * the analytic steady-state offset of the field-actuated rig under a
     constant disturbance torque;
@@ -36,7 +37,6 @@ from emnav.dynamics import (
     discretize,
     finite_difference_linearization,
     linearize,
-    make_deriv,
     make_tick,
 )
 
@@ -49,15 +49,17 @@ EPS = sys.float_info.epsilon
 
 
 def plant(params: PendulumParams, attached: bool = True):
-    return make_deriv(params, attached, params.dipole_magnitude)
+    """The oracle derivative, to which the compiled tick is tied bit for bit
+    (``TestCompiledPlant``)."""
+    return helpers.make_deriv(params, attached, params.dipole_magnitude)
 
 
-def stepper(params: PendulumParams, attached: bool = True):
-    return make_tick(params, attached, params.dipole_magnitude)
+def stepper(params: PendulumParams, attached: bool = True, polarity: int = 1):
+    return make_tick(params, attached, polarity * params.dipole_magnitude)
 
 
 def accelerations(deriv, y, field=NO_FIELD, bias_a=0.0) -> tuple:
-    return deriv(y, 0, [field + NO_GRADIENT], bias_a, 0.0)
+    return deriv(y, 0, [field], [NO_GRADIENT], bias_a, 0.0)
 
 
 def grid_size(steps: int) -> int:
@@ -157,7 +159,7 @@ class TestCoupledPlant:
 
     def test_invalid_paradigm(self, params):
         with pytest.raises(ValueError):
-            finite_difference_linearization(params, "voltage")
+            finite_difference_linearization(stepper(params), "voltage", 1, 0.005)
         with pytest.raises(ValueError):
             linearize(params, "voltage")
 
@@ -207,9 +209,8 @@ def tick_inputs(draw, attached: bool) -> dict:
 
 
 class TestCompiledPlant:
-    """The compiled derivative and fused tick against the hand-written
-    derivative and stage-by-stage Runge-Kutta of tests/helpers.py: equal,
-    not close."""
+    """The compiled fused tick against the hand-written derivative and
+    stage-by-stage Runge-Kutta of tests/helpers.py: equal, not close."""
 
     #: (state, grid) cases compared against each drawn plant's one compile.
     #: Each case draws a grid of 8 floats per stage node; at five cases the
@@ -221,7 +222,6 @@ class TestCompiledPlant:
         # The compiled plant reads one [b; g] grid; the oracle reads the
         # field and gradient grids apart.
         params, mag_pol = plant
-        deriv = make_deriv(params, attached, mag_pol)
         tick = make_tick(params, attached, mag_pol)
         oracle = helpers.make_deriv(params, attached, mag_pol)
         for case in cases:
@@ -229,8 +229,6 @@ class TestCompiledPlant:
             biases = (case["bias_a"], case["bias_b"])
             grids = (case["b_grid"], case["g_grid"], *biases)
             grid = [b + g for b, g in zip(case["b_grid"], case["g_grid"])]
-            for idx in range(len(grid)):
-                assert deriv(y, idx, grid, *biases) == oracle(y, idx, *grids)
             assert tick(y, substeps, dt, grid, *biases) == helpers.rk_tick(
                 y, oracle, substeps, dt, *grids
             )
@@ -262,23 +260,36 @@ class TestCompiledPlant:
 
 
 class TestLinearization:
-    @pytest.mark.parametrize("paradigm,b_mag", [("torque", 0.0), ("field", 0.065)])
-    def test_matches_finite_differences(self, params, paradigm, b_mag):
-        sys = linearize(params, paradigm, b_mag=b_mag, sample_time=0.005)
-        a_fd, b_fd = finite_difference_linearization(params, paradigm, b_mag=b_mag)
-        np.testing.assert_allclose(sys.a, a_fd, atol=1e-5)
-        np.testing.assert_allclose(sys.b, b_fd, atol=1e-5)
+    """The zero-order-hold (a_d, b_d) of the linearization against central
+    differences of one 200 Hz control period of the compiled tick: one
+    DOP853 step of 5 ms, as the simulator takes it."""
+
+    SAMPLE_TIME = 0.005
+
+    def fd_gap(self, params, paradigm, b_mag, attached, polarity=1) -> float:
+        sys = linearize(params, paradigm, b_mag=b_mag,
+                        sample_time=self.SAMPLE_TIME, attached=attached)
+        a_fd, b_fd = finite_difference_linearization(
+            stepper(params, attached, polarity), paradigm, 1, self.SAMPLE_TIME,
+            b_mag=b_mag, attached=attached, polarity=polarity,
+        )
+        n = 4 if attached else 2
+        assert a_fd.shape == (n, n) and b_fd.shape == (n, 1)
+        return max(np.max(np.abs(sys.a_d - a_fd)), np.max(np.abs(sys.b_d - b_fd)))
+
+    @pytest.mark.parametrize("paradigm,b_mag,polarity", [
+        pytest.param("torque", 0.0, 1, id="torque-0.0"),
+        pytest.param("field", 0.065, 1, id="field-0.065"),
+        # single_field's plant and field with a polarity -1 magnet, whose
+        # field the allocator inverts.
+        pytest.param("field", 0.04, -1, id="field-0.04-polarity-1"),
+    ])
+    def test_matches_finite_differences(self, params, paradigm, b_mag, polarity):
+        assert self.fd_gap(params, paradigm, b_mag, True, polarity) <= 1e-10
 
     @pytest.mark.parametrize("paradigm,b_mag", [("torque", 0.0), ("field", 0.065)])
     def test_actuator_matches_finite_differences(self, params, paradigm, b_mag):
-        sys = linearize(params, paradigm, b_mag=b_mag, sample_time=0.005,
-                        attached=False)
-        a_fd, b_fd = finite_difference_linearization(
-            params, paradigm, b_mag=b_mag, attached=False
-        )
-        assert a_fd.shape == (2, 2) and b_fd.shape == (2, 1)
-        np.testing.assert_allclose(sys.a, a_fd, atol=1e-5)
-        np.testing.assert_allclose(sys.b, b_fd, atol=1e-5)
+        assert self.fd_gap(params, paradigm, b_mag, False) <= 1e-10
 
     def test_upright_unstable_open_loop(self, params):
         sys = linearize(params, "torque", sample_time=0.005)

@@ -20,6 +20,7 @@ from helpers import (
 )
 
 import emnav.sim as sim
+from emnav import dynamics
 from emnav.cli import main
 from emnav.magmodel import get_model
 from emnav.sim import (
@@ -254,6 +255,23 @@ class TestTickMechanics:
             assert entry["dare_residual"] < 1e-9
             assert entry["spectral_radius"] < 1.0
             assert entry["fd_linearization_match"] < 1e-4
+
+    def test_fd_check_covers_the_discretization(self, monkeypatch):
+        # The check differentiates one control period of the compiled tick
+        # against the zero-order-hold (a_d, b_d) the gains are designed on,
+        # so an error in the discretization shows in it.
+        discretize = dynamics.discretize
+
+        def skewed(a, b, dt):
+            a_d, b_d = discretize(a, b, dt)
+            a_d = a_d.copy()
+            a_d[0, 0] += 1e-6
+            return a_d, b_d
+
+        monkeypatch.setattr(dynamics, "discretize", skewed)
+        tr = run_scenario(scenario_from_dict(base_torque_dict(duration=0.05)))
+        for entry in tr.synthesis:
+            assert entry["fd_linearization_match"] >= 1e-7
 
     def test_currents_within_limit_bit_exact(self):
         data = load_bundled("multi_field_2x2d")
@@ -757,21 +775,23 @@ class TestFailureHandling:
 
     def test_non_finite_state_recorded_with_agent(self, monkeypatch):
         # A NaN raises nothing in math.sin, so the state itself is checked.
-        # Tick 0 integrates agent 0, then agent 1: the second call fails.
+        # The linearization check makes the first ten calls, on the tick of
+        # agent 0; tick 0 integrates agent 0, then agent 1: the twelfth call
+        # fails.
         compile_tick = sim.make_tick
         calls = []
 
-        def nan_on_second_call(*plant):
+        def nan_on_twelfth_call(*plant):
             tick = compile_tick(*plant)
 
             def wrapped(*args):
                 calls.append(None)
                 y = tick(*args)
-                return (math.nan,) + y[1:] if len(calls) == 2 else y
+                return (math.nan,) + y[1:] if len(calls) == 12 else y
 
             return wrapped
 
-        monkeypatch.setattr(sim, "make_tick", nan_on_second_call)
+        monkeypatch.setattr(sim, "make_tick", nan_on_twelfth_call)
         data = load_bundled("multi_torque_async")
         data["duration"] = 0.05
         tr = run_scenario(scenario_from_dict(data))

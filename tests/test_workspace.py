@@ -357,7 +357,7 @@ class TestWorkspaceMap:
             tau_bar = float(rng.uniform(1e-4, 5e-3))
             rows = np.vstack([
                 (
-                    agent.rotation
+                    agent.rotation_t.T
                     @ composed_torque_map(
                         actuation_matrix(octomag, agent.p), agent, params
                     )
