@@ -11,10 +11,12 @@ temporary directory, and every artifact is compared byte for byte.  The
 variants are runs of 2 s or less of bundled configs with the features no
 bundled scenario runs: impulses (two on one tick, and on beta), overlapping
 ``torque_bias`` windows, ``measurement_tilt``, an off-grid ``release_time``,
-two integral windows, ``loop_latency``, ``measurement_noise_std`` and an
-actuator-only agent beside a pendulum agent; and two workspace maps whose
-pseudoinverses take the SVD fallback of ``magmodel.pinv_rank`` (a second
-agent on a grid point, and tall two-agent stacks on three coils).  They are
+two integral windows, ``loop_latency``, ``measurement_noise_std``, an
+actuator-only agent beside a pendulum agent, the two-step torque solve (on
+octomag8, and at 125 Hz on navion3) and ``include_force: false``; and two
+workspace maps whose pseudoinverses take the SVD fallback of
+``magmodel.pinv_rank`` (a second agent on a grid point, and tall two-agent
+stacks on three coils).  They are
 written once, from this checkout's configs, and both trees run the same
 files.  A loop that holds a coil at the current limit on most ticks
 amplifies rounding past any trace bound, so the variants reach the limit on
@@ -110,6 +112,20 @@ VARIANTS = {
             {"type": "measurement_tilt", "time": 1.3, "magnitude": 0.01},
         ],
     }, [{"integral_windows": [[0.6, 1.4], [1.5, 2.0]], "release_time": 0.1037}]),
+    # The allocator branches no bundled scenario takes: the two-step solve
+    # and the lever-0 one-step rows.  The 5 deg catch commands the limit on
+    # 4 of the 400 ticks.
+    "variant_torque_two_step": ("single_torque", {
+        "duration": 2.0, "strategy": "torque_two_step"}, [{}]),
+    "variant_torque_no_force": ("single_torque", {
+        "duration": 2.0, "include_force": False}, [{}]),
+    # The navion3 stand-off line at 0.12 m under the two-step solve, with
+    # the stand-off workspace's plant: 125 Hz, two plant steps per tick.  It
+    # commands the limit on 1 of the 250 ticks.
+    "variant_navion_two_step": ("single_torque", {
+        "duration": 2.0, "strategy": "torque_two_step", "model": "navion3",
+        "emns": "navion", "plant": {"dipole_magnitude": 2.0, "magnet_offset": 0.02},
+    }, [{"position": [0.0, 0.0, 0.12]}]),
     # The second agent on the grid point (0.03, 0, 0): one singular torque
     # point of 289, its block mixing certified and uncertified entries.
     "variant_workspace_on_point": ("workspace_octomag_2agent", {

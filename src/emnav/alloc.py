@@ -15,32 +15,30 @@ arm, rotated into the body frame.  The body-z torque is identically zero (no
 field torques the dipole about its own axis), so the plane is the whole
 achievable set and two rows per agent are all the solve needs.
 
-Every strategy is a pure solve over a precomputed actuation matrix A(p)
-(``a_mat``, or one per agent in ``a_mats``): the agents sit at fixed
-positions, so the caller evaluates A(p) once.  Each solve uses
-``magmodel.pinv_rank``, the Moore-Penrose pseudoinverse with the shared
-singular-value cutoff (certified normal equations, else an SVD), which
-yields the exact solution of minimal 2-norm whenever the task is
-achievable.  The one-step and multi-agent torque solves go through
-``solve_torque``, which takes its rank check and its solution from one
-``pinv_rank`` of the stacked rows; the simulator's per-tick solve
-``solve_torque_gram`` takes a Cholesky factor of the Gram matrix instead,
-where it certifies the map well conditioned.  The two-step torque solve takes
-the smallest field realizing the torque in closed form
+Every strategy is a pure solve over precomputed actuation matrices A(p),
+one per agent: the agents sit at fixed positions, so the caller evaluates
+A(p) once.  ``torque_allocator`` and ``field_allocator`` build the
+allocation of a run from them, the one the simulator calls each tick: what
+does not depend on the command (the field task map and its pseudoinverse,
+the two-step field rows' pseudoinverse and rank) is taken once, and each
+call fills the agents' body-plane rows from their tilts.  The one-step and
+multi-agent torque solves go through ``solve_torque_gram``: a Cholesky
+factor of the Gram matrix where it certifies the map well conditioned,
+else ``solve_torque``, one ``magmodel.pinv_rank`` of the stacked rows (the
+Moore-Penrose pseudoinverse with the shared singular-value cutoff) for the
+rank check and the solution of minimal 2-norm.  The two-step torque solve
+takes the smallest field realizing the torque in closed form
 (``two_step_field``), then the minimum-norm currents realizing that field
-through A_b(p)^+, which does not depend on the command (``solve_two_step``).
-A field task map does not depend on the command either, so the field solves
-are also split into the map (``field_map``) and a solve over its
-pseudoinverse (``solve_field``): a caller whose points stay fixed takes the
-pseudoinverse once.  A solve returns only the currents
-and the task residual.  ``emnav alloc-bench`` does not go through the
-per-call wrappers here: it solves its samples in blocks, one stacked
-pseudoinverse per solve kind and ``two_step_field`` over the block, and
-computes the realized fields, norms, angles and zeta* as vectors itself.
-``allocate_torque_one_step``, ``allocate_torque_two_step``,
-``allocate_multi_torque``, ``allocate_field_alignment``, ``zeta_star`` and
-``field_and_gradient`` are the per-call forms the tests check against and
-the benchmark's tracer hooks by name.
+through A_b(p)^+.  A solve returns only the currents and the task
+residual.  ``emnav alloc-bench`` does not go through the allocators: it
+solves its samples in blocks, one stacked pseudoinverse per solve kind and
+``two_step_field`` over the block, and computes the realized fields,
+norms, angles and zeta* as vectors itself.  ``allocate_torque_one_step``,
+``allocate_torque_two_step``, ``allocate_multi_torque`` and
+``allocate_field_alignment`` are each one call of an allocator, for
+``DipoleAgent`` and ``WrenchTask`` or ``FieldCommand`` arguments: the
+per-call forms the tests call and the benchmark's tracer hooks by name, as
+it hooks ``zeta_star`` and ``field_and_gradient``.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ class FieldCommand:
 
 @dataclass(frozen=True)
 class WrenchTask:
-    """Torque task in the actuator body frame, optional world-frame force.
+    """Torque task in the actuator body frame.
 
     The third body-frame torque component must be zero: torques about the
     dipole axis are unactuated (fields exert no torque along the moment), so
@@ -97,7 +95,6 @@ class WrenchTask:
     """
 
     tau_c_body: tuple[float, float, float]
-    force: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         tau = np.asarray(self.tau_c_body, dtype=float)
@@ -106,11 +103,6 @@ class WrenchTask:
         if tau[2] != 0.0:
             raise ValueError("body-frame torque must have zero third component")
         object.__setattr__(self, "tau_c_body", tuple(float(c) for c in tau))
-        if self.force is not None:
-            f = np.asarray(self.force, dtype=float)
-            if f.shape != (3,):
-                raise ValueError("force must be a 3-vector")
-            object.__setattr__(self, "force", tuple(float(c) for c in f))
 
     @classmethod
     def planar(cls, tau_x: float, tau_y: float) -> "WrenchTask":
@@ -148,32 +140,6 @@ def field_and_gradient(
     demand from a solve's currents."""
     stacked = a_mat @ currents
     return stacked[:3], stacked[3:]
-
-
-def _solve_plane(
-    a_mats: list[np.ndarray],
-    agents: list[DipoleAgent],
-    tasks: list[WrenchTask],
-    lever: float,
-) -> AllocationResult:
-    """``solve_torque`` over the agents' ``torque_rows`` applied to their
-    A(p), for their body-frame (tau_x, tau_y) tasks.
-
-    A desired force f adds its lever-arm torque lever * axis x f, which in
-    the body frame is lever * (-e_y . f, e_x . f); with lever 0 (the pure
-    field-torque rows) the force is ignored.
-    """
-    rows, targets = [], []
-    for a_mat, agent, task in zip(a_mats, agents, tasks):
-        mag_pol = agent.polarity * agent.dipole_magnitude
-        rows.append(torque_rows(agent.alpha, agent.beta, mag_pol, lever) @ a_mat)
-        target = np.array(task.tau_c_body[:2])
-        if task.force is not None and lever != 0.0:
-            rt = agent.rotation_t  # columns: e_x, e_y, axis in world coordinates
-            f = np.asarray(task.force)
-            target += lever * np.array([-(rt[:, 1] @ f), rt[:, 0] @ f])
-        targets.append(target)
-    return solve_torque(np.vstack(rows), np.concatenate(targets))
 
 
 def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
@@ -292,11 +258,37 @@ def solve_field(
     return _result(task_mat, pinv @ target, target)
 
 
+def field_allocator(
+    a_mats: list[np.ndarray], polarities: list[int], magnitude: float
+):
+    """The field-alignment allocation of agents at fixed points, built once:
+    the pseudoinverse of their ``field_map`` is taken here.  Returns
+    ``allocate(angles, commands)``, the ``solve_field`` of each agent's
+    (u_alpha, u_beta) in ``commands`` at ``magnitude``; ``angles`` is unread.
+    """
+    task_mat = field_map(a_mats)
+    pinv = pinv_rank(task_mat)[0]
+
+    def allocate(angles, commands) -> AllocationResult:
+        # A polarity -1 magnet aligns antiparallel to the field, so its
+        # commanded field direction is inverted: -b(u, v) = b(pi + u, -v).
+        return solve_field(task_mat, pinv, [
+            FieldCommand(
+                u_alpha=out_a if polarity == 1 else math.pi + out_a,
+                u_beta=out_b if polarity == 1 else -out_b,
+                magnitude=magnitude,
+            )
+            for polarity, (out_a, out_b) in zip(polarities, commands)
+        ])
+
+    return allocate
+
+
 def allocate_field_alignment(
     a_mat: np.ndarray, command: FieldCommand
 ) -> AllocationResult:
     """Minimum-norm currents realizing a commanded field at the point of A(p),
-    through the one-agent ``field_map``.
+    through the one-agent ``field_allocator``.
 
     Args:
         a_mat: Actuation matrix A(p), shape (8, n_coils).
@@ -306,33 +298,8 @@ def allocate_field_alignment(
         AllocationResult; residual_norm is the 2-norm mismatch of the task
         (zero when the array spans it).
     """
-    task_mat = field_map([a_mat])
-    return solve_field(task_mat, pinv_rank(task_mat)[0], [command])
-
-
-def allocate_torque_one_step(
-    a_mat: np.ndarray,
-    agent: DipoleAgent,
-    params: PendulumParams,
-    task: WrenchTask,
-    include_force: bool = True,
-) -> AllocationResult:
-    """One-step minimum-norm currents for a torque task.
-
-    With include_force=True (default) the solve runs through the full
-    body-plane map W A(p), W = ``torque_rows`` at the magnet offset,
-    exploiting gradient forces at the magnet lever arm; with
-    include_force=False it uses the pure field-torque rows (lever 0), the
-    single-agent simplification that ignores gradient forces.  The task's
-    two tilt torques span exactly the achievable plane of either map, so a
-    non-singular geometry yields a zero-residual solution.
-
-    Raises:
-        RankDeficiencyError: If the torque map does not span the plane
-            perpendicular to the dipole axis at p (magnetic singularity).
-    """
-    lever = params.magnet_offset if include_force else 0.0
-    return _solve_plane([a_mat], [agent], [task], lever)
+    allocate = field_allocator([a_mat], [1], command.magnitude)
+    return allocate((), [(command.u_alpha, command.u_beta)])
 
 
 #: A torque solve's rank failure, formatted with where it fails: "" after an
@@ -369,23 +336,83 @@ def two_step_field(
     return np.einsum("...rk,...r->...k", rows, torques) / mag_pol**2
 
 
-def solve_two_step(
-    rows: np.ndarray,
-    a_b: np.ndarray,
-    pinv_b: np.ndarray,
-    target: np.ndarray,
-    mag_pol: float,
-) -> AllocationResult:
-    """Two-step currents A_b^+ b for the field b of :func:`two_step_field`.
+def torque_allocator(
+    a_mats: list[np.ndarray],
+    mag_pols: list[float],
+    lever: float,
+    two_step_at: tuple | None = None,
+):
+    """The torque allocation of agents at fixed points, built once.
 
-    ``rows`` are one agent's lever-0 field columns W0 (2, 3), ``a_b`` its
-    field rows A_b(p) and ``pinv_b`` their pseudoinverse; the residual is
-    that of the body-plane task W0 A_b i = (tau_x, tau_y).
+    ``a_mats`` holds each agent's A(p), ``mag_pols`` its polarity * |m| and
+    ``lever`` the pivot-to-magnet distance of its ``torque_rows``.  Returns
+    ``allocate(angles, commands)``: the currents realizing each agent's
+    (alpha-channel, beta-channel) torques (tau_y, tau_x) at its tilts, the
+    leading (alpha, beta) of its entry in ``angles``.  A call fills the rows,
+    takes one product with the stacked A(p) and calls ``solve_torque_gram``.
+    With ``two_step_at``, one agent's point p, it is the two-step solve on
+    the rows' field columns W0, which ``lever`` does not enter
+    (``two_step_field``, then A_b(p)^+ b); the field rows' pseudoinverse and
+    rank are taken here, and rank < 3 fails every call.
     """
-    currents = pinv_b @ two_step_field(rows, target, mag_pol)
-    return AllocationResult(
-        currents, float(np.linalg.norm(rows @ (a_b @ currents) - target))
+    a_stack = np.stack(a_mats)  # (agents, 8, n_coils)
+    rows = np.empty((len(a_mats), 2, 8))
+    n_rows = 2 * len(a_mats)
+    if two_step_at is not None:  # pure field torque, through A_b^+ (one agent)
+        a_b = a_mats[0][:3]
+        pinv_b, rank_b = pinv_rank(a_b)
+        rank_failure = FIELD_RANK_FAILURE.format(tuple(float(c) for c in two_step_at))
+
+    def allocate(angles, commands) -> AllocationResult:
+        for idx, (tilts, mag_pol) in enumerate(zip(angles, mag_pols)):
+            rows[idx] = torque_rows(tilts[0], tilts[1], mag_pol, lever)
+        target = [t for out_a, out_b in commands for t in (out_b, out_a)]
+        if two_step_at is None:
+            return solve_torque_gram((rows @ a_stack).reshape(n_rows, -1), target)
+        if rank_b < 3:
+            raise RankDeficiencyError(rank_failure)
+        w0 = rows[0, :, :3]
+        currents = pinv_b @ two_step_field(w0, target, mag_pols[0])
+        return AllocationResult(
+            currents, float(np.linalg.norm(w0 @ (a_b @ currents) - target))
+        )
+
+    return allocate
+
+
+def _torque_call(a_mats, agents, tasks, lever, two_step_at=None) -> AllocationResult:
+    """One call of the ``torque_allocator`` of ``agents`` (``DipoleAgent``)
+    for their ``tasks`` (``WrenchTask``)."""
+    allocate = torque_allocator(
+        a_mats, [a.polarity * a.dipole_magnitude for a in agents], lever, two_step_at
     )
+    return allocate([(a.alpha, a.beta) for a in agents],
+                    [(t.tau_c_body[1], t.tau_c_body[0]) for t in tasks])
+
+
+def allocate_torque_one_step(
+    a_mat: np.ndarray,
+    agent: DipoleAgent,
+    params: PendulumParams,
+    task: WrenchTask,
+    include_force: bool = True,
+) -> AllocationResult:
+    """One-step minimum-norm currents for a torque task.
+
+    With include_force=True (default) the solve runs through the full
+    body-plane map W A(p), W = ``torque_rows`` at the magnet offset,
+    exploiting gradient forces at the magnet lever arm; with
+    include_force=False it uses the pure field-torque rows (lever 0), the
+    single-agent simplification that ignores gradient forces.  The task's
+    two tilt torques span exactly the achievable plane of either map, so a
+    non-singular geometry yields a zero-residual solution.
+
+    Raises:
+        RankDeficiencyError: If the torque map does not span the plane
+            perpendicular to the dipole axis at p (magnetic singularity).
+    """
+    lever = params.magnet_offset if include_force else 0.0
+    return _torque_call([a_mat], [agent], [task], lever)
 
 
 def allocate_torque_two_step(
@@ -405,13 +432,7 @@ def allocate_torque_two_step(
         RankDeficiencyError: If rank(A_b(p)) < 3, i.e. the array cannot
             realize arbitrary field vectors at p.
     """
-    a_b = a_mat[:3]
-    pinv, rank = pinv_rank(a_b)
-    if rank < 3:
-        raise RankDeficiencyError(FIELD_RANK_FAILURE.format(agent.p))
-    mag_pol = agent.polarity * agent.dipole_magnitude
-    rows = torque_rows(agent.alpha, agent.beta, mag_pol, 0.0)[:, :3]
-    return solve_two_step(rows, a_b, pinv, np.array(task.tau_c_body[:2]), mag_pol)
+    return _torque_call([a_mat], [agent], [task], 0.0, agent.p)
 
 
 def zeta_star(
@@ -461,4 +482,4 @@ def allocate_multi_torque(
     """
     if not len(a_mats) == len(agents) == len(tasks) or len(agents) == 0:
         raise ValueError("a_mats, agents and tasks must be equal-length, non-empty")
-    return _solve_plane(a_mats, agents, tasks, params.magnet_offset)
+    return _torque_call(a_mats, agents, tasks, params.magnet_offset)

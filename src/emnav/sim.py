@@ -31,7 +31,10 @@ What else the tick loop reads that does not depend on the plant state is
 tick times, impulses, tilt, bias and integrate tables by tick.
 
 The allocation is a closure built once per run from the agents' fixed
-actuation matrices A(p) (``_allocator``).
+actuation matrices A(p): ``_allocator`` picks ``alloc.torque_allocator`` or
+``alloc.field_allocator`` by strategy.  The tick loop runs with numpy's
+overflow and invalid-operation warnings off: it checks the allocation and
+the plant state for finiteness itself and records a failure.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import alloc
-from .alloc import FieldCommand, RankDeficiencyError
+from .alloc import RankDeficiencyError
 from .control import (
     ControllerConfig,
     LqriController,
@@ -66,8 +69,6 @@ from .magmodel import (
     SingularPositionError,
     actuation_matrix,
     coil_offsets,
-    pinv_rank,
-    torque_rows,
 )
 
 #: Fixed plant step [s]: one DOP853 step (12 derivative evaluations) per
@@ -627,86 +628,88 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     failure = None
     completed = ticks
 
-    for k in range(ticks):
-        t = k * h
-        for a_idx, index, magnitude in sched.impulses.get(k, ()):
-            y = list(states[a_idx])
-            y[index] += magnitude
-            states[a_idx] = tuple(y)
+    # The loop checks what could overflow; numpy need not warn of it too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(ticks):
+            t = k * h
+            for a_idx, index, magnitude in sched.impulses.get(k, ()):
+                y = list(states[a_idx])
+                y[index] += magnitude
+                states[a_idx] = tuple(y)
 
-        # Per agent: the plant state and field at the tick instant, the
-        # measurement (tilt bias + optional noise, integer-tick latency) and
-        # the controller outputs.
-        meas_agents = []
-        outputs = []
-        tilts, integrate = sched.tilt[k], sched.integrate[k]
-        for a_idx, setup in enumerate(scenario.agents):
-            angles = _joint_angles(states[a_idx], setup.pendulum_attached)
-            # (alpha, beta, phi, theta) + (tilt_a, tilt_b, tilt_a, tilt_b)
-            meas = [v + tilt for v, tilt in zip(angles, tilts[a_idx] * 2)]
-            if noise_std > 0.0:
-                meas = [v + float(rng.normal(0.0, noise_std)) for v in meas]
-            buf = meas_buffers[a_idx]
-            buf.append(meas)
-            if len(buf) > latency_ticks + 1:
-                buf.popleft()
-            m_al, m_be, m_ph, m_th = buf[0]
-            sp_a, sp_b = setup.setpoint.value(t)
-            alpha_ctl, beta_ctl = controllers[a_idx]
-            out_a = alpha_ctl.step(m_al, m_ph, sp_a, integrate[a_idx])
-            out_b = beta_ctl.step(m_be, m_th, sp_b, integrate[a_idx])
-            meas_agents.append(buf[0])
-            outputs.append((out_a, out_b))
-            for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
-                tr[name][k, a_idx] = v
-        tr["currents"][k] = i_applied
-        tr["fields"][k] = (b_all @ i_applied).reshape(n_agents, 3)
+            # Per agent: the plant state and field at the tick instant, the
+            # measurement (tilt bias + optional noise, integer-tick latency) and
+            # the controller outputs.
+            meas_agents = []
+            outputs = []
+            tilts, integrate = sched.tilt[k], sched.integrate[k]
+            for a_idx, setup in enumerate(scenario.agents):
+                angles = _joint_angles(states[a_idx], setup.pendulum_attached)
+                # (alpha, beta, phi, theta) + (tilt_a, tilt_b, tilt_a, tilt_b)
+                meas = [v + tilt for v, tilt in zip(angles, tilts[a_idx] * 2)]
+                if noise_std > 0.0:
+                    meas = [v + float(rng.normal(0.0, noise_std)) for v in meas]
+                buf = meas_buffers[a_idx]
+                buf.append(meas)
+                if len(buf) > latency_ticks + 1:
+                    buf.popleft()
+                m_al, m_be, m_ph, m_th = buf[0]
+                sp_a, sp_b = setup.setpoint.value(t)
+                alpha_ctl, beta_ctl = controllers[a_idx]
+                out_a = alpha_ctl.step(m_al, m_ph, sp_a, integrate[a_idx])
+                out_b = beta_ctl.step(m_be, m_th, sp_b, integrate[a_idx])
+                meas_agents.append(buf[0])
+                outputs.append((out_a, out_b))
+                for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
+                    tr[name][k, a_idx] = v
+            tr["currents"][k] = i_applied
+            tr["fields"][k] = (b_all @ i_applied).reshape(n_agents, 3)
 
-        # Allocation (on measured orientations).
-        try:
-            result = allocate(meas_agents, outputs)
-            # Checked before the clamp, which maps an infinite current to the limit.
-            if not (math.isfinite(result.residual_norm)
-                    and np.isfinite(result.currents).all()):
-                raise FloatingPointError("non-finite allocation currents or residual")
-        except (RankDeficiencyError, np.linalg.LinAlgError,
-                FloatingPointError) as exc:
-            failure = {"stage": "allocation", "time": float(t), "tick": k,
-                       "error": str(exc)}
-            completed = k + 1
-            break
-        tr["residuals"][k] = result.residual_norm
-        i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
-        tr["currents_cmd"][k] = i_cmd
-
-        # Current grids across the tick under the first-order driver lag.
-        diff = i_applied - i_cmd
-        i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
-        i_applied = np.minimum(np.maximum(i_cmd + diff * decay_end, -limit), limit)
-
-        # Integrate each agent's plant across the tick over its [b; g] grid
-        # (grids[agent][stage]).
-        grids = (a_all @ i_grid).reshape(n_agents, 8, -1).transpose(0, 2, 1).tolist()
-        biases = sched.bias[k]
-        for a_idx in range(n_agents):
-            if k < sched.release[a_idx]:
-                continue  # still held at its initial pose
+            # Allocation (on measured orientations).
             try:
-                y = plant_ticks[a_idx](states[a_idx], substeps, dt, grids[a_idx],
-                                       *biases[a_idx])
-            except ValueError as exc:  # sin or cos of an infinite angle
-                error = f"plant diverged: {type(exc).__name__}: {exc}"
-            else:
-                if all(map(math.isfinite, y)):
-                    states[a_idx] = y
-                    continue
-                error = "plant diverged: non-finite state"
-            failure = {"stage": "integration", "time": float(t), "tick": k,
-                       "agent": a_idx, "error": error}
-            completed = k + 1
-            break
-        if failure is not None:
-            break
+                result = allocate(meas_agents, outputs)
+                # Checked before the clamp, which maps an infinite current to the limit.
+                if not (math.isfinite(result.residual_norm)
+                        and np.isfinite(result.currents).all()):
+                    raise FloatingPointError("non-finite allocation currents or residual")
+            except (RankDeficiencyError, np.linalg.LinAlgError,
+                    FloatingPointError) as exc:
+                failure = {"stage": "allocation", "time": float(t), "tick": k,
+                           "error": str(exc)}
+                completed = k + 1
+                break
+            tr["residuals"][k] = result.residual_norm
+            i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
+            tr["currents_cmd"][k] = i_cmd
+
+            # Current grids across the tick under the first-order driver lag.
+            diff = i_applied - i_cmd
+            i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
+            i_applied = np.minimum(np.maximum(i_cmd + diff * decay_end, -limit), limit)
+
+            # Integrate each agent's plant across the tick over its [b; g] grid
+            # (grids[agent][stage]).
+            grids = (a_all @ i_grid).reshape(n_agents, 8, -1).transpose(0, 2, 1).tolist()
+            biases = sched.bias[k]
+            for a_idx in range(n_agents):
+                if k < sched.release[a_idx]:
+                    continue  # still held at its initial pose
+                try:
+                    y = plant_ticks[a_idx](states[a_idx], substeps, dt, grids[a_idx],
+                                           *biases[a_idx])
+                except ValueError as exc:  # sin or cos of an infinite angle
+                    error = f"plant diverged: {type(exc).__name__}: {exc}"
+                else:
+                    if all(map(math.isfinite, y)):
+                        states[a_idx] = y
+                        continue
+                    error = "plant diverged: non-finite state"
+                failure = {"stage": "integration", "time": float(t), "tick": k,
+                           "agent": a_idx, "error": error}
+                completed = k + 1
+                break
+            if failure is not None:
+                break
 
     trace = SimTrace(
         **{name: a[:completed] for name, a in tr.items()},
@@ -717,70 +720,19 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
 
 def _allocator(scenario: Scenario, a_mats: list):
-    """The per-tick allocation of one run, built once.
-
-    Returns ``allocate(meas_agents, outputs)``: the AllocationResult of one
-    tick's task, from the measured angles and the controller outputs.
-    ``a_mats`` holds each agent's actuation matrix A(p), computed once per
-    run because the agents do not move.  The field strategies' task map is
-    then constant too, so its pseudoinverse is taken here, once.  Each
-    tick, the torque strategies fill the agents' body-plane rows
-    (``torque_rows``) from the measured angles; the target is the controller
-    outputs as they are, (tau_x, tau_y) = (beta out, alpha out) per agent.
-    The one-step and multi-agent solves stack the A(p) here, take one
-    batched product with the stack and solve through
-    ``alloc.solve_torque_gram``.  The two-step solve uses the lever-0 rows
-    and takes the field rows' pseudoinverse and rank here; a rank below 3
-    fails every tick, so the run records the failure at its first.
-    """
-    params = scenario.plant
+    """The per-tick allocation of one run, built once from the agents' A(p):
+    ``alloc.field_allocator`` or ``alloc.torque_allocator`` for the
+    scenario's strategy, called as ``allocate(meas_agents, outputs)``."""
     agents = scenario.agents
     if scenario.paradigm == "field":
-        task_mat = alloc.field_map(a_mats)
-        pinv = pinv_rank(task_mat)[0]
-        magnitude = scenario.field_magnitude
-
-        def allocate_field(meas_agents: list, outputs: list):
-            # A polarity -1 magnet aligns antiparallel to the field, so its
-            # commanded field direction is inverted: -b(u, v) = b(pi + u, -v).
-            commands = [
-                FieldCommand(
-                    u_alpha=out_a if setup.polarity == 1 else math.pi + out_a,
-                    u_beta=out_b if setup.polarity == 1 else -out_b,
-                    magnitude=magnitude,
-                )
-                for setup, (out_a, out_b) in zip(agents, outputs)
-            ]
-            return alloc.solve_field(task_mat, pinv, commands)
-
-        return allocate_field
-
-    mag_pols = [params.dipole_magnitude * setup.polarity for setup in agents]
+        return alloc.field_allocator(a_mats, [s.polarity for s in agents],
+                                     scenario.field_magnitude)
+    params = scenario.plant
+    mag_pols = [params.dipole_magnitude * s.polarity for s in agents]
     lever = params.magnet_offset if scenario.include_force else 0.0
-    a_stack = np.stack(a_mats)  # (agents, 8, n_coils)
-    rows = np.empty((len(agents), 2, 8))
-    n_rows = 2 * len(agents)
     two_step = scenario.strategy == "torque_two_step"
-    if two_step:  # pure field torque, through A_b^+ (one agent)
-        lever = 0.0
-        a_b = a_mats[0][:3]
-        pinv_b, rank_b = pinv_rank(a_b)
-        rank_failure = alloc.FIELD_RANK_FAILURE.format(
-            tuple(float(c) for c in agents[0].position)
-        )
-
-    def allocate_plane(meas_agents: list, outputs: list):
-        for idx, (meas, mag_pol) in enumerate(zip(meas_agents, mag_pols)):
-            rows[idx] = torque_rows(meas[0], meas[1], mag_pol, lever)
-        target = [t for out_a, out_b in outputs for t in (out_b, out_a)]
-        if not two_step:
-            return alloc.solve_torque_gram((rows @ a_stack).reshape(n_rows, -1),
-                                           target)
-        if rank_b < 3:
-            raise RankDeficiencyError(rank_failure)
-        return alloc.solve_two_step(rows[0, :, :3], a_b, pinv_b, target, mag_pols[0])
-
-    return allocate_plane
+    return alloc.torque_allocator(a_mats, mag_pols, lever,
+                                  agents[0].position if two_step else None)
 
 
 def _settling_tick(within: np.ndarray) -> int | None:

@@ -420,11 +420,7 @@ def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
 
 
 def world_torque(agent: DipoleAgent, task: WrenchTask) -> np.ndarray:
-    """Commanded torque rotated from the actuator body frame to the world.
-
-    The optional desired force is not folded in here; callers that know the
-    magnet offset add its lever-arm torque where appropriate.
-    """
+    """Commanded torque rotated from the actuator body frame to the world."""
     return agent.rotation_t @ np.asarray(task.tau_c_body, dtype=float)
 
 
@@ -571,12 +567,8 @@ def pivot_torque_task(
     a_mat: np.ndarray, agent: DipoleAgent, params: PendulumParams, task: WrenchTask
 ) -> tuple[np.ndarray, np.ndarray]:
     """The composed map J M A(p) and the world-frame pivot torque it must
-    realize; a desired force adds its lever-arm torque."""
-    tau_c = world_torque(agent, task)
-    if task.force is not None:
-        maps = wrench_maps(agent, params.magnet_offset)
-        tau_c = tau_c + maps.jac_tilde @ np.asarray(task.force, dtype=float)
-    return composed_torque_map(a_mat, agent, params), tau_c
+    realize."""
+    return composed_torque_map(a_mat, agent, params), world_torque(agent, task)
 
 
 def composed_torque_solve(
@@ -588,7 +580,7 @@ def composed_torque_solve(
 ) -> tuple[str | None, AllocationResult | None, np.ndarray]:
     """Torque allocation through the stacked world-frame composed maps.
 
-    The oracle of ``alloc.solve_torque`` over ``torque_rows``: three world
+    The oracle of ``alloc.torque_allocator``'s one-step solve: three world
     rows per agent (rank 2 each), with ``include_force=False`` the pure
     field-torque map skew(m) A_b.  Returns ``(verdict, result, target)``:
     the verdict is None for a full-rank stack, ``"agent i"`` for the first

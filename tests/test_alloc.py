@@ -11,7 +11,9 @@ computed here from the returned currents.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from helpers import (
     zeta_star_world,
 )
 
-from emnav import alloc
+from emnav import alloc, sim
 from emnav.alloc import (
     DegenerateTaskError,
     FieldCommand,
@@ -58,6 +60,8 @@ from emnav.magmodel import (
     get_model,
     torque_rows,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def random_task(rng, scale=5e-3) -> WrenchTask:
@@ -111,11 +115,6 @@ class TestTaskTypes:
     def test_wrench_task_planar(self):
         task = WrenchTask.planar(2e-3, -1e-3)
         assert task.tau_c_body == (2e-3, -1e-3, 0.0)
-        assert task.force is None
-
-    def test_wrench_task_force_shape(self):
-        with pytest.raises(ValueError):
-            WrenchTask(tau_c_body=(0, 0, 0), force=(1.0, 2.0))
 
 
 class TestFieldAlignment:
@@ -191,19 +190,6 @@ class TestTorqueOneStep:
             tau_c = agent.rotation_t @ np.array(task.tau_c_body)
             oracle = min_norm_oracle(g_map, tau_c)
             np.testing.assert_allclose(res.currents, oracle, atol=1e-8)
-
-    def test_force_task_changes_target(self, octomag, params):
-        agent = DipoleAgent(p=(0, 0, 0), alpha=0.0, beta=0.0, dipole_magnitude=0.5)
-        a_mat = actuation_matrix(octomag, agent.p)
-        plain = allocate_torque_one_step(a_mat, agent, params, WrenchTask.planar(1e-3, 0))
-        with_force = allocate_torque_one_step(
-            a_mat,
-            agent,
-            params,
-            WrenchTask(tau_c_body=(1e-3, 0.0, 0.0), force=(0.0, 0.2, 0.0)),
-        )
-        # A lateral force adds lever-arm torque; the solutions must differ.
-        assert np.linalg.norm(plain.currents - with_force.currents) > 1e-6
 
     def test_rank_deficiency_single_coil(self, params):
         single = ActuationModel(
@@ -531,32 +517,23 @@ def _torque_case(draw):
                 polarity=draw(st.sampled_from((1, -1))),
             )
         )
-        force = draw(st.none() | st.tuples(*[_floats(-0.5, 0.5)] * 3))
         tasks.append(
-            WrenchTask(
-                tau_c_body=(draw(_floats(-5e-3, 5e-3)), draw(_floats(-5e-3, 5e-3)), 0.0),
-                force=force,
-            )
+            WrenchTask.planar(draw(_floats(-5e-3, 5e-3)), draw(_floats(-5e-3, 5e-3)))
         )
     return model, agents, tasks, draw(st.booleans())
 
 
 def _plane_solve(a_mats, agents, params, tasks, include_force):
     """The production body-plane solve of the case: the one-step and
-    multi-agent wrappers, or ``solve_torque`` over force-free
-    ``torque_rows`` for two agents without gradient forces."""
+    multi-agent wrappers, or one call of the lever-0
+    ``alloc.torque_allocator`` for two agents without gradient forces."""
     if len(agents) == 1:
         return allocate_torque_one_step(
             a_mats[0], agents[0], params, tasks[0], include_force=include_force
         )
     if include_force:
         return allocate_multi_torque(a_mats, agents, params, tasks)
-    rows = [
-        torque_rows(a.alpha, a.beta, a.polarity * a.dipole_magnitude, 0.0) @ m
-        for a, m in zip(agents, a_mats)
-    ]
-    target = np.concatenate([t.tau_c_body[:2] for t in tasks])
-    return solve_torque(np.vstack(rows), target)
+    return alloc._torque_call(a_mats, agents, tasks, 0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -795,3 +772,58 @@ def test_gram_solve_falls_back_on_non_finite_map():
     task_mat[0, 0] = math.nan
     with pytest.raises(np.linalg.LinAlgError):
         solve_torque_gram(task_mat, [0.0, 0.0])
+
+
+# Each per-call wrapper is one call of the allocator the simulator runs, so
+# it rebuilds a tick's solve from the trace: with no noise, latency or
+# measurement tilt the measured angles are the trace's, and below the current
+# limit the commanded currents are the solve's.  A one-step or multi-agent
+# wrapper that solved apart from the simulator, through ``solve_torque``
+# alone, would differ from the certified Gram solve in the last bits.
+_TICK_CASES = {
+    "torque_one_step": ("single_torque", {}),
+    "torque_one_step_no_force": ("single_torque", {"include_force": False}),
+    "torque_two_step": ("single_torque", {"strategy": "torque_two_step"}),
+    "multi_torque": ("multi_torque_async", {}),
+    "field_alignment": ("single_field", {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_TICK_CASES))
+def test_per_call_wrapper_is_the_simulated_tick(case):
+    name, keys = _TICK_CASES[case]
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    data.update(keys, duration=0.05)
+    for agent in data["agents"]:  # a 5 deg catch commands the limit
+        agent["initial"] = {"alpha": 0.005}
+    scenario = sim.scenario_from_dict(data)
+    assert scenario.measurement_noise_std == 0.0
+    assert scenario.emns.loop_latency == 0.0 and not scenario.disturbances
+    trace = sim.run_scenario(scenario)
+    assert trace.failure is None
+    assert np.max(np.abs(trace.currents_cmd)) < scenario.emns.current_limit
+    params = scenario.plant
+    a_mats = [actuation_matrix(scenario.model, s.position) for s in scenario.agents]
+    for k in range(len(trace.t)):
+        agents = [
+            DipoleAgent(p=s.position, alpha=float(trace.alpha[k, i]),
+                        beta=float(trace.beta[k, i]),
+                        dipole_magnitude=params.dipole_magnitude, polarity=s.polarity)
+            for i, s in enumerate(scenario.agents)
+        ]
+        outputs = list(zip(trace.outputs_alpha[k].tolist(),
+                           trace.outputs_beta[k].tolist()))
+        tasks = [WrenchTask.planar(out_b, out_a) for out_a, out_b in outputs]
+        if case == "field_alignment":
+            assert agents[0].polarity == 1
+            command = FieldCommand(*outputs[0], scenario.field_magnitude)
+            res = allocate_field_alignment(a_mats[0], command)
+        elif case == "torque_two_step":
+            res = allocate_torque_two_step(a_mats[0], agents[0], tasks[0])
+        elif case == "multi_torque":
+            res = allocate_multi_torque(a_mats, agents, params, tasks)
+        else:
+            res = allocate_torque_one_step(a_mats[0], agents[0], params, tasks[0],
+                                           include_force=scenario.include_force)
+        np.testing.assert_array_equal(res.currents, trace.currents_cmd[k])
+        assert res.residual_norm == trace.residuals[k]

@@ -250,12 +250,14 @@ class TestSimulate:
         assert summary["failure"]["tick"] == 0
         assert "rank" in summary["failure"]["error"]
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_allocation_exit_2_with_record(
         self, short_torque, tmp_path, capsys
     ):
         # Measurement noise of 1e300 rad drives the solve's currents or its
         # residual past the largest double; the clamp to the current limit
-        # would hide that, so the unclamped solve is checked.
+        # would hide that, so the unclamped solve is checked.  The run checks
+        # finiteness itself, so numpy's overflow warning is not raised.
         data = json.loads(short_torque.read_text())
         data.update(duration=0.1, measurement_noise_std=1e300)
         cfg = write_json(tmp_path / "noisy.json", data)
