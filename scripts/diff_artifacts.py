@@ -13,14 +13,15 @@ bundled scenario runs: impulses (two on one tick, and on beta), overlapping
 ``torque_bias`` windows, ``measurement_tilt``, an off-grid ``release_time``,
 two integral windows, ``loop_latency``, ``measurement_noise_std``, an
 actuator-only agent beside a pendulum agent, the two-step torque solve (on
-octomag8, and at 125 Hz on navion3) and ``include_force: false``; and two
+octomag8, and at 125 Hz on navion3) and ``include_force: false``; two
 workspace maps whose pseudoinverses take the SVD fallback of
 ``magmodel.pinv_rank`` (a second agent on a grid point, and tall two-agent
-stacks on three coils).  They are
-written once, from this checkout's configs, and both trees run the same
-files.  A loop that holds a coil at the current limit on most ticks
-amplifies rounding past any trace bound, so the variants reach the limit on
-a few ticks at most.  For each variant and tree the number of ticks on which
+stacks on three coils); and a workspace cube, 9^3 points on navion3, whose
+lattice varies on all three axes (the bundled maps are a line and a
+plane).  They are written once, from this checkout's configs, and both
+trees run the same files.  A loop that holds a coil at the current limit
+on most ticks amplifies rounding past any trace bound, so the variants
+reach the limit on a few ticks at most.  For each variant and tree the number of ticks on which
 a commanded coil current reaches the limit is printed, from one more run of
 each simulate variant in that tree (the trace CSV holds the lagged applied
 currents, not the commands).
@@ -134,6 +135,11 @@ VARIANTS = {
     # point singular.
     "variant_workspace_tall": ("workspace_navion_standoff", {
         "second_agent": [0.0, 0.0, 0.2]}, []),
+    # A 4 cm cube at 5 mm across the stand-off boundary: 729 points, every
+    # coordinate column varying, 652 torque-feasible and 100 field-feasible.
+    "variant_workspace_cube": ("workspace_navion_standoff", {
+        "grid": {"x": [-0.02, 0.02], "y": [-0.02, 0.02], "z": [0.1, 0.14],
+                 "spacing": 0.005}}, []),
 }
 
 #: Run with a simulate config's path: prints the number of ticks on which a

@@ -255,10 +255,9 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
          "norm_b_two_step", "angle_one_step_deg", "angle_two_step_deg",
          "zeta_star", "violation"),
         samples,
-        lambda start, stop: np.column_stack(
-            [np.arange(start, stop), values[start:stop]]
-        ),
-        labels=notes, newline="\n",
+        lambda start, stop: [np.arange(start, stop, dtype=float),
+                             *values[start:stop].T, notes[start:stop]],
+        newline="\n",
     )
     _write_json(
         out_dir / f"{name}_summary.json",

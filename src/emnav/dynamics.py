@@ -26,6 +26,7 @@ hand-written derivative of tests/helpers.py.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -251,13 +252,25 @@ def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
     no per-stage tuples and no calls but ``math.sin``/``math.cos``.  Row s's
     state is ``y + (h_s1 * k_1 + ...)``, with ``h_sj = dt * a_sj`` hoisted
     and no term for a zero weight: bit-identical to stage-by-stage RK.
+
+    Ticks are kept across runs by ``_compile_tick``, keyed by the constant
+    text that they inline.
     """
+    return _compile_tick(attached, tuple(
+        (name, f"({float(value)!r})")
+        for name, value in {**_constants(params), "MAG_POL": mag_pol}.items()
+    ))
+
+
+@functools.lru_cache(maxsize=32)
+def _compile_tick(attached: bool, constants: tuple[tuple[str, str], ...]):
+    """:func:`make_tick`'s tick of the layout ``attached`` with the
+    (name, inlined text) pairs ``constants``.  The key is that text, not the
+    plant's parameters: a ``damping`` of -0.0 equals 0.0 and hashes alike,
+    but inlines as ``(-0.0)``.  A tick takes 35-65 kB, so 32 plants stay
+    near 2 MB."""
     template, layout = _LAYOUTS[attached]
     states = [name for name, _ in layout]
-    constants = {
-        name: f"({float(value)!r})"
-        for name, value in {**_constants(params), "MAG_POL": mag_pol}.items()
-    }
 
     def at(name: str, s: int) -> str:
         """``name`` at stage ``s``; a state at stage 1 is the state itself."""

@@ -17,9 +17,10 @@ The inner integration loop is fixed-step eighth-order Runge-Kutta (DOP853,
 grid per agent at the stage times (the lag-filtered currents do not depend
 on the plant state): one product of the stacked A(p) of all agents with the
 tick's current grid, split per agent by one ``.tolist()``.  The fused tick from
-``dynamics.make_tick`` runs it, compiled once per distinct plant (pendulum
-attached, signed dipole) before synthesis: the finite-difference check of
-each linearization differentiates one control period of that tick.  The
+``dynamics.make_tick`` runs it, fetched once per distinct plant (pendulum
+attached, signed dipole) before synthesis and compiled only the first time
+a process runs that plant: the finite-difference check of each
+linearization differentiates one control period of that tick.  The
 step is backed by a step-halving test: on the bundled scenarios, halving it
 moves no angle by more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
 error, or a non-finite state, as an overflow leaves) ends the run with a
@@ -494,7 +495,7 @@ class SimTrace:
             self.outputs_alpha,  # tau_y = alpha channel
         )
 
-        def block(start: int, stop: int) -> np.ndarray:
+        def block(start: int, stop: int) -> list:
             # Rows are tick-major; build the ticks the rows span.
             k0, k1 = start // n_agents, -(-stop // n_agents)
             cols = np.empty((k1 - k0, n_agents, len(header)))
@@ -505,7 +506,7 @@ class SimTrace:
             cols[:, :, 10:10 + n_coils] = self.currents[k0:k1, None, :]
             cols[:, :, 10 + n_coils:] = self.fields[k0:k1]
             skip = k0 * n_agents
-            return cols.reshape(-1, len(header))[start - skip:stop - skip]
+            return [*cols.reshape(-1, len(header))[start - skip:stop - skip].T]
 
         write_csv(path, header, ticks * n_agents, block)
 
@@ -544,7 +545,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     rng = np.random.default_rng(scenario.seed)
 
     # --- plants and synthesis ---------------------------------------------
-    # One tick is compiled per distinct plant (pendulum attached, signed
+    # One tick is fetched per distinct plant (pendulum attached, signed
     # dipole).  Each layout (pendulum attached or not) is linearized once and
     # checked against one control period of its first agent's tick; each
     # distinct (layout, q_diag, r_weight) is solved once.  An agent's two

@@ -15,7 +15,7 @@ import numpy as np
 
 from .alloc import field_rows
 from .dynamics import PendulumParams
-from .export import write_csv, write_json
+from .export import text_column, write_csv, write_json
 from .magmodel import (
     BLOCK,
     ActuationModel,
@@ -162,12 +162,18 @@ class FeasibilityMap:
         return int(np.count_nonzero(self.feasible))
 
     def to_csv(self, path) -> None:
-        def block(start: int, stop: int) -> np.ndarray:
+        # A lattice axis holds few distinct coordinates: each is formatted
+        # once per map, and the rows share its string.
+        texts = ({}, {}, {})
+
+        def block(start: int, stop: int) -> list:
             fm = self.fm[start:stop]
-            return np.column_stack([self.positions[start:stop], fm, fm > 0.0])
+            return [*(text_column(self.positions[start:stop, k], texts[k])
+                      for k in range(3)),
+                    fm, (fm > 0.0).astype(float), self.flags[start:stop]]
 
         write_csv(path, ("x", "y", "z", "fm", "feasible", "flag"),
-                  self.positions.shape[0], block, labels=self.flags)
+                  self.positions.shape[0], block)
 
     def write_metadata(self, path) -> None:
         write_json(path, {**self.metadata, "feasible_count": self.feasible_count,

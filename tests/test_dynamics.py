@@ -259,6 +259,27 @@ class TestCompiledPlant:
         self.check((PendulumParams(damping=0.01), 1.0), True, [case])
 
 
+class TestTickCache:
+    """Compiled ticks are kept across runs, keyed by the text they inline."""
+
+    def test_same_plant_same_function(self):
+        params = PendulumParams(pend_mass=0.03)
+        for attached in (True, False):
+            assert make_tick(params, attached, 1.85) is make_tick(
+                replace(params), attached, 1.85
+            )
+        assert make_tick(params, True, 1.85) is not make_tick(params, True, -1.85)
+        assert make_tick(params, True, 1.85) is not make_tick(params, False, 1.85)
+
+    def test_signed_zero_damping_is_another_plant(self):
+        # -0.0 == 0.0 with one hash, so a cache keyed by PendulumParams would
+        # hand one plant the other's tick; the inlined text tells them apart.
+        zero, negative = PendulumParams(damping=0.0), PendulumParams(damping=-0.0)
+        assert zero == negative and hash(zero) == hash(negative)
+        assert make_tick(zero, True, 1.0) is not make_tick(negative, True, 1.0)
+        assert make_tick(negative, True, 1.0) is make_tick(negative, True, 1.0)
+
+
 class TestLinearization:
     """The zero-order-hold (a_d, b_d) of the linearization against central
     differences of one 200 Hz control period of the compiled tick: one

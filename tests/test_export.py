@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from helpers import (
     alloc_bench_csv_per_value,
     map_csv_per_value,
@@ -15,9 +17,17 @@ from helpers import (
 )
 
 import emnav.cli as cli
-from emnav.magmodel import BLOCK
+from emnav.dynamics import PendulumParams
+from emnav.export import text_column
+from emnav.magmodel import BLOCK, get_model
 from emnav.sim import run_scenario, scenario_from_dict
-from emnav.workspace import _FLAG_LABELS, FeasibilityMap, GridSpec
+from emnav.workspace import (
+    _FLAG_LABELS,
+    FeasibilityMap,
+    GridSpec,
+    TaskSet,
+    workspace_map,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -111,6 +121,48 @@ def test_map_matches_per_value_writer(tmp_path, points):
         assert np.isneginf(fmap.fm).any()
     assert_same_bytes(tmp_path, fmap.to_csv,
                       lambda p: map_csv_per_value(fmap, p))
+
+
+@pytest.mark.parametrize("model, task", [
+    ("octomag8", TaskSet("torque-box", tau_bar=0.002)),
+    ("navion3", TaskSet("fixed-field", field_magnitude=0.025)),
+], ids=["octomag8-torque", "navion3-field"])
+def test_lattice_map_matches_per_value_writer(tmp_path, model, task):
+    # 7^3 = 343 points over two blocks, varying on all three axes, with a
+    # second agent on the centre grid point: near-contact neighbours, and
+    # singular points (-inf margins) beside feasible and infeasible ones.
+    grid = GridSpec(x=(-0.015, 0.015), y=(-0.015, 0.015), z=(-0.015, 0.015),
+                    spacing=0.005)
+    fmap = workspace_map(get_model(model), task, grid, 16.0,
+                         params=PendulumParams(dipole_magnitude=2.0,
+                                               magnet_offset=0.02),
+                         second_agent=(0.0, 0.0, 0.0))
+    assert fmap.positions.shape[0] == 343 > BLOCK
+    assert {"singular+near-contact", "near-contact"} <= set(fmap.flags)
+    assert fmap.feasible.any() and not fmap.feasible.all()
+    assert all(np.unique(fmap.positions[:, k]).size == 7 for k in range(3))
+    assert_same_bytes(tmp_path, fmap.to_csv,
+                      lambda p: map_csv_per_value(fmap, p))
+
+
+@given(
+    pool=st.lists(st.floats(), min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 2 * len(SPECIALS) + 3), max_size=40),
+)
+def test_text_column_matches_per_value_format(pool, picks):
+    # A small pool, so that values repeat: the drawn floats, both signed
+    # zeros, NaN of both signs and the other special values.
+    pool = pool + [0.0, -0.0, -math.nan] + SPECIALS
+    column = [pool[k % len(pool)] for k in picks]
+    expected = [format(value, ".17g") for value in column]
+    assert text_column(np.array(column, dtype=float), {}) == expected
+    # A strided column, as a map's positions[:, k] is, in two blocks that
+    # share one dict.
+    table = np.zeros((len(column), 3))
+    table[:, 1] = column
+    text, half = {}, len(column) // 2
+    assert (text_column(table[:half, 1], text)
+            + text_column(table[half:, 1], text)) == expected
 
 
 def test_alloc_bench_matches_per_value_writer(tmp_path, monkeypatch):
