@@ -118,7 +118,8 @@ def alloc_bench(out: Path) -> int:
 
 def outcome(data: dict, out: Path) -> str:
     """Write the simulate config ``data`` into ``out`` as ``<name>.json``,
-    run it through ``emnav simulate`` and judge agent 0 from its summary."""
+    run it through ``emnav simulate`` and judge it from its summary: agent
+    0's settling time, and the largest angle of every agent and channel."""
     config = out / f"{data['name']}.json"
     config.write_text(json.dumps(data, indent=2))
     code, _, (summary,) = emnav("simulate", config, out, f"{data['name']}_summary.json")
@@ -128,13 +129,13 @@ def outcome(data: dict, out: Path) -> str:
     if failure is not None:
         where = f" (agent {failure['agent']})" if "agent" in failure else ""
         return f"{failure['stage']} failure{where} at t={failure['time']:.2f}s"
-    max_alpha = summary["metrics"]["max_abs_alpha"]
+    max_angle = summary["metrics"]["max_abs_angle"]
     settle = summary["metrics"]["settling_time"][0]
     if settle is not None:
-        return f"settles at {settle:.2f}s (max |alpha| {max_alpha:.3f} rad)"
-    if max_alpha < 0.5:
-        return f"bounded, not settled (max |alpha| {max_alpha:.3f} rad)"
-    return f"diverges (max |alpha| {max_alpha:.1f} rad)"
+        return f"settles at {settle:.2f}s (max |angle| {max_angle:.3f} rad)"
+    if max_angle < 0.5:
+        return f"bounded, not settled (max |angle| {max_angle:.3f} rad)"
+    return f"diverges (max |angle| {max_angle:.1f} rad)"
 
 
 def robustness(out: Path) -> int:

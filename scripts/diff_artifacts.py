@@ -13,7 +13,8 @@ bundled scenario runs: impulses (two on one tick, and on beta), overlapping
 ``torque_bias`` windows, ``measurement_tilt``, an off-grid ``release_time``,
 two integral windows, ``loop_latency``, ``measurement_noise_std``, an
 actuator-only agent beside a pendulum agent, the two-step torque solve (on
-octomag8, and at 125 Hz on navion3) and ``include_force: false``; two
+octomag8, and at 125 Hz on navion3), ``include_force: false`` and a
+polarity -1 agent (under field alignment and one-step torque); two
 workspace maps whose pseudoinverses take the SVD fallback of
 ``magmodel.pinv_rank`` (a second agent on a grid point, and tall two-agent
 stacks on three coils); and a workspace cube, 9^3 points on navion3, whose
@@ -120,6 +121,14 @@ VARIANTS = {
         "duration": 2.0, "strategy": "torque_two_step"}, [{}]),
     "variant_torque_no_force": ("single_torque", {
         "duration": 2.0, "include_force": False}, [{}]),
+    # A polarity -1 magnet, which no bundled scenario carries: the field
+    # allocator inverts its commanded direction, and the torque rows and
+    # the plant take the signed dipole.  A catch tilted on both channels
+    # peaks near 15.4 A (field) and 15.2 A (torque) of 16 A.
+    "variant_field_polarity": ("single_field", {"duration": 2.0}, [
+        {"polarity": -1, "initial": {"alpha": 0.03, "beta": -0.02}}]),
+    "variant_torque_polarity": ("single_torque", {"duration": 2.0}, [
+        {"polarity": -1, "initial": {"alpha": 0.03, "beta": -0.02}}]),
     # The navion3 stand-off line at 0.12 m under the two-step solve, with
     # the stand-off workspace's plant: 125 Hz, two plant steps per tick.  It
     # commands the limit on 1 of the 250 ticks.

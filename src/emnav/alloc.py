@@ -20,25 +20,28 @@ one per agent: the agents sit at fixed positions, so the caller evaluates
 A(p) once.  ``torque_allocator`` and ``field_allocator`` build the
 allocation of a run from them, the one the simulator calls each tick: what
 does not depend on the command (the field task map and its pseudoinverse,
-the two-step field rows' pseudoinverse and rank) is taken once, and each
-call fills the agents' body-plane rows from their tilts.  The one-step and
-multi-agent torque solves go through ``solve_torque_gram``: a Cholesky
-factor of the Gram matrix where it certifies the map well conditioned,
-else ``solve_torque``, one ``magmodel.pinv_rank`` of the stacked rows (the
-Moore-Penrose pseudoinverse with the shared singular-value cutoff) for the
-rank check and the solution of minimal 2-norm.  The two-step torque solve
-takes the smallest field realizing the torque in closed form
-(``two_step_field``), then the minimum-norm currents realizing that field
-through A_b(p)^+.  A solve returns only the currents and the task
-residual.  ``emnav alloc-bench`` does not go through the allocators: it
-solves its samples in blocks, one stacked pseudoinverse per solve kind and
-``two_step_field`` over the block, and computes the realized fields,
-norms, angles and zeta* as vectors itself.  ``allocate_torque_one_step``,
-``allocate_torque_two_step``, ``allocate_multi_torque`` and
-``allocate_field_alignment`` are each one call of an allocator, for
-``DipoleAgent`` and ``WrenchTask`` or ``FieldCommand`` arguments: the
-per-call forms the tests call and the benchmark's tracer hooks by name, as
-it hooks ``zeta_star`` and ``field_and_gradient``.
+the two-step field rows' pseudoinverse and rank) is taken once.  A field
+call builds its stacked target in Python floats and makes one array of it
+for one product with the pseudoinverse; a torque call fills the agents'
+body-plane rows from their tilts.  The one-step and multi-agent torque
+solves go through ``solve_torque_gram``: a Cholesky factor of the Gram
+matrix where it certifies the map well conditioned, else ``solve_torque``,
+one ``magmodel.pinv_rank`` of the stacked rows (the Moore-Penrose
+pseudoinverse with the shared singular-value cutoff) for the rank check
+and the solution of minimal 2-norm.  The two-step torque solve takes the
+smallest field realizing the torque in closed form (``two_step_field``),
+then the minimum-norm currents realizing that field through A_b(p)^+.  A
+solve returns only the currents and the task residual, as an
+``AllocationResult`` NamedTuple.  ``emnav alloc-bench`` does not go
+through the allocators: it solves its samples in blocks, one stacked
+pseudoinverse per solve kind and ``two_step_field`` over the block, and
+computes the realized fields, norms, angles and zeta* as vectors itself.
+``allocate_torque_one_step``, ``allocate_torque_two_step``,
+``allocate_multi_torque`` and ``allocate_field_alignment`` are each one
+call of an allocator, for ``DipoleAgent`` and ``WrenchTask`` or
+``FieldCommand`` arguments: the per-call forms the tests call and the
+benchmark's tracer hooks by name, as it hooks ``zeta_star`` and
+``field_and_gradient``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +113,7 @@ class WrenchTask:
         return cls(tau_c_body=(tau_x, tau_y, 0.0))
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(NamedTuple):
     """Currents solving an allocation task.
 
     Attributes:
@@ -243,43 +246,32 @@ def field_map(a_mats: list[np.ndarray]) -> np.ndarray:
     return np.vstack([a_mat[:n_rows] for a_mat in a_mats])
 
 
-def solve_field(
-    task_mat: np.ndarray, pinv: np.ndarray, commands: list[FieldCommand]
-) -> AllocationResult:
-    """Currents realizing field commands through a field task map.
-
-    ``pinv`` is the task map's pseudoinverse (``pinv_rank(task_mat)[0]``).
-    The target stacks the commands' setpoints, one 3-row block each, and
-    asks for zero on the remaining (gradient) rows.
-    """
-    setpoints = [c.setpoint for c in commands]
-    padding = np.zeros(task_mat.shape[0] - 3 * len(commands))
-    target = np.concatenate(setpoints + [padding])
-    return _result(task_mat, pinv @ target, target)
-
-
 def field_allocator(
     a_mats: list[np.ndarray], polarities: list[int], magnitude: float
 ):
     """The field-alignment allocation of agents at fixed points, built once:
     the pseudoinverse of their ``field_map`` is taken here.  Returns
-    ``allocate(angles, commands)``, the ``solve_field`` of each agent's
-    (u_alpha, u_beta) in ``commands`` at ``magnitude``; ``angles`` is unread.
+    ``allocate(angles, commands)``: the currents realizing each agent's
+    ``FieldCommand.setpoint`` of its (u_alpha, u_beta) in ``commands`` at
+    ``magnitude``, and zero gradient rows; ``angles`` is unread.  The target
+    is built in Python floats, in the setpoint's operation order.
     """
     task_mat = field_map(a_mats)
     pinv = pinv_rank(task_mat)[0]
+    padding = [0.0] * (task_mat.shape[0] - 3 * len(a_mats))
 
     def allocate(angles, commands) -> AllocationResult:
-        # A polarity -1 magnet aligns antiparallel to the field, so its
-        # commanded field direction is inverted: -b(u, v) = b(pi + u, -v).
-        return solve_field(task_mat, pinv, [
-            FieldCommand(
-                u_alpha=out_a if polarity == 1 else math.pi + out_a,
-                u_beta=out_b if polarity == 1 else -out_b,
-                magnitude=magnitude,
-            )
-            for polarity, (out_a, out_b) in zip(polarities, commands)
-        ])
+        target = []
+        for polarity, (u_a, u_b) in zip(polarities, commands):
+            if polarity != 1:
+                # A polarity -1 magnet aligns antiparallel to the field, so its
+                # commanded field direction is inverted: -b(u, v) = b(pi + u, -v).
+                u_a, u_b = math.pi + u_a, -u_b
+            ca, sa = math.cos(u_a), math.sin(u_a)
+            cb, sb = math.cos(u_b), math.sin(u_b)
+            target += (magnitude * (sa * cb), magnitude * -sb, magnitude * (ca * cb))
+        target = np.array(target + padding)
+        return _result(task_mat, pinv @ target, target)
 
     return allocate
 

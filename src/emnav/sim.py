@@ -17,10 +17,10 @@ The inner integration loop is fixed-step eighth-order Runge-Kutta (DOP853,
 grid per agent at the stage times (the lag-filtered currents do not depend
 on the plant state): one product of the stacked A(p) of all agents with the
 tick's current grid, split per agent by one ``.tolist()``.  The fused tick from
-``dynamics.make_tick`` runs it, fetched once per distinct plant (pendulum
-attached, signed dipole) before synthesis and compiled only the first time
-a process runs that plant: the finite-difference check of each
-linearization differentiates one control period of that tick.  The
+``dynamics.make_tick`` runs it, fetched per agent before synthesis and
+compiled only the first time a process runs that plant (pendulum attached,
+signed dipole): the finite-difference check of each linearization
+differentiates one control period of that tick.  The
 step is backed by a step-halving test: on the bundled scenarios, halving it
 moves no angle by more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
 error, or a non-finite state, as an overflow leaves) ends the run with a
@@ -545,15 +545,15 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     rng = np.random.default_rng(scenario.seed)
 
     # --- plants and synthesis ---------------------------------------------
-    # One tick is fetched per distinct plant (pendulum attached, signed
-    # dipole).  Each layout (pendulum attached or not) is linearized once and
-    # checked against one control period of its first agent's tick; each
-    # distinct (layout, q_diag, r_weight) is solved once.  An agent's two
-    # channels share its gain, each with its own controller.
-    plant_keys = [(s.pendulum_attached, params.dipole_magnitude * s.polarity)
-                  for s in scenario.agents]
-    compiled = {key: make_tick(params, *key) for key in dict.fromkeys(plant_keys)}
-    plant_ticks = [compiled[key] for key in plant_keys]
+    # One tick is fetched per agent; ``make_tick`` compiles each distinct
+    # plant (pendulum attached, signed dipole) once.  Each layout (pendulum
+    # attached or not) is linearized once and checked against one control
+    # period of its first agent's tick; each distinct (layout, q_diag,
+    # r_weight) is solved once.  An agent's two channels share its gain,
+    # each with its own controller.
+    plant_ticks = [make_tick(params, s.pendulum_attached,
+                             params.dipole_magnitude * s.polarity)
+                   for s in scenario.agents]
     plants: dict[bool, tuple] = {}
     solutions: dict[tuple, tuple] = {}
     synthesis = []

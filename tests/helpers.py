@@ -19,7 +19,6 @@ from emnav.alloc import (
     allocate_torque_one_step,
     field_and_gradient,
     field_map,
-    solve_field,
 )
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
@@ -698,12 +697,19 @@ def settling_tick_brute(within: np.ndarray) -> int | None:
 
 
 def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
-    """Minimum-norm currents realizing independent field commands at several
-    positions simultaneously, through ``field_map``."""
+    """Minimum-norm currents realizing ``FieldCommand`` ``commands``, one
+    per agent, through ``field_map``, a command at a time: the setpoints and
+    zero on the remaining (gradient) rows stacked by ``np.concatenate``, one
+    product with the pseudoinverse, and the residual's 2-norm as
+    ``np.linalg.norm`` forms it, sqrt(r . r)."""
     if len(a_mats) != len(commands) or len(a_mats) == 0:
         raise ValueError("a_mats and commands must be equal-length, non-empty")
-    stacked = field_map(a_mats)
-    return solve_field(stacked, pinv_rank(stacked)[0], commands)
+    task_mat = field_map(a_mats)
+    padding = np.zeros(task_mat.shape[0] - 3 * len(commands))
+    target = np.concatenate([c.setpoint for c in commands] + [padding])
+    currents = pinv_rank(task_mat)[0] @ target
+    r = task_mat @ currents - target
+    return AllocationResult(currents, math.sqrt(r @ r))
 
 
 def _field_dipole_angle_deg(field_b: np.ndarray, moment: np.ndarray) -> float:

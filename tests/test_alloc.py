@@ -44,6 +44,7 @@ from emnav.alloc import (
     allocate_multi_torque,
     allocate_torque_one_step,
     allocate_torque_two_step,
+    field_allocator,
     solve_torque,
     solve_torque_gram,
     two_step_field,
@@ -398,6 +399,36 @@ class TestMultiField:
     def test_length_mismatch(self, octomag):
         with pytest.raises(ValueError):
             allocate_multi_field([actuation_matrix(octomag, np.zeros(3))], [])
+
+
+class TestFieldAllocator:
+    """The per-run field allocation builds its target in floats; its
+    currents and residual equal, bit for bit, those of the per-command
+    ``FieldCommand.setpoint`` oracle, ``allocate_multi_field``."""
+
+    @pytest.mark.parametrize("points,polarities", [
+        pytest.param([(0.01, -0.005, 0.0)], [1], id="one-agent-8-rows"),
+        pytest.param([(0.01, -0.005, 0.0)], [-1], id="one-agent-8-rows-inverted"),
+        pytest.param([(0.0325, 0, 0), (-0.0325, 0, 0)], [1, -1],
+                     id="two-agents-3-rows"),
+        pytest.param([(0.02, 0.01, 0), (-0.02, -0.01, 0.01)], [-1, -1],
+                     id="two-agents-3-rows-inverted"),
+    ])
+    def test_bit_identical_to_setpoint_oracle(self, octomag, rng, points, polarities):
+        a_mats = [actuation_matrix(octomag, np.array(p)) for p in points]
+        magnitude = 0.04
+        allocate = field_allocator(a_mats, polarities, magnitude)
+        for _ in range(20):
+            outputs = [tuple(rng.uniform(-0.8, 0.8, 2)) for _ in points]
+            res = allocate((), outputs)
+            # A polarity -1 magnet's command is inverted: b(pi + u, -v).
+            oracle = allocate_multi_field(a_mats, [
+                FieldCommand(u_a, u_b, magnitude) if pol == 1
+                else FieldCommand(math.pi + u_a, -u_b, magnitude)
+                for pol, (u_a, u_b) in zip(polarities, outputs)
+            ])
+            np.testing.assert_array_equal(res.currents, oracle.currents)
+            assert res.residual_norm == oracle.residual_norm
 
 
 class TestMultiTorque:

@@ -20,9 +20,11 @@ Oracles:
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +36,13 @@ from scipy.special import ellipk
 from emnav import dynamics
 from emnav.dynamics import (
     PendulumParams,
+    _compile_tick,
     discretize,
     finite_difference_linearization,
     linearize,
     make_tick,
 )
+from emnav.sim import run_scenario, scenario_from_dict
 
 import helpers
 from helpers import total_energy
@@ -278,6 +282,24 @@ class TestTickCache:
         assert zero == negative and hash(zero) == hash(negative)
         assert make_tick(zero, True, 1.0) is not make_tick(negative, True, 1.0)
         assert make_tick(negative, True, 1.0) is make_tick(negative, True, 1.0)
+
+    def test_compiled_once_per_distinct_plant(self):
+        # Both agents of multi_torque_async carry one plant (pendulum
+        # attached, polarity 1): one compile.  A polarity -1 second agent
+        # is another plant.  Each compiled plant is the one a later call
+        # finds in the cache.
+        path = Path(__file__).resolve().parents[1] / "scenarios/multi_torque_async.json"
+        data = json.loads(path.read_text())
+        data["duration"] = 0.05
+        for polarity, mag_pols in ((1, [1.85]), (-1, [1.85, -1.85])):
+            data["agents"][1]["polarity"] = polarity
+            scenario = scenario_from_dict(data)
+            _compile_tick.cache_clear()
+            run_scenario(scenario)
+            assert _compile_tick.cache_info().misses == len(mag_pols)
+            for mag_pol in mag_pols:
+                make_tick(scenario.plant, True, mag_pol)
+            assert _compile_tick.cache_info().misses == len(mag_pols)
 
 
 class TestLinearization:

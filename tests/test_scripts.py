@@ -31,3 +31,13 @@ def test_outcome_reads_the_summary(scripts_path, tmp_path):
         {"type": "impulse", "time": 0.0, "magnitude": 1e307}]}
     assert compare.outcome(kicked, tmp_path) == "integration failure (agent 0) at t=0.00s"
     assert (tmp_path / "kicked.json").exists()
+
+
+def test_outcome_judges_both_channels(scripts_path, tmp_path):
+    # A pendulum that falls on beta alone leaves alpha at zero: the verdict
+    # reads every angle, not alpha's.
+    compare = importlib.import_module("compare")
+    base = json.loads(compare.ROBUSTNESS_BASE.read_text())
+    agent = {**base["agents"][0], "initial": {"beta": 0.6}}
+    fallen = {**base, "name": "fallen", "duration": 0.3, "agents": [agent]}
+    assert compare.outcome(fallen, tmp_path).startswith("diverges")

@@ -366,27 +366,6 @@ class TestTickMechanics:
         assert tr.t.shape[0] == 100 and tr.failure is None
         assert calls == [1, 1]
 
-    def test_tick_compiled_once_per_distinct_plant(self, monkeypatch):
-        # Both agents of multi_torque_async carry one plant (pendulum
-        # attached, polarity 1): one compiled tick.  A polarity -1 second
-        # agent is another plant.
-        compile_tick = sim.make_tick
-        calls = []
-
-        def counting(*plant):
-            calls.append(plant[1:])
-            return compile_tick(*plant)
-
-        monkeypatch.setattr(sim, "make_tick", counting)
-        data = load_bundled("multi_torque_async")
-        data["duration"] = 0.05
-        run_scenario(scenario_from_dict(data))
-        assert calls == [(True, 1.85)]
-        calls.clear()
-        data["agents"][1]["polarity"] = -1
-        run_scenario(scenario_from_dict(data))
-        assert calls == [(True, 1.85), (True, -1.85)]
-
     def test_agent_tick_cap_checked_before_allocation(self):
         # 1e12 s at 200 Hz would be 2e14 ticks; Scenario rejects it from the
         # arithmetic alone.
