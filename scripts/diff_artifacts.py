@@ -13,8 +13,9 @@ bundled scenario runs: impulses (two on one tick, and on beta), overlapping
 ``torque_bias`` windows, ``measurement_tilt``, an off-grid ``release_time``,
 two integral windows, ``loop_latency``, ``measurement_noise_std``, an
 actuator-only agent beside a pendulum agent, the two-step torque solve (on
-octomag8, and at 125 Hz on navion3), ``include_force: false`` and a
-polarity -1 agent (under field alignment and one-step torque); two
+octomag8, and at 125 Hz on navion3), ``include_force: false``, a
+polarity -1 agent (under field alignment and one-step torque) and a null
+``controller`` (on a pendulum and an actuator-only agent); two
 workspace maps whose pseudoinverses take the SVD fallback of
 ``magmodel.pinv_rank`` (a second agent on a grid point, and tall two-agent
 stacks on three coils); and a workspace cube, 9^3 points on navion3, whose
@@ -136,6 +137,14 @@ VARIANTS = {
         "duration": 2.0, "strategy": "torque_two_step", "model": "navion3",
         "emns": "navion", "plant": {"dipole_magnitude": 2.0, "magnet_offset": 0.02},
     }, [{"position": [0.0, 0.0, 0.12]}]),
+    # A null controller, which no bundled config writes: each layout's
+    # default weights (r_weight 1).  Under field alignment they reach the
+    # limit on none of the 400 ticks; the torque paradigm's default holds a
+    # coil at the limit on 61-133 of 400 ticks even at a 0.001 rad tilt.
+    "variant_default_controller_field": ("single_field", {"duration": 2.0}, [
+        {"controller": None, "initial": {"alpha": 0.02}}]),
+    "variant_default_controller_actuator": ("disturb_field_p_only", {
+        "duration": 2.0}, [{"controller": None}]),
     # The second agent on the grid point (0.03, 0, 0): one singular torque
     # point of 289, its block mixing certified and uncertified entries.
     "variant_workspace_on_point": ("workspace_octomag_2agent", {

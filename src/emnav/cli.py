@@ -9,12 +9,13 @@ artifacts into an output directory:
 
 Exit codes: 0 success; 1 config error: a bad path, malformed JSON, or a
 config the schema in ``emnav.config`` rejects (an unknown or missing key, a
-wrong type, a non-finite number or an out-of-range value; the message names
-the JSON path), or a bad ``--seed``; 2 numerical failure (controller
-synthesis, an allocation failure or a diverging plant in ``simulate``, or an
-alloc-bench sample whose torque rows or field rows the coil array cannot
-span), with a failure record written: the summary's ``failure`` of a
-simulation that ran, else ``<name>_failure.json``.
+wrong type, a non-finite number, an out-of-range value or, in a built
+scenario, a fact such as a ``q_diag`` of the wrong length; the message names
+the JSON path), or a bad ``--seed``; 2 numerical failure: in ``simulate``,
+every failure after the config is read (synthesis, allocation or a diverging
+plant, each classified by its stage), or an alloc-bench sample whose torque
+rows or field rows the coil array cannot span, with a failure record written:
+the summary's ``failure`` of a simulation that ran, else ``<name>_failure.json``.
 
 ``alloc-bench`` draws all its samples at once and solves them in blocks of
 ``magmodel.BLOCK``: one A(p) evaluation and one stacked pseudoinverse per
@@ -90,8 +91,6 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
     scenario = scenario_from_dict(data)
     try:
         trace = run_scenario(scenario)
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario {config_path}: {exc}") from exc
     except SynthesisError as exc:
         _write_json(
             out_dir / f"{scenario.name}_failure.json",

@@ -114,6 +114,8 @@ def lqr_gain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the discrete LQR gain row for a single-input system.
 
+    ``config.q_diag`` holds one weight per state (``sim.AgentSetup`` checks).
+
     Returns:
         (K, P): K of shape (1, n) with u = -K x optimal for Q = diag(q_diag),
         R = r_weight and a closed-loop spectral radius < 1; P is the DARE
@@ -124,11 +126,6 @@ def lqr_gain(
             loop is unstable.
     """
     a_d, b_d = sys.a_d, sys.b_d
-    n = a_d.shape[0]
-    if len(config.q_diag) != n:
-        raise ValueError(
-            f"q_diag has length {len(config.q_diag)}, plant has {n} states"
-        )
     q = np.diag(config.q_diag)
     r = np.array([[config.r_weight]])
     p = dare_solve(a_d, b_d, q, r)

@@ -202,21 +202,23 @@ def pinv_rank(
     P0 + P0 E, E = I - S P0, for an error of about u cond(S) (Higham, ch.
     14).  It is certified, rank k, when ||E||_F <= 1/2 and ||S||_F ||P0||_F /
     (1 - ||E||_F) <= sqrt(``GRAM_COND_BOUND``) (see there).  Other entries,
-    a block whose ``inv`` raises and a tall stack take ``_pinv_rank_svd``.
+    a block whose ``inv`` raises and a tall stack take ``_pinv_rank_svd``;
+    the certificate fails on non-finite entries, so numpy need not warn.
     """
     k, n = stack.shape[-2:]
     if k > n:
         return _pinv_rank_svd(stack)
     stack_t = np.swapaxes(stack, -1, -2)
-    try:
-        p0 = stack_t @ np.linalg.inv(stack @ stack_t)
-    except np.linalg.LinAlgError:
-        return _pinv_rank_svd(stack)
-    resid = np.eye(k) - stack @ p0
-    r = np.linalg.norm(resid, axis=(-2, -1))
-    cond = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p0, axis=(-2, -1))
-    bad = ~((r <= 0.5) & (cond <= math.sqrt(GRAM_COND_BOUND) * (1.0 - r)))
-    pinv, rank = p0 + p0 @ resid, np.full(r.shape, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            p0 = stack_t @ np.linalg.inv(stack @ stack_t)
+        except np.linalg.LinAlgError:
+            return _pinv_rank_svd(stack)
+        resid = np.eye(k) - stack @ p0
+        r = np.linalg.norm(resid, axis=(-2, -1))
+        cond = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p0, axis=(-2, -1))
+        bad = ~((r <= 0.5) & (cond <= math.sqrt(GRAM_COND_BOUND) * (1.0 - r)))
+        pinv, rank = p0 + p0 @ resid, np.full(r.shape, k)
     if np.any(bad):
         pinv[bad], rank[bad] = _pinv_rank_svd(stack[bad])
     return pinv, rank

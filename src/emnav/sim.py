@@ -33,9 +33,9 @@ tick times, impulses, tilt, bias and integrate tables by tick.
 
 The allocation is a closure built once per run from the agents' fixed
 actuation matrices A(p): ``_allocator`` picks ``alloc.torque_allocator`` or
-``alloc.field_allocator`` by strategy.  The tick loop runs with numpy's
-overflow and invalid-operation warnings off: it checks the allocation and
-the plant state for finiteness itself and records a failure.
+``alloc.field_allocator`` by strategy.  A built ``Scenario`` is fully
+checked, so a run fails only numerically, with numpy's overflow and invalid
+warnings off: each stage classifies its own failures.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .alloc import RankDeficiencyError
 from .control import (
     ControllerConfig,
     LqriController,
+    SynthesisError,
     closed_loop_spectral_radius,
     dare_residual,
     lqr_gain,
@@ -240,8 +241,9 @@ class AgentSetup:
     initial: state (alpha, beta, phi, theta, alpha_dot, beta_dot, phi_dot,
     theta_dot) [rad, rad/s]; the pendulum entries are ignored when
     pendulum_attached is False.  controller and integral_windows apply to
-    both tilt channels, each of which runs its own LqriController; a None
-    controller takes the default weights of the agent's plant.  The integral
+    both tilt channels, each of which runs its own LqriController; its q_diag
+    weighs the 4 states of a channel with the pendulum or the 2 without, and
+    a None controller becomes (20, 40, 1, 1) or (20, 1) with r_weight 1.  The integral
     term accumulates only in integral_windows (ordered, disjoint [start, end)
     in seconds; none means always).
     """
@@ -264,6 +266,14 @@ class AgentSetup:
             raise ValueError("polarity must be +1 or -1")
         if self.release_time < 0:
             raise ValueError("release_time must be non-negative")
+        states = 4 if self.pendulum_attached else 2
+        if self.controller is None:
+            object.__setattr__(self, "controller", ControllerConfig(
+                q_diag=(20.0, 40.0, 1.0, 1.0) if states == 4 else (20.0, 1.0)))
+        weights = len(self.controller.q_diag)
+        if weights != states:
+            raise ValueError(f"controller.q_diag has length {weights}, but the "
+                             f"agent's plant has {states} states")
         prev_end = -math.inf
         for start, end in self.integral_windows:
             if end <= start:
@@ -294,8 +304,7 @@ class Scenario:
     schedule: _Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        # _schedule rejects a duration of no tick (duration <= 0 among them).
         if not 1 <= len(self.agents) <= 2:
             raise ValueError("scenarios support 1 or 2 agents")
         agent_ticks = self.duration * self.emns.control_rate * len(self.agents)
@@ -327,53 +336,20 @@ class Scenario:
             raise ValueError("field_magnitude must be finite")
         if self.paradigm == "field" and self.field_magnitude <= 0:
             raise ValueError("field paradigm requires field_magnitude > 0")
-        if not math.isfinite(self.measurement_noise_std):
-            raise ValueError("measurement_noise_std must be finite")
-        if self.measurement_noise_std < 0:
-            raise ValueError("measurement_noise_std must be non-negative")
+        if not 0.0 <= self.measurement_noise_std < math.inf:
+            raise ValueError("measurement_noise_std must be non-negative and finite")
         for idx, agent in enumerate(self.agents):
-            pos = np.asarray(agent.position, dtype=float)
-            if np.linalg.norm(pos) > 0.5:
+            if math.hypot(*agent.position) > 0.5:  # which does not overflow
                 raise ValueError(f"agent {idx} position {agent.position} is "
                                  "outside the model validity region")
             try:
-                coil_offsets(self.model, pos[None, :])
+                coil_offsets(self.model, np.array([agent.position]))
             except SingularPositionError as exc:
                 raise ValueError(f"agent {idx}: {exc}") from exc
         for ev in self.disturbances:
             if ev.agent >= len(self.agents):
                 raise ValueError(f"disturbance references agent {ev.agent}")
-        sched = _schedule(self)
-        object.__setattr__(self, "schedule", sched)
-        if sched.ticks < 1:
-            raise ValueError(
-                f"duration {self.duration:.6g} s is shorter than half a control "
-                f"tick at {self.emns.control_rate:.6g} Hz: the run would have "
-                "no ticks"
-            )
-
-        def check(name: str, what: str, start: float, end, k0: int, k1=None):
-            # A start must not fall after the last tick; a window, hold one.
-            if k0 >= sched.ticks:
-                raise ValueError(
-                    f"{name}{what} {start:.6g} s falls after the last control "
-                    f"tick of the {self.duration:.6g} s duration, at "
-                    f"{(sched.ticks - 1) * sched.h:.6g} s"
-                )
-            if end is not None and k1 == k0:
-                raise ValueError(
-                    f"{name} window [{start:.6g}, {end:.6g}) s holds no control "
-                    f"tick at {self.emns.control_rate:.6g} Hz"
-                )
-
-        for i, (ev, span) in enumerate(zip(self.disturbances, sched.spans)):
-            end = None if ev.duration is None else ev.time + ev.duration
-            check(f"disturbances[{i}]", " time", ev.time, end, *span)
-        for i, (agent, spans) in enumerate(zip(self.agents, sched.integral_spans)):
-            check(f"agents[{i}]", ".release_time", agent.release_time, None,
-                  sched.release[i])
-            for j, (window, span) in enumerate(zip(agent.integral_windows, spans)):
-                check(f"agents[{i}].integral_windows[{j}]", " start", *window, *span)
+        object.__setattr__(self, "schedule", _schedule(self))
 
 
 class _Schedule(NamedTuple):
@@ -382,9 +358,7 @@ class _Schedule(NamedTuple):
     ticks: int
     h: float  # control period [s]
     t: np.ndarray  # tick times, k * h
-    spans: list  # each disturbance's ticks k0 <= k < k1
     release: list  # each agent's first integrated tick
-    integral_spans: list  # each agent's integral windows as tick spans
     tilt: list  # (alpha, beta) summed measurement_tilt magnitudes [rad]
     bias: list  # (alpha, beta) summed torque_bias magnitudes [N·m]
     impulses: dict  # tick -> [(agent, state index, magnitude)], event order
@@ -397,24 +371,57 @@ _PACKED = {True: (0, 2, 4, 6, 1, 3, 5, 7), False: (0, 4, 1, 5)}
 
 
 def _schedule(scenario: Scenario) -> _Schedule:
-    """The one mapping of scheduled times to ticks (``_first_tick``), which
-    ``Scenario.__post_init__`` validates, and the tables built from it.  A
-    table entry sums, in event order from 0.0, the magnitudes of the events
-    of its kind that hold the tick (ticks k0 <= k < k1); ticks on which no
-    window starts or ends share one row."""
+    """The one mapping of scheduled times to ticks (``_first_tick``), checked
+    as it is made, and the tables built from it.  A table entry sums, in
+    event order from 0.0, the magnitudes of the events of its kind that hold
+    the tick (ticks k0 <= k < k1); ticks on which no window starts or ends
+    share one row.  Raises ValueError for a run of no tick, else for the first
+    start after the last tick or window without a tick (disturbances, then
+    each agent's release, windows and circle setpoint's phase)."""
     h = 1.0 / scenario.emns.control_rate
     ticks = round(scenario.duration * scenario.emns.control_rate)
+    if ticks < 1:
+        raise ValueError(
+            f"duration {scenario.duration:.6g} s is shorter than half a control "
+            f"tick at {scenario.emns.control_rate:.6g} Hz: the run would have "
+            "no ticks"
+        )
     agents, events = scenario.agents, scenario.disturbances
-    spans = []
-    for ev in events:
-        k0 = _first_tick(ev.time, h)
-        k1 = (k0 + 1 if ev.kind == "impulse" else ticks if ev.duration is None
-              else _first_tick(ev.time + ev.duration, h))
-        spans.append((k0, k1))
-    integral_spans = [
-        tuple((_first_tick(a, h), _first_tick(b, h)) for a, b in s.integral_windows)
-        for s in agents
-    ]
+
+    def span(name: str, what: str, start: float, end: float | None = None):
+        # The ticks k0 <= k < k1 of [start, end), to the last tick without an
+        # end: a start must not fall after the last tick; a window, hold one.
+        k0 = _first_tick(start, h)
+        if k0 >= ticks:
+            raise ValueError(f"{name}{what} {start:.6g} s falls after the last control "
+                             f"tick of the {scenario.duration:.6g} s duration, at "
+                             f"{(ticks - 1) * h:.6g} s")
+        k1 = ticks if end is None else _first_tick(end, h)
+        if k1 == k0:
+            raise ValueError(f"{name} window [{start:.6g}, {end:.6g}) s holds no "
+                             f"control tick at {scenario.emns.control_rate:.6g} Hz")
+        return k0, k1
+
+    spans, impulses = [], {}
+    for i, ev in enumerate(events):
+        end = None if ev.duration is None else ev.time + ev.duration
+        k0, k1 = span(f"disturbances[{i}]", " time", ev.time, end)
+        spans.append((k0, k0 + 1 if ev.kind == "impulse" else k1))
+        if ev.kind == "impulse":
+            packed = _PACKED[agents[ev.agent].pendulum_attached]
+            index = packed.index(4 + CHANNELS.index(ev.channel))  # its rate
+            impulses.setdefault(k0, []).append((ev.agent, index, ev.magnitude))
+    release, integral_spans = [], []
+    for i, s in enumerate(agents):
+        release.append(span(f"agents[{i}]", ".release_time", s.release_time)[0])
+        integral_spans.append(tuple(
+            span(f"agents[{i}].integral_windows[{j}]", " start", *window)
+            for j, window in enumerate(s.integral_windows)))
+        # SetpointSpec.value's phase is monotone in t: finite at the last tick.
+        sp, t_last = s.setpoint, (ticks - 1) * h
+        if not math.isfinite(2.0 * math.pi * sp.frequency * t_last + sp.phase):
+            raise ValueError(f"agents[{i}].setpoint: the phase 2 pi frequency t + "
+                             f"phase is not finite at the last tick, {t_last:.6g} s")
     bounds = {k for span in spans + [w for s in integral_spans for w in s]
               for k in span if 0 < k < ticks}
     cuts = sorted(bounds | {0, ticks})
@@ -430,19 +437,12 @@ def _schedule(scenario: Scenario) -> _Schedule:
                 row[ev.agent][CHANNELS.index(ev.channel)] += ev.magnitude
         return tuple(map(tuple, row))
 
-    impulses = {}
-    for ev, (k0, _) in zip(events, spans):
-        if ev.kind == "impulse":
-            packed = _PACKED[agents[ev.agent].pendulum_attached]
-            index = packed.index(4 + CHANNELS.index(ev.channel))  # its rate
-            impulses.setdefault(k0, []).append((ev.agent, index, ev.magnitude))
-    release = [_first_tick(s.release_time, h) for s in agents]
     tilt = table(lambda k: summed("measurement_tilt", k))
     bias = table(lambda k: summed("torque_bias", k))
     integrate = table(lambda k: tuple(
         not s or any(k0 <= k < k1 for k0, k1 in s) for s in integral_spans))
-    return _Schedule(ticks, h, np.arange(ticks) * h, spans, release,
-                     integral_spans, tilt, bias, impulses, integrate)
+    return _Schedule(ticks, h, np.arange(ticks) * h, release, tilt, bias,
+                     impulses, integrate)
 
 
 @dataclass
@@ -523,15 +523,16 @@ def _joint_angles(y: tuple, attached: bool) -> tuple[float, float, float, float]
     return y[0], y[2], 0.0, 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(scenario: Scenario) -> SimTrace:
     """Simulate a scenario tick by tick; see the module docstring.
 
-    Returns a SimTrace.  Controller synthesis failures raise SynthesisError
-    (the scenario precondition).  A numerical failure mid-run is recorded in
-    `trace.failure` with its stage ("allocation" for a rank failure, a
-    LinAlgError or a non-finite solve, "integration" for a diverging
-    plant), time and tick (and agent, for integration), and the trace is
-    truncated at the failing tick.
+    Returns a SimTrace.  A failed synthesis, or a ValueError or
+    ArithmeticError in it, raises SynthesisError.  A numerical failure
+    mid-run is recorded in `trace.failure` with its stage ("allocation" for
+    a rank failure, a ValueError or a non-finite solve, "integration" for a
+    diverging plant), time and tick (and agent, for integration), and the
+    trace is truncated at the failing tick.
     """
     emns = scenario.emns
     params = scenario.plant
@@ -541,7 +542,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     ticks, h = sched.ticks, sched.h
     substeps = max(1, int(round(h / PLANT_DT)))
     dt = h / substeps
-    latency_ticks = int(round(emns.loop_latency * emns.control_rate))
+    # A latency as long as the run reads the first measurement throughout.
+    latency_ticks = min(round(emns.loop_latency * emns.control_rate), ticks)
     rng = np.random.default_rng(scenario.seed)
 
     # --- plants and synthesis ---------------------------------------------
@@ -551,49 +553,52 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     # period of its first agent's tick; each distinct (layout, q_diag,
     # r_weight) is solved once.  An agent's two channels share its gain,
     # each with its own controller.
-    plant_ticks = [make_tick(params, s.pendulum_attached,
-                             params.dipole_magnitude * s.polarity)
-                   for s in scenario.agents]
     plants: dict[bool, tuple] = {}
     solutions: dict[tuple, tuple] = {}
     synthesis = []
     controllers: list[tuple[LqriController, LqriController]] = []
-    for a_idx, setup in enumerate(scenario.agents):
-        attached = setup.pendulum_attached
-        if attached not in plants:
-            sys = linearize(params, scenario.paradigm, scenario.field_magnitude,
-                            h, attached)
-            a_fd, b_fd = finite_difference_linearization(
-                plant_ticks[a_idx], scenario.paradigm, substeps, dt,
-                b_mag=scenario.field_magnitude, attached=attached,
-                polarity=setup.polarity,
-            )
-            plants[attached] = (sys, float(
-                max(np.max(np.abs(sys.a_d - a_fd)), np.max(np.abs(sys.b_d - b_fd)))
-            ))
-        sys, fd_match = plants[attached]
-        cfg = setup.controller or ControllerConfig(
-            q_diag=(20.0, 40.0, 1.0, 1.0) if attached else (20.0, 1.0))
-        key = (attached, cfg.q_diag, cfg.r_weight)
-        if key not in solutions:
-            gain, p = lqr_gain(sys, cfg)
-            q, r = np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
-            residual = dare_residual(p, sys.a_d, sys.b_d, q, r)
-            rho = closed_loop_spectral_radius(sys, gain)
-            solutions[key] = (gain, residual, rho)
-        gain, residual, rho = solutions[key]
-        controllers.append(tuple(LqriController(gain, cfg, h) for _ in CHANNELS))
-        synthesis += [
-            {
-                "agent": a_idx,
-                "channel": channel,
-                "gain": [float(v) for v in gain[0]],
-                "dare_residual": float(residual),
-                "spectral_radius": float(rho),
-                "fd_linearization_match": fd_match,
-            }
-            for channel in CHANNELS
-        ]
+    try:
+        plant_ticks = [make_tick(params, s.pendulum_attached,
+                                 params.dipole_magnitude * s.polarity)
+                       for s in scenario.agents]
+        for a_idx, setup in enumerate(scenario.agents):
+            attached = setup.pendulum_attached
+            if attached not in plants:
+                sys = linearize(params, scenario.paradigm, scenario.field_magnitude,
+                                h, attached)
+                a_fd, b_fd = finite_difference_linearization(
+                    plant_ticks[a_idx], scenario.paradigm, substeps, dt,
+                    b_mag=scenario.field_magnitude, attached=attached,
+                    polarity=setup.polarity,
+                )
+                plants[attached] = (sys, float(
+                    max(np.max(np.abs(sys.a_d - a_fd)), np.max(np.abs(sys.b_d - b_fd)))
+                ))
+            sys, fd_match = plants[attached]
+            cfg = setup.controller
+            key = (attached, cfg.q_diag, cfg.r_weight)
+            if key not in solutions:
+                gain, p = lqr_gain(sys, cfg)
+                q, r = np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
+                residual = dare_residual(p, sys.a_d, sys.b_d, q, r)
+                rho = closed_loop_spectral_radius(sys, gain)
+                solutions[key] = (gain, residual, rho)
+            gain, residual, rho = solutions[key]
+            controllers.append(tuple(LqriController(gain, cfg, h) for _ in CHANNELS))
+            synthesis += [
+                {
+                    "agent": a_idx,
+                    "channel": channel,
+                    "gain": [float(v) for v in gain[0]],
+                    "dare_residual": float(residual),
+                    "spectral_radius": float(rho),
+                    "fd_linearization_match": fd_match,
+                }
+                for channel in CHANNELS
+            ]
+    except (ValueError, ArithmeticError) as exc:
+        raise SynthesisError(
+            f"controller synthesis failed: {type(exc).__name__}: {exc}") from exc
 
     # --- precomputation ----------------------------------------------------
     a_mats = [actuation_matrix(scenario.model, np.asarray(s.position, dtype=float))
@@ -615,7 +620,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     states = [tuple(s.initial[i] for i in _PACKED[s.pendulum_attached])
               for s in scenario.agents]
     i_applied = np.zeros(n_coils)
-    meas_buffers = [deque() for _ in scenario.agents]
+    meas_buffers = [deque(maxlen=latency_ticks + 1) for _ in scenario.agents]
     noise_std = scenario.measurement_noise_std
 
     tr = {name: np.zeros((ticks, n_agents)) for name in _PER_AGENT}
@@ -629,88 +634,84 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     failure = None
     completed = ticks
 
-    # The loop checks what could overflow; numpy need not warn of it too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(ticks):
-            t = k * h
-            for a_idx, index, magnitude in sched.impulses.get(k, ()):
-                y = list(states[a_idx])
-                y[index] += magnitude
-                states[a_idx] = tuple(y)
+    for k in range(ticks):
+        t = k * h
+        for a_idx, index, magnitude in sched.impulses.get(k, ()):
+            y = list(states[a_idx])
+            y[index] += magnitude
+            states[a_idx] = tuple(y)
 
-            # Per agent: the plant state and field at the tick instant, the
-            # measurement (tilt bias + optional noise, integer-tick latency) and
-            # the controller outputs.
-            meas_agents = []
-            outputs = []
-            tilts, integrate = sched.tilt[k], sched.integrate[k]
-            for a_idx, setup in enumerate(scenario.agents):
-                angles = _joint_angles(states[a_idx], setup.pendulum_attached)
-                # (alpha, beta, phi, theta) + (tilt_a, tilt_b, tilt_a, tilt_b)
-                meas = [v + tilt for v, tilt in zip(angles, tilts[a_idx] * 2)]
-                if noise_std > 0.0:
-                    meas = [v + float(rng.normal(0.0, noise_std)) for v in meas]
-                buf = meas_buffers[a_idx]
-                buf.append(meas)
-                if len(buf) > latency_ticks + 1:
-                    buf.popleft()
-                m_al, m_be, m_ph, m_th = buf[0]
-                sp_a, sp_b = setup.setpoint.value(t)
-                alpha_ctl, beta_ctl = controllers[a_idx]
-                out_a = alpha_ctl.step(m_al, m_ph, sp_a, integrate[a_idx])
-                out_b = beta_ctl.step(m_be, m_th, sp_b, integrate[a_idx])
-                meas_agents.append(buf[0])
-                outputs.append((out_a, out_b))
-                for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
-                    tr[name][k, a_idx] = v
-            tr["currents"][k] = i_applied
-            tr["fields"][k] = (b_all @ i_applied).reshape(n_agents, 3)
+        # Per agent: the plant state and field at the tick instant, the
+        # measurement (tilt bias + optional noise, integer-tick latency) and
+        # the controller outputs.
+        meas_agents = []
+        outputs = []
+        tilts, integrate = sched.tilt[k], sched.integrate[k]
+        for a_idx, setup in enumerate(scenario.agents):
+            angles = _joint_angles(states[a_idx], setup.pendulum_attached)
+            # (alpha, beta, phi, theta) + (tilt_a, tilt_b, tilt_a, tilt_b)
+            meas = [v + tilt for v, tilt in zip(angles, tilts[a_idx] * 2)]
+            if noise_std > 0.0:
+                meas = [v + float(rng.normal(0.0, noise_std)) for v in meas]
+            buf = meas_buffers[a_idx]
+            buf.append(meas)
+            m_al, m_be, m_ph, m_th = buf[0]
+            sp_a, sp_b = setup.setpoint.value(t)
+            alpha_ctl, beta_ctl = controllers[a_idx]
+            out_a = alpha_ctl.step(m_al, m_ph, sp_a, integrate[a_idx])
+            out_b = beta_ctl.step(m_be, m_th, sp_b, integrate[a_idx])
+            meas_agents.append(buf[0])
+            outputs.append((out_a, out_b))
+            for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
+                tr[name][k, a_idx] = v
+        tr["currents"][k] = i_applied
+        tr["fields"][k] = (b_all @ i_applied).reshape(n_agents, 3)
 
-            # Allocation (on measured orientations).
+        # Allocation (on measured orientations); LinAlgError and a math
+        # domain error are ValueErrors.
+        try:
+            result = allocate(meas_agents, outputs)
+            # Checked before the clamp, which maps an infinite current to the limit.
+            if not (math.isfinite(result.residual_norm)
+                    and np.isfinite(result.currents).all()):
+                raise FloatingPointError("non-finite allocation currents or residual")
+        except (RankDeficiencyError, ValueError, ArithmeticError) as exc:
+            failure = {"stage": "allocation", "time": float(t), "tick": k,
+                       "error": str(exc)}
+            completed = k + 1
+            break
+        tr["residuals"][k] = result.residual_norm
+        i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
+        tr["currents_cmd"][k] = i_cmd
+
+        # Current grids across the tick under the first-order driver lag.
+        diff = i_applied - i_cmd
+        i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
+        i_applied = np.minimum(np.maximum(i_cmd + diff * decay_end, -limit), limit)
+
+        # Integrate each agent's plant across the tick over its [b; g] grid
+        # (grids[agent][stage]).
+        grids = (a_all @ i_grid).reshape(n_agents, 8, -1).transpose(0, 2, 1).tolist()
+        biases = sched.bias[k]
+        for a_idx in range(n_agents):
+            if k < sched.release[a_idx]:
+                continue  # still held at its initial pose
             try:
-                result = allocate(meas_agents, outputs)
-                # Checked before the clamp, which maps an infinite current to the limit.
-                if not (math.isfinite(result.residual_norm)
-                        and np.isfinite(result.currents).all()):
-                    raise FloatingPointError("non-finite allocation currents or residual")
-            except (RankDeficiencyError, np.linalg.LinAlgError,
-                    FloatingPointError) as exc:
-                failure = {"stage": "allocation", "time": float(t), "tick": k,
-                           "error": str(exc)}
-                completed = k + 1
-                break
-            tr["residuals"][k] = result.residual_norm
-            i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
-            tr["currents_cmd"][k] = i_cmd
-
-            # Current grids across the tick under the first-order driver lag.
-            diff = i_applied - i_cmd
-            i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
-            i_applied = np.minimum(np.maximum(i_cmd + diff * decay_end, -limit), limit)
-
-            # Integrate each agent's plant across the tick over its [b; g] grid
-            # (grids[agent][stage]).
-            grids = (a_all @ i_grid).reshape(n_agents, 8, -1).transpose(0, 2, 1).tolist()
-            biases = sched.bias[k]
-            for a_idx in range(n_agents):
-                if k < sched.release[a_idx]:
-                    continue  # still held at its initial pose
-                try:
-                    y = plant_ticks[a_idx](states[a_idx], substeps, dt, grids[a_idx],
-                                           *biases[a_idx])
-                except ValueError as exc:  # sin or cos of an infinite angle
-                    error = f"plant diverged: {type(exc).__name__}: {exc}"
-                else:
-                    if all(map(math.isfinite, y)):
-                        states[a_idx] = y
-                        continue
-                    error = "plant diverged: non-finite state"
-                failure = {"stage": "integration", "time": float(t), "tick": k,
-                           "agent": a_idx, "error": error}
-                completed = k + 1
-                break
-            if failure is not None:
-                break
+                y = plant_ticks[a_idx](states[a_idx], substeps, dt, grids[a_idx],
+                                       *biases[a_idx])
+            except (ValueError, ArithmeticError) as exc:  # sin(inf), det 0
+                error = f"plant diverged: {type(exc).__name__}: {exc}"
+            else:
+                if all(map(math.isfinite, y)):
+                    states[a_idx] = y
+                    continue
+                error = "plant diverged: non-finite state"
+            failure = {"stage": "integration", "time": float(t), "tick": k,
+                       "agent": a_idx, "error": error}
+            completed = k + 1
+            break
+        if failure is not None:
+            break
 
     trace = SimTrace(
         **{name: a[:completed] for name, a in tr.items()},

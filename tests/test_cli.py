@@ -130,12 +130,54 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_runtime_config_error_is_exit_1(self, short_torque, tmp_path):
+    def test_runtime_config_error_is_exit_1(self, short_torque, tmp_path, capsys):
+        # A q_diag of the wrong length for the agent's layout, for both
+        # layouts: found when the scenario is built, with the agent's path.
         data = json.loads(short_torque.read_text())
-        data["agents"][0]["controller"]["q_diag"] = [20.0, 1.0]  # wrong length
-        cfg = write_json(tmp_path / "badq.json", data)
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 1
+        agent = data["agents"][0]
+        for attached, q_diag in ((True, [20.0, 1.0]), (False, [20.0, 40.0, 1.0, 1.0])):
+            agent.update(pendulum_attached=attached, controller={"q_diag": q_diag})
+            cfg = write_json(tmp_path / "badq.json", data)
+            out = tmp_path / "o"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert (f"config error: agents[0]: controller.q_diag has length "
+                    f"{len(q_diag)}") in err
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "section,key,value,stage",
+        [
+            # The controller output overflows: cos(inf) in the field allocation.
+            (None, "measurement_noise_std", 1e307, "allocation"),
+            # The plant diverges inside the linearization or its check.
+            ("plant", "inertia", 1e-308, "synthesis"),
+            ("plant", "dipole_magnitude", 1e308, "synthesis"),
+        ],
+    )
+    def test_math_domain_error_is_numerical_failure(
+        self, tmp_path, capsys, section, key, value, stage
+    ):
+        # Each exited 1 with "config error: invalid scenario ...: math domain
+        # error", the last two after numpy RuntimeWarnings: the scenario is
+        # checked when it is built, so a failure of the run is numerical.
+        data = json.loads((SCENARIO_DIR / "single_field.json").read_text())
+        data["duration"] = 0.1
+        (data.setdefault(section, {}) if section else data)[key] = value
+        cfg = write_json(tmp_path / "overflow.json", data)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{stage} failed" in err
+        assert "config error" not in err and "Warning" not in err
+        if stage == "synthesis":
+            record = json.loads((out / "single_field_failure.json").read_text())
+        else:
+            summary = json.loads((out / "single_field_summary.json").read_text())
+            record = summary["failure"]
+            assert record["tick"] == 0
+        assert record["stage"] == stage and "math domain error" in record["error"]
 
     @pytest.mark.parametrize(
         "key,value",

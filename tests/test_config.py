@@ -4,10 +4,12 @@ for every config it rejects, and no silent coercion."""
 import copy
 import json
 import math
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, event, given, reject, settings
 from hypothesis import strategies as st
 
 import emnav.cli as cli
@@ -15,6 +17,7 @@ from emnav.cli import main
 from emnav.config import (
     ALLOC_BENCH,
     BOOL,
+    ConfigError,
     NUMBER,
     REQUIRED,
     SCENARIO,
@@ -25,6 +28,15 @@ from emnav.config import (
     Preset,
     Section,
     Whole,
+)
+from emnav.sim import (
+    CHANNELS,
+    DISTURBANCE_KINDS,
+    EMNS_PRESETS,
+    MULTI_STRATEGIES_BY_PARADIGM,
+    SETPOINT_KINDS,
+    SINGLE_STRATEGIES_BY_PARADIGM,
+    scenario_from_dict,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -329,3 +341,114 @@ def test_schema_mutation_is_config_error(tmp_path, capsys, nothing_runs, case):
     for text in named:
         assert text in err, (what, where, new, err)
 
+
+# --- schema-driven runs ------------------------------------------------------
+
+#: The values a string key of the simulate tables takes, by (section, key).
+CHOICES = {
+    ("scenario", "paradigm"): tuple(SINGLE_STRATEGIES_BY_PARADIGM),
+    ("scenario", "strategy"): tuple(
+        name for table in (SINGLE_STRATEGIES_BY_PARADIGM, MULTI_STRATEGIES_BY_PARADIGM)
+        for names in table.values() for name in names),
+    ("setpoint", "type"): SETPOINT_KINDS,
+    ("disturbance", "type"): DISTURBANCE_KINDS,
+    ("disturbance", "channel"): CHANNELS,
+}
+#: Numbers at the edges of the float range, where a run overflows.
+EDGES = (0.0, 5e-324, 1e-308, 1e-12, 1e12, 1e307, 1e308, -1e308)
+
+
+def spelled_out(config: dict) -> dict:
+    """A simulate config with its interface preset written as keys, and each
+    optional section and one disturbance present, so that ``sections``
+    reaches every table of the schema but the coil model's."""
+    if isinstance(config.get("emns"), str):
+        config["emns"] = asdict(EMNS_PRESETS[config["emns"]])
+    config.setdefault("plant", {})
+    if not config.get("disturbances"):
+        config["disturbances"] = [{"type": "impulse", "time": 0.0, "magnitude": 0.0}]
+    for agent in config["agents"]:
+        agent.setdefault("initial", {})
+        agent.setdefault("setpoint", {})
+    return config
+
+
+def values(kind, current, section: str, key: str):
+    """A strategy of in-type values of one key: near the current value,
+    anywhere, or at the edges of the float range."""
+    if kind is NUMBER:
+        near = current if isinstance(current, (int, float)) else 1.0
+        scale = st.sampled_from((-1.0, 0.0, 1e-3, 0.5, 2.0, 1e3)).map(
+            lambda f: f * near)
+        return st.one_of(scale, st.sampled_from(EDGES), st.floats(
+            allow_nan=False, allow_infinity=False))
+    if kind is BOOL:
+        return st.booleans()
+    if kind is STRING:
+        return st.sampled_from(CHOICES[section, key])
+    if isinstance(kind, Whole):
+        return st.integers(kind.minimum if kind.minimum is not None else -2, 3)
+    if isinstance(kind, Numbers):
+        size = {"min_size": kind.length or 1, "max_size": kind.length or 5}
+        return st.lists(values(NUMBER, None, section, key), **size)
+    return st.lists(values(kind.item, None, section, key), max_size=2)
+
+
+def sites(config: dict) -> list:
+    """(path, kind, section name, key) of every value the fuzzer may draw."""
+    return [
+        (parts + (key,), kind, section.name, key)
+        for parts, section, value in sections(config, SCENARIO)
+        for key, (kind, _) in section.keys.items()
+        if key not in ("kind", "name", "duration")
+        and (kind in (NUMBER, BOOL) or isinstance(kind, Whole)
+             or (isinstance(kind, ListOf) and not isinstance(kind.item, Section))
+             or (section.name, key) in CHOICES)
+    ]
+
+
+def artifacts(out: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+SIMULATE_BASES = [spelled_out(c) for c in bundled() if command_of(c) == "simulate"]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_in_range_config_runs_or_fails_numerically(tmp_path, capsys, data):
+    # A config the schema accepts either runs (exit 0) or fails numerically
+    # (exit 2) with a record, never as a config error or a traceback, and
+    # reruns byte for byte.  One to three values of a bundled config are
+    # redrawn, and the run is cut to at most 0.1 s and 100 agent-ticks.
+    config = copy.deepcopy(data.draw(st.sampled_from(SIMULATE_BASES)))
+    drawn = data.draw(st.lists(st.sampled_from(sites(config)), min_size=1,
+                               max_size=3, unique_by=lambda site: site[0]))
+    for parts, kind, section, key in drawn:
+        owner = config
+        for part in parts[:-1]:
+            owner = owner[part]
+        set_at(config, parts, data.draw(values(kind, owner.get(key), section, key)))
+    config["duration"] = data.draw(st.floats(1e-3, 0.1))
+    try:
+        scenario = scenario_from_dict(config)
+    except ConfigError:
+        reject()
+    assume(scenario.schedule.ticks * len(scenario.agents) <= 100)
+    runs = []
+    for _ in range(2):
+        where = Path(tempfile.mkdtemp(dir=tmp_path))
+        code = run(where, "simulate", config)
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        event(f"exit {code}")
+        assert "config error" not in err and "Traceback" not in err
+        out = where / "out"
+        if code == 2:
+            record = out / f"{scenario.name}_failure.json"
+            summary = out / f"{scenario.name}_summary.json"
+            assert record.exists() or json.loads(summary.read_text())["failure"]
+        runs.append((code, artifacts(out)))
+    assert runs[0] == runs[1]

@@ -130,10 +130,6 @@ class TestLqrGain:
             norms.append(np.max(np.abs(k)))
         assert norms[0] < norms[1] < norms[2]
 
-    def test_q_diag_length_mismatch(self, torque_sys):
-        with pytest.raises(ValueError):
-            lqr_gain(torque_sys, ControllerConfig(q_diag=(1.0, 1.0)))
-
     def test_unstabilizable_system_fails(self):
         # Unreachable unstable mode: B = 0 on an expanding state.
         sys = LinearSystem(

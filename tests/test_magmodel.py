@@ -15,6 +15,7 @@ Oracles used here, independent of the implementation:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +579,19 @@ def test_pinv_rank_nan_entry_raises(octomag):
     stack[1, 0, 0] = math.nan
     with pytest.raises(np.linalg.LinAlgError):
         pinv_rank(stack)
+
+
+def test_pinv_rank_overflowing_gram_warns_nothing(svd_calls):
+    # (1e160)^2 overflows the Gram matrix: inv returns non-finite entries
+    # without raising, the certificate fails on them, and the SVD's result
+    # stands, bit for bit, with no RuntimeWarning from the products.
+    stack = np.array([[1e160, 0.0, 1.0], [0.0, 1e160, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pinv, rank = pinv_rank(stack)
+    assert len(svd_calls) == 1
+    svd_pinv, svd_rank = magmodel._pinv_rank_svd(stack)
+    assert rank == svd_rank == 2 and pinv.tobytes() == svd_pinv.tobytes()
 
 
 def test_pinv_rank_tall_stack_takes_svd(svd_calls, navion):

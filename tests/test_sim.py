@@ -22,6 +22,8 @@ from helpers import (
 import emnav.sim as sim
 from emnav import dynamics
 from emnav.cli import main
+from emnav.config import ConfigError
+from emnav.control import ControllerConfig
 from emnav.magmodel import get_model
 from emnav.sim import (
     EMNS_PRESETS,
@@ -222,6 +224,44 @@ class TestScenarioParsing:
         )
         with pytest.raises(ValueError, match="duration"):
             scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "attached,q_diag,states",
+        [(True, [20.0, 1.0], 4), (False, [20.0, 40.0, 1.0, 1.0], 2)],
+        ids=["pendulum-2-weights", "actuator-4-weights"],
+    )
+    def test_q_diag_length_checked_when_built(self, attached, q_diag, states):
+        # The agent's layout fixes its plant's state count, so a q_diag of
+        # another length is a config error with the agent's path, before
+        # anything runs.
+        cfg = base_torque_dict(duration=0.1)
+        cfg["agents"][0]["pendulum_attached"] = attached
+        cfg["agents"][0]["controller"]["q_diag"] = q_diag
+        with pytest.raises(ConfigError, match=(
+                rf"^agents\[0\]: controller\.q_diag has length {len(q_diag)}, "
+                rf".* has {states} states$")):
+            scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("attached,q_diag", [
+        (True, (20.0, 40.0, 1.0, 1.0)), (False, (20.0, 1.0))],
+        ids=["pendulum", "actuator"])
+    def test_default_controller_per_layout(self, attached, q_diag):
+        cfg = base_torque_dict(duration=0.1)
+        cfg["agents"][0].update(pendulum_attached=attached, controller=None)
+        controller = scenario_from_dict(cfg).agents[0].controller
+        assert controller == ControllerConfig(q_diag=q_diag, r_weight=1.0)
+
+    @pytest.mark.parametrize("duration,frequency", [(0.1, 1e308), (4.0, 1e307)])
+    def test_circle_phase_must_stay_finite(self, duration, frequency):
+        # 2 pi f t overflows by the last tick: cos(inf) would raise mid-run,
+        # and at t = 0 inf * 0 is a NaN setpoint.
+        cfg = base_torque_dict(duration=duration)
+        cfg["agents"][0]["setpoint"] = {
+            "type": "circle", "radius": 0.01, "frequency": frequency}
+        with pytest.raises(ConfigError, match=r"agents\[0\]\.setpoint: .*not finite"):
+            scenario_from_dict(cfg)
+        cfg["agents"][0]["setpoint"]["frequency"] = frequency / 100.0
+        scenario_from_dict(cfg)
 
     def test_plant_overrides(self):
         cfg = base_torque_dict(plant={"eta": 0.002, "damping": 0.02})
