@@ -20,7 +20,8 @@ workspace maps whose pseudoinverses take the SVD fallback of
 ``magmodel.pinv_rank`` (a second agent on a grid point, and tall two-agent
 stacks on three coils); and a workspace cube, 9^3 points on navion3, whose
 lattice varies on all three axes (the bundled maps are a line and a
-plane).  They are written once, from this checkout's configs, and both
+plane); and a workspace config of one task, the torque box alone.  They are
+written once, from this checkout's configs, and both
 trees run the same files.  A loop that holds a coil at the current limit
 on most ticks amplifies rounding past any trace bound, so the variants
 reach the limit on a few ticks at most.  For each variant and tree the number of ticks on which
@@ -158,6 +159,10 @@ VARIANTS = {
     "variant_workspace_cube": ("workspace_navion_standoff", {
         "grid": {"x": [-0.02, 0.02], "y": [-0.02, 0.02], "z": [0.1, 0.14],
                  "spacing": 0.005}}, []),
+    # The torque box alone: a config of one task (the bundled ones hold
+    # both), its 30 one-agent 2 x 2 Gram matrices inverted in closed form.
+    "variant_workspace_torque_only": ("workspace_navion_standoff", {
+        "tasks": {"torque-box": {"tau_bar": 0.01}}}, []),
 }
 
 #: Run with a simulate config's path: prints the number of ticks on which a

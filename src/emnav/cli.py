@@ -277,20 +277,20 @@ _TASK_SLUGS = {"torque-box": "torque", "fixed-field": "field"}
 def cmd_workspace(config_path: Path, out_dir: Path) -> int:
     config = WORKSPACE.read(_load_config(config_path, "workspace"))
     name = config["name"] or config_path.stem
-    maps = {}
-    for kind, task in config["tasks"].items():
-        try:
-            fmap = workspace_map(
-                config["model"], task, config["grid"], config["current_limit"],
-                params=config["plant"], orientation=config["orientation"],
-                second_agent=config["second_agent"],
-            )
-        except ValueError as exc:  # numpy's LinAlgError is a ValueError
-            raise ConfigError(f"invalid workspace config {config_path}: {exc}") from exc
+    tasks = config["tasks"]
+    try:
+        fmaps = workspace_map(
+            config["model"], list(tasks.values()), config["grid"],
+            config["current_limit"], params=config["plant"],
+            orientation=config["orientation"], second_agent=config["second_agent"],
+        )
+    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        raise ConfigError(f"invalid workspace config {config_path}: {exc}") from exc
+    maps = dict(zip(tasks, fmaps))
+    for kind, fmap in maps.items():
         slug = _TASK_SLUGS[kind]
         fmap.to_csv(out_dir / f"{name}_{slug}.csv")
         fmap.write_metadata(out_dir / f"{name}_{slug}_meta.json")
-        maps[kind] = fmap
 
     if len(maps) == 2:
         torque = maps["torque-box"]

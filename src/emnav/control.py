@@ -17,6 +17,7 @@ it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ def dare_solve(
     a_d: np.ndarray, b_d: np.ndarray, q: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
     """Solve AᵀPA − P − AᵀPB(R+BᵀPB)⁻¹BᵀPA + Q = 0 for the stabilizing P.
+    scipy's warnings are held: re-emitted on success, named in the error.
 
     Raises:
         SynthesisError: If scipy finds no finite stabilizing solution (for
@@ -39,10 +41,17 @@ def dare_solve(
     """
     from scipy.linalg import solve_discrete_are
 
-    try:
-        return solve_discrete_are(a_d, b_d, q, r)
-    except ValueError as exc:  # numpy's LinAlgError is a ValueError
-        raise SynthesisError(f"DARE has no stabilizing solution: {exc}") from exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            p = solve_discrete_are(a_d, b_d, q, r)
+        except ValueError as exc:  # numpy's LinAlgError is a ValueError
+            notes = "".join(f" ({w.category.__name__}: {w.message})" for w in caught)
+            raise SynthesisError(
+                f"DARE has no stabilizing solution: {exc}{notes}") from exc
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return p
 
 
 def dare_residual(
@@ -111,15 +120,15 @@ class ControllerConfig:
 
 def lqr_gain(
     sys: LinearSystem, config: ControllerConfig
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Synthesize the discrete LQR gain row for a single-input system.
 
     ``config.q_diag`` holds one weight per state (``sim.AgentSetup`` checks).
 
     Returns:
-        (K, P): K of shape (1, n) with u = -K x optimal for Q = diag(q_diag),
-        R = r_weight and a closed-loop spectral radius < 1; P is the DARE
-        solution K was computed from.
+        (K, P, rho): K of shape (1, n) with u = -K x optimal for Q =
+        diag(q_diag), R = r_weight; P is the DARE solution K was computed
+        from; rho < 1 is the closed-loop spectral radius of A_d - B_d K.
 
     Raises:
         SynthesisError: If the DARE has no stabilizing solution or the closed
@@ -134,7 +143,7 @@ def lqr_gain(
     rho = closed_loop_spectral_radius(sys, k)
     if rho >= 1.0:
         raise SynthesisError(f"closed loop unstable: spectral radius {rho:.6f} >= 1")
-    return k, p
+    return k, p, rho
 
 
 def closed_loop_spectral_radius(sys: LinearSystem, k: np.ndarray) -> float:

@@ -201,19 +201,26 @@ def pinv_rank(
     A k x n entry, k <= n, takes P0 = S^T (S S^T)^-1 and one Newton step P =
     P0 + P0 E, E = I - S P0, for an error of about u cond(S) (Higham, ch.
     14).  It is certified, rank k, when ||E||_F <= 1/2 and ||S||_F ||P0||_F /
-    (1 - ||E||_F) <= sqrt(``GRAM_COND_BOUND``) (see there).  Other entries,
-    a block whose ``inv`` raises and a tall stack take ``_pinv_rank_svd``;
-    the certificate fails on non-finite entries, so numpy need not warn.
+    (1 - ||E||_F) <= sqrt(``GRAM_COND_BOUND``) (see there); a 2 x 2 Gram
+    matrix is inverted in closed form.  Other entries, a block whose ``inv``
+    raises and a tall stack take ``_pinv_rank_svd``; the certificate fails
+    on non-finite entries, so numpy need not warn.
     """
     k, n = stack.shape[-2:]
     if k > n:
         return _pinv_rank_svd(stack)
     stack_t = np.swapaxes(stack, -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            p0 = stack_t @ np.linalg.inv(stack @ stack_t)
-        except np.linalg.LinAlgError:
-            return _pinv_rank_svd(stack)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gram = stack @ stack_t
+        if k == 2:  # [[a, b], [b, d]]^-1 = [[d, -b], [-b, a]] / (a d - b^2)
+            a, b, d = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+            adj = np.stack([d, -b, -b, a], axis=-1).reshape(gram.shape)
+            p0 = stack_t @ (adj / (a * d - b * b)[..., None, None])
+        else:
+            try:
+                p0 = stack_t @ np.linalg.inv(gram)
+            except np.linalg.LinAlgError:
+                return _pinv_rank_svd(stack)
         resid = np.eye(k) - stack @ p0
         r = np.linalg.norm(resid, axis=(-2, -1))
         cond = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p0, axis=(-2, -1))

@@ -54,7 +54,6 @@ from .control import (
     ControllerConfig,
     LqriController,
     SynthesisError,
-    closed_loop_spectral_radius,
     dare_residual,
     lqr_gain,
 )
@@ -578,10 +577,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             cfg = setup.controller
             key = (attached, cfg.q_diag, cfg.r_weight)
             if key not in solutions:
-                gain, p = lqr_gain(sys, cfg)
+                gain, p, rho = lqr_gain(sys, cfg)
                 q, r = np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
                 residual = dare_residual(p, sys.a_d, sys.b_d, q, r)
-                rho = closed_loop_spectral_radius(sys, gain)
                 solutions[key] = (gain, residual, rho)
             gain, residual, rho = solutions[key]
             controllers.append(tuple(LqriController(gain, cfg, h) for _ in CHANNELS))

@@ -163,14 +163,16 @@ class FeasibilityMap:
 
     def to_csv(self, path) -> None:
         # A lattice axis holds few distinct coordinates: each is formatted
-        # once per map, and the rows share its string.
+        # once per map, and the rows share its string.  ``feasible`` is
+        # written as text, the bytes "%.17g" gives 1.0 and 0.0.
         texts = ({}, {}, {})
 
         def block(start: int, stop: int) -> list:
             fm = self.fm[start:stop]
             return [*(text_column(self.positions[start:stop, k], texts[k])
                       for k in range(3)),
-                    fm, (fm > 0.0).astype(float), self.flags[start:stop]]
+                    fm, list(map(("0", "1").__getitem__, (fm > 0.0).tolist())),
+                    self.flags[start:stop]]
 
         write_csv(path, ("x", "y", "z", "fm", "feasible", "flag"),
                   self.positions.shape[0], block)
@@ -192,17 +194,17 @@ _FLAG_LABELS = ("", "singular", "near-contact", "singular+near-contact")
 
 def _worst_currents(
     model: ActuationModel,
-    kind: str,
-    size: float,
+    tasks: list[tuple[str, float]],
     positions: np.ndarray,
     params: PendulumParams | None,
     orientation: tuple[float, float],
     second_agent: tuple[float, float, float] | None,
-) -> np.ndarray:
-    """Largest coil current the task demands at each position [A].
+) -> list[np.ndarray]:
+    """Largest coil current each task demands at each position [A].
 
-    ``size`` is tau_bar or the field magnitude.  Each point's task rows are
-    a fixed row map W applied to its actuation matrix A(p):
+    One array per (kind, size) pair of ``tasks``, size being tau_bar or the
+    field magnitude.  Each point's task rows are a fixed row map W applied
+    to its actuation matrix A(p):
 
     - torque box: the body-frame (tau_x, tau_y) rows, W = (R J M)[:2]
       (``magmodel.torque_rows``, the rows the torque allocations solve
@@ -215,8 +217,9 @@ def _worst_currents(
       allocation's task: the [b; g] rows with a zero-gradient task for one
       agent on arrays of 8 or more coils, else the field rows.
 
-    A second agent's rows are stacked under every point.  Each block of
-    ``BLOCK`` points takes one ``pinv_rank`` (certified normal equations,
+    W, the target and a second agent's rows, stacked under every point, are
+    formed once per task.  A block of ``BLOCK`` points takes one A(p) for
+    every task and one ``pinv_rank`` per task (certified normal equations,
     an SVD at the points it does not certify) for the rank and the
     pseudoinverse.  A task the stack cannot realize gives +inf:
 
@@ -227,84 +230,85 @@ def _worst_currents(
       the least-squares residual vanishes; a residual above ``_REACH_RTOL``
       of the task's norm marks it out of reach, whatever the rank.
     """
-    if kind == "torque-box":
-        rows = torque_rows(*orientation, params.dipole_magnitude, params.magnet_offset)
-        task = None
-    else:
-        n_rows = field_rows(1 if second_agent is None else 2, model.n_coils)
-        rows = np.eye(8)[:n_rows]  # 0/1 rows copy the entries exactly
-        task = np.zeros(n_rows)
-        task[2] = size
-    other = None
-    if second_agent is not None:
-        other = rows @ actuation_matrix(model, np.asarray(second_agent, float))
-        if task is not None:
-            task = np.concatenate([task, task])
-
-    worst = np.empty(positions.shape[0])
-    for start in range(0, positions.shape[0], BLOCK):
-        stack = rows @ actuation_matrices(model, positions[start : start + BLOCK])
-        if other is not None:
-            stack = np.concatenate(
-                [stack, np.broadcast_to(other, (stack.shape[0],) + other.shape)],
-                axis=1,
-            )
-        pinv, rank = pinv_rank(stack)
-        block = worst[start : start + BLOCK]
-        if task is None:
-            block[:] = size * np.max(np.sum(np.abs(pinv), axis=2), axis=1)
-            block[rank < stack.shape[1]] = math.inf
+    a_other = (None if second_agent is None
+               else actuation_matrix(model, np.asarray(second_agent, float)))
+    plans = []  # per task: rows W, the second agent's W A, target, size
+    for kind, size in tasks:
+        if kind == "torque-box":
+            rows = torque_rows(*orientation, params.dipole_magnitude,
+                               params.magnet_offset)
+            task = None
         else:
-            currents = pinv @ task
-            block[:] = np.max(np.abs(currents), axis=1)
-            miss = np.einsum("brn,bn->br", stack, currents) - task
-            out_of_range = (
-                np.linalg.norm(miss, axis=1) > _REACH_RTOL * np.linalg.norm(task)
-            )
-            block[out_of_range] = math.inf
+            n_rows = field_rows(1 if second_agent is None else 2, model.n_coils)
+            rows = np.eye(8)[:n_rows]  # 0/1 rows copy the entries exactly
+            task = np.zeros(n_rows)
+            task[2] = size
+        other = None
+        if a_other is not None:
+            other = rows @ a_other
+            if task is not None:
+                task = np.concatenate([task, task])
+        plans.append((rows, other, task, size))
+
+    worst = [np.empty(positions.shape[0]) for _ in tasks]
+    for start in range(0, positions.shape[0], BLOCK):
+        a_mats = actuation_matrices(model, positions[start : start + BLOCK])
+        for (rows, other, task, size), out in zip(plans, worst):
+            stack = rows @ a_mats
+            if other is not None:
+                tail = np.broadcast_to(other, (stack.shape[0],) + other.shape)
+                stack = np.concatenate([stack, tail], axis=1)
+            pinv, rank = pinv_rank(stack)
+            block = out[start : start + BLOCK]
+            if task is None:
+                block[:] = size * np.max(np.sum(np.abs(pinv), axis=2), axis=1)
+                block[rank < stack.shape[1]] = math.inf
+            else:
+                currents = pinv @ task
+                block[:] = np.max(np.abs(currents), axis=1)
+                miss = np.einsum("brn,bn->br", stack, currents) - task
+                reach = _REACH_RTOL * np.linalg.norm(task)
+                block[np.linalg.norm(miss, axis=1) > reach] = math.inf
     return worst
 
 
 def workspace_map(
     model: ActuationModel,
-    task: TaskSet,
+    tasks: list[TaskSet],
     grid: GridSpec,
     current_limit: float,
     *,
     params: PendulumParams | None = None,
     orientation: tuple[float, float] = (0.0, 0.0),
     second_agent: tuple[float, float, float] | None = None,
-) -> FeasibilityMap:
-    """Feasibility margin over a grid, optionally with a fixed second agent.
+) -> list[FeasibilityMap]:
+    """Feasibility margin of each task over a grid, optionally with a fixed
+    second agent: one map per task, in their order.
 
-    The grid is evaluated in batches by ``_worst_currents``; a second agent
-    stacks its own copy of the same task under every point.  Grid points
-    closer than 1 cm to the second agent are flagged "near-contact" (dipole
-    superposition is unreliable there).
+    The grid is evaluated in batches by ``_worst_currents``, one A(p) per
+    batch for every task; a second agent stacks its own copy of each task
+    under every point.  Grid points closer than 1 cm to the second agent are
+    flagged "near-contact" (dipole superposition is unreliable there).
     """
     if not current_limit > 0.0:
         raise ValueError("current_limit must be strictly positive")
-    if task.kind == "torque-box" and params is None:
+    if params is None and any(task.kind == "torque-box" for task in tasks):
         raise ValueError("torque-box maps require pendulum params")
     if params is None:
         params = PendulumParams()
     positions = grid.positions()
-    size = task.tau_bar if task.kind == "torque-box" else task.field_magnitude
-    fm = current_limit - _worst_currents(
-        model, task.kind, size, positions, params, orientation, second_agent
-    )
+    sizes = [(t.kind, t.tau_bar if t.kind == "torque-box" else t.field_magnitude)
+             for t in tasks]
+    worst = _worst_currents(model, sizes, positions, params, orientation,
+                            second_agent)
 
     near = np.zeros(positions.shape[0], dtype=bool)
     if second_agent is not None:
         offsets = positions - np.asarray(second_agent, float)
         near = np.linalg.norm(offsets, axis=1) < NEAR_CONTACT_DISTANCE
-    codes = (~np.isfinite(fm)).astype(int) + 2 * near
-    flags = tuple(_FLAG_LABELS[c] for c in codes.tolist())
-
     metadata = {
         "model": model.name,
         "n_coils": model.n_coils,
-        "task": task.describe(),
         "current_limit": current_limit,
         "orientation": list(orientation),
         "dipole_magnitude": params.dipole_magnitude,
@@ -312,7 +316,14 @@ def workspace_map(
         "second_agent": list(second_agent) if second_agent is not None else None,
         "grid": grid.describe(),
     }
-    return FeasibilityMap(grid, positions, fm, flags, metadata)
+    maps = []
+    for task, demand in zip(tasks, worst):
+        fm = current_limit - demand
+        codes = (~np.isfinite(fm)).astype(int) + 2 * near
+        flags = tuple(map(_FLAG_LABELS.__getitem__, codes.tolist()))
+        maps.append(FeasibilityMap(grid, positions, fm, flags,
+                                   {**metadata, "task": task.describe()}))
+    return maps
 
 
 def max_feasible_standoff(fmap: FeasibilityMap, axis: int = 2) -> float | None:

@@ -30,7 +30,7 @@ from emnav.magmodel import (
     pinv_rank,
 )
 from emnav.sim import _first_tick
-from emnav.workspace import GridSpec, TaskSet, workspace_map
+from emnav.workspace import FeasibilityMap, GridSpec, TaskSet, workspace_map
 
 _MU0_OVER_4PI = 1.0e-7
 
@@ -521,13 +521,21 @@ def torque_box_vertex_worst(pinv: np.ndarray, tau_bar: float) -> float:
     return worst
 
 
+def one_map(model: ActuationModel, task: TaskSet, grid: GridSpec,
+            current_limit: float, **kwargs) -> FeasibilityMap:
+    """The map of the one task ``task``, through ``workspace_map``; ``kwargs``
+    go to it."""
+    (fmap,) = workspace_map(model, [task], grid, current_limit, **kwargs)
+    return fmap
+
+
 def margin_at(model: ActuationModel, position, task: TaskSet,
               current_limit: float, **kwargs) -> float:
     """Feasibility margin of ``task`` at one position [A], through
-    ``workspace_map`` on a one-point grid; ``kwargs`` go to it."""
+    ``one_map`` on a one-point grid; ``kwargs`` go to it."""
     x, y, z = (float(v) for v in position)
     grid = GridSpec(x=(x, x), y=(y, y), z=(z, z))
-    return float(workspace_map(model, task, grid, current_limit, **kwargs).fm[0])
+    return float(one_map(model, task, grid, current_limit, **kwargs).fm[0])
 
 
 def torque_map_svd(

@@ -17,11 +17,12 @@ from emnav.cli import cmd_alloc_bench, cmd_workspace
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import DipoleAgent, actuation_matrix, get_model
 from emnav.sim import run_scenario, scenario_from_dict
-from emnav.workspace import GridSpec, TaskSet, max_feasible_standoff, workspace_map
+from emnav.workspace import GridSpec, TaskSet, max_feasible_standoff
 
 from helpers import (
     composed_torque_map,
     min_norm_oracle,
+    one_map,
     random_agent,
     skew,
     world_torque,
@@ -265,10 +266,10 @@ def test_criterion_09_workspace_expansion(capfd):
     sled = PendulumParams(dipole_magnitude=2.0, magnet_offset=0.02)
 
     line = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.105, 0.25), spacing=0.005)
-    nav_torque = workspace_map(
+    nav_torque = one_map(
         navion, TaskSet("torque-box", tau_bar=0.01), line, 25.0, params=sled
     )
-    nav_field = workspace_map(
+    nav_field = one_map(
         navion, TaskSet("fixed-field", field_magnitude=0.025), line, 25.0
     )
     standoff_torque = max_feasible_standoff(nav_torque)
@@ -276,11 +277,11 @@ def test_criterion_09_workspace_expansion(capfd):
 
     plane = GridSpec(x=(0.01, 0.09), y=(-0.04, 0.04), z=(0.0, 0.0), spacing=0.005)
     second = (-0.0325, 0.0, 0.0)
-    two_torque = workspace_map(
+    two_torque = one_map(
         octomag, TaskSet("torque-box", tau_bar=0.002), plane, 16.0,
         params=sled, second_agent=second,
     )
-    two_field = workspace_map(
+    two_field = one_map(
         octomag, TaskSet("fixed-field", field_magnitude=0.025), plane, 16.0,
         params=sled, second_agent=second,
     )

@@ -179,6 +179,28 @@ class TestSimulate:
             assert record["tick"] == 0
         assert record["stage"] == stage and "math domain error" in record["error"]
 
+    def test_dare_warning_joins_the_failure_record(self, tmp_path):
+        # scipy's QZ iteration fails on this plant and warns before its DARE
+        # solve raises: the warning's text goes into the failure record, and
+        # stderr holds the one failure line.
+        data = json.loads((SCENARIO_DIR / "multi_field_2x2d.json").read_text())
+        data["duration"] = 0.0625
+        data.setdefault("plant", {})["inertia"] = 1e307
+        cfg = write_json(tmp_path / "qz.json", data)
+        out = tmp_path / "o"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "emnav", "simulate", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        record = json.loads((out / "multi_field_2x2d_failure.json").read_text())
+        assert record["stage"] == "synthesis"
+        assert "LinAlgWarning: The QZ iteration failed" in record["error"]
+        assert proc.stderr == f"numerical failure: {record['error']}\n"
+
     @pytest.mark.parametrize(
         "key,value",
         [

@@ -11,9 +11,12 @@ Oracles:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import LinAlgWarning
 
 from emnav.control import (
     ControllerConfig,
@@ -59,6 +62,36 @@ class TestDare:
         joseph = a_cl.T @ p @ a_cl + q + k.T @ r @ k
         assert np.max(np.abs(joseph - p)) <= rtol * np.max(np.abs(p))
 
+    @staticmethod
+    def warning_solver(fail: bool):
+        """A stand-in for scipy's solver that warns as the QZ iteration does,
+        then raises or returns the identity."""
+        def solve(a_d, b_d, q, r):
+            warnings.warn("The QZ iteration failed.", LinAlgWarning)
+            if fail:
+                raise ValueError("array must not contain infs or NaNs")
+            return np.eye(1)
+        return solve
+
+    def test_solver_warning_joins_the_failure(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                            self.warning_solver(fail=True))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SynthesisError) as info:
+                dare_solve(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
+        assert caught == []
+        assert str(info.value) == (
+            "DARE has no stabilizing solution: array must not contain infs or "
+            "NaNs (LinAlgWarning: The QZ iteration failed.)")
+
+    def test_solver_warning_reemitted_on_success(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                            self.warning_solver(fail=False))
+        with pytest.warns(LinAlgWarning, match="^The QZ iteration failed.$"):
+            p = dare_solve(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
+        np.testing.assert_array_equal(p, np.eye(1))
+
     def test_pendulum_riccati_identities(self, torque_sys):
         q = np.diag([20.0, 40.0, 1.0, 1.0])
         r = np.array([[1.0]])
@@ -95,9 +128,9 @@ class TestDare:
 class TestLqrGain:
     def test_pendulum_stabilizing(self, torque_sys):
         cfg = ControllerConfig()
-        k, p = lqr_gain(torque_sys, cfg)
+        k, p, rho = lqr_gain(torque_sys, cfg)
         assert k.shape == (1, 4)
-        assert closed_loop_spectral_radius(torque_sys, k) < 1.0
+        assert rho == closed_loop_spectral_radius(torque_sys, k) < 1.0
         # The returned P is the one K was computed from.
         b_d = torque_sys.b_d
         r = np.array([[cfg.r_weight]])
@@ -114,7 +147,7 @@ class TestLqrGain:
         sys = linearize(stable_params, "field", b_mag=0.065, sample_time=1 / 200,
                         attached=False)
         cfg = ControllerConfig(q_diag=(1e-9, 1e-9), r_weight=1e9)
-        k, _ = lqr_gain(sys, cfg)
+        k, _, _ = lqr_gain(sys, cfg)
         assert np.max(np.abs(k)) < 1e-6
         rho_open = np.max(np.abs(np.linalg.eigvals(sys.a_d)))
         assert closed_loop_spectral_radius(sys, k) == pytest.approx(
@@ -126,7 +159,7 @@ class TestLqrGain:
         norms = []
         for rate in (50.0, 100.0, 200.0):
             sys = linearize(params, "torque", sample_time=1.0 / rate)
-            k, _ = lqr_gain(sys, ControllerConfig())
+            k, _, _ = lqr_gain(sys, ControllerConfig())
             norms.append(np.max(np.abs(k)))
         assert norms[0] < norms[1] < norms[2]
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     alloc_bench_csv_per_value,
     map_csv_per_value,
+    one_map,
     trace_csv_per_value,
 )
 
@@ -26,7 +27,6 @@ from emnav.workspace import (
     FeasibilityMap,
     GridSpec,
     TaskSet,
-    workspace_map,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -133,10 +133,9 @@ def test_lattice_map_matches_per_value_writer(tmp_path, model, task):
     # singular points (-inf margins) beside feasible and infeasible ones.
     grid = GridSpec(x=(-0.015, 0.015), y=(-0.015, 0.015), z=(-0.015, 0.015),
                     spacing=0.005)
-    fmap = workspace_map(get_model(model), task, grid, 16.0,
-                         params=PendulumParams(dipole_magnitude=2.0,
-                                               magnet_offset=0.02),
-                         second_agent=(0.0, 0.0, 0.0))
+    fmap = one_map(get_model(model), task, grid, 16.0,
+                   params=PendulumParams(dipole_magnitude=2.0, magnet_offset=0.02),
+                   second_agent=(0.0, 0.0, 0.0))
     assert fmap.positions.shape[0] == 343 > BLOCK
     assert {"singular+near-contact", "near-contact"} <= set(fmap.flags)
     assert fmap.feasible.any() and not fmap.feasible.all()

@@ -490,6 +490,43 @@ def _conditioned(rng, spectrum, cols: int = 8) -> np.ndarray:
     return (orthonormal(k, k) * np.asarray(spectrum)) @ orthonormal(cols, k).T
 
 
+@st.composite
+def _two_row_stack(draw):
+    """A stack of one to six 2 x n maps, n = 3 or 8, as the torque-box and
+    one-step solves hand ``pinv_rank``: full rank with a singular-value
+    ratio from 1 down past ``RANK_RTOL`` (so near-singular on either side of
+    it), or exactly rank 1 (the second row a multiple of the first, zero
+    included), each scaled by 1e-6 to 1e6."""
+    n = draw(st.sampled_from((3, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            ratio = 10.0 ** draw(_floats(-14.0, 0.0))
+            entry = _conditioned(rng, (1.0, ratio), n)
+        else:
+            row = rng.normal(size=n)
+            multiple = draw(st.one_of(st.just(0.0), _floats(-2.0, 2.0)))
+            entry = np.stack([row, multiple * row])
+        entries.append(10.0 ** draw(_floats(-6.0, 6.0)) * entry)
+    return np.stack(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_two_row_stack())
+def test_pinv_rank_two_rows_match_svd(stack):
+    # The closed-form 2 x 2 Gram inverse keeps every verdict the SVD's: the
+    # rank and pseudoinverse of numpy's pinv, and the SVD fallback's result
+    # bit for bit at every rank-1 entry; no product warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pinv, rank = pinv_rank(stack)
+        svd_pinv, svd_rank = magmodel._pinv_rank_svd(stack)
+    np.testing.assert_array_equal(rank, svd_rank)
+    _assert_matches_svd_oracle(stack, pinv, rank)
+    np.testing.assert_array_equal(pinv[rank < 2], svd_pinv[rank < 2])
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """The stacks ``pinv_rank`` hands to its SVD fallback, in call order."""

@@ -386,6 +386,23 @@ class TestTickMechanics:
         gains = [[e["gain"] for e in tr.synthesis if e["agent"] == a] for a in (0, 1)]
         assert (gains[0] == gains[1]) == (solves == 1)
 
+    def test_spectral_radius_computed_once_per_synthesis(self, monkeypatch):
+        # lqr_gain's stability check gives the diagnostics their radius.
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting_eigvals(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        data = load_bundled("single_torque")
+        data["duration"] = 0.05
+        tr = run_scenario(scenario_from_dict(data))
+        assert calls == [(4, 4)]
+        radii = [e["spectral_radius"] for e in tr.synthesis]
+        assert len(radii) == 2 and radii[0] == radii[1] < 1.0
+
     def test_actuation_matrix_computed_once_per_agent(self, monkeypatch):
         # The agents do not move, so a run evaluates A(p) once per agent and
         # never inside the tick loop.

@@ -3,14 +3,18 @@ two-agent stacking, and export formats."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import composed_torque_map, margin_at, torque_box_vertex_worst
+from helpers import composed_torque_map, margin_at, one_map, torque_box_vertex_worst
 
+from emnav import workspace
+from emnav.cli import main
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
+    BLOCK,
     RANK_RTOL,
     ActuationModel,
     CoilSpec,
@@ -26,9 +30,9 @@ from emnav.workspace import (
     TaskSet,
     _worst_currents,
     max_feasible_standoff,
-    workspace_map,
 )
 
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SLED = PendulumParams(dipole_magnitude=2.0, magnet_offset=0.02)
 BOX = TaskSet("torque-box", tau_bar=0.002)
 # A single coil below the origin: rank 1 everywhere.
@@ -51,11 +55,11 @@ def navion():
 def two_agent_maps(octomag):
     grid = GridSpec(x=(0.01, 0.09), y=(-0.04, 0.04), z=(0.0, 0.0), spacing=0.005)
     second = (-0.0325, 0.0, 0.0)
-    torque = workspace_map(
+    torque = one_map(
         octomag, TaskSet("torque-box", tau_bar=0.002), grid, 16.0,
         params=SLED, second_agent=second,
     )
-    fieldm = workspace_map(
+    fieldm = one_map(
         octomag, TaskSet("fixed-field", field_magnitude=0.025), grid, 16.0,
         params=SLED, second_agent=second,
     )
@@ -172,8 +176,9 @@ def field_task(magnitude: float) -> TaskSet:
 class TestFieldMargin:
     def test_zero_field_margin_is_limit(self, octomag):
         # TaskSet rejects a zero field, so this asks the margin kernel itself.
-        worst = _worst_currents(
-            octomag, "fixed-field", 0.0, np.zeros((1, 3)), None, (0.0, 0.0), None
+        (worst,) = _worst_currents(
+            octomag, [("fixed-field", 0.0)], np.zeros((1, 3)), None, (0.0, 0.0),
+            None,
         )
         assert 16.0 - float(worst[0]) == 16.0
 
@@ -203,12 +208,23 @@ class TestFieldMargin:
 class TestWorkspaceMap:
     def test_empty_grid_empty_map(self, octomag):
         grid = GridSpec(x=(0.01, -0.01), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.002)
-        fmap = workspace_map(
+        fmap = one_map(
             octomag, TaskSet("fixed-field", field_magnitude=0.025), grid, 16.0
         )
         assert fmap.positions.shape == (0, 3)
         assert fmap.fm.shape == (0,)
         assert fmap.feasible_count == 0
+
+    def test_tasks_in_one_call_match_one_task_calls(self, octomag, two_agent_maps):
+        grid = GridSpec(x=(0.01, 0.09), y=(-0.04, 0.04), z=(0.0, 0.0), spacing=0.005)
+        tasks = [TaskSet("fixed-field", field_magnitude=0.025),
+                 TaskSet("torque-box", tau_bar=0.002)]
+        fieldm, torque = workspace.workspace_map(
+            octomag, tasks, grid, 16.0, params=SLED, second_agent=(-0.0325, 0.0, 0.0)
+        )
+        for joint, alone in zip((torque, fieldm), two_agent_maps):
+            assert joint.fm.tobytes() == alone.fm.tobytes()
+            assert joint.flags == alone.flags and joint.metadata == alone.metadata
 
     def test_margin_never_exceeds_limit(self, two_agent_maps):
         torque, fieldm = two_agent_maps
@@ -243,7 +259,7 @@ class TestWorkspaceMap:
 
     def test_near_contact_flagging(self, octomag):
         grid = GridSpec(x=(-0.04, -0.02), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.005)
-        fmap = workspace_map(
+        fmap = one_map(
             octomag, TaskSet("fixed-field", field_magnitude=0.025), grid, 16.0,
             second_agent=(-0.0325, 0.0, 0.0),
         )
@@ -254,7 +270,7 @@ class TestWorkspaceMap:
     def test_singular_points_flagged_infeasible(self):
         one_coil = ONE_COIL
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.01)
-        fmap = workspace_map(
+        fmap = one_map(
             one_coil, TaskSet("torque-box", tau_bar=0.001), grid, 16.0, params=SLED
         )
         assert fmap.fm[0] == -math.inf
@@ -268,7 +284,7 @@ class TestWorkspaceMap:
         # though the stack has 3 nonzero singular values.  A rank test on
         # those 3 alone reads margins of 14-18 A here, all "feasible".
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.10, 0.14), spacing=0.01)
-        fmap = workspace_map(
+        fmap = one_map(
             navion, TaskSet(kind, tau_bar=0.001, field_magnitude=0.01), grid,
             25.0, params=SLED, second_agent=(0.03, 0.0, 0.12),
         )
@@ -282,7 +298,7 @@ class TestWorkspaceMap:
         # z, so the target B e_z is reached; off the axis it is not.
         one_coil = ONE_COIL
         grid = GridSpec(x=(0.0, 0.05), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.05)
-        fmap = workspace_map(
+        fmap = one_map(
             one_coil, TaskSet("fixed-field", field_magnitude=0.001), grid, 16.0
         )
         b_per_amp = actuation_matrix(one_coil, np.zeros(3))[2, 0]
@@ -293,7 +309,7 @@ class TestWorkspaceMap:
     def test_torque_map_requires_params(self, octomag):
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.01)
         with pytest.raises(ValueError, match="params"):
-            workspace_map(octomag, TaskSet("torque-box", tau_bar=0.001), grid, 16.0)
+            one_map(octomag, TaskSet("torque-box", tau_bar=0.001), grid, 16.0)
 
     @pytest.mark.parametrize("kind", ["torque-box", "fixed-field"])
     @pytest.mark.parametrize("second", [None, (-0.0325, 0.0, 0.0)])
@@ -305,7 +321,7 @@ class TestWorkspaceMap:
         )
         assert grid.positions().shape[0] == 2 * 256 + 1
         task = TaskSet(kind, tau_bar=0.002, field_magnitude=0.025)
-        fmap = workspace_map(
+        fmap = one_map(
             octomag, task, grid, 16.0, params=SLED, second_agent=second
         )
         agents = [] if second is None else [second]
@@ -374,7 +390,7 @@ class TestWorkspaceMap:
                 np.linalg.pinv(rows, rcond=RANK_RTOL), tau_bar
             )
             grid = GridSpec(x=(p[0], p[0]), y=(p[1], p[1]), z=(p[2], p[2]))
-            fmap = workspace_map(
+            fmap = one_map(
                 octomag, TaskSet("torque-box", tau_bar=tau_bar), grid, 16.0,
                 params=params, orientation=orientation, second_agent=second,
             )
@@ -383,10 +399,10 @@ class TestWorkspaceMap:
 
     def test_navion_standoff_ordering(self, navion):
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.105, 0.25), spacing=0.005)
-        torque = workspace_map(
+        torque = one_map(
             navion, TaskSet("torque-box", tau_bar=0.01), grid, 25.0, params=SLED
         )
-        fieldm = workspace_map(
+        fieldm = one_map(
             navion, TaskSet("fixed-field", field_magnitude=0.025), grid, 25.0
         )
         st = max_feasible_standoff(torque)
@@ -397,17 +413,45 @@ class TestWorkspaceMap:
 
     def test_standoff_none_when_infeasible(self, navion):
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.4, 0.5), spacing=0.05)
-        fmap = workspace_map(
+        fmap = one_map(
             navion, TaskSet("fixed-field", field_magnitude=0.025), grid, 25.0
         )
         assert fmap.feasible_count == 0
         assert max_feasible_standoff(fmap) is None
 
 
+@pytest.mark.parametrize("config,points,others", [
+    ("workspace_octomag_2agent", 289, 1), ("workspace_navion_standoff", 30, 0),
+])
+def test_one_a_of_p_per_block_for_every_task(monkeypatch, tmp_path, config,
+                                             points, others):
+    # One `emnav workspace` run of both tasks evaluates each block's A(p)
+    # once, and a second agent's A once.
+    calls = {"actuation_matrices": [], "actuation_matrix": 0}
+    many, one = workspace.actuation_matrices, workspace.actuation_matrix
+
+    def counting_many(model, positions):
+        calls["actuation_matrices"].append(len(positions))
+        return many(model, positions)
+
+    def counting_one(model, position):
+        calls["actuation_matrix"] += 1
+        return one(model, position)
+
+    monkeypatch.setattr(workspace, "actuation_matrices", counting_many)
+    monkeypatch.setattr(workspace, "actuation_matrix", counting_one)
+    path = SCENARIO_DIR / f"{config}.json"
+    assert set(json.loads(path.read_text())["tasks"]) == {"torque-box", "fixed-field"}
+    assert main(["workspace", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls["actuation_matrices"]) == math.ceil(points / BLOCK)
+    assert sum(calls["actuation_matrices"]) == points
+    assert calls["actuation_matrix"] == others
+
+
 class TestExport:
     def test_csv_schema_and_determinism(self, octomag, tmp_path):
         grid = GridSpec(x=(0.0, 0.01), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.005)
-        fmap = workspace_map(
+        fmap = one_map(
             octomag, TaskSet("fixed-field", field_magnitude=0.025), grid, 16.0
         )
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -424,7 +468,7 @@ class TestExport:
 
     def test_empty_map_csv_header_only(self, octomag, tmp_path):
         grid = GridSpec(x=(0.01, -0.01), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.002)
-        fmap = workspace_map(
+        fmap = one_map(
             octomag, TaskSet("fixed-field", field_magnitude=0.025), grid, 16.0
         )
         out = tmp_path / "empty.csv"
@@ -433,7 +477,7 @@ class TestExport:
 
     def test_metadata_sidecar(self, octomag, tmp_path):
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.01)
-        fmap = workspace_map(
+        fmap = one_map(
             octomag, TaskSet("torque-box", tau_bar=0.002), grid, 16.0,
             params=SLED, second_agent=(-0.0325, 0.0, 0.0),
         )
@@ -450,7 +494,7 @@ class TestExport:
     def test_infinite_margin_serializes(self, tmp_path):
         one_coil = ONE_COIL
         grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0), spacing=0.01)
-        fmap = workspace_map(
+        fmap = one_map(
             one_coil, TaskSet("torque-box", tau_bar=0.001), grid, 16.0, params=SLED
         )
         out = tmp_path / "inf.csv"
