@@ -329,14 +329,39 @@ class LinearSystem:
     sample_time: float
 
 
+# Higham's [13/13] Padé coefficients b_k = (26 - k)! / (k! (13 - k)!), and
+# the 1-norm up to which it is accurate to double precision unscaled.
+_PADE13 = tuple(float(math.perm(26 - k, 13) // math.factorial(k)) for k in range(14))
+_THETA13 = 5.371920351148152
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [13/13] Padé
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  A
+    non-finite m gives a non-finite result; nothing raises."""
+    norm = float(np.max(np.sum(np.abs(m), axis=0)))
+    if not math.isfinite(norm):
+        return np.full(m.shape, math.nan)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    b, ident = _PADE13, np.eye(len(m))
+    m1 = m / 2.0**s
+    m2 = m1 @ m1
+    m4 = m2 @ m2
+    m6 = m4 @ m2
+    u = m1 @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
+              + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
+    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
+         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def discretize(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization via the augmented matrix exponential.
-
-    ``scipy.linalg`` is imported here, at the first synthesis, so that the
-    commands that never synthesize a controller do not load it.
-    """
-    from scipy.linalg import expm
-
+    """Exact zero-order-hold discretization: the exponential (:func:`expm`)
+    of the augmented block [[A, B], [0, 0]] dt."""
     n = a.shape[0]
     m = b.shape[1]
     block = np.zeros((n + m, n + m))

@@ -179,14 +179,14 @@ class TestSimulate:
             assert record["tick"] == 0
         assert record["stage"] == stage and "math domain error" in record["error"]
 
-    def test_dare_warning_joins_the_failure_record(self, tmp_path):
-        # scipy's QZ iteration fails on this plant and warns before its DARE
-        # solve raises: the warning's text goes into the failure record, and
-        # stderr holds the one failure line.
+    def test_dare_failure_reason_in_the_record(self, tmp_path):
+        # The doubling overflows on this plant: the DARE solver's reason goes
+        # into the failure record, and stderr holds the one failure line, with
+        # no overflow warning before it.
         data = json.loads((SCENARIO_DIR / "multi_field_2x2d.json").read_text())
         data["duration"] = 0.0625
         data.setdefault("plant", {})["inertia"] = 1e307
-        cfg = write_json(tmp_path / "qz.json", data)
+        cfg = write_json(tmp_path / "heavy.json", data)
         out = tmp_path / "o"
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -198,7 +198,8 @@ class TestSimulate:
         assert proc.returncode == 2
         record = json.loads((out / "multi_field_2x2d_failure.json").read_text())
         assert record["stage"] == "synthesis"
-        assert "LinAlgWarning: The QZ iteration failed" in record["error"]
+        assert record["error"] == (
+            "DARE has no stabilizing solution: doubling iterate is not finite")
         assert proc.stderr == f"numerical failure: {record['error']}\n"
 
     @pytest.mark.parametrize(
@@ -714,11 +715,10 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "o" / "tiny_field.csv").exists()
 
-    def test_alloc_bench_and_workspace_do_not_load_scipy(
-        self, small_workspace, tmp_path
-    ):
-        # Only simulate's controller synthesis uses scipy.  The test session
-        # has loaded it already, so the commands run in a fresh interpreter.
+    def test_no_command_loads_scipy(self, small_workspace, short_torque, tmp_path):
+        # scipy is the tests' oracle, not a dependency of any command,
+        # controller synthesis included.  The test session has loaded it
+        # already, so the commands run in a fresh interpreter.
         import emnav
 
         bench = write_json(tmp_path / "bench.json", {
@@ -732,6 +732,8 @@ class TestEntryPoint:
             f"'--out', {str(out)!r}]) == 0",
             f"assert main(['workspace', '--config', {str(small_workspace)!r}, "
             f"'--out', {str(out)!r}]) == 0",
+            f"assert main(['simulate', '--config', {str(short_torque)!r}, "
+            f"'--out', {str(out)!r}]) == 0",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ])
         src = str(Path(emnav.__file__).resolve().parents[1])
@@ -743,3 +745,4 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert (out / "bench.csv").exists() and (out / "small_torque.csv").exists()
+        assert (out / "single_torque_summary.json").exists()

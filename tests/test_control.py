@@ -2,6 +2,9 @@
 
 Oracles:
   * the closed-form root of the scalar DARE;
+  * scipy's ``solve_discrete_are`` (the generalized eigenvector method of
+    Arnold & Laub, Proc. IEEE 1984), against which the doubling solver runs
+    on random stabilizable pairs;
   * the Joseph (closed-loop Lyapunov) form of the Riccati equation,
     P = (A-BK)ᵀP(A-BK) + Q + KᵀRK, which shares no arithmetic with the
     residual the synthesis reports;
@@ -15,8 +18,10 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
-from scipy.linalg import LinAlgWarning
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_discrete_are
 
 from emnav.control import (
     ControllerConfig,
@@ -62,35 +67,24 @@ class TestDare:
         joseph = a_cl.T @ p @ a_cl + q + k.T @ r @ k
         assert np.max(np.abs(joseph - p)) <= rtol * np.max(np.abs(p))
 
-    @staticmethod
-    def warning_solver(fail: bool):
-        """A stand-in for scipy's solver that warns as the QZ iteration does,
-        then raises or returns the identity."""
-        def solve(a_d, b_d, q, r):
-            warnings.warn("The QZ iteration failed.", LinAlgWarning)
-            if fail:
-                raise ValueError("array must not contain infs or NaNs")
-            return np.eye(1)
-        return solve
-
-    def test_solver_warning_joins_the_failure(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
-                            self.warning_solver(fail=True))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(SynthesisError) as info:
-                dare_solve(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
-        assert caught == []
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a_d,b_d,r,reason",
+        [
+            # An unreachable expanding mode: H grows as 1.5**(2**k).
+            (1.5, 0.0, 1.0, "iterate is not finite"),
+            # An unreachable mode on the unit circle: H doubles each step.
+            (-1.0, 0.0, 1.0, "did not converge in 64 steps"),
+            # G = -1 and H = 1 make W = I + GH singular.
+            (0.5, 1.0, -1.0, "step failed: Singular matrix"),
+        ],
+    )
+    def test_doubling_failure_names_its_reason(self, a_d, b_d, r, reason):
+        with pytest.raises(SynthesisError) as info:
+            dare_solve(np.array([[a_d]]), np.array([[b_d]]), np.eye(1),
+                       np.array([[r]]))
         assert str(info.value) == (
-            "DARE has no stabilizing solution: array must not contain infs or "
-            "NaNs (LinAlgWarning: The QZ iteration failed.)")
-
-    def test_solver_warning_reemitted_on_success(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
-                            self.warning_solver(fail=False))
-        with pytest.warns(LinAlgWarning, match="^The QZ iteration failed.$"):
-            p = dare_solve(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
-        np.testing.assert_array_equal(p, np.eye(1))
+            f"DARE has no stabilizing solution: doubling {reason}")
 
     def test_pendulum_riccati_identities(self, torque_sys):
         q = np.diag([20.0, 40.0, 1.0, 1.0])
@@ -123,6 +117,43 @@ class TestDare:
         for scale in (1e-3, 1e-6, 1e-9):
             scaled = dare_residual(scale * p, a_d, b_d, scale * q, scale * r)
             assert scaled == pytest.approx(base, rel=1e-6)
+
+
+@st.composite
+def well_posed_pairs(draw):
+    """(A, B, Q, R) with n = 2..6 states and one or two inputs, entries of A
+    in [-1.5, 1.5] and of B in [-1, 1].  The controllability matrix's
+    smallest singular value is at least 1e-2 and 1e-3 of its largest (the
+    pair is stabilizable with margin), and scipy's P has a condition number
+    of at most 1e4.  Past that both solvers lose digits: on 2e4 random pairs
+    with cond(P) up to 4e9, the doubling's residual reached 8.7e-6 where
+    scipy's was 1.7e-7."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 2))
+    a = draw(arrays(float, (n, n), elements=st.floats(-1.5, 1.5)))
+    b = draw(arrays(float, (n, m), elements=st.floats(-1.0, 1.0)))
+    q = np.diag(draw(arrays(float, n, elements=st.floats(0.1, 10.0))))
+    r = np.diag(draw(arrays(float, m, elements=st.floats(0.1, 10.0))))
+    ctrb = np.hstack([np.linalg.matrix_power(a, i) @ b for i in range(n)])
+    sv = np.linalg.svd(ctrb, compute_uv=False)
+    assume(sv[-1] >= max(1e-2, 1e-3 * sv[0]))
+    p_ref = solve_discrete_are(a, b, q, r)
+    assume(np.linalg.cond(p_ref) <= 1e4)
+    return a, b, q, r, p_ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(well_posed_pairs())
+def test_doubling_matches_scipy_dare(pair):
+    # Within 1e-9 of scipy's P relative to max |P|, with a DARE residual of
+    # at most 1e-10 (worst seen on 2e4 random pairs: 1.0e-10 and 6.3e-12;
+    # scipy's own residual reached 7.1e-11).
+    a, b, q, r, p_ref = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = dare_solve(a, b, q, r)
+    assert np.max(np.abs(p - p_ref)) <= 1e-9 * np.max(np.abs(p_ref))
+    assert dare_residual(p, a, b, q, r) <= 1e-10
 
 
 class TestLqrGain:

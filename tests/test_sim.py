@@ -785,18 +785,26 @@ class TestFailureHandling:
     @pytest.mark.parametrize(
         "attached,magnitude,error",
         [
-            # phi_dot * phi_dot overflows to inf without raising, and the
-            # state is checked: "plant diverged: non-finite state"
-            (True, 1e3, "non-finite"),
-            (False, 1e307, "ValueError"),  # the state reaches inf: sin(inf)
+            # An impulse on the actuator rate of a plant at rest upright,
+            # where alpha == phi exactly (no gain moves it before the
+            # impulse): the first stage multiplies alpha_dot * alpha_dot =
+            # inf by sin(alpha - phi) = 0.
+            # The NaN passes math.sin without raising, and the state is
+            # checked: "plant diverged: non-finite state".
+            (True, 1e200, "non-finite"),
+            # A torque bias on the actuator: the state reaches inf, sin(inf).
+            (False, 1e307, "ValueError"),
         ],
     )
     def test_diverging_plant_recorded_and_truncated(self, attached, magnitude, error):
+        kind = "impulse" if attached else "torque_bias"
         cfg = base_torque_dict(
             duration=0.5,
-            disturbances=[{"type": "torque_bias", "time": 0.1, "magnitude": magnitude}],
+            disturbances=[{"type": kind, "time": 0.1, "magnitude": magnitude}],
         )
-        if not attached:
+        if attached:
+            cfg["agents"][0]["initial"] = {}
+        else:
             cfg["agents"][0]["pendulum_attached"] = False
             cfg["agents"][0]["controller"]["q_diag"] = [20.0, 1.0]
         tr = run_scenario(scenario_from_dict(cfg))
