@@ -38,9 +38,10 @@ pseudoinverse per solve kind and ``two_step_field`` over the block, and
 computes the realized fields, norms, angles and zeta* as vectors itself.
 ``allocate_torque_one_step``, ``allocate_torque_two_step``,
 ``allocate_multi_torque`` and ``allocate_field_alignment`` are each one
-call of an allocator, for ``DipoleAgent`` and ``WrenchTask`` or
-``FieldCommand`` arguments: the per-call forms the tests call and the
-benchmark's tracer hooks by name, as it hooks ``zeta_star`` and
+call of an allocator, on the values the allocators take: tilts (alpha,
+beta), the signed dipole magnitude polarity * |m|, and body-plane torques
+(tau_x, tau_y) or field angles.  They are the per-call forms the tests call
+and the benchmark's tracer hooks by name, as it hooks ``zeta_star`` and
 ``field_and_gradient``.
 """
 
@@ -48,13 +49,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PendulumParams
-from .magmodel import GRAM_COND_BOUND, DipoleAgent, pinv_rank, torque_rows
+from .magmodel import GRAM_COND_BOUND, body_frames, pinv_rank, torque_rows
 
 
 class RankDeficiencyError(RuntimeError):
@@ -63,54 +62,6 @@ class RankDeficiencyError(RuntimeError):
 
 class DegenerateTaskError(RuntimeError):
     """A quantity is undefined because a defining vector is numerically zero."""
-
-
-@dataclass(frozen=True)
-class FieldCommand:
-    """Commanded field direction (two tilt angles) and magnitude.
-
-    The commanded field vector is
-    |b| * (sin u_alpha cos u_beta, -sin u_beta, cos u_alpha cos u_beta),
-    i.e. the field is pointed along the desired dipole axis.
-    """
-
-    u_alpha: float
-    u_beta: float
-    magnitude: float
-
-    def __post_init__(self) -> None:
-        if self.magnitude < 0.0:
-            raise ValueError("field magnitude must be non-negative")
-
-    @property
-    def setpoint(self) -> np.ndarray:
-        ca, sa = math.cos(self.u_alpha), math.sin(self.u_alpha)
-        cb, sb = math.cos(self.u_beta), math.sin(self.u_beta)
-        return self.magnitude * np.array([sa * cb, -sb, ca * cb])
-
-
-@dataclass(frozen=True)
-class WrenchTask:
-    """Torque task in the actuator body frame.
-
-    The third body-frame torque component must be zero: torques about the
-    dipole axis are unactuated (fields exert no torque along the moment), so
-    only the two tilt torques are commanded.
-    """
-
-    tau_c_body: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        tau = np.asarray(self.tau_c_body, dtype=float)
-        if tau.shape != (3,):
-            raise ValueError("tau_c_body must be a 3-vector")
-        if tau[2] != 0.0:
-            raise ValueError("body-frame torque must have zero third component")
-        object.__setattr__(self, "tau_c_body", tuple(float(c) for c in tau))
-
-    @classmethod
-    def planar(cls, tau_x: float, tau_y: float) -> "WrenchTask":
-        return cls(tau_c_body=(tau_x, tau_y, 0.0))
 
 
 class AllocationResult(NamedTuple):
@@ -252,9 +203,10 @@ def field_allocator(
     """The field-alignment allocation of agents at fixed points, built once:
     the pseudoinverse of their ``field_map`` is taken here.  Returns
     ``allocate(angles, commands)``: the currents realizing each agent's
-    ``FieldCommand.setpoint`` of its (u_alpha, u_beta) in ``commands`` at
-    ``magnitude``, and zero gradient rows; ``angles`` is unread.  The target
-    is built in Python floats, in the setpoint's operation order.
+    field of its (u_alpha, u_beta) in ``commands``, pointed along the desired
+    dipole axis, magnitude * (sin u_alpha cos u_beta, -sin u_beta,
+    cos u_alpha cos u_beta), and zero gradient rows; ``angles`` is unread.
+    The target is built in Python floats.
     """
     task_mat = field_map(a_mats)
     pinv = pinv_rank(task_mat)[0]
@@ -277,21 +229,12 @@ def field_allocator(
 
 
 def allocate_field_alignment(
-    a_mat: np.ndarray, command: FieldCommand
+    a_mat: np.ndarray, u_alpha: float, u_beta: float, magnitude: float
 ) -> AllocationResult:
-    """Minimum-norm currents realizing a commanded field at the point of A(p),
-    through the one-agent ``field_allocator``.
-
-    Args:
-        a_mat: Actuation matrix A(p), shape (8, n_coils).
-        command: Field direction/magnitude command.
-
-    Returns:
-        AllocationResult; residual_norm is the 2-norm mismatch of the task
-        (zero when the array spans it).
-    """
-    allocate = field_allocator([a_mat], [1], command.magnitude)
-    return allocate((), [(command.u_alpha, command.u_beta)])
+    """Minimum-norm currents realizing the field of ``magnitude`` along the
+    tilts (u_alpha, u_beta) at the point of A(p), shape (8, n_coils): one
+    call of the one-agent ``field_allocator``."""
+    return field_allocator([a_mat], [1], magnitude)((), [(u_alpha, u_beta)])
 
 
 #: A torque solve's rank failure, formatted with where it fails: "" after an
@@ -372,65 +315,43 @@ def torque_allocator(
     return allocate
 
 
-def _torque_call(a_mats, agents, tasks, lever, two_step_at=None) -> AllocationResult:
-    """One call of the ``torque_allocator`` of ``agents`` (``DipoleAgent``)
-    for their ``tasks`` (``WrenchTask``)."""
-    allocate = torque_allocator(
-        a_mats, [a.polarity * a.dipole_magnitude for a in agents], lever, two_step_at
-    )
-    return allocate([(a.alpha, a.beta) for a in agents],
-                    [(t.tau_c_body[1], t.tau_c_body[0]) for t in tasks])
-
-
 def allocate_torque_one_step(
     a_mat: np.ndarray,
-    agent: DipoleAgent,
-    params: PendulumParams,
-    task: WrenchTask,
-    include_force: bool = True,
+    tilts: tuple[float, float],
+    mag_pol: float,
+    tau: tuple[float, float],
+    lever: float,
 ) -> AllocationResult:
-    """One-step minimum-norm currents for a torque task.
-
-    With include_force=True (default) the solve runs through the full
-    body-plane map W A(p), W = ``torque_rows`` at the magnet offset,
-    exploiting gradient forces at the magnet lever arm; with
-    include_force=False it uses the pure field-torque rows (lever 0), the
-    single-agent simplification that ignores gradient forces.  The task's
-    two tilt torques span exactly the achievable plane of either map, so a
-    non-singular geometry yields a zero-residual solution.
-
-    Raises:
-        RankDeficiencyError: If the torque map does not span the plane
-            perpendicular to the dipole axis at p (magnetic singularity).
-    """
-    lever = params.magnet_offset if include_force else 0.0
-    return _torque_call([a_mat], [agent], [task], lever)
+    """One-step minimum-norm currents realizing body-plane torques ``tau`` =
+    (tau_x, tau_y) on a dipole of ``tilts`` (alpha, beta) and signed
+    magnitude ``mag_pol``, through W A(p), W the ``torque_rows`` at ``lever``
+    (the magnet offset, or 0 for the pure field torque): one call of the
+    one-agent ``torque_allocator``, which raises ``RankDeficiencyError``
+    where W A(p) does not span the torque plane."""
+    # The allocator takes the (alpha, beta)-channel torques, (tau_y, tau_x).
+    return torque_allocator([a_mat], [mag_pol], lever)([tilts], [tau[::-1]])
 
 
 def allocate_torque_two_step(
     a_mat: np.ndarray,
-    agent: DipoleAgent,
-    task: WrenchTask,
+    tilts: tuple[float, float],
+    mag_pol: float,
+    tau: tuple[float, float],
+    p: tuple[float, float, float],
 ) -> AllocationResult:
-    """Two-step torque allocation: minimum-norm field first, then currents.
-
-    Computes b = skew(m)^+ tau (the smallest field producing the commanded
-    torque, always orthogonal to the dipole moment; see
-    :func:`two_step_field`), then the minimum-norm currents realizing that
-    field.  Gradient forces are not exploited; this is the pure-torque
-    simplification.
-
-    Raises:
-        RankDeficiencyError: If rank(A_b(p)) < 3, i.e. the array cannot
-            realize arbitrary field vectors at p.
-    """
-    return _torque_call([a_mat], [agent], [task], 0.0, agent.p)
+    """Two-step torque allocation: the smallest field realizing ``tau``,
+    b = skew(m)^+ tau (``two_step_field``, orthogonal to the moment), then
+    the minimum-norm currents A_b(p)^+ b: one call of the two-step
+    ``torque_allocator``.  ``p`` names the point of a rank failure
+    (``RankDeficiencyError`` where rank A_b(p) < 3)."""
+    return torque_allocator([a_mat], [mag_pol], 0.0, p)([tilts], [tau[::-1]])
 
 
 def zeta_star(
     a_mat: np.ndarray,
-    agent: DipoleAgent,
-    task: WrenchTask,
+    tilts: tuple[float, float],
+    mag_pol: float,
+    tau: tuple[float, float],
 ) -> float:
     """Optimal dipole-parallel field shift between one- and two-step solves.
 
@@ -438,17 +359,18 @@ def zeta_star(
     currents plus zeta* A_b^+ m: shifting the realized field along the
     dipole direction changes no torque but can shrink the current norm.
 
-        zeta* = -(A_b^+ b)^T (A_b^+ m) / ||A_b^+ m||^2,   b = skew(m)^+ tau.
+        zeta* = -(A_b^+ b)^T (A_b^+ m) / ||A_b^+ m||^2,   b = skew(m)^+ tau,
+
+    with the moment m = mag_pol * axis, the third column of ``body_frames``.
 
     Raises:
         DegenerateTaskError: If ||A_b^+ m||^2 < ZETA_DEGENERACY (no current
             pattern makes field along the dipole; the shift is degenerate).
     """
-    mag_pol = agent.polarity * agent.dipole_magnitude
-    rows = torque_rows(agent.alpha, agent.beta, mag_pol, 0.0)[:, :3]
-    b_two = two_step_field(rows, np.array(task.tau_c_body[:2]), mag_pol)
+    rows = torque_rows(tilts[0], tilts[1], mag_pol, 0.0)[:, :3]
+    b_two = two_step_field(rows, np.array(tau), mag_pol)
     a_b_pinv = pinv_rank(a_mat[:3])[0]
-    u = a_b_pinv @ agent.moment
+    u = a_b_pinv @ (mag_pol * body_frames(*tilts)[0, :, 2])
     den = float(u @ u)
     if den < ZETA_DEGENERACY:
         raise DegenerateTaskError(
@@ -460,18 +382,15 @@ def zeta_star(
 
 def allocate_multi_torque(
     a_mats: list[np.ndarray],
-    agents: list[DipoleAgent],
-    params: PendulumParams,
-    tasks: list[WrenchTask],
+    tilts: list[tuple[float, float]],
+    mag_pols: list[float],
+    taus: list[tuple[float, float]],
+    lever: float,
 ) -> AllocationResult:
-    """Minimum-norm currents realizing independent torque tasks on several
-    agents simultaneously (stacked body-plane maps, see ``solve_torque``).
-
-    Raises:
-        RankDeficiencyError: Naming the deficient agent when one agent's own
-            torque map is singular, or reporting a coupled deficiency when
-            the stacked rank falls short with individually sound agents.
-    """
-    if not len(a_mats) == len(agents) == len(tasks) or len(agents) == 0:
-        raise ValueError("a_mats, agents and tasks must be equal-length, non-empty")
-    return _torque_call(a_mats, agents, tasks, params.magnet_offset)
+    """Minimum-norm currents realizing each agent's (tau_x, tau_y) at once,
+    on the stacked body-plane maps: one call of their ``torque_allocator``
+    (``solve_torque`` names the agent of a rank failure)."""
+    if not len(a_mats) == len(tilts) == len(mag_pols) == len(taus) > 0:
+        raise ValueError("a_mats, tilts, mag_pols and taus must be equal-length, "
+                         "non-empty")
+    return torque_allocator(a_mats, mag_pols, lever)(tilts, [t[::-1] for t in taus])

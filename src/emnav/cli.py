@@ -13,9 +13,13 @@ wrong type, a non-finite number, an out-of-range value or, in a built
 scenario, a fact such as a ``q_diag`` of the wrong length; the message names
 the JSON path), or a bad ``--seed``; 2 numerical failure: in ``simulate``,
 every failure after the config is read (synthesis, allocation or a diverging
-plant, each classified by its stage), or an alloc-bench sample whose torque
-rows or field rows the coil array cannot span, with a failure record written:
-the summary's ``failure`` of a simulation that ran, else ``<name>_failure.json``.
+plant, each classified by its stage); in ``alloc-bench``, a sample whose
+torque or field rows the coil array cannot span, or draws or a solve raising
+a ``ValueError`` or ``ArithmeticError`` (an SVD that does not converge, an
+overflow); in ``workspace``, such an error but a point on a coil.  It writes
+a record, the summary's ``failure`` of a simulation that ran, else
+``<name>_failure.json``, and one ``numerical failure:`` line; numpy does not
+warn.
 
 ``alloc-bench`` draws all its samples at once and solves them in blocks of
 ``magmodel.BLOCK``: one A(p) evaluation and one stacked pseudoinverse per
@@ -37,7 +41,8 @@ from .alloc import (FIELD_RANK_FAILURE, TORQUE_RANK_FAILURE, ZETA_DEGENERACY,
 from .config import ALLOC_BENCH, WORKSPACE, ConfigError
 from .control import SynthesisError
 from .export import write_csv, write_json as _write_json  # perfbench hooks it
-from .magmodel import BLOCK, actuation_matrices, body_frames, pinv_rank
+from .magmodel import (BLOCK, SingularPositionError, actuation_matrices,
+                       body_frames, pinv_rank)
 from .sim import run_scenario, scenario_from_dict
 from .workspace import max_feasible_standoff, workspace_map
 
@@ -189,6 +194,14 @@ _RANK_FAILURES = {
 }
 
 
+def _failure(path: Path, record: dict, where: str) -> int:
+    """Write a numerical failure's record and print its one line: exit 2."""
+    _write_json(path, record)
+    print(f"numerical failure: {record['stage']} failed{where}: {record['error']}",
+          file=sys.stderr)
+    return 2
+
+
 def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
     config = ALLOC_BENCH.read(_load_config(config_path, "alloc_bench"))
     name = config["name"] or config_path.stem
@@ -196,37 +209,43 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
     samples = config["samples"]
     if seed is None:
         seed = config["seed"]
-    positions, tilts, torques = _draw_samples(
-        np.random.default_rng(seed), samples, config["position_radius"],
-        config["max_tilt"], config["tau_bar"],
-    )
 
     values = np.empty((samples, 7))
-    for start in range(0, samples, BLOCK):
-        block = slice(start, start + BLOCK)
-        values[block], one_ok, two_ok = _solve_block(
-            actuation_matrices(model, positions[block]), tilts[block],
-            torques[block], config["dipole_magnitude"],
-        )
-        failed = np.flatnonzero(~(one_ok & two_ok))
-        if failed.size:
-            # The first failing sample in draw order; within a sample the
-            # one-step solve comes first.
-            k = int(failed[0])
-            strategy = "torque_two_step" if one_ok[k] else "torque_one_step"
-            sample = start + k
-            error = _RANK_FAILURES[strategy].format(tuple(positions[sample].tolist()))
-            _write_json(
-                out_dir / f"{name}_failure.json",
-                {"stage": "allocation", "sample": sample, "strategy": strategy,
-                 "error": error},
+    record_path = out_dir / f"{name}_failure.json"
+    start = None  # until the draws are taken
+    try:
+        with np.errstate(all="ignore"):
+            positions, tilts, torques = _draw_samples(
+                np.random.default_rng(seed), samples, config["position_radius"],
+                config["max_tilt"], config["tau_bar"],
             )
-            print(
-                f"numerical failure: allocation failed at sample {sample} "
-                f"({strategy}): {error}",
-                file=sys.stderr,
-            )
-            return 2
+            for start in range(0, samples, BLOCK):
+                block = slice(start, start + BLOCK)
+                values[block], one_ok, two_ok = _solve_block(
+                    actuation_matrices(model, positions[block]), tilts[block],
+                    torques[block], config["dipole_magnitude"],
+                )
+                failed = np.flatnonzero(~(one_ok & two_ok))
+                if failed.size:
+                    # The first failing sample in draw order; within a sample
+                    # the one-step solve comes first.
+                    k = int(failed[0])
+                    strategy = "torque_two_step" if one_ok[k] else "torque_one_step"
+                    sample = start + k
+                    error = _RANK_FAILURES[strategy].format(
+                        tuple(positions[sample].tolist()))
+                    return _failure(record_path, {
+                        "stage": "allocation", "sample": sample,
+                        "strategy": strategy, "error": error,
+                    }, f" at sample {sample} ({strategy})")
+    except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+        error = f"{type(exc).__name__}: {exc}"
+        if start is None:  # a range too wide to draw from
+            return _failure(record_path, {"stage": "sampling", "error": error}, "")
+        last = min(start + BLOCK, samples) - 1
+        return _failure(record_path, {
+            "stage": "allocation", "samples": [start, last], "error": error,
+        }, f" in samples {start} to {last}")
 
     flags = {
         "current_norm_order": values[:, 0] > values[:, 1] + 1e-9,
@@ -279,13 +298,19 @@ def cmd_workspace(config_path: Path, out_dir: Path) -> int:
     name = config["name"] or config_path.stem
     tasks = config["tasks"]
     try:
-        fmaps = workspace_map(
-            config["model"], list(tasks.values()), config["grid"],
-            config["current_limit"], params=config["plant"],
-            orientation=config["orientation"], second_agent=config["second_agent"],
-        )
-    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        with np.errstate(all="ignore"):
+            fmaps = workspace_map(
+                config["model"], list(tasks.values()), config["grid"],
+                config["current_limit"], params=config["plant"],
+                orientation=config["orientation"],
+                second_agent=config["second_agent"],
+            )
+    except SingularPositionError as exc:
         raise ConfigError(f"invalid workspace config {config_path}: {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+        return _failure(out_dir / f"{name}_failure.json", {
+            "stage": "workspace", "error": f"{type(exc).__name__}: {exc}",
+        }, "")
     maps = dict(zip(tasks, fmaps))
     for kind, fmap in maps.items():
         slug = _TASK_SLUGS[kind]

@@ -273,6 +273,13 @@ ALLOC_BENCH = Section("alloc-bench", {
 
 # --- emnav workspace ---------------------------------------------------------
 
+
+def _workspace(**config) -> dict:
+    if not config["current_limit"] > 0.0:
+        raise ValueError(f"current_limit must be positive, got {config['current_limit']}")
+    return config
+
+
 GRID = Section("grid", {
     **dict.fromkeys("xyz", (Numbers(length=2), REQUIRED)),
     "spacing": (NUMBER, REQUIRED),
@@ -301,4 +308,4 @@ WORKSPACE = Section("workspace", {
         "dipole_magnitude", "magnet_offset")}, PendulumParams), {}),
     "second_agent": (Numbers(length=3), None),
     "orientation": (Numbers(length=2), (0.0, 0.0)),
-})
+}, _workspace)

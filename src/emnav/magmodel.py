@@ -7,12 +7,14 @@ summarized by a position-dependent actuation matrix with three field rows and
 five gradient rows (zero divergence and zero curl leave only five independent
 gradient components).
 
-The module also provides the pivoted dipole (``DipoleAgent``, and
-``body_frames`` for arrays of tilts), its body-frame tilt-torque rows
-``torque_rows`` (the map from field and gradient to the torque about the
-pivot, direct magnetic torque plus the lever-arm torque of the gradient
-force) that every torque solve and the workspace torque box use, and the one
-pseudoinverse every allocation and workspace solve uses.
+The module also provides the pivoted dipole's frames (``body_frames``, for
+arrays of tilts), its body-frame tilt-torque rows ``torque_rows`` (the map
+from field and gradient to the torque about the pivot, direct magnetic
+torque plus the lever-arm torque of the gradient force) that every torque
+solve and the workspace torque box use, and the one pseudoinverse every
+allocation and workspace solve uses.  A dipole is plain values: its tilts
+(alpha about +y, then beta about +x) and its signed magnitude mag_pol =
+polarity * |m|, with the moment mag_pol * axis.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class CoilSpec:
             raise ValueError("coil position and axis must be 3-vectors")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(ax))):
             raise ValueError("coil position and axis must be finite")
-        norm = np.linalg.norm(ax)
+        norm = math.hypot(*ax)  # no overflow warning for huge entries
         if abs(norm - 1.0) > 1.0e-9:
             raise ValueError(f"coil axis must be unit length, got |axis| = {norm:.3e}")
         if not self.moment_per_ampere > 0.0:
@@ -243,73 +245,19 @@ def _pinv_rank_svd(stack: NDArray[np.floating]) -> tuple[NDArray, NDArray]:
 
 
 # ---------------------------------------------------------------------------
-# Pivoted dipole agents and their torque rows
+# The pivoted dipole's frames and torque rows
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DipoleAgent:
-    """A pivoted axially magnetized body at a point in the workspace.
-
-    Attributes:
-        p: Magnet center position in world coordinates [m].
-        alpha: Tilt angle of the rotation about +y [rad].
-        beta: Tilt angle of the rotation about +x [rad].
-        dipole_magnitude: Dipole moment magnitude |m| [A·m²], > 0.
-        polarity: +1 for the moment along the body axis, -1 for opposed.
-    """
-
-    p: tuple[float, float, float]
-    alpha: float = 0.0
-    beta: float = 0.0
-    dipole_magnitude: float = 1.0
-    polarity: int = 1
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (3,):
-            raise ValueError("agent position must be a 3-vector")
-        if not self.dipole_magnitude > 0.0:
-            raise ValueError("dipole_magnitude must be strictly positive")
-        if self.polarity not in (1, -1):
-            raise ValueError("polarity must be +1 or -1")
-        object.__setattr__(self, "p", tuple(float(c) for c in p))
-
-    @property
-    def rotation_t(self) -> NDArray[np.floating]:
-        """Body-to-world rotation R^T = Ry(alpha) @ Rx(beta)."""
-        ca, sa = math.cos(self.alpha), math.sin(self.alpha)
-        cb, sb = math.cos(self.beta), math.sin(self.beta)
-        return np.array(
-            [
-                [ca, sa * sb, sa * cb],
-                [0.0, cb, -sb],
-                [-sa, ca * sb, ca * cb],
-            ]
-        )
-
-    @property
-    def axis(self) -> NDArray[np.floating]:
-        """Unit body axis in world coordinates (the body z-axis)."""
-        ca, sa = math.cos(self.alpha), math.sin(self.alpha)
-        cb, sb = math.cos(self.beta), math.sin(self.beta)
-        return np.array([sa * cb, -sb, ca * cb])
-
-    @property
-    def moment(self) -> NDArray[np.floating]:
-        """Dipole moment vector in world coordinates [A·m²]."""
-        return self.polarity * self.dipole_magnitude * self.axis
-
 
 def body_frames(
     alpha: NDArray[np.floating], beta: NDArray[np.floating]
 ) -> NDArray[np.floating]:
-    """Body-to-world rotations R^T of :attr:`DipoleAgent.rotation_t` for
-    arrays of tilt angles, shape (N, 3, 3).
+    """Body-to-world rotations R^T = Ry(alpha) Rx(beta) for arrays (or
+    scalars) of tilt angles, shape (N, 3, 3).
 
     The columns are the body axes e_x, e_y and the dipole axis in world
-    coordinates, from which the batched frame quantities follow as in the
-    scalar code: the moment ``mag_pol * axis`` (:attr:`DipoleAgent.moment`)
-    and the lever-0 rows ``mag_pol * (-e_y; e_x)`` of :func:`torque_rows`.
+    coordinates, from which the frame quantities follow: the moment
+    ``mag_pol * axis`` and the lever-0 rows ``mag_pol * (-e_y; e_x)`` of
+    :func:`torque_rows`.
     """
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
@@ -327,8 +275,8 @@ def torque_rows(
     The map from [b; g] at the magnet to the body-frame x and y torque about
     the pivot: ``(R J M)[:2]``, with M the wrench map [b; g] -> [m x b;
     (m . grad) b], J = [I | lever skew(axis)] the lever-arm map to pivot
-    torque and R the world-to-body rotation (the transpose of
-    :attr:`DipoleAgent.rotation_t`), written out from the sines and cosines
+    torque and R the world-to-body rotation (the transpose of a
+    ``body_frames`` frame), written out from the sines and cosines
     of the tilt angles.  The body-z row is dropped: the field torque m x b
     and the lever-arm torque lever axis x f are both perpendicular to the
     dipole axis.  The world-frame maps are the
@@ -342,7 +290,7 @@ def torque_rows(
         tau_y = +mag_pol (e_x . b + lever e_x . M_g(axis) g).
 
     Args:
-        alpha, beta: Tilt angles [rad] (see :class:`DipoleAgent`).
+        alpha, beta: Tilt angles [rad]: rotations about +y and +x.
         mag_pol: Signed dipole magnitude, polarity * |m| [A·m²].
         lever: Pivot-to-magnet distance [m]; 0 gives the pure field-torque
             rows (gradient columns zero).

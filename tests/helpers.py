@@ -5,17 +5,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate._ivp import dop853_coefficients
+from scipy.spatial.transform import Rotation
 
 from emnav.alloc import (
     FIELD_RANK_FAILURE,
     AllocationResult,
     DegenerateTaskError,
     RankDeficiencyError,
-    WrenchTask,
     allocate_torque_one_step,
     field_and_gradient,
     field_map,
@@ -24,7 +25,6 @@ from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
     MIN_COIL_DISTANCE,
     ActuationModel,
-    DipoleAgent,
     SingularPositionError,
     actuation_matrix,
     pinv_rank,
@@ -37,16 +37,50 @@ _MU0_OVER_4PI = 1.0e-7
 _BODY_U = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def random_agent(rng: np.random.Generator, span: float = 0.04) -> DipoleAgent:
+class Pose(NamedTuple):
+    """A pivoted dipole for the oracles: the magnet's position p, its tilts
+    alpha (about +y) and beta (then about +x), and its signed magnitude
+    mag_pol = polarity * |m|."""
+
+    p: tuple[float, float, float]
+    alpha: float
+    beta: float
+    mag_pol: float
+
+    @property
+    def tilts(self) -> tuple[float, float]:
+        return self.alpha, self.beta
+
+    @property
+    def frame(self) -> np.ndarray:
+        """Body-to-world rotation R^T = Ry(alpha) Rx(beta), from scipy."""
+        return Rotation.from_euler("YX", [self.alpha, self.beta]).as_matrix()
+
+    @property
+    def axis(self) -> np.ndarray:
+        """The body z-axis in world coordinates."""
+        return self.frame[:, 2]
+
+    @property
+    def moment(self) -> np.ndarray:
+        return self.mag_pol * self.axis
+
+
+def random_agent(rng: np.random.Generator, span: float = 0.04) -> Pose:
     """Random pivoted dipole inside the central workspace."""
-    p = rng.uniform(-span, span, 3)
-    return DipoleAgent(
-        p=tuple(p),
-        alpha=float(rng.uniform(-0.6, 0.6)),
-        beta=float(rng.uniform(-0.6, 0.6)),
-        dipole_magnitude=float(rng.uniform(0.2, 2.0)),
-        polarity=int(rng.choice([-1, 1])),
-    )
+    p = tuple(float(c) for c in rng.uniform(-span, span, 3))
+    alpha = float(rng.uniform(-0.6, 0.6))
+    beta = float(rng.uniform(-0.6, 0.6))
+    dipole = float(rng.uniform(0.2, 2.0))
+    return Pose(p, alpha, beta, int(rng.choice([-1, 1])) * dipole)
+
+
+def field_setpoint(u_alpha: float, u_beta: float, magnitude: float) -> np.ndarray:
+    """The commanded field: ``magnitude`` along the dipole axis of tilts
+    (u_alpha, u_beta)."""
+    ca, sa = math.cos(u_alpha), math.sin(u_alpha)
+    cb, sb = math.cos(u_beta), math.sin(u_beta)
+    return magnitude * np.array([sa * cb, -sb, ca * cb])
 
 
 def min_norm_oracle(mat: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -396,7 +430,7 @@ class WrenchMaps:
         return out
 
 
-def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
+def wrench_maps(agent: Pose, magnet_offset: float) -> WrenchMaps:
     """Build the wrench maps of a pivoted agent.
 
     Args:
@@ -418,14 +452,13 @@ def wrench_maps(agent: DipoleAgent, magnet_offset: float) -> WrenchMaps:
     )
 
 
-def world_torque(agent: DipoleAgent, task: WrenchTask) -> np.ndarray:
-    """Commanded torque rotated from the actuator body frame to the world."""
-    return agent.rotation_t @ np.asarray(task.tau_c_body, dtype=float)
+def world_torque(agent: Pose, tau) -> np.ndarray:
+    """Commanded body-plane torque (tau_x, tau_y) rotated from the actuator
+    body frame to the world."""
+    return agent.frame @ np.array([tau[0], tau[1], 0.0])
 
 
-def two_step_world(
-    a_mat: np.ndarray, agent: DipoleAgent, task: WrenchTask
-) -> AllocationResult:
+def two_step_world(a_mat: np.ndarray, agent: Pose, tau) -> AllocationResult:
     """Two-step torque allocation in the world frame, by generic SVDs.
 
     b = skew(m)^+ tau_world through ``pinv_rank`` of skew(m), then the
@@ -437,7 +470,7 @@ def two_step_world(
         RankDeficiencyError: If rank(A_b(p)) < 3, with the message the
             closed-form solve gives.
     """
-    tau_c = world_torque(agent, task)
+    tau_c = world_torque(agent, tau)
     m_b = skew(agent.moment)
     b_des = pinv_rank(m_b)[0] @ tau_c
     a_b = a_mat[:3]
@@ -449,11 +482,11 @@ def two_step_world(
     return AllocationResult(currents, residual)
 
 
-def zeta_star_world(a_mat: np.ndarray, agent: DipoleAgent, task: WrenchTask) -> float:
+def zeta_star_world(a_mat: np.ndarray, agent: Pose, tau) -> float:
     """``alloc.zeta_star`` with the world-frame field b = skew(m)^+ tau_world
     of :func:`two_step_world`."""
     m = agent.moment
-    b_two = pinv_rank(skew(m))[0] @ world_torque(agent, task)
+    b_two = pinv_rank(skew(m))[0] @ world_torque(agent, tau)
     a_b_pinv = pinv_rank(a_mat[:3])[0]
     u = a_b_pinv @ m
     den = float(u @ u)
@@ -463,10 +496,7 @@ def zeta_star_world(a_mat: np.ndarray, agent: DipoleAgent, task: WrenchTask) -> 
 
 
 def allocate_torque_twostep_jm(
-    a_mat: np.ndarray,
-    agent: DipoleAgent,
-    params: PendulumParams,
-    task: WrenchTask,
+    a_mat: np.ndarray, agent: Pose, params: PendulumParams, tau
 ) -> AllocationResult:
     """Diagnostic multi-step variant i = A^+ (J M)^+ tau.
 
@@ -474,7 +504,7 @@ def allocate_torque_twostep_jm(
     the intermediate field/gradient target is itself realizable; never
     smaller in norm than the one-step solution.
     """
-    tau_c = world_torque(agent, task)
+    tau_c = world_torque(agent, tau)
     maps = wrench_maps(agent, params.magnet_offset)
     jm = maps.jac @ maps.stacked  # (3, 8)
     currents = pinv_rank(a_mat)[0] @ (pinv_rank(jm)[0] @ tau_c)
@@ -483,10 +513,7 @@ def allocate_torque_twostep_jm(
 
 
 def allocate_torque_twostep_ma(
-    a_mat: np.ndarray,
-    agent: DipoleAgent,
-    params: PendulumParams,
-    task: WrenchTask,
+    a_mat: np.ndarray, agent: Pose, params: PendulumParams, tau
 ) -> AllocationResult:
     """Diagnostic multi-step variant i = (M A)^+ J^+ tau.
 
@@ -494,7 +521,7 @@ def allocate_torque_twostep_ma(
     [torque; force] target distributes the task across both pathways by
     least squares instead of letting the current solve choose.
     """
-    tau_c = world_torque(agent, task)
+    tau_c = world_torque(agent, tau)
     maps = wrench_maps(agent, params.magnet_offset)
     ma = maps.stacked @ a_mat  # (6, n)
     wrench = pinv_rank(maps.jac)[0] @ tau_c  # (6,)
@@ -538,9 +565,7 @@ def margin_at(model: ActuationModel, position, task: TaskSet,
     return float(one_map(model, task, grid, current_limit, **kwargs).fm[0])
 
 
-def torque_map_svd(
-    agent: DipoleAgent,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def torque_map_svd(agent: Pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form SVD of the torque-from-field map skew(m).
 
     Returns:
@@ -548,16 +573,16 @@ def torque_map_svd(
         The null direction of the map (last row of Vt) is the dipole axis:
         fields parallel to the moment produce no torque.
     """
-    mag = agent.dipole_magnitude
-    rt = agent.rotation_t
-    u = float(agent.polarity) * rt @ _BODY_U
+    mag = abs(agent.mag_pol)
+    rt = agent.frame
+    u = math.copysign(1.0, agent.mag_pol) * rt @ _BODY_U
     s = np.array([mag, mag, 0.0])
     vt = rt.T
     return u, s, vt
 
 
 def composed_torque_map(
-    a_mat: np.ndarray, agent: DipoleAgent, params: PendulumParams
+    a_mat: np.ndarray, agent: Pose, params: PendulumParams
 ) -> np.ndarray:
     """Full world-frame torque-from-currents map J @ M @ A(p), (3, n_coils).
 
@@ -571,18 +596,18 @@ def composed_torque_map(
 
 
 def pivot_torque_task(
-    a_mat: np.ndarray, agent: DipoleAgent, params: PendulumParams, task: WrenchTask
+    a_mat: np.ndarray, agent: Pose, params: PendulumParams, tau
 ) -> tuple[np.ndarray, np.ndarray]:
     """The composed map J M A(p) and the world-frame pivot torque it must
     realize."""
-    return composed_torque_map(a_mat, agent, params), world_torque(agent, task)
+    return composed_torque_map(a_mat, agent, params), world_torque(agent, tau)
 
 
 def composed_torque_solve(
     a_mats: list,
     agents: list,
     params: PendulumParams,
-    tasks: list,
+    taus: list,
     include_force: bool = True,
 ) -> tuple[str | None, AllocationResult | None, np.ndarray]:
     """Torque allocation through the stacked world-frame composed maps.
@@ -595,11 +620,11 @@ def composed_torque_solve(
     unless the verdict is None; the target stacks the world torques.
     """
     blocks = []
-    for a_mat, agent, task in zip(a_mats, agents, tasks):
+    for a_mat, agent, tau in zip(a_mats, agents, taus):
         if include_force:
-            blocks.append(pivot_torque_task(a_mat, agent, params, task))
+            blocks.append(pivot_torque_task(a_mat, agent, params, tau))
         else:
-            blocks.append((skew(agent.moment) @ a_mat[:3], world_torque(agent, task)))
+            blocks.append((skew(agent.moment) @ a_mat[:3], world_torque(agent, tau)))
     stacked = np.vstack([g for g, _ in blocks])
     target = np.concatenate([tau for _, tau in blocks])
     pinv, rank = pinv_rank(stacked)
@@ -617,24 +642,22 @@ def composed_torque_solve(
 
 def composed_allocator(scenario, a_mats: list):
     """Drop-in for ``sim._allocator`` on the torque strategies that builds a
-    ``DipoleAgent`` and a ``WrenchTask`` per agent per tick and solves in
-    the world frame: ``torque_two_step`` through :func:`two_step_world`,
-    the others through :func:`composed_torque_solve`."""
+    ``Pose`` and a world-frame torque per agent per tick and solves in the
+    world frame: ``torque_two_step`` through :func:`two_step_world`, the
+    others through :func:`composed_torque_solve`."""
     params = scenario.plant
 
     def allocate(meas_agents: list, outputs: list):
         dipoles = [
-            DipoleAgent(
-                p=tuple(setup.position), alpha=meas[0], beta=meas[1],
-                dipole_magnitude=params.dipole_magnitude, polarity=setup.polarity,
-            )
+            Pose(tuple(setup.position), meas[0], meas[1],
+                 setup.polarity * params.dipole_magnitude)
             for setup, meas in zip(scenario.agents, meas_agents)
         ]
-        tasks = [WrenchTask.planar(out_b, out_a) for out_a, out_b in outputs]
+        taus = [(out_b, out_a) for out_a, out_b in outputs]
         if scenario.strategy == "torque_two_step":
-            return two_step_world(a_mats[0], dipoles[0], tasks[0])
+            return two_step_world(a_mats[0], dipoles[0], taus[0])
         verdict, result, _ = composed_torque_solve(
-            a_mats, dipoles, params, tasks, scenario.include_force
+            a_mats, dipoles, params, taus, scenario.include_force
         )
         if verdict is not None:
             raise RankDeficiencyError(verdict)
@@ -705,8 +728,9 @@ def settling_tick_brute(within: np.ndarray) -> int | None:
 
 
 def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
-    """Minimum-norm currents realizing ``FieldCommand`` ``commands``, one
-    per agent, through ``field_map``, a command at a time: the setpoints and
+    """Minimum-norm currents realizing field ``commands`` (u_alpha, u_beta,
+    magnitude), one per agent, through ``field_map``, a command at a time:
+    each ``field_setpoint`` and
     zero on the remaining (gradient) rows stacked by ``np.concatenate``, one
     product with the pseudoinverse, and the residual's 2-norm as
     ``np.linalg.norm`` forms it, sqrt(r . r)."""
@@ -714,7 +738,7 @@ def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
         raise ValueError("a_mats and commands must be equal-length, non-empty")
     task_mat = field_map(a_mats)
     padding = np.zeros(task_mat.shape[0] - 3 * len(commands))
-    target = np.concatenate([c.setpoint for c in commands] + [padding])
+    target = np.concatenate([field_setpoint(*c) for c in commands] + [padding])
     currents = pinv_rank(task_mat)[0] @ target
     r = task_mat @ currents - target
     return AllocationResult(currents, math.sqrt(r @ r))
@@ -751,27 +775,23 @@ def alloc_bench_per_sample(
     the first one and nothing else.
     """
     rng = np.random.default_rng(seed)
-    params = PendulumParams(dipole_magnitude=dipole)
     positions, tilts, torques, values, notes, violations = [], [], [], [], [], []
     for k in range(samples):
         pos = rng.uniform(-radius, radius, size=3)
         alpha, beta = rng.uniform(-max_tilt, max_tilt, size=2)
         direction = rng.uniform(0.0, 2.0 * math.pi)
         magnitude = tau_bar * rng.uniform(0.1, 1.0)
-        task = WrenchTask.planar(
-            magnitude * math.cos(direction), magnitude * math.sin(direction)
-        )
-        agent = DipoleAgent(
-            p=tuple(pos), alpha=alpha, beta=beta, dipole_magnitude=dipole
-        )
+        tau = (float(magnitude * math.cos(direction)),
+               float(magnitude * math.sin(direction)))
+        agent = Pose(tuple(pos.tolist()), float(alpha), float(beta), dipole)
         a_mat = actuation_matrix(model, pos)
         strategy = "torque_one_step"
         try:
             i_one = allocate_torque_one_step(
-                a_mat, agent, params, task, include_force=False
+                a_mat, agent.tilts, dipole, tau, 0.0
             ).currents
             strategy = "torque_two_step"
-            i_two = two_step_world(a_mat, agent, task).currents
+            i_two = two_step_world(a_mat, agent, tau).currents
         except RankDeficiencyError as exc:
             return {"failure": (k, strategy, str(exc))}
         b_one = field_and_gradient(a_mat, i_one)[0]
@@ -780,7 +800,7 @@ def alloc_bench_per_sample(
         angle_one = _field_dipole_angle_deg(b_one, agent.moment)
         angle_two = _field_dipole_angle_deg(b_two, agent.moment)
         try:
-            zeta = zeta_star_world(a_mat, agent, task)
+            zeta = zeta_star_world(a_mat, agent, tau)
         except DegenerateTaskError:
             zeta = math.nan
         reasons = []
@@ -792,7 +812,7 @@ def alloc_bench_per_sample(
             reasons.append("two_step_angle")
         positions.append(pos)
         tilts.append((alpha, beta))
-        torques.append(task.tau_c_body[:2])
+        torques.append(tau)
         values.append((*norms, angle_one, angle_two, zeta))
         notes.append("+".join(reasons))
         if reasons:
@@ -801,7 +821,7 @@ def alloc_bench_per_sample(
                     "sample": k,
                     "position": list(pos),
                     "orientation": [alpha, beta],
-                    "task": list(task.tau_c_body),
+                    "task": [*tau, 0.0],
                     "reasons": reasons,
                 }
             )

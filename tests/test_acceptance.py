@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emnav.alloc import WrenchTask, allocate_torque_one_step, allocate_torque_two_step
+from emnav.alloc import allocate_torque_one_step, allocate_torque_two_step
 from emnav.cli import cmd_alloc_bench, cmd_workspace
 from emnav.dynamics import PendulumParams
-from emnav.magmodel import DipoleAgent, actuation_matrix, get_model
+from emnav.magmodel import actuation_matrix, get_model
 from emnav.sim import run_scenario, scenario_from_dict
 from emnav.workspace import GridSpec, TaskSet, max_feasible_standoff
 
@@ -62,7 +62,6 @@ def alloc_instances():
     """1000 seeded random (orientation, position, torque) solves on the
     8-coil preset, one- and two-step, on the pure field-torque map."""
     model = get_model("octomag8")
-    params = PendulumParams()
     rng = np.random.default_rng(1)
     instances = []
     start = time.perf_counter()
@@ -70,14 +69,14 @@ def alloc_instances():
         agent = random_agent(rng)
         direction = rng.uniform(0.0, 2.0 * math.pi)
         magnitude = 0.002 * rng.uniform(0.1, 1.0)
-        task = WrenchTask.planar(
-            magnitude * math.cos(direction), magnitude * math.sin(direction)
-        )
+        task = (magnitude * math.cos(direction), magnitude * math.sin(direction))
         a_mat = actuation_matrix(model, agent.p)
         one = allocate_torque_one_step(
-            a_mat, agent, params, task, include_force=False
+            a_mat, agent.tilts, agent.mag_pol, task, 0.0
         ).currents
-        two = allocate_torque_two_step(a_mat, agent, task).currents
+        two = allocate_torque_two_step(
+            a_mat, agent.tilts, agent.mag_pol, task, agent.p
+        ).currents
         a_pinv = np.linalg.pinv(a_mat[:3])
         b_two = (a_mat @ two)[:3]
         instances.append(
@@ -177,10 +176,9 @@ def test_criterion_04_exact_feasibility_in_rank_plane(capfd):
             continue  # rank-deficient geometry: exactness not claimed
         direction = rng.uniform(0.0, 2.0 * math.pi)
         magnitude = 0.002 * rng.uniform(0.1, 1.0)
-        task = WrenchTask.planar(
-            magnitude * math.cos(direction), magnitude * math.sin(direction)
-        )
-        result = allocate_torque_one_step(a_mat, agent, params, task)
+        task = (magnitude * math.cos(direction), magnitude * math.sin(direction))
+        result = allocate_torque_one_step(a_mat, agent.tilts, agent.mag_pol, task,
+                                          params.magnet_offset)
         tau_norm = float(np.linalg.norm(world_torque(agent, task)))
         worst = max(worst, result.residual_norm / tau_norm)
         checked += 1
@@ -201,11 +199,10 @@ def test_criterion_05_oracle_equivalence(capfd):
         agent = random_agent(rng)
         direction = rng.uniform(0.0, 2.0 * math.pi)
         magnitude = 0.002 * rng.uniform(0.1, 1.0)
-        task = WrenchTask.planar(
-            magnitude * math.cos(direction), magnitude * math.sin(direction)
-        )
+        task = (magnitude * math.cos(direction), magnitude * math.sin(direction))
         a_mat = actuation_matrix(model, agent.p)
-        result = allocate_torque_one_step(a_mat, agent, params, task)
+        result = allocate_torque_one_step(a_mat, agent.tilts, agent.mag_pol, task,
+                                          params.magnet_offset)
         oracle = min_norm_oracle(
             composed_torque_map(a_mat, agent, params), world_torque(agent, task)
         )

@@ -21,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Pose,
     allocate_multi_field,
     allocate_torque_twostep_jm,
     allocate_torque_twostep_ma,
     composed_torque_map,
     composed_torque_solve,
+    field_setpoint,
     min_norm_oracle,
     random_agent,
     skew,
@@ -37,9 +39,7 @@ from helpers import (
 from emnav import alloc, sim
 from emnav.alloc import (
     DegenerateTaskError,
-    FieldCommand,
     RankDeficiencyError,
-    WrenchTask,
     allocate_field_alignment,
     allocate_multi_torque,
     allocate_torque_one_step,
@@ -56,7 +56,6 @@ from emnav.magmodel import (
     RANK_RTOL,
     ActuationModel,
     CoilSpec,
-    DipoleAgent,
     actuation_matrix,
     get_model,
     torque_rows,
@@ -65,8 +64,13 @@ from emnav.magmodel import (
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def random_task(rng, scale=5e-3) -> WrenchTask:
-    return WrenchTask.planar(*(rng.uniform(-scale, scale, 2)))
+def random_task(rng, scale=5e-3) -> tuple[float, float]:
+    """A body-plane torque task (tau_x, tau_y)."""
+    return tuple(float(t) for t in rng.uniform(-scale, scale, 2))
+
+
+#: A dipole of |m| 0.5 at the origin, upright.
+UPRIGHT = Pose((0.0, 0.0, 0.0), 0.0, 0.0, 0.5)
 
 
 def field_at(model, p, currents) -> np.ndarray:
@@ -87,14 +91,16 @@ def toy_two_coil():
 
 
 class TestTaskTypes:
+    """The field command's setpoint, the oracle of the field allocations."""
+
     def test_field_command_setpoint_at_zero_angles(self):
-        cmd = FieldCommand(u_alpha=0.0, u_beta=0.0, magnitude=0.025)
-        np.testing.assert_allclose(cmd.setpoint, [0.0, 0.0, 0.025], atol=1e-18)
+        setpoint = field_setpoint(0.0, 0.0, 0.025)
+        np.testing.assert_allclose(setpoint, [0.0, 0.0, 0.025], atol=1e-18)
 
     def test_field_command_setpoint_formula(self, rng):
         for _ in range(10):
             ua, ub = rng.uniform(-1.0, 1.0, 2)
-            cmd = FieldCommand(u_alpha=ua, u_beta=ub, magnitude=0.04)
+            setpoint = field_setpoint(ua, ub, 0.04)
             expected = 0.04 * np.array(
                 [
                     np.sin(ua) * np.cos(ub),
@@ -102,33 +108,21 @@ class TestTaskTypes:
                     np.cos(ua) * np.cos(ub),
                 ]
             )
-            np.testing.assert_allclose(cmd.setpoint, expected, atol=1e-15)
-            assert abs(np.linalg.norm(cmd.setpoint) - 0.04) < 1e-15
-
-    def test_field_command_rejects_negative_magnitude(self):
-        with pytest.raises(ValueError):
-            FieldCommand(u_alpha=0.0, u_beta=0.0, magnitude=-0.01)
-
-    def test_wrench_task_rejects_axial_torque(self):
-        with pytest.raises(ValueError):
-            WrenchTask(tau_c_body=(1e-3, 0.0, 1e-4))
-
-    def test_wrench_task_planar(self):
-        task = WrenchTask.planar(2e-3, -1e-3)
-        assert task.tau_c_body == (2e-3, -1e-3, 0.0)
+            np.testing.assert_allclose(setpoint, expected, atol=1e-15)
+            assert abs(np.linalg.norm(setpoint) - 0.04) < 1e-15
 
 
 class TestFieldAlignment:
     def test_zero_magnitude_gives_zero_currents(self, octomag):
         res = allocate_field_alignment(
-            actuation_matrix(octomag, np.zeros(3)), FieldCommand(0.3, -0.2, 0.0)
+            actuation_matrix(octomag, np.zeros(3)), 0.3, -0.2, 0.0
         )
         np.testing.assert_allclose(res.currents, np.zeros(8), atol=1e-18)
         assert res.residual_norm < 1e-18
 
     def test_octomag_center_exact(self, octomag):
         res = allocate_field_alignment(
-            actuation_matrix(octomag, np.zeros(3)), FieldCommand(0.0, 0.0, 0.025)
+            actuation_matrix(octomag, np.zeros(3)), 0.0, 0.0, 0.025
         )
         assert res.residual_norm < 1e-9
         realized = field_at(octomag, np.zeros(3), res.currents)
@@ -139,10 +133,10 @@ class TestFieldAlignment:
     def test_matches_min_norm_oracle(self, octomag, rng):
         for _ in range(20):
             p = rng.uniform(-0.03, 0.03, 3)
-            cmd = FieldCommand(*rng.uniform(-0.8, 0.8, 2), magnitude=0.03)
+            cmd = (*rng.uniform(-0.8, 0.8, 2), 0.03)
             a_mat = actuation_matrix(octomag, p)
-            res = allocate_field_alignment(a_mat, cmd)
-            task = np.concatenate([cmd.setpoint, np.zeros(5)])
+            res = allocate_field_alignment(a_mat, *cmd)
+            task = np.concatenate([field_setpoint(*cmd), np.zeros(5)])
             oracle = min_norm_oracle(a_mat, task)
             np.testing.assert_allclose(res.currents, oracle, atol=1e-8)
 
@@ -155,7 +149,7 @@ class TestFieldAlignment:
         best = min_norm_oracle(a_mat, stacked_task)
         assert np.linalg.norm(a_mat @ best - stacked_task) > 1e-6
         # ... so a 3-coil array is asked for the field rows only.
-        res = allocate_field_alignment(a_mat, FieldCommand(0.0, 0.0, 0.02))
+        res = allocate_field_alignment(a_mat, 0.0, 0.0, 0.02)
         assert res.residual_norm < 1e-12
         np.testing.assert_allclose(
             field_at(navion, p, res.currents)[:3], b_sp, atol=1e-14
@@ -164,9 +158,10 @@ class TestFieldAlignment:
 
 class TestTorqueOneStep:
     def test_zero_task_zero_currents(self, octomag, params):
-        agent = DipoleAgent(p=(0, 0, 0), alpha=0.1, beta=0.2, dipole_magnitude=0.5)
+        agent = Pose((0.0, 0.0, 0.0), 0.1, 0.2, 0.5)
         res = allocate_torque_one_step(
-            actuation_matrix(octomag, agent.p), agent, params, WrenchTask.planar(0, 0)
+            actuation_matrix(octomag, agent.p), agent.tilts, agent.mag_pol,
+            (0.0, 0.0), params.magnet_offset,
         )
         np.testing.assert_allclose(res.currents, np.zeros(8), atol=1e-18)
 
@@ -175,9 +170,10 @@ class TestTorqueOneStep:
             agent = random_agent(rng)
             task = random_task(rng)
             res = allocate_torque_one_step(
-                actuation_matrix(octomag, agent.p), agent, params, task
+                actuation_matrix(octomag, agent.p), agent.tilts, agent.mag_pol,
+                task, params.magnet_offset,
             )
-            tau = np.linalg.norm(task.tau_c_body)
+            tau = np.linalg.norm(task)
             assert res.residual_norm <= 1e-9 * max(tau, 1e-30)
 
     def test_matches_min_norm_oracle(self, octomag, params, rng):
@@ -186,9 +182,10 @@ class TestTorqueOneStep:
             agent = random_agent(rng)
             task = random_task(rng)
             a_mat = actuation_matrix(octomag, agent.p)
-            res = allocate_torque_one_step(a_mat, agent, params, task)
+            res = allocate_torque_one_step(a_mat, agent.tilts, agent.mag_pol, task,
+                                           params.magnet_offset)
             g_map = composed_torque_map(a_mat, agent, params)
-            tau_c = agent.rotation_t @ np.array(task.tau_c_body)
+            tau_c = world_torque(agent, task)
             oracle = min_norm_oracle(g_map, tau_c)
             np.testing.assert_allclose(res.currents, oracle, atol=1e-8)
 
@@ -197,29 +194,28 @@ class TestTorqueOneStep:
             name="toy1",
             coils=(CoilSpec(position=(0, 0, -0.3), axis=(0, 0, 1), moment_per_ampere=10.0),),
         )
-        agent = DipoleAgent(p=(0, 0, 0), alpha=0.0, beta=0.0, dipole_magnitude=0.5)
         with pytest.raises(RankDeficiencyError):
             allocate_torque_one_step(
-                actuation_matrix(single, agent.p), agent, params,
-                WrenchTask.planar(1e-3, 0),
+                actuation_matrix(single, UPRIGHT.p), UPRIGHT.tilts, UPRIGHT.mag_pol,
+                (1e-3, 0.0), params.magnet_offset,
             )
 
     def test_stabilization_scale_well_below_field_alignment(self, octomag, params):
         # A 10 mNm task costs far less current than holding the 65 mT
         # operating field (15 A); the exact ampere value is preset-dependent.
-        agent = DipoleAgent(p=(0, 0, 0), alpha=0.0, beta=0.0, dipole_magnitude=0.5)
         res = allocate_torque_one_step(
-            actuation_matrix(octomag, agent.p), agent, params,
-            WrenchTask.planar(10e-3, 0),
+            actuation_matrix(octomag, UPRIGHT.p), UPRIGHT.tilts, UPRIGHT.mag_pol,
+            (10e-3, 0.0), params.magnet_offset,
         )
         assert np.max(np.abs(res.currents)) < 8.0
 
 
 class TestTorqueTwoStep:
     def test_zero_task_zero_currents(self, octomag):
-        agent = DipoleAgent(p=(0, 0, 0), alpha=0.1, beta=0.2, dipole_magnitude=0.5)
+        agent = Pose((0.0, 0.0, 0.0), 0.1, 0.2, 0.5)
         res = allocate_torque_two_step(
-            actuation_matrix(octomag, agent.p), agent, WrenchTask.planar(0, 0)
+            actuation_matrix(octomag, agent.p), agent.tilts, agent.mag_pol,
+            (0.0, 0.0), agent.p,
         )
         np.testing.assert_allclose(res.currents, np.zeros(8), atol=1e-18)
 
@@ -230,9 +226,10 @@ class TestTorqueTwoStep:
             agent = random_agent(rng)
             task = random_task(rng)
             a_mat = actuation_matrix(octomag, agent.p)
-            res = allocate_torque_two_step(a_mat, agent, task)
+            res = allocate_torque_two_step(a_mat, agent.tilts, agent.mag_pol, task,
+                                           agent.p)
             b = (a_mat @ res.currents)[:3]
-            bound = 1e-10 * agent.dipole_magnitude * max(np.linalg.norm(b), 1e-30)
+            bound = 1e-10 * abs(agent.mag_pol) * max(np.linalg.norm(b), 1e-30)
             assert abs(float(agent.moment @ b)) <= bound
 
     def test_pinv_of_skew_closed_form(self, rng):
@@ -248,11 +245,10 @@ class TestTorqueTwoStep:
             )
 
     def test_rank_deficiency_error(self, toy_two_coil):
-        agent = DipoleAgent(p=(0, 0, 0), alpha=0.0, beta=0.0, dipole_magnitude=0.5)
         with pytest.raises(RankDeficiencyError):
             allocate_torque_two_step(
-                actuation_matrix(toy_two_coil, agent.p), agent,
-                WrenchTask.planar(1e-3, 0),
+                actuation_matrix(toy_two_coil, UPRIGHT.p), UPRIGHT.tilts,
+                UPRIGHT.mag_pol, (1e-3, 0.0), UPRIGHT.p,
             )
 
 
@@ -265,10 +261,12 @@ class TestOneVsTwoStep:
             task = random_task(rng)
             a_mat = actuation_matrix(octomag, agent.p)
             one = allocate_torque_one_step(
-                a_mat, agent, params, task, include_force=False
+                a_mat, agent.tilts, agent.mag_pol, task, 0.0
             ).currents
-            two = allocate_torque_two_step(a_mat, agent, task).currents
-            zeta = zeta_star(a_mat, agent, task)
+            two = allocate_torque_two_step(
+                a_mat, agent.tilts, agent.mag_pol, task, agent.p
+            ).currents
+            zeta = zeta_star(a_mat, agent.tilts, agent.mag_pol, task)
             a_b_pinv = np.linalg.pinv(a_mat[:3], rcond=1e-10)
             shift = zeta * (a_b_pinv @ agent.moment)
             scale = max(np.linalg.norm(one), 1e-30)
@@ -296,39 +294,40 @@ class TestOneVsTwoStep:
             task = random_task(rng)
             a_mat = actuation_matrix(octomag, agent.p)
             one = allocate_torque_one_step(
-                a_mat, agent, params, task, include_force=False
+                a_mat, agent.tilts, agent.mag_pol, task, 0.0
             )
-            two = allocate_torque_two_step(a_mat, agent, task)
-            zeta = zeta_star(a_mat, agent, task)
+            two = allocate_torque_two_step(
+                a_mat, agent.tilts, agent.mag_pol, task, agent.p
+            )
+            zeta = zeta_star(a_mat, agent.tilts, agent.mag_pol, task)
             b_one = (a_mat @ one.currents)[:3]
             b_two = (a_mat @ two.currents)[:3]
             np.testing.assert_allclose(
                 b_one, b_two + zeta * agent.moment, atol=1e-12
             )
             lhs = float(b_one @ b_one)
-            rhs = float(b_two @ b_two) + zeta**2 * agent.dipole_magnitude**2
+            rhs = float(b_two @ b_two) + zeta**2 * agent.mag_pol**2
             assert abs(lhs - rhs) <= 1e-9 * max(rhs, 1e-30)
 
     def test_zeta_zero_at_symmetric_center(self, octomag, params):
         # At the array center the field rows have orthogonal principal axes
         # with the dipole along one of them, so the one- and two-step
         # allocations coincide and zeta* vanishes.
-        agent = DipoleAgent(p=(0, 0, 0), alpha=0.0, beta=0.0, dipole_magnitude=0.5)
-        task = WrenchTask.planar(2e-3, -1e-3)
+        agent, task = UPRIGHT, (2e-3, -1e-3)
         a_mat = actuation_matrix(octomag, agent.p)
-        assert abs(zeta_star(a_mat, agent, task)) < 1e-12
-        one = allocate_torque_one_step(a_mat, agent, params, task, include_force=False)
-        two = allocate_torque_two_step(a_mat, agent, task)
+        assert abs(zeta_star(a_mat, agent.tilts, agent.mag_pol, task)) < 1e-12
+        one = allocate_torque_one_step(a_mat, agent.tilts, agent.mag_pol, task, 0.0)
+        two = allocate_torque_two_step(a_mat, agent.tilts, agent.mag_pol, task, agent.p)
         np.testing.assert_allclose(one.currents, two.currents, atol=1e-12)
 
     def test_zeta_degenerate_error(self, toy_two_coil):
         # Coaxial coils produce field only along x at the midpoint; a dipole
         # along z has no realizable parallel component, A_b^+ m = 0.
-        agent = DipoleAgent(p=(0, 0.05, 0), alpha=0.0, beta=0.0, dipole_magnitude=0.5)
+        agent = Pose((0.0, 0.05, 0.0), 0.0, 0.0, 0.5)
         a_mat = actuation_matrix(toy_two_coil, agent.p)
         if np.linalg.norm(np.linalg.pinv(a_mat[:3], rcond=1e-10) @ agent.moment) < 1e-12:
             with pytest.raises(DegenerateTaskError):
-                zeta_star(a_mat, agent, WrenchTask.planar(1e-3, 0))
+                zeta_star(a_mat, agent.tilts, agent.mag_pol, (1e-3, 0.0))
         else:  # pragma: no cover - geometry guard
             pytest.skip("toy geometry unexpectedly actuates the dipole direction")
 
@@ -341,10 +340,11 @@ class TestMultiStepDiagnostics:
             agent = random_agent(rng)
             task = random_task(rng)
             a_mat = actuation_matrix(octomag, agent.p)
-            one = allocate_torque_one_step(a_mat, agent, params, task)
+            one = allocate_torque_one_step(a_mat, agent.tilts, agent.mag_pol, task,
+                                           params.magnet_offset)
             jm = allocate_torque_twostep_jm(a_mat, agent, params, task)
             ma = allocate_torque_twostep_ma(a_mat, agent, params, task)
-            tau = max(np.linalg.norm(task.tau_c_body), 1e-30)
+            tau = max(np.linalg.norm(task), 1e-30)
             assert jm.residual_norm <= 1e-9 * tau
             assert ma.residual_norm <= 1e-9 * tau
             norm_one = np.linalg.norm(one.currents)
@@ -354,7 +354,7 @@ class TestMultiStepDiagnostics:
 
 class TestMultiField:
     def test_zero_commands(self, octomag):
-        cmds = [FieldCommand(0, 0, 0.0), FieldCommand(0, 0, 0.0)]
+        cmds = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
         pts = [np.array([0.03, 0, 0]), np.array([-0.03, 0, 0])]
         res = allocate_multi_field([actuation_matrix(octomag, p) for p in pts], cmds)
         np.testing.assert_allclose(res.currents, np.zeros(8), atol=1e-18)
@@ -363,8 +363,8 @@ class TestMultiField:
         # Reflecting positions and commands across the y-z plane permutes the
         # coils of the preset; the unique minimum-norm currents follow suit.
         d = 0.0325
-        cmd_a = FieldCommand(u_alpha=0.15, u_beta=-0.1, magnitude=0.02)
-        cmd_b = FieldCommand(u_alpha=-0.15, u_beta=-0.1, magnitude=0.02)
+        cmd_a = (0.15, -0.1, 0.02)
+        cmd_b = (-0.15, -0.1, 0.02)
         res = allocate_multi_field(
             [actuation_matrix(octomag, p) for p in ([d, 0, 0], [-d, 0, 0])],
             [cmd_a, cmd_b],
@@ -378,21 +378,21 @@ class TestMultiField:
         # Holding 65 mT at two points 6.5 cm apart drives at least one coil
         # to the 16 A saturation limit.
         d = 0.0325
-        cmd = FieldCommand(0.0, 0.0, 0.065)
+        cmd = (0.0, 0.0, 0.065)
         a_mats = [actuation_matrix(octomag, p) for p in ([d, 0, 0], [-d, 0, 0])]
         res = allocate_multi_field(a_mats, [cmd, cmd])
         assert np.max(np.abs(res.currents)) > 15.5
         for a_mat in a_mats:
-            assert np.linalg.norm(a_mat[:3] @ res.currents - cmd.setpoint) < 1e-9
+            assert np.linalg.norm(a_mat[:3] @ res.currents - field_setpoint(*cmd)) < 1e-9
 
     def test_per_agent_residuals_and_fields(self, octomag, rng):
         pts = [np.array([0.02, 0.01, 0]), np.array([-0.02, -0.01, 0.01])]
-        cmds = [FieldCommand(0.2, 0.1, 0.015), FieldCommand(-0.1, 0.05, 0.02)]
+        cmds = [(0.2, 0.1, 0.015), (-0.1, 0.05, 0.02)]
         res = allocate_multi_field([actuation_matrix(octomag, p) for p in pts], cmds)
         assert res.residual_norm < 1e-10
         for p, cmd in zip(pts, cmds):
             np.testing.assert_allclose(
-                actuation_matrix(octomag, p)[:3] @ res.currents, cmd.setpoint,
+                actuation_matrix(octomag, p)[:3] @ res.currents, field_setpoint(*cmd),
                 atol=1e-10,
             )
 
@@ -404,7 +404,7 @@ class TestMultiField:
 class TestFieldAllocator:
     """The per-run field allocation builds its target in floats; its
     currents and residual equal, bit for bit, those of the per-command
-    ``FieldCommand.setpoint`` oracle, ``allocate_multi_field``."""
+    ``field_setpoint`` oracle, ``allocate_multi_field``."""
 
     @pytest.mark.parametrize("points,polarities", [
         pytest.param([(0.01, -0.005, 0.0)], [1], id="one-agent-8-rows"),
@@ -423,8 +423,8 @@ class TestFieldAllocator:
             res = allocate((), outputs)
             # A polarity -1 magnet's command is inverted: b(pi + u, -v).
             oracle = allocate_multi_field(a_mats, [
-                FieldCommand(u_a, u_b, magnitude) if pol == 1
-                else FieldCommand(math.pi + u_a, -u_b, magnitude)
+                (u_a, u_b, magnitude) if pol == 1
+                else (math.pi + u_a, -u_b, magnitude)
                 for pol, (u_a, u_b) in zip(polarities, outputs)
             ])
             np.testing.assert_array_equal(res.currents, oracle.currents)
@@ -434,15 +434,22 @@ class TestFieldAllocator:
 class TestMultiTorque:
     def _agents(self):
         d = 0.0325
-        a1 = DipoleAgent(p=(d, 0, 0), alpha=0.05, beta=0.02, dipole_magnitude=0.5)
-        a2 = DipoleAgent(p=(-d, 0, 0), alpha=-0.03, beta=0.04, dipole_magnitude=0.5)
+        a1 = Pose((d, 0.0, 0.0), 0.05, 0.02, 0.5)
+        a2 = Pose((-d, 0.0, 0.0), -0.03, 0.04, 0.5)
         return a1, a2
+
+    @staticmethod
+    def _solve(a_mats, agents, params, taus):
+        return allocate_multi_torque(
+            a_mats, [a.tilts for a in agents], [a.mag_pol for a in agents], taus,
+            params.magnet_offset,
+        )
 
     def test_zero_tasks(self, octomag, params):
         agents = self._agents()
-        res = allocate_multi_torque(
-            [actuation_matrix(octomag, a.p) for a in agents], list(agents), params,
-            [WrenchTask.planar(0, 0)] * 2,
+        res = self._solve(
+            [actuation_matrix(octomag, a.p) for a in agents], agents, params,
+            [(0.0, 0.0)] * 2,
         )
         np.testing.assert_allclose(res.currents, np.zeros(8), atol=1e-18)
 
@@ -451,10 +458,10 @@ class TestMultiTorque:
         a_mats = [actuation_matrix(octomag, a.p) for a in agents]
         for _ in range(20):
             tasks = [random_task(rng, 1e-3), random_task(rng, 1e-3)]
-            res = allocate_multi_torque(a_mats, list(agents), params, tasks)
+            res = self._solve(a_mats, agents, params, tasks)
             for a_mat, agent, task in zip(a_mats, agents, tasks):
                 realized = composed_torque_map(a_mat, agent, params) @ res.currents
-                tau = max(np.linalg.norm(task.tau_c_body), 1e-30)
+                tau = max(np.linalg.norm(task), 1e-30)
                 residual = np.linalg.norm(realized - world_torque(agent, task))
                 assert residual <= 1e-9 * tau
 
@@ -462,12 +469,12 @@ class TestMultiTorque:
         agents = self._agents()
         a_mats = [actuation_matrix(octomag, a.p) for a in agents]
         tasks = [random_task(rng, 1e-3), random_task(rng, 1e-3)]
-        res = allocate_multi_torque(a_mats, list(agents), params, tasks)
+        res = self._solve(a_mats, agents, params, tasks)
         stacked = np.vstack(
             [composed_torque_map(m, a, params) for m, a in zip(a_mats, agents)]
         )
         target = np.concatenate(
-            [a.rotation_t @ np.array(t.tau_c_body) for a, t in zip(agents, tasks)]
+            [world_torque(a, t) for a, t in zip(agents, tasks)]
         )
         np.testing.assert_allclose(
             res.currents, min_norm_oracle(stacked, target), atol=1e-8
@@ -476,11 +483,11 @@ class TestMultiTorque:
     def test_embedded_single_agent_dominance(self, octomag, params):
         agents = self._agents()
         a_mats = [actuation_matrix(octomag, a.p) for a in agents]
-        task = WrenchTask.planar(1e-3, 0.5e-3)
-        single = allocate_torque_one_step(a_mats[0], agents[0], params, task)
-        multi = allocate_multi_torque(
-            a_mats, list(agents), params, [task, WrenchTask.planar(0, 0)]
+        task = (1e-3, 0.5e-3)
+        single = allocate_torque_one_step(
+            a_mats[0], agents[0].tilts, agents[0].mag_pol, task, params.magnet_offset
         )
+        multi = self._solve(a_mats, agents, params, [task, (0.0, 0.0)])
         assert (
             np.linalg.norm(multi.currents)
             >= np.linalg.norm(single.currents) - 1e-12
@@ -490,10 +497,9 @@ class TestMultiTorque:
         # Millinewton-meter tasks on both preset positions land in the
         # ampere range (order 1 A, preset-dependent).
         agents = self._agents()
-        tasks = [WrenchTask.planar(1e-3, 0.5e-3), WrenchTask.planar(-0.7e-3, 0.8e-3)]
-        res = allocate_multi_torque(
-            [actuation_matrix(octomag, a.p) for a in agents], list(agents), params,
-            tasks,
+        tasks = [(1e-3, 0.5e-3), (-0.7e-3, 0.8e-3)]
+        res = self._solve(
+            [actuation_matrix(octomag, a.p) for a in agents], agents, params, tasks
         )
         peak = np.max(np.abs(res.currents))
         assert 0.1 < peak < 10.0
@@ -505,9 +511,9 @@ class TestMultiTorque:
         )
         agents = self._agents()
         with pytest.raises(RankDeficiencyError, match="agent 0"):
-            allocate_multi_torque(
-                [actuation_matrix(single, a.p) for a in agents], list(agents), params,
-                [WrenchTask.planar(1e-3, 0)] * 2,
+            self._solve(
+                [actuation_matrix(single, a.p) for a in agents], agents, params,
+                [(1e-3, 0.0)] * 2,
             )
 
 
@@ -539,32 +545,25 @@ def _torque_case(draw):
             draw(_floats(-0.04, 0.04)),
             draw(_floats(*_Z_RANGE[model.name])),
         )
-        agents.append(
-            DipoleAgent(
-                p=p,
-                alpha=draw(_floats(-0.6, 0.6)),
-                beta=draw(_floats(-0.6, 0.6)),
-                dipole_magnitude=draw(_floats(0.2, 2.0)),
-                polarity=draw(st.sampled_from((1, -1))),
-            )
-        )
-        tasks.append(
-            WrenchTask.planar(draw(_floats(-5e-3, 5e-3)), draw(_floats(-5e-3, 5e-3)))
-        )
+        alpha, beta = draw(_floats(-0.6, 0.6)), draw(_floats(-0.6, 0.6))
+        dipole = draw(_floats(0.2, 2.0))
+        agents.append(Pose(p, alpha, beta, draw(st.sampled_from((1, -1))) * dipole))
+        tasks.append((draw(_floats(-5e-3, 5e-3)), draw(_floats(-5e-3, 5e-3))))
     return model, agents, tasks, draw(st.booleans())
 
 
 def _plane_solve(a_mats, agents, params, tasks, include_force):
     """The production body-plane solve of the case: the one-step and
-    multi-agent wrappers, or one call of the lever-0
-    ``alloc.torque_allocator`` for two agents without gradient forces."""
+    multi-agent wrappers, at the magnet offset or, without gradient forces,
+    at lever 0."""
+    lever = params.magnet_offset if include_force else 0.0
     if len(agents) == 1:
         return allocate_torque_one_step(
-            a_mats[0], agents[0], params, tasks[0], include_force=include_force
+            a_mats[0], agents[0].tilts, agents[0].mag_pol, tasks[0], lever
         )
-    if include_force:
-        return allocate_multi_torque(a_mats, agents, params, tasks)
-    return alloc._torque_call(a_mats, agents, tasks, 0.0)
+    return allocate_multi_torque(
+        a_mats, [a.tilts for a in agents], [a.mag_pol for a in agents], tasks, lever
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,27 +618,24 @@ def test_two_step_closed_form_matches_world_frame_oracle(
 ):
     tau = (polar[0] * math.cos(polar[1]), polar[0] * math.sin(polar[1]))
     z_lo, z_hi = _Z_RANGE[model.name]
-    agent = DipoleAgent(
-        p=(*xy, z_lo + z_unit * (z_hi - z_lo)), alpha=tilts[0], beta=tilts[1],
-        dipole_magnitude=dipole, polarity=polarity,
-    )
-    task = WrenchTask.planar(*tau)
-    a_mat = actuation_matrix(model, agent.p)
     mag_pol = polarity * dipole
+    agent = Pose((*xy, z_lo + z_unit * (z_hi - z_lo)), *tilts, mag_pol)
+    a_mat = actuation_matrix(model, agent.p)
 
     # The field of the first step, with or without field authority.
     rows = torque_rows(agent.alpha, agent.beta, mag_pol, 0.0)[:, :3]
     b_oracle = np.linalg.pinv(skew(agent.moment), rcond=1e-10) @ world_torque(
-        agent, task
+        agent, tau
     )
     b_closed = two_step_field(rows, np.array(tau), mag_pol)
     assert np.linalg.norm(b_closed - b_oracle) <= 1e-12 * np.linalg.norm(b_oracle)
 
     # The same rank verdict, with the same message, and the same currents.
     outcomes = []
-    for solve in (allocate_torque_two_step, two_step_world):
+    for solve in (lambda: allocate_torque_two_step(a_mat, tilts, mag_pol, tau, agent.p),
+                  lambda: two_step_world(a_mat, agent, tau)):
         try:
-            outcomes.append(solve(a_mat, agent, task))
+            outcomes.append(solve())
         except RankDeficiencyError as exc:
             outcomes.append(str(exc))
     closed, oracle = outcomes
@@ -653,9 +649,10 @@ def test_two_step_closed_form_matches_world_frame_oracle(
 
     # zeta*: the same verdict on degeneracy, and the same shift.
     outcomes = []
-    for zeta in (zeta_star, zeta_star_world):
+    for zeta in (lambda: zeta_star(a_mat, tilts, mag_pol, tau),
+                 lambda: zeta_star_world(a_mat, agent, tau)):
         try:
-            outcomes.append(zeta(a_mat, agent, task))
+            outcomes.append(zeta())
         except DegenerateTaskError:
             outcomes.append(None)
     closed, oracle = outcomes
@@ -835,26 +832,24 @@ def test_per_call_wrapper_is_the_simulated_tick(case):
     assert np.max(np.abs(trace.currents_cmd)) < scenario.emns.current_limit
     params = scenario.plant
     a_mats = [actuation_matrix(scenario.model, s.position) for s in scenario.agents]
+    mag_pols = [s.polarity * params.dipole_magnitude for s in scenario.agents]
+    lever = params.magnet_offset if scenario.include_force else 0.0
     for k in range(len(trace.t)):
-        agents = [
-            DipoleAgent(p=s.position, alpha=float(trace.alpha[k, i]),
-                        beta=float(trace.beta[k, i]),
-                        dipole_magnitude=params.dipole_magnitude, polarity=s.polarity)
-            for i, s in enumerate(scenario.agents)
-        ]
+        tilts = list(zip(trace.alpha[k].tolist(), trace.beta[k].tolist()))
         outputs = list(zip(trace.outputs_alpha[k].tolist(),
                            trace.outputs_beta[k].tolist()))
-        tasks = [WrenchTask.planar(out_b, out_a) for out_a, out_b in outputs]
+        taus = [(out_b, out_a) for out_a, out_b in outputs]
         if case == "field_alignment":
-            assert agents[0].polarity == 1
-            command = FieldCommand(*outputs[0], scenario.field_magnitude)
-            res = allocate_field_alignment(a_mats[0], command)
+            assert scenario.agents[0].polarity == 1
+            res = allocate_field_alignment(a_mats[0], *outputs[0],
+                                           scenario.field_magnitude)
         elif case == "torque_two_step":
-            res = allocate_torque_two_step(a_mats[0], agents[0], tasks[0])
+            res = allocate_torque_two_step(a_mats[0], tilts[0], mag_pols[0], taus[0],
+                                           scenario.agents[0].position)
         elif case == "multi_torque":
-            res = allocate_multi_torque(a_mats, agents, params, tasks)
+            res = allocate_multi_torque(a_mats, tilts, mag_pols, taus, lever)
         else:
-            res = allocate_torque_one_step(a_mats[0], agents[0], params, tasks[0],
-                                           include_force=scenario.include_force)
+            res = allocate_torque_one_step(a_mats[0], tilts[0], mag_pols[0], taus[0],
+                                           lever)
         np.testing.assert_array_equal(res.currents, trace.currents_cmd[k])
         assert res.residual_norm == trace.residuals[k]

@@ -28,6 +28,13 @@ BAD_COIL_MODEL = json.dumps({"name": "bad", "coils": [
     {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 2.0], "moment_per_ampere": 50.0}
 ]})
 
+# The octomag8 coils at 1e308 A m^2/A: A(p) overflows, and its SVD does not
+# converge.
+HUGE_COIL_MODEL = {"name": "huge", "coils": [
+    {"position": list(c.position), "axis": list(c.axis), "moment_per_ampere": 1e308}
+    for c in get_model("octomag8").coils
+]}
+
 # Two coils on the x and y axes, 20 cm out, pointing at the origin.
 TWO_COILS = [
     {"position": [0.2, 0, 0], "axis": [-1, 0, 0], "moment_per_ampere": 50.0},
@@ -441,6 +448,9 @@ class TestWorkspaceCommand:
             pytest.param(("grid",), ON_COIL_GRID, id="grid-on-coil-centre"),
             pytest.param(("model",), BAD_COIL_MODEL, id="model-bad-coil-axis"),
             (("current_limit",), "NaN"),
+            (("current_limit",), "-1.0"),
+            pytest.param(("second_agent",), json.dumps(list(_COIL_CENTRE)),
+                         id="second-agent-on-coil-centre"),
             (("second_agent",), "[NaN, 0.0, 0.0]"),
             (("grid", "x"), "[0.0, 1e300]"),
             (("grid", "z"), "[-Infinity, 0.0]"),
@@ -472,6 +482,18 @@ class TestWorkspaceCommand:
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    def test_numerical_failure_exit_2(self, small_workspace, tmp_path, capsys):
+        # It was reported as a config error.
+        data = {**json.loads(small_workspace.read_text()), "model": HUGE_COIL_MODEL}
+        cfg = write_json(tmp_path / "huge.json", data)
+        out = tmp_path / "o"
+        assert main(["workspace", "--config", str(cfg), "--out", str(out)]) == 2
+        error = "LinAlgError: SVD did not converge"
+        assert capsys.readouterr().err == f"numerical failure: workspace failed: {error}\n"
+        assert sorted(out.iterdir()) == [out / "small_failure.json"]
+        record = json.loads((out / "small_failure.json").read_text())
+        assert record == {"stage": "workspace", "error": error}
 
     def test_grid_point_cap_is_config_error(
         self, small_workspace, tmp_path, capsys, monkeypatch
@@ -649,6 +671,31 @@ class TestAllocBench:
         )
         assert record["strategy"] == strategy
         assert "rank-deficient" in record["error"]
+
+    @pytest.mark.parametrize(
+        "key,value,error",
+        [("model", HUGE_COIL_MODEL, "LinAlgError: SVD did not converge"),
+         ("dipole_magnitude", 1e300,
+          "OverflowError: (34, 'Numerical result out of range')")],
+    )
+    def test_numerical_error_is_allocation_failure(
+        self, tmp_path, capsys, key, value, error
+    ):
+        # Both were tracebacks.  The record names the block of samples that
+        # failed, here the first of two.
+        data = json.loads(self.make_config(tmp_path, samples=BLOCK + 44).read_text())
+        data[key] = value
+        cfg = write_json(tmp_path / "bench.json", data)
+        out = tmp_path / "o"
+        assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"numerical failure: allocation failed in samples 0 to {BLOCK - 1}: "
+            f"{error}\n"
+        )
+        assert sorted(out.iterdir()) == [out / "bench_failure.json"]
+        record = json.loads((out / "bench_failure.json").read_text())
+        assert record == {"stage": "allocation", "samples": [0, BLOCK - 1],
+                          "error": error}
 
     @pytest.mark.parametrize(
         "key,value",

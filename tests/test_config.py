@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from emnav.config import (
     Section,
     Whole,
 )
+from emnav.magmodel import get_model
 from emnav.sim import (
     CHANNELS,
     DISTURBANCE_KINDS,
@@ -394,11 +396,11 @@ def values(kind, current, section: str, key: str):
     return st.lists(values(kind.item, None, section, key), max_size=2)
 
 
-def sites(config: dict) -> list:
+def sites(config: dict, schema: Section = SCENARIO) -> list:
     """(path, kind, section name, key) of every value the fuzzer may draw."""
     return [
         (parts + (key,), kind, section.name, key)
-        for parts, section, value in sections(config, SCENARIO)
+        for parts, section, value in sections(config, schema)
         for key, (kind, _) in section.keys.items()
         if key not in ("kind", "name", "duration")
         and (kind in (NUMBER, BOOL) or isinstance(kind, Whole)
@@ -414,6 +416,56 @@ def artifacts(out: Path) -> dict:
 SIMULATE_BASES = [spelled_out(c) for c in bundled() if command_of(c) == "simulate"]
 
 
+def inline_model(config: dict) -> dict:
+    """An alloc-bench or workspace config with its preset coil model written
+    as coils, so that ``sites`` reaches the coil table."""
+    model = get_model(config.get("model", "octomag8"))
+    config["model"] = {"name": model.name, "coils": [
+        {"position": list(c.position), "axis": list(c.axis),
+         "moment_per_ampere": c.moment_per_ampere} for c in model.coils]}
+    return config
+
+
+BENCH_AND_MAP_BASES = [inline_model(c) for c in bundled()
+                       if command_of(c) != "simulate"]
+
+
+def redraw(data, config: dict, schema: Section) -> None:
+    """Redraw one to three in-range values of ``config``."""
+    drawn = data.draw(st.lists(st.sampled_from(sites(config, schema)), min_size=1,
+                               max_size=3, unique_by=lambda site: site[0]))
+    for parts, kind, section, key in drawn:
+        owner = config
+        for part in parts[:-1]:
+            owner = owner[part]
+        set_at(config, parts, data.draw(values(kind, owner.get(key), section, key)))
+
+
+def runs_or_fails_numerically(tmp_path, capsys, command: str, config: dict,
+                              name: str) -> int:
+    """Run ``config`` twice: each run exits 0, or 2 with a failure record
+    and one stderr line, without a traceback or a RuntimeWarning, and the
+    reruns match byte for byte.  Returns the exit code."""
+    runs = []
+    for _ in range(2):
+        where = Path(tempfile.mkdtemp(dir=tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(where, command, config)
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "config error" not in err and "Traceback" not in err
+        out = where / "out"
+        if code == 2:
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+            record = out / f"{name}_failure.json"
+            summary = out / f"{name}_summary.json"
+            assert record.exists() or json.loads(summary.read_text())["failure"]
+        runs.append((code, artifacts(out)))
+    assert runs[0] == runs[1]
+    return code
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.filter_too_much])
@@ -424,31 +476,87 @@ def test_in_range_config_runs_or_fails_numerically(tmp_path, capsys, data):
     # reruns byte for byte.  One to three values of a bundled config are
     # redrawn, and the run is cut to at most 0.1 s and 100 agent-ticks.
     config = copy.deepcopy(data.draw(st.sampled_from(SIMULATE_BASES)))
-    drawn = data.draw(st.lists(st.sampled_from(sites(config)), min_size=1,
-                               max_size=3, unique_by=lambda site: site[0]))
-    for parts, kind, section, key in drawn:
-        owner = config
-        for part in parts[:-1]:
-            owner = owner[part]
-        set_at(config, parts, data.draw(values(kind, owner.get(key), section, key)))
+    redraw(data, config, SCENARIO)
     config["duration"] = data.draw(st.floats(1e-3, 0.1))
     try:
         scenario = scenario_from_dict(config)
     except ConfigError:
         reject()
     assume(scenario.schedule.ticks * len(scenario.agents) <= 100)
-    runs = []
-    for _ in range(2):
-        where = Path(tempfile.mkdtemp(dir=tmp_path))
-        code = run(where, "simulate", config)
-        err = capsys.readouterr().err
-        assert code in (0, 2), err
-        event(f"exit {code}")
-        assert "config error" not in err and "Traceback" not in err
-        out = where / "out"
-        if code == 2:
-            record = out / f"{scenario.name}_failure.json"
-            summary = out / f"{scenario.name}_summary.json"
-            assert record.exists() or json.loads(summary.read_text())["failure"]
-        runs.append((code, artifacts(out)))
-    assert runs[0] == runs[1]
+    code = runs_or_fails_numerically(tmp_path, capsys, "simulate", config,
+                                     scenario.name)
+    event(f"exit {code}")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_in_range_bench_and_map_config_runs_or_fails_numerically(
+    tmp_path, capsys, data
+):
+    # The same for alloc-bench and workspace, their coil model written out:
+    # at most 3 samples (the bundled alloc-bench is cut to 3) and 500 grid
+    # points.  A grid point or the second agent on a coil is the one
+    # documented config error after the read.
+    config = copy.deepcopy(data.draw(st.sampled_from(BENCH_AND_MAP_BASES)))
+    command = command_of(config)
+    redraw(data, config, SCHEMAS[command])
+    try:
+        read = SCHEMAS[command].read(config)
+    except ConfigError:
+        reject()
+    if command == "workspace":
+        assume(math.prod(read["grid"]._axis_count(k) for k in "xyz") <= 500)
+    try:
+        code = runs_or_fails_numerically(tmp_path, capsys, command, config,
+                                         read["name"])
+    except AssertionError as exc:  # its message holds the stderr
+        if "coincides with coil" not in str(exc):
+            raise
+        reject()
+    event(f"exit {code}")
+
+
+def _bench() -> dict:
+    return {**load("alloc_bench"), "samples": 50}
+
+
+def _navion_map() -> dict:
+    return load("workspace_navion_standoff")
+
+
+def _huge_coils(config: dict) -> dict:
+    """``config`` with its coil model written inline at 1e308 A m^2/A."""
+    config = inline_model(config)
+    for coil in config["model"]["coils"]:
+        coil["moment_per_ampere"] = 1e308
+    return config
+
+
+@pytest.mark.parametrize(
+    "config,code",
+    [
+        # An SVD that did not converge and an overflow were tracebacks; a
+        # workspace SVD failure was a config error.
+        pytest.param(_huge_coils(_bench()), 2, id="alloc-bench-huge-coils"),
+        pytest.param({**_bench(), "dipole_magnitude": 1e300}, 2,
+                     id="alloc-bench-dipole_magnitude-1e300"),
+        # A range too wide for numpy's uniform draw: a traceback too.
+        pytest.param({**_bench(), "position_radius": 1e308}, 2,
+                     id="alloc-bench-position_radius-1e308"),
+        pytest.param(_huge_coils(_navion_map()), 2, id="workspace-huge-coils"),
+        # These ran, but numpy warned.
+        pytest.param({**_bench(), "tau_bar": 1e308}, 0,
+                     id="alloc-bench-tau_bar-1e308"),
+        pytest.param({**_bench(), "dipole_magnitude": 1e-300}, 0,
+                     id="alloc-bench-dipole_magnitude-1e-300"),
+        pytest.param({**_navion_map(), "tasks": {
+            "torque-box": {"tau_bar": 1e308},
+            "fixed-field": {"field_magnitude": 0.025}}}, 0,
+            id="workspace-tau_bar-1e308"),
+    ],
+)
+def test_probe_configs_run_or_fail_numerically(tmp_path, capsys, config, code):
+    assert runs_or_fails_numerically(
+        tmp_path, capsys, command_of(config), config, config["name"]) == code

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from helpers import (
+    Pose,
     dipole_field,
     dipole_field_jacobian,
     pack_gradient,
@@ -36,12 +37,10 @@ from helpers import (
 )
 
 from emnav import magmodel
-from emnav.alloc import WrenchTask
 from emnav.magmodel import (
     GRAM_COND_BOUND,
     RANK_RTOL,
     CoilSpec,
-    DipoleAgent,
     SingularPositionError,
     actuation_matrices,
     actuation_matrix,
@@ -246,17 +245,18 @@ class TestPresets:
 
 
 class TestDipoleAgent:
+    """The pivoted dipole's frames (``body_frames``) and torque rows."""
+
     @given(alpha=angles, beta=angles)
     @settings(max_examples=60, deadline=None)
     def test_rotation_matches_scipy_euler(self, alpha, beta):
-        agent = DipoleAgent(p=(0, 0, 0), alpha=alpha, beta=beta, dipole_magnitude=1.0)
         oracle = ScipyRotation.from_euler("YX", [alpha, beta]).as_matrix()
-        np.testing.assert_allclose(agent.rotation_t, oracle, atol=1e-12)
+        np.testing.assert_allclose(body_frames(alpha, beta)[0], oracle, atol=1e-12)
 
     @given(alpha=angles, beta=angles)
     @settings(max_examples=60, deadline=None)
     def test_axis_formula(self, alpha, beta):
-        agent = DipoleAgent(p=(0, 0, 0), alpha=alpha, beta=beta, dipole_magnitude=1.0)
+        axis = body_frames(alpha, beta)[0, :, 2]
         expected = np.array(
             [
                 math.sin(alpha) * math.cos(beta),
@@ -264,9 +264,10 @@ class TestDipoleAgent:
                 math.cos(alpha) * math.cos(beta),
             ]
         )
-        np.testing.assert_allclose(agent.axis, expected, atol=1e-12)
-        assert abs(np.linalg.norm(agent.axis) - 1.0) < 1e-12
-        np.testing.assert_allclose(agent.rotation_t[:, 2], expected, atol=1e-12)
+        np.testing.assert_allclose(axis, expected, atol=1e-12)
+        assert abs(np.linalg.norm(axis) - 1.0) < 1e-12
+        np.testing.assert_allclose(Pose((0, 0, 0), alpha, beta, 1.0).axis, expected,
+                                   atol=1e-12)
 
     @given(
         tilts=st.lists(st.tuples(angles, angles), min_size=1, max_size=6),
@@ -276,16 +277,13 @@ class TestDipoleAgent:
     @settings(max_examples=60, deadline=None)
     def test_body_frames_match_scalar_formulas(self, tilts, mag_pol, tau):
         # The batched frames, and the quantities alloc-bench derives from
-        # their columns, against DipoleAgent, torque_rows and world_torque.
+        # their columns, against scipy's rotation, torque_rows and world_torque.
         alpha, beta = np.array(tilts).T
         frames = body_frames(alpha, beta)
         assert frames.shape == (len(tilts), 3, 3)
         for frame, (a, b) in zip(frames, tilts):
-            agent = DipoleAgent(
-                p=(0, 0, 0), alpha=a, beta=b, dipole_magnitude=abs(mag_pol),
-                polarity=1 if mag_pol > 0 else -1,
-            )
-            np.testing.assert_allclose(frame, agent.rotation_t, rtol=0, atol=1e-15)
+            agent = Pose((0, 0, 0), a, b, mag_pol)
+            np.testing.assert_allclose(frame, agent.frame, rtol=0, atol=1e-15)
             np.testing.assert_allclose(
                 mag_pol * frame[:, 2], agent.moment, rtol=0, atol=1e-15
             )
@@ -297,7 +295,7 @@ class TestDipoleAgent:
             )
             np.testing.assert_allclose(
                 frame[:, :2] @ np.array(tau),
-                world_torque(agent, WrenchTask.planar(*tau)),
+                world_torque(agent, tau),
                 rtol=0, atol=1e-14,
             )
 
@@ -313,19 +311,12 @@ class TestDipoleAgent:
             ))
 
     def test_moment_polarity(self):
-        up = DipoleAgent(p=(0, 0, 0), alpha=0.2, beta=-0.1, dipole_magnitude=0.7)
-        down = DipoleAgent(
-            p=(0, 0, 0), alpha=0.2, beta=-0.1, dipole_magnitude=0.7, polarity=-1
-        )
-        np.testing.assert_allclose(up.moment, -down.moment, atol=1e-16)
-        np.testing.assert_allclose(np.linalg.norm(up.moment), 0.7)
-        np.testing.assert_allclose(up.axis, down.axis)  # geometric axis unchanged
-
-    def test_polarity_validation(self):
-        with pytest.raises(ValueError):
-            DipoleAgent(p=(0, 0, 0), alpha=0.0, beta=0.0, dipole_magnitude=1.0, polarity=2)
-        with pytest.raises(ValueError):
-            DipoleAgent(p=(0, 0, 0), alpha=0.0, beta=0.0, dipole_magnitude=-1.0)
+        # Reversing the polarity reverses the moment and every torque row,
+        # the lever-arm columns too; the rows' field columns have norm |m|.
+        up = torque_rows(0.2, -0.1, 0.7, 0.05)
+        down = torque_rows(0.2, -0.1, -0.7, 0.05)
+        np.testing.assert_allclose(up, -down, atol=1e-16)
+        np.testing.assert_allclose(np.linalg.norm(up[:, :3], axis=1), 0.7)
 
 
 class TestWrenchMaps:
@@ -366,9 +357,8 @@ class TestWrenchMaps:
         np.testing.assert_allclose(stacked[3:, :3], 0.0)
 
     def test_lever_arm_polarity_independent(self):
-        kwargs = dict(p=(0, 0, 0), alpha=0.3, beta=-0.2, dipole_magnitude=0.5)
-        plus = wrench_maps(DipoleAgent(polarity=1, **kwargs), 0.05)
-        minus = wrench_maps(DipoleAgent(polarity=-1, **kwargs), 0.05)
+        plus = wrench_maps(Pose((0, 0, 0), 0.3, -0.2, 0.5), 0.05)
+        minus = wrench_maps(Pose((0, 0, 0), 0.3, -0.2, -0.5), 0.05)
         np.testing.assert_allclose(plus.jac_tilde, minus.jac_tilde, atol=1e-16)
         np.testing.assert_allclose(plus.m_b, -minus.m_b, atol=1e-16)
 
@@ -384,7 +374,7 @@ class TestTorqueMapSvd:
             np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
             np.testing.assert_allclose(vt @ vt.T, np.eye(3), atol=1e-12)
             # Singular values (|m|, |m|, 0), cross-checked with numpy's SVD.
-            mag = agent.dipole_magnitude
+            mag = abs(agent.mag_pol)
             np.testing.assert_allclose(s, [mag, mag, 0.0], atol=1e-13)
             np.testing.assert_allclose(
                 np.linalg.svd(target, compute_uv=False), sorted(s, reverse=True),
@@ -396,7 +386,7 @@ class TestTorqueMapSvd:
             agent = random_agent(rng)
             _, _, vt = torque_map_svd(agent)
             null_dir = vt[2]
-            m_hat = agent.moment / agent.dipole_magnitude
+            m_hat = agent.moment / abs(agent.mag_pol)
             cross = np.linalg.norm(np.cross(null_dir, m_hat))
             assert cross < 1e-10
             # Fields along the moment exert no torque.
@@ -413,9 +403,7 @@ class TestTorqueMapSvd:
 )
 @settings(max_examples=80, deadline=None)
 def test_svd_structure_property(alpha, beta, mag, polarity):
-    agent = DipoleAgent(
-        p=(0, 0, 0), alpha=alpha, beta=beta, dipole_magnitude=mag, polarity=polarity
-    )
+    agent = Pose((0, 0, 0), alpha, beta, polarity * mag)
     u, s, vt = torque_map_svd(agent)
     np.testing.assert_allclose(u @ np.diag(s) @ vt, skew(agent.moment), atol=1e-12 * mag)
     np.testing.assert_allclose(s / mag, [1.0, 1.0, 0.0], atol=1e-12)
@@ -566,8 +554,7 @@ def test_pinv_rank_does_not_certify_rank_two_torque_map(svd_calls):
     # raise, and trace(G) trace(G^-1) (negative: a negative rounding pivot)
     # and ||S||_F ||P0||_F alone would both pass the bound; the residual
     # ||I - S P0||_F is what fails.
-    agent = DipoleAgent(p=(0.01, -0.02, 0.03), alpha=0.3, beta=-0.2)
-    maps = wrench_maps(agent, 0.02)
+    maps = wrench_maps(Pose((0.01, -0.02, 0.03), 0.3, -0.2, 1.0), 0.02)
     jm = maps.jac @ maps.stacked
     gram_inv = np.linalg.inv(jm @ jm.T)
     p0 = jm.T @ gram_inv

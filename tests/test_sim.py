@@ -901,7 +901,7 @@ class TestBodyPlaneAllocation:
         self, monkeypatch, name, duration, edit
     ):
         # The per-run allocator solves in the body (tau_x, tau_y) plane; the
-        # oracle builds a DipoleAgent and a WrenchTask per agent per tick and
+        # oracle builds a pose and a world torque per agent per tick and
         # solves in the world frame: through the composed map J M A(p), or
         # for two-step through the SVDs of skew(m) and A_b.  The two differ
         # only by rounding, far inside the 1e-8 rad trace bound.

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import composed_torque_map, margin_at, one_map, torque_box_vertex_worst
+from helpers import (
+    Pose,
+    composed_torque_map,
+    margin_at,
+    one_map,
+    torque_box_vertex_worst,
+)
 
 from emnav import workspace
 from emnav.cli import main
@@ -18,7 +24,6 @@ from emnav.magmodel import (
     RANK_RTOL,
     ActuationModel,
     CoilSpec,
-    DipoleAgent,
     actuation_matrix,
     get_model,
 )
@@ -144,7 +149,7 @@ class TestTorqueMargin:
     def test_vertex_maximum_dominates_box_interior(self, octomag):
         # The worst-case current over the torque box is attained at a vertex
         # (linear map, convex norm); random interior tasks never exceed it.
-        agent = DipoleAgent(p=(0.02, -0.01, 0.01), dipole_magnitude=2.0)
+        agent = Pose((0.02, -0.01, 0.01), 0.0, 0.0, 2.0)
         a_mat = actuation_matrix(octomag, agent.p)
         body_map = composed_torque_map(a_mat, agent, SLED)[:2]
         pinv = np.linalg.pinv(body_map, rcond=1e-10)
@@ -332,7 +337,7 @@ class TestWorkspaceMap:
                 rows = np.vstack([
                     composed_torque_map(
                         actuation_matrix(octomag, q),
-                        DipoleAgent(p=q, dipole_magnitude=2.0),
+                        Pose(q, 0.0, 0.0, 2.0),
                         SLED,
                     )[:2]
                     for q in points
@@ -373,16 +378,13 @@ class TestWorkspaceMap:
             tau_bar = float(rng.uniform(1e-4, 5e-3))
             rows = np.vstack([
                 (
-                    agent.rotation_t.T
+                    agent.frame.T
                     @ composed_torque_map(
                         actuation_matrix(octomag, agent.p), agent, params
                     )
                 )[:2]
                 for agent in (
-                    DipoleAgent(
-                        p=q, alpha=orientation[0], beta=orientation[1],
-                        dipole_magnitude=params.dipole_magnitude,
-                    )
+                    Pose(q, *orientation, params.dipole_magnitude)
                     for q in [p] + ([] if second is None else [second])
                 )
             ])
