@@ -18,10 +18,11 @@ polarity -1 agent (under field alignment and one-step torque) and a null
 ``controller`` (on a pendulum and an actuator-only agent); two
 workspace maps whose pseudoinverses take the SVD fallback of
 ``magmodel.pinv_rank`` (a second agent on a grid point, and tall two-agent
-stacks on three coils); and a workspace cube, 9^3 points on navion3, whose
+stacks on three coils); a workspace cube, 9^3 points on navion3, whose
 lattice varies on all three axes (the bundled maps are a line and a
-plane); and a workspace config of one task, the torque box alone.  They are
-written once, from this checkout's configs, and both
+plane); a workspace config of one task, the torque box alone; and a
+two-agent run whose plant diverges, which exits 2 with a trace cut at the
+failing tick.  They are written once, from this checkout's configs, and both
 trees run the same files.  A loop that holds a coil at the current limit
 on most ticks amplifies rounding past any trace bound, so the variants
 reach the limit on a few ticks at most.  For each variant and tree the number of ticks on which
@@ -121,6 +122,13 @@ VARIANTS = {
     # 4 of the 400 ticks.
     "variant_torque_two_step": ("single_torque", {
         "duration": 2.0, "strategy": "torque_two_step"}, [{}]),
+    # A 1e200 rad/s kick on agent 1 at 0.1 s: its plant diverges and the run
+    # exits 2 at tick 20, its trace cut to 21 ticks (42 rows).
+    "variant_multi_diverges": ("multi_torque_inphase", {
+        "duration": 0.5,
+        "disturbances": [{"type": "impulse", "time": 0.1, "agent": 1,
+                          "magnitude": 1e200}],
+    }, []),
     "variant_torque_no_force": ("single_torque", {
         "duration": 2.0, "include_force": False}, [{}]),
     # A polarity -1 magnet, which no bundled scenario carries: the field

@@ -14,12 +14,13 @@ scenario, a fact such as a ``q_diag`` of the wrong length; the message names
 the JSON path), or a bad ``--seed``; 2 numerical failure: in ``simulate``,
 every failure after the config is read (synthesis, allocation or a diverging
 plant, each classified by its stage); in ``alloc-bench``, a sample whose
-torque or field rows the coil array cannot span, or draws or a solve raising
-a ``ValueError`` or ``ArithmeticError`` (an SVD that does not converge, an
-overflow); in ``workspace``, such an error but a point on a coil.  It writes
-a record, the summary's ``failure`` of a simulation that ran, else
-``<name>_failure.json``, and one ``numerical failure:`` line; numpy does not
-warn.
+torque or field rows the coil array cannot span, a current or field norm
+that is not finite, or draws or a solve raising a ``ValueError`` or
+``ArithmeticError`` (an SVD that does not converge, an overflow); in
+``workspace``, such an error (currents that overflow among them) but a point
+on a coil.  It writes a record, the summary's ``failure`` of a simulation
+that ran, else ``<name>_failure.json``, and one ``numerical failure:`` line;
+numpy does not warn.
 
 ``alloc-bench`` draws all its samples at once and solves them in blocks of
 ``magmodel.BLOCK``: one A(p) evaluation and one stacked pseudoinverse per
@@ -238,6 +239,15 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
                         "stage": "allocation", "sample": sample,
                         "strategy": strategy, "error": error,
                     }, f" at sample {sample} ({strategy})")
+                # A norm that is not finite overflowed; the angle and zeta*
+                # columns are NaN where they are undefined.
+                failed = np.flatnonzero(~np.isfinite(values[block, :4]).all(axis=1))
+                if failed.size:
+                    sample = start + int(failed[0])
+                    return _failure(record_path, {
+                        "stage": "allocation", "sample": sample,
+                        "error": "a current or field norm is not finite",
+                    }, f" at sample {sample}")
     except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         error = f"{type(exc).__name__}: {exc}"
         if start is None:  # a range too wide to draw from
@@ -361,10 +371,7 @@ def main(argv=None) -> int:
         if args.command == "alloc-bench":
             return cmd_alloc_bench(args.config, args.out, args.seed)
         return cmd_workspace(args.config, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

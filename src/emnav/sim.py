@@ -29,7 +29,9 @@ does not converge, or currents or a residual that are not finite) does.
 
 What else the tick loop reads that does not depend on the plant state is
 ``Scenario.schedule``, built by ``_schedule`` when the scenario is checked:
-tick times, impulses, tilt, bias and integrate tables by tick.
+tick times, impulses, tilt, bias and integrate tables by tick.  It records
+each agent-tick once, into one table in the trace CSV's column order
+(``SimTrace.rows``); the trace's named arrays are read-only views of it.
 
 The allocation is a closure built once per run from the agents' fixed
 actuation matrices A(p): ``_allocator`` picks ``alloc.torque_allocator`` or
@@ -90,9 +92,9 @@ from .magmodel import (
 PLANT_DT = 5e-3
 
 #: Most ticks x agents one run may take, checked before the trace is
-#: allocated.  The trace holds 11 float64 values per agent-tick and
-#: 2 + 2 * n_coils per tick, so a one-agent octomag8 run at the cap holds
-#: 29 x 8 B x 1e6 = 232 MB; the largest bundled scenario takes
+#: allocated.  The trace holds 13 + n_coils float64 values per agent-tick and
+#: 1 + n_coils per tick, so a one-agent octomag8 run at the cap holds
+#: 30 x 8 B x 1e6 = 240 MB; the largest bundled scenario takes
 #: 2 x 2400 = 4,800 agent-ticks.
 MAX_AGENT_TICKS = 1_000_000
 
@@ -444,75 +446,56 @@ def _schedule(scenario: Scenario) -> _Schedule:
                      impulses, integrate)
 
 
+def _view(index) -> property:
+    """A read-only view of ``SimTrace.rows`` at ``index``."""
+    def get(trace: SimTrace) -> np.ndarray:
+        view = trace.rows[index]
+        view.flags.writeable = False
+        return view
+    return property(get)
+
+
 @dataclass
 class SimTrace:
     """Uniform-rate closed-loop trace.
 
-    All per-agent arrays have shape (ticks, n_agents); currents have shape
-    (ticks, n_coils).  `outputs_*` hold the per-channel controller outputs:
-    torques [N·m] in the torque paradigm, commanded field angles [rad] in the
-    field paradigm.  `currents` are the applied (lagged, saturated) coil
+    ``rows`` is the trace CSV's table, shape (ticks, n_agents, 13 + n_coils);
+    the named arrays are read-only views of it, (ticks, n_agents) per agent.
+    `outputs_*` hold the per-channel controller outputs: torques [N·m] in the
+    torque paradigm, commanded field angles [rad] in the field paradigm.
+    `currents` (ticks, n_coils) are the applied (lagged, saturated) coil
     currents at the tick instant; `currents_cmd` the post-clamp commands
-    issued at that tick.
+    issued at that tick and `residuals` the allocation's, not in the CSV.
     """
 
-    t: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    alpha_sp: np.ndarray
-    beta_sp: np.ndarray
-    outputs_alpha: np.ndarray
-    outputs_beta: np.ndarray
-    currents: np.ndarray
+    rows: np.ndarray
     currents_cmd: np.ndarray
-    fields: np.ndarray  # (ticks, n_agents, 3)
     residuals: np.ndarray
     synthesis: list
     summary: dict
     failure: dict | None = None
 
+    t = _view(np.s_[:, 0, 0])
+    alpha, beta, phi, theta, alpha_sp, beta_sp = (
+        _view(np.s_[:, :, j]) for j in range(2, 8))
+    outputs_beta = _view(np.s_[:, :, 8])  # tau_x
+    outputs_alpha = _view(np.s_[:, :, 9])  # tau_y
+    currents = _view(np.s_[:, 0, 10:-3])
+    fields = _view(np.s_[:, :, -3:])
+
     @property
     def n_agents(self) -> int:
-        return self.alpha.shape[1]
+        return self.rows.shape[1]
 
     def to_csv(self, path: str | Path) -> None:
         """Write the fixed-schema trace CSV (one row per tick per agent)."""
-        ticks, n_agents = self.alpha.shape
-        n_coils = self.currents.shape[1]
-        header = (
-            ["t", "agent", "alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
-             "tau_x", "tau_y"]
-            + [f"i_{k + 1}" for k in range(n_coils)]
-            + ["b_x", "b_y", "b_z"]
-        )
-        per_agent = (
-            self.alpha, self.beta, self.phi, self.theta, self.alpha_sp,
-            self.beta_sp,
-            self.outputs_beta,  # tau_x = beta channel
-            self.outputs_alpha,  # tau_y = alpha channel
-        )
-
-        def block(start: int, stop: int) -> list:
-            # Rows are tick-major; build the ticks the rows span.
-            k0, k1 = start // n_agents, -(-stop // n_agents)
-            cols = np.empty((k1 - k0, n_agents, len(header)))
-            cols[:, :, 0] = self.t[k0:k1, None]
-            cols[:, :, 1] = np.arange(n_agents)
-            for j, column in enumerate(per_agent, 2):
-                cols[:, :, j] = column[k0:k1]
-            cols[:, :, 10:10 + n_coils] = self.currents[k0:k1, None, :]
-            cols[:, :, 10 + n_coils:] = self.fields[k0:k1]
-            skip = k0 * n_agents
-            return [*cols.reshape(-1, len(header))[start - skip:stop - skip].T]
-
-        write_csv(path, header, ticks * n_agents, block)
-
-
-#: SimTrace's (ticks, n_agents) arrays, in the order run_scenario records them.
-_PER_AGENT = ("alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
-              "outputs_alpha", "outputs_beta")
+        header = (["t", "agent", "alpha", "beta", "phi", "theta", "alpha_sp",
+                   "beta_sp", "tau_x", "tau_y"]
+                  + [f"i_{k + 1}" for k in range(self.rows.shape[2] - 13)]
+                  + ["b_x", "b_y", "b_z"])
+        table = self.rows.reshape(-1, len(header))
+        write_csv(path, header, table.shape[0],
+                  lambda start, stop: [*table[start:stop].T])
 
 
 def _joint_angles(y: tuple, attached: bool) -> tuple[float, float, float, float]:
@@ -621,16 +604,13 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     meas_buffers = [deque(maxlen=latency_ticks + 1) for _ in scenario.agents]
     noise_std = scenario.measurement_noise_std
 
-    tr = {name: np.zeros((ticks, n_agents)) for name in _PER_AGENT}
-    tr.update(
-        t=sched.t,
-        currents=np.zeros((ticks, n_coils)),
-        currents_cmd=np.zeros((ticks, n_coils)),
-        fields=np.zeros((ticks, n_agents, 3)),
-        residuals=np.zeros(ticks),
-    )
+    # The trace table (SimTrace.rows), its t and agent columns filled once.
+    rows = np.zeros((ticks, n_agents, 13 + n_coils))
+    rows[:, :, 0] = sched.t[:, None]
+    rows[:, :, 1] = np.arange(n_agents)
+    currents_cmd = np.zeros((ticks, n_coils))
+    residuals = np.zeros(ticks)
     failure = None
-    completed = ticks
 
     for k in range(ticks):
         t = k * h
@@ -660,10 +640,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             out_b = beta_ctl.step(m_be, m_th, sp_b, integrate[a_idx])
             meas_agents.append(buf[0])
             outputs.append((out_a, out_b))
-            for name, v in zip(_PER_AGENT, (*angles, sp_a, sp_b, out_a, out_b)):
-                tr[name][k, a_idx] = v
-        tr["currents"][k] = i_applied
-        tr["fields"][k] = (b_all @ i_applied).reshape(n_agents, 3)
+            rows[k, a_idx, 2:10] = (*angles, sp_a, sp_b, out_b, out_a)
+        rows[k, :, 10:-3] = i_applied
+        rows[k, :, -3:] = (b_all @ i_applied).reshape(n_agents, 3)
 
         # Allocation (on measured orientations); LinAlgError and a math
         # domain error are ValueErrors.
@@ -676,11 +655,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         except (RankDeficiencyError, ValueError, ArithmeticError) as exc:
             failure = {"stage": "allocation", "time": float(t), "tick": k,
                        "error": str(exc)}
-            completed = k + 1
             break
-        tr["residuals"][k] = result.residual_norm
-        i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
-        tr["currents_cmd"][k] = i_cmd
+        residuals[k] = result.residual_norm
+        currents_cmd[k] = i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
 
         # Current grids across the tick under the first-order driver lag.
         diff = i_applied - i_cmd
@@ -706,15 +683,13 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 error = "plant diverged: non-finite state"
             failure = {"stage": "integration", "time": float(t), "tick": k,
                        "agent": a_idx, "error": error}
-            completed = k + 1
             break
         if failure is not None:
             break
 
-    trace = SimTrace(
-        **{name: a[:completed] for name, a in tr.items()},
-        synthesis=synthesis, summary={}, failure=failure,
-    )
+    n = ticks if failure is None else k + 1  # through the failing tick
+    trace = SimTrace(rows[:n], currents_cmd[:n], residuals[:n], synthesis, {},
+                     failure)
     trace.summary = _summarize(scenario, trace)
     return trace
 

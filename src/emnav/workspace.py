@@ -192,6 +192,15 @@ _REACH_RTOL = 1.0e-6
 _FLAG_LABELS = ("", "singular", "near-contact", "singular+near-contact")
 
 
+def _check_finite(values: np.ndarray, kind: str, start: int) -> None:
+    """Raise FloatingPointError naming the first point of a block (its
+    first point at ``start``) with a value that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
+    if bad.size:
+        raise FloatingPointError(f"the {kind} task's currents overflow at grid "
+                                 f"point {start + int(bad[0])}")
+
+
 def _worst_currents(
     model: ActuationModel,
     tasks: list[tuple[str, float]],
@@ -229,10 +238,14 @@ def _worst_currents(
     - fixed field: the set is one vector, which is realizable exactly when
       the least-squares residual vanishes; a residual above ``_REACH_RTOL``
       of the task's norm marks it out of reach, whatever the rank.
+
+    A demand (torque box) or currents (fixed field) that are not finite
+    overflowed: they raise FloatingPointError, naming the first such point,
+    before either test, so +inf means a rank or reach failure only.
     """
     a_other = (None if second_agent is None
                else actuation_matrix(model, np.asarray(second_agent, float)))
-    plans = []  # per task: rows W, the second agent's W A, target, size
+    plans = []  # per task: kind, rows W, the second agent's W A, target, size
     for kind, size in tasks:
         if kind == "torque-box":
             rows = torque_rows(*orientation, params.dipole_magnitude,
@@ -248,12 +261,12 @@ def _worst_currents(
             other = rows @ a_other
             if task is not None:
                 task = np.concatenate([task, task])
-        plans.append((rows, other, task, size))
+        plans.append((kind, rows, other, task, size))
 
     worst = [np.empty(positions.shape[0]) for _ in tasks]
     for start in range(0, positions.shape[0], BLOCK):
         a_mats = actuation_matrices(model, positions[start : start + BLOCK])
-        for (rows, other, task, size), out in zip(plans, worst):
+        for (kind, rows, other, task, size), out in zip(plans, worst):
             stack = rows @ a_mats
             if other is not None:
                 tail = np.broadcast_to(other, (stack.shape[0],) + other.shape)
@@ -262,9 +275,11 @@ def _worst_currents(
             block = out[start : start + BLOCK]
             if task is None:
                 block[:] = size * np.max(np.sum(np.abs(pinv), axis=2), axis=1)
+                _check_finite(block, kind, start)
                 block[rank < stack.shape[1]] = math.inf
             else:
                 currents = pinv @ task
+                _check_finite(currents, kind, start)
                 block[:] = np.max(np.abs(currents), axis=1)
                 miss = np.einsum("brn,bn->br", stack, currents) - task
                 reach = _REACH_RTOL * np.linalg.norm(task)

@@ -495,6 +495,23 @@ class TestWorkspaceCommand:
         record = json.loads((out / "small_failure.json").read_text())
         assert record == {"stage": "workspace", "error": error}
 
+    @pytest.mark.parametrize("task,key", [("torque-box", "tau_bar"),
+                                          ("fixed-field", "field_magnitude")])
+    def test_overflow_is_numerical_failure(
+        self, small_workspace, tmp_path, capsys, task, key
+    ):
+        # It flagged every full-rank point "singular" and exited 0.
+        data = json.loads(small_workspace.read_text())
+        data["tasks"][task][key] = 1e308
+        cfg = write_json(tmp_path / "huge.json", data)
+        out = tmp_path / "o"
+        assert main(["workspace", "--config", str(cfg), "--out", str(out)]) == 2
+        error = f"FloatingPointError: the {task} task's currents overflow at grid point 0"
+        assert capsys.readouterr().err == f"numerical failure: workspace failed: {error}\n"
+        assert sorted(out.iterdir()) == [out / "small_failure.json"]
+        record = json.loads((out / "small_failure.json").read_text())
+        assert record == {"stage": "workspace", "error": error}
+
     def test_grid_point_cap_is_config_error(
         self, small_workspace, tmp_path, capsys, monkeypatch
     ):
@@ -696,6 +713,35 @@ class TestAllocBench:
         record = json.loads((out / "bench_failure.json").read_text())
         assert record == {"stage": "allocation", "samples": [0, BLOCK - 1],
                           "error": error}
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tau_bar", 1e308), ("dipole_magnitude", 1e-300), ("tau_bar", 1e151)],
+    )
+    def test_overflowing_norm_is_allocation_failure(
+        self, tmp_path, capsys, key, value
+    ):
+        # They wrote a table of inf and NaN and exited 0.  The record names
+        # the first sample whose current or field norm overflows in the
+        # per-sample oracle: every sample at 1e308 and 1e-300, sample 39 only
+        # at 1e151, 3 % over the threshold (the next is 0.3 % under it).
+        data = json.loads(self.make_config(tmp_path, samples=BLOCK + 44).read_text())
+        data[key] = value
+        cfg = write_json(tmp_path / "bench.json", data)
+        with np.errstate(all="ignore"):
+            values = alloc_bench_per_sample(
+                get_model("octomag8"), BLOCK + 44, 0, data["tau_bar"], 0.04, 0.3,
+                data["dipole_magnitude"])["values"]
+        sample = int(np.flatnonzero(~np.isfinite(values[:, :4]).all(axis=1))[0])
+        assert sample == (39 if value == 1e151 else 0)
+        out = tmp_path / "o"
+        assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 2
+        error = "a current or field norm is not finite"
+        assert capsys.readouterr().err == (
+            f"numerical failure: allocation failed at sample {sample}: {error}\n")
+        assert sorted(out.iterdir()) == [out / "bench_failure.json"]
+        record = json.loads((out / "bench_failure.json").read_text())
+        assert record == {"stage": "allocation", "sample": sample, "error": error}
 
     @pytest.mark.parametrize(
         "key,value",

@@ -63,41 +63,69 @@ def scenario(name: str, **changes) -> dict:
 @pytest.fixture(scope="module")
 def traces():
     """A one-agent and a two-agent trace, each longer than one chunk, and a
-    trace cut short by a diverging plant."""
+    one-agent and a two-agent trace cut short by a diverging plant."""
     diverging = scenario("single_torque", duration=0.5, disturbances=[
         {"type": "torque_bias", "time": 0.1, "magnitude": 1e3}
+    ])
+    diverging_two = scenario("multi_torque_inphase", duration=0.5, disturbances=[
+        {"type": "impulse", "time": 0.1, "agent": 1, "magnitude": 1e200}
     ])
     runs = {
         "one_agent": scenario("single_torque", duration=1.5),
         "two_agents": scenario("multi_torque_inphase", duration=0.75),
         "failed": diverging,
+        "failed_two_agents": diverging_two,
     }
     out = {name: run_scenario(scenario_from_dict(data))
            for name, data in runs.items()}
-    assert out["failed"].failure is not None
-    assert 0 < out["failed"].t.shape[0] < 100
+    for name in ("failed", "failed_two_agents"):
+        assert out[name].failure is not None
+        assert 0 < out[name].t.shape[0] < 100
+    # The table is cut at the failing tick, within the run's full table.
+    assert out["failed_two_agents"].rows.shape[:2] == (21, 2)
+    assert out["failed_two_agents"].rows.base is not None
     return out
 
 
-@pytest.mark.parametrize("name", ["one_agent", "two_agents", "failed"])
+TRACES = ["one_agent", "two_agents", "failed", "failed_two_agents"]
+
+
+@pytest.mark.parametrize("name", TRACES)
 def test_trace_matches_per_value_writer(traces, tmp_path, name):
     trace = traces[name]
     assert_same_bytes(tmp_path, trace.to_csv,
                       lambda p: trace_csv_per_value(trace, p))
 
 
-@pytest.mark.parametrize("name", ["one_agent", "two_agents"])
+@pytest.mark.parametrize("name", TRACES)
 def test_trace_special_values(traces, tmp_path, name):
+    # Each named array's values, injected into a copy of the table where it
+    # holds them: t and the currents on every agent's row, as it repeats them.
     trace = traces[name]
-    arrays = {
-        f: inject(getattr(trace, f)) for f in (
-            "t", "alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
-            "outputs_alpha", "outputs_beta", "currents", "fields",
-        )
-    }
-    special = replace(trace, **arrays)
+    rows = trace.rows.copy()
+    rows[:, :, 0] = inject(trace.t)[:, None]
+    for j in range(2, 10):  # alpha to beta_sp, then tau_x and tau_y
+        rows[:, :, j] = inject(rows[:, :, j])
+    rows[:, :, 10:-3] = inject(trace.currents)[:, None]
+    rows[:, :, -3:] = inject(trace.fields)
+    special = replace(trace, rows=rows)
+    assert np.isnan(special.t).any() and np.isnan(special.currents).any()
     assert_same_bytes(tmp_path, special.to_csv,
                       lambda p: trace_csv_per_value(special, p))
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_named_arrays_are_read_only_views(traces, name):
+    trace = traces[name]
+    ticks, agents, width = trace.rows.shape
+    shapes = {"t": (ticks,), "currents": (ticks, width - 13),
+              "fields": (ticks, agents, 3)}
+    for field in ("t", "alpha", "beta", "phi", "theta", "alpha_sp", "beta_sp",
+                  "outputs_alpha", "outputs_beta", "currents", "fields"):
+        view = getattr(trace, field)
+        assert view.shape == shapes.get(field, (ticks, agents))
+        assert np.shares_memory(view, trace.rows) and not view.flags.writeable
+    assert trace.n_agents == agents
 
 
 def feasibility_map(points: int) -> FeasibilityMap:
@@ -175,7 +203,11 @@ def test_alloc_bench_matches_per_value_writer(tmp_path, monkeypatch):
     values[::11, 2] = 0.0  # one-step field norm below two-step
     values[::13, 5] = 80.0  # two-step field not perpendicular to the dipole
     values[::3, 6] = math.nan  # zeta* undefined
-    values = inject(values)
+    # Every special value in the angle and zeta* columns; the norms, finite
+    # in a written table (one that is not is an overflow, exit 2), take the
+    # finite ones.
+    values[:, 4:] = inject(values[:, 4:])
+    values[[0, -1], :3] = [-0.0, 5e-324, 1.7976931348623157e308]
     sizes = []
 
     def solve_block(a_mats, tilts, torques, dipole):

@@ -422,6 +422,25 @@ class TestWorkspaceMap:
         assert max_feasible_standoff(fmap) is None
 
 
+@pytest.mark.parametrize("kind", ["torque-box", "fixed-field"])
+def test_overflow_raises_naming_the_first_point(navion, kind):
+    # Each task's worst current grows along the stand-off line.  A task size
+    # between the overflow thresholds of points 9 and 10 overflows from
+    # point 10 on: an error naming point 10, not full-rank points read as
+    # "singular".  numpy warns of the overflow; ``emnav workspace`` runs
+    # the map under the same errstate.
+    grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.105, 0.25), spacing=0.005)
+    unit = one_map(navion, TaskSet(kind, tau_bar=1.0, field_magnitude=1.0),
+                   grid, 25.0, params=SLED)
+    demand = 25.0 - unit.fm
+    assert unit.flags == ("",) * 30 and demand[10] > 1.01 * demand[9]
+    size = np.finfo(float).max / math.sqrt(demand[9] * demand[10])
+    huge = TaskSet(kind, tau_bar=size, field_magnitude=size)
+    match = f"^the {kind} task's currents overflow at grid point 10$"
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=match):
+        one_map(navion, huge, grid, 25.0, params=SLED)
+
+
 @pytest.mark.parametrize("config,points,others", [
     ("workspace_octomag_2agent", 289, 1), ("workspace_navion_standoff", 30, 0),
 ])
