@@ -182,10 +182,18 @@ def _solve_block(
     zeta[defined] = -np.einsum("bn,bn->b", i_two, u)[defined] / den[defined]
     b_one = np.einsum("brn,bn->br", a_b, i_one)
     b_two = np.einsum("brn,bn->br", a_b, i_two)
+    vectors = (i_one, i_two, b_one, b_two)
     values = np.column_stack(
-        [np.linalg.norm(v, axis=1) for v in (i_one, i_two, b_one, b_two)]
+        [np.linalg.norm(v, axis=1) for v in vectors]
         + [_angle_deg(b_one, moments), _angle_deg(b_two, moments), zeta]
     )
+    # np.linalg.norm squares without scaling: a finite vector whose squares
+    # overflow is scaled by its largest entry first.
+    for b, j in np.argwhere(np.isinf(values[:, :4])):
+        v = vectors[j][b]
+        if np.isfinite(v).all():
+            scale = np.abs(v).max()
+            values[b, j] = scale * np.linalg.norm(v / scale)
     return values, rank_one == 2, rank_b == 3
 
 

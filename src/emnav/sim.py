@@ -25,13 +25,15 @@ step is backed by a step-halving test: on the bundled scenarios, halving it
 moves no angle by more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
 error, or a non-finite state, as an overflow leaves) ends the run with a
 failure record, as an allocation failure (rank deficiency, an SVD that
-does not converge, or currents or a residual that are not finite) does.
+does not converge, before the loop too, or a non-finite solve) does.
 
 What else the tick loop reads that does not depend on the plant state is
 ``Scenario.schedule``, built by ``_schedule`` when the scenario is checked:
 tick times, impulses, tilt, bias and integrate tables by tick.  It records
 each agent-tick once, into one table in the trace CSV's column order
 (``SimTrace.rows``); the trace's named arrays are read-only views of it.
+The other agents' ``i_1..i_n`` and every ``b_x, b_y, b_z`` are filled after
+the loop from agent 0's currents.  Only noise builds numpy's random generator.
 
 The allocation is a closure built once per run from the agents' fixed
 actuation matrices A(p): ``_allocator`` picks ``alloc.torque_allocator`` or
@@ -526,7 +528,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     dt = h / substeps
     # A latency as long as the run reads the first measurement throughout.
     latency_ticks = min(round(emns.loop_latency * emns.control_rate), ticks)
-    rng = np.random.default_rng(scenario.seed)
+    noise_std = scenario.measurement_noise_std
+    # Only noise imports numpy.random, which costs about 5 MB.
+    rng = np.random.default_rng(scenario.seed) if noise_std > 0.0 else None
 
     # --- plants and synthesis ---------------------------------------------
     # One tick is fetched per agent; ``make_tick`` compiles each distinct
@@ -584,7 +588,11 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     # --- precomputation ----------------------------------------------------
     a_mats = [actuation_matrix(scenario.model, np.asarray(s.position, dtype=float))
               for s in scenario.agents]
-    allocate = _allocator(scenario, a_mats)
+    try:
+        allocate = _allocator(scenario, a_mats)
+    except (ValueError, ArithmeticError) as exc:  # an SVD that does not converge
+        def allocate(*_, error=exc):  # fails the first tick's allocation
+            raise error
     a_all = np.vstack(a_mats)  # (8 * agents, n_coils)
     b_all = np.vstack([a_mat[:3] for a_mat in a_mats])  # the field rows
     grid_times = np.append(np.add.outer(np.arange(substeps), NODES), substeps) * dt
@@ -602,7 +610,6 @@ def run_scenario(scenario: Scenario) -> SimTrace:
               for s in scenario.agents]
     i_applied = np.zeros(n_coils)
     meas_buffers = [deque(maxlen=latency_ticks + 1) for _ in scenario.agents]
-    noise_std = scenario.measurement_noise_std
 
     # The trace table (SimTrace.rows), its t and agent columns filled once.
     rows = np.zeros((ticks, n_agents, 13 + n_coils))
@@ -641,8 +648,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             meas_agents.append(buf[0])
             outputs.append((out_a, out_b))
             rows[k, a_idx, 2:10] = (*angles, sp_a, sp_b, out_b, out_a)
-        rows[k, :, 10:-3] = i_applied
-        rows[k, :, -3:] = (b_all @ i_applied).reshape(n_agents, 3)
+        rows[k, 0, 10:-3] = i_applied  # the other agents' and fields: after the loop
 
         # Allocation (on measured orientations); LinAlgError and a math
         # domain error are ValueErrors.
@@ -657,12 +663,12 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                        "error": str(exc)}
             break
         residuals[k] = result.residual_norm
-        currents_cmd[k] = i_cmd = np.minimum(np.maximum(result.currents, -limit), limit)
+        currents_cmd[k] = i_cmd = result.currents.clip(-limit, limit)
 
         # Current grids across the tick under the first-order driver lag.
         diff = i_applied - i_cmd
         i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
-        i_applied = np.minimum(np.maximum(i_cmd + diff * decay_end, -limit), limit)
+        i_applied = (i_cmd + diff * decay_end).clip(-limit, limit)
 
         # Integrate each agent's plant across the tick over its [b; g] grid
         # (grids[agent][stage]).
@@ -688,6 +694,10 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             break
 
     n = ticks if failure is None else k + 1  # through the failing tick
+    # The stacked matmul takes one matrix-vector product per tick, so each
+    # tick's fields have the bits of b_all @ its currents.
+    rows[:n, 1:, 10:-3] = rows[:n, :1, 10:-3]
+    rows[:n, :, -3:] = (b_all @ rows[:n, 0, 10:-3, None]).reshape(n, n_agents, 3)
     trace = SimTrace(rows[:n], currents_cmd[:n], residuals[:n], synthesis, {},
                      failure)
     trace.summary = _summarize(scenario, trace)

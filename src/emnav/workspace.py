@@ -287,6 +287,7 @@ def _worst_currents(
     return worst
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def workspace_map(
     model: ActuationModel,
     tasks: list[TaskSet],

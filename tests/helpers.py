@@ -796,7 +796,8 @@ def alloc_bench_per_sample(
             return {"failure": (k, strategy, str(exc))}
         b_one = field_and_gradient(a_mat, i_one)[0]
         b_two = field_and_gradient(a_mat, i_two)[0]
-        norms = [float(np.linalg.norm(v)) for v in (i_one, i_two, b_one, b_two)]
+        # hypot scales: it overflows only where the norm itself does.
+        norms = [math.hypot(*v) for v in (i_one, i_two, b_one, b_two)]
         angle_one = _field_dipole_angle_deg(b_one, agent.moment)
         angle_two = _field_dipole_angle_deg(b_two, agent.moment)
         try:

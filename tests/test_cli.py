@@ -715,16 +715,16 @@ class TestAllocBench:
                           "error": error}
 
     @pytest.mark.parametrize(
-        "key,value",
-        [("tau_bar", 1e308), ("dipole_magnitude", 1e-300), ("tau_bar", 1e151)],
-    )
+        "key,value", [("tau_bar", 1e308), ("dipole_magnitude", 1e-300)])
     def test_overflowing_norm_is_allocation_failure(
         self, tmp_path, capsys, key, value
     ):
         # They wrote a table of inf and NaN and exited 0.  The record names
-        # the first sample whose current or field norm overflows in the
-        # per-sample oracle: every sample at 1e308 and 1e-300, sample 39 only
-        # at 1e151, 3 % over the threshold (the next is 0.3 % under it).
+        # the first sample with a current or field norm that is not finite,
+        # here sample 0.  At tau_bar 1e308 the per-sample oracle's norms
+        # overflow too.  At dipole 1e-300 its norms are finite (4.4e299 A),
+        # but the batched two-step field divides by the dipole squared, which
+        # underflows to 0.
         data = json.loads(self.make_config(tmp_path, samples=BLOCK + 44).read_text())
         data[key] = value
         cfg = write_json(tmp_path / "bench.json", data)
@@ -732,16 +732,37 @@ class TestAllocBench:
             values = alloc_bench_per_sample(
                 get_model("octomag8"), BLOCK + 44, 0, data["tau_bar"], 0.04, 0.3,
                 data["dipole_magnitude"])["values"]
-        sample = int(np.flatnonzero(~np.isfinite(values[:, :4]).all(axis=1))[0])
-        assert sample == (39 if value == 1e151 else 0)
+        assert np.isfinite(values[0, :4]).all() == (key == "dipole_magnitude")
         out = tmp_path / "o"
         assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 2
         error = "a current or field norm is not finite"
         assert capsys.readouterr().err == (
-            f"numerical failure: allocation failed at sample {sample}: {error}\n")
+            f"numerical failure: allocation failed at sample 0: {error}\n")
         assert sorted(out.iterdir()) == [out / "bench_failure.json"]
         record = json.loads((out / "bench_failure.json").read_text())
-        assert record == {"stage": "allocation", "sample": sample, "error": error}
+        assert record == {"stage": "allocation", "sample": 0, "error": error}
+
+    def test_norm_whose_squares_overflow_is_reported(self, tmp_path):
+        # At tau_bar 1e151 the squares of sample 39's currents overflow,
+        # though the currents and their norms are finite (1.37e154 A, 3 %
+        # over sqrt(max float)): the bench rescales that row and reports the
+        # sample, as the per-sample oracle's hypot does.
+        data = json.loads(self.make_config(tmp_path, samples=BLOCK + 44).read_text())
+        data["tau_bar"] = 1e151
+        cfg = write_json(tmp_path / "bench.json", data)
+        out = tmp_path / "o"
+        assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "bench_summary.json").read_text())[
+            "violation_count"] == 0
+        rows = (out / "bench.csv").read_text().splitlines()[1:]
+        values = np.array([[float(v) for v in row.split(",")[1:8]] for row in rows])
+        with np.errstate(all="ignore"):
+            want = alloc_bench_per_sample(
+                get_model("octomag8"), BLOCK + 44, 0, 1e151, 0.04, 0.3, 0.5)["values"]
+        squares = np.sqrt(np.finfo(float).max)
+        assert np.flatnonzero(want[:, :2].max(axis=1) > squares).tolist() == [39]
+        assert np.isfinite(values[:, :4]).all()
+        assert np.all(np.abs(values - want)[:, :4] <= 1e-10 * np.abs(want[:, :4]))
 
     @pytest.mark.parametrize(
         "key,value",
@@ -808,19 +829,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "o" / "tiny_field.csv").exists()
 
-    def test_no_command_loads_scipy(self, small_workspace, short_torque, tmp_path):
-        # scipy is the tests' oracle, not a dependency of any command,
-        # controller synthesis included.  The test session has loaded it
-        # already, so the commands run in a fresh interpreter.
+    @staticmethod
+    def fresh(lines: list) -> str:
+        """The standard output of ``lines`` run in a fresh interpreter, after
+        ``import sys`` and ``from emnav.cli import main``: the test session
+        has loaded scipy and numpy.random already."""
         import emnav
 
+        src = str(Path(emnav.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "\n".join(["import sys", "from emnav.cli import main", *lines])],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_no_command_loads_scipy(self, small_workspace, short_torque, tmp_path):
+        # scipy is the tests' oracle, not a dependency of any command,
+        # controller synthesis included.
         bench = write_json(tmp_path / "bench.json", {
             "kind": "alloc_bench", "name": "bench", "samples": 20,
         })
         out = tmp_path / "o"
-        code = "\n".join([
-            "import sys",
-            "from emnav.cli import main",
+        stdout = self.fresh([
             f"assert main(['alloc-bench', '--config', {str(bench)!r}, "
             f"'--out', {str(out)!r}]) == 0",
             f"assert main(['workspace', '--config', {str(small_workspace)!r}, "
@@ -829,13 +862,29 @@ class TestEntryPoint:
             f"'--out', {str(out)!r}]) == 0",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ])
-        src = str(Path(emnav.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert stdout.strip() == "[]"
         assert (out / "bench.csv").exists() and (out / "small_torque.csv").exists()
         assert (out / "single_torque_summary.json").exists()
+
+    def test_only_noise_loads_the_random_generator(
+        self, small_workspace, short_torque, tmp_path
+    ):
+        # Importing numpy.random costs about 5 MB: a noise-free simulation
+        # and a workspace map go without it; measurement noise draws from it.
+        data = json.loads(short_torque.read_text())
+        noisy = write_json(tmp_path / "noisy.json", {
+            **data, "name": "noisy", "measurement_noise_std": 1e-4})
+        out = tmp_path / "o"
+        loaded = "print('numpy.random' in sys.modules)"
+        stdout = self.fresh([
+            f"assert main(['simulate', '--config', {str(short_torque)!r}, "
+            f"'--out', {str(out)!r}]) == 0",
+            f"assert main(['workspace', '--config', {str(small_workspace)!r}, "
+            f"'--out', {str(out)!r}]) == 0",
+            loaded,
+            f"assert main(['simulate', '--config', {str(noisy)!r}, "
+            f"'--out', {str(out)!r}]) == 0",
+            loaded,
+        ])
+        assert stdout.split() == ["False", "True"]
+        assert (out / "noisy_summary.json").exists()

@@ -363,7 +363,8 @@ EDGES = (0.0, 5e-324, 1e-308, 1e-12, 1e12, 1e307, 1e308, -1e308)
 def spelled_out(config: dict) -> dict:
     """A simulate config with its interface preset written as keys, and each
     optional section and one disturbance present, so that ``sections``
-    reaches every table of the schema but the coil model's."""
+    reaches every table of the schema but the coil model's (``inline_model``
+    writes that one out)."""
     if isinstance(config.get("emns"), str):
         config["emns"] = asdict(EMNS_PRESETS[config["emns"]])
     config.setdefault("plant", {})
@@ -413,12 +414,9 @@ def artifacts(out: Path) -> dict:
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-SIMULATE_BASES = [spelled_out(c) for c in bundled() if command_of(c) == "simulate"]
-
-
 def inline_model(config: dict) -> dict:
-    """An alloc-bench or workspace config with its preset coil model written
-    as coils, so that ``sites`` reaches the coil table."""
+    """A config with its preset coil model written as coils, so that
+    ``sites`` reaches the coil table."""
     model = get_model(config.get("model", "octomag8"))
     config["model"] = {"name": model.name, "coils": [
         {"position": list(c.position), "axis": list(c.axis),
@@ -426,6 +424,8 @@ def inline_model(config: dict) -> dict:
     return config
 
 
+SIMULATE_BASES = [inline_model(spelled_out(c)) for c in bundled()
+                  if command_of(c) == "simulate"]
 BENCH_AND_MAP_BASES = [inline_model(c) for c in bundled()
                        if command_of(c) != "simulate"]
 
@@ -473,8 +473,9 @@ def runs_or_fails_numerically(tmp_path, capsys, command: str, config: dict,
 def test_in_range_config_runs_or_fails_numerically(tmp_path, capsys, data):
     # A config the schema accepts either runs (exit 0) or fails numerically
     # (exit 2) with a record, never as a config error or a traceback, and
-    # reruns byte for byte.  One to three values of a bundled config are
-    # redrawn, and the run is cut to at most 0.1 s and 100 agent-ticks.
+    # reruns byte for byte.  One to three values of a bundled config, its
+    # coil model written out, are redrawn, and the run is cut to at most
+    # 0.1 s and 100 agent-ticks.  An agent on a coil is a config error.
     config = copy.deepcopy(data.draw(st.sampled_from(SIMULATE_BASES)))
     redraw(data, config, SCENARIO)
     config["duration"] = data.draw(st.floats(1e-3, 0.1))

@@ -24,7 +24,7 @@ from emnav import dynamics
 from emnav.cli import main
 from emnav.config import ConfigError
 from emnav.control import ControllerConfig
-from emnav.magmodel import get_model
+from emnav.magmodel import actuation_matrix, get_model
 from emnav.sim import (
     EMNS_PRESETS,
     AgentSetup,
@@ -752,6 +752,40 @@ class TestLatencyAndNoise:
         assert not np.array_equal(a.currents, c.currents)
 
 
+class TestTraceColumns:
+    @pytest.mark.parametrize("name,changes,failed", [
+        ("multi_field_2x2d", {"duration": 0.5}, False),
+        # A 1e200 rad/s kick on agent 1: the plant diverges at tick 20.
+        ("multi_torque_inphase", {"duration": 0.5, "disturbances": [
+            {"type": "impulse", "time": 0.1, "agent": 1, "magnitude": 1e200}]},
+         True),
+    ], ids=["two_agents", "truncated"])
+    def test_currents_and_fields_match_per_tick_product(self, name, changes, failed):
+        # The current and field columns are filled after the loop; each must
+        # equal, bit for bit, what the tick computed: the lagged, clamped
+        # currents, and the field rows of A(p) times them.
+        data = {**load_bundled(name), **changes}
+        scenario = scenario_from_dict(data)
+        tr = run_scenario(scenario)
+        assert (tr.failure is not None) == failed
+        ticks = tr.rows.shape[0]
+        assert ticks == (21 if failed else 100)
+        emns = scenario.emns
+        omega, h = 2.0 * math.pi * emns.current_bandwidth, 1.0 / emns.control_rate
+        decay = float(np.exp(-omega * h))
+        limit = emns.current_limit
+        applied = np.zeros(scenario.model.n_coils)
+        b_all = np.vstack([actuation_matrix(scenario.model, np.array(s.position))[:3]
+                           for s in scenario.agents])
+        for k in range(ticks):
+            for a_idx in range(len(scenario.agents)):
+                assert np.array_equal(tr.rows[k, a_idx, 10:-3], applied)
+            assert np.array_equal(tr.fields[k], (b_all @ applied).reshape(-1, 3))
+            cmd = tr.currents_cmd[k]
+            applied = np.minimum(np.maximum(cmd + (applied - cmd) * decay, -limit),
+                                 limit)
+
+
 COIL_BELOW = {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
               "moment_per_ampere": 50.0}
 COIL_ASIDE = {"position": [0.2, 0.0, 0.0], "axis": [-1.0, 0.0, 0.0],
@@ -816,6 +850,19 @@ class TestFailureHandling:
         assert failure["time"] == tr.t[-1] and tr.t.shape[0] == failure["tick"] + 1
         for name in ("alpha", "beta", "phi", "theta"):
             assert np.all(np.isfinite(getattr(tr, name)))
+
+    def test_unconverged_field_pseudoinverse_fails_first_tick(self):
+        # A coil at 1e307 m overflows the agent's A(p) to NaN, so the field
+        # allocator's SVD, taken before the loop, does not converge: an
+        # allocation failure at tick 0, not a traceback.
+        data = {**load_bundled("single_field"), "duration": 0.1,
+                "model": {"name": "far", "coils": [
+                    {**COIL_BELOW, "position": [-1.0, -1.0, 1e307]}, COIL_ASIDE,
+                    {**COIL_ASIDE, "position": [0.0, 0.2, 0.0]}]}}
+        tr = run_scenario(scenario_from_dict(data))
+        assert tr.failure == {"stage": "allocation", "time": 0.0, "tick": 0,
+                              "error": "SVD did not converge"}
+        assert tr.t.shape[0] == 1 and tr.summary["failure"] == tr.failure
 
     def test_non_finite_state_recorded_with_agent(self, monkeypatch):
         # A NaN raises nothing in math.sin, so the state itself is checked.

@@ -3,6 +3,7 @@ two-agent stacking, and export formats."""
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -427,8 +428,8 @@ def test_overflow_raises_naming_the_first_point(navion, kind):
     # Each task's worst current grows along the stand-off line.  A task size
     # between the overflow thresholds of points 9 and 10 overflows from
     # point 10 on: an error naming point 10, not full-rank points read as
-    # "singular".  numpy warns of the overflow; ``emnav workspace`` runs
-    # the map under the same errstate.
+    # "singular".  The map silences numpy's overflow warnings itself, so
+    # the error is the first thing a caller sees, warnings as errors or not.
     grid = GridSpec(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.105, 0.25), spacing=0.005)
     unit = one_map(navion, TaskSet(kind, tau_bar=1.0, field_magnitude=1.0),
                    grid, 25.0, params=SLED)
@@ -437,8 +438,10 @@ def test_overflow_raises_naming_the_first_point(navion, kind):
     size = np.finfo(float).max / math.sqrt(demand[9] * demand[10])
     huge = TaskSet(kind, tau_bar=size, field_magnitude=size)
     match = f"^the {kind} task's currents overflow at grid point 10$"
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=match):
-        one_map(navion, huge, grid, 25.0, params=SLED)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=match):
+            one_map(navion, huge, grid, 25.0, params=SLED)
 
 
 @pytest.mark.parametrize("config,points,others", [
