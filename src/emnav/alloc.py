@@ -266,9 +266,10 @@ def two_step_field(
     magnitude.  For a torque perpendicular to m, skew(m)^+ tau_world =
     (tau_world x m) / |m|^2 (skew of a unit vector is a partial isometry),
     and with tau_world = e_x tau_x + e_y tau_y that is W0^T tau / mag_pol^2:
-    a field perpendicular to the moment.
+    a field perpendicular to the moment.  It divides by mag_pol twice, since
+    the square of a dipole of 1e-300 underflows to 0.
     """
-    return np.einsum("...rk,...r->...k", rows, torques) / mag_pol**2
+    return np.einsum("...rk,...r->...k", rows, torques) / mag_pol / mag_pol
 
 
 def torque_allocator(

@@ -187,12 +187,13 @@ def _solve_block(
         [np.linalg.norm(v, axis=1) for v in vectors]
         + [_angle_deg(b_one, moments), _angle_deg(b_two, moments), zeta]
     )
-    # np.linalg.norm squares without scaling: a finite vector whose squares
-    # overflow is scaled by its largest entry first.
-    for b, j in np.argwhere(np.isinf(values[:, :4])):
+    # np.linalg.norm squares without scaling: a finite non-zero vector whose
+    # squares overflow or underflow is scaled by its largest entry first.
+    norms = values[:, :4]
+    for b, j in np.argwhere(np.isinf(norms) | (norms == 0.0)):
         v = vectors[j][b]
-        if np.isfinite(v).all():
-            scale = np.abs(v).max()
+        scale = np.abs(v).max()
+        if np.isfinite(v).all() and scale > 0.0:
             values[b, j] = scale * np.linalg.norm(v / scale)
     return values, rank_one == 2, rank_b == 3
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LinearSystem
-
 
 class SynthesisError(RuntimeError):
     """Gain synthesis failed (no stabilizing DARE solution or unstable loop)."""
@@ -123,9 +121,10 @@ class ControllerConfig:
 
 
 def lqr_gain(
-    sys: LinearSystem, config: ControllerConfig
+    a_d: np.ndarray, b_d: np.ndarray, config: ControllerConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Synthesize the discrete LQR gain row for a single-input system.
+    """Synthesize the discrete LQR gain row for the single-input system
+    (a_d, b_d).
 
     ``config.q_diag`` holds one weight per state (``sim.AgentSetup`` checks).
 
@@ -138,21 +137,15 @@ def lqr_gain(
         SynthesisError: If the DARE has no stabilizing solution or the closed
             loop is unstable.
     """
-    a_d, b_d = sys.a_d, sys.b_d
     q = np.diag(config.q_diag)
     r = np.array([[config.r_weight]])
     p = dare_solve(a_d, b_d, q, r)
     btp = b_d.T @ p
     k = np.linalg.solve(r + btp @ b_d, btp @ a_d)
-    rho = closed_loop_spectral_radius(sys, k)
+    rho = float(np.max(np.abs(np.linalg.eigvals(a_d - b_d @ k))))
     if rho >= 1.0:
         raise SynthesisError(f"closed loop unstable: spectral radius {rho:.6f} >= 1")
     return k, p, rho
-
-
-def closed_loop_spectral_radius(sys: LinearSystem, k: np.ndarray) -> float:
-    """Spectral radius of A_d − B_d K."""
-    return float(np.max(np.abs(np.linalg.eigvals(sys.a_d - sys.b_d @ k))))
 
 
 class LqriController:

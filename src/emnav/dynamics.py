@@ -1,6 +1,5 @@
-"""Pendulum-on-actuator mechanics: the plant the simulator integrates, its
-linearizations for both actuation paradigms, and their finite-difference
-check.
+"""Pendulum-on-actuator mechanics: the plant the simulator integrates, the
+linear model the gains are designed on, and its finite-difference check.
 
 The plant is a pivoted actuator rod (carrying the magnet stack) with an
 inverted pendulum balanced on top of it, or the actuator alone.  Planar
@@ -17,18 +16,22 @@ Two actuation paradigms are linearized:
 The plant's derivative is written once per state layout (pendulum attached:
 8 states; actuator only: 4) as a source-text template, and compiled per
 plant, with its constants inlined, into one function: the fused tick
-(:func:`make_tick`), which the simulator runs and the finite-difference check
-differentiates over one control period.  The tick inlines the twelve stages
-of every eighth-order Runge-Kutta step (DOP853) as straight-line code on
-plain Python floats, bit-identical to stage-by-stage RK over the
-hand-written derivative of tests/helpers.py.
+(:func:`make_tick`).  The simulator runs it, :func:`linearize` reads the
+linear model off one control period of it by complex step, and the
+finite-difference check differentiates that period too: one plant model.
+The tick inlines the twelve stages of every eighth-order Runge-Kutta step
+(DOP853) as straight-line code on plain Python floats, bit-identical to
+stage-by-stage RK over the hand-written derivative of tests/helpers.py,
+where the analytic linearization is the oracle of the linear model.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +163,7 @@ _NAME = re.compile(r"\b[A-Za-z_]\w*\b")
 
 def _constants(params: PendulumParams) -> dict[str, float]:
     """The template constants of one plant but its signed dipole MAG_POL, in
-    the per-call operation order.  :func:`linearize` reads its mass,
-    stiffness and damping coefficients from here too."""
+    the per-call operation order."""
     p = params
     m_pend = p.pend_mass
     a11 = p.inertia + m_pend * p.arm_length**2
@@ -306,147 +308,94 @@ def _compile_tick(attached: bool, constants: tuple[tuple[str, str], ...]):
         + body
         + f"    return ({', '.join(states)})\n"
     )
-    # inf and nan: the repr of a non-finite constant (a NaN damping passes
-    # PendulumParams' range check).
-    namespace = {"sin": math.sin, "cos": math.cos, "inf": math.inf, "nan": math.nan}
+    namespace = _globals(math)
     exec(compile(source, "<emnav.dynamics plant tick>", "exec"), namespace)
     return namespace["tick"]
 
 
+def _globals(trig) -> dict:
+    """A tick's globals: the sin and cos of ``trig`` (``math``, or ``cmath``
+    for complex arithmetic), and inf and nan, the repr of a non-finite
+    constant (a NaN damping passes PendulumParams' range check)."""
+    return {"sin": trig.sin, "cos": trig.cos, "inf": math.inf, "nan": math.nan}
+
+
 # ---------------------------------------------------------------------------
-# Linearization and discretization
+# Linearization
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Continuous-time linear model with its zero-order-hold discretization."""
+def _control_period(tick, paradigm, substeps, dt, b_mag, attached, polarity, trig):
+    """One control period of the alpha channel of ``tick`` (a compiled
+    :func:`make_tick`), as the map f(x, u) -> the channel's state after it.
 
-    a: np.ndarray
-    b: np.ndarray
-    a_d: np.ndarray
-    b_d: np.ndarray
-    sample_time: float
+    ``substeps`` steps of size dt from the channel state x (a sequence of 4
+    numbers with a pendulum ``attached``, else 2), with the beta channel at
+    rest and zero field gradient, under an input u held over the period: the
+    generalized force on the actuator joint with zero field (torque
+    paradigm), or the angle u of the field polarity·|b|·(sin u, 0, cos u)
+    (field paradigm; the allocator inverts the field of a polarity -1
+    magnet).  The field takes the sin and cos of ``trig``: ``math``, or
+    ``cmath`` for a tick rebound to complex arithmetic.  Returns (n, f).
+    """
+    _check_paradigm(paradigm)
+    n = 4 if attached else 2
+    entries = len(NODES) * substeps + 1
+    field_mag = polarity * b_mag
+    sin, cos = trig.sin, trig.cos
 
+    def f(x, u) -> tuple:
+        if paradigm == "torque":
+            field, bias = (0.0, 0.0, 0.0), u
+        else:
+            field, bias = (field_mag * sin(u), 0.0, field_mag * cos(u)), 0.0
+        grid = [field + (0.0,) * 5] * entries
+        return tick(tuple(x) + (0.0,) * n, substeps, dt, grid, bias, 0.0)[:n]
 
-# Higham's [13/13] Padé coefficients b_k = (26 - k)! / (k! (13 - k)!), and
-# the 1-norm up to which it is accurate to double precision unscaled.
-_PADE13 = tuple(float(math.perm(26 - k, 13) // math.factorial(k)) for k in range(14))
-_THETA13 = 5.371920351148152
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with the [13/13] Padé
-    approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  A
-    non-finite m gives a non-finite result; nothing raises."""
-    norm = float(np.max(np.sum(np.abs(m), axis=0)))
-    if not math.isfinite(norm):
-        return np.full(m.shape, math.nan)
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    b, ident = _PADE13, np.eye(len(m))
-    m1 = m / 2.0**s
-    m2 = m1 @ m1
-    m4 = m2 @ m2
-    m6 = m4 @ m2
-    u = m1 @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
-              + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
-    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
-         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
-    e = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        e = e @ e
-    return e
-
-
-def discretize(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization: the exponential (:func:`expm`)
-    of the augmented block [[A, B], [0, 0]] dt."""
-    n = a.shape[0]
-    m = b.shape[1]
-    block = np.zeros((n + m, n + m))
-    block[:n, :n] = a
-    block[:n, n:] = b
-    phi = expm(block * dt)
-    return phi[:n, :n], phi[:n, n:]
+    return n, f
 
 
 def linearize(
-    params: PendulumParams,
-    paradigm: str,
-    b_mag: float = 0.0,
-    sample_time: float = 0.005,
-    attached: bool = True,
-) -> LinearSystem:
-    """Linearize the plant about the upright equilibrium.
+    tick, paradigm: str, substeps: int, dt: float, b_mag: float = 0.0,
+    attached: bool = True, polarity: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A_d, B_d) of one control period of the plant the simulator runs, at
+    the upright equilibrium: the model the gains are designed on.
 
-    State order: (alpha, phi, alpha_dot, phi_dot) with the pendulum
-    ``attached``, else (alpha, alpha_dot); single input (torque or field
-    angle depending on the paradigm).  For the actuator alone in the field
-    paradigm the stiffness entry is (eta g - |m||b|) / J: negative
-    stiffness, i.e. open-loop stability, requires |m||b| > eta g.
+    The Jacobians of :func:`_control_period`'s map by complex step, column j
+    being Im f(x + ih e_j) / h: no difference is taken, so nothing cancels,
+    and at h = 1e-30 they are exact to roundoff (Squire & Trapp, SIAM Review
+    40(1), 1998; Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).  The
+    tick is straight-line code whose only calls are sin and cos; its code
+    object, rebound to cmath's, runs on complex states as it is, so nothing
+    is compiled again.  State order: (alpha, phi, alpha', phi') with a
+    pendulum ``attached``, else (alpha, alpha'); single input.
     """
-    _check_paradigm(paradigm)
-    if sample_time <= 0.0:
-        raise ValueError("sample_time must be strictly positive")
-    c = _constants(params)
-    field = paradigm == "field"
-    mb = params.dipole_magnitude * b_mag if field else 0.0
-    gain = mb if field else 1.0
-    if attached:
-        mass = np.array([[c["A11"], c["HALF_ML_L"]], [c["HALF_ML_L"], c["A22"]]])
-        stiff = np.diag([c["K1"] - mb, c["K2"]])
-        mass_inv = np.linalg.inv(mass)
-        a = np.zeros((4, 4))
-        a[0:2, 2:4] = np.eye(2)
-        a[2:4, 0:2] = mass_inv @ stiff
-        a[2:4, 2:4] = -c["DAMPING"] * mass_inv
-        b = np.zeros((4, 1))
-        b[2:4, :] = mass_inv @ np.array([[gain], [0.0]])
-    else:
-        # The actuator's mass matrix is J alone.  Divide by J: inverting a
-        # 1x1 matrix and multiplying can round the gains differently.
-        a = np.array([[0.0, 1.0], [(c["ETA_G"] - mb) / c["INERTIA"],
-                                   -c["DAMPING"] / c["INERTIA"]]])
-        b = np.array([[0.0], [gain / c["INERTIA"]]])
-    a_d, b_d = discretize(a, b, sample_time)
-    return LinearSystem(a=a, b=b, a_d=a_d, b_d=b_d, sample_time=sample_time)
+    complex_tick = types.FunctionType(tick.__code__, _globals(cmath))
+    n, f = _control_period(complex_tick, paradigm, substeps, dt, b_mag,
+                           attached, polarity, cmath)
+    h = 1.0e-30
+    zero = (0j,) * n
+    columns = [f(zero[:j] + (h * 1j,) + zero[j + 1:], 0j) for j in range(n)]
+    jac = np.array(columns + [f(zero, h * 1j)]).imag.T / h
+    return jac[:, :n], jac[:, n:]
 
 
 def finite_difference_linearization(
     tick, paradigm: str, substeps: int, dt: float, b_mag: float = 0.0,
     attached: bool = True, polarity: int = 1, eps: float = 1.0e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite-difference Jacobians of one control period of the plant
-    the simulator runs.
-
-    Differentiates the alpha channel of ``tick`` (a compiled
-    :func:`make_tick`) over ``substeps`` steps of size dt at the upright
-    equilibrium, with the beta channel at rest and zero field gradient, under
-    an input held over the tick: the generalized force on the actuator joint
-    with zero field (torque paradigm), or the angle u of the field
-    polarity·|b|·(sin u, 0, cos u) (field paradigm; the allocator inverts
-    the field of a polarity -1 magnet).  Cross-check of the zero-order-hold
-    (a_d, b_d) of :func:`linearize` at sample time substeps·dt, and so of
-    the discretization and the integrator; returns (A_d, B_d) in its state
-    order.
+    """Central finite-difference Jacobians of :func:`_control_period`'s map
+    of ``tick``: the check of :func:`linearize`, whose gap to it the run
+    reports.  Returns (A_d, B_d) in :func:`linearize`'s state order.
     """
-    _check_paradigm(paradigm)
-    n = 4 if attached else 2
-    entries = len(NODES) * substeps + 1
-    field_mag = polarity * b_mag
+    n, f = _control_period(tick, paradigm, substeps, dt, b_mag, attached,
+                           polarity, math)
 
-    def f(x: np.ndarray, u: float) -> np.ndarray:
-        y = tuple(float(v) for v in x) + (0.0,) * n
-        if paradigm == "torque":
-            field, bias = (0.0, 0.0, 0.0), u
-        else:
-            field = (field_mag * math.sin(u), 0.0, field_mag * math.cos(u))
-            bias = 0.0
-        grid = [field + (0.0,) * 5] * entries
-        return np.array(tick(y, substeps, dt, grid, bias, 0.0)[:n])
+    def g(x: np.ndarray, u: float) -> np.ndarray:
+        return np.array(f(x.tolist(), u))
 
-    a = np.column_stack([(f(dx, 0.0) - f(-dx, 0.0)) / (2.0 * eps)
+    a = np.column_stack([(g(dx, 0.0) - g(-dx, 0.0)) / (2.0 * eps)
                          for dx in eps * np.eye(n)])
-    b = ((f(np.zeros(n), eps) - f(np.zeros(n), -eps)) / (2.0 * eps)).reshape(n, 1)
+    b = ((g(np.zeros(n), eps) - g(np.zeros(n), -eps)) / (2.0 * eps)).reshape(n, 1)
     return a, b

@@ -19,8 +19,8 @@ on the plant state): one product of the stacked A(p) of all agents with the
 tick's current grid, split per agent by one ``.tolist()``.  The fused tick from
 ``dynamics.make_tick`` runs it, fetched per agent before synthesis and
 compiled only the first time a process runs that plant (pendulum attached,
-signed dipole): the finite-difference check of each linearization
-differentiates one control period of that tick.  The
+signed dipole): synthesis designs the gains on the complex-step Jacobians
+of one control period of that tick, checked by its central differences.  The
 step is backed by a step-halving test: on the bundled scenarios, halving it
 moves no angle by more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
 error, or a non-finite state, as an overflow leaves) ends the run with a
@@ -535,8 +535,10 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     # --- plants and synthesis ---------------------------------------------
     # One tick is fetched per agent; ``make_tick`` compiles each distinct
     # plant (pendulum attached, signed dipole) once.  Each layout (pendulum
-    # attached or not) is linearized once and checked against one control
-    # period of its first agent's tick; each distinct (layout, q_diag,
+    # attached or not) takes its synthesis model from one control period of
+    # its first agent's tick: central differences first, since on the real
+    # tick a diverging plant fails with a math domain error, then the complex
+    # step, which reuses the compiled code.  Each distinct (layout, q_diag,
     # r_weight) is solved once.  An agent's two channels share its gain,
     # each with its own controller.
     plants: dict[bool, tuple] = {}
@@ -550,23 +552,20 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         for a_idx, setup in enumerate(scenario.agents):
             attached = setup.pendulum_attached
             if attached not in plants:
-                sys = linearize(params, scenario.paradigm, scenario.field_magnitude,
-                                h, attached)
-                a_fd, b_fd = finite_difference_linearization(
-                    plant_ticks[a_idx], scenario.paradigm, substeps, dt,
-                    b_mag=scenario.field_magnitude, attached=attached,
-                    polarity=setup.polarity,
-                )
-                plants[attached] = (sys, float(
-                    max(np.max(np.abs(sys.a_d - a_fd)), np.max(np.abs(sys.b_d - b_fd)))
+                period = (plant_ticks[a_idx], scenario.paradigm, substeps, dt,
+                          scenario.field_magnitude, attached, setup.polarity)
+                a_fd, b_fd = finite_difference_linearization(*period)
+                a_d, b_d = linearize(*period)
+                plants[attached] = (a_d, b_d, float(
+                    max(np.max(np.abs(a_d - a_fd)), np.max(np.abs(b_d - b_fd)))
                 ))
-            sys, fd_match = plants[attached]
+            a_d, b_d, fd_match = plants[attached]
             cfg = setup.controller
             key = (attached, cfg.q_diag, cfg.r_weight)
             if key not in solutions:
-                gain, p, rho = lqr_gain(sys, cfg)
+                gain, p, rho = lqr_gain(a_d, b_d, cfg)
                 q, r = np.diag(cfg.q_diag), np.array([[cfg.r_weight]])
-                residual = dare_residual(p, sys.a_d, sys.b_d, q, r)
+                residual = dare_residual(p, a_d, b_d, q, r)
                 solutions[key] = (gain, residual, rho)
             gain, residual, rho = solutions[key]
             controllers.append(tuple(LqriController(gain, cfg, h) for _ in CHANNELS))

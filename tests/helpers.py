@@ -321,6 +321,115 @@ def make_deriv(params: PendulumParams, attached: bool, mag_pol: float):
     return deriv
 
 
+# ---------------------------------------------------------------------------
+# The analytic linearization and its zero-order hold: the oracle of the
+# synthesis model, which ``emnav.dynamics.linearize`` reads off the compiled
+# tick by complex step
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """Continuous-time linear model with its zero-order-hold discretization."""
+
+    a: np.ndarray
+    b: np.ndarray
+    a_d: np.ndarray
+    b_d: np.ndarray
+    sample_time: float
+
+
+# Higham's [13/13] Padé coefficients b_k = (26 - k)! / (k! (13 - k)!), and
+# the 1-norm up to which it is accurate to double precision unscaled.
+PADE13 = tuple(float(math.perm(26 - k, 13) // math.factorial(k)) for k in range(14))
+THETA13 = 5.371920351148152
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [13/13] Padé
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  A
+    non-finite m gives a non-finite result; nothing raises."""
+    norm = float(np.max(np.sum(np.abs(m), axis=0)))
+    if not math.isfinite(norm):
+        return np.full(m.shape, math.nan)
+    s = math.ceil(math.log2(norm / THETA13)) if norm > THETA13 else 0
+    b, ident = PADE13, np.eye(len(m))
+    m1 = m / 2.0**s
+    m2 = m1 @ m1
+    m4 = m2 @ m2
+    m6 = m4 @ m2
+    u = m1 @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
+              + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
+    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
+         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def discretize(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold discretization: the exponential (:func:`expm`)
+    of the augmented block [[A, B], [0, 0]] dt."""
+    n = a.shape[0]
+    m = b.shape[1]
+    block = np.zeros((n + m, n + m))
+    block[:n, :n] = a
+    block[:n, n:] = b
+    phi = expm(block * dt)
+    return phi[:n, :n], phi[:n, n:]
+
+
+def linearize(
+    params: PendulumParams,
+    paradigm: str,
+    b_mag: float = 0.0,
+    sample_time: float = 0.005,
+    attached: bool = True,
+) -> LinearSystem:
+    """Linearize the plant about the upright equilibrium by hand.
+
+    State order: (alpha, phi, alpha_dot, phi_dot) with the pendulum
+    ``attached``, else (alpha, alpha_dot); single input (torque or field
+    angle depending on the paradigm).  Each coefficient is computed from
+    ``params`` as :func:`coupled_accelerations_per_call` computes it.  For
+    the actuator alone in the field paradigm the stiffness entry is
+    (eta g - |m||b|) / J: negative stiffness, i.e. open-loop stability,
+    requires |m||b| > eta g.
+    """
+    if paradigm not in ("field", "torque"):
+        raise ValueError(f"unknown paradigm '{paradigm}'")
+    if sample_time <= 0.0:
+        raise ValueError("sample_time must be strictly positive")
+    p = params
+    m_pend = p.pend_mass
+    field = paradigm == "field"
+    mb = p.dipole_magnitude * b_mag if field else 0.0
+    gain = mb if field else 1.0
+    if attached:
+        half_ml_l = 0.5 * m_pend * p.arm_length * p.pend_length
+        mass = np.array([[p.inertia + m_pend * p.arm_length**2, half_ml_l],
+                         [half_ml_l, 0.25 * m_pend * p.pend_length**2]])
+        stiff = np.diag([(p.eta + m_pend * p.arm_length) * p.gravity - mb,
+                         m_pend * p.gravity * 0.5 * p.pend_length])
+        mass_inv = np.linalg.inv(mass)
+        a = np.zeros((4, 4))
+        a[0:2, 2:4] = np.eye(2)
+        a[2:4, 0:2] = mass_inv @ stiff
+        a[2:4, 2:4] = -p.damping * mass_inv
+        b = np.zeros((4, 1))
+        b[2:4, :] = mass_inv @ np.array([[gain], [0.0]])
+    else:
+        # The actuator's mass matrix is J alone.  Divide by J: inverting a
+        # 1x1 matrix and multiplying can round the gains differently.
+        a = np.array([[0.0, 1.0], [(p.eta * p.gravity - mb) / p.inertia,
+                                   -p.damping / p.inertia]])
+        b = np.array([[0.0], [gain / p.inertia]])
+    a_d, b_d = discretize(a, b, sample_time)
+    return LinearSystem(a=a, b=b, a_d=a_d, b_d=b_d, sample_time=sample_time)
+
+
 def estimate_velocities(angle_history: np.ndarray, dt: float) -> np.ndarray:
     """Backward differences of a sampled angle sequence.
 

@@ -28,14 +28,16 @@ from emnav.control import (
     LqriController,
     SynthesisError,
     VelocityEstimator,
-    closed_loop_spectral_radius,
     dare_residual,
     dare_solve,
     lqr_gain,
 )
-from emnav.dynamics import LinearSystem, linearize
 
-from helpers import estimate_velocities
+from helpers import estimate_velocities, linearize
+
+
+def spectral_radius(a: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 @pytest.fixture
@@ -159,14 +161,14 @@ def test_doubling_matches_scipy_dare(pair):
 class TestLqrGain:
     def test_pendulum_stabilizing(self, torque_sys):
         cfg = ControllerConfig()
-        k, p, rho = lqr_gain(torque_sys, cfg)
+        a_d, b_d = torque_sys.a_d, torque_sys.b_d
+        k, p, rho = lqr_gain(a_d, b_d, cfg)
         assert k.shape == (1, 4)
-        assert rho == closed_loop_spectral_radius(torque_sys, k) < 1.0
+        assert rho == spectral_radius(a_d - b_d @ k) < 1.0
         # The returned P is the one K was computed from.
-        b_d = torque_sys.b_d
         r = np.array([[cfg.r_weight]])
         np.testing.assert_array_equal(
-            k, np.linalg.solve(r + b_d.T @ p @ b_d, b_d.T @ p @ torque_sys.a_d)
+            k, np.linalg.solve(r + b_d.T @ p @ b_d, b_d.T @ p @ a_d)
         )
 
     def test_cheap_control_limit(self):
@@ -178,33 +180,24 @@ class TestLqrGain:
         sys = linearize(stable_params, "field", b_mag=0.065, sample_time=1 / 200,
                         attached=False)
         cfg = ControllerConfig(q_diag=(1e-9, 1e-9), r_weight=1e9)
-        k, _, _ = lqr_gain(sys, cfg)
+        k, _, rho = lqr_gain(sys.a_d, sys.b_d, cfg)
         assert np.max(np.abs(k)) < 1e-6
-        rho_open = np.max(np.abs(np.linalg.eigvals(sys.a_d)))
-        assert closed_loop_spectral_radius(sys, k) == pytest.approx(
-            rho_open, rel=1e-6
-        )
+        assert rho == pytest.approx(spectral_radius(sys.a_d), rel=1e-6)
 
     def test_gain_norm_monotone_in_rate(self, params):
         # Lower sampling rates synthesize less aggressive gains.
         norms = []
         for rate in (50.0, 100.0, 200.0):
             sys = linearize(params, "torque", sample_time=1.0 / rate)
-            k, _, _ = lqr_gain(sys, ControllerConfig())
+            k, _, _ = lqr_gain(sys.a_d, sys.b_d, ControllerConfig())
             norms.append(np.max(np.abs(k)))
         assert norms[0] < norms[1] < norms[2]
 
     def test_unstabilizable_system_fails(self):
         # Unreachable unstable mode: B = 0 on an expanding state.
-        sys = LinearSystem(
-            a=np.array([[1.0]]),
-            b=np.array([[0.0]]),
-            a_d=np.array([[1.5]]),
-            b_d=np.array([[0.0]]),
-            sample_time=0.01,
-        )
         with pytest.raises(SynthesisError):
-            lqr_gain(sys, ControllerConfig(q_diag=(1.0,)))
+            lqr_gain(np.array([[1.5]]), np.array([[0.0]]),
+                     ControllerConfig(q_diag=(1.0,)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for the plant the simulator integrates, its linearizations, and
+"""Tests for the plant the simulator integrates, its linearization, and
 the eighth-order Runge-Kutta (DOP853) tick.
 
 Oracles:
@@ -10,11 +10,13 @@ Oracles:
     convergence;
   * mechanical energy conservation of the unforced, undamped plant under the
     simulator's tick;
-  * central finite differences of one control period of that tick vs the
-    zero-order-hold discretization of the analytic linearization;
-  * scipy.signal.cont2discrete as an independent zero-order-hold reference,
-    and scipy.linalg.expm as the reference of the Padé matrix exponential on
-    random matrices and on every bundled scenario's zero-order-hold block;
+  * the zero-order-hold discretization of the analytic linearization in
+    tests/helpers.py vs the complex-step Jacobians of one control period of
+    that tick (the synthesis model) and vs its central differences;
+  * scipy.signal.cont2discrete as an independent reference of that
+    zero-order hold, and scipy.linalg.expm as the reference of its Padé
+    matrix exponential on random matrices and on every bundled scenario's
+    zero-order-hold block;
   * the analytic steady-state offset of the field-actuated rig under a
     constant disturbance torque;
   * the exact period of the field-aligned actuator, a nonlinear pendulum.
@@ -42,16 +44,14 @@ from emnav import dynamics
 from emnav.dynamics import (
     PendulumParams,
     _compile_tick,
-    discretize,
-    expm,
     finite_difference_linearization,
     linearize,
     make_tick,
 )
-from emnav.sim import run_scenario, scenario_from_dict
+from emnav.sim import PLANT_DT, run_scenario, scenario_from_dict
 
 import helpers
-from helpers import total_energy
+from helpers import discretize, expm, total_energy
 
 NO_FIELD = (0.0, 0.0, 0.0)
 NO_GRADIENT = (0.0,) * 5
@@ -172,7 +172,7 @@ class TestCoupledPlant:
         with pytest.raises(ValueError):
             finite_difference_linearization(stepper(params), "voltage", 1, 0.005)
         with pytest.raises(ValueError):
-            linearize(params, "voltage")
+            linearize(stepper(params), "voltage", 1, 0.005)
 
     @given(
         alpha=st.floats(-0.5, 0.5),
@@ -293,8 +293,9 @@ class TestTickCache:
     def test_compiled_once_per_distinct_plant(self):
         # Both agents of multi_torque_async carry one plant (pendulum
         # attached, polarity 1): one compile.  A polarity -1 second agent
-        # is another plant.  Each compiled plant is the one a later call
-        # finds in the cache.
+        # is another plant.  Synthesis differentiates the compiled tick and
+        # compiles nothing of its own.  Each compiled plant is the one a
+        # later call finds in the cache.
         path = SCENARIO_DIR / "multi_torque_async.json"
         data = json.loads(path.read_text())
         data["duration"] = 0.05
@@ -310,44 +311,49 @@ class TestTickCache:
 
 
 class TestLinearization:
-    """The zero-order-hold (a_d, b_d) of the linearization against central
-    differences of one 200 Hz control period of the compiled tick: one
-    DOP853 step of 5 ms, as the simulator takes it."""
+    """The synthesis model, the complex-step (a_d, b_d) of one control period
+    of the compiled tick, against the zero-order hold of the analytic
+    linearization in tests/helpers.py within 1e-13, and central differences
+    of the same period against that hold.  A 200 Hz period is one DOP853
+    step of 5 ms, a 125 Hz period two of 4 ms, as the simulator takes them."""
 
-    SAMPLE_TIME = 0.005
-
-    def fd_gap(self, params, paradigm, b_mag, attached, polarity=1) -> float:
-        sys = linearize(params, paradigm, b_mag=b_mag,
-                        sample_time=self.SAMPLE_TIME, attached=attached)
-        a_fd, b_fd = finite_difference_linearization(
-            stepper(params, attached, polarity), paradigm, 1, self.SAMPLE_TIME,
-            b_mag=b_mag, attached=attached, polarity=polarity,
-        )
+    def gaps(self, params, paradigm, b_mag, attached, polarity=1, rate=200.0):
+        h = 1.0 / rate
+        substeps = max(1, int(round(h / PLANT_DT)))
+        period = (stepper(params, attached, polarity), paradigm, substeps,
+                  h / substeps, b_mag, attached, polarity)
+        zoh = helpers.linearize(params, paradigm, b_mag, h, attached)
         n = 4 if attached else 2
-        assert a_fd.shape == (n, n) and b_fd.shape == (n, 1)
-        return max(np.max(np.abs(sys.a_d - a_fd)), np.max(np.abs(sys.b_d - b_fd)))
+        gaps = []
+        for a_d, b_d in (linearize(*period), finite_difference_linearization(*period)):
+            assert a_d.shape == (n, n) and b_d.shape == (n, 1)
+            gaps.append(max(np.max(np.abs(zoh.a_d - a_d)), np.max(np.abs(zoh.b_d - b_d))))
+        return gaps
 
-    @pytest.mark.parametrize("paradigm,b_mag,polarity", [
-        pytest.param("torque", 0.0, 1, id="torque-0.0"),
-        pytest.param("field", 0.065, 1, id="field-0.065"),
+    @pytest.mark.parametrize("paradigm,b_mag,polarity,rate", [
+        pytest.param("torque", 0.0, 1, 200.0, id="torque-0.0"),
+        pytest.param("field", 0.065, 1, 200.0, id="field-0.065"),
         # single_field's plant and field with a polarity -1 magnet, whose
         # field the allocator inverts.
-        pytest.param("field", 0.04, -1, id="field-0.04-polarity-1"),
+        pytest.param("field", 0.04, -1, 200.0, id="field-0.04-polarity-1"),
+        pytest.param("torque", 0.0, 1, 125.0, id="torque-0.0-125Hz"),
     ])
-    def test_matches_finite_differences(self, params, paradigm, b_mag, polarity):
-        assert self.fd_gap(params, paradigm, b_mag, True, polarity) <= 1e-10
+    def test_matches_finite_differences(self, params, paradigm, b_mag, polarity, rate):
+        complex_step, central = self.gaps(params, paradigm, b_mag, True, polarity, rate)
+        assert complex_step <= 1e-13 and central <= 1e-10
 
     @pytest.mark.parametrize("paradigm,b_mag", [("torque", 0.0), ("field", 0.065)])
     def test_actuator_matches_finite_differences(self, params, paradigm, b_mag):
-        assert self.fd_gap(params, paradigm, b_mag, False) <= 1e-10
+        complex_step, central = self.gaps(params, paradigm, b_mag, False)
+        assert complex_step <= 1e-13 and central <= 1e-10
 
     def test_upright_unstable_open_loop(self, params):
-        sys = linearize(params, "torque", sample_time=0.005)
-        assert np.max(np.linalg.eigvals(sys.a).real) > 0.0
-        assert np.max(np.abs(np.linalg.eigvals(sys.a_d))) > 1.0
+        assert np.max(np.linalg.eigvals(helpers.linearize(params, "torque").a).real) > 0.0
+        a_d, _ = linearize(stepper(params), "torque", 1, 0.005)
+        assert np.max(np.abs(np.linalg.eigvals(a_d))) > 1.0
 
     def test_discretize_matches_scipy(self, params, rng):
-        sys = linearize(params, "torque", sample_time=1 / 200)
+        sys = helpers.linearize(params, "torque", sample_time=1 / 200)
         (a_d, b_d, *_), _ = (
             cont2discrete((sys.a, sys.b, np.eye(4), np.zeros((4, 1))), 1 / 200,
                           method="zoh"),
@@ -369,14 +375,14 @@ class TestLinearization:
 
     def test_actuator_field_stability_threshold(self):
         params = PendulumParams(eta=0.002, dipole_magnitude=0.5)
-        stable = linearize(params, "field", b_mag=0.065, attached=False)
+        stable = helpers.linearize(params, "field", b_mag=0.065, attached=False)
         assert np.max(np.linalg.eigvals(stable.a).real) <= 1e-12
-        unstable = linearize(params, "field", b_mag=0.005, attached=False)
+        unstable = helpers.linearize(params, "field", b_mag=0.005, attached=False)
         assert np.max(np.linalg.eigvals(unstable.a).real) > 0.0
 
     def test_linearize_rejects_bad_sample_time(self, params):
         with pytest.raises(ValueError):
-            linearize(params, "torque", sample_time=0.0)
+            helpers.linearize(params, "torque", sample_time=0.0)
 
 
 class TestExpm:
@@ -400,7 +406,7 @@ class TestExpm:
 
     def test_pade_coefficients_are_highams(self):
         # The values of Higham's 2005 algorithm, written out.
-        assert dynamics._PADE13 == (
+        assert helpers.PADE13 == (
             64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
             1187353796428800.0, 129060195264000.0, 10559470521600.0,
             670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
@@ -418,7 +424,9 @@ class TestExpm:
     @pytest.mark.filterwarnings("error")
     def test_every_bundled_zoh_block(self):
         # Each bundled plant layout's augmented block [[A, B], [0, 0]] h, to
-        # within 2 ulp of max |e^M| of scipy's (worst seen: 1 ulp).
+        # within 2 ulp of max |e^M| of scipy's (worst seen: 1 ulp), and its
+        # zero-order hold within 1e-13 of the synthesis model that the run
+        # reads off its first agent's tick (worst seen: 1.4e-14).
         blocks = 0
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             data = json.loads(path.read_text())
@@ -426,8 +434,10 @@ class TestExpm:
                 continue
             sc = scenario_from_dict(data)
             h = sc.schedule.h
+            substeps = max(1, int(round(h / PLANT_DT)))
             for attached in {s.pendulum_attached for s in sc.agents}:
-                lin = linearize(sc.plant, sc.paradigm, sc.field_magnitude, h, attached)
+                lin = helpers.linearize(sc.plant, sc.paradigm, sc.field_magnitude,
+                                        h, attached)
                 n = lin.a.shape[0]
                 block = np.zeros((n + 1, n + 1))
                 block[:n, :n], block[:n, n:] = lin.a, lin.b
@@ -436,6 +446,13 @@ class TestExpm:
                 assert np.max(np.abs(e - ref)) <= 2 * EPS * np.max(np.abs(ref))
                 np.testing.assert_array_equal(lin.a_d, e[:n, :n])
                 np.testing.assert_array_equal(lin.b_d, e[:n, n:])
+                polarity = next(s.polarity for s in sc.agents
+                                if s.pendulum_attached == attached)
+                a_d, b_d = linearize(
+                    stepper(sc.plant, attached, polarity), sc.paradigm, substeps,
+                    h / substeps, sc.field_magnitude, attached, polarity)
+                assert np.max(np.abs(a_d - lin.a_d)) <= 1e-13
+                assert np.max(np.abs(b_d - lin.b_d)) <= 1e-13
                 blocks += 1
         assert blocks >= 7
 
@@ -444,8 +461,7 @@ class TestExpm:
     def test_non_finite_block_gives_non_finite_result(self, entry):
         # A non-finite block, or one whose squarings overflow, gives a
         # non-finite result as scipy's expm does, without raising and without
-        # a warning: the synthesis of a diverging plant fails later, in its
-        # finite-difference check.
+        # a warning.
         a = np.array([[0.0, 1.0], [entry, 0.0]])
         a_d, b_d = discretize(a, np.array([[0.0], [1.0]]), 0.005)
         assert not np.isfinite(a_d).all() and not np.isfinite(b_d).all()

@@ -20,7 +20,6 @@ from helpers import (
 )
 
 import emnav.sim as sim
-from emnav import dynamics
 from emnav.cli import main
 from emnav.config import ConfigError
 from emnav.control import ControllerConfig
@@ -297,18 +296,17 @@ class TestTickMechanics:
             assert entry["fd_linearization_match"] < 1e-4
 
     def test_fd_check_covers_the_discretization(self, monkeypatch):
-        # The check differentiates one control period of the compiled tick
-        # against the zero-order-hold (a_d, b_d) the gains are designed on,
-        # so an error in the discretization shows in it.
-        discretize = dynamics.discretize
+        # The check takes central differences of one control period of the
+        # compiled tick against the (a_d, b_d) the gains are designed on, so
+        # an error in that synthesis model shows in it.
+        linearize = sim.linearize
 
-        def skewed(a, b, dt):
-            a_d, b_d = discretize(a, b, dt)
-            a_d = a_d.copy()
+        def skewed(*period):
+            a_d, b_d = linearize(*period)
             a_d[0, 0] += 1e-6
             return a_d, b_d
 
-        monkeypatch.setattr(dynamics, "discretize", skewed)
+        monkeypatch.setattr(sim, "linearize", skewed)
         tr = run_scenario(scenario_from_dict(base_torque_dict(duration=0.05)))
         for entry in tr.synthesis:
             assert entry["fd_linearization_match"] >= 1e-7
@@ -866,23 +864,24 @@ class TestFailureHandling:
 
     def test_non_finite_state_recorded_with_agent(self, monkeypatch):
         # A NaN raises nothing in math.sin, so the state itself is checked.
-        # The linearization check makes the first ten calls, on the tick of
-        # agent 0; tick 0 integrates agent 0, then agent 1: the twelfth call
-        # fails.
+        # Synthesis differentiates agent 0's tick, the first fetched; agent
+        # 1's returns a NaN angle, first at tick 0, after agent 0's step.
         compile_tick = sim.make_tick
-        calls = []
+        fetched = []
 
-        def nan_on_twelfth_call(*plant):
+        def nan_for_second_agent(*plant):
             tick = compile_tick(*plant)
+            fetched.append(tick)
+            if len(fetched) < 2:
+                return tick
 
             def wrapped(*args):
-                calls.append(None)
                 y = tick(*args)
-                return (math.nan,) + y[1:] if len(calls) == 12 else y
+                return (math.nan,) + y[1:]
 
             return wrapped
 
-        monkeypatch.setattr(sim, "make_tick", nan_on_twelfth_call)
+        monkeypatch.setattr(sim, "make_tick", nan_for_second_agent)
         data = load_bundled("multi_torque_async")
         data["duration"] = 0.05
         tr = run_scenario(scenario_from_dict(data))
