@@ -20,7 +20,10 @@ workspace maps whose pseudoinverses take the SVD fallback of
 ``magmodel.pinv_rank`` (a second agent on a grid point, and tall two-agent
 stacks on three coils); a workspace cube, 9^3 points on navion3, whose
 lattice varies on all three axes (the bundled maps are a line and a
-plane); a workspace config of one task, the torque box alone; and a
+plane); a workspace config of one task, the torque box alone; a
+single-agent octomag8 cube of 9^3 points around the centre with both
+tasks, whose fixed-field stacks are the square 8 x 8 [b; g] rows that
+``pinv_rank`` inverts directly (no bundled map runs them); and a
 two-agent run whose plant diverges, which exits 2 with a trace cut at the
 failing tick.  They are written once, from this checkout's configs, and both
 trees run the same files.  A loop that holds a coil at the current limit
@@ -171,6 +174,14 @@ VARIANTS = {
     # both), its 30 one-agent 2 x 2 Gram matrices inverted in closed form.
     "variant_workspace_torque_only": ("workspace_navion_standoff", {
         "tasks": {"torque-box": {"tau_bar": 0.01}}}, []),
+    # One agent on octomag8, a 4 cm cube at 5 mm around the array centre:
+    # 729 points, every fixed-field stack the square 8 x 8 [b; g] rows that
+    # ``pinv_rank`` inverts directly (the bundled maps stack two agents or
+    # run on navion3's 3 x 3 field rows).
+    "variant_workspace_octomag_cube": ("workspace_octomag_2agent", {
+        "second_agent": None,
+        "grid": {"x": [-0.02, 0.02], "y": [-0.02, 0.02], "z": [-0.02, 0.02],
+                 "spacing": 0.005}}, []),
 }
 
 #: Run with a simulate config's path: prints the number of ticks on which a

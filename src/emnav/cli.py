@@ -143,11 +143,18 @@ def _draw_samples(
 
 def _angle_deg(fields: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """Angle between each field and moment [deg]; NaN (0/0) where one is
-    zero."""
+    zero.  A finite pair whose norms' product is 0 or inf (they square
+    unscaled) is scaled by each vector's largest entry first."""
     norms = np.linalg.norm(fields, axis=1) * np.linalg.norm(moments, axis=1)
     with np.errstate(invalid="ignore"):
         cosang = np.einsum("bi,bi->b", fields, moments) / norms
-    return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    for b in np.flatnonzero(~(norms > 0.0) | np.isinf(norms)):
+        pair = np.stack([fields[b], moments[b]])
+        scale = np.abs(pair).max(axis=1, keepdims=True)
+        if np.isfinite(pair).all() and (scale > 0.0).all():
+            angles[b] = _angle_deg(*(pair / scale)[:, None])[0]
+    return angles
 
 
 def _solve_block(

@@ -34,15 +34,16 @@ MIN_COIL_DISTANCE = 1.0e-6
 RANK_RTOL = 1.0e-10
 
 #: Largest certified bound on cond(T)^2 at which a solve takes the normal
-#: equations (``alloc.solve_torque_gram``, ``pinv_rank``).  G = T T^T squares
-#: the condition number, so a Cholesky solve of G errs by about n u cond(T)^2
-#: relative, u = 1.1e-16 (Golub & Van Loan, Matrix Computations, 5.3;
-#: Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): ~1e-8
-#: here.  For G = L L^T, trace(G) >= lambda_max and ||L^-1||_F^2 =
-#: trace(G^-1) >= 1 / lambda_min, so trace(G) ||L^-1||_F^2 >= cond(T)^2.
-#: ``pinv_rank`` bounds it by a residual: if ||I - T P|| <= r < 1, then
-#: 1 - r <= sigma_min(T P) <= sigma_min(T) ||P||, so T has full row rank and
-#: cond(T) <= ||T|| ||P|| / (1 - r).  A certified T has sigma_min /
+#: equations (``alloc.solve_torque_gram``, ``pinv_rank``) or, for a square T,
+#: its inverse (``pinv_rank``).  G = T T^T squares the condition number, so
+#: a Cholesky solve of G errs by about n u cond(T)^2 relative, u = 1.1e-16
+#: (Golub & Van Loan, Matrix Computations, 5.3; Higham, Accuracy and
+#: Stability of Numerical Algorithms, ch. 10): ~1e-8 here; an LU inverse of
+#: T errs by about u cond(T) (ch. 14).  For G = L L^T, trace(G) >= lambda_max
+#: and ||L^-1||_F^2 = trace(G^-1) >= 1 / lambda_min, so trace(G) ||L^-1||_F^2
+#: >= cond(T)^2.  ``pinv_rank`` bounds it by a residual: if ||I - T P|| <= r
+#: < 1, then 1 - r <= sigma_min(T P) <= sigma_min(T) ||P||, so T has full row
+#: rank and cond(T) <= ||T|| ||P|| / (1 - r).  A certified T has sigma_min /
 #: sigma_max >= 1e-4 >> RANK_RTOL: full rank.
 GRAM_COND_BOUND = 1.0e8
 
@@ -200,27 +201,28 @@ def pinv_rank(
 ) -> tuple[NDArray[np.floating], NDArray[np.integer]]:
     """Pseudoinverse and numerical rank of a matrix or a stack of matrices.
 
-    A k x n entry, k <= n, takes P0 = S^T (S S^T)^-1 and one Newton step P =
-    P0 + P0 E, E = I - S P0, for an error of about u cond(S) (Higham, ch.
-    14).  It is certified, rank k, when ||E||_F <= 1/2 and ||S||_F ||P0||_F /
-    (1 - ||E||_F) <= sqrt(``GRAM_COND_BOUND``) (see there); a 2 x 2 Gram
-    matrix is inverted in closed form.  Other entries, a block whose ``inv``
-    raises and a tall stack take ``_pinv_rank_svd``; the certificate fails
-    on non-finite entries, so numpy need not warn.
+    A k x n entry, k <= n, takes P0 = S^T (S S^T)^-1 (a square one S^-1, no
+    Gram matrix) and one Newton step P = P0 + P0 E, E = I - S P0: an error
+    of about u cond(S) (Higham, ch. 14).  Certified, rank k, when ||E||_F <=
+    1/2 and ||S||_F ||P0||_F / (1 - ||E||_F) <= sqrt(``GRAM_COND_BOUND``)
+    (see there); a 2 x 2 Gram matrix is inverted in closed form.  Other
+    entries, a block whose ``inv`` raises and a tall stack take
+    ``_pinv_rank_svd``; non-finite entries fail, so numpy need not warn.
     """
     k, n = stack.shape[-2:]
     if k > n:
         return _pinv_rank_svd(stack)
     stack_t = np.swapaxes(stack, -1, -2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gram = stack @ stack_t
-        if k == 2:  # [[a, b], [b, d]]^-1 = [[d, -b], [-b, a]] / (a d - b^2)
+        if k == 2 < n:  # [[a, b], [b, d]]^-1 = [[d, -b], [-b, a]] / (a d - b^2)
+            gram = stack @ stack_t
             a, b, d = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
             adj = np.stack([d, -b, -b, a], axis=-1).reshape(gram.shape)
             p0 = stack_t @ (adj / (a * d - b * b)[..., None, None])
         else:
             try:
-                p0 = stack_t @ np.linalg.inv(gram)
+                p0 = (np.linalg.inv(stack) if k == n
+                      else stack_t @ np.linalg.inv(stack @ stack_t))
             except np.linalg.LinAlgError:
                 return _pinv_rank_svd(stack)
         resid = np.eye(k) - stack @ p0

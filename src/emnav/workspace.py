@@ -222,13 +222,14 @@ def _worst_currents(
       and dipole.  The worst case of |P v|_inf over the box |v_k| <= tau_bar, with P the
       pseudoinverse, is tau_bar * max_i sum_k |P_ik|: the induced infinity
       norm of P (Horn & Johnson, Matrix Analysis, 5.6).
-    - fixed field: W selects the rows of ``alloc.field_rows``, the field
-      allocation's task: the [b; g] rows with a zero-gradient task for one
-      agent on arrays of 8 or more coils, else the field rows.
+    - fixed field: the first ``alloc.field_rows`` rows of A(p), sliced: the
+      field allocation's task, the [b; g] rows with a zero-gradient task for
+      one agent on arrays of 8 or more coils, else the field rows.
 
     W, the target and a second agent's rows, stacked under every point, are
     formed once per task.  A block of ``BLOCK`` points takes one A(p) for
-    every task and one ``pinv_rank`` per task (certified normal equations,
+    every task and one ``pinv_rank`` per task (certified normal equations or,
+    for a square stack such as one agent's 8 x 8 on octomag8, its inverse;
     an SVD at the points it does not certify) for the rank and the
     pseudoinverse.  A task the stack cannot realize gives +inf:
 
@@ -245,20 +246,19 @@ def _worst_currents(
     """
     a_other = (None if second_agent is None
                else actuation_matrix(model, np.asarray(second_agent, float)))
-    plans = []  # per task: kind, rows W, the second agent's W A, target, size
+    plans = []  # kind, W or a field's row count, W A_other, target, size
     for kind, size in tasks:
         if kind == "torque-box":
             rows = torque_rows(*orientation, params.dipole_magnitude,
                                params.magnet_offset)
             task = None
         else:
-            n_rows = field_rows(1 if second_agent is None else 2, model.n_coils)
-            rows = np.eye(8)[:n_rows]  # 0/1 rows copy the entries exactly
-            task = np.zeros(n_rows)
+            rows = field_rows(1 if second_agent is None else 2, model.n_coils)
+            task = np.zeros(rows)
             task[2] = size
         other = None
         if a_other is not None:
-            other = rows @ a_other
+            other = rows @ a_other if task is None else a_other[:rows]
             if task is not None:
                 task = np.concatenate([task, task])
         plans.append((kind, rows, other, task, size))
@@ -267,7 +267,7 @@ def _worst_currents(
     for start in range(0, positions.shape[0], BLOCK):
         a_mats = actuation_matrices(model, positions[start : start + BLOCK])
         for (kind, rows, other, task, size), out in zip(plans, worst):
-            stack = rows @ a_mats
+            stack = rows @ a_mats if task is None else a_mats[:, :rows]
             if other is not None:
                 tail = np.broadcast_to(other, (stack.shape[0],) + other.shape)
                 stack = np.concatenate([stack, tail], axis=1)

@@ -854,12 +854,19 @@ def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
 
 
 def _field_dipole_angle_deg(field_b: np.ndarray, moment: np.ndarray) -> float:
-    nb = float(np.linalg.norm(field_b))
-    nm = float(np.linalg.norm(moment))
-    if nb == 0.0 or nm == 0.0:
+    """Angle between a field and a moment [deg], NaN if either is zero:
+    atan2(|f x m|, f . m) of the two scaled by their largest entries, so no
+    square over- or underflows at any finite magnitude."""
+    f_scale = max(abs(float(x)) for x in field_b)
+    m_scale = max(abs(float(x)) for x in moment)
+    if f_scale == 0.0 or m_scale == 0.0:
         return math.nan
-    cosang = float(field_b @ moment) / (nb * nm)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
+    f = [float(x) / f_scale for x in field_b]
+    m = [float(x) / m_scale for x in moment]
+    cross = (f[1] * m[2] - f[2] * m[1], f[2] * m[0] - f[0] * m[2],
+             f[0] * m[1] - f[1] * m[0])
+    dot = f[0] * m[0] + f[1] * m[1] + f[2] * m[2]
+    return math.degrees(math.atan2(math.hypot(*cross), dot))
 
 
 def alloc_bench_per_sample(

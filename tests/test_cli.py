@@ -743,7 +743,9 @@ class TestAllocBench:
         # At 1e300 the norms of 1e-301 A underflow when squared and are
         # rescaled, as the oracle's hypot does.  The norms match the
         # per-sample oracle's (1e-300, sample 1: 1.64e299 and 1.68e299 A),
-        # and the angles and zeta* are NaN or 0 where its are.
+        # and zeta* is NaN or 0 where its is.  The angles were NaN on every
+        # row (the product of the unscaled norms is 0 * inf): they are
+        # finite, the two-step field perpendicular to the moment.
         data = json.loads(self.make_config(tmp_path, samples=BLOCK + 44).read_text())
         data["dipole_magnitude"] = dipole
         cfg = write_json(tmp_path / "bench.json", data)
@@ -756,7 +758,10 @@ class TestAllocBench:
                 get_model("octomag8"), BLOCK + 44, 0, 0.002, 0.04, 0.3, dipole)["values"]
         assert np.all(np.abs(values - want)[:, :4] <= 1e-10 * np.abs(want[:, :4]))
         assert np.all(values[:, :4] > 0.0)
-        np.testing.assert_array_equal(values[:, 4:], want[:, 4:])
+        assert np.isfinite(values[:, 4:6]).all()
+        assert np.all(np.abs(values[:, 5] - 90.0) <= 1e-6)
+        assert np.all(np.abs(values[:, 4:6] - want[:, 4:6]) <= 1e-9)
+        np.testing.assert_array_equal(values[:, 6], want[:, 6])
 
     def test_norm_whose_squares_overflow_is_reported(self, tmp_path):
         # At tau_bar 1e151 the squares of sample 39's currents overflow,

@@ -409,8 +409,9 @@ def test_svd_structure_property(alpha, beta, mag, polarity):
     np.testing.assert_allclose(s / mag, [1.0, 1.0, 0.0], atol=1e-12)
 
 
-# ``pinv_rank``: the certified normal-equations pseudoinverse, with the SVD
-# (``magmodel._pinv_rank_svd``) behind every entry it does not certify.
+# ``pinv_rank``: the certified normal-equations pseudoinverse (a square
+# stack's inverse), with the SVD (``magmodel._pinv_rank_svd``) behind every
+# entry it does not certify.
 
 _EPS = np.finfo(float).eps
 
@@ -529,15 +530,18 @@ def svd_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("rows", [2, 4])
+@pytest.mark.parametrize("rows,cols", [(2, 8), (4, 8), (2, 2), (4, 4)],
+                         ids=["2", "4", "2x2", "4x4"])
 @pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-9, 1e-11])
-def test_pinv_rank_keeps_svd_rank(svd_calls, rows, ratio):
+def test_pinv_rank_keeps_svd_rank(svd_calls, rows, cols, ratio):
     # cond^2 1e6 is certified; 1e12 and more (on either side of RANK_RTOL)
     # falls back to the SVD, whose rank verdict and pseudoinverse stand.
+    # A square map takes its inverse, not the Gram matrix's: the same
+    # verdicts.
     rng = np.random.default_rng(int(-math.log10(ratio)))
     spectrum = np.linspace(1.0, 0.5, rows)
     spectrum[-1] = ratio
-    stack = _conditioned(rng, spectrum)[None]
+    stack = _conditioned(rng, spectrum, cols)[None]
     pinv, rank = pinv_rank(stack)
     assert rank[0] == (rows if ratio > RANK_RTOL else rows - 1)
     _assert_matches_svd_oracle(stack, pinv, rank)
@@ -546,6 +550,48 @@ def test_pinv_rank_keeps_svd_rank(svd_calls, rows, ratio):
     else:
         assert len(svd_calls) == 1
         np.testing.assert_array_equal(pinv, magmodel._pinv_rank_svd(stack)[0])
+
+
+def test_pinv_rank_certifies_square_maps_without_svd(
+    svd_calls, monkeypatch, octomag, navion
+):
+    # One agent's 8 x 8 [b; g] rows on octomag8 (the fixed-field task of
+    # the cube and of the field allocator) and navion3's 3 x 3 field rows
+    # A_b on the stand-off axis are well conditioned: S^-1, inverted from
+    # the stack itself (no Gram matrix S S^T), and its Newton step are
+    # certified, and match the SVD's pseudoinverse.
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    cube = actuation_matrices(octomag, np.array(
+        [[0.0, 0.0, 0.0], [0.02, -0.01, 0.03], [-0.04, 0.04, -0.04]]))
+    standoff = actuation_matrices(navion, np.array(
+        [[0.0, 0.0, z] for z in (0.105, 0.15, 0.25)]))[:, :3]
+    for stack in (cube, standoff):
+        inverted.clear()
+        pinv, rank = pinv_rank(stack)
+        assert len(inverted) == 1 and np.array_equal(inverted[0], stack)
+        assert rank.tolist() == [stack.shape[1]] * 3
+        _assert_matches_svd_oracle(stack, pinv, rank)
+    assert svd_calls == []
+
+
+def test_pinv_rank_falls_back_whole_block_when_square_inv_raises(svd_calls, octomag):
+    # A repeated row makes one 8 x 8 entry singular, and LU meets an exactly
+    # zero pivot (other repeated rows of this entry leave a rounding pivot;
+    # those entries fail the certificate and go to the SVD alone): the
+    # batched inv raises and the SVD takes the whole block, rank 7 at that
+    # entry.
+    points = np.array([[0.01 * k, 0.0, 0.0] for k in range(4)])
+    stack = actuation_matrices(octomag, points)
+    stack[2, 7] = stack[2, 5]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stack)
+    pinv, rank = pinv_rank(stack)
+    assert rank.tolist() == [8, 8, 7, 8]
+    assert len(svd_calls) == 1
+    np.testing.assert_array_equal(svd_calls[0], stack)
+    _assert_matches_svd_oracle(stack, pinv, rank)
 
 
 def test_pinv_rank_does_not_certify_rank_two_torque_map(svd_calls):
@@ -598,11 +644,13 @@ def test_pinv_rank_falls_back_whole_block_when_inv_raises(svd_calls, octomag):
 
 
 def test_pinv_rank_nan_entry_raises(octomag):
+    # Wide (3 x 8, Gram matrix) and square (8 x 8, inverse) stacks.
     points = np.array([[0.01, 0.0, 0.0], [0.0, 0.02, 0.0]])
-    stack = actuation_matrices(octomag, points)[:, :3]
-    stack[1, 0, 0] = math.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        pinv_rank(stack)
+    for rows in (3, 8):
+        stack = actuation_matrices(octomag, points)[:, :rows]
+        stack[1, 0, 0] = math.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            pinv_rank(stack)
 
 
 def test_pinv_rank_overflowing_gram_warns_nothing(svd_calls):

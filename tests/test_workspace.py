@@ -17,7 +17,7 @@ from helpers import (
     torque_box_vertex_worst,
 )
 
-from emnav import workspace
+from emnav import magmodel, workspace
 from emnav.cli import main
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
@@ -470,6 +470,40 @@ def test_one_a_of_p_per_block_for_every_task(monkeypatch, tmp_path, config,
     assert len(calls["actuation_matrices"]) == math.ceil(points / BLOCK)
     assert sum(calls["actuation_matrices"]) == points
     assert calls["actuation_matrix"] == others
+
+
+@pytest.mark.parametrize("config", [
+    None, "workspace_octomag_2agent", "workspace_navion_standoff",
+])
+def test_maps_take_no_svd(monkeypatch, tmp_path, octomag, config):
+    # Every pseudoinverse of the benchmark's single-agent octomag8 cube (21^3
+    # points at 4 mm, both tasks: 2 x 8 torque rows and the 8 x 8 [b; g]
+    # rows, inverted directly) and of the bundled maps is certified: none
+    # takes the SVD, which would cost far more than the certified path.
+    calls, shapes = [], set()
+    svd, certified = magmodel._pinv_rank_svd, workspace.pinv_rank
+
+    def counted_svd(stack):
+        calls.append(stack.shape)
+        return svd(stack)
+
+    def shaped(stack):
+        shapes.add(stack.shape[1:])
+        return certified(stack)
+
+    monkeypatch.setattr(magmodel, "_pinv_rank_svd", counted_svd)
+    monkeypatch.setattr(workspace, "pinv_rank", shaped)
+    if config is None:
+        grid = GridSpec((-0.04, 0.04), (-0.04, 0.04), (-0.04, 0.04), 0.004)
+        field = TaskSet("fixed-field", field_magnitude=0.025)
+        maps = workspace.workspace_map(octomag, [BOX, field], grid, 16.0, params=SLED)
+        assert [m.positions.shape[0] for m in maps] == [21**3] * 2
+        assert shapes == {(2, 8), (8, 8)}
+    else:
+        path = SCENARIO_DIR / f"{config}.json"
+        assert main(["workspace", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert shapes
+    assert calls == []
 
 
 class TestExport:
