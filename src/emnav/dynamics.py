@@ -253,7 +253,8 @@ def make_tick(params: PendulumParams, attached: bool, mag_pol: float):
     by stage (``a_2``, ``add_3``): straight-line code on plain Python floats,
     no per-stage tuples and no calls but ``math.sin``/``math.cos``.  Row s's
     state is ``y + (h_s1 * k_1 + ...)``, with ``h_sj = dt * a_sj`` hoisted
-    and no term for a zero weight: bit-identical to stage-by-stage RK.
+    and no term for a zero weight, nor ``- DAMPING * rate`` for a damping
+    inlined as ``(0.0)``: bit-identical to stage-by-stage RK.
 
     Ticks are kept across runs by ``_compile_tick``, keyed by the constant
     text that they inline.
@@ -272,6 +273,8 @@ def _compile_tick(attached: bool, constants: tuple[tuple[str, str], ...]):
     but inlines as ``(-0.0)``.  A tick takes 35-65 kB, so 32 plants stay
     near 2 MB."""
     template, layout = _LAYOUTS[attached]
+    if ("DAMPING", "(0.0)") in constants:  # no term, as for a zero weight
+        template = re.sub(r" - DAMPING \* \w+", "", template)
     states = [name for name, _ in layout]
 
     def at(name: str, s: int) -> str:

@@ -19,6 +19,7 @@ polarity * |m|, with the moment mag_pol * axis.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -206,7 +207,7 @@ def pinv_rank(
     of about u cond(S) (Higham, ch. 14).  Certified, rank k, when ||E||_F <=
     1/2 and ||S||_F ||P0||_F / (1 - ||E||_F) <= sqrt(``GRAM_COND_BOUND``)
     (see there); a 2 x 2 Gram matrix is inverted in closed form.  Other
-    entries, a block whose ``inv`` raises and a tall stack take
+    entries (one whose own ``inv`` raises) and a tall stack take
     ``_pinv_rank_svd``; non-finite entries fail, so numpy need not warn.
     """
     k, n = stack.shape[-2:]
@@ -220,11 +221,15 @@ def pinv_rank(
             adj = np.stack([d, -b, -b, a], axis=-1).reshape(gram.shape)
             p0 = stack_t @ (adj / (a * d - b * b)[..., None, None])
         else:
+            gram = stack if k == n else stack @ stack_t  # S itself when square
             try:
-                p0 = (np.linalg.inv(stack) if k == n
-                      else stack_t @ np.linalg.inv(stack @ stack_t))
-            except np.linalg.LinAlgError:
-                return _pinv_rank_svd(stack)
+                inv = np.linalg.inv(gram)
+            except np.linalg.LinAlgError:  # entry by entry; a singular one is NaN
+                inv = np.full(gram.shape, math.nan)
+                for idx in np.ndindex(gram.shape[:-2]):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        inv[idx] = np.linalg.inv(gram[idx])
+            p0 = inv if k == n else stack_t @ inv
         resid = np.eye(k) - stack @ p0
         r = np.linalg.norm(resid, axis=(-2, -1))
         cond = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p0, axis=(-2, -1))

@@ -15,8 +15,9 @@ channels couple through the shared dipole orientation.
 The inner integration loop is fixed-step eighth-order Runge-Kutta (DOP853,
 12 stages) at ``PLANT_DT`` on plain Python floats over one per-tick [b; g]
 grid per agent at the stage times (the lag-filtered currents do not depend
-on the plant state): one product of the stacked A(p) of all agents with the
-tick's current grid, split per agent by one ``.tolist()``.  The fused tick from
+on the plant state): one product of the tick's (stages, coils) current grid
+with the agents' A(p)^T, stacked once per run, whose ``.tolist()`` is already
+each agent's grid.  The fused tick from
 ``dynamics.make_tick`` runs it, fetched per agent before synthesis and
 compiled only the first time a process runs that plant (pendulum attached,
 signed dipole): synthesis designs the gains on the complex-step Jacobians
@@ -25,7 +26,8 @@ step is backed by a step-halving test: on the bundled scenarios, halving it
 moves no angle by more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A plant that diverges (a domain
 error, or a non-finite state, as an overflow leaves) ends the run with a
 failure record, as an allocation failure (rank deficiency, an SVD that
-does not converge, before the loop too, or a non-finite solve) does.
+does not converge, before the loop too, or a non-finite residual norm, which
+any non-finite current leaves, 0 * inf being NaN) does.
 
 What else the tick loop reads that does not depend on the plant state is
 ``Scenario.schedule``, built by ``_schedule`` when the scenario is checked:
@@ -592,15 +594,15 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     except (ValueError, ArithmeticError) as exc:  # an SVD that does not converge
         def allocate(*_, error=exc):  # fails the first tick's allocation
             raise error
-    a_all = np.vstack(a_mats)  # (8 * agents, n_coils)
+    a_t = np.stack([a_mat.T for a_mat in a_mats])  # (agents, n_coils, 8)
     b_all = np.vstack([a_mat[:3] for a_mat in a_mats])  # the field rows
     grid_times = np.append(np.add.outer(np.arange(substeps), NODES), substeps) * dt
     omega = 2.0 * math.pi * emns.current_bandwidth
     if emns.current_bandwidth > 0.0:
-        decay_grid = np.exp(-omega * grid_times)
+        decay_grid = np.exp(-omega * grid_times)[:, None]  # a row per stage
         decay_end = float(np.exp(-omega * h))
     else:
-        decay_grid = np.zeros_like(grid_times)
+        decay_grid = np.zeros((grid_times.size, 1))
         decay_end = 0.0
     limit = emns.current_limit
 
@@ -653,9 +655,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         # domain error are ValueErrors.
         try:
             result = allocate(meas_agents, outputs)
-            # Checked before the clamp, which maps an infinite current to the limit.
-            if not (math.isfinite(result.residual_norm)
-                    and np.isfinite(result.currents).all()):
+            # Checked before the clamp, which maps an infinite current to the
+            # limit; a non-finite current leaves the residual non-finite.
+            if not math.isfinite(result.residual_norm):
                 raise FloatingPointError("non-finite allocation currents or residual")
         except (RankDeficiencyError, ValueError, ArithmeticError) as exc:
             failure = {"stage": "allocation", "time": float(t), "tick": k,
@@ -664,14 +666,14 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         residuals[k] = result.residual_norm
         currents_cmd[k] = i_cmd = result.currents.clip(-limit, limit)
 
-        # Current grids across the tick under the first-order driver lag.
+        # The (stages, n_coils) currents at the stage times under the lag.
         diff = i_applied - i_cmd
-        i_grid = i_cmd[:, None] + diff[:, None] * decay_grid[None, :]
+        i_grid = i_cmd + decay_grid * diff
         i_applied = (i_cmd + diff * decay_end).clip(-limit, limit)
 
         # Integrate each agent's plant across the tick over its [b; g] grid
         # (grids[agent][stage]).
-        grids = (a_all @ i_grid).reshape(n_agents, 8, -1).transpose(0, 2, 1).tolist()
+        grids = (i_grid @ a_t).tolist()
         biases = sched.bias[k]
         for a_idx in range(n_agents):
             if k < sched.release[a_idx]:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
     Pose,
@@ -800,6 +801,55 @@ def test_gram_solve_falls_back_on_non_finite_map():
     task_mat[0, 0] = math.nan
     with pytest.raises(np.linalg.LinAlgError):
         solve_torque_gram(task_mat, [0.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_non_finite_current_gives_non_finite_residual(data):
+    # The simulator tests a solve for finiteness on its residual norm alone:
+    # with one current +-inf or NaN, every entry of T c - v is inf or NaN,
+    # through an all-zero column of T too (0 * inf is NaN), and so is the
+    # norm, as _result and the two-step solve (||W0 (A_b c) - v||) form it.
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    task_mat = data.draw(arrays(np.float64, (rows, cols),
+                                elements=st.floats(allow_nan=False,
+                                                   allow_infinity=False)))
+    task_mat[:, data.draw(st.lists(st.integers(0, cols - 1)))] = 0.0
+    currents = data.draw(arrays(np.float64, cols, elements=st.floats(-20.0, 20.0)))
+    currents[data.draw(st.integers(0, cols - 1))] = data.draw(
+        st.sampled_from((math.inf, -math.inf, math.nan)))
+    target = data.draw(arrays(np.float64, rows, elements=st.floats(-1.0, 1.0)))
+    w0 = data.draw(arrays(np.float64, (2, rows), elements=st.floats(-1.0, 1.0)))
+    torques = data.draw(arrays(np.float64, 2, elements=st.floats(-1.0, 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = alloc._result(task_mat, currents, target).residual_norm
+        two_step = np.linalg.norm(w0 @ (task_mat @ currents) - torques)
+    assert not math.isfinite(residual) and not math.isfinite(two_step)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["single_torque", "single_field"])
+def test_non_finite_current_fails_its_tick(monkeypatch, name, bad):
+    # A solve whose currents hold a non-finite entry ends the run at its
+    # tick with an allocation failure, though the run tests the residual
+    # alone: the one-step torque and field solves form it in _result.
+    result = alloc._result
+    calls = []
+
+    def poisoned_on_third_call(task_mat, currents, target):
+        calls.append(None)
+        if len(calls) == 3:
+            currents = currents.copy()
+            currents[5] = bad
+        return result(task_mat, currents, target)
+
+    monkeypatch.setattr(alloc, "_result", poisoned_on_third_call)
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    data["duration"] = 0.1
+    trace = sim.run_scenario(sim.scenario_from_dict(data))
+    assert trace.failure == {"stage": "allocation", "time": 0.01, "tick": 2,
+                             "error": "non-finite allocation currents or residual"}
+    assert trace.t.shape[0] == 3 and np.all(np.isfinite(trace.currents_cmd))
 
 
 # Each per-call wrapper is one call of the allocator the simulator runs, so

@@ -193,8 +193,10 @@ def signed(magnitudes):
 
 @st.composite
 def plants(draw) -> tuple:
-    """A damped plant and its signed dipole moment |m|·polarity."""
-    return (PendulumParams(damping=draw(st.floats(1e-4, 0.1))),
+    """A plant, undamped (its tick compiles no damping term) or damped, and
+    its signed dipole moment |m|·polarity."""
+    damping = st.one_of(st.just(0.0), st.floats(1e-4, 0.1))
+    return (PendulumParams(damping=draw(damping)),
             draw(signed(st.floats(0.05, 5.0))))
 
 

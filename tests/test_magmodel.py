@@ -576,12 +576,13 @@ def test_pinv_rank_certifies_square_maps_without_svd(
     assert svd_calls == []
 
 
-def test_pinv_rank_falls_back_whole_block_when_square_inv_raises(svd_calls, octomag):
+def test_pinv_rank_falls_back_entry_when_square_inv_raises(svd_calls, octomag):
     # A repeated row makes one 8 x 8 entry singular, and LU meets an exactly
     # zero pivot (other repeated rows of this entry leave a rounding pivot;
     # those entries fail the certificate and go to the SVD alone): the
-    # batched inv raises and the SVD takes the whole block, rank 7 at that
-    # entry.
+    # batched inv raises, the block is inverted entry by entry, and only
+    # the singular entry goes to the SVD, rank 7.  The others keep the
+    # batched inverse's bits.
     points = np.array([[0.01 * k, 0.0, 0.0] for k in range(4)])
     stack = actuation_matrices(octomag, points)
     stack[2, 7] = stack[2, 5]
@@ -590,8 +591,10 @@ def test_pinv_rank_falls_back_whole_block_when_square_inv_raises(svd_calls, octo
     pinv, rank = pinv_rank(stack)
     assert rank.tolist() == [8, 8, 7, 8]
     assert len(svd_calls) == 1
-    np.testing.assert_array_equal(svd_calls[0], stack)
+    np.testing.assert_array_equal(svd_calls[0], stack[[2]])
     _assert_matches_svd_oracle(stack, pinv, rank)
+    sound = [0, 1, 3]
+    np.testing.assert_array_equal(pinv[sound], pinv_rank(stack[sound])[0])
 
 
 def test_pinv_rank_does_not_certify_rank_two_torque_map(svd_calls):
@@ -625,10 +628,11 @@ def test_pinv_rank_mixed_block_sends_only_uncertified_entries(svd_calls):
     _assert_matches_svd_oracle(stack, pinv, rank)
 
 
-def test_pinv_rank_falls_back_whole_block_when_inv_raises(svd_calls, octomag):
+def test_pinv_rank_falls_back_entry_when_inv_raises(svd_calls, octomag):
     # A two-agent block whose second agent sits on one of the points: that
     # entry stacks the same rows twice, its Gram matrix is exactly singular,
-    # the batched inv raises and the SVD takes the whole block.
+    # the batched inv raises, and only that entry's own inv raises: the SVD
+    # takes it alone, and the other entries keep the batched bits.
     rows = torque_rows(0.1, -0.2, 2.0, 0.02)
     points = np.array([[0.03, y, 0.0] for y in (-0.02, -0.01, 0.0, 0.01)])
     stack = rows @ actuation_matrices(octomag, points)
@@ -639,8 +643,10 @@ def test_pinv_rank_falls_back_whole_block_when_inv_raises(svd_calls, octomag):
     pinv, rank = pinv_rank(stack)
     assert rank.tolist() == [4, 4, 2, 4]
     assert len(svd_calls) == 1
-    np.testing.assert_array_equal(svd_calls[0], stack)
+    np.testing.assert_array_equal(svd_calls[0], stack[[2]])
     _assert_matches_svd_oracle(stack, pinv, rank)
+    sound = [0, 1, 3]
+    np.testing.assert_array_equal(pinv[sound], pinv_rank(stack[sound])[0])
 
 
 def test_pinv_rank_nan_entry_raises(octomag):

@@ -783,6 +783,64 @@ class TestTraceColumns:
             applied = np.minimum(np.maximum(cmd + (applied - cmd) * decay, -limit),
                                  limit)
 
+    @pytest.mark.parametrize("name,duration,two_step", [
+        ("multi_torque_async", 0.5, False),
+        # Past its torque bias (1 s) and into its integral window (4 s).
+        ("disturb_field_integral", 4.5, False),
+        # The navion3 stand-off line at 125 Hz: two plant steps per tick,
+        # 23 grid entries.
+        ("single_torque", 0.5, True),
+    ], ids=["two_agents", "field", "navion3_two_step"])
+    def test_plant_grids_match_coil_stage_product(self, monkeypatch, name,
+                                                  duration, two_step):
+        # Each tick's plant reads the product of its (stages, coils) lag grid
+        # with the agents' stacked A(p)^T, listed: equal, entry for entry, to
+        # the product of the stacked A(p) with the (coils, stages) grid, each
+        # agent's 8 rows transposed to its [b; g] grid.
+        seen = []
+        make_tick = sim.make_tick
+
+        def recording(*plant):
+            tick = make_tick(*plant)
+
+            def recorded(y, substeps, dt, grid, *biases):
+                seen.append(grid)
+                return tick(y, substeps, dt, grid, *biases)
+
+            recorded.tick = tick
+            return recorded
+
+        monkeypatch.setattr(sim, "make_tick", recording)
+        for synthesis in ("linearize", "finite_difference_linearization"):
+            real = getattr(sim, synthesis)
+            monkeypatch.setattr(sim, synthesis, lambda tick, *args, real=real:
+                                real(tick.tick, *args))
+        data = {**load_bundled(name), "duration": duration}
+        if two_step:
+            _navion_standoff_two_step(data)
+        scenario = scenario_from_dict(data)
+        tr = run_scenario(scenario)
+        assert tr.failure is None
+        emns, sched = scenario.emns, scenario.schedule
+        substeps = round(sched.h / sim.PLANT_DT)
+        assert substeps == (2 if two_step else 1)
+        times = (np.append(np.add.outer(np.arange(substeps), sim.NODES), substeps)
+                 * (sched.h / substeps))
+        decay = np.exp(-2.0 * math.pi * emns.current_bandwidth * times)
+        n_agents = len(scenario.agents)
+        a_all = np.vstack([actuation_matrix(scenario.model, np.array(s.position))
+                           for s in scenario.agents])
+        expected = []
+        for k in range(sched.ticks):
+            cmd = tr.currents_cmd[k]
+            i_grid = cmd[:, None] + (tr.currents[k] - cmd)[:, None] * decay[None, :]
+            grids = (a_all @ i_grid).reshape(n_agents, 8, -1).transpose(0, 2, 1)
+            expected += [grids[a_idx].tolist() for a_idx in range(n_agents)
+                         if k >= sched.release[a_idx]]
+        assert len(seen) == len(expected) == n_agents * sched.ticks
+        assert {len(grid) for grid in seen} == {23 if two_step else 12}
+        assert seen == expected
+
 
 COIL_BELOW = {"position": [0.0, 0.0, -0.2], "axis": [0.0, 0.0, 1.0],
               "moment_per_ampere": 50.0}
