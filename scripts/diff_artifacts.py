@@ -13,7 +13,8 @@ bundled scenario runs: impulses (two on one tick, and on beta), overlapping
 ``torque_bias`` windows, ``measurement_tilt``, an off-grid ``release_time``,
 two integral windows, ``loop_latency``, ``measurement_noise_std``, an
 actuator-only agent beside a pendulum agent, the two-step torque solve (on
-octomag8, and at 125 Hz on navion3), ``include_force: false``, a
+octomag8, and at 125 Hz on navion3), ``include_force: false``, a 70 Hz
+loop (three plant steps per tick, whose sum rounds off the period), a
 polarity -1 agent (under field alignment and one-step torque) and a null
 ``controller`` (on a pendulum and an actuator-only agent); two
 workspace maps whose pseudoinverses take the SVD fallback of
@@ -149,6 +150,16 @@ VARIANTS = {
         "duration": 2.0, "strategy": "torque_two_step", "model": "navion3",
         "emns": "navion", "plant": {"dipole_magnitude": 2.0, "magnet_offset": 0.02},
     }, [{"position": [0.0, 0.0, 0.12]}]),
+    # A 70 Hz loop, three plant steps of h / 3 per tick, where 3 (h / 3)
+    # rounds below h: the driver lag's decay over the tick, read off the
+    # grid's last stage time, is then one ulp off exp(-omega h) at the
+    # 24.5 Hz bandwidth (not at 26.4 Hz, where the product rounds alike).
+    # A 0.03 rad catch peaks near 13.7 of 16 A.
+    "variant_field_70hz": ("single_field", {
+        "duration": 2.0,
+        "emns": {"control_rate": 70.0, "current_limit": 16.0,
+                 "current_bandwidth": 24.5},
+    }, [{"initial": {"alpha": 0.03}}]),
     # A null controller, which no bundled config writes: each layout's
     # default weights (r_weight 1).  Under field alignment they reach the
     # limit on none of the 400 ticks; the torque paradigm's default holds a

@@ -20,29 +20,28 @@ one per agent: the agents sit at fixed positions, so the caller evaluates
 A(p) once.  ``torque_allocator`` and ``field_allocator`` build the
 allocation of a run from them, the one the simulator calls each tick: what
 does not depend on the command (the field task map and its pseudoinverse,
-the two-step field rows' pseudoinverse and rank) is taken once.  A field
-call builds its stacked target in Python floats and makes one array of it
-for one product with the pseudoinverse; a torque call fills the agents'
-body-plane rows from their tilts.  The one-step and multi-agent torque
-solves go through ``solve_torque_gram``: a Cholesky factor of the Gram
-matrix where it certifies the map well conditioned, else ``solve_torque``,
-one ``magmodel.pinv_rank`` of the stacked rows (the Moore-Penrose
-pseudoinverse with the shared singular-value cutoff) for the rank check
-and the solution of minimal 2-norm.  The two-step torque solve takes the
-smallest field realizing the torque in closed form (``two_step_field``),
-then the minimum-norm currents realizing that field through A_b(p)^+.  A
-solve returns only the currents and the task residual, as an
-``AllocationResult`` NamedTuple.  ``emnav alloc-bench`` does not go
-through the allocators: it solves its samples in blocks, one stacked
-pseudoinverse per solve kind and ``two_step_field`` over the block, and
-computes the realized fields, norms, angles and zeta* as vectors itself.
+the two-step field rows' pseudoinverse and rank) is taken once.  The
+one-step and multi-agent torque solves go through ``solve_torque_gram``: a
+Cholesky factor of the Gram matrix where it certifies the map well
+conditioned, else ``solve_torque``, one ``magmodel.pinv_rank`` of the
+stacked rows (the Moore-Penrose pseudoinverse with the shared
+singular-value cutoff) for the rank check and the solution of minimal
+2-norm.  The two-step torque solve takes the smallest field realizing the
+torque in closed form (``two_step_field``), then the minimum-norm currents
+A_b(p)^+ b.  A call returns only the unclamped currents.  The task
+residual, a diagnostic no later tick reads, is formed on demand: a call
+logs its task map, target and currents in a log of ``magmodel.BLOCK``
+solves, whose norms the caller forms at once (``residual_norms``).
+``emnav alloc-bench`` solves its samples in blocks itself, one stacked
+pseudoinverse per solve kind and ``two_step_field`` over the block, with
+its realized fields, norms, angles and zeta* as vectors.
 ``allocate_torque_one_step``, ``allocate_torque_two_step``,
 ``allocate_multi_torque`` and ``allocate_field_alignment`` are each one
-call of an allocator, on the values the allocators take: tilts (alpha,
-beta), the signed dipole magnitude polarity * |m|, and body-plane torques
-(tau_x, tau_y) or field angles.  They are the per-call forms the tests call
-and the benchmark's tracer hooks by name, as it hooks ``zeta_star`` and
-``field_and_gradient``.
+call of an allocator and its residual, an ``AllocationResult``, on the
+values the allocators take: tilts (alpha, beta), the signed dipole magnitude
+polarity * |m|, and body-plane torques (tau_x, tau_y) or field angles.  They
+are the per-call forms the tests call and the benchmark's tracer hooks by
+name, as it hooks ``zeta_star`` and ``field_and_gradient``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .magmodel import GRAM_COND_BOUND, body_frames, pinv_rank, torque_rows
+from .magmodel import (BLOCK, GRAM_COND_BOUND, body_frames, pinv_rank,
+                       torque_row_values, torque_rows)
 
 
 class RankDeficiencyError(RuntimeError):
@@ -77,13 +77,19 @@ class AllocationResult(NamedTuple):
     residual_norm: float
 
 
-def _result(
-    task_mat: np.ndarray, currents: np.ndarray, target
-) -> AllocationResult:
-    """``currents`` with the residual of task_mat against target (its 2-norm
-    as ``np.linalg.norm`` forms it, sqrt(r . r))."""
-    r = task_mat @ currents - target
-    return AllocationResult(currents, math.sqrt(r @ r))
+def residual_norms(maps: np.ndarray, currents: np.ndarray, targets) -> np.ndarray:
+    """||T c - v|| of n solves, shape (n,): ``maps`` one T or n, ``currents``
+    (n, cols), ``targets`` (n, rows).  One matrix-vector and one dot product
+    per solve: each norm has the bits of sqrt(r . r), r = T @ c - v, alone."""
+    r = (maps @ currents[..., None])[..., 0] - targets
+    return np.sqrt((r[:, None] @ r[..., None])[:, 0, 0])
+
+
+def _solved(allocator, angles, commands) -> AllocationResult:
+    """One call of a built allocator, with its residual: a per-call wrapper."""
+    allocate, logged_residuals = allocator
+    currents = allocate(angles, commands, 0)
+    return AllocationResult(currents, float(logged_residuals(1)[0]))
 
 
 def field_and_gradient(
@@ -96,7 +102,7 @@ def field_and_gradient(
     return stacked[:3], stacked[3:]
 
 
-def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
+def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Minimum-norm currents realizing tilt torques on one or more agents.
 
     ``task_mat`` stacks each agent's (2, n_coils) body-plane map (its
@@ -124,7 +130,7 @@ def solve_torque(task_mat: np.ndarray, target: np.ndarray) -> AllocationResult:
             "coupled rank deficiency: agents' torque planes are not jointly "
             "independent (stacked rank < 2 per agent)"
         )
-    return _result(task_mat, pinv @ target, target)
+    return pinv @ target
 
 
 @functools.cache
@@ -170,7 +176,7 @@ def _gram_solve(n: int):
     return namespace["gram_solve"]
 
 
-def solve_torque_gram(task_mat: np.ndarray, target: list) -> AllocationResult:
+def solve_torque_gram(task_mat: np.ndarray, target: list) -> np.ndarray:
     """``solve_torque`` by the normal equations x = T^T (T T^T)^-1 v where
     ``_gram_solve`` certifies them (within about 1e-8 relative of the
     pseudoinverse solve at the bound), else by ``solve_torque`` itself, so
@@ -178,7 +184,7 @@ def solve_torque_gram(task_mat: np.ndarray, target: list) -> AllocationResult:
     y = _gram_solve(len(target))((task_mat @ task_mat.T).tolist(), target)
     if y is None:
         return solve_torque(task_mat, np.array(target))
-    return _result(task_mat, np.array(y) @ task_mat, target)
+    return np.array(y) @ task_mat
 
 
 def field_rows(n_agents: int, n_coils: int) -> int:
@@ -202,17 +208,20 @@ def field_allocator(
 ):
     """The field-alignment allocation of agents at fixed points, built once:
     the pseudoinverse of their ``field_map`` is taken here.  Returns
-    ``allocate(angles, commands)``: the currents realizing each agent's
-    field of its (u_alpha, u_beta) in ``commands``, pointed along the desired
-    dipole axis, magnitude * (sin u_alpha cos u_beta, -sin u_beta,
-    cos u_alpha cos u_beta), and zero gradient rows; ``angles`` is unread.
-    The target is built in Python floats.
+    ``(allocate, logged_residuals)``.  ``allocate(angles, commands, slot)``
+    returns the currents realizing each agent's field of its (u_alpha,
+    u_beta) in ``commands``, pointed along the desired dipole axis,
+    magnitude * (sin u_alpha cos u_beta, -sin u_beta, cos u_alpha cos u_beta),
+    and zero gradient rows; ``angles`` is unread.  It logs them and the
+    target, built in Python floats, at ``slot`` of ``BLOCK`` entries:
+    ``logged_residuals(n)`` is the ``residual_norms`` of slots below n.
     """
     task_mat = field_map(a_mats)
     pinv = pinv_rank(task_mat)[0]
     padding = [0.0] * (task_mat.shape[0] - 3 * len(a_mats))
+    targets, log = (np.empty((BLOCK, size)) for size in task_mat.shape)
 
-    def allocate(angles, commands) -> AllocationResult:
+    def allocate(angles, commands, slot: int) -> np.ndarray:
         target = []
         for polarity, (u_a, u_b) in zip(polarities, commands):
             if polarity != 1:
@@ -222,10 +231,10 @@ def field_allocator(
             ca, sa = math.cos(u_a), math.sin(u_a)
             cb, sb = math.cos(u_b), math.sin(u_b)
             target += (magnitude * (sa * cb), magnitude * -sb, magnitude * (ca * cb))
-        target = np.array(target + padding)
-        return _result(task_mat, pinv @ target, target)
+        targets[slot] = target + padding
+        return np.matmul(pinv, targets[slot], out=log[slot])
 
-    return allocate
+    return allocate, lambda n: residual_norms(task_mat, log[:n], targets[:n])
 
 
 def allocate_field_alignment(
@@ -234,7 +243,7 @@ def allocate_field_alignment(
     """Minimum-norm currents realizing the field of ``magnitude`` along the
     tilts (u_alpha, u_beta) at the point of A(p), shape (8, n_coils): one
     call of the one-agent ``field_allocator``."""
-    return field_allocator([a_mat], [1], magnitude)((), [(u_alpha, u_beta)])
+    return _solved(field_allocator([a_mat], [1], magnitude), (), [(u_alpha, u_beta)])
 
 
 #: A torque solve's rank failure, formatted with where it fails: "" after an
@@ -282,38 +291,46 @@ def torque_allocator(
 
     ``a_mats`` holds each agent's A(p), ``mag_pols`` its polarity * |m| and
     ``lever`` the pivot-to-magnet distance of its ``torque_rows``.  Returns
-    ``allocate(angles, commands)``: the currents realizing each agent's
-    (alpha-channel, beta-channel) torques (tau_y, tau_x) at its tilts, the
-    leading (alpha, beta) of its entry in ``angles``.  A call fills the rows,
-    takes one product with the stacked A(p) and calls ``solve_torque_gram``.
+    ``(allocate, logged_residuals)``, as ``field_allocator`` does; the
+    currents realize each agent's (alpha-channel, beta-channel) torques
+    (tau_y, tau_x) at its tilts, the leading (alpha, beta) of its entry in
+    ``angles``.  A call makes the agents' rows one array and logs their
+    product with the stacked A(p), which ``solve_torque_gram`` solves.
     With ``two_step_at``, one agent's point p, it is the two-step solve on
     the rows' field columns W0, which ``lever`` does not enter
-    (``two_step_field``, then A_b(p)^+ b); the field rows' pseudoinverse and
-    rank are taken here, and rank < 3 fails every call.
+    (``two_step_field``, then A_b(p)^+ b), logging W0 for the residual
+    ||W0 (A_b c) - v||; the field rows' pseudoinverse and rank are taken
+    here, and rank < 3 fails every call.
     """
     a_stack = np.stack(a_mats)  # (agents, 8, n_coils)
-    rows = np.empty((len(a_mats), 2, 8))
-    n_rows = 2 * len(a_mats)
+    n_rows, n_coils = 2 * len(a_mats), a_stack.shape[2]
+    targets, log = np.empty((BLOCK, n_rows)), np.empty((BLOCK, n_coils))
+    maps = np.empty((BLOCK, n_rows, n_coils) if two_step_at is None else (BLOCK, 2, 3))
     if two_step_at is not None:  # pure field torque, through A_b^+ (one agent)
         a_b = a_mats[0][:3]
         pinv_b, rank_b = pinv_rank(a_b)
         rank_failure = FIELD_RANK_FAILURE.format(tuple(float(c) for c in two_step_at))
 
-    def allocate(angles, commands) -> AllocationResult:
-        for idx, (tilts, mag_pol) in enumerate(zip(angles, mag_pols)):
-            rows[idx] = torque_rows(tilts[0], tilts[1], mag_pol, lever)
-        target = [t for out_a, out_b in commands for t in (out_b, out_a)]
+    def allocate(angles, commands, slot: int) -> np.ndarray:
+        rows = np.array([torque_row_values(tilts[0], tilts[1], mag_pol, lever)
+                         for tilts, mag_pol in zip(angles, mag_pols)])
+        targets[slot] = target = [t for out_a, out_b in commands
+                                  for t in (out_b, out_a)]
         if two_step_at is None:
-            return solve_torque_gram((rows @ a_stack).reshape(n_rows, -1), target)
-        if rank_b < 3:
+            np.matmul(rows, a_stack, out=maps[slot].reshape(-1, 2, n_coils))
+            log[slot] = solve_torque_gram(maps[slot], target)
+        elif rank_b < 3:
             raise RankDeficiencyError(rank_failure)
-        w0 = rows[0, :, :3]
-        currents = pinv_b @ two_step_field(w0, target, mag_pols[0])
-        return AllocationResult(
-            currents, float(np.linalg.norm(w0 @ (a_b @ currents) - target))
-        )
+        else:
+            maps[slot] = w0 = rows[0, :, :3]
+            log[slot] = pinv_b @ two_step_field(w0, target, mag_pols[0])
+        return log[slot]
 
-    return allocate
+    def logged_residuals(n: int) -> np.ndarray:
+        mapped = log[:n] if two_step_at is None else (a_b @ log[:n, :, None])[..., 0]
+        return residual_norms(maps[:n], mapped, targets[:n])
+
+    return allocate, logged_residuals
 
 
 def allocate_torque_one_step(
@@ -330,7 +347,7 @@ def allocate_torque_one_step(
     one-agent ``torque_allocator``, which raises ``RankDeficiencyError``
     where W A(p) does not span the torque plane."""
     # The allocator takes the (alpha, beta)-channel torques, (tau_y, tau_x).
-    return torque_allocator([a_mat], [mag_pol], lever)([tilts], [tau[::-1]])
+    return _solved(torque_allocator([a_mat], [mag_pol], lever), [tilts], [tau[::-1]])
 
 
 def allocate_torque_two_step(
@@ -345,7 +362,7 @@ def allocate_torque_two_step(
     the minimum-norm currents A_b(p)^+ b: one call of the two-step
     ``torque_allocator``.  ``p`` names the point of a rank failure
     (``RankDeficiencyError`` where rank A_b(p) < 3)."""
-    return torque_allocator([a_mat], [mag_pol], 0.0, p)([tilts], [tau[::-1]])
+    return _solved(torque_allocator([a_mat], [mag_pol], 0.0, p), [tilts], [tau[::-1]])
 
 
 def zeta_star(
@@ -394,4 +411,5 @@ def allocate_multi_torque(
     if not len(a_mats) == len(tilts) == len(mag_pols) == len(taus) > 0:
         raise ValueError("a_mats, tilts, mag_pols and taus must be equal-length, "
                          "non-empty")
-    return torque_allocator(a_mats, mag_pols, lever)(tilts, [t[::-1] for t in taus])
+    return _solved(torque_allocator(a_mats, mag_pols, lever), tilts,
+                   [t[::-1] for t in taus])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -94,27 +94,25 @@ class ActuationModel:
 
     name: str
     coils: tuple[CoilSpec, ...]
+    #: Coil centers and dipole moments per ampere (n_coils, 3), built once.
+    positions: NDArray[np.floating] = field(init=False, repr=False, compare=False)
+    moments: NDArray[np.floating] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.coils) == 0:
             raise ValueError("an actuation model needs at least one coil")
         object.__setattr__(self, "coils", tuple(self.coils))
+        positions = np.array([c.position for c in self.coils])
+        moments = np.array([np.multiply(c.axis, c.moment_per_ampere)
+                            for c in self.coils])
+        positions.flags.writeable = moments.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "moments", moments)
 
     @property
     def n_coils(self) -> int:
         return len(self.coils)
 
-    @property
-    def positions(self) -> NDArray[np.floating]:
-        """Coil centers, stacked (n_coils, 3)."""
-        return np.array([c.position for c in self.coils])
-
-    @property
-    def moments(self) -> NDArray[np.floating]:
-        """Dipole moment per unit current of each coil, stacked (n_coils, 3)."""
-        return np.array(
-            [np.asarray(c.axis) * c.moment_per_ampere for c in self.coils]
-        )
 
 def actuation_matrix(
     model: ActuationModel, p: NDArray[np.floating]
@@ -302,26 +300,29 @@ def torque_rows(
         lever: Pivot-to-magnet distance [m]; 0 gives the pure field-torque
             rows (gradient columns zero).
     """
+    return np.array(torque_row_values(alpha, beta, mag_pol, lever))
+
+
+def torque_row_values(alpha: float, beta: float, mag_pol: float, lever: float) -> list:
+    """``torque_rows`` as lists of floats, to make many agents' one array."""
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cos(beta), math.sin(beta)
     k = mag_pol * lever
     c2a = ca * ca - sa * sa
     c2b = cb * cb - sb * sb
     scb = sb * cb
-    return np.array(
+    return [
         [
-            [
-                -mag_pol * sa * sb, -mag_pol * cb, -mag_pol * ca * sb,
-                k * scb * c2a, -k * sa * c2b, -2.0 * k * sa * ca * scb,
-                k * scb * (1.0 + ca * ca), -k * ca * c2b,
-            ],
-            [
-                mag_pol * ca, 0.0, -mag_pol * sa,
-                2.0 * k * sa * ca * cb, -k * ca * sb, k * cb * c2a,
-                k * sa * ca * cb, k * sa * sb,
-            ],
-        ]
-    )
+            -mag_pol * sa * sb, -mag_pol * cb, -mag_pol * ca * sb,
+            k * scb * c2a, -k * sa * c2b, -2.0 * k * sa * ca * scb,
+            k * scb * (1.0 + ca * ca), -k * ca * c2b,
+        ],
+        [
+            mag_pol * ca, 0.0, -mag_pol * sa,
+            2.0 * k * sa * ca * cb, -k * ca * sb, k * cb * c2a,
+            k * sa * ca * cb, k * sa * sb,
+        ],
+    ]
 
 
 # ---------------------------------------------------------------------------

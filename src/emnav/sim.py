@@ -27,7 +27,8 @@ moves no angle by more than 1e-8 rad (``tests/test_sim.py::TestPlantStep``).  A 
 error, or a non-finite state, as an overflow leaves) ends the run with a
 failure record, as an allocation failure (rank deficiency, an SVD that
 does not converge, before the loop too, or a non-finite residual norm, which
-any non-finite current leaves, 0 * inf being NaN) does.
+any non-finite current leaves, 0 * inf being NaN) does.  Norms are formed
+``magmodel.BLOCK`` ticks at a time, past such a tick: the trace ends at it.
 
 What else the tick loop reads that does not depend on the plant state is
 ``Scenario.schedule``, built by ``_schedule`` when the scenario is checked:
@@ -72,6 +73,7 @@ from .dynamics import (
 )
 from .export import write_csv
 from .magmodel import (
+    BLOCK,
     ActuationModel,
     SingularPositionError,
     actuation_matrix,
@@ -590,21 +592,21 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     a_mats = [actuation_matrix(scenario.model, np.asarray(s.position, dtype=float))
               for s in scenario.agents]
     try:
-        allocate = _allocator(scenario, a_mats)
+        allocate, logged_residuals = _allocator(scenario, a_mats)
     except (ValueError, ArithmeticError) as exc:  # an SVD that does not converge
         def allocate(*_, error=exc):  # fails the first tick's allocation
             raise error
+        logged_residuals = np.zeros  # of no logged tick
     a_t = np.stack([a_mat.T for a_mat in a_mats])  # (agents, n_coils, 8)
     b_all = np.vstack([a_mat[:3] for a_mat in a_mats])  # the field rows
     grid_times = np.append(np.add.outer(np.arange(substeps), NODES), substeps) * dt
     omega = 2.0 * math.pi * emns.current_bandwidth
-    if emns.current_bandwidth > 0.0:
-        decay_grid = np.exp(-omega * grid_times)[:, None]  # a row per stage
-        decay_end = float(np.exp(-omega * h))
+    if emns.current_bandwidth > 0.0:  # a row per stage, the tick's end last
+        decay_grid = np.exp(-omega * grid_times)[:, None]
     else:
         decay_grid = np.zeros((grid_times.size, 1))
-        decay_end = 0.0
-    limit = emns.current_limit
+    upper = np.full(n_coils, emns.current_limit)
+    lower = -upper
 
     # --- state -------------------------------------------------------------
     states = [tuple(s.initial[i] for i in _PACKED[s.pendulum_attached])
@@ -619,6 +621,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     currents_cmd = np.zeros((ticks, n_coils))
     residuals = np.zeros(ticks)
     failure = None
+    logged = 0  # ticks whose allocation is logged
 
     for k in range(ticks):
         t = k * h
@@ -652,24 +655,26 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         rows[k, 0, 10:-3] = i_applied  # the other agents' and fields: after the loop
 
         # Allocation (on measured orientations); LinAlgError and a math
-        # domain error are ValueErrors.
+        # domain error are ValueErrors.  A full block of logged solves forms
+        # its residual norms; a non-finite one stops the loop.
         try:
-            result = allocate(meas_agents, outputs)
-            # Checked before the clamp, which maps an infinite current to the
-            # limit; a non-finite current leaves the residual non-finite.
-            if not math.isfinite(result.residual_norm):
-                raise FloatingPointError("non-finite allocation currents or residual")
+            i_cmd = allocate(meas_agents, outputs, k % BLOCK)
         except (RankDeficiencyError, ValueError, ArithmeticError) as exc:
             failure = {"stage": "allocation", "time": float(t), "tick": k,
                        "error": str(exc)}
             break
-        residuals[k] = result.residual_norm
-        currents_cmd[k] = i_cmd = result.currents.clip(-limit, limit)
+        logged = k + 1
+        if logged % BLOCK == 0:
+            residuals[logged - BLOCK:logged] = logged_residuals(BLOCK)
+            if not np.isfinite(residuals[logged - BLOCK:logged]).all():
+                break
+        currents_cmd[k] = i_cmd = np.minimum(np.maximum(i_cmd, lower), upper)
 
-        # The (stages, n_coils) currents at the stage times under the lag.
+        # The (stages, n_coils) currents at the stage times under the lag,
+        # the tick's end last.
         diff = i_applied - i_cmd
         i_grid = i_cmd + decay_grid * diff
-        i_applied = (i_cmd + diff * decay_end).clip(-limit, limit)
+        i_applied = np.minimum(np.maximum(i_grid[-1], lower), upper)
 
         # Integrate each agent's plant across the tick over its [b; g] grid
         # (grids[agent][stage]).
@@ -694,6 +699,14 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         if failure is not None:
             break
 
+    # The last block's norms; the first non-finite one fails its tick.
+    residuals[logged - logged % BLOCK:logged] = logged_residuals(logged % BLOCK)
+    bad = np.flatnonzero(~np.isfinite(residuals[:logged]))
+    if bad.size:
+        k = int(bad[0])
+        residuals[k], currents_cmd[k] = 0.0, 0.0
+        failure = {"stage": "allocation", "time": float(k * h), "tick": k,
+                   "error": "non-finite allocation currents or residual"}
     n = ticks if failure is None else k + 1  # through the failing tick
     # The stacked matmul takes one matrix-vector product per tick, so each
     # tick's fields have the bits of b_all @ its currents.
@@ -708,7 +721,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 def _allocator(scenario: Scenario, a_mats: list):
     """The per-tick allocation of one run, built once from the agents' A(p):
     ``alloc.field_allocator`` or ``alloc.torque_allocator`` for the
-    scenario's strategy, called as ``allocate(meas_agents, outputs)``."""
+    scenario's strategy, as ``(allocate, logged_residuals)``: a tick calls
+    ``allocate(meas_agents, outputs, slot)``."""
     agents = scenario.agents
     if scenario.paradigm == "field":
         return alloc.field_allocator(a_mats, [s.polarity for s in agents],

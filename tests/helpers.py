@@ -23,6 +23,7 @@ from emnav.alloc import (
 )
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
+    BLOCK,
     MIN_COIL_DISTANCE,
     ActuationModel,
     SingularPositionError,
@@ -753,10 +754,12 @@ def composed_allocator(scenario, a_mats: list):
     """Drop-in for ``sim._allocator`` on the torque strategies that builds a
     ``Pose`` and a world-frame torque per agent per tick and solves in the
     world frame: ``torque_two_step`` through :func:`two_step_world`, the
-    others through :func:`composed_torque_solve`."""
+    others through :func:`composed_torque_solve`.  Each solve's residual
+    norm is kept at its slot, as the per-run allocators log their solves."""
     params = scenario.plant
+    norms = [0.0] * BLOCK
 
-    def allocate(meas_agents: list, outputs: list):
+    def allocate(meas_agents: list, outputs: list, slot: int):
         dipoles = [
             Pose(tuple(setup.position), meas[0], meas[1],
                  setup.polarity * params.dipole_magnitude)
@@ -764,15 +767,17 @@ def composed_allocator(scenario, a_mats: list):
         ]
         taus = [(out_b, out_a) for out_a, out_b in outputs]
         if scenario.strategy == "torque_two_step":
-            return two_step_world(a_mats[0], dipoles[0], taus[0])
-        verdict, result, _ = composed_torque_solve(
-            a_mats, dipoles, params, taus, scenario.include_force
-        )
-        if verdict is not None:
-            raise RankDeficiencyError(verdict)
-        return result
+            result = two_step_world(a_mats[0], dipoles[0], taus[0])
+        else:
+            verdict, result, _ = composed_torque_solve(
+                a_mats, dipoles, params, taus, scenario.include_force
+            )
+            if verdict is not None:
+                raise RankDeficiencyError(verdict)
+        norms[slot] = result.residual_norm
+        return result.currents
 
-    return allocate
+    return allocate, lambda n: np.array(norms[:n])
 
 
 def event_spans(scenario) -> list:
@@ -836,6 +841,14 @@ def settling_tick_brute(within: np.ndarray) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+def tick_residual(task_mat: np.ndarray, currents: np.ndarray, target) -> float:
+    """One solve's task residual alone, sqrt(r . r) with r = T c - v, as
+    ``np.linalg.norm`` forms it: the oracle of ``alloc.residual_norms``,
+    which forms a block of them at once."""
+    r = task_mat @ currents - target
+    return math.sqrt(r @ r)
+
+
 def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
     """Minimum-norm currents realizing field ``commands`` (u_alpha, u_beta,
     magnitude), one per agent, through ``field_map``, a command at a time:
@@ -849,8 +862,7 @@ def allocate_multi_field(a_mats: list, commands: list) -> AllocationResult:
     padding = np.zeros(task_mat.shape[0] - 3 * len(commands))
     target = np.concatenate([field_setpoint(*c) for c in commands] + [padding])
     currents = pinv_rank(task_mat)[0] @ target
-    r = task_mat @ currents - target
-    return AllocationResult(currents, math.sqrt(r @ r))
+    return AllocationResult(currents, tick_residual(task_mat, currents, target))
 
 
 def _field_dipole_angle_deg(field_b: np.ndarray, moment: np.ndarray) -> float:

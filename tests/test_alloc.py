@@ -32,6 +32,7 @@ from helpers import (
     min_norm_oracle,
     random_agent,
     skew,
+    tick_residual,
     two_step_world,
     world_torque,
     zeta_star_world,
@@ -46,6 +47,7 @@ from emnav.alloc import (
     allocate_torque_one_step,
     allocate_torque_two_step,
     field_allocator,
+    field_map,
     solve_torque,
     solve_torque_gram,
     two_step_field,
@@ -53,6 +55,7 @@ from emnav.alloc import (
 )
 from emnav.dynamics import PendulumParams
 from emnav.magmodel import (
+    BLOCK,
     GRAM_COND_BOUND,
     RANK_RTOL,
     ActuationModel,
@@ -404,8 +407,8 @@ class TestMultiField:
 
 class TestFieldAllocator:
     """The per-run field allocation builds its target in floats; its
-    currents and residual equal, bit for bit, those of the per-command
-    ``field_setpoint`` oracle, ``allocate_multi_field``."""
+    currents, and the residuals formed from its log, equal bit for bit those
+    of the per-command ``field_setpoint`` oracle, ``allocate_multi_field``."""
 
     @pytest.mark.parametrize("points,polarities", [
         pytest.param([(0.01, -0.005, 0.0)], [1], id="one-agent-8-rows"),
@@ -418,18 +421,20 @@ class TestFieldAllocator:
     def test_bit_identical_to_setpoint_oracle(self, octomag, rng, points, polarities):
         a_mats = [actuation_matrix(octomag, np.array(p)) for p in points]
         magnitude = 0.04
-        allocate = field_allocator(a_mats, polarities, magnitude)
-        for _ in range(20):
+        allocate, logged_residuals = field_allocator(a_mats, polarities, magnitude)
+        norms = []
+        for slot in range(20):
             outputs = [tuple(rng.uniform(-0.8, 0.8, 2)) for _ in points]
-            res = allocate((), outputs)
+            currents = allocate((), outputs, slot)
             # A polarity -1 magnet's command is inverted: b(pi + u, -v).
             oracle = allocate_multi_field(a_mats, [
                 (u_a, u_b, magnitude) if pol == 1
                 else (math.pi + u_a, -u_b, magnitude)
                 for pol, (u_a, u_b) in zip(polarities, outputs)
             ])
-            np.testing.assert_array_equal(res.currents, oracle.currents)
-            assert res.residual_norm == oracle.residual_norm
+            np.testing.assert_array_equal(currents, oracle.currents)
+            norms.append(oracle.residual_norm)
+        np.testing.assert_array_equal(logged_residuals(20), norms)
 
 
 class TestMultiTorque:
@@ -704,10 +709,10 @@ def test_gram_solve_matches_pinv_on_body_plane_maps(case):
     bound = np.trace(gram) * np.sum(factor_inv**2)
     assert bound >= (sigma[0] / sigma[-1]) ** 2 * (1.0 - 1e-12)
     assert alloc._gram_solve(n_rows)(gram.tolist(), target) is not None
-    res = solve_torque_gram(task_mat, target)
+    currents = solve_torque_gram(task_mat, target)
     oracle = np.linalg.pinv(task_mat, rcond=RANK_RTOL) @ np.array(target)
-    assert np.linalg.norm(res.currents - oracle) <= 1e-12 * np.linalg.norm(oracle)
-    assert res.residual_norm <= 1e-12 * np.linalg.norm(target)
+    assert np.linalg.norm(currents - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert tick_residual(task_mat, currents, target) <= 1e-12 * np.linalg.norm(target)
 
 
 def _orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -762,12 +767,11 @@ def test_gram_solve_keeps_svd_verdicts(monkeypatch, deficient, ratio):
         assert got == oracle and got.startswith(f"{name}:" if "agent" in name
                                                 else "coupled rank deficiency")
     elif svd_calls:
-        np.testing.assert_array_equal(got.currents, oracle.currents)
-        assert got.residual_norm == oracle.residual_norm
+        np.testing.assert_array_equal(got, oracle)
     else:
-        scale = np.linalg.norm(oracle.currents)
-        assert np.linalg.norm(got.currents - oracle.currents) <= 1e-8 * scale
-        assert got.residual_norm <= 1e-8 * np.linalg.norm(target)
+        scale = np.linalg.norm(oracle)
+        assert np.linalg.norm(got - oracle) <= 1e-8 * scale
+        assert tick_residual(task_mat, got, target) <= 1e-8 * np.linalg.norm(target)
 
 
 @pytest.mark.parametrize("ratio,certified", [(1.01e-4, True), (0.99e-4, False)])
@@ -788,10 +792,10 @@ def test_gram_certificate_threshold(monkeypatch, ratio, certified):
         return solve_torque(*args)
 
     monkeypatch.setattr(alloc, "solve_torque", counted)
-    res = solve_torque_gram(task_mat, target)
+    currents = solve_torque_gram(task_mat, target)
     assert len(svd_calls) == (0 if certified else 1)
     oracle = np.linalg.pinv(task_mat, rcond=RANK_RTOL) @ np.array(target)
-    assert np.linalg.norm(res.currents - oracle) <= 1e-8 * np.linalg.norm(oracle)
+    assert np.linalg.norm(currents - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
 def test_gram_solve_falls_back_on_non_finite_map():
@@ -806,10 +810,11 @@ def test_gram_solve_falls_back_on_non_finite_map():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_non_finite_current_gives_non_finite_residual(data):
-    # The simulator tests a solve for finiteness on its residual norm alone:
-    # with one current +-inf or NaN, every entry of T c - v is inf or NaN,
-    # through an all-zero column of T too (0 * inf is NaN), and so is the
-    # norm, as _result and the two-step solve (||W0 (A_b c) - v||) form it.
+    # The simulator tests its solves for finiteness on their residual norms
+    # alone: with one current +-inf or NaN, every entry of T c - v is inf or
+    # NaN, through an all-zero column of T too (0 * inf is NaN), and so is
+    # the norm, alone and stacked as ``residual_norms`` forms it, and the
+    # two-step solve's ||W0 (A_b c) - v||.
     rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     task_mat = data.draw(arrays(np.float64, (rows, cols),
                                 elements=st.floats(allow_nan=False,
@@ -822,9 +827,34 @@ def test_non_finite_current_gives_non_finite_residual(data):
     w0 = data.draw(arrays(np.float64, (2, rows), elements=st.floats(-1.0, 1.0)))
     torques = data.draw(arrays(np.float64, 2, elements=st.floats(-1.0, 1.0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = alloc._result(task_mat, currents, target).residual_norm
+        residual = tick_residual(task_mat, currents, target)
+        stacked = alloc.residual_norms(task_mat, currents[None], target[None])
         two_step = np.linalg.norm(w0 @ (task_mat @ currents) - torques)
+        two_step_stacked = alloc.residual_norms(
+            w0[None], (task_mat @ currents[None, :, None])[..., 0], torques[None])
     assert not math.isfinite(residual) and not math.isfinite(two_step)
+    assert not np.isfinite(stacked).any() and not np.isfinite(two_step_stacked).any()
+
+
+def _poison_allocation(monkeypatch, tick: int, bad: float) -> None:
+    """Make the per-run allocator return currents[5] = ``bad`` at ``tick``:
+    its call returns its log entry, so the residual formed later reads it."""
+    allocator = sim._allocator
+
+    def poisoned(scenario, a_mats):
+        allocate, logged_residuals = allocator(scenario, a_mats)
+        calls = []
+
+        def allocate_poisoned(*args):
+            currents = allocate(*args)
+            calls.append(None)
+            if len(calls) == tick + 1:
+                currents[5] = bad
+            return currents
+
+        return allocate_poisoned, logged_residuals
+
+    monkeypatch.setattr(sim, "_allocator", poisoned)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -832,24 +862,102 @@ def test_non_finite_current_gives_non_finite_residual(data):
 def test_non_finite_current_fails_its_tick(monkeypatch, name, bad):
     # A solve whose currents hold a non-finite entry ends the run at its
     # tick with an allocation failure, though the run tests the residual
-    # alone: the one-step torque and field solves form it in _result.
-    result = alloc._result
-    calls = []
-
-    def poisoned_on_third_call(task_mat, currents, target):
-        calls.append(None)
-        if len(calls) == 3:
-            currents = currents.copy()
-            currents[5] = bad
-        return result(task_mat, currents, target)
-
-    monkeypatch.setattr(alloc, "_result", poisoned_on_third_call)
+    # alone, formed after the solve from the allocator's log.
+    _poison_allocation(monkeypatch, 2, bad)
     data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
     data["duration"] = 0.1
     trace = sim.run_scenario(sim.scenario_from_dict(data))
     assert trace.failure == {"stage": "allocation", "time": 0.01, "tick": 2,
                              "error": "non-finite allocation currents or residual"}
     assert trace.t.shape[0] == 3 and np.all(np.isfinite(trace.currents_cmd))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["single_torque", "single_field"])
+def test_non_finite_current_in_second_block_fails_its_tick(monkeypatch, name, bad):
+    # Residuals are formed a block of BLOCK ticks at a time, so the loop runs
+    # past the poisoned tick: to the end of its block for an infinite current
+    # (the clamp maps it to the limit), or to the plant's failure on that
+    # tick for a NaN.  The trace still ends at the poisoned tick, with the
+    # values of a clean run up to it, and that tick's command and residual
+    # left 0.
+    tick = BLOCK + 10
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    data["duration"] = 2.6  # 520 ticks: the poisoned tick's block is full
+    scenario = sim.scenario_from_dict(data)
+    clean = sim.run_scenario(scenario)
+    _poison_allocation(monkeypatch, tick, bad)
+    trace = sim.run_scenario(scenario)
+    assert trace.failure == {"stage": "allocation", "time": tick * scenario.schedule.h,
+                             "tick": tick,
+                             "error": "non-finite allocation currents or residual"}
+    assert trace.t.shape[0] == tick + 1
+    np.testing.assert_array_equal(trace.rows, clean.rows[:tick + 1])
+    np.testing.assert_array_equal(trace.currents_cmd[:tick], clean.currents_cmd[:tick])
+    np.testing.assert_array_equal(trace.residuals[:tick], clean.residuals[:tick])
+    assert not trace.currents_cmd[tick].any() and trace.residuals[tick] == 0.0
+
+
+# The residuals ``run_scenario`` forms a block at a time equal each tick's
+# own: ||T c - v|| (``tick_residual``) of the tick's measured tilts, task and
+# currents, or ||W0 (A_b c) - v|| for the two-step solve.  The runs are long
+# enough for full blocks and a partial last one.
+_RESIDUAL_CASES = {
+    "torque_one_step": ("single_torque", {}),
+    "torque_one_step_no_force": ("single_torque", {"include_force": False}),
+    "torque_two_step": ("single_torque", {"strategy": "torque_two_step"}),
+    "multi_torque": ("multi_torque_async", {}),
+    "field_alignment": ("single_field", {}),
+    "multi_field": ("multi_field_2x2d", {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_RESIDUAL_CASES))
+def test_block_residuals_are_the_tick_residuals(monkeypatch, case):
+    name, keys = _RESIDUAL_CASES[case]
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    data.update(keys)
+    scenario = sim.scenario_from_dict(data)
+    solves = []
+    allocator = sim._allocator
+
+    def recording(scenario, a_mats):
+        allocate, logged_residuals = allocator(scenario, a_mats)
+
+        def allocate_recorded(angles, commands, slot):
+            currents = allocate(angles, commands, slot)
+            solves.append(([a[:2] for a in angles], commands, currents.copy()))
+            return currents
+
+        return allocate_recorded, logged_residuals
+
+    monkeypatch.setattr(sim, "_allocator", recording)
+    trace = sim.run_scenario(scenario)
+    assert trace.failure is None and len(solves) == len(trace.t)
+    assert len(trace.t) % BLOCK and len(trace.t) > BLOCK
+    params, agents = scenario.plant, scenario.agents
+    a_mats = [actuation_matrix(scenario.model, s.position) for s in agents]
+    lever = params.magnet_offset if scenario.include_force else 0.0
+    for k, (tilts, commands, currents) in enumerate(solves):
+        if scenario.paradigm == "field":
+            task_mat = field_map(a_mats)
+            fields = [field_setpoint(u_a, u_b, scenario.field_magnitude)
+                      if s.polarity == 1 else
+                      field_setpoint(math.pi + u_a, -u_b, scenario.field_magnitude)
+                      for s, (u_a, u_b) in zip(agents, commands)]
+            padding = np.zeros(task_mat.shape[0] - 3 * len(agents))
+            target = np.concatenate(fields + [padding])
+        else:
+            rows = [torque_rows(*tilt, s.polarity * params.dipole_magnitude, lever)
+                    for s, tilt in zip(agents, tilts)]
+            target = [t for out_a, out_b in commands for t in (out_b, out_a)]
+            task_mat = np.vstack([w @ a for w, a in zip(rows, a_mats)])
+        if scenario.strategy == "torque_two_step":
+            w0 = rows[0][:, :3]
+            oracle = float(np.linalg.norm(w0 @ (a_mats[0][:3] @ currents) - target))
+        else:
+            oracle = tick_residual(task_mat, currents, target)
+        assert trace.residuals[k] == oracle, k
 
 
 # Each per-call wrapper is one call of the allocator the simulator runs, so

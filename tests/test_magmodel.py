@@ -40,6 +40,7 @@ from emnav import magmodel
 from emnav.magmodel import (
     GRAM_COND_BOUND,
     RANK_RTOL,
+    ActuationModel,
     CoilSpec,
     SingularPositionError,
     actuation_matrices,
@@ -227,6 +228,24 @@ class TestPresets:
         a_b = actuation_matrix(navion, np.array([0.0, 0.0, 0.10]))[:3]
         currents = np.linalg.pinv(a_b, rcond=1e-10) @ np.array([0.0, 0.0, 0.025])
         assert abs(np.max(np.abs(currents)) - 25.0) < 1e-9
+
+    @pytest.mark.parametrize("name", ["octomag8", "navion3"])
+    def test_coil_arrays_built_once_read_only(self, name):
+        # positions and moments are made from the coil tuples in __post_init__
+        # and shared by every call; models still compare and hash by name
+        # and coils alone.
+        model = get_model(name)
+        assert model.positions is model.positions and model.moments is model.moments
+        np.testing.assert_array_equal(model.positions,
+                                      [c.position for c in model.coils])
+        np.testing.assert_array_equal(
+            model.moments,
+            [np.asarray(c.axis) * c.moment_per_ampere for c in model.coils])
+        for array in (model.positions, model.moments):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        twin = ActuationModel(model.name, model.coils)
+        assert twin == model and hash(twin) == hash(model)
 
     def test_get_model_unknown_name(self):
         with pytest.raises(KeyError):
