@@ -273,9 +273,10 @@ def cmd_alloc_bench(config_path: Path, out_dir: Path, seed: int | None) -> int:
             "stage": "allocation", "samples": [start, last], "error": error,
         }, f" in samples {start} to {last}")
 
+    i_one, i_two, b_one, b_two = values[:, :4].T  # to 1e-9 of the larger norm
     flags = {
-        "current_norm_order": values[:, 0] > values[:, 1] + 1e-9,
-        "field_norm_order": values[:, 2] < values[:, 3] - 1e-9,
+        "current_norm_order": i_one > i_two + 1e-9 * np.maximum(i_one, i_two),
+        "field_norm_order": b_one < b_two - 1e-9 * np.maximum(b_one, b_two),
         "two_step_angle": np.abs(values[:, 5] - 90.0) > 1e-6,
     }
     notes = [""] * samples

@@ -229,9 +229,9 @@ def pinv_rank(
                         inv[idx] = np.linalg.inv(gram[idx])
             p0 = inv if k == n else stack_t @ inv
         resid = np.eye(k) - stack @ p0
-        r = np.linalg.norm(resid, axis=(-2, -1))
-        cond = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(p0, axis=(-2, -1))
-        bad = ~((r <= 0.5) & (cond <= math.sqrt(GRAM_COND_BOUND) * (1.0 - r)))
+        r, s_norm, p0_norm = (np.sqrt(np.einsum("...ij,...ij->...", x, x))
+                              for x in (resid, stack, p0))  # Frobenius norms
+        bad = ~((r <= 0.5) & (s_norm * p0_norm <= math.sqrt(GRAM_COND_BOUND) * (1 - r)))
         pinv, rank = p0 + p0 @ resid, np.full(r.shape, k)
     if np.any(bad):
         pinv[bad], rank[bad] = _pinv_rank_svd(stack[bad])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .alloc import field_rows
 from .dynamics import PendulumParams
-from .export import text_column, write_csv, write_json
+from .export import text_lookup, write_csv, write_json
 from .magmodel import (
     BLOCK,
     ActuationModel,
@@ -43,8 +43,10 @@ NEAR_CONTACT_DISTANCE = 0.01
 #: array is allocated.  A finished map holds 40 B per point and one being
 #: built peaks near 100 B per point (positions, meshgrid temporaries,
 #: margins, flags, offsets to a second agent; measured with tracemalloc), so
-#: a two-task `emnav workspace` run stays near 140 MB at the cap.  The
-#: largest map in use has 41^3 = 68,921 points.
+#: a two-task `emnav workspace` run stays near 140 MB at the cap.  The CSV
+#: export adds a sorted copy of a column and a text per distinct coordinate
+#: (and margin, if at most n/4 are): at 41^3 = 68,921 points, the largest map
+#: in use, 1.4 MB for octomag8's torque map and 1.0 MB for its field map.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -163,19 +165,21 @@ class FeasibilityMap:
 
     def to_csv(self, path) -> None:
         # A lattice axis holds few distinct coordinates: each is formatted
-        # once per map, and the rows share its string.  ``feasible`` is
-        # written as text, the bytes "%.17g" gives 1.0 and 0.0.
-        texts = ({}, {}, {})
+        # once per map, and the rows share its string; so are the margins of
+        # a map where at most a quarter are distinct (a symmetric one), and
+        # ``fm`` is formatted inline otherwise.  ``feasible`` is written as
+        # text, the bytes "%.17g" gives 1.0 and 0.0.
+        rows = self.positions.shape[0]
+        axes = [text_lookup(self.positions[:, k]) for k in range(3)]
+        margins = text_lookup(self.fm, rows // 4) or (lambda fm: fm)
 
         def block(start: int, stop: int) -> list:
             fm = self.fm[start:stop]
-            return [*(text_column(self.positions[start:stop, k], texts[k])
-                      for k in range(3)),
-                    fm, list(map(("0", "1").__getitem__, (fm > 0.0).tolist())),
+            return [*(axes[k](self.positions[start:stop, k]) for k in range(3)),
+                    margins(fm), list(map(("0", "1").__getitem__, (fm > 0.0).tolist())),
                     self.flags[start:stop]]
 
-        write_csv(path, ("x", "y", "z", "fm", "feasible", "flag"),
-                  self.positions.shape[0], block)
+        write_csv(path, ("x", "y", "z", "fm", "feasible", "flag"), rows, block)
 
     def write_metadata(self, path) -> None:
         write_json(path, {**self.metadata, "feasible_count": self.feasible_count,

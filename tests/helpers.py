@@ -933,9 +933,9 @@ def alloc_bench_per_sample(
         except DegenerateTaskError:
             zeta = math.nan
         reasons = []
-        if norms[0] > norms[1] + 1e-9:
+        if norms[0] > norms[1] + 1e-9 * max(norms[0], norms[1]):
             reasons.append("current_norm_order")
-        if norms[2] < norms[3] - 1e-9:
+        if norms[2] < norms[3] - 1e-9 * max(norms[2], norms[3]):
             reasons.append("field_norm_order")
         if abs(angle_two - 90.0) > 1e-6:
             reasons.append("two_step_angle")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -619,6 +619,16 @@ _TWO_COIL = ActuationModel(
     # of magnitudes far below this underflow in the norms of the bounds.
     polar=st.tuples(_floats(1e-6, 5e-3), _floats(0.0, 2.0 * math.pi)),
 )
+# Near a loss of field rank: cond(A_b) 5.4e5, currents of 2.4e5 A and a
+# residual of 2.18e-14 N m, 5.6e-12 ||tau||; its backward error is 3.0e-17.
+@example(model=get_model("navion3"),
+         xy=(0.03529284777958676, 0.031312739276768746),
+         z_unit=0.013515257694568298, tilts=(0.0, 0.0), dipole=1.0,
+         polarity=1, polar=(0.00390625, 0.0))
+@example(model=get_model("navion3"),
+         xy=(0.03529284777958676, 0.031312739276768746),
+         z_unit=0.013515257694568298, tilts=(0.0, 0.0), dipole=1.0,
+         polarity=-1, polar=(0.00390625, 0.0))
 def test_two_step_closed_form_matches_world_frame_oracle(
     model, xy, z_unit, tilts, dipole, polarity, polar
 ):
@@ -651,7 +661,12 @@ def test_two_step_closed_form_matches_world_frame_oracle(
     else:
         scale = np.linalg.norm(oracle.currents)
         assert np.linalg.norm(closed.currents - oracle.currents) <= 1e-12 * scale
-        assert closed.residual_norm <= 1e-12 * np.linalg.norm(tau)
+        # The normwise backward error of W0 A_b c = tau: rounding scales with
+        # ||W0|| ||A_b|| ||c||, which near a loss of field rank is far above
+        # ||tau||.
+        scale = (np.linalg.norm(rows, 2) * np.linalg.norm(a_mat[:3], 2)
+                 * np.linalg.norm(closed.currents) + np.linalg.norm(tau))
+        assert closed.residual_norm <= 1e-14 * scale
 
     # zeta*: the same verdict on degeneracy, and the same shift.
     outcomes = []

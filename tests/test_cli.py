@@ -763,6 +763,74 @@ class TestAllocBench:
         assert np.all(np.abs(values[:, 4:6] - want[:, 4:6]) <= 1e-9)
         np.testing.assert_array_equal(values[:, 6], want[:, 6])
 
+    def violations(self, tmp_path, tag, **changes):
+        """Each violation's sample and reasons from one bench run of
+        ``BLOCK + 44`` samples, with ``changes`` to the config."""
+        data = json.loads(self.make_config(tmp_path, samples=BLOCK + 44).read_text())
+        data.update(changes)
+        cfg = write_json(tmp_path / f"{tag}.json", data)
+        out = tmp_path / tag
+        assert main(["alloc-bench", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "bench_summary.json").read_text())
+        return [(v["sample"], v["reasons"]) for v in summary["violations"]]
+
+    @pytest.mark.parametrize("patched", [False, True], ids=["drawn", "patched"])
+    def test_norm_order_flags_are_scale_free(self, tmp_path, monkeypatch, patched):
+        # The currents scale as 1 / dipole: near 1e299 A at a dipole of
+        # 1e-300 and near 1e-303 A at 1e300.  On the same draws the flags are
+        # those of a dipole of 0.5: none, or, where every fifth sample's
+        # one-step current norm is raised and every seventh's one-step field
+        # norm lowered by 1e-6 of itself, exactly those.
+        import emnav.cli as cli
+
+        if patched:
+            solve = cli._solve_block
+
+            def raised(*args):
+                values, one_ok, two_ok = solve(*args)
+                values[::5, 0] = values[::5, 1] * (1.0 + 1e-6)
+                values[::7, 2] = values[::7, 3] * (1.0 - 1e-6)
+                return values, one_ok, two_ok
+
+            monkeypatch.setattr(cli, "_solve_block", raised)
+        want = self.violations(tmp_path, "half", dipole_magnitude=0.5)
+        for dipole in (1e-300, 1e300):
+            assert self.violations(tmp_path, f"{dipole:g}",
+                                   dipole_magnitude=dipole) == want
+        if patched:
+            # Block-relative: the second block starts at sample BLOCK.
+            samples = [*range(0, BLOCK, 5), *range(0, BLOCK, 7),
+                       *range(BLOCK, BLOCK + 44, 5), *range(BLOCK, BLOCK + 44, 7)]
+            assert [sample for sample, _ in want] == sorted(set(samples))
+        else:
+            assert want == []
+
+    def test_norm_order_margin_is_relative(self, tmp_path, monkeypatch):
+        # A block of norms near 1e-300 and one near 1e300, replacing the
+        # solve: a one-step norm 1e-6 above the two-step one (or a field
+        # norm 1e-6 below) is flagged, one 1e-12 away is rounding.
+        import emnav.cli as cli
+
+        def solve_block(a_mats, tilts, torques, dipole):
+            scale = 1e-300 if len(tilts) == BLOCK else 1e300
+            values = np.full((len(tilts), 7), scale)
+            values[:, 4:6] = 90.0
+            values[0::4, 0] *= 1.0 + 1e-6
+            values[1::4, 0] *= 1.0 + 1e-12
+            values[2::4, 2] *= 1.0 - 1e-6
+            values[3::4, 2] *= 1.0 - 1e-12
+            ok = np.ones(len(tilts), dtype=bool)
+            return values, ok, ok
+
+        monkeypatch.setattr(cli, "_solve_block", solve_block)
+        got = self.violations(tmp_path, "patched")
+        want = []
+        for start in (0, BLOCK):
+            stop = start + (BLOCK if start == 0 else 44)
+            want += [(k, ["current_norm_order"]) for k in range(start, stop, 4)]
+            want += [(k, ["field_norm_order"]) for k in range(start + 2, stop, 4)]
+        assert got == sorted(want)
+
     def test_norm_whose_squares_overflow_is_reported(self, tmp_path):
         # At tau_bar 1e151 the squares of sample 39's currents overflow,
         # though the currents and their norms are finite (1.37e154 A, 3 %

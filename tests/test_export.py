@@ -3,6 +3,7 @@ table artifact must keep its bytes."""
 
 import json
 import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from helpers import (
 
 import emnav.cli as cli
 from emnav.dynamics import PendulumParams
-from emnav.export import text_column
+from emnav.export import text_lookup
 from emnav.magmodel import BLOCK, get_model
 from emnav.sim import run_scenario, scenario_from_dict
 from emnav.workspace import (
@@ -176,20 +177,59 @@ def test_lattice_map_matches_per_value_writer(tmp_path, model, task):
     pool=st.lists(st.floats(), min_size=1, max_size=4),
     picks=st.lists(st.integers(0, 2 * len(SPECIALS) + 3), max_size=40),
 )
-def test_text_column_matches_per_value_format(pool, picks):
+def test_text_lookup_matches_per_value_format(pool, picks):
     # A small pool, so that values repeat: the drawn floats, both signed
     # zeros, NaN of both signs and the other special values.
     pool = pool + [0.0, -0.0, -math.nan] + SPECIALS
     column = [pool[k % len(pool)] for k in picks]
     expected = [format(value, ".17g") for value in column]
-    assert text_column(np.array(column, dtype=float), {}) == expected
+    values = np.array(column, dtype=float)
+    assert text_lookup(values)(values) == expected
     # A strided column, as a map's positions[:, k] is, in two blocks that
-    # share one dict.
+    # share one lookup.
     table = np.zeros((len(column), 3))
     table[:, 1] = column
-    text, half = {}, len(column) // 2
-    assert (text_column(table[:half, 1], text)
-            + text_column(table[half:, 1], text)) == expected
+    text, half = text_lookup(table[:, 1]), len(column) // 2
+    assert text(table[:half, 1]) + text(table[half:, 1]) == expected
+    # A lookup is built only up to ``most`` distinct values (by their bits).
+    distinct = len({struct.pack("<d", value) for value in column})
+    assert text_lookup(values, distinct) is not None
+    assert text_lookup(values, distinct - 1) is None
+
+
+def margin_map(points: int, distinct: int) -> FeasibilityMap:
+    """``feasibility_map(points)`` with ``distinct`` margins (by their bits:
+    both signed zeros, NaN of both signs, the infinities), each repeated and
+    in shuffled order."""
+    rng = np.random.default_rng(11)
+    pool = np.concatenate([[0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
+                           rng.normal(0.0, 5.0, distinct - 6)])
+    fm = pool[rng.permutation(np.arange(points) % distinct)]
+    return replace(feasibility_map(points), fm=fm)
+
+
+@pytest.mark.parametrize("distinct, lookup", [
+    (128, True), (129, True), (130, False),
+], ids=["below-quarter", "quarter", "above-quarter"])
+def test_margin_lookup_matches_per_value_writer(tmp_path, monkeypatch,
+                                                distinct, lookup):
+    # 516 points, a quarter of which is 129: the margins take the lookup at
+    # up to 129 distinct values and are formatted inline above.
+    import emnav.workspace as workspace
+
+    fmap = margin_map(2 * BLOCK + 4, distinct)
+    assert np.unique(fmap.fm.view(np.int64)).size == distinct
+    built = []
+
+    def spy(values, *most):
+        text = text_lookup(values, *most)
+        built.append((*most, text is not None))
+        return text
+
+    monkeypatch.setattr(workspace, "text_lookup", spy)
+    assert_same_bytes(tmp_path, fmap.to_csv,
+                      lambda p: map_csv_per_value(fmap, p))
+    assert built == [(True,)] * 3 + [(129, lookup)]
 
 
 def test_alloc_bench_matches_per_value_writer(tmp_path, monkeypatch):
