@@ -5,8 +5,10 @@
         [--seed 7] [--workloads sim_multi_torque,alloc_sweep]
 
 The base commit is extracted with ``git archive`` into a temporary directory
-(local, nothing is fetched); the change is the checkout holding this script,
-uncommitted edits included.  Each pair runs ``perfbench/run.py`` of both
+(local, nothing is fetched); the change is copied there from the checkout
+holding this script: its tracked and untracked files, uncommitted edits
+included, but none that git ignores, so neither tree holds a stale
+``__pycache__``.  Each pair runs ``perfbench/run.py`` of both
 trees on one workload and seed, the base first in even pairs and the change
 first in odd ones, for the run length BENCHMARK.json declares.
 
@@ -16,8 +18,8 @@ the number of pairs the change won (ties count for neither side), whether
 that is a gain (wins in at least nine tenths of the pairs and a median gap
 wider than the base's interquartile range) and whether the change's median
 stays within the metric's bound; the ``failed`` count of every run; and, for
-both sides, the Tier-1 wall time and the line count of ``src/``.  Uses only
-the standard library.
+both sides, the Tier-1 wall time (run in the copied trees) and the line count
+of ``src/``.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,6 +57,21 @@ def _extract(rev: str, dest: Path) -> str:
         else:
             tar.extractall(dest)
     return sha
+
+
+def _copy_checkout(repo: Path, dest: Path) -> None:
+    """Copy the files of the checkout ``repo`` that git tracks, or sees
+    untracked and not ignored, into ``dest``: ``git stash create`` would drop
+    the untracked ones.  A tracked file deleted in the checkout is left out."""
+    listed = subprocess.run(
+        ["git", "-C", str(repo), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        capture_output=True, check=True,
+    ).stdout
+    for name in sorted(set(os.fsdecode(listed).split("\0")) - {""}):
+        if (repo / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(repo / name, dest / name)
 
 
 def _src_lines(tree: Path) -> int:
@@ -143,12 +161,13 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="emnav-bench-") as tmp:
-        base_tree = Path(tmp) / "base"
+        base_tree, change_tree = Path(tmp) / "base", Path(tmp) / "change"
         sha = _extract(args.base, base_tree)
-        trees = {"base": base_tree, "change": REPO}
+        _copy_checkout(REPO, change_tree)
+        trees = {"base": base_tree, "change": change_tree}
         report = {
             "base": f"{args.base} = {sha}",
-            "change": f"working tree of {REPO.name}",
+            "change": f"working tree of {REPO.name}, files git does not ignore",
             "seed": args.seed,
             "pairs": args.pairs,
             "seconds": seconds,

@@ -3,12 +3,12 @@
 Every number is written with ``%.17g``: 17 significant digits round-trip
 every double, ``inf``/``-inf``/``nan`` are spelled as Python spells them, and
 a whole number below 10^17 (a sample or agent index, a 0/1 flag) prints
-without a decimal point.  Rows are formatted ``BLOCK`` at a time from a
-list of columns that the caller builds from slices of its arrays, each a
-1-D float array or a sequence of strings written as they are, and written
-with one ``write`` per block.  A column of few distinct values (a lattice
-axis, a symmetric map's margins) is formatted once per distinct value by a
-``text_lookup``, which holds one text per distinct value: neither a
+without a decimal point.  Rows are formatted ``BLOCK`` at a time from the
+columns the caller builds from slices of its arrays (1-D float arrays, or
+sequences of strings written as they are), joined as strings if at least
+half are text, else by one row template, and written in one ``write``.  A
+column of few distinct values (a lattice axis, a symmetric map's margins) is
+formatted once per distinct value by a ``text_lookup``: neither a
 whole-file string nor a full-size copy of the table is ever held.
 """
 
@@ -52,20 +52,24 @@ def write_csv(
 
     ``block(start, stop)`` returns rows ``start`` to ``stop - 1`` as a list
     of columns, each a 1-D float array (written with ``%.17g``) or a
-    sequence of strings (written as they are).  ``newline`` ends every line
-    (``\\r\\n`` is what ``csv.writer`` writes).
+    sequence of strings (written as they are); a block of at least as many
+    text as number columns is joined as strings, others take one row
+    template, faster for numbers.  ``newline`` ends every line (``\\r\\n``
+    is what ``csv.writer`` writes).
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
         for start in range(0, rows, BLOCK):
             columns = block(start, min(start + BLOCK, rows))
-            template = ",".join(
-                "%.17g" if isinstance(column, np.ndarray) else "%s"
-                for column in columns
-            ) + newline
-            columns = [column.tolist() if isinstance(column, np.ndarray)
-                       else column for column in columns]
-            fh.write("".join([template % row for row in zip(*columns)]))
+            numbers = [isinstance(column, np.ndarray) for column in columns]
+            if 2 * sum(numbers) <= len(columns):  # mostly text: join strings
+                columns = [list(map("%.17g".__mod__, c.tolist())) if n else c
+                           for c, n in zip(columns, numbers)]
+                fh.write(newline.join(map(",".join, zip(*columns))) + newline)
+            else:  # mostly numbers: one row template
+                template = ",".join(("%s", "%.17g")[n] for n in numbers) + newline
+                columns = [c.tolist() if n else c for c, n in zip(columns, numbers)]
+                fh.write("".join([template % row for row in zip(*columns)]))
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -11,10 +11,10 @@ The module also provides the pivoted dipole's frames (``body_frames``, for
 arrays of tilts), its body-frame tilt-torque rows ``torque_rows`` (the map
 from field and gradient to the torque about the pivot, direct magnetic
 torque plus the lever-arm torque of the gradient force) that every torque
-solve and the workspace torque box use, and the one pseudoinverse every
-allocation and workspace solve uses.  A dipole is plain values: its tilts
-(alpha about +y, then beta about +x) and its signed magnitude mag_pol =
-polarity * |m|, with the moment mag_pol * axis.
+solve and the workspace torque box use, the one pseudoinverse every solve
+uses and its one-target form.  A dipole is plain values: its tilts (alpha
+about +y, then beta about +x) and its signed magnitude mag_pol = polarity *
+|m|, with the moment mag_pol * axis.
 """
 
 from __future__ import annotations
@@ -36,16 +36,17 @@ RANK_RTOL = 1.0e-10
 
 #: Largest certified bound on cond(T)^2 at which a solve takes the normal
 #: equations (``alloc.solve_torque_gram``, ``pinv_rank``) or, for a square T,
-#: its inverse (``pinv_rank``).  G = T T^T squares the condition number, so
-#: a Cholesky solve of G errs by about n u cond(T)^2 relative, u = 1.1e-16
-#: (Golub & Van Loan, Matrix Computations, 5.3; Higham, Accuracy and
-#: Stability of Numerical Algorithms, ch. 10): ~1e-8 here; an LU inverse of
-#: T errs by about u cond(T) (ch. 14).  For G = L L^T, trace(G) >= lambda_max
-#: and ||L^-1||_F^2 = trace(G^-1) >= 1 / lambda_min, so trace(G) ||L^-1||_F^2
-#: >= cond(T)^2.  ``pinv_rank`` bounds it by a residual: if ||I - T P|| <= r
-#: < 1, then 1 - r <= sigma_min(T P) <= sigma_min(T) ||P||, so T has full row
-#: rank and cond(T) <= ||T|| ||P|| / (1 - r).  A certified T has sigma_min /
-#: sigma_max >= 1e-4 >> RANK_RTOL: full rank.
+#: its inverse (``pinv_rank``) or LU (``pinv_solve``).  G = T T^T squares the
+#: condition number: a Cholesky solve of G errs by about n u cond(T)^2, u =
+#: 1.1e-16 (Golub & Van Loan, Matrix Computations, 5.3; Higham, Accuracy and
+#: Stability of Numerical Algorithms, ch. 10), an LU one by u cond(T) (ch. 9,
+#: 14).  For G = L L^T, trace(G) ||L^-1||_F^2 = trace(G) trace(G^-1) >=
+#: cond(T)^2.  ``pinv_rank`` bounds it by a residual: if ||I - T P|| <= r <
+#: 1, then 1 - r <= sigma_min(T P) <= sigma_min(T) ||P||, so cond(T) <= ||T||
+#: ||P|| / (1 - r).  ``pinv_solve`` shifts: if mu = trace(G) / GRAM_COND_BOUND
+#: is a normal number and G - mu I has a Cholesky factor, lambda_min(G) > mu
+#: >= lambda_max / GRAM_COND_BOUND, up to G's rounding, n u ||T||_F^2 ~ 1e-7
+#: mu (ch. 10).  Certified, sigma_min / sigma_max >= 1e-4 >> RANK_RTOL: full rank.
 GRAM_COND_BOUND = 1.0e8
 
 #: Points per batched evaluation (workspace grids, alloc-bench samples).
@@ -220,13 +221,7 @@ def pinv_rank(
             p0 = stack_t @ (adj / (a * d - b * b)[..., None, None])
         else:
             gram = stack if k == n else stack @ stack_t  # S itself when square
-            try:
-                inv = np.linalg.inv(gram)
-            except np.linalg.LinAlgError:  # entry by entry; a singular one is NaN
-                inv = np.full(gram.shape, math.nan)
-                for idx in np.ndindex(gram.shape[:-2]):
-                    with contextlib.suppress(np.linalg.LinAlgError):
-                        inv[idx] = np.linalg.inv(gram[idx])
+            inv = _each(np.linalg.inv, gram)
             p0 = inv if k == n else stack_t @ inv
         resid = np.eye(k) - stack @ p0
         r, s_norm, p0_norm = (np.sqrt(np.einsum("...ij,...ij->...", x, x))
@@ -236,6 +231,39 @@ def pinv_rank(
     if np.any(bad):
         pinv[bad], rank[bad] = _pinv_rank_svd(stack[bad])
     return pinv, rank
+
+
+def pinv_solve(stack: NDArray[np.floating], target: NDArray) -> NDArray:
+    """``pinv_rank(stack)[0] @ target``, up to rounding: one LU solve of each
+    square entry S certified by a finite Cholesky factor of G - mu I, G =
+    S^T S, mu = trace(G) / GRAM_COND_BOUND a normal number (see there);
+    other entries, and a stack that is not square, take ``pinv_rank``'s bits."""
+    if stack.shape[-2] != stack.shape[-1]:
+        return pinv_rank(stack)[0] @ target
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G fails
+        gram = np.ascontiguousarray(np.swapaxes(stack, -1, -2)) @ stack  # copy: faster
+        mu = np.einsum("...ii->...", gram) / GRAM_COND_BOUND
+        np.einsum("...ii->...i", gram)[...] -= mu[..., None]  # G - mu I
+        factor = _each(np.linalg.cholesky, gram)
+    ok = (mu >= np.finfo(float).tiny) & np.isfinite(factor).all(axis=(-2, -1))
+    if np.all(ok):
+        return np.linalg.solve(stack, target)
+    x = np.empty(stack.shape[:-1])
+    x[ok] = np.linalg.solve(stack[ok], target)
+    x[~ok] = pinv_rank(stack[~ok])[0] @ target
+    return x
+
+
+def _each(factorize, stack: NDArray[np.floating]) -> NDArray[np.floating]:
+    """``factorize(stack)``, entry by entry if it raises: a failing entry NaN."""
+    try:
+        return factorize(stack)
+    except np.linalg.LinAlgError:
+        out = np.full(stack.shape, math.nan)
+        for idx in np.ndindex(stack.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[idx] = factorize(stack[idx])
+        return out
 
 
 def _pinv_rank_svd(stack: NDArray[np.floating]) -> tuple[NDArray, NDArray]:

@@ -22,6 +22,7 @@ from .magmodel import (
     actuation_matrices,
     actuation_matrix,
     pinv_rank,
+    pinv_solve,
     torque_rows,
 )
 
@@ -140,11 +141,13 @@ class GridSpec:
 class FeasibilityMap:
     """Feasibility margin sampled over a grid.
 
-    ``fm`` is the current headroom in amps at each point; it is -inf, and
-    the point is flagged "singular", wherever the stacked task map (the
-    torque or field rows of every agent over the coils) cannot realize the
-    task set: for the torque box, where its rank is below its row count;
-    for the fixed field, where the one target lies outside its range.
+    ``fm`` is the current headroom in amps at each point: the limit less the
+    largest minimum-norm coil current (the worst over the torque box, or the
+    field target's by ``magmodel.pinv_solve``).  It is -inf, and the point
+    is flagged "singular", wherever the stacked task map (the torque or
+    field rows of every agent over the coils) cannot realize the task set:
+    for the torque box, where its rank is below its row count; for the
+    fixed field, where the one target lies outside its range.
     ``feasible`` is exactly ``fm > 0``; ``flags`` carries per-point caveats
     ("singular", "near-contact").
     """
@@ -232,10 +235,10 @@ def _worst_currents(
 
     W, the target and a second agent's rows, stacked under every point, are
     formed once per task.  A block of ``BLOCK`` points takes one A(p) for
-    every task and one ``pinv_rank`` per task (certified normal equations or,
-    for a square stack such as one agent's 8 x 8 on octomag8, its inverse;
-    an SVD at the points it does not certify) for the rank and the
-    pseudoinverse.  A task the stack cannot realize gives +inf:
+    every task and one solve per task: ``pinv_rank`` for the torque box's
+    rank and pseudoinverse, ``pinv_solve`` for the field's currents (LU of a
+    certified square stack, such as one agent's 8 x 8 on octomag8; an SVD
+    where neither certifies).  A task the stack cannot realize gives +inf:
 
     - torque box: the box spans the task rows, so every task is realizable
       exactly when the stack's rank equals its row count (two agents' four
@@ -275,14 +278,14 @@ def _worst_currents(
             if other is not None:
                 tail = np.broadcast_to(other, (stack.shape[0],) + other.shape)
                 stack = np.concatenate([stack, tail], axis=1)
-            pinv, rank = pinv_rank(stack)
             block = out[start : start + BLOCK]
             if task is None:
+                pinv, rank = pinv_rank(stack)
                 block[:] = size * np.max(np.sum(np.abs(pinv), axis=2), axis=1)
                 _check_finite(block, kind, start)
                 block[rank < stack.shape[1]] = math.inf
             else:
-                currents = pinv @ task
+                currents = pinv_solve(stack, task)
                 _check_finite(currents, kind, start)
                 block[:] = np.max(np.abs(currents), axis=1)
                 miss = np.einsum("brn,bn->br", stack, currents) - task

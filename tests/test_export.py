@@ -20,7 +20,7 @@ from helpers import (
 
 import emnav.cli as cli
 from emnav.dynamics import PendulumParams
-from emnav.export import text_lookup
+from emnav.export import text_lookup, write_csv
 from emnav.magmodel import BLOCK, get_model
 from emnav.sim import run_scenario, scenario_from_dict
 from emnav.workspace import (
@@ -271,3 +271,74 @@ def test_alloc_bench_matches_per_value_writer(tmp_path, monkeypatch):
     }
     alloc_bench_csv_per_value(tmp_path / "old.csv", values, notes)
     assert (out / "bench.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ``write_csv`` assembles a block by joining strings when at least half of
+# its columns are text, and through one row template otherwise.
+
+#: Number cells whose spelling a writer could change: signed zero, NaN,
+#: the infinities, tiny and huge magnitudes and whole numbers.
+CELLS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300, -1e300, 1e300,
+         3.0, -12.0, 1e16, 123456789012345678.0, 0.1, 5e-324]
+
+
+class Marked(str):
+    """A text cell that ``str()`` spells otherwise: "%s" writes ``str()``,
+    ``",".join`` the text itself, so it shows which path wrote it."""
+
+    def __str__(self) -> str:
+        return "templated"
+
+
+def csv_per_value(path, header, columns, newline):
+    """The per-value reference: each number by ``format(v, ".17g")``, each
+    text as it is, the cells joined by commas."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else v
+                              for v in row))
+    Path(path).write_text("".join(line + newline for line in lines), newline="")
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK + 3], ids=["empty", "one", "two-blocks"])
+@pytest.mark.parametrize("numbers,texts", [
+    (0, 1), (1, 2), (1, 1), (2, 2), (3, 3),  # joined: at or below half
+    (2, 1), (3, 2), (4, 0), (1, 0),  # templated
+])
+@pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+def test_write_csv_paths_match_per_value_writer(tmp_path, rows, numbers, texts,
+                                                 newline):
+    rng = np.random.default_rng(rows + 10 * numbers + 100 * texts)
+    values = rng.normal(0.0, 10.0, (numbers, rows))
+    picks = rng.integers(0, len(CELLS), (numbers, rows))
+    special = rng.random((numbers, rows)) < 0.5
+    values[special] = np.array(CELLS)[picks[special]]
+    words = ["", "singular", "near-contact", "0", "1", "-0.0"]
+    text = [[words[k] for k in rng.integers(0, len(words), rows)]
+            for _ in range(texts)]
+    # Interleave the two kinds, as a map's columns are.
+    columns = [*values, *text]
+    order = rng.permutation(len(columns))
+    columns = [columns[k] for k in order]
+    header = [f"c{k}" for k in order]
+
+    def block(start, stop):
+        return [c[start:stop] for c in columns]
+
+    write_csv(tmp_path / "new.csv", header, rows, block, newline=newline)
+    csv_per_value(tmp_path / "old.csv", header,
+                  [c.tolist() if isinstance(c, np.ndarray) else c for c in columns],
+                  newline)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("numbers,texts,joined", [
+    (1, 1, True), (2, 2, True), (1, 3, True), (2, 1, False), (3, 2, False),
+])
+def test_write_csv_path_follows_column_kinds(tmp_path, numbers, texts, joined):
+    # A block of at least as many text as number columns is joined; others
+    # are templated.
+    columns = [np.array([1.5, -0.0])] * numbers + [[Marked("a"), Marked("b")]] * texts
+    write_csv(tmp_path / "t.csv", ["h"] * len(columns), 2, lambda a, b: columns)
+    first = (tmp_path / "t.csv").read_text().splitlines()[1]
+    assert first == ",".join(["1.5"] * numbers + ["a" if joined else "templated"] * texts)

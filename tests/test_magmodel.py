@@ -9,13 +9,17 @@ Oracles used here, independent of the implementation:
   * torque-map SVD — numpy's generic SVD of skew(m), against the closed
     form in helpers.torque_map_svd;
   * pseudoinverse and rank — numpy's SVD pseudoinverse
-    ``np.linalg.pinv(rcond=RANK_RTOL)`` and the singular values it cuts.
+    ``np.linalg.pinv(rcond=RANK_RTOL)`` and the singular values it cuts;
+  * one-target solve — ``pinv_rank`` itself, the normwise backward error
+    and the singular values of each entry.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ from emnav.magmodel import (
     body_frames,
     get_model,
     pinv_rank,
+    pinv_solve,
     torque_rows,
 )
 
@@ -702,3 +707,149 @@ def test_pinv_rank_tall_stack_takes_svd(svd_calls, navion):
     assert [call.shape for call in svd_calls] == [(3, 4, 3)]
     assert np.all(rank <= 3)
     _assert_matches_svd_oracle(stack, pinv, rank)
+
+
+# ``pinv_solve``: one LU solve of each square entry that the shifted
+# Cholesky certificate accepts, ``pinv_rank`` for the others.
+
+
+def _backward_error(entry, x, target):
+    """Normwise backward error ||S x - t|| / (||S|| ||x|| + ||t||)."""
+    residual = np.linalg.norm(entry @ x - target)
+    return residual / (np.linalg.norm(entry, 2) * np.linalg.norm(x)
+                       + np.linalg.norm(target))
+
+
+@contextlib.contextmanager
+def _fallbacks():
+    """The stacks ``pinv_solve`` hands to ``pinv_rank``, in call order."""
+    calls = []
+    rank = magmodel.pinv_rank
+
+    def spy(stack):
+        calls.append(stack.copy())
+        return rank(stack)
+
+    with mock.patch.object(magmodel, "pinv_rank", spy):
+        yield calls
+
+
+def _rejected(stack, calls) -> np.ndarray:
+    """Which entries of ``stack`` went to the one ``pinv_rank`` call."""
+    if not calls:
+        return np.zeros(len(stack), bool)
+    (sent,) = calls
+    return np.array([any(np.array_equal(entry, other, equal_nan=True)
+                         for other in sent) for entry in stack])
+
+
+def _frobenius_cond2(entry) -> float:
+    """||S||_F^2 / sigma_min^2, the bound the certificate tests."""
+    sigma = np.linalg.svd(entry, compute_uv=False)
+    return float(np.sum(sigma**2) / sigma[-1] ** 2) if sigma[-1] else math.inf
+
+
+@st.composite
+def _square_stack(draw):
+    """A stack of one to six n x n maps, n from 1 to 8, and a target: each
+    entry with chosen singular values (a condition number from 1 to 1e12,
+    so on both sides of the certificate's 1e4) scaled by 1e-6 to 1e6, or
+    exactly singular (a repeated row; zero for n = 1), or holding a NaN."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        log_cond = draw(_floats(0.0, 12.0))
+        spectrum = 10.0 ** -np.sort(rng.uniform(0.0, log_cond, n))
+        spectrum[-1] = 10.0**-log_cond
+        entry = 10.0 ** draw(_floats(-6.0, 6.0)) * _conditioned(rng, spectrum, n)
+        kind = draw(st.sampled_from(("conditioned",) * 4 + ("singular", "nan")))
+        if kind == "singular":
+            entry[-1] = entry[0] if n > 1 else 0.0
+        elif kind == "nan":
+            entry[tuple(rng.integers(n, size=2))] = math.nan
+        entries.append(entry)
+    return np.stack(entries), rng.normal(size=n) * 10.0 ** draw(_floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_square_stack())
+def test_pinv_solve_matches_pinv_rank(case):
+    # A certified entry is well conditioned (the certificate's bound, up to
+    # G's rounding), any entry below the bound by more than that rounding is
+    # certified, and its LU solve has a backward error at machine level.
+    # Every other entry keeps pinv_rank's bits; a NaN entry raises as
+    # pinv_rank raises.
+    stack, target = case
+    if np.isnan(stack).any():
+        for solve in (lambda: pinv_rank(stack)[0] @ target,
+                      lambda: pinv_solve(stack, target)):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve()
+        return
+    reference = pinv_rank(stack)[0] @ target
+    with _fallbacks() as calls:
+        x = pinv_solve(stack, target)
+    assert len(calls) <= 1
+    rejected = _rejected(stack, calls)
+    np.testing.assert_array_equal(x[rejected], reference[rejected])
+    for entry, got, sent in zip(stack, x, rejected):
+        cond2 = _frobenius_cond2(entry)
+        if not sent:
+            assert cond2 < GRAM_COND_BOUND * (1 + 1e-6)
+            assert _backward_error(entry, got, target) <= 1e-14
+        else:
+            assert cond2 > GRAM_COND_BOUND * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+def test_pinv_solve_certificate_boundary(n, side):
+    # ||S||_F^2 / sigma_min^2 a relative 1e-4 under or over GRAM_COND_BOUND
+    # (G's rounding is about 1e-7 of the shift): certified under, solved by
+    # LU; over, left to pinv_rank, whose bits stand.
+    cond2 = GRAM_COND_BOUND * (1 + side * 1e-4)
+    spectrum = np.ones(n)
+    spectrum[-1] = math.sqrt((n - 1) / (cond2 - 1))
+    rng = np.random.default_rng(n)
+    stack = np.stack([_conditioned(rng, spectrum, n) for _ in range(3)])
+    target = rng.normal(size=n)
+    assert all(abs(_frobenius_cond2(e) / cond2 - 1) < 1e-8 for e in stack)
+    with _fallbacks() as calls:
+        x = pinv_solve(stack, target)
+    if side < 0:
+        assert calls == []
+        np.testing.assert_array_equal(x, np.linalg.solve(stack, target))
+    else:
+        assert len(calls) == 1 and np.array_equal(calls[0], stack)
+        np.testing.assert_array_equal(x, pinv_rank(stack)[0] @ target)
+
+
+def test_pinv_solve_wide_and_tall_stacks_take_pinv_rank(navion, octomag):
+    # Two agents' field rows (6 x 8) and torque rows on three coils (4 x 3):
+    # not square, so pinv_rank's bits, with no certificate formed.
+    points = np.array([[0.01, 0.0, 0.0], [0.0, 0.02, 0.01]])
+    wide = actuation_matrices(octomag, points)[:, :3]
+    wide = np.concatenate([wide, wide[::-1]], axis=1)
+    rows = torque_rows(0.0, 0.0, 2.0, 0.02)
+    tall = rows @ actuation_matrices(navion, points + [0.0, 0.0, 0.1])
+    tall = np.concatenate([tall, tall[::-1]], axis=1)
+    for stack in (wide, tall):
+        target = np.arange(1.0, stack.shape[1] + 1)
+        with _fallbacks() as calls:
+            x = pinv_solve(stack, target)
+        assert len(calls) == 1
+        assert x.tobytes() == (pinv_rank(stack)[0] @ target).tobytes()
+
+
+def test_pinv_solve_overflowing_gram_warns_nothing():
+    # (1e160)^2 overflows S^T S, and (1e-160)^2 is subnormal: its Cholesky
+    # factor exists, but mu underflows to zero.  Neither entry is certified,
+    # no product warns, and pinv_rank's bits stand.
+    stack = np.stack([np.diag([1e160, 1.0, 2.0]), np.diag([1e-160, 3e-160, 2e-160])])
+    target = np.array([1.0, 2.0, 3.0])
+    with warnings.catch_warnings(), _fallbacks() as calls:
+        warnings.simplefilter("error")
+        x = pinv_solve(stack, target)
+    assert len(calls) == 1 and np.array_equal(calls[0], stack)
+    assert x.tobytes() == (pinv_rank(stack)[0] @ target).tobytes()
